@@ -24,7 +24,7 @@ from .differentials import (
     differential_matrix,
     dually_simple_scan,
 )
-from .pairing import ArcLift, SlopeSpec, dual_hfk_dims, genus_of, surgery_report
+from .pairing import ArcLift, DegenerateIncidence, SlopeSpec, dual_hfk_dims, genus_of, surgery_report
 from .render import render_svg
 from .textfmt import InvariantViolation, parse_curve_text
 
@@ -568,6 +568,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (DegenerateIncidence, RuntimeError) as exc:
+        # the diagram passed validation but its geometry cannot be paired:
+        # an unresolvable incidence, or a curve walk that does not close up
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

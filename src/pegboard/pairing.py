@@ -351,34 +351,40 @@ def _canonical_delta(d: CurveDiagram) -> Fraction:
 
 
 def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
-    """No peg and no (translated) curve vertex on any relevant line."""
-    box = d.bbox().pad(1)
-    box = Box(box.xmin - 1, box.xmax + 1, box.ymin - abs(fam.slope.p) - 1, box.ymax + abs(fam.slope.p) + 1)
-    for k in fam.lift_indices(box):
-        anchor, (dx, dy) = fam.anchor_dir(k)
+    """No peg and no curve vertex on any line of the family.
 
-        def on_line(p: Point) -> bool:
-            return (p.x - anchor.x) * dy == (p.y - anchor.y) * dx
+    With lift 0 through `anchor` in the integer direction (dx, dy), the lines
+    are the level sets f = k, k integer, of the linear form
+    f(v) = (v.y - anchor.y) * dx - (v.x - anchor.x) * dy, so the family is
+    clean iff f is non-integral at every vertex and at the peg (0, 1/2).
+    Up to sign, these are the values that must be non-integral:
 
-        for c in d.components:
-            for v in c.vertices:
-                if on_line(v) or on_line(v.translate(1)) or on_line(v.translate(-1)):
-                    return False
-        if dx == 0:  # vertical line: pegs have integer x
-            if (anchor.x).denominator == 1:
-                return False
-            continue
-        i0 = math.floor(box.xmin)
-        i1 = math.ceil(box.xmax)
-        for i in range(i0, i1 + 1):
-            y = anchor.y + (Fraction(i) - anchor.x) * dy / dx
-            if (y - HALF).denominator == 1:
-                return False
-    return True
+    * slanted (q >= 1, p != 0): q*y - p*(x - 1/2 - delta) at every vertex,
+      and p*delta + (p + q)/2;
+    * vertical (q = 0): x - 1/2 - delta at every vertex, and 1/2 + delta;
+    * horizontal (p = 0): y - 1/2 - delta at every vertex, and delta.
+
+    Translating a point by (1, 0) or (0, 1) shifts f by the integer -dy or
+    dx, so one vertex stands for all its horizontal translates and one peg
+    for the whole peg lattice (i, j + 1/2).
+    """
+    anchor, (dx, dy) = fam.anchor_dir(0)
+
+    def form(v: Point) -> Fraction:
+        return (v.y - anchor.y) * dx - (v.x - anchor.x) * dy
+
+    if form(Point(ZERO, HALF)).denominator == 1:
+        return False
+    return all(form(v).denominator != 1 for c in d.components for v in c.vertices)
 
 
 def line_family(d: CurveDiagram, slope: SlopeSpec) -> _LineFamily:
-    """The filling family at the canonical offset, halved until incidence-free."""
+    """The filling family at the canonical offset, halved until incidence-free.
+
+    The start is 1/(2*D*N) (D the lcm of coordinate denominators, N the vertex
+    count); each candidate offset is tested with the closed-form criterion of
+    `_family_is_clean`.
+    """
     delta = _canonical_delta(d)
     for _ in range(80):
         fam = _LineFamily(slope, delta)

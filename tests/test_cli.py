@@ -145,6 +145,29 @@ class TestFilesAndRender:
         code, _, err = run(capsys, "pair", str(path), "1/1")
         assert code == EXIT_INVALID
 
+    def test_degenerate_incidence_exit_code(self, capsys, tmp_path):
+        # a valid null-wiggle whose two slope-1 segments lie on 1/1 arcs at
+        # height 0; arcs are never offset, so the collinearity stays
+        path = tmp_path / "collinear.curve"
+        path.write_text(
+            "component winding=1\nv -1/2 0\nv -3/8 1/8\nv -1/8 3/8\n"
+            "v 1/8 -3/8\nv 3/8 -1/8\nv 1/2 0\n"
+        )
+        code, _, err = run(capsys, "hfk", str(path), "1/1")
+        assert code == EXIT_INVALID
+        assert err.startswith("error:") and "collinear" in err
+
+    def test_subarc_walk_failure_exit_code(self, capsys, monkeypatch):
+        import pegboard.pairing
+
+        def broken_walk(*args):
+            raise RuntimeError("subarc longer than one traversal")
+
+        monkeypatch.setattr(pegboard.pairing, "_forward_subarc", broken_walk)
+        code, _, err = run(capsys, "pair", "trefoil", "--", "-5/1")
+        assert code == EXIT_INVALID
+        assert err == "error: subarc longer than one traversal\n"
+
     def test_render_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "a.svg"
         out2 = tmp_path / "b.svg"

@@ -1,0 +1,148 @@
+"""Filling-family offset selection against the brute-force incidence check.
+
+`reference_family_is_clean` is the lift-by-lift search that the closed-form
+`pairing._family_is_clean` replaced; it is kept here, unchanged, as the oracle.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pegboard.curves import CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.geometry import HALF, Box, Point
+from pegboard.pairing import (
+    SlopeSpec,
+    _canonical_delta,
+    _family_is_clean,
+    _LineFamily,
+    line_family,
+)
+
+
+def reference_family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
+    """No peg and no (translated) curve vertex on any relevant line."""
+    box = d.bbox().pad(1)
+    box = Box(box.xmin - 1, box.xmax + 1, box.ymin - abs(fam.slope.p) - 1, box.ymax + abs(fam.slope.p) + 1)
+    for k in fam.lift_indices(box):
+        anchor, (dx, dy) = fam.anchor_dir(k)
+
+        def on_line(p: Point) -> bool:
+            return (p.x - anchor.x) * dy == (p.y - anchor.y) * dx
+
+        for c in d.components:
+            for v in c.vertices:
+                if on_line(v) or on_line(v.translate(1)) or on_line(v.translate(-1)):
+                    return False
+        if dx == 0:  # vertical line: pegs have integer x
+            if (anchor.x).denominator == 1:
+                return False
+            continue
+        i0 = math.floor(box.xmin)
+        i1 = math.ceil(box.xmax)
+        for i in range(i0, i1 + 1):
+            y = anchor.y + (Fraction(i) - anchor.x) * dy / dx
+            if (y - HALF).denominator == 1:
+                return False
+    return True
+
+
+def _delta_through(slope: SlopeSpec, point: Point) -> Fraction:
+    """A small offset that puts `point` on a line of the family.
+
+    Slanted lines pass through (1/2 + delta, k/q) with slope p/q, vertical
+    lines are x = 1/2 + delta + k, horizontal ones y = k + 1/2 + delta.
+    """
+    if slope.is_vertical:
+        return point.x - HALF - round(point.x - HALF)
+    if slope.p == 0:
+        return point.y - HALF - round(point.y - HALF)
+    c = slope.p * (point.x - HALF) - slope.q * point.y
+    return (c - round(c)) / slope.p
+
+
+def _plain_deltas(d: CurveDiagram) -> list[Fraction]:
+    canonical = _canonical_delta(d)
+    return [canonical, canonical / 2, Fraction(0), HALF, Fraction(1, 3)]
+
+
+def _adversarial_deltas(d: CurveDiagram, slope: SlopeSpec) -> list[Fraction]:
+    """Offsets that put a vertex or the peg (1, 1/2) exactly on a line."""
+    verts = [v for c in d.components for v in c.vertices]
+    return [
+        _delta_through(slope, verts[0]),
+        _delta_through(slope, verts[len(verts) // 2]),
+        _delta_through(slope, Point(Fraction(1), HALF)),
+    ]
+
+
+def _agree(d: CurveDiagram, slope: SlopeSpec, delta: Fraction) -> bool:
+    fam = _LineFamily(slope, delta)
+    want = reference_family_is_clean(d, fam)
+    assert _family_is_clean(d, fam) == want, (d.name, str(slope), delta)
+    return want
+
+
+# Both special families, the corners of the |p| <= 12, q <= 5 box and a few
+# slopes inside it; the reference check's cost grows with |p| and q, so the
+# exhaustive box is left to the generated cases below.
+ZOO_SLOPES = [
+    SlopeSpec(1, 0),
+    SlopeSpec(0, 1),
+    SlopeSpec(1, 1),
+    SlopeSpec(-1, 1),
+    SlopeSpec(3, 2),
+    SlopeSpec(-7, 3),
+    SlopeSpec(12, 1),
+    SlopeSpec(-12, 5),
+    SlopeSpec(11, 5),
+    SlopeSpec(1, 5),
+]
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_closed_form_matches_reference_on_zoo(name):
+    d = build_zoo(name)
+    outcomes = {_agree(d, s, delta) for s in ZOO_SLOPES for delta in _plain_deltas(d)}
+    assert outcomes == {True, False}
+    assert not any(_agree(d, s, delta) for s in ZOO_SLOPES for delta in _adversarial_deltas(d, s))
+
+
+@st.composite
+def staircase_diagrams(draw):
+    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
+    exps = upper + [0] + [-e for e in reversed(upper)]
+    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+
+
+generated_diagrams = st.one_of(
+    staircase_diagrams(),
+    st.builds(thin, st.integers(-3, 3), st.integers(0, 4)),
+)
+slopes = (
+    st.tuples(st.integers(-12, 12), st.integers(0, 5))
+    .filter(lambda pq: pq != (0, 0))
+    .map(lambda pq: SlopeSpec(*pq))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_diagrams, slopes, st.integers(0, 7))
+def test_closed_form_matches_reference_on_generated_diagrams(d, slope, which):
+    deltas = _plain_deltas(d) + _adversarial_deltas(d, slope)
+    _agree(d, slope, deltas[which])
+
+
+@pytest.mark.parametrize(
+    "name, slope, delta",
+    [
+        ("unknot", SlopeSpec(24, 7), Fraction(1, 32)),
+        ("unknot", SlopeSpec(64, 31), Fraction(1, 256)),
+    ],
+)
+def test_halving_path(name, slope, delta):
+    d = build_zoo(name)
+    assert _canonical_delta(d) == Fraction(1, 8)
+    assert line_family(d, slope).delta == delta
