@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,15 @@ from .differentials import (
     differential_matrix,
     dually_simple_scan,
 )
-from .pairing import ArcLift, DegenerateIncidence, SlopeSpec, dual_hfk_dims, genus_of, surgery_report
+from .pairing import (
+    ArcLift,
+    ArcSweep,
+    DegenerateIncidence,
+    SlopeSpec,
+    dual_hfk_dims,
+    genus_of,
+    surgery_report,
+)
 from .render import render_svg
 from .textfmt import InvariantViolation, parse_curve_text
 
@@ -35,6 +44,19 @@ EXIT_VIOLATION = 3
 
 MAX_P = 64
 MAX_Q = 32
+
+
+# argparse's pattern for a negative number, widened to negative slopes p/q
+_NEGATIVE_NUMBER_OR_SLOPE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reads a negative slope such as -7/3 as a value, as argparse already
+    reads a negative integer such as -7; no option here looks like either."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER_OR_SLOPE
 
 
 class CliError(Exception):
@@ -172,13 +194,14 @@ def cmd_diff(args) -> int:
     slope = _parse_slope(args.slope)
     if slope.p < 1 or slope.q < 1:
         raise CliError("differentials need a slope with p >= 1 and q >= 1", EXIT_USAGE)
-    dims = dual_hfk_dims(d, slope)
+    sweep = ArcSweep(d, slope)
+    dims = sweep.dims()
     bounds = census_bounds(d, slope)
     rows = []
     violated = False
     for h in sorted(dims, reverse=True):
-        phi = differential_matrix(d, slope, h, "phi").rank
-        psi = differential_matrix(d, slope, h, "psi").rank
+        phi = differential_matrix(sweep, h, "phi").rank
+        psi = differential_matrix(sweep, h, "psi").rank
         pb, sb = bounds.phi_bound(h), bounds.psi_bound(h)
         ok = phi >= pb and psi >= sb
         violated = violated or not ok
@@ -424,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pegboard",
         description="Exact peg-board pairing calculator and dimension/torsion ledger",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -25,11 +25,12 @@ from .geometry import Box, Point, pegs_in_box, winding_near, winding_number
 from .curves import Component, CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
     ArcLift,
+    ArcSweep,
     IPoint,
     SlopeSpec,
     ZeroSurgery,
-    arc_points,
     dual_hfk_dims,
+    genus_of,
     surgery_dim,
     valid_grading,
 )
@@ -187,14 +188,16 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
     return found
 
 
-def differential_matrix(d: CurveDiagram, slope: SlopeSpec, h, kind: str) -> DiffMatrix:
+def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     """The grading-h first differential as a mod-2 matrix with its rank.
 
-    kind "psi" raises the grading by p (marker on the right of the shared
-    peg), kind "phi" lowers it by p (marker on the left).  Needs p >= 1 and
-    q >= 1; negative slopes are handled by mirroring the diagram, which
-    swaps the two kinds and negates gradings.
+    The source and target points come from `sweep`, the diagram's arcs of
+    the differential's slope.  kind "psi" raises the grading by p (marker
+    on the right of the shared peg), kind "phi" lowers it by p (marker on
+    the left).  Needs p >= 1 and q >= 1; negative slopes are handled by
+    mirroring the diagram, which swaps the two kinds and negates gradings.
     """
+    d, slope = sweep.diagram, sweep.slope
     if kind not in ("phi", "psi"):
         raise ValueError("kind must be 'phi' or 'psi'")
     if slope.p == 0:
@@ -206,8 +209,8 @@ def differential_matrix(d: CurveDiagram, slope: SlopeSpec, h, kind: str) -> Diff
         raise GradingOutOfRange(f"grading {h} invalid for slope {slope}")
     src_arc = ArcLift(slope, h)
     tgt_h = h + slope.p if kind == "psi" else h - slope.p
-    src_pts = arc_points(d, src_arc)
-    tgt_pts = arc_points(d, ArcLift(slope, tgt_h))
+    src_pts = sweep.points(h)
+    tgt_pts = sweep.points(tgt_h)
     bigons: list[MarkedBigon] = []
     entries: dict[tuple[int, int], int] = {}
     for j, x in enumerate(src_pts):
@@ -219,15 +222,19 @@ def differential_matrix(d: CurveDiagram, slope: SlopeSpec, h, kind: str) -> Diff
         tuple(entries.get((i, j), 0) for j in range(len(src_pts))) for i in range(len(tgt_pts))
     )
     rank = gf2_rank(rows) if rows and src_pts else 0
-    return DiffMatrix(kind, slope, h, rows, rank, tuple(src_pts), tuple(tgt_pts), tuple(bigons))
+    return DiffMatrix(kind, slope, h, rows, rank, src_pts, tgt_pts, tuple(bigons))
+
+
+def _sweep_ranks(sweep: ArcSweep) -> tuple[int, int]:
+    dims = sweep.dims()
+    phi = sum(differential_matrix(sweep, h, "phi").rank for h in dims)
+    psi = sum(differential_matrix(sweep, h, "psi").rank for h in dims)
+    return phi, psi
 
 
 def total_ranks(d: CurveDiagram, slope: SlopeSpec) -> tuple[int, int]:
     """(total rank of the lowering map, total rank of the raising map)."""
-    dims = dual_hfk_dims(d, slope)
-    phi = sum(differential_matrix(d, slope, h, "phi").rank for h in dims)
-    psi = sum(differential_matrix(d, slope, h, "psi").rank for h in dims)
-    return phi, psi
+    return _sweep_ranks(ArcSweep(d, slope))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +338,7 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("scan bounds must be at least 1")
-    g = genus_bound(d)
+    g = genus_of(d)
     out = []
     for q in range(1, qmax + 1):
         for p in range(-pmax, pmax + 1):
@@ -351,12 +358,6 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
             )
             out.append(entry)
     return out
-
-
-def genus_bound(d: CurveDiagram) -> int:
-    from .pairing import genus_of
-
-    return genus_of(d)
 
 
 def dually_simple_slopes(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]:
@@ -396,6 +397,6 @@ def spectral_check(d: CurveDiagram, slope: SlopeSpec) -> SpectralReport:
     if not slope.is_vertical and slope.p < 0:
         work = d.mirror()
         s = SlopeSpec(-slope.p, slope.q)
-    phi, psi = total_ranks(work, s)
-    return SpectralReport(slope, sum(dual_hfk_dims(work, s).values()), psi, phi,
-                          surgery_dim(work, s))
+    sweep = ArcSweep(work, s)
+    phi, psi = _sweep_ranks(sweep)
+    return SpectralReport(slope, sum(sweep.dims().values()), psi, phi, surgery_dim(work, s))

@@ -15,6 +15,16 @@ disk between the curve and the object is then cancelled: a pair of
 intersection points adjacent along both the curve and one object lift gets
 removed whenever the loop they bound has winding number zero around every
 peg.  The removal order does not change the final count (tested property).
+
+Filling lines are paired lift by lift (`raw_intersections`).  Arcs are
+paired by `ArcSweep`, one object per (diagram, slope): every arc line of
+the slope is a level set of F = p*x - q*y (of x for 1/0), so one walk over
+the curve's segments finds the crossings of every grading at once and files
+each under the one arc that contains it.  A grading whose arc lifts lie on
+a degenerate level (a segment along an arc line) falls back to the lift by
+lift walk, which raises `DegenerateIncidence` there.  The sweep cancels
+bigons once per grading and keeps the result, so the graded dimensions and
+both differentials of one slope share the work.
 """
 
 from __future__ import annotations
@@ -206,12 +216,6 @@ class _LineFamily:
             return k  # horizontal lines are translation invariant
         return k - self.slope.p * w
 
-    def u_param(self, k: int, point: Point) -> Fraction:
-        anchor, (dx, dy) = self.anchor_dir(k)
-        if dx != 0:
-            return (point.x - anchor.x) / dx
-        return (point.y - anchor.y) / dy
-
     def contains(self, k: int, point: Point) -> bool:
         anchor, (dx, dy) = self.anchor_dir(k)
         return (point.x - anchor.x) * dy == (point.y - anchor.y) * dx
@@ -245,24 +249,25 @@ class _ArcObject:
     def translated_lift(self, k: int, w: int) -> int:
         return k + w
 
-    def u_param(self, k: int, point: Point) -> Fraction:
-        anchor, (dx, dy) = self.anchor_dir(k)
-        if dx != 0:
-            return (point.x - anchor.x) / dx
-        return (point.y - anchor.y) / dy
-
     def contains(self, k: int, point: Point) -> bool:
         anchor, (dx, dy) = self.anchor_dir(k)
         if (point.x - anchor.x) * dy != (point.y - anchor.y) * dx:
             return False
-        u = self.u_param(k, point)
-        return ZERO <= u <= ONE
+        return ZERO <= _u_param(self, k, point) <= ONE
 
     def grading_key(self, ip: IPoint):
         return self.arc.height
 
 
 PairObject = Union[_LineFamily, _ArcObject]
+
+
+def _u_param(obj: PairObject, k: int, point: Point) -> Fraction:
+    """Parameter of `point` along object lift k, measured from its anchor."""
+    anchor, (dx, dy) = obj.anchor_dir(k)
+    if dx != 0:
+        return (point.x - anchor.x) / dx
+    return (point.y - anchor.y) / dy
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +319,7 @@ def _segment_lift_intersections(obj: PairObject, k: int, c: Component, ci: int) 
                 raise DegenerateIncidence(f"two consecutive vertices on object lift {k}")
             if (sp < 0) != (sb < 0):
                 if obj.contains(k, a):
-                    out.append(IPoint(ci, Fraction(i), a, k, obj.u_param(k, a)))
+                    out.append(IPoint(ci, Fraction(i), a, k, _u_param(obj, k, a)))
             continue
         if sb == 0:
             continue  # handled as the next segment's vertex case (or dropped at the period end)
@@ -323,16 +328,20 @@ def _segment_lift_intersections(obj: PairObject, k: int, c: Component, ci: int) 
         t = sa / (sa - sb)
         point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
         if obj.contains(k, point):
-            out.append(IPoint(ci, Fraction(i) + t, point, k, obj.u_param(k, point)))
+            out.append(IPoint(ci, Fraction(i) + t, point, k, _u_param(obj, k, point)))
     return out
+
+
+def _considered_lifts(obj: PairObject, c: Component) -> range:
+    """The object lifts paired with component c: those near its bounding box."""
+    return obj.lift_indices(c.bbox().pad(Fraction(1, 100)))
 
 
 def raw_intersections(d: CurveDiagram, obj: PairObject) -> list[IPoint]:
     """All transversal intersections, one record per quotient point."""
     points: list[IPoint] = []
     for ci, c in enumerate(d.components):
-        cbox = c.bbox().pad(Fraction(1, 100))
-        for k in obj.lift_indices(cbox):
+        for k in _considered_lifts(obj, c):
             points.extend(_segment_lift_intersections(obj, k, c, ci))
     points.sort(key=lambda ip: (ip.comp, ip.pos, ip.lift))
     return points
@@ -573,21 +582,6 @@ def surgery_dim(d: CurveDiagram, slope: SlopeSpec) -> int:
     return surgery_report(d, slope).total
 
 
-def arc_report(d: CurveDiagram, arc: ArcLift, order_seed: Optional[int] = None) -> PairingReport:
-    obj = _ArcObject(arc)
-    pts = raw_intersections(d, obj)
-    live, audit = cancel_bigons(pts, d, obj, order_seed)
-    counts = {arc.height: len(live)} if live else {}
-    return PairingReport(arc.slope, "arc", counts, len(live), tuple(audit))
-
-
-def arc_points(d: CurveDiagram, arc: ArcLift) -> list[IPoint]:
-    """Minimal-position intersection points with one arc (post cancellation)."""
-    obj = _ArcObject(arc)
-    live, _ = cancel_bigons(raw_intersections(d, obj), d, obj)
-    return live
-
-
 def grading_range(d: CurveDiagram, slope: SlopeSpec) -> list[Fraction]:
     """All gradings whose arc could meet the diagram, by bounding boxes."""
     if slope.p == 0 and not slope.is_vertical:
@@ -601,20 +595,145 @@ def grading_range(d: CurveDiagram, slope: SlopeSpec) -> list[Fraction]:
     return [Fraction(n) + off for n in range(lo, hi + 1)]
 
 
+class ArcSweep:
+    """The arcs of one slope against one diagram, every grading from one walk.
+
+    With F = p*x - q*y (F = x for 1/0), lift k of the grading-h arc lies on
+    the level set F = p*k - q*h + q*p/2, so every arc line is a level F in
+    Z + q/2 (in Z for 1/0).  One pass over each component's segments finds
+    every transversal crossing with such a level.  The crossing belongs to
+    exactly one arc: the lift k with u = (x - k)/q in [0, 1] whose height
+    puts the arc on that level (for 1/0, the integer h within 1/2 of y).
+    Only a point on an arc end, a peg, can lie on two.  A vertex on a level
+    counts iff its cyclic neighbours lie strictly on opposite sides, as in
+    `_segment_lift_intersections`.
+
+    A grading whose considered lifts lie on a degenerate level (a segment
+    along an arc line, or two consecutive vertices on one) goes through the
+    per-lift `raw_intersections` walk instead, which raises the
+    `DegenerateIncidence` the walk has always raised there.  `points(h)`
+    cancels bigons once per grading and keeps the result for the life of
+    the object; nothing is shared between objects.
+    """
+
+    def __init__(self, d: CurveDiagram, slope: SlopeSpec):
+        self.diagram = d
+        self.slope = slope
+        self._raw: Optional[dict[int, list[IPoint]]] = None  # by h - (p-1)/2
+        self._degenerate: list[set[Fraction]] = []  # per component
+        self._live: dict[Fraction, tuple[IPoint, ...]] = {}
+
+    def raw(self, h) -> list[IPoint]:
+        """Grading-h crossings before cancellation, as `raw_intersections`
+        returns them for the arc."""
+        return self._raw_points(_ArcObject(ArcLift(self.slope, h)))
+
+    def points(self, h) -> tuple[IPoint, ...]:
+        """Minimal-position intersection points with the grading-h arc."""
+        live = self._live.get(rat(h))
+        if live is None:
+            arc = ArcLift(self.slope, h)
+            obj = _ArcObject(arc)
+            live = tuple(cancel_bigons(self._raw_points(obj), self.diagram, obj)[0])
+            self._live[arc.height] = live
+        return live
+
+    def dims(self) -> dict:
+        """Graded dual-knot dimensions, nonzero entries only."""
+        dims: dict = {}
+        for h in grading_range(self.diagram, self.slope):
+            n = len(self.points(h))
+            if n:
+                dims[h] = n
+        return dims
+
+    def _raw_points(self, obj: _ArcObject) -> list[IPoint]:
+        if self._raw is None:
+            self._sweep()
+        if self._on_degenerate_level(obj):
+            return raw_intersections(self.diagram, obj)
+        key = obj.arc.height - Fraction(self.slope.p - 1, 2)  # 1/0 has p = 1
+        return list(self._raw.get(int(key), ()))
+
+    def _on_degenerate_level(self, obj: _ArcObject) -> bool:
+        """Would the per-lift walk meet a degenerate level at this grading?"""
+        p, q = self.slope.p, self.slope.q
+        shift = q * obj.arc.height - Fraction(q * p, 2)
+        for c, levels in zip(self.diagram.components, self._degenerate):
+            if not levels:
+                continue
+            lifts = _considered_lifts(obj, c)
+            for level in levels:
+                k = (level + shift) / p
+                if k.denominator == 1 and k.numerator in lifts:
+                    return True
+        return False
+
+    def _sweep(self) -> None:
+        p, q = self.slope.p, self.slope.q
+        vertical = self.slope.is_vertical
+        off = ZERO if vertical else Fraction(q % 2, 2)  # levels are m + off, m integer
+        inv_p = pow(p, -1, q) if q else 0
+        raw: dict[int, list[IPoint]] = {}
+
+        def level_of(v: Point) -> Fraction:
+            return v.x if vertical else p * v.x - q * v.y
+
+        def emit(ci: int, pos: Fraction, point: Point, m: int) -> None:
+            """File the crossing of `point` with level m + off under its arc."""
+            if vertical:
+                y = point.y
+                for n in range(math.ceil(y - HALF), math.floor(y + HALF) + 1):
+                    raw.setdefault(n, []).append(IPoint(ci, pos, point, m, y - n + HALF))
+                return
+            j = m - q // 2  # the level is j + q/2
+            x = point.x
+            kx = math.floor(x)
+            k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
+            for k in ((k - q, k) if x == k else (k,)):
+                ip = IPoint(ci, pos, point, k, (x - k) / q)
+                raw.setdefault((p * k - j) // q, []).append(ip)
+
+        for ci, c in enumerate(self.diagram.components):
+            verts, n = _component_cycle(c)
+            f = [level_of(v) for v in verts]
+            f_prev = level_of(_neighbor_points(c, verts, 0)[0])
+            degenerate: set[Fraction] = set()
+            for i in range(n):
+                a, b = verts[i], verts[i + 1]
+                fa, fb = f[i], f[i + 1]
+                if (fa - off).denominator == 1:
+                    if fa == fb or fa == f_prev:
+                        degenerate.add(fa)
+                    elif (f_prev < fa) != (fb < fa):
+                        emit(ci, Fraction(i), a, int(fa - off))
+                f_prev = fa
+                if fa == fb:
+                    continue
+                if fa < fb:
+                    levels = range(math.floor(fa - off) + 1, math.ceil(fb - off))
+                else:
+                    levels = range(math.ceil(fa - off) - 1, math.floor(fb - off), -1)
+                dx, dy, df = b.x - a.x, b.y - a.y, fb - fa
+                for m in levels:
+                    t = (m + off - fa) / df
+                    emit(ci, i + t, Point(a.x + t * dx, a.y + t * dy), m)
+            self._degenerate.append(degenerate)
+        self._raw = raw
+
+
+def arc_points(d: CurveDiagram, arc: ArcLift) -> list[IPoint]:
+    """Minimal-position intersection points with one arc (post cancellation)."""
+    return list(ArcSweep(d, arc.slope).points(arc.height))
+
+
 def dual_hfk_dims(d: CurveDiagram, slope: SlopeSpec) -> dict:
     """Graded dual-knot dimensions: minimal arc counts, nonzero entries only.
 
     The total over all gradings dominates the filling dimension (the first
     page of a spectral sequence cannot be smaller than its target).
     """
-    if slope.p == 0 and not slope.is_vertical:
-        raise ZeroSurgery("0-filling has no dual-knot gradings")
-    dims: dict = {}
-    for h in grading_range(d, slope):
-        n = len(arc_points(d, ArcLift(slope, h)))
-        if n:
-            dims[h] = n
-    return dims
+    return ArcSweep(d, slope).dims()
 
 
 def genus_of(d: CurveDiagram) -> int:

@@ -25,6 +25,7 @@ from pegboard.ledger import (
     unknotting_one_check,
 )
 from pegboard.pairing import (
+    ArcSweep,
     SlopeSpec,
     cancel_bigons,
     dual_hfk_dims,
@@ -42,13 +43,15 @@ from pegboard.differentials import (
 ZOO = {name: build_zoo(name) for name in zoo_names()}
 STAIRCASES = ("trefoil", "trefoil_mirror", "torus_2_5", "torus_3_4")
 
-# Criteria 6, 8, 9 share this slope grid.  The rank-bound criterion leaves q
-# unbounded; q <= 5 keeps the suite inside its runtime budget while covering
-# every p, and the staircase L-space slopes get dedicated extra fixtures.
+# Criteria 6, 8, 9 share this slope grid.  The rank-bound criterion leaves p
+# and q unbounded; p, q <= 7 keeps the suite inside its runtime budget (one
+# arc sweep per knot and slope serves every grading's dims and both
+# differentials), and the staircase L-space slopes get dedicated extra
+# fixtures.
 GRID = [
     SlopeSpec(p, q)
-    for p in range(1, 6)
-    for q in range(1, 6)
+    for p in range(1, 8)
+    for q in range(1, 8)
     if math.gcd(p, q) == 1
 ]
 EXTRA_LSPACE = {
@@ -66,11 +69,12 @@ def grid_data():
     for name, d in ZOO.items():
         slopes = GRID + EXTRA_LSPACE.get(name, [])
         for s in slopes:
-            dims = dual_hfk_dims(d, s)
+            sweep = ArcSweep(d, s)
+            dims = sweep.dims()
             ranks = {
                 h: (
-                    differential_matrix(d, s, h, "phi").rank,
-                    differential_matrix(d, s, h, "psi").rank,
+                    differential_matrix(sweep, h, "phi").rank,
+                    differential_matrix(sweep, h, "psi").rank,
                 )
                 for h in dims
             }
@@ -116,8 +120,8 @@ def test_criterion_03_genus_detection():
 def test_criterion_04_grading_symmetry():
     checked = 0
     for name, d in ZOO.items():
-        for q in range(1, 6):
-            for p in range(-5, 6):
+        for q in range(1, 8):
+            for p in range(-7, 8):
                 if p == 0 or math.gcd(abs(p), q) != 1:
                     continue
                 dims = dual_hfk_dims(d, SlopeSpec(p, q))
@@ -166,10 +170,10 @@ def test_criterion_06_rank_bounds_and_kernel(grid_data):
                 phi, psi = ranks.get(h, (0, 0))
                 assert phi >= bounds.phi_bound(h), (name, str(s), h)
                 assert psi >= bounds.psi_bound(h), (name, str(s), h)
-    t = ZOO["trefoil"]
-    dims7 = dual_hfk_dims(t, SlopeSpec(7, 1))
+    sweep = ArcSweep(ZOO["trefoil"], SlopeSpec(7, 1))
+    dims7 = sweep.dims()
     top = max(dims7)
-    kernel = dims7[top] - differential_matrix(t, SlopeSpec(7, 1), top, "phi").rank
+    kernel = dims7[top] - differential_matrix(sweep, top, "phi").rank
     assert kernel == 1
     _report(6, "differential ranks dominate census bounds; trefoil 7/1 top kernel is exactly 1")
 

@@ -77,6 +77,20 @@ class TestBasicCommands:
         code, _, err = run(capsys, "pair", "trefoil", "x/y")
         assert code == EXIT_USAGE
 
+    def test_negative_slope_needs_no_separator(self, capsys):
+        code, payload = run_json(capsys, "pair", "trefoil", "-7/3")
+        assert code == EXIT_OK and payload["slope"] == "-7/3"
+        code, out, _ = run(capsys, "pair", "trefoil", "--format", "json", "--", "-7/3")
+        assert code == EXIT_OK and json.loads(out) == payload
+        code, payload = run_json(capsys, "hfk", "trefoil", "-3/2")
+        assert code == EXIT_OK and payload["total"] == 9
+        code, _, err = run(capsys, "diff", "trefoil", "-3/2")
+        assert code == EXIT_USAGE and "p >= 1 and q >= 1" in err
+        code, payload = run_json(capsys, "ledger", "genus-one", "1", "-1", "1")
+        assert code == EXIT_OK
+        code, payload = run_json(capsys, "ledger", "dgamma", "--tau", "-1", "--min", "1")
+        assert code == EXIT_OK
+
     def test_unknown_knot(self, capsys):
         code, _, err = run(capsys, "pair", "granny", "1/1")
         assert code == EXIT_USAGE

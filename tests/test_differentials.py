@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pegboard.pairing import SlopeSpec, ZeroSurgery, dual_hfk_dims
+from pegboard.pairing import ArcSweep, SlopeSpec, ZeroSurgery, dual_hfk_dims
 from pegboard.differentials import (
     GradingOutOfRange,
     census_bounds,
@@ -42,43 +42,44 @@ class TestGf2Rank:
 class TestDifferentialMatrix:
     def test_unknot_zero_maps(self, zoo):
         for kind in ("phi", "psi"):
-            m = differential_matrix(zoo["unknot"], SlopeSpec(1, 1), 0, kind)
+            m = differential_matrix(ArcSweep(zoo["unknot"], SlopeSpec(1, 1)), 0, kind)
             assert m.rank == 0
             assert len(m.source_points) == 1
             assert len(m.target_points) == 0
 
     def test_trefoil_unit_slope_ranks(self, zoo):
-        t = zoo["trefoil"]
-        assert differential_matrix(t, SlopeSpec(1, 1), 1, "phi").rank == 1
-        assert differential_matrix(t, SlopeSpec(1, 1), -1, "psi").rank == 1
-        assert differential_matrix(t, SlopeSpec(1, 1), 1, "psi").rank == 0
-        assert differential_matrix(t, SlopeSpec(1, 1), -1, "phi").rank == 0
+        sweep = ArcSweep(zoo["trefoil"], SlopeSpec(1, 1))
+        assert differential_matrix(sweep, 1, "phi").rank == 1
+        assert differential_matrix(sweep, -1, "psi").rank == 1
+        assert differential_matrix(sweep, 1, "psi").rank == 0
+        assert differential_matrix(sweep, -1, "phi").rank == 0
 
     def test_trefoil_large_slope_top_vanishes(self, zoo):
         t = zoo["trefoil"]
         dims = dual_hfk_dims(t, SlopeSpec(5, 1))
         top = max(dims)
-        assert differential_matrix(t, SlopeSpec(5, 1), top, "phi").rank == 0
+        assert differential_matrix(ArcSweep(t, SlopeSpec(5, 1)), top, "phi").rank == 0
 
     def test_marked_bigons_carry_single_marker(self, zoo):
-        m = differential_matrix(zoo["trefoil"], SlopeSpec(1, 1), 1, "phi")
+        m = differential_matrix(ArcSweep(zoo["trefoil"], SlopeSpec(1, 1)), 1, "phi")
         assert m.bigons
         for bg in m.bigons:
             assert (bg.n_z, bg.n_w) == (1, 0)
 
     def test_bad_grading_rejected(self, zoo):
         with pytest.raises(GradingOutOfRange):
-            differential_matrix(zoo["trefoil"], SlopeSpec(2, 1), 1, "phi")
+            differential_matrix(ArcSweep(zoo["trefoil"], SlopeSpec(2, 1)), 1, "phi")
         with pytest.raises(ZeroSurgery):
-            differential_matrix(zoo["trefoil"], SlopeSpec(0, 1), 0, "phi")
+            differential_matrix(ArcSweep(zoo["trefoil"], SlopeSpec(0, 1)), 0, "phi")
 
     def test_kernel_of_lowering_map_at_top_is_at_most_one(self, zoo):
         # per slope, the top-grading kernel has dimension at most 1
         for name, d in zoo.items():
             for s in (SlopeSpec(1, 1), SlopeSpec(3, 1), SlopeSpec(3, 2)):
-                dims = dual_hfk_dims(d, s)
+                sweep = ArcSweep(d, s)
+                dims = sweep.dims()
                 top = max(dims)
-                m = differential_matrix(d, s, top, "phi")
+                m = differential_matrix(sweep, top, "phi")
                 assert dims[top] - m.rank <= 1, (name, str(s))
 
 
@@ -113,9 +114,10 @@ class TestCensusBounds:
         for name, d in zoo.items():
             for s in (SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(3, 2), SlopeSpec(5, 1)):
                 cb = census_bounds(d, s)
+                sweep = ArcSweep(d, s)
                 for h in set(cb.phi) | set(cb.psi):
-                    phi = differential_matrix(d, s, h, "phi").rank
-                    psi = differential_matrix(d, s, h, "psi").rank
+                    phi = differential_matrix(sweep, h, "phi").rank
+                    psi = differential_matrix(sweep, h, "psi").rank
                     assert phi >= cb.phi_bound(h), (name, str(s), h)
                     assert psi >= cb.psi_bound(h), (name, str(s), h)
 
