@@ -2,7 +2,7 @@
 
 Layers:
 
-* geometry: exact rational points, segments, windings, lift enumeration
+* geometry: exact rational points, segments and windings
 * curves: diagrams, validity, extrema census, tau/epsilon, the knot zoo
 * pairing: minimal intersection counts with filling lines and graded arcs
 * differentials: first-page rank computations, census bounds, slope scans

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .geometry import (
     HALF,
-    ONE,
     ZERO,
     Box,
     Point,
@@ -68,19 +67,59 @@ class Component:
         """Number of segments in one cylinder traversal."""
         return len(self.vertices) if self.winding == 0 else len(self.vertices) - 1
 
-    def cylinder_vertices(self) -> tuple[Point, ...]:
-        return self.vertices if self.winding == 0 else self.vertices[:-1]
+    def lifted(self, j: int) -> Point:
+        """Plane point of continuous vertex index j.
 
-    def neighbor_y(self, i: int) -> tuple[Fraction, Fraction]:
-        """y coordinates of the cyclic neighbors of cylinder vertex i.
-
-        For the wrapping component the predecessor of the first vertex is the
-        last cylinder vertex shifted back one period; only y matters here and
-        the shift does not change it.
+        That is stored vertex j mod n (n the cycle length), shifted by j // n
+        periods on the wrapping component; a closed component repeats in
+        place.
         """
-        cyl = self.cylinder_vertices()
-        n = len(cyl)
-        return cyl[(i - 1) % n].y, cyl[(i + 1) % n].y
+        wrap, i = divmod(j, self.cycle_length())
+        v = self.vertices[i]
+        return v.translate(wrap) if wrap and self.winding == 1 else v
+
+    def level_crossings(
+        self, form: Callable[[Point], Fraction], off: Fraction
+    ) -> tuple[list[tuple[Fraction, Point, int]], dict[int, tuple[int, bool]]]:
+        """Transversal crossings of one period with the levels form = m + off.
+
+        `form` is an affine function of the point and m runs over the
+        integers.  Returns (crossings, degenerate).  crossings lists
+        (pos, point, m) in curve order, pos being the segment index plus the
+        fraction along the segment.  A vertex on a level counts iff its
+        cyclic neighbours lie strictly on opposite sides; the period's end
+        vertex repeats its start and is left to it.  degenerate maps each
+        level that holds a segment, or two consecutive vertices, to its
+        first such event in segment order, (i, collinear): vertex i lies on
+        the level and so does vertex i + 1 (collinear) or vertex i - 1 (not
+        collinear).  Such vertices give no crossing; the scan never raises.
+        """
+        n = self.cycle_length()
+        if n == 0:
+            return [], {}
+        verts = [self.lifted(j) for j in range(-1, n + 1)]  # verts[j + 1] is vertex j
+        f = [form(v) for v in verts]
+        crossings: list[tuple[Fraction, Point, int]] = []
+        degenerate: dict[int, tuple[int, bool]] = {}
+        for i in range(n):
+            a, b = verts[i + 1], verts[i + 2]
+            f_prev, fa, fb = f[i], f[i + 1], f[i + 2]
+            if (fa - off).denominator == 1:
+                if fa == fb or fa == f_prev:
+                    degenerate.setdefault(int(fa - off), (i, fa == fb))
+                elif (f_prev < fa) != (fb < fa):
+                    crossings.append((Fraction(i), a, int(fa - off)))
+            if fa == fb:
+                continue
+            if fa < fb:
+                levels = range(math.floor(fa - off) + 1, math.ceil(fb - off))
+            else:
+                levels = range(math.ceil(fa - off) - 1, math.floor(fb - off), -1)
+            dx, dy, df = b.x - a.x, b.y - a.y, fb - fa
+            for m in levels:
+                t = (m + off - fa) / df
+                crossings.append((i + t, Point(a.x + t * dx, a.y + t * dy), m))
+        return crossings, degenerate
 
     def bbox(self) -> Box:
         return Box.around(self.vertices)
@@ -159,51 +198,20 @@ def _canonical_cycle(c: Component) -> tuple:
     return best
 
 
+def _x(v: Point) -> Fraction:
+    return v.x
+
+
 def seam_crossings(c: Component) -> list[tuple[Fraction, Fraction]]:
     """Transversal crossings of the seam lines x in 1/2 + Z along one period.
 
     Returns (position, y) pairs, where position is the path parameter
-    (segment index plus fraction).  A crossing at a vertex counts once, via a
-    strict side test on the cyclic neighbors; touching without crossing does
-    not count.  The final path endpoint is excluded (it repeats the start).
+    (segment index plus fraction), by `Component.level_crossings`: a
+    crossing at a vertex counts once, iff its cyclic neighbors straddle the
+    seam line; touching without crossing does not count.
     """
-    out = []
-    segs = c.segments()
-    n = c.cycle_length()
-    verts = c.vertices
-
-    def seam_val(x: Fraction) -> Optional[Fraction]:
-        shifted = x + HALF
-        return x if shifted.denominator == 1 else None
-
-    cyl = c.cylinder_vertices()
-    m = len(cyl)
-    for i, seg in enumerate(segs[:n]):
-        if seg.a.x == seg.b.x:
-            continue
-        lo, hi = sorted((seg.a.x, seg.b.x))
-        k0 = math.ceil(lo - HALF)
-        k1 = math.floor(hi - HALF)
-        for k in range(k0, k1 + 1):
-            xline = Fraction(k) + HALF
-            t = (xline - seg.a.x) / (seg.b.x - seg.a.x)
-            if t < 0 or t > 1:
-                continue
-            if ZERO < t < ONE:
-                out.append((Fraction(i) + t, seg.a.y + t * (seg.b.y - seg.a.y)))
-            elif t == 0:
-                # Vertex on the seam: counts iff the cyclic neighbors straddle it.
-                if c.winding == 1 and i == 0:
-                    prev_x = cyl[m - 1].x - 1
-                else:
-                    prev_x = cyl[(i - 1) % m].x
-                next_x = verts[i + 1].x if c.winding == 1 else cyl[(i + 1) % m].x
-                if prev_x != xline and next_x != xline and (prev_x < xline) != (next_x < xline):
-                    out.append((Fraction(i), seg.a.y))
-            # t == 1 is the next segment's t == 0; it is handled there, or
-            # dropped at the period end where it repeats the start.
-    out.sort()
-    return out
+    crossings, _ = c.level_crossings(_x, HALF)
+    return [(pos, point.y) for pos, point, _ in crossings]
 
 
 def height_band(y: Fraction) -> int:
@@ -338,11 +346,10 @@ def anchor_at_seam(c: Component) -> Component:
     if len(crossings) != 1:
         raise ValueError("component must cross the seam exactly once")
     pos, _ = crossings[0]
-    verts = list(c.vertices[:-1])
-    n = len(verts)
+    n = c.cycle_length()
     i = math.floor(pos)
     t = pos - i
-    seg_a, seg_b = c.vertices[i], c.vertices[i + 1]
+    seg_a, seg_b = c.lifted(i), c.lifted(i + 1)
     xline = seg_a.x + t * (seg_b.x - seg_a.x)
     # Shift so the crossing's seam line becomes x = -1/2.  The stored period
     # always runs left to right in net terms (its closure is +(1, 0)), so no
@@ -350,8 +357,7 @@ def anchor_at_seam(c: Component) -> Component:
     shift = -HALF - xline
 
     def lift(j: int) -> Point:
-        wrap, idx = divmod(i + j, n)
-        return verts[idx].translate(wrap + shift)
+        return c.lifted(i + j).translate(shift)
 
     if t == 0:
         path = [lift(j) for j in range(n + 1)]
@@ -390,15 +396,15 @@ def component_extrema(c: Component) -> list[tuple[str, int]]:
     an extremum exactly on a peg row is ambiguous and raises.
     """
     out = []
-    cyl = c.cylinder_vertices()
-    for i, v in enumerate(cyl):
-        if len(cyl) < 2:
-            break
-        py, ny = c.neighbor_y(i)
-        if py < v.y and ny < v.y:
-            out.append(("max", height_band(v.y)))
-        elif py > v.y and ny > v.y:
-            out.append(("min", height_band(v.y)))
+    n = c.cycle_length()
+    if n < 2:
+        return out
+    for i in range(n):
+        py, y, ny = (c.lifted(j).y for j in (i - 1, i, i + 1))
+        if py < y and ny < y:
+            out.append(("max", height_band(y)))
+        elif py > y and ny > y:
+            out.append(("min", height_band(y)))
     return out
 
 
@@ -423,27 +429,6 @@ class NoVerticalCrossing(ValueError):
     """The distinguished component never meets the peg column (horizontal line)."""
 
 
-def _column_crossings(path: Sequence[Point]) -> list[tuple[Fraction, Fraction]]:
-    """Transversal crossings of integer-x lines along an open PL path."""
-    out = []
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        if a.x == b.x:
-            continue
-        lo, hi = sorted((a.x, b.x))
-        for k in range(math.ceil(lo), math.floor(hi) + 1):
-            xline = Fraction(k)
-            t = (xline - a.x) / (b.x - a.x)
-            if ZERO < t < ONE:
-                out.append((Fraction(i) + t, a.y + t * (b.y - a.y)))
-            elif t == 0 and i > 0:
-                prev = path[i - 1]
-                if prev.x != xline and b.x != xline and (prev.x < xline) != (b.x < xline):
-                    out.append((Fraction(i), a.y))
-    out.sort()
-    return out
-
-
 def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     """Read (tau, epsilon) from the distinguished component.
 
@@ -453,22 +438,18 @@ def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     it turns upward, and 0 for the horizontal line, which never turns.
     """
     g0 = anchor_at_seam(d.gamma0())
-    path = list(g0.vertices)
-    # Extend by one extra period so "after the first crossing" can wrap.
-    extra = [p.translate(1) for p in path[1:]]
-    full = path + extra
-    crossings = _column_crossings(full)
+    crossings, _ = g0.level_crossings(_x, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
-    pos0, y0 = crossings[0]
-    tau = height_band(y0)
-    # Scan vertices after the first crossing for the first strict turn.
-    start = math.floor(pos0) + 1
-    for i in range(start, len(full) - 1):
-        prev_y, here, next_y = full[i - 1].y, full[i], full[i + 1].y
-        if prev_y < here.y and next_y < here.y:
+    pos0, point0, _ = crossings[0]
+    tau = height_band(point0.y)
+    # Scan vertices after the first crossing, on into the next period, for
+    # the first strict turn.
+    for i in range(math.floor(pos0) + 1, 2 * g0.cycle_length()):
+        prev_y, y, next_y = (g0.lifted(j).y for j in (i - 1, i, i + 1))
+        if prev_y < y and next_y < y:
             return tau, 1
-        if prev_y > here.y and next_y > here.y:
+        if prev_y > y and next_y > y:
             return tau, -1
     return tau, 0
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geometry import Box, Point, pegs_in_box, winding_near, winding_number
-from .curves import Component, CurveDiagram, extrema_census, tau_epsilon
+from .curves import CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
     ArcLift,
     ArcSweep,
@@ -31,8 +31,10 @@ from .pairing import (
     ZeroSurgery,
     dual_hfk_dims,
     genus_of,
+    subarc,
     surgery_dim,
     valid_grading,
+    walk_span,
 )
 
 
@@ -98,63 +100,6 @@ def _corner_and_target_lift(arc: ArcLift, k_x: int, kind: str) -> tuple[Point, i
     return corner, k_x - q, target
 
 
-def _walk_events(c: Component, x: IPoint, targets: Sequence[IPoint], direction: int):
-    """Target points met within one traversal from x, with wrap counts.
-
-    direction +1 walks forward (increasing position), -1 backward.  Yields
-    (z, m, dist) where m is the signed number of period ends crossed before
-    reaching z, so z's plane lift along the walk is z.point + (m, 0).
-    """
-    n = c.cycle_length()
-    events = []
-    for z in targets:
-        if z.comp != x.comp:
-            continue
-        if direction > 0:
-            dist = (z.pos - x.pos) % n
-            m = 1 if z.pos <= x.pos else 0
-        else:
-            dist = (x.pos - z.pos) % n
-            m = -1 if z.pos >= x.pos else 0
-        if dist == 0:
-            continue
-        if c.winding == 0:
-            m = 0
-        events.append((dist, z, m))
-    events.sort(key=lambda e: e[0])
-    return events
-
-
-def _subarc(c: Component, x: IPoint, dist: Fraction, direction: int, z: IPoint, m: int) -> list[Point]:
-    """Plane polyline from x to z's walk lift, following the component.
-
-    Continuous vertex indices are used: index j corresponds to the stored
-    vertex j mod n translated by (j // n) periods for the wrapping component.
-    """
-    verts = list(c.vertices) if c.winding == 1 else list(c.vertices) + [c.vertices[0]]
-    n = c.cycle_length()
-    pts = [x.point]
-
-    def lifted(j: int) -> Point:
-        wrapped, idx = divmod(j, n)
-        return verts[idx].translate(wrapped) if c.winding == 1 else verts[idx]
-
-    if direction > 0:
-        j = math.floor(x.pos) + 1
-        while Fraction(j) - x.pos < dist:
-            pts.append(lifted(j))
-            j += 1
-    else:
-        j = math.floor(x.pos)
-        if Fraction(j) == x.pos:
-            j -= 1
-        while x.pos - Fraction(j) < dist:
-            pts.append(lifted(j))
-            j -= 1
-    pts.append(z.point.translate(m) if c.winding == 1 else z.point)
-    return pts
-
-
 def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[IPoint],
                    kind: str) -> list[MarkedBigon]:
     """All marker-compatible bigons from source point x to target points."""
@@ -164,10 +109,15 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
     want = (1, 0) if kind == "phi" else (0, 1)
     found = []
     for direction in (1, -1):
-        for dist, z, m in _walk_events(c, x, targets, direction):
+        # Targets in walk order; m places each one's lift along the walk.
+        spans = sorted(
+            ((walk_span(c, x, z, direction), z) for z in targets if z.comp == x.comp and z.pos != x.pos),
+            key=lambda e: e[0][0],
+        )
+        for (_, m), z in spans:
             if z.lift + m != k_t:
                 continue
-            sub = _subarc(c, x, dist, direction, z, m)
+            sub, _ = subarc(c, x, z, direction)
             loop = sub + [corner]
             if loop[-1] == loop[0]:
                 loop = loop[:-1]

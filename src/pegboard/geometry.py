@@ -26,12 +26,6 @@ class PointOnLoop(ValueError):
     """Winding number queried at a point lying on the loop itself."""
 
 
-class UnboundedQuery(ValueError):
-    """A lift enumeration was asked for over a degenerate or infinite box."""
-
-
-Rat = Fraction
-
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -113,17 +107,6 @@ class Box:
     def __post_init__(self):
         for name in ("xmin", "xmax", "ymin", "ymax"):
             object.__setattr__(self, name, rat(getattr(self, name)))
-
-    def is_degenerate(self) -> bool:
-        return self.xmin > self.xmax or self.ymin > self.ymax
-
-    def intersects(self, other: "Box") -> bool:
-        return not (
-            self.xmax < other.xmin
-            or other.xmax < self.xmin
-            or self.ymax < other.ymin
-            or other.ymax < self.ymin
-        )
 
     def pad(self, amount) -> "Box":
         a = rat(amount)
@@ -278,55 +261,3 @@ def winding_near(loop: Sequence[Point], base: Point, direction: tuple) -> int:
             eps_cap = min(eps_cap, eps_hit)
     probe = Point(base.x + (eps_cap / 2) * dx, base.y + (eps_cap / 2) * dy)
     return winding_number(loop, probe)
-
-
-#: Lattice specifications accepted by relevant_lifts.
-LATTICE_HORIZONTAL = "horizontal"
-LATTICE_VERTICAL = "vertical"
-LATTICE_BOTH = "both"
-
-
-def relevant_lifts(template: Sequence[Segment], box: Box, lattice) -> list[list[Segment]]:
-    """Translates of a segment template whose bounding boxes meet the box.
-
-    `lattice` is one of LATTICE_HORIZONTAL (steps of (1,0)), LATTICE_VERTICAL
-    (steps of (0,1)), LATTICE_BOTH, or a vector (0, s) giving a vertical line
-    family spacing s.  The returned list is complete: no translate touching
-    the box is missed, and it is finite for any non-degenerate box.
-    """
-    if box.is_degenerate():
-        raise UnboundedQuery(f"degenerate query box {box}")
-    if not template:
-        return []
-    tb = Box.around([s.a for s in template] + [s.b for s in template])
-
-    def t_range(span_lo, span_hi, box_lo, box_hi, step) -> range:
-        import math
-
-        lo = (box_lo - span_hi) / step
-        hi = (box_hi - span_lo) / step
-        return range(math.ceil(lo), math.floor(hi) + 1)
-
-    out = []
-    if lattice == LATTICE_HORIZONTAL:
-        shifts = [(Fraction(k), ZERO) for k in t_range(tb.xmin, tb.xmax, box.xmin, box.xmax, ONE)]
-    elif lattice == LATTICE_VERTICAL:
-        shifts = [(ZERO, Fraction(k)) for k in t_range(tb.ymin, tb.ymax, box.ymin, box.ymax, ONE)]
-    elif lattice == LATTICE_BOTH:
-        shifts = [
-            (Fraction(kx), Fraction(ky))
-            for kx in t_range(tb.xmin, tb.xmax, box.xmin, box.xmax, ONE)
-            for ky in t_range(tb.ymin, tb.ymax, box.ymin, box.ymax, ONE)
-        ]
-    else:
-        sx, sy = rat(lattice[0]), rat(lattice[1])
-        if sx != 0:
-            raise UnboundedQuery("line-family lattices must be vertical (0, s)")
-        if sy == 0:
-            raise UnboundedQuery("lattice spacing must be nonzero")
-        shifts = [(ZERO, k * sy) for k in t_range(tb.ymin, tb.ymax, box.ymin, box.ymax, sy)]
-    for dx, dy in shifts:
-        shifted = Box(tb.xmin + dx, tb.xmax + dx, tb.ymin + dy, tb.ymax + dy)
-        if shifted.intersects(box):
-            out.append([s.translate(dx, dy) for s in template])
-    return out

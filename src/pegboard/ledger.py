@@ -83,8 +83,6 @@ RULES = {
     "P1.6": "unknotting-number-one knots carry torsion",
     "P3.16": "mod-2 sequence shapes: V, W, or generalized W",
     "T1.11": "unknotting-number-one dimension bound",
-    "TB.2": "quasi-alternating group structure",
-    "PA.2": "simplicity propagates to all larger slopes",
     "T1.4": "dual simplicity forces a simple filling above the genus bound",
 }
 
@@ -161,8 +159,8 @@ class TorsionCertificate:
     inputs: dict
 
     def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule id {self.rule!r}")
+        if self.rule not in _RECOMPUTE:
+            raise ValueError(f"no certificate rule {self.rule!r}")
         if self.lower_bound < 0:
             raise ValueError("torsion bounds are non-negative")
 

@@ -16,15 +16,18 @@ intersection points adjacent along both the curve and one object lift gets
 removed whenever the loop they bound has winding number zero around every
 peg.  The removal order does not change the final count (tested property).
 
-Filling lines are paired lift by lift (`raw_intersections`).  Arcs are
-paired by `ArcSweep`, one object per (diagram, slope): every arc line of
-the slope is a level set of F = p*x - q*y (of x for 1/0), so one walk over
-the curve's segments finds the crossings of every grading at once and files
-each under the one arc that contains it.  A grading whose arc lifts lie on
-a degenerate level (a segment along an arc line) falls back to the lift by
-lift walk, which raises `DegenerateIncidence` there.  The sweep cancels
-bigons once per grading and keeps the result, so the graded dimensions and
-both differentials of one slope share the work.
+Both kinds of object are level sets of one linear form, so every raw count
+is one `Component.level_crossings` scan per component.  A filling family's
+lines are the integer levels of `_family_form`, the form that also decides
+the family's offset (`raw_intersections`).  Every arc of a slope lies on a
+level of F = p*x - q*y (of x for 1/0), so `ArcSweep`, one object per
+(diagram, slope), finds the crossings of every grading in one scan and files
+each under the one arc that contains it.  A level holding a segment, or two
+consecutive vertices, is degenerate: pairing with a lift on it raises
+`DegenerateIncidence`.  The sweep cancels bigons once per grading and keeps
+the result, so the graded dimensions and both differentials of one slope
+share the work.  Cancellation and the marked bigons of `differentials`
+follow the curve between two intersections with `subarc`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .geometry import (
     HALF,
@@ -47,8 +50,6 @@ from .geometry import (
     winding_number,
 )
 from .curves import Component, CurveDiagram
-
-X_WRAP = Fraction(1)
 
 
 class DegenerateIncidence(ValueError):
@@ -158,7 +159,7 @@ class CancelledBigon:
 @dataclass(frozen=True)
 class PairingReport:
     slope: SlopeSpec
-    mode: str  # "surgery-line" or "arc"
+    mode: str  # always "surgery-line"
     counts: dict
     total: int
     cancelled: tuple[CancelledBigon, ...]
@@ -176,8 +177,6 @@ class _LineFamily:
     vertical family is x = 1/2 + delta + k; the 0-filling uses horizontal
     lines on the half-integer rows, y = k + 1/2 + delta.
     """
-
-    mode = "surgery-line"
 
     def __init__(self, slope: SlopeSpec, delta: Fraction):
         self.slope = slope
@@ -216,10 +215,6 @@ class _LineFamily:
             return k  # horizontal lines are translation invariant
         return k - self.slope.p * w
 
-    def contains(self, k: int, point: Point) -> bool:
-        anchor, (dx, dy) = self.anchor_dir(k)
-        return (point.x - anchor.x) * dy == (point.y - anchor.y) * dx
-
     def grading_key(self, ip: IPoint):
         if self.slope.p == 0 and not self.slope.is_vertical:
             return ip.lift
@@ -228,8 +223,6 @@ class _LineFamily:
 
 class _ArcObject:
     """An arc and its horizontal translates; lift k is the base shifted by (k, 0)."""
-
-    mode = "arc"
 
     def __init__(self, arc: ArcLift):
         self.arc = arc
@@ -248,12 +241,6 @@ class _ArcObject:
 
     def translated_lift(self, k: int, w: int) -> int:
         return k + w
-
-    def contains(self, k: int, point: Point) -> bool:
-        anchor, (dx, dy) = self.anchor_dir(k)
-        if (point.x - anchor.x) * dy != (point.y - anchor.y) * dx:
-            return False
-        return ZERO <= _u_param(self, k, point) <= ONE
 
     def grading_key(self, ip: IPoint):
         return self.arc.height
@@ -274,62 +261,20 @@ def _u_param(obj: PairObject, k: int, point: Point) -> Fraction:
 # Raw intersections
 
 
-def _component_cycle(c: Component) -> tuple[list[Point], int]:
-    """Vertex path (one traversal) and the cycle length in segments."""
-    if c.winding == 1:
-        return list(c.vertices), len(c.vertices) - 1
-    return list(c.vertices) + [c.vertices[0]], len(c.vertices)
+def _family_form(fam: _LineFamily) -> Callable[[Point], Fraction]:
+    """The linear form whose integer levels are the family's lines.
 
+    With lift 0 through `anchor` in the integer direction (dx, dy), this is
+    f(v) = (v.y - anchor.y) * dx - (v.x - anchor.x) * dy.  Lift k is the
+    level f = k; for the vertical family, whose lifts step the other way,
+    it is f = -k.
+    """
+    anchor, (dx, dy) = fam.anchor_dir(0)
 
-def _neighbor_points(c: Component, verts: Sequence[Point], i: int) -> tuple[Point, Point]:
-    """Cyclic neighbors of vertex i (i < cycle length), lifted to the plane."""
-    n = len(verts) - 1
-    nxt = verts[i + 1]
-    if i > 0:
-        prev = verts[i - 1]
-    elif c.winding == 1:
-        prev = verts[n - 1].translate(-1)
-    else:
-        prev = verts[n - 1]
-    return prev, nxt
+    def form(v: Point) -> Fraction:
+        return (v.y - anchor.y) * dx - (v.x - anchor.x) * dy
 
-
-def _segment_lift_intersections(obj: PairObject, k: int, c: Component, ci: int) -> list[IPoint]:
-    """All counted intersections of component ci with object lift k."""
-    verts, n = _component_cycle(c)
-    anchor, (dx, dy) = obj.anchor_dir(k)
-    out: list[IPoint] = []
-
-    def side(p: Point) -> Fraction:
-        return (p.x - anchor.x) * dy - (p.y - anchor.y) * dx
-
-    for i in range(n):
-        a, b = verts[i], verts[i + 1]
-        sa, sb = side(a), side(b)
-        if sa == 0 and sb == 0:
-            raise DegenerateIncidence(
-                f"curve segment {a}->{b} is collinear with object lift {k}"
-            )
-        if sa == 0:
-            # Vertex exactly on the object's line: transversal iff the cyclic
-            # neighbors straddle it; a same-side touch is removable, count 0.
-            prev, _ = _neighbor_points(c, verts, i)
-            sp = side(prev)
-            if sp == 0:
-                raise DegenerateIncidence(f"two consecutive vertices on object lift {k}")
-            if (sp < 0) != (sb < 0):
-                if obj.contains(k, a):
-                    out.append(IPoint(ci, Fraction(i), a, k, _u_param(obj, k, a)))
-            continue
-        if sb == 0:
-            continue  # handled as the next segment's vertex case (or dropped at the period end)
-        if (sa < 0) == (sb < 0):
-            continue
-        t = sa / (sa - sb)
-        point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-        if obj.contains(k, point):
-            out.append(IPoint(ci, Fraction(i) + t, point, k, _u_param(obj, k, point)))
-    return out
+    return form
 
 
 def _considered_lifts(obj: PairObject, c: Component) -> range:
@@ -337,13 +282,41 @@ def _considered_lifts(obj: PairObject, c: Component) -> range:
     return obj.lift_indices(c.bbox().pad(Fraction(1, 100)))
 
 
+def _degenerate_incidence(c: Component, k: int, event: tuple[int, bool]) -> DegenerateIncidence:
+    """The error for object lift k on a degenerate level of component c.
+
+    `event` is the level's first degenerate vertex, as
+    `Component.level_crossings` reports it.
+    """
+    i, collinear = event
+    if collinear:
+        return DegenerateIncidence(
+            f"curve segment {c.lifted(i)}->{c.lifted(i + 1)} is collinear with object lift {k}"
+        )
+    return DegenerateIncidence(f"two consecutive vertices on object lift {k}")
+
+
 def raw_intersections(d: CurveDiagram, obj: PairObject) -> list[IPoint]:
-    """All transversal intersections, one record per quotient point."""
+    """All transversal intersections, one record per quotient point.
+
+    Sorted by component, then position along it.  A filling family is one
+    level scan of `_family_form` per component; an arc goes through
+    `ArcSweep`.  The first component with a degenerate level raises
+    `DegenerateIncidence` for its smallest lift on one, at that level's
+    first event.
+    """
+    if isinstance(obj, _ArcObject):
+        return ArcSweep(d, obj.slope).raw(obj.arc.height)
+    sign = -1 if obj.slope.is_vertical else 1
+    form = _family_form(obj)
     points: list[IPoint] = []
     for ci, c in enumerate(d.components):
-        for k in _considered_lifts(obj, c):
-            points.extend(_segment_lift_intersections(obj, k, c, ci))
-    points.sort(key=lambda ip: (ip.comp, ip.pos, ip.lift))
+        crossings, degenerate = c.level_crossings(form, ZERO)
+        if degenerate:
+            raise _degenerate_incidence(c, *min((sign * m, e) for m, e in degenerate.items()))
+        for pos, point, m in crossings:
+            k = sign * m
+            points.append(IPoint(ci, pos, point, k, _u_param(obj, k, point)))
     return points
 
 
@@ -362,10 +335,8 @@ def _canonical_delta(d: CurveDiagram) -> Fraction:
 def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     """No peg and no curve vertex on any line of the family.
 
-    With lift 0 through `anchor` in the integer direction (dx, dy), the lines
-    are the level sets f = k, k integer, of the linear form
-    f(v) = (v.y - anchor.y) * dx - (v.x - anchor.x) * dy, so the family is
-    clean iff f is non-integral at every vertex and at the peg (0, 1/2).
+    The lines are the integer levels of `_family_form`'s f, so the family
+    is clean iff f is non-integral at every vertex and at the peg (0, 1/2).
     Up to sign, these are the values that must be non-integral:
 
     * slanted (q >= 1, p != 0): q*y - p*(x - 1/2 - delta) at every vertex,
@@ -377,11 +348,7 @@ def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     dx, so one vertex stands for all its horizontal translates and one peg
     for the whole peg lattice (i, j + 1/2).
     """
-    anchor, (dx, dy) = fam.anchor_dir(0)
-
-    def form(v: Point) -> Fraction:
-        return (v.y - anchor.y) * dx - (v.x - anchor.x) * dy
-
+    form = _family_form(fam)
     if form(Point(ZERO, HALF)).denominator == 1:
         return False
     return all(form(v).denominator != 1 for c in d.components for v in c.vertices)
@@ -407,34 +374,34 @@ def line_family(d: CurveDiagram, slope: SlopeSpec) -> _LineFamily:
 # Bigon cancellation
 
 
-def _forward_subarc(c: Component, x: IPoint, y: IPoint) -> tuple[list[Point], int]:
-    """Plane polyline from x forward along the component to y.
+def walk_span(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[Fraction, int]:
+    """Length and wrap count of the walk along the component from x to z.
 
-    Returns (points, w) where w = 1 when a wrapping component's period end
-    was passed: the endpoint then sits on the (1, 0)-translate of y's lift.
-    Closed components wrap around their cycle with no translation (w = 0).
+    direction +1 walks forward (increasing position), -1 backward.  The
+    length lies in (0, n], n the cycle length, so equal positions are one
+    full traversal apart.  m is the signed number of period ends passed, so
+    the walk reaches z at z.point + (m, 0) (m = 0 on a closed component).
     """
-    verts, n = _component_cycle(c)
-    wrap_needed = y.pos <= x.pos
-    pts = [x.point]
-    idx = math.floor(x.pos) + 1
-    wrapped = 0
-    while True:
-        if idx >= n:
-            idx -= n
-            wrapped += 1
-        pos_here = Fraction(idx) + wrapped * n
-        target = y.pos + (n if wrap_needed else 0)
-        if pos_here >= target:
-            break
-        if wrapped > 1:
-            raise RuntimeError("subarc longer than one traversal")
-        shift = X_WRAP * wrapped if c.winding == 1 else ZERO
-        pts.append(verts[idx].translate(shift))
-        idx += 1
-    w = 1 if (wrap_needed and c.winding == 1) else 0
-    pts.append(y.point.translate(X_WRAP) if w else y.point)
-    return pts, w
+    n = c.cycle_length()
+    ahead = z.pos - x.pos if direction > 0 else x.pos - z.pos
+    m = direction if ahead <= 0 and c.winding == 1 else 0
+    return ahead % n or n, m
+
+
+def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Point], int]:
+    """Plane polyline of the `walk_span` walk from x to z, and its m.
+
+    The polyline starts at x.point, passes the lifted vertices in between
+    and ends at z.point + (m, 0), on the (m, 0)-translate of z's lift.
+    """
+    dist, m = walk_span(c, x, z, direction)
+    if direction > 0:
+        passed = range(math.floor(x.pos) + 1, math.ceil(x.pos + dist))
+    else:
+        passed = range(math.ceil(x.pos) - 1, math.floor(x.pos - dist), -1)
+    pts = [x.point] + [c.lifted(j) for j in passed]
+    pts.append(z.point.translate(m) if m else z.point)
+    return pts, m
 
 
 def _lifted_on_lift(obj: PairObject, target_lift: int, z: IPoint) -> Optional[Point]:
@@ -494,7 +461,7 @@ def _bigon_loop(c: Component, obj: PairObject, x: IPoint, y: IPoint,
     up with a piece of x's object lift into a loop of winding zero around
     every peg; None otherwise.
     """
-    subarc, w = _forward_subarc(c, x, y)
+    path, w = subarc(c, x, y, 1)
     target = obj.translated_lift(y.lift, w)
     if isinstance(obj, _LineFamily) and obj.slope.p == 0 and not obj.slope.is_vertical:
         same = y.lift == x.lift
@@ -502,10 +469,10 @@ def _bigon_loop(c: Component, obj: PairObject, x: IPoint, y: IPoint,
         same = target == x.lift
     if not same:
         return None
-    end = subarc[-1]
+    end = path[-1]
     if _piece_blocked(obj, x.lift, end, x.point, pts, (x, y)):
         return None
-    loop = list(subarc)
+    loop = path
     if loop[-1] == loop[0]:
         loop = loop[:-1]
     if len(loop) < 2:
@@ -596,37 +563,40 @@ def grading_range(d: CurveDiagram, slope: SlopeSpec) -> list[Fraction]:
 
 
 class ArcSweep:
-    """The arcs of one slope against one diagram, every grading from one walk.
+    """The arcs of one slope against one diagram, every grading from one scan.
 
     With F = p*x - q*y (F = x for 1/0), lift k of the grading-h arc lies on
     the level set F = p*k - q*h + q*p/2, so every arc line is a level F in
-    Z + q/2 (in Z for 1/0).  One pass over each component's segments finds
-    every transversal crossing with such a level.  The crossing belongs to
-    exactly one arc: the lift k with u = (x - k)/q in [0, 1] whose height
-    puts the arc on that level (for 1/0, the integer h within 1/2 of y).
-    Only a point on an arc end, a peg, can lie on two.  A vertex on a level
-    counts iff its cyclic neighbours lie strictly on opposite sides, as in
-    `_segment_lift_intersections`.
+    Z + q/2 (in Z for 1/0).  One `Component.level_crossings` scan per
+    component finds every transversal crossing with such a level.  The
+    crossing belongs to exactly one arc: the lift k with u = (x - k)/q in
+    [0, 1] whose height puts the arc on that level (for 1/0, the integer h
+    within 1/2 of y).  Only a point on an arc end, a peg, can lie on two.
 
-    A grading whose considered lifts lie on a degenerate level (a segment
-    along an arc line, or two consecutive vertices on one) goes through the
-    per-lift `raw_intersections` walk instead, which raises the
-    `DegenerateIncidence` the walk has always raised there.  `points(h)`
-    cancels bigons once per grading and keeps the result for the life of
-    the object; nothing is shared between objects.
+    A grading with a considered lift (`_considered_lifts`) on a degenerate
+    level raises `DegenerateIncidence` when it is asked for: the first such
+    component, its smallest such lift, that level's first event.
+    `points(h)` cancels bigons once per grading and keeps the result for
+    the life of the object; nothing is shared between objects.
     """
 
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
         self.diagram = d
         self.slope = slope
+        self._off = ZERO if slope.is_vertical else Fraction(slope.q % 2, 2)  # levels are m + off
         self._raw: Optional[dict[int, list[IPoint]]] = None  # by h - (p-1)/2
-        self._degenerate: list[set[Fraction]] = []  # per component
+        self._degenerate: list[dict[int, tuple[int, bool]]] = []  # per component
         self._live: dict[Fraction, tuple[IPoint, ...]] = {}
 
     def raw(self, h) -> list[IPoint]:
-        """Grading-h crossings before cancellation, as `raw_intersections`
-        returns them for the arc."""
-        return self._raw_points(_ArcObject(ArcLift(self.slope, h)))
+        """Grading-h crossings before cancellation, sorted by component and
+        position."""
+        arc = ArcLift(self.slope, h)
+        if self._raw is None:
+            self._sweep()
+        self._check_degenerate(arc)
+        key = arc.height - Fraction(self.slope.p - 1, 2)  # 1/0 has p = 1
+        return list(self._raw.get(int(key), ()))
 
     def points(self, h) -> tuple[IPoint, ...]:
         """Minimal-position intersection points with the grading-h arc."""
@@ -634,7 +604,7 @@ class ArcSweep:
         if live is None:
             arc = ArcLift(self.slope, h)
             obj = _ArcObject(arc)
-            live = tuple(cancel_bigons(self._raw_points(obj), self.diagram, obj)[0])
+            live = tuple(cancel_bigons(self.raw(arc.height), self.diagram, obj)[0])
             self._live[arc.height] = live
         return live
 
@@ -647,36 +617,28 @@ class ArcSweep:
                 dims[h] = n
         return dims
 
-    def _raw_points(self, obj: _ArcObject) -> list[IPoint]:
-        if self._raw is None:
-            self._sweep()
-        if self._on_degenerate_level(obj):
-            return raw_intersections(self.diagram, obj)
-        key = obj.arc.height - Fraction(self.slope.p - 1, 2)  # 1/0 has p = 1
-        return list(self._raw.get(int(key), ()))
-
-    def _on_degenerate_level(self, obj: _ArcObject) -> bool:
-        """Would the per-lift walk meet a degenerate level at this grading?"""
+    def _check_degenerate(self, arc: ArcLift) -> None:
         p, q = self.slope.p, self.slope.q
-        shift = q * obj.arc.height - Fraction(q * p, 2)
-        for c, levels in zip(self.diagram.components, self._degenerate):
-            if not levels:
+        shift = self._off + q * arc.height - Fraction(q * p, 2)  # level m is lift (m + shift)/p
+        for c, degenerate in zip(self.diagram.components, self._degenerate):
+            if not degenerate:
                 continue
-            lifts = _considered_lifts(obj, c)
-            for level in levels:
-                k = (level + shift) / p
+            lifts = _considered_lifts(_ArcObject(arc), c)
+            hits = []
+            for m, event in degenerate.items():
+                k = (m + shift) / p
                 if k.denominator == 1 and k.numerator in lifts:
-                    return True
-        return False
+                    hits.append((k.numerator, event))
+            if hits:
+                raise _degenerate_incidence(c, *min(hits))
 
     def _sweep(self) -> None:
         p, q = self.slope.p, self.slope.q
         vertical = self.slope.is_vertical
-        off = ZERO if vertical else Fraction(q % 2, 2)  # levels are m + off, m integer
         inv_p = pow(p, -1, q) if q else 0
         raw: dict[int, list[IPoint]] = {}
 
-        def level_of(v: Point) -> Fraction:
+        def form(v: Point) -> Fraction:
             return v.x if vertical else p * v.x - q * v.y
 
         def emit(ci: int, pos: Fraction, point: Point, m: int) -> None:
@@ -695,29 +657,9 @@ class ArcSweep:
                 raw.setdefault((p * k - j) // q, []).append(ip)
 
         for ci, c in enumerate(self.diagram.components):
-            verts, n = _component_cycle(c)
-            f = [level_of(v) for v in verts]
-            f_prev = level_of(_neighbor_points(c, verts, 0)[0])
-            degenerate: set[Fraction] = set()
-            for i in range(n):
-                a, b = verts[i], verts[i + 1]
-                fa, fb = f[i], f[i + 1]
-                if (fa - off).denominator == 1:
-                    if fa == fb or fa == f_prev:
-                        degenerate.add(fa)
-                    elif (f_prev < fa) != (fb < fa):
-                        emit(ci, Fraction(i), a, int(fa - off))
-                f_prev = fa
-                if fa == fb:
-                    continue
-                if fa < fb:
-                    levels = range(math.floor(fa - off) + 1, math.ceil(fb - off))
-                else:
-                    levels = range(math.ceil(fa - off) - 1, math.floor(fb - off), -1)
-                dx, dy, df = b.x - a.x, b.y - a.y, fb - fa
-                for m in levels:
-                    t = (m + off - fa) / df
-                    emit(ci, i + t, Point(a.x + t * dx, a.y + t * dy), m)
+            crossings, degenerate = c.level_crossings(form, self._off)
+            for pos, point, m in crossings:
+                emit(ci, pos, point, m)
             self._degenerate.append(degenerate)
         self._raw = raw
 

@@ -8,13 +8,12 @@ fixed functions of the input.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .curves import CurveDiagram
 from .geometry import Box, Point, pegs_in_box
-from .pairing import ArcLift, SlopeSpec, line_family
+from .pairing import ArcLift, SlopeSpec, _ArcObject, line_family
 from .textfmt import canonicalize
 
 SCALE = 60
@@ -79,10 +78,9 @@ def render_svg(d: CurveDiagram, overlay: Optional[SlopeSpec] = None,
     if overlay is not None:
         parts.extend(_overlay_lines(canon, overlay, window))
     if overlay_arc is not None:
-        seg = overlay_arc.seg()
-        lo = math.ceil(window.xmin - max(seg.a.x, seg.b.x))
-        hi = math.floor(window.xmax - min(seg.a.x, seg.b.x))
-        for k in range(lo, hi + 1):
-            parts.append(_polyline([seg.a.translate(k), seg.b.translate(k)], "#9467bd", "1.5", dashed=True))
+        arc = _ArcObject(overlay_arc)
+        for k in arc.lift_indices(window):
+            ends = [arc.base.a.translate(k), arc.base.b.translate(k)]
+            parts.append(_polyline(ends, "#9467bd", "1.5", dashed=True))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,11 +1,15 @@
-"""The one-pass arc sweep against the per-lift walk.
+"""Raw intersections against the per-lift walk.
 
-`raw_intersections(d, _ArcObject(ArcLift(s, h)))` pairs one arc with the
-diagram lift by lift and segment by segment, as every arc count did before
-`ArcSweep`; it still runs for filling lines, and here it is the oracle.  The
-sweep must reproduce its IPoint lists exactly (same points, same order),
-before and after bigon cancellation, and raise `DegenerateIncidence` with
-the same message for exactly the gradings where the walk raises.
+The reference below is the per-lift walk that paired every object before
+the level scan replaced it, kept verbatim: each object lift is walked
+segment by segment with its own side test.  It shares no walk with
+`Component.level_crossings`, through which `ArcSweep` and
+`raw_intersections` now find every crossing.  Both must reproduce its
+IPoint lists exactly (same points, same order) and raise
+`DegenerateIncidence` with the same message wherever it raises: the sweep
+for every grading of an arc slope, before and after bigon cancellation,
+and `raw_intersections` for filling line families, at the chosen offset
+and at offsets that put vertices on the lines.
 """
 
 import math
@@ -17,33 +21,133 @@ from hypothesis import strategies as st
 
 from pegboard.curves import build_zoo, lspace_staircase, thin, validate, zoo_names
 from pegboard.differentials import differential_matrix
+from pegboard.geometry import ONE, ZERO, Point
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
     DegenerateIncidence,
+    IPoint,
     SlopeSpec,
     _ArcObject,
+    _LineFamily,
+    _u_param,
     cancel_bigons,
     dual_hfk_dims,
     grading_range,
+    line_family,
     raw_intersections,
 )
 from pegboard.textfmt import parse_curve_text
 
+# ---------------------------------------------------------------------------
+# The per-lift walk (reference)
+
+
+def _component_cycle(c):
+    """Vertex path (one traversal) and the cycle length in segments."""
+    if c.winding == 1:
+        return list(c.vertices), len(c.vertices) - 1
+    return list(c.vertices) + [c.vertices[0]], len(c.vertices)
+
+
+def _neighbor_points(c, verts, i):
+    """Cyclic neighbors of vertex i (i < cycle length), lifted to the plane."""
+    n = len(verts) - 1
+    nxt = verts[i + 1]
+    if i > 0:
+        prev = verts[i - 1]
+    elif c.winding == 1:
+        prev = verts[n - 1].translate(-1)
+    else:
+        prev = verts[n - 1]
+    return prev, nxt
+
+
+def _line_contains(obj, k, point):
+    anchor, (dx, dy) = obj.anchor_dir(k)
+    return (point.x - anchor.x) * dy == (point.y - anchor.y) * dx
+
+
+def _arc_contains(obj, k, point):
+    anchor, (dx, dy) = obj.anchor_dir(k)
+    if (point.x - anchor.x) * dy != (point.y - anchor.y) * dx:
+        return False
+    return ZERO <= _u_param(obj, k, point) <= ONE
+
+
+def contains(obj, k, point):
+    if isinstance(obj, _LineFamily):
+        return _line_contains(obj, k, point)
+    return _arc_contains(obj, k, point)
+
+
+def _segment_lift_intersections(obj, k, c, ci):
+    """All counted intersections of component ci with object lift k."""
+    verts, n = _component_cycle(c)
+    anchor, (dx, dy) = obj.anchor_dir(k)
+    out = []
+
+    def side(p):
+        return (p.x - anchor.x) * dy - (p.y - anchor.y) * dx
+
+    for i in range(n):
+        a, b = verts[i], verts[i + 1]
+        sa, sb = side(a), side(b)
+        if sa == 0 and sb == 0:
+            raise DegenerateIncidence(
+                f"curve segment {a}->{b} is collinear with object lift {k}"
+            )
+        if sa == 0:
+            # Vertex exactly on the object's line: transversal iff the cyclic
+            # neighbors straddle it; a same-side touch is removable, count 0.
+            prev, _ = _neighbor_points(c, verts, i)
+            sp = side(prev)
+            if sp == 0:
+                raise DegenerateIncidence(f"two consecutive vertices on object lift {k}")
+            if (sp < 0) != (sb < 0):
+                if contains(obj, k, a):
+                    out.append(IPoint(ci, Fraction(i), a, k, _u_param(obj, k, a)))
+            continue
+        if sb == 0:
+            continue  # handled as the next segment's vertex case (or dropped at the period end)
+        if (sa < 0) == (sb < 0):
+            continue
+        t = sa / (sa - sb)
+        point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        if contains(obj, k, point):
+            out.append(IPoint(ci, Fraction(i) + t, point, k, _u_param(obj, k, point)))
+    return out
+
+
+def _considered_lifts(obj, c):
+    """The object lifts paired with component c: those near its bounding box."""
+    return obj.lift_indices(c.bbox().pad(Fraction(1, 100)))
+
+
+def reference_raw_intersections(d, obj):
+    """All transversal intersections, one record per quotient point."""
+    points = []
+    for ci, c in enumerate(d.components):
+        for k in _considered_lifts(obj, c):
+            points.extend(_segment_lift_intersections(obj, k, c, ci))
+    points.sort(key=lambda ip: (ip.comp, ip.pos, ip.lift))
+    return points
+
+
+# ---------------------------------------------------------------------------
+
+
+def outcome(f, *args):
+    """f's result, or the message of the DegenerateIncidence it raises."""
+    try:
+        return f(*args)
+    except DegenerateIncidence as exc:
+        return str(exc)
+
 
 def walk(d, slope, h):
-    """The oracle's raw list, or the message it raises."""
-    try:
-        return raw_intersections(d, _ArcObject(ArcLift(slope, h)))
-    except DegenerateIncidence as exc:
-        return str(exc)
-
-
-def swept(sweep, h):
-    try:
-        return sweep.raw(h)
-    except DegenerateIncidence as exc:
-        return str(exc)
+    """The reference's raw list for one arc, or the message it raises."""
+    return outcome(reference_raw_intersections, d, _ArcObject(ArcLift(slope, h)))
 
 
 def heights(d, slope):
@@ -56,7 +160,7 @@ def assert_sweep_matches_walk(d, slope, cancel=True):
     sweep = ArcSweep(d, slope)
     for h in heights(d, slope):
         want = walk(d, slope, h)
-        assert swept(sweep, h) == want, (d.source, str(slope), h)
+        assert outcome(sweep.raw, h) == want, (d.source, str(slope), h)
         if cancel and not isinstance(want, str):
             live, _ = cancel_bigons(want, d, _ArcObject(ArcLift(slope, h)))
             assert sweep.points(h) == tuple(live), (d.source, str(slope), h)
@@ -179,3 +283,55 @@ def test_points_are_cancelled_once_per_grading(monkeypatch):
     assert sweep.dims() == first
     assert sweep.points(Fraction(1)) is sweep.points(Fraction(1))
     assert sorted(calls) == sorted(set(calls)) == sorted(grading_range(sweep.diagram, sweep.slope))
+
+
+# ---------------------------------------------------------------------------
+# Filling line families
+
+# Every reduced slope with |p| <= 12 and q <= 5 (0/1 included), 1/0 and the
+# cap slope 63/31, at the offset `line_family` chooses.
+LINE_SLOPES = [
+    SlopeSpec(p, q) for q in range(1, 6) for p in range(-12, 13) if math.gcd(abs(p), q) == 1
+] + [SlopeSpec(1, 0), SlopeSpec(63, 31)]
+# Offsets the chosen one avoids: they put vertices on lines, and on some
+# slopes a whole segment, which raises.
+DIRTY_OFFSETS = (Fraction(0), Fraction(1, 2))
+
+
+def assert_lines_match_walk(d, slope, offsets=()):
+    for fam in [line_family(d, slope)] + [_LineFamily(slope, delta) for delta in offsets]:
+        want = outcome(reference_raw_intersections, d, fam)
+        assert outcome(raw_intersections, d, fam) == want, (d.source, str(slope), fam.delta)
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_line_family_matches_walk_on_zoo(name):
+    d = build_zoo(name)
+    for slope in LINE_SLOPES:
+        assert_lines_match_walk(d, slope)
+    for slope in ZOO_SLOPES + [SlopeSpec(0, 1)]:
+        assert_lines_match_walk(d, slope, DIRTY_OFFSETS)
+
+
+line_slopes = (
+    st.tuples(st.integers(-12, 12), st.integers(0, 5))
+    .filter(lambda pq: pq != (0, 0))
+    .map(lambda pq: SlopeSpec(*pq))
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_diagrams, line_slopes)
+def test_line_family_matches_walk_on_generated_diagrams(d, slope):
+    assert_lines_match_walk(d, slope, DIRTY_OFFSETS)
+
+
+@pytest.mark.parametrize("d", [COLLINEAR, TALL], ids=lambda d: d.source)
+def test_degenerate_line_families_raise_as_the_walk_does(d):
+    # At offset 0 the 1/1 line of lift 1 runs along the first two segments
+    # and that of lift 0 along two later ones; the smaller lift is reported,
+    # at the first of its own segments.
+    want = "curve segment (1/8, -3/8)->(3/8, -1/8) is collinear with object lift 0"
+    assert outcome(reference_raw_intersections, d, _LineFamily(UNIT, Fraction(0))) == want
+    for slope in ZOO_SLOPES:
+        assert_lines_match_walk(d, slope, DIRTY_OFFSETS)

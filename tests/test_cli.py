@@ -177,7 +177,7 @@ class TestFilesAndRender:
         def broken_walk(*args):
             raise RuntimeError("subarc longer than one traversal")
 
-        monkeypatch.setattr(pegboard.pairing, "_forward_subarc", broken_walk)
+        monkeypatch.setattr(pegboard.pairing, "subarc", broken_walk)
         code, _, err = run(capsys, "pair", "trefoil", "--", "-5/1")
         assert code == EXIT_INVALID
         assert err == "error: subarc longer than one traversal\n"
@@ -227,6 +227,10 @@ class TestFilesAndRender:
         code, out, _ = run(capsys, "render", "trefoil", "--overlay-arc", "1/1@1")
         assert code == EXIT_OK
         assert "stroke-dasharray" in out
+        golden = (Path(__file__).parent / "golden" / "trefoil_arc.svg").read_text()
+        code, out, _ = run(capsys, "render", "trefoil", "--overlay-arc", "1/1@0")
+        assert code == EXIT_OK
+        assert out == golden
 
     def test_console_script_installed(self):
         import subprocess

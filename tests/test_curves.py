@@ -39,6 +39,15 @@ class TestValidation:
         assert not report.ok
         assert any(v.code == "seam" for v in report.violations)
 
+    def test_broken_period_is_reported_once(self):
+        # The seam check reads the period from its first vertices, so a bad
+        # end vertex or a repeated vertex is not counted again as a seam fault.
+        ends_wrong = Component((pt(F(-1, 2), 0), pt(F(3, 2), 0)), 1)
+        repeated = Component((pt(F(-1, 2), 0), pt(0, 0), pt(0, 0), pt(F(1, 2), 0)), 1)
+        for c, codes in ((ends_wrong, ["closure"]), (repeated, ["repeat", "segment"])):
+            report = validate(CurveDiagram((c,), "broken"))
+            assert [v.code for v in report.violations] == codes
+
     def test_unpaired_asymmetric_component_breaks_symmetry(self, zoo):
         trefoil = zoo["trefoil"]
         lopsided = Component(

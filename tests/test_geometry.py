@@ -10,15 +10,12 @@ from pegboard.geometry import (
     CollinearOverlap,
     PointOnLoop,
     Segment,
-    UnboundedQuery,
     is_peg,
     pegs_in_box,
     pt,
-    relevant_lifts,
     segment_intersection,
     winding_number,
     winding_near,
-    LATTICE_VERTICAL,
 )
 
 
@@ -170,52 +167,3 @@ class TestPegs:
     def test_pegs_in_box(self):
         pegs = pegs_in_box(Box(F(-1, 2), F(1, 2), -1, 1))
         assert pegs == [pt(0, F(-1, 2)), pt(0, F(1, 2))]
-
-
-class TestRelevantLifts:
-    def test_vertical_arc_in_tall_box(self):
-        template = [Segment(pt(0, F(1, 2)), pt(0, F(3, 2)))]
-        box = Box(0, 1, 0, 3)
-        lifts = relevant_lifts(template, box, LATTICE_VERTICAL)
-        assert len(lifts) == 4  # boundary-touching included
-
-    def test_sloped_segment_with_half_spacing(self):
-        # Slope-1/2 segment through (1/2 + 1/100, 0), clipped to x in [0, 1].
-        x0 = F(1, 2) + F(1, 100)
-        seg = Segment(pt(0, -x0 / 2), pt(1, (1 - x0) / 2))
-        box = Box(0, 1, 0, 1)
-        lifts = relevant_lifts([seg], box, (0, F(1, 2)))
-        # Direct enumeration oracle over a wide shift range.
-        expected = 0
-        for k in range(-50, 50):
-            lo = seg.a.y + F(k, 2)
-            hi = seg.b.y + F(k, 2)
-            if hi >= 0 and lo <= 1:
-                expected += 1
-        assert len(lifts) == expected == 3
-
-    def test_empty_far_apart(self):
-        template = [Segment(pt(100, F(1, 2)), pt(100, F(3, 2)))]
-        box = Box(0, 1, 0, 1)
-        assert relevant_lifts(template, box, LATTICE_VERTICAL) == []
-
-    def test_degenerate_box_raises(self):
-        with pytest.raises(UnboundedQuery):
-            relevant_lifts([Segment(pt(0, 0), pt(0, 1))], Box(1, 0, 0, 1), LATTICE_VERTICAL)
-
-    @given(st.integers(-5, 5), st.integers(-5, 5))
-    @settings(max_examples=50)
-    def test_translation_invariance(self, dx, dy):
-        template = [Segment(pt(0, F(1, 2)), pt(1, F(5, 2)))]
-        box = Box(0, 2, -1, 3)
-        base = relevant_lifts(template, box, LATTICE_VERTICAL)
-        moved = relevant_lifts(
-            [s.translate(dx, dy) for s in template],
-            Box(box.xmin + dx, box.xmax + dx, box.ymin + dy, box.ymax + dy),
-            LATTICE_VERTICAL,
-        )
-        shifted_back = [
-            [Segment(s.a.translate(-dx, -dy), s.b.translate(-dx, -dy)) for s in lift]
-            for lift in moved
-        ]
-        assert shifted_back == base

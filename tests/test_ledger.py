@@ -15,7 +15,9 @@ from pegboard.ledger import (
     InconsistentInputs,
     LedgerSequence,
     ParityViolation,
+    RULES,
     RangeTooSmall,
+    TorsionCertificate,
     TrivialAlexander,
     UndefinedAtZero,
     VacuousBound,
@@ -127,6 +129,16 @@ class TestCertificates:
         ]
         for cert in certs:
             assert cert.revalidate(), cert
+
+    def test_certificates_only_for_rules_they_can_revalidate(self):
+        # A certificate must be replayable: ids that only name a constraint
+        # (or nothing) are refused at construction.
+        for rule in ("PA.2", "TB.2", "T1.4", "P3.16", "L2.2", "XX.0"):
+            with pytest.raises(ValueError):
+                TorsionCertificate("t", 1, rule, {})
+        assert "PA.2" not in RULES and "TB.2" not in RULES
+        cert = TorsionCertificate("t", 0, "T1.11", {"dim_khi": 3})
+        assert cert.revalidate() and cert.to_json()["rule_text"] == RULES["T1.11"]
 
     def test_certificate_json_round_trip(self):
         cert = torsion_bound_half(3, 2)
