@@ -9,6 +9,7 @@ resolved inside $PEGBOARD_ZOO_DIR.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -25,6 +26,7 @@ from .differentials import (
     differential_matrix,
     dually_simple_scan,
 )
+from .geometry import PointOnLoop
 from .pairing import (
     ArcLift,
     ArcSweep,
@@ -47,12 +49,14 @@ MAX_Q = 32
 
 
 # argparse's pattern for a negative number, widened to negative slopes p/q
-_NEGATIVE_NUMBER_OR_SLOPE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# and to arcs p/q@h with a negative slope (h an integer or p/q, any sign)
+_NEGATIVE_NUMBER_OR_SLOPE = re.compile(r"^-\d+(/\d+)?(@-?\d+(/\d+)?)?$|^-\d*\.\d+$")
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """Reads a negative slope such as -7/3 as a value, as argparse already
-    reads a negative integer such as -7; no option here looks like either."""
+    """Reads a negative slope such as -7/3, or an arc such as -7/3@-3, as a
+    value, as argparse already reads a negative integer such as -7; no option
+    here looks like any of them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -66,10 +70,15 @@ class CliError(Exception):
 
 
 def _load_knot(selector: str):
+    """The diagram `selector` names, validated exactly once: a curve file by
+    parse_curve_text, a zoo diagram here."""
     try:
-        return build_zoo(selector)
+        d = build_zoo(selector)
     except BadSpec:
         pass
+    else:
+        _require_valid(d)
+        return d
     path = Path(selector)
     if not path.exists():
         zoo_dir = os.environ.get("PEGBOARD_ZOO_DIR")
@@ -141,7 +150,6 @@ def cmd_zoo(args) -> int:
 
 def cmd_pair(args) -> int:
     d = _load_knot(args.knot)
-    _require_valid(d)
     bodies = []
     for slope_text in args.slopes:
         slope = _parse_slope(slope_text)
@@ -170,7 +178,6 @@ def cmd_pair(args) -> int:
 
 def cmd_hfk(args) -> int:
     d = _load_knot(args.knot)
-    _require_valid(d)
     slope = _parse_slope(args.slope, allow_vertical=True)
     dims = dual_hfk_dims(d, slope)
     payload = {
@@ -190,7 +197,6 @@ def cmd_hfk(args) -> int:
 
 def cmd_diff(args) -> int:
     d = _load_knot(args.knot)
-    _require_valid(d)
     slope = _parse_slope(args.slope)
     if slope.p < 1 or slope.q < 1:
         raise CliError("differentials need a slope with p >= 1 and q >= 1", EXIT_USAGE)
@@ -233,7 +239,6 @@ def cmd_diff(args) -> int:
 
 def cmd_invariants(args) -> int:
     d = _load_knot(args.knot)
-    _require_valid(d)
     tau, eps = tau_epsilon(d)
     census = extrema_census(d)
     payload = {
@@ -259,7 +264,6 @@ def cmd_invariants(args) -> int:
 
 def cmd_scan_simple(args) -> int:
     d = _load_knot(args.knot)
-    _require_valid(d)
     if args.pmax > MAX_P or args.qmax > MAX_Q:
         raise CliError(f"scan grid is capped at |p| <= {MAX_P}, q <= {MAX_Q}", EXIT_USAGE)
     entries = dually_simple_scan(d, args.pmax, args.qmax)
@@ -319,7 +323,6 @@ def cmd_demo(args) -> int:
 
 def cmd_render(args) -> int:
     d = _load_knot(args.knot)
-    _require_valid(d)
     overlay = _parse_slope(args.overlay) if args.overlay else None
     arc = None
     if args.overlay_arc:
@@ -580,10 +583,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parse_args keeps no state
+    on it between calls, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -591,9 +600,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DegenerateIncidence, RuntimeError) as exc:
+    except (DegenerateIncidence, PointOnLoop, RuntimeError) as exc:
         # the diagram passed validation but its geometry cannot be paired:
-        # an unresolvable incidence, or a curve walk that does not close up
+        # an unresolvable incidence, a peg on a bigon's boundary, or a curve
+        # walk that does not close up
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, KeyError) as exc:

@@ -18,10 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
-class CollinearOverlap(ValueError):
-    """Two segments share a subsegment of positive length."""
-
-
 class PointOnLoop(ValueError):
     """Winding number queried at a point lying on the loop itself."""
 
@@ -88,12 +84,6 @@ class Segment:
             max(self.a.x, self.b.x),
             min(self.a.y, self.b.y),
             max(self.a.y, self.b.y),
-        )
-
-    def point_at(self, t: Fraction) -> Point:
-        return Point(
-            self.a.x + t * (self.b.x - self.a.x),
-            self.a.y + t * (self.b.y - self.a.y),
         )
 
 
@@ -166,45 +156,6 @@ def segment_hits_peg(s: Segment) -> Optional[Point]:
         if on_segment(peg, s):
             return peg
     return None
-
-
-def segment_intersection(s1: Segment, s2: Segment):
-    """Intersect two segments.
-
-    Returns None when disjoint, or (point, transversal) where transversal is
-    True exactly when the interiors cross at a single point with distinct
-    directions.  Collinear segments overlapping in more than a point raise
-    CollinearOverlap: that is a degenerate configuration the caller must
-    perturb away, never silently resolved.
-    """
-    d1x = s1.b.x - s1.a.x
-    d1y = s1.b.y - s1.a.y
-    d2x = s2.b.x - s2.a.x
-    d2y = s2.b.y - s2.a.y
-    denom = d1x * d2y - d1y * d2x
-    if denom == 0:
-        if cross(s1.a, s1.b, s2.a) != 0:
-            return None  # parallel, different lines
-        # Collinear: compare parameter intervals along s1's direction.
-        def param(p: Point) -> Fraction:
-            if d1x != 0:
-                return (p.x - s1.a.x) / d1x
-            return (p.y - s1.a.y) / d1y
-
-        lo2, hi2 = sorted((param(s2.a), param(s2.b)))
-        lo, hi = max(ZERO, lo2), min(ONE, hi2)
-        if lo > hi:
-            return None
-        if lo < hi:
-            raise CollinearOverlap(f"segments overlap along a line: {s1} vs {s2}")
-        return s1.point_at(lo), False
-    t = ((s2.a.x - s1.a.x) * d2y - (s2.a.y - s1.a.y) * d2x) / denom
-    u = ((s2.a.x - s1.a.x) * d1y - (s2.a.y - s1.a.y) * d1x) / denom
-    if not (ZERO <= t <= ONE and ZERO <= u <= ONE):
-        return None
-    point = s1.point_at(t)
-    transversal = ZERO < t < ONE and ZERO < u < ONE
-    return point, transversal
 
 
 def _closed_edges(loop: Sequence[Point]):

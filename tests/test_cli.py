@@ -2,7 +2,10 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+import pegboard.cli
+import pegboard.textfmt
 from pegboard.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 SCHEMA = json.loads(
@@ -156,8 +159,10 @@ class TestFilesAndRender:
     def test_invalid_file_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.curve"
         path.write_text("component winding=1\nv -1/2 1/4\nv 1/2 1/4\n")
-        code, _, err = run(capsys, "pair", str(path), "1/1")
-        assert code == EXIT_INVALID
+        code, out, err = run(capsys, "pair", str(path), "1/1")
+        assert code == EXIT_INVALID and out == ""
+        assert err == (f"error: invalid diagram in {path}: "
+                       "[seam] seam crossing at height 1/4, expected 0\n")
 
     def test_degenerate_incidence_exit_code(self, capsys, tmp_path):
         # a valid null-wiggle whose two slope-1 segments lie on 1/1 arcs at
@@ -181,6 +186,19 @@ class TestFilesAndRender:
         code, _, err = run(capsys, "pair", "trefoil", "--", "-5/1")
         assert code == EXIT_INVALID
         assert err == "error: subarc longer than one traversal\n"
+
+    def test_point_on_loop_exit_code(self, capsys, monkeypatch):
+        import pegboard.pairing
+        from pegboard.geometry import PointOnLoop
+
+        def peg_on_loop(loop, p):
+            raise PointOnLoop(f"{p} lies on the loop")
+
+        # trefoil 2/1 tests pegs against candidate bigons; 3/1 has none
+        monkeypatch.setattr(pegboard.pairing, "winding_number", peg_on_loop)
+        code, out, err = run(capsys, "pair", "trefoil", "2/1")
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: (") and err.endswith(" lies on the loop\n")
 
     def test_render_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "a.svg"
@@ -232,6 +250,19 @@ class TestFilesAndRender:
         assert code == EXIT_OK
         assert out == golden
 
+    def test_negative_arc_needs_no_equals_sign(self, capsys, tmp_path):
+        code, out, err = run(capsys, "render", "torus_3_4", "--overlay-arc", "-7/3@-3")
+        assert (code, err) == (EXIT_OK, "") and "stroke-dasharray" in out
+        assert run(capsys, "render", "torus_3_4", "--overlay-arc=-7/3@-3") == (code, out, err)
+        svg = tmp_path / "arc.svg"
+        code, stdout, _ = run(capsys, "render", "torus_3_4", "--overlay-arc", "-7/3@-3",
+                              "--out", str(svg))
+        assert (code, stdout) == (EXIT_OK, "") and svg.read_text() == out
+        assert run(capsys, "render", "trefoil", "--overlay-arc", "-2/3@-1/2")[0] == EXIT_OK
+        # an option is still read as an option, not as the arc
+        code, _, err = run(capsys, "render", "trefoil", "--overlay-arc", "--out", str(svg))
+        assert code == EXIT_USAGE and "--overlay-arc: expected one argument" in err
+
     def test_console_script_installed(self):
         import subprocess
         import sys
@@ -243,3 +274,83 @@ class TestFilesAndRender:
         )
         assert proc.returncode == 0
         assert "trefoil" in proc.stdout
+
+
+@pytest.fixture
+def fresh_parser():
+    """main() as in a new process: no parser built yet."""
+    pegboard.cli._parser.cache_clear()
+    yield
+    pegboard.cli._parser.cache_clear()
+
+
+class TestOneParserPerProcess:
+    def test_repeated_commands_give_identical_results(self, capsys, tmp_path, fresh_parser):
+        path = tmp_path / "knot.curve"
+        path.write_text("component winding=1\nv -1/2 0\nv 1/2 0\n")
+        commands = [
+            ("pair", "trefoil"),
+            ("pair", "--help"),
+            ("pair", "trefoil", "-7/3"),
+            ("pair", str(path), "4/1", "--format", "json"),
+            ("pair", "trefoil", "x/y"),
+            ("ledger", "genus-one", "1", "-1", "1", "--format", "json"),
+            ("hfk", "torus_3_4", "-3/2", "--format", "json"),
+            ("ledger", "quasi-alt", "3"),
+            ("diff", "trefoil", "2/1", "--format", "csv"),
+            ("invariants", str(path), "--format", "json"),
+            ("pair", "trefoil", "1/1", "--format", "json"),
+        ]
+        first = [run(capsys, *argv) for argv in commands]
+        second = [run(capsys, *argv) for argv in commands]
+        assert first == second
+        codes = [code for code, _, _ in first]
+        assert codes == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE] + [EXIT_OK] * 6
+        assert "required: p/q" in first[0][2] and first[1][1].startswith("usage: pegboard pair")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        real = pegboard.cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(pegboard.cli, "build_parser", counting_build)
+        for argv in (["zoo", "list"], ["pair", "trefoil"], ["pair", "unknot", "1/1"],
+                     ["ledger", "triangle", "1", "1", "1"]):
+            main(argv)
+        capsys.readouterr()
+        assert len(built) == 1
+        assert real() is not pegboard.cli._parser()  # build_parser stays fresh
+
+
+COMMANDS = {
+    "pair": ("2/1",),
+    "hfk": ("1/1",),
+    "diff": ("1/1",),
+    "invariants": (),
+    "scan-simple": ("--pmax", "2", "--qmax", "1"),
+    "render": (),
+}
+
+
+@pytest.mark.parametrize("source", ["zoo", "file"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_validates_once(capsys, monkeypatch, tmp_path, command, source):
+    calls = []
+    real = pegboard.cli.validate
+
+    def counting_validate(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(pegboard.cli, "validate", counting_validate)
+    monkeypatch.setattr(pegboard.textfmt, "validate", counting_validate)
+    knot = "trefoil"
+    if source == "file":
+        knot = str(tmp_path / "trefoil.curve")
+        Path(knot).write_text(pegboard.textfmt.emit_curve_text(pegboard.cli.build_zoo("trefoil")))
+    code, _, _ = run(capsys, command, knot, *COMMANDS[command])
+    assert code == EXIT_OK
+    assert len(calls) == 1

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from pegboard.geometry import (
     Box,
-    CollinearOverlap,
     PointOnLoop,
     Segment,
     is_peg,
     pegs_in_box,
     pt,
-    segment_intersection,
     winding_number,
     winding_near,
 )
@@ -33,62 +31,6 @@ def winding_by_angles(loop, p):
             d += 2 * math.pi
         total += d
     return round(total / (2 * math.pi))
-
-
-class TestSegmentIntersection:
-    def test_symmetric_crossing(self):
-        s1 = Segment(pt(0, 0), pt(1, 1))
-        s2 = Segment(pt(0, 1), pt(1, 0))
-        point, transversal = segment_intersection(s1, s2)
-        assert point == pt(F(1, 2), F(1, 2))
-        assert transversal
-
-    def test_parallel_disjoint(self):
-        s1 = Segment(pt(0, 0), pt(1, 0))
-        s2 = Segment(pt(0, 1), pt(1, 1))
-        assert segment_intersection(s1, s2) is None
-
-    def test_shared_endpoint(self):
-        s1 = Segment(pt(0, 0), pt(1, 1))
-        s2 = Segment(pt(1, 1), pt(2, 0))
-        point, transversal = segment_intersection(s1, s2)
-        assert point == pt(1, 1)
-        assert not transversal
-
-    def test_collinear_overlap_raises(self):
-        s1 = Segment(pt(0, 0), pt(2, 2))
-        s2 = Segment(pt(1, 1), pt(3, 3))
-        with pytest.raises(CollinearOverlap):
-            segment_intersection(s1, s2)
-
-    def test_collinear_point_touch(self):
-        s1 = Segment(pt(0, 0), pt(1, 1))
-        s2 = Segment(pt(1, 1), pt(2, 2))
-        point, transversal = segment_intersection(s1, s2)
-        assert point == pt(1, 1)
-        assert not transversal
-
-    coords = st.integers(min_value=-4, max_value=4)
-
-    @given(st.tuples(coords, coords, coords, coords, coords, coords, coords, coords))
-    @settings(max_examples=200)
-    def test_symmetric_in_arguments(self, xs):
-        ax, ay, bx, by, cx, cy, dx, dy = xs
-        if (ax, ay) == (bx, by) or (cx, cy) == (dx, dy):
-            return
-        s1 = Segment(pt(ax, ay), pt(bx, by))
-        s2 = Segment(pt(cx, cy), pt(dx, dy))
-        try:
-            r1 = segment_intersection(s1, s2)
-        except CollinearOverlap:
-            with pytest.raises(CollinearOverlap):
-                segment_intersection(s2, s1)
-            return
-        r2 = segment_intersection(s2, s1)
-        if r1 is None:
-            assert r2 is None
-        else:
-            assert r2 is not None and r1[0] == r2[0] and r1[1] == r2[1]
 
 
 SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
