@@ -114,6 +114,17 @@ def _parse_slope(text: str, allow_vertical=False) -> SlopeSpec:
     return slope
 
 
+def _parse_arc(text: str) -> ArcLift:
+    """An arc written p/q@h: its slope (1/0 allowed) and grading height."""
+    slope_text, _, h_text = text.partition("@")
+    try:
+        h = Fraction(h_text)
+        SlopeSpec.parse(slope_text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"bad arc {text!r}; use p/q@h, a slope and a grading", EXIT_USAGE) from None
+    return ArcLift(_parse_slope(slope_text, allow_vertical=True), h)
+
+
 def _render_body(args, payload: dict, text_lines: list[str], csv_rows=None) -> str:
     fmt = getattr(args, "format", "text")
     if fmt == "json":
@@ -324,10 +335,7 @@ def cmd_demo(args) -> int:
 def cmd_render(args) -> int:
     d = _load_knot(args.knot)
     overlay = _parse_slope(args.overlay) if args.overlay else None
-    arc = None
-    if args.overlay_arc:
-        slope_text, h_text = args.overlay_arc.split("@", 1)
-        arc = ArcLift(_parse_slope(slope_text, allow_vertical=True), Fraction(h_text))
+    arc = _parse_arc(args.overlay_arc) if args.overlay_arc else None
     svg = render_svg(d, overlay=overlay, overlay_arc=arc)
     if args.out:
         Path(args.out).write_text(svg, encoding="utf-8")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import Box, Point, pegs_in_box, winding_near, winding_number
+from .geometry import Point, first_wound_peg, winding_near
 from .curves import CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
     ArcLift,
@@ -121,15 +121,7 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
             loop = sub + [corner]
             if loop[-1] == loop[0]:
                 loop = loop[:-1]
-            box = Box.around(loop)
-            ok = True
-            for peg in pegs_in_box(box):
-                if peg == corner:
-                    continue
-                if winding_number(loop, peg) != 0:
-                    ok = False
-                    break
-            if not ok:
+            if first_wound_peg(loop, skip=corner) is not None:
                 continue
             n_z = abs(winding_near(loop, corner, (-p, q)))
             n_w = abs(winding_near(loop, corner, (p, -q)))
@@ -308,10 +300,6 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
             )
             out.append(entry)
     return out
-
-
-def dually_simple_slopes(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]:
-    return [e for e in dually_simple_scan(d, pmax, qmax) if e.dually_simple]
 
 
 @dataclass(frozen=True)

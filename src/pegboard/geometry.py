@@ -13,6 +13,7 @@ torus used when pairing with filling lines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -122,8 +123,6 @@ def is_peg(p: Point) -> bool:
 
 def pegs_in_box(box: Box) -> list[Point]:
     """All pegs (i, j + 1/2) inside the closed box."""
-    import math
-
     out = []
     i0 = math.ceil(box.xmin)
     i1 = math.floor(box.xmax)
@@ -184,6 +183,63 @@ def winding_number(loop: Sequence[Point], p: Point) -> int:
             if cross(a, b, p) < 0:
                 wind -= 1
     return wind
+
+
+def first_wound_peg(loop: Sequence[Point], skip: Optional[Point] = None) -> Optional[Point]:
+    """The first peg the closed PL loop winds around, or None.
+
+    Pegs are visited in `pegs_in_box(Box.around(loop))` order, leaving out
+    `skip`.  One pass over the edges records the loop's signed crossings
+    with the integer columns, half-open at vertices so each crossing counts
+    once: an edge crossing column i leftwards counts +1, rightwards -1.  The
+    winding of the peg (i, j + 1/2) is the sum over the column-i crossings
+    above it, which is `winding_number` with the ray pointing up; a column
+    the loop misses holds no wound peg.  Raises PointOnLoop, with
+    `winding_number`'s message, at a peg on the loop visited before any
+    wound one.
+
+    The work is in integers: coordinates are scaled by twice the lcm of
+    their denominators, so columns and peg heights are integers too.
+    """
+    scale = 2 * math.lcm(*(c.denominator for v in loop for c in (v.x, v.y)))
+    half = scale // 2  # the peg (i, j + 1/2) is at (i*scale, j*scale + half)
+    xs = [v.x.numerator * (scale // v.x.denominator) for v in loop]
+    ys = [v.y.numerator * (scale // v.y.denominator) for v in loop]
+    j0, j1 = -((half - min(ys)) // scale), (max(ys) - half) // scale
+    if j0 > j1 or -(-min(xs) // scale) > max(xs) // scale:
+        return None  # no peg in the box
+    spans: dict[int, list[tuple[int, int]]] = {}  # column -> closed height spans on the loop
+    crossings: dict[int, list[tuple[int, int, int]]] = {}  # column -> (num, den, sign)
+    n = len(xs)
+    for k in range(n):
+        ax, ay, bx, by = xs[k], ys[k], xs[k - n + 1], ys[k - n + 1]
+        if ax == bx:
+            if ay != by and ax % scale == 0:
+                spans.setdefault(ax // scale, []).append((min(ay, by), max(ay, by)))
+            continue
+        # Every vertex starts a non-vertical edge or lies on a vertical one.
+        if ax % scale == 0:
+            spans.setdefault(ax // scale, []).append((ay, ay))
+        den, sign = (bx - ax, -1) if ax < bx else (ax - bx, 1)
+        for i in range(-(-min(ax, bx) // scale), -(-max(ax, bx) // scale)):
+            # the crossing height is num / den
+            num = ay * den + (i * scale - ax) * (by - ay) * -sign
+            crossings.setdefault(i, []).append((num, den, sign))
+    skip_at = None
+    if skip is not None and skip.x.denominator == 1 and (skip.y - HALF).denominator == 1:
+        skip_at = (skip.x.numerator, math.floor(skip.y))
+    for i in sorted(spans.keys() | crossings.keys()):
+        column = crossings.get(i, ())
+        touched = spans.get(i, ())
+        for j in range(j0, j1 + 1):
+            if (i, j) == skip_at:
+                continue
+            y = j * scale + half
+            if any(lo <= y <= hi for lo, hi in touched) or any(num == y * den for num, den, _ in column):
+                raise PointOnLoop(f"{Point(Fraction(i), Fraction(j) + HALF)} lies on the loop")
+            if sum(s for num, den, s in column if num > y * den):
+                return Point(Fraction(i), Fraction(j) + HALF)
+    return None
 
 
 def winding_near(loop: Sequence[Point], base: Point, direction: tuple) -> int:

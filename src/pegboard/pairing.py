@@ -15,6 +15,13 @@ disk between the curve and the object is then cancelled: a pair of
 intersection points adjacent along both the curve and one object lift gets
 removed whenever the loop they bound has winding number zero around every
 peg.  The removal order does not change the final count (tested property).
+Within one `cancel_bigons` call each adjacent pair's geometry is computed
+once: its subarc, the same-lift test, the closing loop and the peg check.
+Only the test for another live point on the object piece depends on what
+has been removed, so a blocked pair keeps the point that blocked it and is
+tested again only after that point is gone.  The peg check,
+`geometry.first_wound_peg`, winds every peg in one scan of the loop's
+crossings with the integer columns.
 
 Both kinds of object are level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component.  A filling family's
@@ -45,9 +52,9 @@ from .geometry import (
     Box,
     Point,
     Segment,
+    first_wound_peg,
     pegs_in_box,
     rat,
-    winding_number,
 )
 from .curves import Component, CurveDiagram
 
@@ -404,126 +411,135 @@ def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Poi
     return pts, m
 
 
-def _lifted_on_lift(obj: PairObject, target_lift: int, z: IPoint) -> Optional[Point]:
-    """The plane point of quotient intersection z on the given object lift."""
-    if isinstance(obj, _ArcObject):
-        m = target_lift - z.lift
-        return z.point.translate(m)
-    fam: _LineFamily = obj
-    if fam.slope.is_vertical:
-        return z.point.translate(target_lift - z.lift)
-    if fam.slope.p == 0:
-        return None if z.lift != target_lift else z.point  # plus all translates; handled separately
-    diff = z.lift - target_lift
-    if diff % fam.slope.p != 0:
-        return None
-    return z.point.translate(diff // fam.slope.p)
+def _is_horizontal(obj: PairObject) -> bool:
+    """Horizontal lines: each lift holds every horizontal translate of a point."""
+    return isinstance(obj, _LineFamily) and obj.slope.p == 0 and not obj.slope.is_vertical
 
 
-def _piece_blocked(obj: PairObject, lift: int, a: Point, b: Point, pts: Sequence[IPoint],
-                   skip: tuple[IPoint, IPoint]) -> bool:
-    """Does any other intersection lie strictly between a and b on the lift?"""
-    if a == b:
-        return False
-    horiz = isinstance(obj, _LineFamily) and obj.slope.p == 0 and not obj.slope.is_vertical
+def _lift_offset(obj: PairObject, target_lift: int, z: IPoint) -> Optional[int]:
+    """The m with z.point + (m, 0) on the given object lift, None if none.
 
-    def between(p: Point) -> bool:
-        if min(a.x, b.x) < p.x < max(a.x, b.x):
-            return True
-        if a.x == b.x and min(a.y, b.y) < p.y < max(a.y, b.y):
-            return True
-        return False
-
-    for z in pts:
-        if z in skip:
-            continue
-        if horiz:
-            if z.lift != lift:
-                continue
-            # Every horizontal translate of z lies on this same line.
-            lo = math.ceil(min(a.x, b.x) - z.point.x)
-            hi = math.floor(max(a.x, b.x) - z.point.x)
-            for m in range(lo, hi + 1):
-                if between(z.point.translate(m)):
-                    return True
-            continue
-        zp = _lifted_on_lift(obj, lift, z)
-        if zp is not None and between(zp):
-            return True
-    return False
-
-
-def _bigon_loop(c: Component, obj: PairObject, x: IPoint, y: IPoint,
-                pts: Sequence[IPoint]) -> Optional[tuple[tuple[Point, ...], tuple[Point, ...]]]:
-    """Empty-bigon test for the ordered adjacent pair (x, y).
-
-    Returns (loop, pegs_checked) when the forward subarc from x to y closes
-    up with a piece of x's object lift into a loop of winding zero around
-    every peg; None otherwise.
+    Not for horizontal families, where every translate of z lies on z's lift.
     """
-    path, w = subarc(c, x, y, 1)
-    target = obj.translated_lift(y.lift, w)
-    if isinstance(obj, _LineFamily) and obj.slope.p == 0 and not obj.slope.is_vertical:
+    if isinstance(obj, _ArcObject) or obj.slope.is_vertical:
+        return target_lift - z.lift
+    m, r = divmod(z.lift - target_lift, obj.slope.p)
+    return None if r else m
+
+
+def _first_blocker(obj: PairObject, lift: int, a: Point, b: Point, pts: Sequence[IPoint],
+                   live: Sequence[int], pair: tuple[int, int]) -> Optional[int]:
+    """A live point, other than the pair, strictly between a and b on the lift.
+
+    Returns its index in pts (the first in `live` order), None if the piece
+    from a to b holds none.  `live` and `pair` are indices into pts.
+    """
+    if a == b:
+        return None
+    horiz = _is_horizontal(obj)
+    upright = a.x == b.x  # compare heights on a vertical lift, else abscissae
+    lo, hi = (min(a.y, b.y), max(a.y, b.y)) if upright else (min(a.x, b.x), max(a.x, b.x))
+    for k in live:
+        if k in pair:
+            continue
+        z = pts[k]
+        if horiz:
+            # Some translate z.point + (m, 0) lies strictly between lo and hi.
+            if z.lift == lift and math.floor(lo - z.point.x) + 1 < hi - z.point.x:
+                return k
+            continue
+        m = _lift_offset(obj, lift, z)
+        if m is not None and lo < (z.point.y if upright else z.point.x + m) < hi:
+            return k
+    return None
+
+
+def _closing_loop(c: Component, obj: PairObject, x: IPoint,
+                  y: IPoint) -> Optional[tuple[Point, tuple[Point, ...]]]:
+    """What no other point changes in the bigon test of the pair (x, y).
+
+    The forward subarc from x to y must end on x's object lift; its end
+    bounds the object piece back to x.point.  Returns (end, loop), the loop
+    being the subarc without a repeated closing point, or None when the
+    subarc ends on another lift or the loop has fewer than two points.
+    """
+    if _is_horizontal(obj):
         same = y.lift == x.lift
     else:
-        same = target == x.lift
+        same = obj.translated_lift(y.lift, walk_span(c, x, y, 1)[1]) == x.lift
     if not same:
         return None
-    end = path[-1]
-    if _piece_blocked(obj, x.lift, end, x.point, pts, (x, y)):
-        return None
-    loop = path
-    if loop[-1] == loop[0]:
-        loop = loop[:-1]
+    path, _ = subarc(c, x, y, 1)
+    loop = path[:-1] if path[-1] == path[0] else path
     if len(loop) < 2:
         return None
-    box = Box.around(loop)
-    pegs = pegs_in_box(box)
-    for peg in pegs:
-        if winding_number(loop, peg) != 0:
-            return None
-    return tuple(loop), tuple(pegs)
-
-
-def _candidates(d: CurveDiagram, obj: PairObject, pts: list[IPoint]) -> list[tuple[IPoint, IPoint, tuple, tuple]]:
-    out = []
-    by_comp: dict[int, list[IPoint]] = {}
-    for p in pts:
-        by_comp.setdefault(p.comp, []).append(p)
-    for ci, plist in by_comp.items():
-        if len(plist) < 2:
-            continue
-        plist = sorted(plist, key=lambda ip: ip.pos)
-        c = d.components[ci]
-        k = len(plist)
-        for i in range(k):
-            x, y = plist[i], plist[(i + 1) % k]
-            if x is y:
-                continue
-            found = _bigon_loop(c, obj, x, y, pts)
-            if found is not None:
-                out.append((x, y, found[0], found[1]))
-    return out
+    return path[-1], tuple(loop)
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, obj: PairObject,
                   order_seed: Optional[int] = None) -> tuple[list[IPoint], list[CancelledBigon]]:
     """Remove empty bigons until none remain; order is seed-controlled.
 
-    The final count is independent of the removal order; the audit records
-    each removed pair with its loop and the pegs certified to have winding
-    zero.
+    Each round lists the candidates: every ordered pair (x, y) adjacent
+    along a component (components in order of first appearance, pairs by
+    position, cyclically) whose forward subarc closes up with the object
+    piece back to x into an empty bigon, a loop of winding zero around
+    every peg with no other live point on the piece.  It removes the first
+    candidate, or the `order_seed` pick among them.  The final count is
+    independent of the removal order; the audit records each removed pair
+    with its loop and the pegs certified to have winding zero.
+
+    Within one call each pair's geometry is computed once: the subarc, the
+    same-lift test, the closing loop and, once the piece is free, its peg
+    check (`first_wound_peg`, one scan of the loop's column crossings).
+    Only the piece test reads the live points, so a blocked pair keeps the
+    point found on its piece and is tested again only after that point has
+    been removed.  `pts` holds distinct points, as `raw_intersections`
+    gives them.
     """
     rng = random.Random(order_seed) if order_seed is not None else None
-    live = list(pts)
+    rings: dict[int, list[int]] = {}  # component -> indices into pts by position
+    for k, p in enumerate(pts):
+        rings.setdefault(p.comp, []).append(k)
+    for ring in rings.values():
+        ring.sort(key=lambda k: pts[k].pos)
+    alive = [True] * len(pts)
+    live = list(range(len(pts)))
+    # (x, y) -> None (no bigon), a CancelledBigon, or (blocker, end, loop)
+    tests: dict[tuple[int, int], object] = {}
     audit: list[CancelledBigon] = []
     while True:
-        cands = _candidates(d, obj, live)
+        cands: list[tuple[int, int, CancelledBigon]] = []
+        for ci in dict.fromkeys(pts[k].comp for k in live):
+            ring = [k for k in rings[ci] if alive[k]]
+            if len(ring) < 2:
+                continue
+            for n, ix in enumerate(ring):
+                pair = (ix, ring[n + 1 - len(ring)])
+                x, y = pts[ix], pts[pair[1]]
+                if pair not in tests:
+                    found = _closing_loop(d.components[ci], obj, x, y)
+                    tests[pair] = None if found is None else (None, *found)
+                state = tests[pair]
+                if type(state) is tuple:
+                    blocker, end, loop = state
+                    if blocker is None or not alive[blocker]:
+                        blocker = _first_blocker(obj, x.lift, end, x.point, pts, live, pair)
+                    if blocker is not None:
+                        state = (blocker, end, loop)
+                    elif first_wound_peg(loop) is None:
+                        state = CancelledBigon(x, y, loop, tuple(pegs_in_box(Box.around(loop))))
+                    else:
+                        state = None
+                    tests[pair] = state
+                if isinstance(state, CancelledBigon):
+                    cands.append((*pair, state))
         if not cands:
-            return live, audit
-        x, y, loop, pegs = cands[0] if rng is None else cands[rng.randrange(len(cands))]
-        live = [p for p in live if p is not x and p is not y]
-        audit.append(CancelledBigon(x, y, loop, pegs))
+            return [pts[k] for k in live], audit
+        ix, iy, bigon = cands[0] if rng is None else cands[rng.randrange(len(cands))]
+        alive[ix] = alive[iy] = False
+        live = [k for k in live if alive[k]]
+        audit.append(bigon)
 
 
 # ---------------------------------------------------------------------------

@@ -191,11 +191,11 @@ class TestFilesAndRender:
         import pegboard.pairing
         from pegboard.geometry import PointOnLoop
 
-        def peg_on_loop(loop, p):
-            raise PointOnLoop(f"{p} lies on the loop")
+        def peg_on_loop(loop, skip=None):
+            raise PointOnLoop(f"{loop[0]} lies on the loop")
 
         # trefoil 2/1 tests pegs against candidate bigons; 3/1 has none
-        monkeypatch.setattr(pegboard.pairing, "winding_number", peg_on_loop)
+        monkeypatch.setattr(pegboard.pairing, "first_wound_peg", peg_on_loop)
         code, out, err = run(capsys, "pair", "trefoil", "2/1")
         assert code == EXIT_INVALID and out == ""
         assert err.startswith("error: (") and err.endswith(" lies on the loop\n")
@@ -249,6 +249,12 @@ class TestFilesAndRender:
         code, out, _ = run(capsys, "render", "trefoil", "--overlay-arc", "1/1@0")
         assert code == EXIT_OK
         assert out == golden
+
+    @pytest.mark.parametrize("value", ["1/1", "1/1@x", "@1", "x@1"])
+    def test_malformed_arc_gets_a_usage_message(self, capsys, value):
+        code, out, err = run(capsys, "render", "trefoil", "--overlay-arc", value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: bad arc '{value}'; use p/q@h, a slope and a grading\n"
 
     def test_negative_arc_needs_no_equals_sign(self, capsys, tmp_path):
         code, out, err = run(capsys, "render", "torus_3_4", "--overlay-arc", "-7/3@-3")

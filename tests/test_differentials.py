@@ -9,7 +9,6 @@ from pegboard.differentials import (
     census_bounds,
     differential_matrix,
     dually_simple_scan,
-    dually_simple_slopes,
     gf2_rank,
     is_lspace_slope,
     spectral_check,
@@ -160,7 +159,7 @@ class TestSpectral:
 
 class TestScan:
     def test_unknot_all_slopes_simple(self, zoo):
-        entries = dually_simple_slopes(zoo["unknot"], 3, 2)
+        entries = [e for e in dually_simple_scan(zoo["unknot"], 3, 2) if e.dually_simple]
         grid = [
             (p, q)
             for q in range(1, 3)
@@ -171,7 +170,7 @@ class TestScan:
         assert all(not e.theorem_violated for e in entries)
 
     def test_figure_eight_has_none(self, zoo):
-        assert dually_simple_slopes(zoo["figure_eight"], 4, 2) == []
+        assert [e for e in dually_simple_scan(zoo["figure_eight"], 4, 2) if e.dually_simple] == []
 
     def test_trefoil_simple_slopes_are_exactly_above_one(self, zoo):
         entries = dually_simple_scan(zoo["trefoil"], 4, 2)
