@@ -165,23 +165,22 @@ def cmd_pair(args) -> int:
     for slope_text in args.slopes:
         slope = _parse_slope(slope_text)
         rep = surgery_report(d, slope)
+        counts = _counts_json(rep.counts)
         payload = {
             "schema_version": 1,
             "kind": "pairing",
             "knot": args.knot,
             "slope": str(slope),
             "total": rep.total,
-            "counts": _counts_json(rep.counts),
+            "counts": counts,
             "cancelled_bigons": len(rep.cancelled),
             "flags": list(rep.flags),
         }
         lines = [f"{args.knot} @ {slope}: dim = {rep.total} "
                  f"(cancelled {len(rep.cancelled)} bigon pairs)"]
-        lines += [f"  class {k}: {v}" for k, v in sorted(rep.counts.items(), key=lambda kv: str(kv[0]))]
+        lines += [f"  class {k}: {v}" for k, v in counts.items()]
         lines += [f"  note: {f}" for f in rep.flags]
-        csv_rows = [["slope", "class", "count"]] + [
-            [str(slope), str(k), v] for k, v in sorted(rep.counts.items(), key=lambda kv: str(kv[0]))
-        ]
+        csv_rows = [["slope", "class", "count"]] + [[str(slope), k, v] for k, v in counts.items()]
         bodies.append(_render_body(args, payload, lines, csv_rows))
     _write(args, "".join(bodies))
     return EXIT_OK
@@ -336,15 +335,11 @@ def cmd_render(args) -> int:
     d = _load_knot(args.knot)
     overlay = _parse_slope(args.overlay) if args.overlay else None
     arc = _parse_arc(args.overlay_arc) if args.overlay_arc else None
-    svg = render_svg(d, overlay=overlay, overlay_arc=arc)
-    if args.out:
-        Path(args.out).write_text(svg, encoding="utf-8")
-    else:
-        sys.stdout.write(svg)
+    _write(args, render_svg(d, overlay=overlay, overlay_arc=arc))
     return EXIT_OK
 
 
-def _ledger_payload(kind: str, result, lines):
+def _ledger_payload(result, lines):
     return {"schema_version": 1, "kind": "ledger", "result": result, "lines": lines}
 
 
@@ -355,16 +350,16 @@ def cmd_ledger(args) -> int:
         seq = lm.dim_seq_C(args.shape, args.nu, args.base, (args.start, args.stop))
         rows = [(n, seq.values[n]) for n in sorted(seq.values)]
         lines = [f"n={n}: {v}" for n, v in rows]
-        _emit(args, _ledger_payload(op, {str(n): v for n, v in rows}, lines),
+        _emit(args, _ledger_payload({str(n): v for n, v in rows}, lines),
               lines, [["n", "value"]] + [list(r) for r in rows])
     elif op == "half-dim":
         value = lm.half_dim_C(args.n, args.nu, args.dim)
-        _emit(args, _ledger_payload(op, value, []), [f"dim at ({2 * args.n - 1})/2 = {value}"])
+        _emit(args, _ledger_payload(value, []), [f"dim at ({2 * args.n - 1})/2 = {value}"])
     elif op == "dgamma":
         seq = lm.dgamma_seq(args.tau, args.min, (args.start, args.stop))
         rows = [(n, seq.values[n]) for n in sorted(seq.values)]
         lines = [f"n={n}: {v}" for n, v in rows]
-        _emit(args, _ledger_payload(op, {str(n): v for n, v in rows}, lines),
+        _emit(args, _ledger_payload({str(n): v for n, v in rows}, lines),
               lines, [["n", "value"]] + [list(r) for r in rows])
     elif op == "torsion-half":
         cert = lm.torsion_bound_half(args.n, args.k)
@@ -383,7 +378,7 @@ def cmd_ledger(args) -> int:
         lines = [f"branch {verdict.branch}: {'consistent' if verdict.consistent else 'contradiction'}",
                  f"  {verdict.detail}"]
         lines += [f"  consequence: {c}" for c in verdict.consequences]
-        _emit(args, _ledger_payload(op, {
+        _emit(args, _ledger_payload({
             "branch": verdict.branch, "consistent": verdict.consistent,
             "detail": verdict.detail, "consequences": list(verdict.consequences)}, lines), lines)
     elif op == "genus-one":
@@ -410,14 +405,14 @@ def cmd_ledger(args) -> int:
         _emit(args, payload, lines)
     elif op == "quasi-alt":
         unreduced, reduced = lm.quasi_alt(args.delta)
-        _emit(args, _ledger_payload(op, {"unreduced": str(unreduced), "reduced": str(reduced)}, []),
+        _emit(args, _ledger_payload({"unreduced": str(unreduced), "reduced": str(reduced)}, []),
               [f"unreduced: {unreduced}", f"reduced: {reduced}"])
     elif op == "triangle":
         ok = lm.triangle_check(args.a, args.b, args.c)
-        _emit(args, _ledger_payload(op, ok, []), [f"triangle admissible: {ok}"])
+        _emit(args, _ledger_payload(ok, []), [f"triangle admissible: {ok}"])
     elif op == "slope-prop":
         region = lm.slope_propagation(args.n, args.minimal == "yes")
-        _emit(args, _ledger_payload(op, str(region), []), [str(region)])
+        _emit(args, _ledger_payload(str(region), []), [str(region)])
     elif op == "shape-classify":
         seqs = lm.sequences_from_csv(Path(args.csv).read_text(encoding="utf-8"))
         try:
@@ -430,7 +425,7 @@ def cmd_ledger(args) -> int:
             f"shape: {rep.shape.kind} with edge invariants ({rep.shape.nu_minus}, {rep.shape.nu_plus})",
             f"widths: plain {rep.width_0}, twisted {rep.width_mu}",
         ] + [f"note: {n}" for n in rep.notes]
-        _emit(args, _ledger_payload(op, {
+        _emit(args, _ledger_payload({
             "kind": rep.shape.kind, "nu_plus": rep.shape.nu_plus, "nu_minus": rep.shape.nu_minus,
             "width_0": str(rep.width_0), "width_mu": str(rep.width_mu)}, lines), lines)
     elif op == "t2-check":
@@ -444,8 +439,8 @@ def cmd_ledger(args) -> int:
         lines = [f"t2 at n={n}: {v}" for n, v in sorted(rep.t2.items())]
         lines.append("monotone past the valley: ok" if rep.ok
                      else f"violation at n={rep.first_violation}")
-        _emit(args, _ledger_payload(op, {"ok": rep.ok, "first_violation": rep.first_violation,
-                                         "t2": {str(n): v for n, v in rep.t2.items()}}, lines), lines)
+        _emit(args, _ledger_payload({"ok": rep.ok, "first_violation": rep.first_violation,
+                                     "t2": {str(n): v for n, v in rep.t2.items()}}, lines), lines)
         if not rep.ok:
             return EXIT_VIOLATION
     else:

@@ -87,24 +87,20 @@ def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _corner_and_target_lift(arc: ArcLift, k_x: int, kind: str) -> tuple[Point, int, ArcLift]:
-    """Shared peg, target lift index, and the target arc for one source lift."""
-    p, q = arc.slope.p, arc.slope.q
+def _corner_and_target_lift(arc: ArcLift, k_x: int, kind: str) -> tuple[Point, int]:
+    """Shared peg and target lift index for one source lift."""
+    q = arc.slope.q
     seg = arc.seg()
     if kind == "psi":
-        corner = seg.b.translate(k_x)
-        target = ArcLift(arc.slope, arc.height + p)
-        return corner, k_x + q, target
-    corner = seg.a.translate(k_x)
-    target = ArcLift(arc.slope, arc.height - p)
-    return corner, k_x - q, target
+        return seg.b.translate(k_x), k_x + q
+    return seg.a.translate(k_x), k_x - q
 
 
 def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[IPoint],
                    kind: str) -> list[MarkedBigon]:
     """All marker-compatible bigons from source point x to target points."""
     p, q = arc.slope.p, arc.slope.q
-    corner, k_t, _ = _corner_and_target_lift(arc, x.lift, kind)
+    corner, k_t = _corner_and_target_lift(arc, x.lift, kind)
     c = d.components[x.comp]
     want = (1, 0) if kind == "phi" else (0, 1)
     found = []
@@ -332,7 +328,7 @@ def spectral_check(d: CurveDiagram, slope: SlopeSpec) -> SpectralReport:
         raise ZeroSurgery("no spectral comparison at the 0-filling")
     work = d
     s = slope
-    if not slope.is_vertical and slope.p < 0:
+    if slope.p < 0:
         work = d.mirror()
         s = SlopeSpec(-slope.p, slope.q)
     sweep = ArcSweep(work, s)

@@ -1,29 +1,36 @@
 """Minimal-intersection pairing of a diagram with lines and peg-to-peg arcs.
 
-Two kinds of pairing objects appear:
+The diagram is paired with two kinds of plane curve:
 
-* a filling line family of slope p/q (lines with vertical spacing 1/q pushed
-  off the seam by a canonical generic offset), whose minimal intersection
-  count with the diagram is the Floer dimension of the p/q filling, and
-* a peg-to-peg arc of slope p/q and height h, whose minimal count gives the
-  graded dimension of the dual knot's knot homology at grading h.
+* the filling line family of slope p/q (lines with vertical spacing 1/q
+  pushed off the seam by a canonical generic offset), whose minimal
+  intersection count with the diagram is the Floer dimension of the p/q
+  filling, and
+* the peg-to-peg arcs of slope p/q at height h and their horizontal
+  translates, whose minimal count gives the graded dimension of the dual
+  knot's knot homology at grading h.
 
-Counts are taken in the quotient (torus for lines, cylinder for arcs) by
-pairing one period of the wrapping component plus one copy of each closed
-component against every relevant plane lift of the object.  Every removable
-disk between the curve and the object is then cancelled: a pair of
-intersection points adjacent along both the curve and one object lift gets
-removed whenever the loop they bound has winding number zero around every
-peg.  The removal order does not change the final count (tested property).
+Either is a set of plane lifts numbered by an integer, and each intersection
+point records the number of the lift it lies on.  Counts are taken in the
+quotient (torus for lines, cylinder for arcs) by pairing one period of the
+wrapping component plus one copy of each closed component against every
+relevant lift.  Every removable disk between the curve and the lifts is then
+cancelled: a pair of intersection points adjacent along both the curve and
+one lift gets removed whenever the loop they bound has winding number zero
+around every peg.  The removal order does not change the final count
+(tested property).  Besides the points, cancellation needs one integer, the
+lift step: how a lift index changes when a point moves by (1, 0).  It is 1
+for arcs and the vertical family, -p for a slanted family and 0 for
+horizontal lines, each of which holds every translate of its points.
 Within one `cancel_bigons` call each adjacent pair's geometry is computed
 once: its subarc, the same-lift test, the closing loop and the peg check.
-Only the test for another live point on the object piece depends on what
+Only the test for another live point on the lift's piece depends on what
 has been removed, so a blocked pair keeps the point that blocked it and is
 tested again only after that point is gone.  The peg check,
 `geometry.first_wound_peg`, winds every peg in one scan of the loop's
 crossings with the integer columns.
 
-Both kinds of object are level sets of one linear form, so every raw count
+Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component.  A filling family's
 lines are the integer levels of `_family_form`, the form that also decides
 the family's offset (`raw_intersections`).  Every arc of a slope lies on a
@@ -43,7 +50,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .geometry import (
     HALF,
@@ -132,6 +139,7 @@ class ArcLift:
             )
 
     def seg(self) -> Segment:
+        """Lift 0; lift k is this segment translated by (k, 0)."""
         if self.slope.is_vertical:
             return Segment(Point(ZERO, self.height - HALF), Point(ZERO, self.height + HALF))
         p, q = self.slope.p, self.slope.q
@@ -139,20 +147,26 @@ class ArcLift:
         b = Point(Fraction(q), self.height + Fraction(p, 2))
         return Segment(a, b)
 
+    def lift_indices(self, box: Box) -> range:
+        """The lifts that meet the strip box.xmin <= x <= box.xmax.
+
+        Lift k spans k <= x <= k + q (x = k for 1/0, where q = 0).
+        """
+        return range(math.ceil(box.xmin) - self.slope.q, math.floor(box.xmax) + 1)
+
 
 @dataclass(frozen=True)
 class IPoint:
-    """One intersection of the curve with one plane lift of the object.
+    """One intersection of the curve with one plane lift of a line or arc.
 
     pos is the parameter along the component (segment index plus fraction),
-    lift the integer lift index, u the parameter along that lift.
+    lift the integer index of the lift through point.
     """
 
     comp: int
     pos: Fraction
     point: Point
     lift: int
-    u: Fraction
 
 
 @dataclass(frozen=True)
@@ -166,7 +180,6 @@ class CancelledBigon:
 @dataclass(frozen=True)
 class PairingReport:
     slope: SlopeSpec
-    mode: str  # always "surgery-line"
     counts: dict
     total: int
     cancelled: tuple[CancelledBigon, ...]
@@ -174,7 +187,7 @@ class PairingReport:
 
 
 # ---------------------------------------------------------------------------
-# Pairing objects
+# Filling line families
 
 
 class _LineFamily:
@@ -214,54 +227,10 @@ class _LineFamily:
             lo, hi = min(corners), max(corners)
         return range(math.ceil(lo), math.floor(hi) + 1)
 
-    def translated_lift(self, k: int, w: int) -> int:
-        """Index of the lift containing lift k shifted by (w, 0)."""
-        if self.slope.is_vertical:
-            return k + w
-        if self.slope.p == 0:
-            return k  # horizontal lines are translation invariant
-        return k - self.slope.p * w
-
-    def grading_key(self, ip: IPoint):
-        if self.slope.p == 0 and not self.slope.is_vertical:
-            return ip.lift
-        return ip.lift % abs(self.slope.p) if self.slope.p != 0 else ip.lift
-
-
-class _ArcObject:
-    """An arc and its horizontal translates; lift k is the base shifted by (k, 0)."""
-
-    def __init__(self, arc: ArcLift):
-        self.arc = arc
-        self.base = arc.seg()
-        self.slope = arc.slope
-
-    def anchor_dir(self, k: int):
-        a = self.base.a.translate(k)
-        b = self.base.b.translate(k)
-        return a, (b.x - a.x, b.y - a.y)
-
-    def lift_indices(self, box: Box) -> range:
-        lo = box.xmin - max(self.base.a.x, self.base.b.x)
-        hi = box.xmax - min(self.base.a.x, self.base.b.x)
-        return range(math.ceil(lo), math.floor(hi) + 1)
-
-    def translated_lift(self, k: int, w: int) -> int:
-        return k + w
-
-    def grading_key(self, ip: IPoint):
-        return self.arc.height
-
-
-PairObject = Union[_LineFamily, _ArcObject]
-
-
-def _u_param(obj: PairObject, k: int, point: Point) -> Fraction:
-    """Parameter of `point` along object lift k, measured from its anchor."""
-    anchor, (dx, dy) = obj.anchor_dir(k)
-    if dx != 0:
-        return (point.x - anchor.x) / dx
-    return (point.y - anchor.y) / dy
+    @property
+    def step(self) -> int:
+        """How a lift index changes when a point moves by (1, 0)."""
+        return 1 if self.slope.is_vertical else -self.slope.p
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +253,6 @@ def _family_form(fam: _LineFamily) -> Callable[[Point], Fraction]:
     return form
 
 
-def _considered_lifts(obj: PairObject, c: Component) -> range:
-    """The object lifts paired with component c: those near its bounding box."""
-    return obj.lift_indices(c.bbox().pad(Fraction(1, 100)))
-
-
 def _degenerate_incidence(c: Component, k: int, event: tuple[int, bool]) -> DegenerateIncidence:
     """The error for object lift k on a degenerate level of component c.
 
@@ -303,27 +267,24 @@ def _degenerate_incidence(c: Component, k: int, event: tuple[int, bool]) -> Dege
     return DegenerateIncidence(f"two consecutive vertices on object lift {k}")
 
 
-def raw_intersections(d: CurveDiagram, obj: PairObject) -> list[IPoint]:
-    """All transversal intersections, one record per quotient point.
+def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
+    """All transversal intersections with a filling family, one record per
+    quotient point.
 
-    Sorted by component, then position along it.  A filling family is one
-    level scan of `_family_form` per component; an arc goes through
-    `ArcSweep`.  The first component with a degenerate level raises
-    `DegenerateIncidence` for its smallest lift on one, at that level's
-    first event.
+    Sorted by component, then position along it: one level scan of
+    `_family_form` per component.  The first component with a degenerate
+    level raises `DegenerateIncidence` for its smallest lift on one, at that
+    level's first event.
     """
-    if isinstance(obj, _ArcObject):
-        return ArcSweep(d, obj.slope).raw(obj.arc.height)
-    sign = -1 if obj.slope.is_vertical else 1
-    form = _family_form(obj)
+    sign = -1 if fam.slope.is_vertical else 1
+    form = _family_form(fam)
     points: list[IPoint] = []
     for ci, c in enumerate(d.components):
         crossings, degenerate = c.level_crossings(form, ZERO)
         if degenerate:
             raise _degenerate_incidence(c, *min((sign * m, e) for m, e in degenerate.items()))
         for pos, point, m in crossings:
-            k = sign * m
-            points.append(IPoint(ci, pos, point, k, _u_param(obj, k, point)))
+            points.append(IPoint(ci, pos, point, sign * m))
     return points
 
 
@@ -411,32 +372,18 @@ def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Poi
     return pts, m
 
 
-def _is_horizontal(obj: PairObject) -> bool:
-    """Horizontal lines: each lift holds every horizontal translate of a point."""
-    return isinstance(obj, _LineFamily) and obj.slope.p == 0 and not obj.slope.is_vertical
-
-
-def _lift_offset(obj: PairObject, target_lift: int, z: IPoint) -> Optional[int]:
-    """The m with z.point + (m, 0) on the given object lift, None if none.
-
-    Not for horizontal families, where every translate of z lies on z's lift.
-    """
-    if isinstance(obj, _ArcObject) or obj.slope.is_vertical:
-        return target_lift - z.lift
-    m, r = divmod(z.lift - target_lift, obj.slope.p)
-    return None if r else m
-
-
-def _first_blocker(obj: PairObject, lift: int, a: Point, b: Point, pts: Sequence[IPoint],
+def _first_blocker(step: int, lift: int, a: Point, b: Point, pts: Sequence[IPoint],
                    live: Sequence[int], pair: tuple[int, int]) -> Optional[int]:
     """A live point, other than the pair, strictly between a and b on the lift.
 
     Returns its index in pts (the first in `live` order), None if the piece
-    from a to b holds none.  `live` and `pair` are indices into pts.
+    from a to b holds none.  `live` and `pair` are indices into pts.  A point
+    z stands for all its translates z.point + (m, 0); the one on the lift has
+    z.lift + step*m == lift, and with step 0 every translate is on z's lift.
     """
     if a == b:
         return None
-    horiz = _is_horizontal(obj)
+    horiz = step == 0
     upright = a.x == b.x  # compare heights on a vertical lift, else abscissae
     lo, hi = (min(a.y, b.y), max(a.y, b.y)) if upright else (min(a.x, b.x), max(a.x, b.x))
     for k in live:
@@ -448,26 +395,22 @@ def _first_blocker(obj: PairObject, lift: int, a: Point, b: Point, pts: Sequence
             if z.lift == lift and math.floor(lo - z.point.x) + 1 < hi - z.point.x:
                 return k
             continue
-        m = _lift_offset(obj, lift, z)
-        if m is not None and lo < (z.point.y if upright else z.point.x + m) < hi:
+        m, r = divmod(lift - z.lift, step)
+        if not r and lo < (z.point.y if upright else z.point.x + m) < hi:
             return k
     return None
 
 
-def _closing_loop(c: Component, obj: PairObject, x: IPoint,
+def _closing_loop(c: Component, step: int, x: IPoint,
                   y: IPoint) -> Optional[tuple[Point, tuple[Point, ...]]]:
     """What no other point changes in the bigon test of the pair (x, y).
 
-    The forward subarc from x to y must end on x's object lift; its end
-    bounds the object piece back to x.point.  Returns (end, loop), the loop
-    being the subarc without a repeated closing point, or None when the
-    subarc ends on another lift or the loop has fewer than two points.
+    The forward subarc from x to y must end on x's lift; its end bounds the
+    lift's piece back to x.point.  Returns (end, loop), the loop being the
+    subarc without a repeated closing point, or None when the subarc ends on
+    another lift or the loop has fewer than two points.
     """
-    if _is_horizontal(obj):
-        same = y.lift == x.lift
-    else:
-        same = obj.translated_lift(y.lift, walk_span(c, x, y, 1)[1]) == x.lift
-    if not same:
+    if y.lift + step * walk_span(c, x, y, 1)[1] != x.lift:
         return None
     path, _ = subarc(c, x, y, 1)
     loop = path[:-1] if path[-1] == path[0] else path
@@ -476,15 +419,18 @@ def _closing_loop(c: Component, obj: PairObject, x: IPoint,
     return path[-1], tuple(loop)
 
 
-def cancel_bigons(pts: list[IPoint], d: CurveDiagram, obj: PairObject,
+def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
                   order_seed: Optional[int] = None) -> tuple[list[IPoint], list[CancelledBigon]]:
     """Remove empty bigons until none remain; order is seed-controlled.
 
-    Each round lists the candidates: every ordered pair (x, y) adjacent
-    along a component (components in order of first appearance, pairs by
-    position, cyclically) whose forward subarc closes up with the object
-    piece back to x into an empty bigon, a loop of winding zero around
-    every peg with no other live point on the piece.  It removes the first
+    `pts` are the intersections of d with one line family or one arc's
+    translates, and `step` is how their lift index changes when a point
+    moves by (1, 0): `_LineFamily.step`, or 1 for arcs.  Each round lists
+    the candidates: every ordered pair (x, y) adjacent along a component
+    (components in order of first appearance, pairs by position,
+    cyclically) whose forward subarc closes up with the piece of x's lift
+    back to x into an empty bigon, a loop of winding zero around every peg
+    with no other live point on the piece.  It removes the first
     candidate, or the `order_seed` pick among them.  The final count is
     independent of the removal order; the audit records each removed pair
     with its loop and the pegs certified to have winding zero.
@@ -518,13 +464,13 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, obj: PairObject,
                 pair = (ix, ring[n + 1 - len(ring)])
                 x, y = pts[ix], pts[pair[1]]
                 if pair not in tests:
-                    found = _closing_loop(d.components[ci], obj, x, y)
+                    found = _closing_loop(d.components[ci], step, x, y)
                     tests[pair] = None if found is None else (None, *found)
                 state = tests[pair]
                 if type(state) is tuple:
                     blocker, end, loop = state
                     if blocker is None or not alive[blocker]:
-                        blocker = _first_blocker(obj, x.lift, end, x.point, pts, live, pair)
+                        blocker = _first_blocker(step, x.lift, end, x.point, pts, live, pair)
                     if blocker is not None:
                         state = (blocker, end, loop)
                     elif first_wound_peg(loop) is None:
@@ -550,15 +496,16 @@ def surgery_report(d: CurveDiagram, slope: SlopeSpec, order_seed: Optional[int] 
     """Minimal intersection count with the slope-p/q filling family."""
     fam = line_family(d, slope)
     pts = raw_intersections(d, fam)
-    live, audit = cancel_bigons(pts, d, fam, order_seed)
+    live, audit = cancel_bigons(pts, d, fam.step, order_seed)
+    p = abs(slope.p)
     counts: dict = {}
     for ip in live:
-        key = fam.grading_key(ip)
+        key = ip.lift % p if p else ip.lift
         counts[key] = counts.get(key, 0) + 1
     flags = ()
     if slope.p == 0 and not slope.is_vertical:
         flags = ("0-filling: dual knot not rationally null-homologous; grading ops refuse this slope",)
-    return PairingReport(slope, "surgery-line", counts, len(live), tuple(audit), flags)
+    return PairingReport(slope, counts, len(live), tuple(audit), flags)
 
 
 def surgery_dim(d: CurveDiagram, slope: SlopeSpec) -> int:
@@ -589,9 +536,10 @@ class ArcSweep:
     [0, 1] whose height puts the arc on that level (for 1/0, the integer h
     within 1/2 of y).  Only a point on an arc end, a peg, can lie on two.
 
-    A grading with a considered lift (`_considered_lifts`) on a degenerate
-    level raises `DegenerateIncidence` when it is asked for: the first such
-    component, its smallest such lift, that level's first event.
+    A grading raises `DegenerateIncidence` when it is asked for if a lift
+    that meets a component's bounding box, padded by 1/100, lies on a
+    degenerate level of that component: the first such component, its
+    smallest such lift, that level's first event.
     `points(h)` cancels bigons once per grading and keeps the result for
     the life of the object; nothing is shared between objects.
     """
@@ -616,12 +564,11 @@ class ArcSweep:
 
     def points(self, h) -> tuple[IPoint, ...]:
         """Minimal-position intersection points with the grading-h arc."""
-        live = self._live.get(rat(h))
+        h = rat(h)
+        live = self._live.get(h)
         if live is None:
-            arc = ArcLift(self.slope, h)
-            obj = _ArcObject(arc)
-            live = tuple(cancel_bigons(self.raw(arc.height), self.diagram, obj)[0])
-            self._live[arc.height] = live
+            live = tuple(cancel_bigons(self.raw(h), self.diagram, 1)[0])
+            self._live[h] = live
         return live
 
     def dims(self) -> dict:
@@ -639,7 +586,7 @@ class ArcSweep:
         for c, degenerate in zip(self.diagram.components, self._degenerate):
             if not degenerate:
                 continue
-            lifts = _considered_lifts(_ArcObject(arc), c)
+            lifts = arc.lift_indices(c.bbox().pad(Fraction(1, 100)))
             hits = []
             for m, event in degenerate.items():
                 k = (m + shift) / p
@@ -661,16 +608,16 @@ class ArcSweep:
             """File the crossing of `point` with level m + off under its arc."""
             if vertical:
                 y = point.y
+                ip = IPoint(ci, pos, point, m)
                 for n in range(math.ceil(y - HALF), math.floor(y + HALF) + 1):
-                    raw.setdefault(n, []).append(IPoint(ci, pos, point, m, y - n + HALF))
+                    raw.setdefault(n, []).append(ip)
                 return
             j = m - q // 2  # the level is j + q/2
             x = point.x
             kx = math.floor(x)
             k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
             for k in ((k - q, k) if x == k else (k,)):
-                ip = IPoint(ci, pos, point, k, (x - k) / q)
-                raw.setdefault((p * k - j) // q, []).append(ip)
+                raw.setdefault((p * k - j) // q, []).append(IPoint(ci, pos, point, k))
 
         for ci, c in enumerate(self.diagram.components):
             crossings, degenerate = c.level_crossings(form, self._off)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .curves import CurveDiagram
 from .geometry import Box, Point, pegs_in_box
-from .pairing import ArcLift, SlopeSpec, _ArcObject, line_family
+from .pairing import ArcLift, SlopeSpec, line_family
 from .textfmt import canonicalize
 
 SCALE = 60
@@ -78,9 +78,9 @@ def render_svg(d: CurveDiagram, overlay: Optional[SlopeSpec] = None,
     if overlay is not None:
         parts.extend(_overlay_lines(canon, overlay, window))
     if overlay_arc is not None:
-        arc = _ArcObject(overlay_arc)
-        for k in arc.lift_indices(window):
-            ends = [arc.base.a.translate(k), arc.base.b.translate(k)]
+        base = overlay_arc.seg()
+        for k in overlay_arc.lift_indices(window):
+            ends = [base.a.translate(k), base.b.translate(k)]
             parts.append(_polyline(ends, "#9467bd", "1.5", dashed=True))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -154,7 +154,7 @@ def test_criterion_05_cancellation_confluence():
     for d, s in fixtures:
         fam = line_family(d, s)
         raw = raw_intersections(d, fam)
-        totals = {len(cancel_bigons(raw, d, fam, order_seed=seed)[0]) for seed in range(100)}
+        totals = {len(cancel_bigons(raw, d, fam.step, order_seed=seed)[0]) for seed in range(100)}
         assert len(totals) == 1, (d.source, str(s), totals)
     _report(5, "final counts identical over 100 shuffled cancellation orders per fixture")
 

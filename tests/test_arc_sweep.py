@@ -9,11 +9,15 @@ IPoint lists exactly (same points, same order) and raise
 `DegenerateIncidence` with the same message wherever it raises: the sweep
 for every grading of an arc slope, before and after bigon cancellation,
 and `raw_intersections` for filling line families, at the chosen offset
-and at offsets that put vertices on the lines.
+and at offsets that put vertices on the lines.  The walk pairs the arc
+objects that pairing used before `ArcLift.lift_indices` replaced them,
+copied verbatim with `_u_param`: `ArcLift.lift_indices` must pick the
+lifts `_ArcObject.lift_indices` did.
 """
 
 import math
 from fractions import Fraction
+from typing import Union
 
 import pytest
 from hypothesis import given, settings
@@ -21,26 +25,61 @@ from hypothesis import strategies as st
 
 from pegboard.curves import build_zoo, lspace_staircase, thin, validate, zoo_names
 from pegboard.differentials import differential_matrix
-from pegboard.geometry import ONE, ZERO, Point
+from pegboard.geometry import ONE, ZERO, Box, Point
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
     DegenerateIncidence,
     IPoint,
     SlopeSpec,
-    _ArcObject,
     _LineFamily,
-    _u_param,
     cancel_bigons,
     dual_hfk_dims,
     grading_range,
     line_family,
     raw_intersections,
 )
+from pegboard.render import render_svg
 from pegboard.textfmt import parse_curve_text
 
 # ---------------------------------------------------------------------------
 # The per-lift walk (reference)
+
+
+class _ArcObject:
+    """An arc and its horizontal translates; lift k is the base shifted by (k, 0)."""
+
+    def __init__(self, arc: ArcLift):
+        self.arc = arc
+        self.base = arc.seg()
+        self.slope = arc.slope
+
+    def anchor_dir(self, k: int):
+        a = self.base.a.translate(k)
+        b = self.base.b.translate(k)
+        return a, (b.x - a.x, b.y - a.y)
+
+    def lift_indices(self, box: Box) -> range:
+        lo = box.xmin - max(self.base.a.x, self.base.b.x)
+        hi = box.xmax - min(self.base.a.x, self.base.b.x)
+        return range(math.ceil(lo), math.floor(hi) + 1)
+
+    def translated_lift(self, k: int, w: int) -> int:
+        return k + w
+
+    def grading_key(self, ip: IPoint):
+        return self.arc.height
+
+
+PairObject = Union[_LineFamily, _ArcObject]
+
+
+def _u_param(obj: PairObject, k: int, point: Point) -> Fraction:
+    """Parameter of `point` along object lift k, measured from its anchor."""
+    anchor, (dx, dy) = obj.anchor_dir(k)
+    if dx != 0:
+        return (point.x - anchor.x) / dx
+    return (point.y - anchor.y) / dy
 
 
 def _component_cycle(c):
@@ -106,7 +145,7 @@ def _segment_lift_intersections(obj, k, c, ci):
                 raise DegenerateIncidence(f"two consecutive vertices on object lift {k}")
             if (sp < 0) != (sb < 0):
                 if contains(obj, k, a):
-                    out.append(IPoint(ci, Fraction(i), a, k, _u_param(obj, k, a)))
+                    out.append(IPoint(ci, Fraction(i), a, k))
             continue
         if sb == 0:
             continue  # handled as the next segment's vertex case (or dropped at the period end)
@@ -115,7 +154,7 @@ def _segment_lift_intersections(obj, k, c, ci):
         t = sa / (sa - sb)
         point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
         if contains(obj, k, point):
-            out.append(IPoint(ci, Fraction(i) + t, point, k, _u_param(obj, k, point)))
+            out.append(IPoint(ci, Fraction(i) + t, point, k))
     return out
 
 
@@ -162,7 +201,7 @@ def assert_sweep_matches_walk(d, slope, cancel=True):
         want = walk(d, slope, h)
         assert outcome(sweep.raw, h) == want, (d.source, str(slope), h)
         if cancel and not isinstance(want, str):
-            live, _ = cancel_bigons(want, d, _ArcObject(ArcLift(slope, h)))
+            live, _ = cancel_bigons(want, d, 1)
             assert sweep.points(h) == tuple(live), (d.source, str(slope), h)
 
 
@@ -273,16 +312,47 @@ def test_points_are_cancelled_once_per_grading(monkeypatch):
 
     calls = []
 
-    def counting_cancel(pts, d, obj, order_seed=None):
-        calls.append(obj.arc.height)
-        return cancel_bigons(pts, d, obj, order_seed)
+    def counting_cancel(pts, d, step, order_seed=None):
+        calls.append(step)
+        return cancel_bigons(pts, d, step, order_seed)
 
     monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
     sweep = ArcSweep(build_zoo("trefoil"), SlopeSpec(3, 2))
     first = sweep.dims()
     assert sweep.dims() == first
     assert sweep.points(Fraction(1)) is sweep.points(Fraction(1))
-    assert sorted(calls) == sorted(set(calls)) == sorted(grading_range(sweep.diagram, sweep.slope))
+    assert calls == [1] * len(grading_range(sweep.diagram, sweep.slope))
+
+
+# Every slope kind an arc has: 1/0, and p/q with q odd and even, p negative,
+# and at the CLI cap.
+ARC_SLOPES = [SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(-1, 1), SlopeSpec(3, 2),
+              SlopeSpec(-7, 3), SlopeSpec(12, 1), SlopeSpec(-12, 5), SlopeSpec(63, 31)]
+
+
+def test_arc_lift_indices_match_the_arc_object(monkeypatch):
+    # The boxes lifts are picked from: each zoo and thin component's padded
+    # bounding box, as `ArcSweep` pads it, and each window `render_svg`
+    # draws arcs over.
+    diagrams = [build_zoo(name) for name in zoo_names()]
+    diagrams += [thin(tau, fig8) for tau in (-2, 0, 1) for fig8 in (1, 3)]
+    boxes = [c.bbox().pad(Fraction(1, 100)) for d in diagrams for c in d.components]
+    drawn = []
+    original = ArcLift.lift_indices
+
+    def recording(arc, box):
+        drawn.append(box)
+        return original(arc, box)
+
+    monkeypatch.setattr(ArcLift, "lift_indices", recording)
+    for name in zoo_names():
+        render_svg(build_zoo(name), overlay_arc=ArcLift(SlopeSpec(1, 1), 0))
+    monkeypatch.undo()
+    assert len(drawn) == len(zoo_names())
+    for slope in ARC_SLOPES:
+        arc = ArcLift(slope, Fraction(slope.p - 1, 2))
+        for box in boxes + drawn:
+            assert arc.lift_indices(box) == _ArcObject(arc).lift_indices(box), (str(slope), box)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,21 @@
 pair's geometry was kept for the length of a call, copied verbatim with its
 helpers: every round rebuilds every adjacent pair, walks its subarc, scans
 all live points for one on the object piece and winds each peg of the
-loop's box with `winding_number`.  `cancel_bigons` must return the same
-survivors and the same audit, `CancelledBigon` by `CancelledBigon`, and
-raise the same exception wherever the reference raises, for every removal
-order.  `first_wound_peg` must agree with `winding_number` called peg by
-peg: the same first wound peg, and `PointOnLoop` at the same peg.
+loop's box with `winding_number`.  It reads the lifts through the pairing
+objects that `cancel_bigons` took before the lift step replaced them, also
+copied verbatim: `_ArcObject` and `_LineFamily.translated_lift`.
+`cancel_bigons` must return the same survivors and the same audit,
+`CancelledBigon` by `CancelledBigon`, and raise the same exception wherever
+the reference raises, for every removal order.  `_LineFamily.step` must
+move lift indices as `translated_lift` did.  `first_wound_peg` must agree
+with `winding_number` called peg by peg: the same first wound peg, and
+`PointOnLoop` at the same peg.
 """
 
 import math
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,9 +34,7 @@ from pegboard.pairing import (
     ArcSweep,
     CancelledBigon,
     IPoint,
-    PairObject,
     SlopeSpec,
-    _ArcObject,
     _LineFamily,
     cancel_bigons,
     grading_range,
@@ -40,6 +42,47 @@ from pegboard.pairing import (
     raw_intersections,
     subarc,
 )
+
+# ---------------------------------------------------------------------------
+# The pairing objects cancellation took before the lift step (reference)
+
+
+class _ArcObject:
+    """An arc and its horizontal translates; lift k is the base shifted by (k, 0)."""
+
+    def __init__(self, arc: ArcLift):
+        self.arc = arc
+        self.base = arc.seg()
+        self.slope = arc.slope
+
+    def anchor_dir(self, k: int):
+        a = self.base.a.translate(k)
+        b = self.base.b.translate(k)
+        return a, (b.x - a.x, b.y - a.y)
+
+    def lift_indices(self, box: Box) -> range:
+        lo = box.xmin - max(self.base.a.x, self.base.b.x)
+        hi = box.xmax - min(self.base.a.x, self.base.b.x)
+        return range(math.ceil(lo), math.floor(hi) + 1)
+
+    def translated_lift(self, k: int, w: int) -> int:
+        return k + w
+
+    def grading_key(self, ip: IPoint):
+        return self.arc.height
+
+
+PairObject = Union[_LineFamily, _ArcObject]
+
+
+def line_translated_lift(self: _LineFamily, k: int, w: int) -> int:
+    """Index of the lift containing lift k shifted by (w, 0)."""
+    if self.slope.is_vertical:
+        return k + w
+    if self.slope.p == 0:
+        return k  # horizontal lines are translation invariant
+    return k - self.slope.p * w
+
 
 # ---------------------------------------------------------------------------
 # The cancellation that re-tested every pair in every round (reference)
@@ -103,7 +146,10 @@ def _bigon_loop(c: Component, obj: PairObject, x: IPoint, y: IPoint,
     every peg; None otherwise.
     """
     path, w = subarc(c, x, y, 1)
-    target = obj.translated_lift(y.lift, w)
+    if isinstance(obj, _ArcObject):
+        target = obj.translated_lift(y.lift, w)
+    else:
+        target = line_translated_lift(obj, y.lift, w)
     if isinstance(obj, _LineFamily) and obj.slope.p == 0 and not obj.slope.is_vertical:
         same = y.lift == x.lift
     else:
@@ -206,13 +252,23 @@ def assert_cancellation_matches(d: CurveDiagram, slope: SlopeSpec, seeds=ORDER_S
     number of bigons the reference cancelled."""
     cancelled = 0
     for raw, obj in pairing_cases(d, slope):
+        step = 1 if isinstance(obj, _ArcObject) else obj.step
         for seed in seeds:
             want = outcome(reference_cancel_bigons, raw, d, obj, seed)
-            got = outcome(cancel_bigons, raw, d, obj, seed)
+            got = outcome(cancel_bigons, raw, d, step, seed)
             assert got == want, (d.source, str(slope), getattr(obj, "arc", None), seed)
             if isinstance(want, tuple) and isinstance(want[1], list):
                 cancelled += len(want[1])
     return cancelled
+
+
+@pytest.mark.parametrize("slope", [SlopeSpec(1, 0), SlopeSpec(0, 1), SlopeSpec(1, 1), SlopeSpec(-1, 1),
+                                   SlopeSpec(3, 2), SlopeSpec(-7, 3), SlopeSpec(63, 31)], ids=str)
+def test_family_step_moves_lifts_as_translated_lift_did(slope):
+    fam = _LineFamily(slope, Fraction(1, 10))
+    for k in range(-6, 7):
+        for w in range(-4, 5):
+            assert k + fam.step * w == line_translated_lift(fam, k, w), (k, w)
 
 
 @pytest.mark.parametrize("name", zoo_names())

@@ -250,6 +250,12 @@ class TestFilesAndRender:
         assert code == EXIT_OK
         assert out == golden
 
+    def test_render_out_file_matches_golden_file(self, capsys, tmp_path):
+        svg = tmp_path / "arc.svg"
+        code, out, _ = run(capsys, "render", "trefoil", "--overlay-arc", "1/1@0", "--out", str(svg))
+        assert (code, out) == (EXIT_OK, "")
+        assert svg.read_bytes() == (Path(__file__).parent / "golden" / "trefoil_arc.svg").read_bytes()
+
     @pytest.mark.parametrize("value", ["1/1", "1/1@x", "@1", "x@1"])
     def test_malformed_arc_gets_a_usage_message(self, capsys, value):
         code, out, err = run(capsys, "render", "trefoil", "--overlay-arc", value)

@@ -225,14 +225,14 @@ class TestCancellation:
 
     def test_empty_input_stays_empty(self, zoo):
         fam = line_family(zoo["unknot"], SlopeSpec(1, 1))
-        live, audit = cancel_bigons([], zoo["unknot"], fam)
+        live, audit = cancel_bigons([], zoo["unknot"], fam.step)
         assert live == [] and audit == []
 
     def test_order_independence_small(self, zoo):
         d = zoo["figure_eight"]
         fam = line_family(d, SlopeSpec(1, 1))
         raw = raw_intersections(d, fam)
-        totals = {len(cancel_bigons(raw, d, fam, order_seed=seed)[0]) for seed in range(25)}
+        totals = {len(cancel_bigons(raw, d, fam.step, order_seed=seed)[0]) for seed in range(25)}
         assert len(totals) == 1
 
     def test_audit_certifies_empty_loops(self):
