@@ -18,7 +18,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import ledger as ledger_mod
-from .curves import BadSpec, build_zoo, extrema_census, tau_epsilon, validate, zoo_names
+from .curves import (
+    AmbiguousHeight,
+    BadSpec,
+    NoVerticalCrossing,
+    build_zoo,
+    extrema_census,
+    tau_epsilon,
+    validate,
+    zoo_names,
+)
 from .differentials import (
     RULE_DUAL_SIMPLE,
     RULE_RANK_BOUND,
@@ -109,7 +118,7 @@ def _parse_slope(text: str, allow_vertical=False) -> SlopeSpec:
         raise CliError(f"bad slope {text!r}; use p/q or an integer", EXIT_USAGE)
     if slope.is_vertical and not allow_vertical:
         raise CliError("the vertical slope 1/0 is only meaningful for 'hfk'", EXIT_USAGE)
-    if not slope.is_vertical and (abs(slope.p) > MAX_P or slope.q > MAX_Q):
+    if abs(slope.p) > MAX_P or slope.q > MAX_Q:
         raise CliError(f"slope grid is capped at |p| <= {MAX_P}, q <= {MAX_Q}", EXIT_USAGE)
     return slope
 
@@ -314,8 +323,6 @@ def cmd_scan_simple(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.which != "poincare":
-        raise CliError(f"unknown demo {args.which!r}", EXIT_USAGE)
     demo = ledger_mod.poincare_demo()
     payload = {
         "schema_version": 1,
@@ -443,8 +450,6 @@ def cmd_ledger(args) -> int:
                                      "t2": {str(n): v for n, v in rep.t2.items()}}, lines), lines)
         if not rep.ok:
             return EXIT_VIOLATION
-    else:
-        raise CliError(f"unknown ledger op {op!r}", EXIT_USAGE)
     return EXIT_OK
 
 
@@ -603,13 +608,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DegenerateIncidence, PointOnLoop, RuntimeError) as exc:
-        # the diagram passed validation but its geometry cannot be paired:
-        # an unresolvable incidence, a peg on a bigon's boundary, or a curve
-        # walk that does not close up
+    except (DegenerateIncidence, PointOnLoop, RuntimeError, NoVerticalCrossing, AmbiguousHeight) as exc:
+        # the diagram passed validation but its geometry cannot be paired or
+        # read: an unresolvable incidence, a peg on a bigon's boundary, a curve
+        # walk that does not close up, a peg column missed or crossed on a peg row
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

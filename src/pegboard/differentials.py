@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import Point, first_wound_peg, winding_near
+from .geometry import Point, first_wound_peg
 from .curves import CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
     ArcLift,
@@ -98,8 +98,12 @@ def _corner_and_target_lift(arc: ArcLift, k_x: int, kind: str) -> tuple[Point, i
 
 def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[IPoint],
                    kind: str) -> list[MarkedBigon]:
-    """All marker-compatible bigons from source point x to target points."""
-    p, q = arc.slope.p, arc.slope.q
+    """All marker-compatible bigons from source point x to target points.
+
+    The loop crosses the corner's column once, at the corner, rightwards
+    for phi and leftwards for psi, so the winding w just above the corner
+    decides the markers: (w, w - 1) wants w = 1, (w, w + 1) wants w = 0.
+    """
     corner, k_t = _corner_and_target_lift(arc, x.lift, kind)
     c = d.components[x.comp]
     want = (1, 0) if kind == "phi" else (0, 1)
@@ -113,16 +117,9 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
         for (_, m), z in spans:
             if z.lift + m != k_t:
                 continue
-            sub, _ = subarc(c, x, z, direction)
-            loop = sub + [corner]
-            if loop[-1] == loop[0]:
-                loop = loop[:-1]
-            if first_wound_peg(loop, skip=corner) is not None:
-                continue
-            n_z = abs(winding_near(loop, corner, (-p, q)))
-            n_w = abs(winding_near(loop, corner, (p, -q)))
-            if (n_z, n_w) == want:
-                found.append(MarkedBigon(x, z, tuple(loop), n_z, n_w))
+            loop = subarc(c, x, z, direction)[0] + [corner]
+            if first_wound_peg(loop, corner, 1 if kind == "phi" else 0) is None:
+                found.append(MarkedBigon(x, z, tuple(loop), *want))
     return found
 
 
@@ -140,7 +137,7 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         raise ValueError("kind must be 'phi' or 'psi'")
     if slope.p == 0:
         raise ZeroSurgery("no graded differentials on the 0-filling")
-    if slope.is_vertical or slope.q < 1 or slope.p < 0:
+    if slope.q < 1 or slope.p < 0:
         raise ValueError("differentials need a slope with p >= 1 and q >= 1")
     h = Fraction(h)
     if not valid_grading(slope.p, h):
@@ -203,7 +200,7 @@ def census_bounds(d: CurveDiagram, slope: SlopeSpec) -> CensusBound:
     turns down after its first column crossing, and the slope exceeds
     2*tau - 1, the single extremum pair carrying tau is discounted.
     """
-    if slope.is_vertical or slope.p < 1 or slope.q < 1:
+    if slope.p < 1 or slope.q < 1:
         raise ValueError("census bounds need a slope with p >= 1 and q >= 1")
     p = slope.p
     census = extrema_census(d)
@@ -238,10 +235,9 @@ def census_bounds(d: CurveDiagram, slope: SlopeSpec) -> CensusBound:
 
 def is_lspace_slope(d: CurveDiagram, slope: SlopeSpec) -> bool:
     """True when the filling dimension is the minimal possible, |p|."""
-    if slope.p == 0 and not slope.is_vertical:
+    if slope.p == 0:
         raise ZeroSurgery("0-filling is never asked for simplicity")
-    want = 1 if slope.is_vertical else abs(slope.p)
-    return surgery_dim(d, slope) == want
+    return surgery_dim(d, slope) == abs(slope.p)
 
 
 @dataclass(frozen=True)

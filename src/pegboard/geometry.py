@@ -76,9 +76,6 @@ class Segment:
         if self.a == self.b:
             raise ValueError("degenerate segment: endpoints coincide")
 
-    def translate(self, dx, dy=ZERO) -> "Segment":
-        return Segment(self.a.translate(dx, dy), self.b.translate(dx, dy))
-
     def bbox(self) -> "Box":
         return Box(
             min(self.a.x, self.b.x),
@@ -185,18 +182,20 @@ def winding_number(loop: Sequence[Point], p: Point) -> int:
     return wind
 
 
-def first_wound_peg(loop: Sequence[Point], skip: Optional[Point] = None) -> Optional[Point]:
-    """The first peg the closed PL loop winds around, or None.
+def first_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
+                    corner_winding: int = 0) -> Optional[Point]:
+    """The first peg, in `pegs_in_box(Box.around(loop))` order, whose
+    winding is not 0, or, for the peg `corner`, not `corner_winding`.
 
-    Pegs are visited in `pegs_in_box(Box.around(loop))` order, leaving out
-    `skip`.  One pass over the edges records the loop's signed crossings
-    with the integer columns, half-open at vertices so each crossing counts
-    once: an edge crossing column i leftwards counts +1, rightwards -1.  The
-    winding of the peg (i, j + 1/2) is the sum over the column-i crossings
-    above it, which is `winding_number` with the ray pointing up; a column
-    the loop misses holds no wound peg.  Raises PointOnLoop, with
-    `winding_number`'s message, at a peg on the loop visited before any
-    wound one.
+    One pass over the edges records the loop's signed crossings with the
+    integer columns, half-open at vertices so each crossing counts once: an
+    edge crossing column i leftwards counts +1, rightwards -1.  The winding
+    of the peg (i, j + 1/2) is the sum over the column-i crossings strictly
+    above it, which is `winding_number` with the ray pointing up.  At a peg
+    on the loop, visited before any wrongly wound one, PointOnLoop is raised
+    with `winding_number`'s message, except at `corner`: the loop may pass
+    through it across its column, and its count is then the winding just
+    above it, which decides a marked bigon's markers.
 
     The work is in integers: coordinates are scaled by twice the lcm of
     their denominators, so columns and peg heights are integers too.
@@ -225,46 +224,16 @@ def first_wound_peg(loop: Sequence[Point], skip: Optional[Point] = None) -> Opti
             # the crossing height is num / den
             num = ay * den + (i * scale - ax) * (by - ay) * -sign
             crossings.setdefault(i, []).append((num, den, sign))
-    skip_at = None
-    if skip is not None and skip.x.denominator == 1 and (skip.y - HALF).denominator == 1:
-        skip_at = (skip.x.numerator, math.floor(skip.y))
+    corner_at = None if corner is None else (corner.x.numerator, math.floor(corner.y))
     for i in sorted(spans.keys() | crossings.keys()):
         column = crossings.get(i, ())
         touched = spans.get(i, ())
         for j in range(j0, j1 + 1):
-            if (i, j) == skip_at:
-                continue
             y = j * scale + half
-            if any(lo <= y <= hi for lo, hi in touched) or any(num == y * den for num, den, _ in column):
+            at_corner = (i, j) == corner_at
+            if not at_corner and (any(lo <= y <= hi for lo, hi in touched)
+                                  or any(num == y * den for num, den, _ in column)):
                 raise PointOnLoop(f"{Point(Fraction(i), Fraction(j) + HALF)} lies on the loop")
-            if sum(s for num, den, s in column if num > y * den):
+            if sum(s for num, den, s in column if num > y * den) != (corner_winding if at_corner else 0):
                 return Point(Fraction(i), Fraction(j) + HALF)
     return None
-
-
-def winding_near(loop: Sequence[Point], base: Point, direction: tuple) -> int:
-    """Winding number at base + eps * direction for all small enough eps > 0.
-
-    Used to probe the two sides of a point that lies on the loop (a marker
-    next to a shared arc endpoint).  The winding is constant for eps below
-    the first parameter at which the probe ray meets an edge not through
-    base, and that threshold is computed exactly.
-    """
-    dx, dy = rat(direction[0]), rat(direction[1])
-    if dx == 0 and dy == 0:
-        raise ValueError("probe direction must be nonzero")
-    eps_cap = ONE
-    for a, b in _closed_edges(loop):
-        # cross(a, b, base + eps*d) = cross(a, b, base) + eps * c1; solve for 0.
-        c0 = cross(a, b, base)
-        c1 = (b.x - a.x) * dy - (b.y - a.y) * dx
-        if c1 == 0:
-            continue
-        eps_hit = -c0 / c1
-        if eps_hit <= 0:
-            continue
-        hit = Point(base.x + eps_hit * dx, base.y + eps_hit * dy)
-        if on_segment(hit, Segment(a, b)):
-            eps_cap = min(eps_cap, eps_hit)
-    probe = Point(base.x + (eps_cap / 2) * dx, base.y + (eps_cap / 2) * dy)
-    return winding_number(loop, probe)

@@ -116,19 +116,19 @@ class LedgerSequence:
         ks = sorted(self.values)
         return ks[0], ks[-1]
 
-    def contiguous(self) -> bool:
-        lo, hi = self.span()
-        return all(n in self.values for n in range(lo, hi + 1))
-
     def tagged(self, n: int) -> str:
         return self.provenance.get(n, "input")
 
 
 def sequences_from_csv(text: str) -> dict:
     """Parse 'n,value,bundle,coefficient' rows into sequences keyed by tags."""
-    rows = list(csv.DictReader(io.StringIO(text)))
+    reader = csv.DictReader(io.StringIO(text))
+    if not {"n", "value", "bundle", "coefficient"} <= set(reader.fieldnames or ()):
+        raise ValueError("csv needs the header n,value,bundle,coefficient")
     grouped: dict = {}
-    for row in rows:
+    for row in reader:
+        if None in row.values():
+            raise ValueError(f"csv line {reader.line_num} has fewer than 4 fields")
         key = (row["bundle"].strip(), row["coefficient"].strip())
         grouped.setdefault(key, {})[int(row["n"])] = int(row["value"])
     return {
@@ -464,6 +464,19 @@ def _check_step_rules(d0: LedgerSequence, dmu: LedgerSequence, lo: int, hi: int)
                     raise ConstraintViolation("L3.13", f"even n={n}: twisted value not one below")
 
 
+def _common_range(a: LedgerSequence, b: LedgerSequence) -> tuple[int, int]:
+    """The range from the larger start to the smaller end of the two spans;
+    RangeTooSmall when it is empty or either sequence misses a value in it."""
+    lo = max(a.span()[0], b.span()[0])
+    hi = min(a.span()[1], b.span()[1])
+    if lo > hi:
+        raise RangeTooSmall("sequences share no common range")
+    for n in range(lo, hi + 1):
+        if not (a.has(n) and b.has(n)):
+            raise RangeTooSmall(f"missing value at n={n}")
+    return lo, hi
+
+
 def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
     """Classify a mod-2 dimension sequence pair as V, W, or generalized W.
 
@@ -474,13 +487,7 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
     """
     if d0.coefficient != COEFF_F2 or dmu.coefficient != COEFF_F2:
         raise ValueError("shape classification is for mod-2 sequences")
-    lo = max(d0.span()[0], dmu.span()[0])
-    hi = min(d0.span()[1], dmu.span()[1])
-    if lo > hi:
-        raise RangeTooSmall("sequences share no common range")
-    for n in range(lo, hi + 1):
-        if not (d0.has(n) and dmu.has(n)):
-            raise RangeTooSmall(f"missing value at n={n}")
+    lo, hi = _common_range(d0, dmu)
     nu_p, nu_m = _nu_plus(_slice(d0, lo, hi)), _nu_minus(_slice(d0, lo, hi))
     if nu_p >= hi or nu_m <= lo:
         raise RangeTooSmall("range does not exhibit the eventual unit slopes")
@@ -678,8 +685,7 @@ class MonotoneReport:
 
 def t2_monotone_check(seq_c: LedgerSequence, seq_f2: LedgerSequence, nu_sharp: int) -> MonotoneReport:
     """Half-gaps must be non-increasing past the valley invariant."""
-    lo = max(seq_c.span()[0], seq_f2.span()[0])
-    hi = min(seq_c.span()[1], seq_f2.span()[1])
+    lo, hi = _common_range(seq_c, seq_f2)
     t2 = {}
     for n in range(lo, hi + 1):
         gap = seq_f2.get(n) - seq_c.get(n)

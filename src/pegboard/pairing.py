@@ -131,17 +131,15 @@ class ArcLift:
 
     def __post_init__(self):
         object.__setattr__(self, "height", rat(self.height))
-        if not self.slope.is_vertical and self.slope.p == 0:
+        if self.slope.p == 0:
             raise ZeroSurgery("arcs of slope 0 are not defined")
-        if not valid_grading(self.slope.p if not self.slope.is_vertical else 1, self.height):
+        if not valid_grading(self.slope.p, self.height):
             raise ValueError(
                 f"height {self.height} is not in Z + ({self.slope.p}-1)/2 for slope {self.slope}"
             )
 
     def seg(self) -> Segment:
         """Lift 0; lift k is this segment translated by (k, 0)."""
-        if self.slope.is_vertical:
-            return Segment(Point(ZERO, self.height - HALF), Point(ZERO, self.height + HALF))
         p, q = self.slope.p, self.slope.q
         a = Point(ZERO, self.height - Fraction(p, 2))
         b = Point(Fraction(q), self.height + Fraction(p, 2))
@@ -503,7 +501,7 @@ def surgery_report(d: CurveDiagram, slope: SlopeSpec, order_seed: Optional[int] 
         key = ip.lift % p if p else ip.lift
         counts[key] = counts.get(key, 0) + 1
     flags = ()
-    if slope.p == 0 and not slope.is_vertical:
+    if slope.p == 0:
         flags = ("0-filling: dual knot not rationally null-homologous; grading ops refuse this slope",)
     return PairingReport(slope, counts, len(live), tuple(audit), flags)
 
@@ -514,12 +512,11 @@ def surgery_dim(d: CurveDiagram, slope: SlopeSpec) -> int:
 
 def grading_range(d: CurveDiagram, slope: SlopeSpec) -> list[Fraction]:
     """All gradings whose arc could meet the diagram, by bounding boxes."""
-    if slope.p == 0 and not slope.is_vertical:
+    if slope.p == 0:
         raise ZeroSurgery("0-filling has no dual-knot gradings")
     box = d.bbox()
-    p_eff = 1 if slope.is_vertical else slope.p
-    off = Fraction(p_eff - 1, 2)
-    halfspan = Fraction(abs(p_eff), 2)
+    off = Fraction(slope.p - 1, 2)
+    halfspan = Fraction(abs(slope.p), 2)
     lo = math.floor(box.ymin - halfspan - off) - 1
     hi = math.ceil(box.ymax + halfspan - off) + 1
     return [Fraction(n) + off for n in range(lo, hi + 1)]
@@ -547,7 +544,7 @@ class ArcSweep:
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
         self.diagram = d
         self.slope = slope
-        self._off = ZERO if slope.is_vertical else Fraction(slope.q % 2, 2)  # levels are m + off
+        self._off = Fraction(slope.q % 2, 2)  # levels are m + off
         self._raw: Optional[dict[int, list[IPoint]]] = None  # by h - (p-1)/2
         self._degenerate: list[dict[int, tuple[int, bool]]] = []  # per component
         self._live: dict[Fraction, tuple[IPoint, ...]] = {}

@@ -99,10 +99,6 @@ def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
     return diagram
 
 
-def _fmt(value: Fraction) -> str:
-    return str(value)
-
-
 def canonicalize(d: CurveDiagram) -> CurveDiagram:
     """Canonical component order and parameterization for emission."""
     gamma0 = anchor_at_seam(d.gamma0())
@@ -120,5 +116,5 @@ def emit_curve_text(d: CurveDiagram) -> str:
     for c in canon.components:
         lines.append(f"component winding={c.winding}")
         for p in c.vertices:
-            lines.append(f"v {_fmt(p.x)} {_fmt(p.y)}")
+            lines.append(f"v {p.x} {p.y}")
     return "\n".join(lines) + "\n"

@@ -11,8 +11,9 @@ copied verbatim: `_ArcObject` and `_LineFamily.translated_lift`.
 `CancelledBigon` by `CancelledBigon`, and raise the same exception wherever
 the reference raises, for every removal order.  `_LineFamily.step` must
 move lift indices as `translated_lift` did.  `first_wound_peg` must agree
-with `winding_number` called peg by peg: the same first wound peg, and
-`PointOnLoop` at the same peg.
+with `winding_number` called peg by peg, reading a marked bigon's corner
+just above it with the copy of `winding_near` in `test_differentials`: the
+same first wrongly wound peg, and `PointOnLoop` at the same peg.
 """
 
 import math
@@ -28,7 +29,18 @@ import pegboard.differentials as differentials
 import pegboard.pairing as pairing
 from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
 from pegboard.differentials import differential_matrix
-from pegboard.geometry import Box, Point, PointOnLoop, first_wound_peg, pegs_in_box, winding_number
+from pegboard.geometry import (
+    HALF,
+    Box,
+    Point,
+    PointOnLoop,
+    Segment,
+    _closed_edges,
+    first_wound_peg,
+    on_segment,
+    pegs_in_box,
+    winding_number,
+)
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
@@ -42,6 +54,7 @@ from pegboard.pairing import (
     raw_intersections,
     subarc,
 )
+from test_differentials import winding_near
 
 # ---------------------------------------------------------------------------
 # The pairing objects cancellation took before the lift step (reference)
@@ -317,30 +330,33 @@ def test_cancellation_matches_reference_on_generated_diagrams(d, slope, seed):
 # The one-pass peg check
 
 
-def reference_wound_peg(loop: Sequence[Point], skip: Optional[Point] = None) -> Optional[Point]:
-    """The per-peg `winding_number` loop that `first_wound_peg` replaced."""
+def reference_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
+                        corner_winding: int = 0) -> Optional[Point]:
+    """The per-peg `winding_number` loop that `first_wound_peg` replaced,
+    with the corner read just above it by `winding_near`."""
     for peg in pegs_in_box(Box.around(loop)):
-        if peg == skip:
-            continue
-        if winding_number(loop, peg) != 0:
+        if peg == corner:
+            if winding_near(loop, corner, (0, 1)) != corner_winding:
+                return peg
+        elif winding_number(loop, peg) != 0:
             return peg
     return None
 
 
-def assert_peg_checks_agree(loop, skip=None):
-    want = outcome(reference_wound_peg, loop, skip)
-    assert outcome(first_wound_peg, loop, skip) == want, (loop, skip)
+def assert_peg_checks_agree(loop, corner=None, corner_winding=0):
+    want = outcome(reference_wound_peg, loop, corner, corner_winding)
+    assert outcome(first_wound_peg, loop, corner, corner_winding) == want, (loop, corner, corner_winding)
     return want
 
 
 def zoo_loops(monkeypatch):
     """Every loop whose pegs pairing and differentials check on the zoo at
-    |p| <= 7 and q <= 3, with its skipped peg."""
+    |p| <= 7 and q <= 3, with its corner peg and winding."""
     seen = []
 
-    def recording(loop, skip=None):
-        seen.append((tuple(loop), skip))
-        return first_wound_peg(loop, skip)
+    def recording(loop, corner=None, corner_winding=0):
+        seen.append((tuple(loop), corner, corner_winding))
+        return first_wound_peg(loop, corner, corner_winding)
 
     monkeypatch.setattr(pairing, "first_wound_peg", recording)
     monkeypatch.setattr(differentials, "first_wound_peg", recording)
@@ -359,10 +375,26 @@ def zoo_loops(monkeypatch):
 
 def test_peg_check_matches_winding_number_on_zoo_loops(monkeypatch):
     loops = zoo_loops(monkeypatch)
-    results = [assert_peg_checks_agree(loop, skip) for loop, skip in loops]
-    # both answers occur, and the marked bigons skip their corner peg
+    results = [assert_peg_checks_agree(*case) for case in loops]
+    # both answers occur, and the marked bigons pass through their corner
+    # peg with either winding
     assert None in results and any(isinstance(r, Point) for r in results)
-    assert any(skip is not None for _, skip in loops)
+    assert {w for _, corner, w in loops if corner is not None} == {0, 1}
+
+
+def crosses_column_at(loop: Sequence[Point], peg: Point) -> bool:
+    """The loop meets peg once, crossing its column there: inside one
+    non-vertical edge, or at one vertex whose neighbours lie strictly on
+    either side of the column."""
+    edges = [(a, b) for a, b in _closed_edges(loop) if on_segment(peg, Segment(a, b))]
+    if len(edges) == 1:
+        (a, b), = edges
+        return a.x != b.x and peg not in (a, b)
+    if len(edges) == 2:
+        (a, b), (c, e) = edges
+        ends = (a, e) if b == peg == c else (c, b) if e == peg == a else None
+        return ends is not None and (ends[0].x - peg.x) * (ends[1].x - peg.x) < 0
+    return False
 
 
 # Coordinates on the quarter grid put vertices on pegs and edges through
@@ -372,21 +404,35 @@ coordinates = st.one_of(
     st.integers(-6, 6).map(lambda n: Fraction(n, 3)),
 )
 polygons = st.lists(st.builds(Point, coordinates, coordinates), min_size=2, max_size=8)
+pegs = st.builds(lambda i, j: Point(i, Fraction(2 * j + 1, 2)), st.integers(-2, 2), st.integers(-2, 1))
 
 
 @settings(max_examples=400, deadline=None)
-@given(polygons, st.integers(-1, 20))
-@example([Point(0, 0), Point(1, 1)], -1)  # a diagonal through no peg
-@example([Point(Fraction(-1, 2), 0), Point(Fraction(1, 2), 0), Point(Fraction(1, 2), 1),
-          Point(Fraction(-1, 2), 1)], -1)  # winds once around (0, 1/2)
-@example([Point(-1, 0), Point(1, 0), Point(0, Fraction(1, 2))], -1)  # a vertex on a peg
-@example([Point(-1, 0), Point(1, 1), Point(1, -1)], -1)  # edges through (0, -1/2) and (0, 1/2)
-@example([Point(0, 0), Point(0, 1), Point(-1, 1)], -1)  # a vertical edge through a peg
-@example([Point(0, 0), Point(0, 1), Point(-1, 1)], 1)  # ... skipped as the corner
+@given(polygons, st.none() | pegs, st.integers(-1, 20), st.sampled_from((-1, 0, 1)))
+@example([Point(0, 0), Point(1, 1)], None, -1, 0)  # a diagonal through no peg
+@example([Point(-HALF, 0), Point(HALF, 0), Point(HALF, 1), Point(-HALF, 1)], None, -1, 0)  # winds once around (0, 1/2)
+@example([Point(-1, 0), Point(1, 0), Point(0, HALF)], None, -1, 0)  # a vertex on a peg
+@example([Point(-1, 0), Point(1, 1), Point(1, -1)], None, -1, 0)  # edges through (0, -1/2) and (0, 1/2)
+@example([Point(0, 0), Point(0, 1), Point(-1, 1)], None, -1, 0)  # a vertical edge through a peg
+@example([Point(-1, 0), Point(1, 1), Point(1, 2), Point(-1, 2)], None, 0, 1)  # an edge across the corner (0, 1/2)
+@example([Point(HALF, Fraction(3, 4)), Point(0, 1), Point(-HALF, Fraction(1, 4))],
+         Point(0, HALF), -1, 1)  # closed through the corner, winding 1 just above it
+@example([Point(HALF, Fraction(3, 4)), Point(0, 1), Point(-HALF, Fraction(1, 4))],
+         Point(0, HALF), -1, 0)  # ... which a winding of 0 does not match
 @example([Point(Fraction(5, 2), 0), Point(Fraction(-3, 2), 1), Point(Fraction(-3, 2), 0),
-          Point(Fraction(5, 2), 1)], -1)  # a bowtie: its lobes wind +1 and -1
-def test_peg_check_matches_winding_number_on_polygons(loop, skip_index):
-    # skip_index picks the skipped peg among those in the box, if any
-    pegs = pegs_in_box(Box.around(loop))
-    skip = pegs[skip_index] if 0 <= skip_index < len(pegs) else None
-    assert_peg_checks_agree(loop, skip)
+          Point(Fraction(5, 2), 1)], None, -1, 0)  # a bowtie: its lobes wind +1 and -1
+def test_peg_check_matches_winding_number_on_polygons(loop, through, corner_index, corner_winding):
+    # `through`, if drawn, closes the loop through that peg, as a marked
+    # bigon's loop closes through its corner, and is the corner when the
+    # loop crosses its column there.  Otherwise corner_index picks the
+    # corner among the box's pegs off the loop or crossed there, if any.
+    if through is not None:
+        loop = loop + [through]
+    candidates = [peg for peg in pegs_in_box(Box.around(loop))
+                  if crosses_column_at(loop, peg)
+                  or not any(on_segment(peg, Segment(a, b)) for a, b in _closed_edges(loop))]
+    if through in candidates:
+        corner = through
+    else:
+        corner = candidates[corner_index] if 0 <= corner_index < len(candidates) else None
+    assert_peg_checks_agree(loop, corner, corner_winding)

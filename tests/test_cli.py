@@ -139,6 +139,23 @@ class TestLedgerCommands:
         code, out, _ = run(capsys, "ledger", "t2-check", str(csv_path), "--nu", "0")
         assert code == EXIT_VIOLATION
 
+    @pytest.mark.parametrize("rows,message", [
+        (["0,1,trivial,C", "1,2,trivial,C", "2,3,trivial,C", "0,1,trivial,F2", "2,3,trivial,F2"],
+         "error: missing value at n=1\n"),
+        (["0,1,trivial,C", "5,1,trivial,F2"], "error: sequences share no common range\n"),
+    ], ids=["gap", "disjoint"])
+    def test_t2_check_needs_a_common_range(self, capsys, tmp_path, rows, message):
+        csv_path = tmp_path / "gap.csv"
+        csv_path.write_text("\n".join(["n,value,bundle,coefficient"] + rows) + "\n")
+        code, out, err = run(capsys, "ledger", "t2-check", str(csv_path), "--nu", "0")
+        assert (code, out, err) == (EXIT_USAGE, "", message)
+
+    def test_csv_without_bundle_column_names_the_header(self, capsys, tmp_path):
+        csv_path = tmp_path / "untagged.csv"
+        csv_path.write_text("n,value,coefficient\n0,1,F2\n")
+        code, _, err = run(capsys, "ledger", "shape-classify", str(csv_path))
+        assert (code, err) == (EXIT_USAGE, "error: csv needs the header n,value,bundle,coefficient\n")
+
     def test_no_torsion(self, capsys):
         code, payload = run_json(capsys, "ledger", "no-torsion", "3", "V", "1", "1")
         assert code == EXIT_OK
@@ -191,7 +208,7 @@ class TestFilesAndRender:
         import pegboard.pairing
         from pegboard.geometry import PointOnLoop
 
-        def peg_on_loop(loop, skip=None):
+        def peg_on_loop(loop, corner=None, corner_winding=0):
             raise PointOnLoop(f"{loop[0]} lies on the loop")
 
         # trefoil 2/1 tests pegs against candidate bigons; 3/1 has none
@@ -199,6 +216,37 @@ class TestFilesAndRender:
         code, out, err = run(capsys, "pair", "trefoil", "2/1")
         assert code == EXIT_INVALID and out == ""
         assert err.startswith("error: (") and err.endswith(" lies on the loop\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("pair", "trefoil", "1/1", "--out", "{tmp}/missing/x.txt"),
+        ("ledger", "shape-classify", "{tmp}/missing.csv"),
+        ("ledger", "t2-check", "{tmp}/missing.csv", "--nu", "0"),
+        ("pair", "{tmp}", "1/1"),
+    ], ids=["out-dir", "shape-classify", "t2-check", "directory-knot"])
+    def test_file_errors_exit_1_without_traceback(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    # valid diagrams whose tau cannot be read: the distinguished component
+    # misses the peg column (NoVerticalCrossing), or crosses it on a peg
+    # row (AmbiguousHeight)
+    GEOMETRY_ERRORS = {
+        "no-column-crossing": ("component winding=1\nv -1/2 0\nv 0 -1/8\nv 0 1/8\nv 1/2 0\n",
+                               "error: distinguished component misses the peg column\n"),
+        "crossing-on-peg-row": ("component winding=1\nv -1/2 0\nv 0 1\nv 1/32 3/2\nv 0 0\n"
+                                "v -1/32 -3/2\nv 0 -1\nv 1/2 0\n",
+                                "error: y = 3/2 lies exactly on a peg row\n"),
+    }
+
+    @pytest.mark.parametrize("command", [("invariants",), ("diff", "1/1")], ids=lambda c: c[0])
+    @pytest.mark.parametrize("case", sorted(GEOMETRY_ERRORS))
+    def test_geometry_errors_of_valid_diagrams_exit_2(self, capsys, tmp_path, command, case):
+        text, message = self.GEOMETRY_ERRORS[case]
+        path = tmp_path / "knot.curve"
+        path.write_text(text)
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out, err) == (EXIT_INVALID, "", message)
 
     def test_render_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "a.svg"

@@ -1,11 +1,40 @@
 import math
 from fractions import Fraction as F
+from typing import Optional, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pegboard.pairing import ArcSweep, SlopeSpec, ZeroSurgery, dual_hfk_dims
+import pegboard.differentials as differentials
+from pegboard.curves import CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.geometry import (
+    ONE,
+    Box,
+    Point,
+    Segment,
+    _closed_edges,
+    cross,
+    on_segment,
+    pegs_in_box,
+    rat,
+    winding_number,
+)
+from pegboard.pairing import (
+    ArcLift,
+    ArcSweep,
+    IPoint,
+    SlopeSpec,
+    ZeroSurgery,
+    dual_hfk_dims,
+    grading_range,
+    subarc,
+    walk_span,
+)
 from pegboard.differentials import (
     GradingOutOfRange,
+    MarkedBigon,
+    _corner_and_target_lift,
     census_bounds,
     differential_matrix,
     dually_simple_scan,
@@ -188,3 +217,137 @@ class TestScan:
         for e in entries:
             assert e.dually_simple == (F(e.slope.p, e.slope.q) < -1), str(e.slope)
             assert not e.theorem_violated
+
+
+# ---------------------------------------------------------------------------
+# The marked bigons before the corner's column count decided the markers
+# (reference).  `_marked_bigons` and `winding_near` are verbatim copies; the
+# peg check they call is `winding_number` peg by peg, leaving out `skip`.
+
+
+def first_wound_peg(loop: Sequence[Point], skip: Optional[Point] = None) -> Optional[Point]:
+    """The first peg of the loop's box, other than skip, with nonzero winding."""
+    for peg in pegs_in_box(Box.around(loop)):
+        if peg != skip and winding_number(loop, peg) != 0:
+            return peg
+    return None
+
+
+def winding_near(loop: Sequence[Point], base: Point, direction: tuple) -> int:
+    """Winding number at base + eps * direction for all small enough eps > 0.
+
+    Used to probe the two sides of a point that lies on the loop (a marker
+    next to a shared arc endpoint).  The winding is constant for eps below
+    the first parameter at which the probe ray meets an edge not through
+    base, and that threshold is computed exactly.
+    """
+    dx, dy = rat(direction[0]), rat(direction[1])
+    if dx == 0 and dy == 0:
+        raise ValueError("probe direction must be nonzero")
+    eps_cap = ONE
+    for a, b in _closed_edges(loop):
+        # cross(a, b, base + eps*d) = cross(a, b, base) + eps * c1; solve for 0.
+        c0 = cross(a, b, base)
+        c1 = (b.x - a.x) * dy - (b.y - a.y) * dx
+        if c1 == 0:
+            continue
+        eps_hit = -c0 / c1
+        if eps_hit <= 0:
+            continue
+        hit = Point(base.x + eps_hit * dx, base.y + eps_hit * dy)
+        if on_segment(hit, Segment(a, b)):
+            eps_cap = min(eps_cap, eps_hit)
+    probe = Point(base.x + (eps_cap / 2) * dx, base.y + (eps_cap / 2) * dy)
+    return winding_number(loop, probe)
+
+
+def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[IPoint],
+                   kind: str) -> list[MarkedBigon]:
+    """All marker-compatible bigons from source point x to target points."""
+    p, q = arc.slope.p, arc.slope.q
+    corner, k_t = _corner_and_target_lift(arc, x.lift, kind)
+    c = d.components[x.comp]
+    want = (1, 0) if kind == "phi" else (0, 1)
+    found = []
+    for direction in (1, -1):
+        # Targets in walk order; m places each one's lift along the walk.
+        spans = sorted(
+            ((walk_span(c, x, z, direction), z) for z in targets if z.comp == x.comp and z.pos != x.pos),
+            key=lambda e: e[0][0],
+        )
+        for (_, m), z in spans:
+            if z.lift + m != k_t:
+                continue
+            sub, _ = subarc(c, x, z, direction)
+            loop = sub + [corner]
+            if loop[-1] == loop[0]:
+                loop = loop[:-1]
+            if first_wound_peg(loop, skip=corner) is not None:
+                continue
+            n_z = abs(winding_near(loop, corner, (-p, q)))
+            n_w = abs(winding_near(loop, corner, (p, -q)))
+            if (n_z, n_w) == want:
+                found.append(MarkedBigon(x, z, tuple(loop), n_z, n_w))
+    return found
+
+
+def matrix_outcome(sweep: ArcSweep, h, kind: str):
+    """The DiffMatrix, or the type and text of what differential_matrix raised."""
+    try:
+        return differential_matrix(sweep, h, kind)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_marked_bigons_match(d: CurveDiagram, slope: SlopeSpec) -> int:
+    """Both kinds at every grading of one slope must give the reference's
+    DiffMatrix: rows, rank, points and bigons in order.  Returns the number
+    of bigons found."""
+    sweep = ArcSweep(d, slope)
+    found = 0
+    for h in grading_range(d, slope):
+        for kind in ("phi", "psi"):
+            got = matrix_outcome(sweep, h, kind)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(differentials, "_marked_bigons", _marked_bigons)
+                want = matrix_outcome(sweep, h, kind)
+            assert got == want, (d.source, str(slope), h, kind)
+            found += len(got.bigons) if isinstance(got, differentials.DiffMatrix) else 0
+    return found
+
+
+DIFF_SLOPES = [
+    SlopeSpec(p, q) for q in range(1, 6) for p in range(1, 10) if math.gcd(p, q) == 1
+]
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_marked_bigons_match_reference_on_zoo(name):
+    d = build_zoo(name)
+    found = sum(assert_marked_bigons_match(d, slope) for slope in DIFF_SLOPES)
+    assert found or name == "unknot"
+
+
+@pytest.mark.parametrize("tau,fig8", [(1, 1), (-1, 2), (2, 1), (0, 3)])
+def test_marked_bigons_match_reference_on_thin_diagrams(tau, fig8):
+    assert sum(assert_marked_bigons_match(thin(tau, fig8), slope) for slope in DIFF_SLOPES)
+
+
+def test_marked_bigons_match_reference_near_the_slope_cap():
+    assert_marked_bigons_match(build_zoo("trefoil"), SlopeSpec(63, 31))
+
+
+@st.composite
+def staircase_diagrams(draw):
+    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
+    exps = upper + [0] + [-e for e in reversed(upper)]
+    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(staircase_diagrams(), st.builds(thin, st.integers(-3, 3), st.integers(0, 3))),
+    st.sampled_from(DIFF_SLOPES),
+)
+def test_marked_bigons_match_reference_on_generated_diagrams(d, slope):
+    assert_marked_bigons_match(d, slope)

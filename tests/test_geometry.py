@@ -13,7 +13,6 @@ from pegboard.geometry import (
     pegs_in_box,
     pt,
     winding_number,
-    winding_near,
 )
 
 
@@ -90,13 +89,6 @@ class TestWinding:
         except PointOnLoop:
             return
         assert got == winding_by_angles(loop, probe)
-
-    def test_winding_near_sides_of_a_crossing(self):
-        # A loop passing straight through the origin: the two sides differ.
-        loop = [pt(-1, 0), pt(1, 0), pt(1, 1), pt(-1, 1)]
-        up = winding_near(loop, pt(0, 0), (0, 1))
-        down = winding_near(loop, pt(0, 0), (0, -1))
-        assert (up, down) == (1, 0)
 
 
 class TestPegs:

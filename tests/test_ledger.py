@@ -315,6 +315,24 @@ class TestMonotoneAndCsv:
         with pytest.raises(ParityViolation):
             t2_monotone_check(c, f, 0)
 
+    @pytest.mark.parametrize("f_values,message", [
+        ({0: 1, 2: 3}, "missing value at n=1"),
+        ({5: 1, 6: 1}, "sequences share no common range"),
+    ], ids=["gap", "disjoint"])
+    def test_range_checked_as_shape_classification_checks_it(self, f_values, message):
+        c = LedgerSequence({0: 1, 1: 2, 2: 3}, BUNDLE_TRIVIAL, COEFF_C)
+        f = LedgerSequence(f_values, BUNDLE_TRIVIAL, COEFF_F2)
+        with pytest.raises(RangeTooSmall, match=message):
+            t2_monotone_check(c, f, 0)
+
+    def test_csv_without_a_tag_column_names_the_header(self):
+        with pytest.raises(ValueError, match="n,value,bundle,coefficient"):
+            sequences_from_csv("n,value,coefficient\n0,1,F2\n")
+
+    def test_csv_short_row_names_its_line(self):
+        with pytest.raises(ValueError, match="csv line 3 has fewer than 4 fields"):
+            sequences_from_csv("n,value,bundle,coefficient\n0,1,trivial,F2\n1,2\n")
+
     def test_csv_round_trip(self):
         d0, dmu = unknot_f2_pair(-2, 2)
         text = sequence_to_csv([d0, dmu])
