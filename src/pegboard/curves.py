@@ -56,13 +56,6 @@ class Component:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
 
-    def segments(self) -> list[Segment]:
-        v = self.vertices
-        segs = [Segment(a, b) for a, b in zip(v, v[1:])]
-        if self.winding == 0:
-            segs.append(Segment(v[-1], v[0]))
-        return segs
-
     def cycle_length(self) -> int:
         """Number of segments in one cylinder traversal."""
         return len(self.vertices) if self.winding == 0 else len(self.vertices) - 1
@@ -241,9 +234,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self):
-        return self.ok
-
     def summary(self) -> str:
         if self.ok:
             return "valid"
@@ -278,34 +268,26 @@ def validate(d: CurveDiagram) -> ValidationReport:
         for p in c.vertices:
             if is_peg(p):
                 add("peg", f"vertex {p} lies on a peg", i)
-        try:
-            for seg in c.segments():
-                peg = segment_hits_peg(seg)
-                if peg is not None:
-                    add("peg", f"segment {seg.a}->{seg.b} passes through peg {peg}", i)
-        except ValueError as exc:
-            add("segment", str(exc), i)
+        ends = c.vertices[1:] + (c.vertices[:1] if c.winding == 0 else ())
+        for a, b in zip(c.vertices, ends):
+            if a == b:
+                continue  # reported above, as a repeat or as the closure
+            peg = segment_hits_peg(Segment(a, b))
+            if peg is not None:
+                add("peg", f"segment {a}->{b} passes through peg {peg}", i)
 
     if len(wrapping) != 1:
         add("distinguished", f"need exactly one wrapping component, found {len(wrapping)}")
     else:
-        g0 = d.components[wrapping[0]]
-        try:
-            crossings = seam_crossings(g0)
-            if len(crossings) != 1:
-                add(
-                    "seam",
-                    f"distinguished component crosses the seam {len(crossings)} times, expected once",
-                    wrapping[0],
-                )
-            elif crossings[0][1] != 0:
-                add(
-                    "seam",
-                    f"seam crossing at height {crossings[0][1]}, expected 0",
-                    wrapping[0],
-                )
-        except ValueError as exc:
-            add("seam", str(exc), wrapping[0])
+        crossings = seam_crossings(d.components[wrapping[0]])
+        if len(crossings) != 1:
+            add(
+                "seam",
+                f"distinguished component crosses the seam {len(crossings)} times, expected once",
+                wrapping[0],
+            )
+        elif crossings[0][1] != 0:
+            add("seam", f"seam crossing at height {crossings[0][1]}, expected 0", wrapping[0])
 
     for i, c in enumerate(d.components):
         if c.winding == 0 and _strip_offset(c) is None:
@@ -337,8 +319,8 @@ def anchor_at_seam(c: Component) -> Component:
 
     The returned path starts at (-1/2, y0) and ends at (1/2, y0), inserting
     an explicit vertex at the crossing if it falls inside a segment.  Curves
-    are unoriented; the stored direction is kept, flipped if needed so the
-    path runs left to right across the period.
+    are unoriented; the stored direction is kept: the stored period runs
+    left to right in net terms, so no flip is ever needed.
     """
     if c.winding != 1:
         raise ValueError("only wrapping components have a seam anchor")
@@ -373,18 +355,8 @@ def anchor_at_seam(c: Component) -> Component:
 
 @dataclass(frozen=True)
 class ExtremaCensus:
-    per_component: tuple[tuple[tuple[str, int], ...], ...]
     n_plus: dict
     n_minus: dict
-
-    def maxima(self, h: int) -> int:
-        return self.n_plus.get(h, 0)
-
-    def minima(self, h: int) -> int:
-        return self.n_minus.get(h, 0)
-
-    def total(self) -> int:
-        return sum(self.n_plus.values()) + sum(self.n_minus.values())
 
 
 def component_extrema(c: Component) -> list[tuple[str, int]]:
@@ -409,16 +381,13 @@ def component_extrema(c: Component) -> list[tuple[str, int]]:
 
 
 def extrema_census(d: CurveDiagram) -> ExtremaCensus:
-    per = []
     n_plus: dict = {}
     n_minus: dict = {}
     for c in d.components:
-        ext = tuple(component_extrema(c))
-        per.append(ext)
-        for kind, h in ext:
+        for kind, h in component_extrema(c):
             table = n_plus if kind == "max" else n_minus
             table[h] = table.get(h, 0) + 1
-    return ExtremaCensus(tuple(per), n_plus, n_minus)
+    return ExtremaCensus(n_plus, n_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ class GradingOutOfRange(ValueError):
 
 
 RULE_RANK_BOUND = "P5.2"
-RULE_RANK_EXCEPTION = "P5.3"
 RULE_DUAL_SIMPLE = "T1.4"
 
 
@@ -60,7 +59,6 @@ class MarkedBigon:
 class DiffMatrix:
     kind: str  # "phi" or "psi"
     slope: SlopeSpec
-    source_grading: Fraction
     rows: tuple[tuple[int, ...], ...]  # rows indexed by target points
     rank: int
     source_points: tuple[IPoint, ...]
@@ -157,7 +155,7 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         tuple(entries.get((i, j), 0) for j in range(len(src_pts))) for i in range(len(tgt_pts))
     )
     rank = gf2_rank(rows) if rows and src_pts else 0
-    return DiffMatrix(kind, slope, h, rows, rank, src_pts, tgt_pts, tuple(bigons))
+    return DiffMatrix(kind, slope, rows, rank, src_pts, tgt_pts, tuple(bigons))
 
 
 def _sweep_ranks(sweep: ArcSweep) -> tuple[int, int]:
@@ -309,10 +307,6 @@ class SpectralReport:
     @property
     def ok(self) -> bool:
         return self.first_page_collapse >= self.filling_dim
-
-    @property
-    def equality(self) -> bool:
-        return self.first_page_collapse == self.filling_dim
 
 
 def spectral_check(d: CurveDiagram, slope: SlopeSpec) -> SpectralReport:

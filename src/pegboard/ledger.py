@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -89,12 +89,11 @@ RULES = {
 
 @dataclass(frozen=True)
 class LedgerSequence:
-    """A sparse integer sequence with bundle/coefficient tags and provenance."""
+    """A sparse integer sequence with bundle/coefficient tags."""
 
     values: dict
     bundle: str = BUNDLE_TRIVIAL
     coefficient: str = COEFF_C
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "values", {int(k): int(v) for k, v in self.values.items()})
@@ -115,9 +114,6 @@ class LedgerSequence:
     def span(self) -> tuple[int, int]:
         ks = sorted(self.values)
         return ks[0], ks[-1]
-
-    def tagged(self, n: int) -> str:
-        return self.provenance.get(n, "input")
 
 
 def sequences_from_csv(text: str) -> dict:
@@ -219,21 +215,15 @@ def dim_seq_C(shape: str, nu_sharp: int, base: int, span: tuple[int, int]) -> Le
     if base < 1:
         raise ValueError("base dimension must be at least 1")
     lo, hi = span
-    vals = {}
-    prov = {}
     if shape == "V":
-        for n in range(lo, hi + 1):
-            vals[n] = base + abs(n - nu_sharp)
-            prov[n] = "derived-by L2.6"
+        vals = {n: base + abs(n - nu_sharp) for n in range(lo, hi + 1)}
     elif shape == "W":
         if nu_sharp != 0:
             raise BadShape("W-shape sequences have valley invariant 0")
-        for n in range(lo, hi + 1):
-            vals[n] = base + 2 if n == 0 else base + abs(n)
-            prov[n] = "derived-by L2.6"
+        vals = {n: base + 2 if n == 0 else base + abs(n) for n in range(lo, hi + 1)}
     else:
         raise BadShape(f"unknown shape {shape!r}")
-    return LedgerSequence(vals, BUNDLE_TRIVIAL, COEFF_C, prov)
+    return LedgerSequence(vals, BUNDLE_TRIVIAL, COEFF_C)
 
 
 def half_dim_C(n: int, nu_sharp: int, dim_n: int) -> int:
@@ -252,8 +242,7 @@ def dgamma_seq(tau: int, min_value: int, span: tuple[int, int]) -> LedgerSequenc
         raise ValueError("minimum value must be at least 1")
     lo, hi = span
     vals = {n: min_value + abs(n - 2 * tau) for n in range(lo, hi + 1)}
-    prov = {n: "derived-by L2.5" for n in vals}
-    return LedgerSequence(vals, BUNDLE_TRIVIAL, COEFF_C, prov)
+    return LedgerSequence(vals, BUNDLE_TRIVIAL, COEFF_C)
 
 
 def triangle_check(a: int, b: int, c: int) -> bool:
@@ -387,17 +376,18 @@ def no_torsion_consequence(n: int, shape: str, nu_sharp: int, tau: int) -> Conse
 
 @dataclass(frozen=True)
 class ShapeClass:
-    kind: str  # "V", "W", "GeneralizedW"
     nu_plus: int
     nu_minus: int
 
     def __post_init__(self):
-        if self.kind == "V" and self.nu_plus != self.nu_minus:
-            raise ValueError("V shape needs equal edge invariants")
-        if self.kind == "W" and self.nu_plus != self.nu_minus + 2:
-            raise ValueError("W shape needs edge invariants two apart")
-        if self.kind == "GeneralizedW" and self.nu_plus <= self.nu_minus + 2:
+        gap = self.nu_plus - self.nu_minus
+        if gap < 3 and gap not in (0, 2):
             raise ValueError("generalized W needs edge invariants more than two apart")
+
+    @property
+    def kind(self) -> str:
+        """V, W or GeneralizedW: edge invariants 0, 2 or more than 2 apart."""
+        return {0: "V", 2: "W"}.get(self.nu_plus - self.nu_minus, "GeneralizedW")
 
     @property
     def width(self) -> Fraction:
@@ -413,16 +403,14 @@ class ShapeReport:
     notes: tuple[str, ...]
 
 
-def _nu_plus(seq: LedgerSequence) -> int:
-    lo, hi = seq.span()
+def _nu_plus(seq: LedgerSequence, lo: int, hi: int) -> int:
     n = hi
     while n - 1 >= lo and seq.get(n) == seq.get(n - 1) + 1:
         n -= 1
     return n
 
 
-def _nu_minus(seq: LedgerSequence) -> int:
-    lo, hi = seq.span()
+def _nu_minus(seq: LedgerSequence, lo: int, hi: int) -> int:
     n = lo
     while n + 1 <= hi and seq.get(n) == seq.get(n + 1) + 1:
         n += 1
@@ -488,7 +476,7 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
     if d0.coefficient != COEFF_F2 or dmu.coefficient != COEFF_F2:
         raise ValueError("shape classification is for mod-2 sequences")
     lo, hi = _common_range(d0, dmu)
-    nu_p, nu_m = _nu_plus(_slice(d0, lo, hi)), _nu_minus(_slice(d0, lo, hi))
+    nu_p, nu_m = _nu_plus(d0, lo, hi), _nu_minus(d0, lo, hi)
     if nu_p >= hi or nu_m <= lo:
         raise RangeTooSmall("range does not exhibit the eventual unit slopes")
     _check_step_rules(d0, dmu, lo, hi)
@@ -497,7 +485,6 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
 
     notes = []
     if nu_p == nu_m:
-        kind = "V"
         m = nu_p
         for n in range(lo, hi + 1):
             diff = dmu.get(n) - d0.get(n)
@@ -508,7 +495,6 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
         if m % 2 != 0 and dmu.get(m) != d0.get(m):
             raise ConstraintViolation("P3.16", "V shape: odd valley must agree")
     elif nu_p == nu_m + 2:
-        kind = "W"
         m = nu_p - 1
         if m % 2 == 0:
             for n in range(lo, hi + 1):
@@ -521,7 +507,6 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
                 if dmu.get(n) != want:
                     raise ConstraintViolation("P3.16", f"W shape (odd middle): bad twisted value at n={n}")
     else:
-        kind = "GeneralizedW"
         sign = 2 if nu_p % 2 != 0 else -2
         for n in range(lo, hi + 1):
             if n % 2 == 0 and nu_m <= n <= nu_p:
@@ -535,19 +520,11 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
             "interior zigzag values between the edge invariants are reported as given; "
             "the shape rules do not pin them further"
         )
-    shape = ShapeClass(kind, nu_p, nu_m)
-    mu_p, mu_m = _nu_plus(_slice(dmu, lo, hi)), _nu_minus(_slice(dmu, lo, hi))
-    mu_kind = "V" if mu_p == mu_m else ("W" if mu_p == mu_m + 2 else "GeneralizedW")
-    shape_mu = ShapeClass(mu_kind, mu_p, mu_m)
+    shape = ShapeClass(nu_p, nu_m)
+    shape_mu = ShapeClass(_nu_plus(dmu, lo, hi), _nu_minus(dmu, lo, hi))
     if shape.width != shape_mu.width and abs(shape.width - shape_mu.width) != 1:
         raise ConstraintViolation("P3.16", "widths of the two sequences must agree or differ by 1")
     return ShapeReport(shape, shape_mu, shape.width, shape_mu.width, tuple(notes))
-
-
-def _slice(seq: LedgerSequence, lo: int, hi: int) -> LedgerSequence:
-    return LedgerSequence(
-        {n: seq.values[n] for n in range(lo, hi + 1)}, seq.bundle, seq.coefficient
-    )
 
 
 def mirror_sequence(seq: LedgerSequence) -> LedgerSequence:

@@ -20,8 +20,9 @@ one lift gets removed whenever the loop they bound has winding number zero
 around every peg.  The removal order does not change the final count
 (tested property).  Besides the points, cancellation needs one integer, the
 lift step: how a lift index changes when a point moves by (1, 0).  It is 1
-for arcs and the vertical family, -p for a slanted family and 0 for
-horizontal lines, each of which holds every translate of its points.
+for arcs and a filling family's x coefficient otherwise: 1 for the vertical
+family, -p for a slanted one and 0 for horizontal lines, each of which holds
+every translate of its points.
 Within one `cancel_bigons` call each adjacent pair's geometry is computed
 once: its subarc, the same-lift test, the closing loop and the peg check.
 Only the test for another live point on the lift's piece depends on what
@@ -31,17 +32,18 @@ tested again only after that point is gone.  The peg check,
 crossings with the integer columns.
 
 Either kind lies on the level sets of one linear form, so every raw count
-is one `Component.level_crossings` scan per component.  A filling family's
-lines are the integer levels of `_family_form`, the form that also decides
-the family's offset (`raw_intersections`).  Every arc of a slope lies on a
-level of F = p*x - q*y (of x for 1/0), so `ArcSweep`, one object per
-(diagram, slope), finds the crossings of every grading in one scan and files
-each under the one arc that contains it.  A level holding a segment, or two
-consecutive vertices, is degenerate: pairing with a lift on it raises
-`DegenerateIncidence`.  The sweep cancels bigons once per grading and keeps
-the result, so the graded dimensions and both differentials of one slope
-share the work.  Cancellation and the marked bigons of `differentials`
-follow the curve between two intersections with `subarc`.
+is one `Component.level_crossings` scan per component.  A filling family is
+its form f = a*x + b*y + c, and lift k is the line f = k: the form numbers
+the raw points (`raw_intersections`), decides the offset
+(`_family_is_clean`) and picks the lifts that meet a box (`lift_indices`).
+Every arc of a slope lies on a level of F = p*x - q*y, so `ArcSweep`, one
+object per (diagram, slope), finds the crossings of every grading in one
+scan and files each under the one arc that contains it.  A level holding a
+segment, or two consecutive vertices, is degenerate: pairing with a lift on
+it raises `DegenerateIncidence`.  The sweep cancels bigons once per grading
+and keeps the result, so the graded dimensions and both differentials of
+one slope share the work.  Cancellation and the marked bigons of
+`differentials` follow the curve between two intersections with `subarc`.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import (
     HALF,
-    ONE,
     ZERO,
     Box,
     Point,
@@ -191,64 +192,42 @@ class PairingReport:
 class _LineFamily:
     """The plane preimage of the slope-p/q filling curve, pushed off the seam.
 
-    Slanted lines (p != 0, q >= 1) pass through (1/2 + delta, k/q); the
-    vertical family is x = 1/2 + delta + k; the 0-filling uses horizontal
-    lines on the half-integer rows, y = k + 1/2 + delta.
+    The family is one affine form f(x, y) = a*x + b*y + c, and lift k is
+    the line f = k:
+
+    * slanted (p != 0, q >= 1): (-p, q, p*(1/2 + delta)), the lines of
+      slope p/q through (1/2 + delta, k/q);
+    * vertical 1/0: (1, 0, -(1/2 + delta)), the lines x = 1/2 + delta + k;
+    * horizontal 0/1: (0, 1, -(1/2 + delta)), the half-integer rows
+      y = k + 1/2 + delta of the 0-filling.
     """
 
     def __init__(self, slope: SlopeSpec, delta: Fraction):
         self.slope = slope
         self.delta = delta
+        p, q = slope.p, slope.q
+        if p and q:
+            self.a, self.b, self.c = -p, q, p * (HALF + delta)
+        else:  # 1/0 is (p, q) = (1, 0) and 0/1 is (0, 1)
+            self.a, self.b, self.c = p, q, -(HALF + delta)
 
-    def anchor_dir(self, k: int) -> tuple[Point, tuple[Fraction, Fraction]]:
-        p, q = self.slope.p, self.slope.q
-        if self.slope.is_vertical:
-            return Point(HALF + self.delta + k, ZERO), (ZERO, ONE)
-        if p == 0:
-            return Point(ZERO, Fraction(k) + HALF + self.delta), (ONE, ZERO)
-        return Point(HALF + self.delta, Fraction(k, q)), (Fraction(q), Fraction(p))
+    def form(self, v: Point) -> Fraction:
+        return self.a * v.x + self.b * v.y + self.c
 
     def lift_indices(self, box: Box) -> range:
-        p, q = self.slope.p, self.slope.q
-        if self.slope.is_vertical:
-            lo = box.xmin - HALF - self.delta
-            hi = box.xmax - HALF - self.delta
-        elif p == 0:
-            lo = box.ymin - HALF - self.delta
-            hi = box.ymax - HALF - self.delta
-        else:
-            corners = [
-                q * y - p * (x - HALF - self.delta)
-                for x in (box.xmin, box.xmax)
-                for y in (box.ymin, box.ymax)
-            ]
-            lo, hi = min(corners), max(corners)
-        return range(math.ceil(lo), math.floor(hi) + 1)
+        """The lifts that meet the box: the range of f over its corners."""
+        corners = [self.form(Point(x, y))
+                   for x in (box.xmin, box.xmax) for y in (box.ymin, box.ymax)]
+        return range(math.ceil(min(corners)), math.floor(max(corners)) + 1)
 
     @property
     def step(self) -> int:
         """How a lift index changes when a point moves by (1, 0)."""
-        return 1 if self.slope.is_vertical else -self.slope.p
+        return self.a
 
 
 # ---------------------------------------------------------------------------
 # Raw intersections
-
-
-def _family_form(fam: _LineFamily) -> Callable[[Point], Fraction]:
-    """The linear form whose integer levels are the family's lines.
-
-    With lift 0 through `anchor` in the integer direction (dx, dy), this is
-    f(v) = (v.y - anchor.y) * dx - (v.x - anchor.x) * dy.  Lift k is the
-    level f = k; for the vertical family, whose lifts step the other way,
-    it is f = -k.
-    """
-    anchor, (dx, dy) = fam.anchor_dir(0)
-
-    def form(v: Point) -> Fraction:
-        return (v.y - anchor.y) * dx - (v.x - anchor.x) * dy
-
-    return form
 
 
 def _degenerate_incidence(c: Component, k: int, event: tuple[int, bool]) -> DegenerateIncidence:
@@ -269,20 +248,18 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
     """All transversal intersections with a filling family, one record per
     quotient point.
 
-    Sorted by component, then position along it: one level scan of
-    `_family_form` per component.  The first component with a degenerate
-    level raises `DegenerateIncidence` for its smallest lift on one, at that
-    level's first event.
+    Sorted by component, then position along it: one level scan of the
+    family's form per component, level m being lift m.  The first component
+    with a degenerate level raises `DegenerateIncidence` for its smallest
+    lift on one, at that level's first event.
     """
-    sign = -1 if fam.slope.is_vertical else 1
-    form = _family_form(fam)
     points: list[IPoint] = []
     for ci, c in enumerate(d.components):
-        crossings, degenerate = c.level_crossings(form, ZERO)
+        crossings, degenerate = c.level_crossings(fam.form, ZERO)
         if degenerate:
-            raise _degenerate_incidence(c, *min((sign * m, e) for m, e in degenerate.items()))
+            raise _degenerate_incidence(c, *min(degenerate.items()))
         for pos, point, m in crossings:
-            points.append(IPoint(ci, pos, point, sign * m))
+            points.append(IPoint(ci, pos, point, m))
     return points
 
 
@@ -301,20 +278,13 @@ def _canonical_delta(d: CurveDiagram) -> Fraction:
 def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     """No peg and no curve vertex on any line of the family.
 
-    The lines are the integer levels of `_family_form`'s f, so the family
+    The lines are the integer levels of the family's form f, so the family
     is clean iff f is non-integral at every vertex and at the peg (0, 1/2).
-    Up to sign, these are the values that must be non-integral:
-
-    * slanted (q >= 1, p != 0): q*y - p*(x - 1/2 - delta) at every vertex,
-      and p*delta + (p + q)/2;
-    * vertical (q = 0): x - 1/2 - delta at every vertex, and 1/2 + delta;
-    * horizontal (p = 0): y - 1/2 - delta at every vertex, and delta.
-
-    Translating a point by (1, 0) or (0, 1) shifts f by the integer -dy or
-    dx, so one vertex stands for all its horizontal translates and one peg
-    for the whole peg lattice (i, j + 1/2).
+    Translating a point by (1, 0) or (0, 1) shifts f by the integer a or b,
+    so one vertex stands for all its horizontal translates and one peg for
+    the whole peg lattice (i, j + 1/2).
     """
-    form = _family_form(fam)
+    form = fam.form
     if form(Point(ZERO, HALF)).denominator == 1:
         return False
     return all(form(v).denominator != 1 for c in d.components for v in c.vertices)
@@ -490,11 +460,11 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
 # Public pairing operations
 
 
-def surgery_report(d: CurveDiagram, slope: SlopeSpec, order_seed: Optional[int] = None) -> PairingReport:
+def surgery_report(d: CurveDiagram, slope: SlopeSpec) -> PairingReport:
     """Minimal intersection count with the slope-p/q filling family."""
     fam = line_family(d, slope)
     pts = raw_intersections(d, fam)
-    live, audit = cancel_bigons(pts, d, fam.step, order_seed)
+    live, audit = cancel_bigons(pts, d, fam.step)
     p = abs(slope.p)
     counts: dict = {}
     for ip in live:
@@ -525,13 +495,15 @@ def grading_range(d: CurveDiagram, slope: SlopeSpec) -> list[Fraction]:
 class ArcSweep:
     """The arcs of one slope against one diagram, every grading from one scan.
 
-    With F = p*x - q*y (F = x for 1/0), lift k of the grading-h arc lies on
-    the level set F = p*k - q*h + q*p/2, so every arc line is a level F in
-    Z + q/2 (in Z for 1/0).  One `Component.level_crossings` scan per
-    component finds every transversal crossing with such a level.  The
-    crossing belongs to exactly one arc: the lift k with u = (x - k)/q in
-    [0, 1] whose height puts the arc on that level (for 1/0, the integer h
-    within 1/2 of y).  Only a point on an arc end, a peg, can lie on two.
+    With F = p*x - q*y (x itself for 1/0, where (p, q) = (1, 0)), lift k of
+    the grading-h arc lies on the level set F = p*k - q*h + q*p/2, so every
+    arc line is a level F in Z + q/2: on the level j + q/2, the lift-k arc
+    at grading key n = h - (p - 1)/2 has j = p*k - q*n.  One
+    `Component.level_crossings` scan per component finds every transversal
+    crossing with such a level.  The crossing belongs to exactly one arc:
+    the lift k with u = (x - k)/q in [0, 1] whose key n solves that
+    relation (for 1/0, the integer h within 1/2 of y).  Only a point on an
+    arc end, a peg, can lie on two.
 
     A grading raises `DegenerateIncidence` when it is asked for if a lift
     that meets a component's bounding box, padded by 1/100, lies on a
@@ -555,9 +527,9 @@ class ArcSweep:
         arc = ArcLift(self.slope, h)
         if self._raw is None:
             self._sweep()
-        self._check_degenerate(arc)
-        key = arc.height - Fraction(self.slope.p - 1, 2)  # 1/0 has p = 1
-        return list(self._raw.get(int(key), ()))
+        n = int(arc.height - Fraction(self.slope.p - 1, 2))  # 1/0 has p = 1
+        self._check_degenerate(arc, n)
+        return list(self._raw.get(n, ()))
 
     def points(self, h) -> tuple[IPoint, ...]:
         """Minimal-position intersection points with the grading-h arc."""
@@ -577,18 +549,17 @@ class ArcSweep:
                 dims[h] = n
         return dims
 
-    def _check_degenerate(self, arc: ArcLift) -> None:
+    def _check_degenerate(self, arc: ArcLift, n: int) -> None:
         p, q = self.slope.p, self.slope.q
-        shift = self._off + q * arc.height - Fraction(q * p, 2)  # level m is lift (m + shift)/p
         for c, degenerate in zip(self.diagram.components, self._degenerate):
             if not degenerate:
                 continue
             lifts = arc.lift_indices(c.bbox().pad(Fraction(1, 100)))
             hits = []
             for m, event in degenerate.items():
-                k = (m + shift) / p
-                if k.denominator == 1 and k.numerator in lifts:
-                    hits.append((k.numerator, event))
+                k, r = divmod(m - q // 2 + q * n, p)  # level m is j + q/2, j = p*k - q*n
+                if not r and k in lifts:
+                    hits.append((k, event))
             if hits:
                 raise _degenerate_incidence(c, *min(hits))
 
@@ -599,7 +570,7 @@ class ArcSweep:
         raw: dict[int, list[IPoint]] = {}
 
         def form(v: Point) -> Fraction:
-            return v.x if vertical else p * v.x - q * v.y
+            return p * v.x - q * v.y
 
         def emit(ci: int, pos: Fraction, point: Point, m: int) -> None:
             """File the crossing of `point` with level m + off under its arc."""
@@ -609,7 +580,7 @@ class ArcSweep:
                 for n in range(math.ceil(y - HALF), math.floor(y + HALF) + 1):
                     raw.setdefault(n, []).append(ip)
                 return
-            j = m - q // 2  # the level is j + q/2
+            j = m - q // 2  # the level is j + q/2, so j = p*k - q*n
             x = point.x
             kx = math.floor(x)
             k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q

@@ -39,16 +39,13 @@ def _polyline(points: Sequence[Point], color: str, width: str, dashed=False, opa
 def _overlay_lines(d: CurveDiagram, slope: SlopeSpec, window: Box) -> list[str]:
     fam = line_family(d, slope)
     out = []
-    for k in fam.lift_indices(window):
-        anchor, (dx, dy) = fam.anchor_dir(k)
-        if dx == 0:
-            a = Point(anchor.x, window.ymin)
-            b = Point(anchor.x, window.ymax)
+    for k in fam.lift_indices(window):  # line k is the level set fam.form = k
+        if fam.b == 0:
+            x = (k - fam.c) / fam.a
+            ends = [Point(x, window.ymin), Point(x, window.ymax)]
         else:
-            ya = anchor.y + (window.xmin - anchor.x) * dy / dx
-            yb = anchor.y + (window.xmax - anchor.x) * dy / dx
-            a, b = Point(window.xmin, ya), Point(window.xmax, yb)
-        out.append(_polyline([a, b], "#c0392b", "1.5", dashed=True))
+            ends = [Point(x, (k - fam.c - fam.a * x) / fam.b) for x in (window.xmin, window.xmax)]
+        out.append(_polyline(ends, "#c0392b", "1.5", dashed=True))
     return out
 
 

@@ -12,7 +12,8 @@ and `raw_intersections` for filling line families, at the chosen offset
 and at offsets that put vertices on the lines.  The walk pairs the arc
 objects that pairing used before `ArcLift.lift_indices` replaced them,
 copied verbatim with `_u_param`: `ArcLift.lift_indices` must pick the
-lifts `_ArcObject.lift_indices` did.
+lifts `_ArcObject.lift_indices` did.  It reads a filling family through
+`_LineObject`, the anchor-and-direction copy in `test_offset`.
 """
 
 import math
@@ -41,6 +42,7 @@ from pegboard.pairing import (
 )
 from pegboard.render import render_svg
 from pegboard.textfmt import parse_curve_text
+from test_offset import _LineObject
 
 # ---------------------------------------------------------------------------
 # The per-lift walk (reference)
@@ -71,7 +73,7 @@ class _ArcObject:
         return self.arc.height
 
 
-PairObject = Union[_LineFamily, _ArcObject]
+PairObject = Union[_LineObject, _ArcObject]
 
 
 def _u_param(obj: PairObject, k: int, point: Point) -> Fraction:
@@ -115,7 +117,7 @@ def _arc_contains(obj, k, point):
 
 
 def contains(obj, k, point):
-    if isinstance(obj, _LineFamily):
+    if isinstance(obj, _LineObject):
         return _line_contains(obj, k, point)
     return _arc_contains(obj, k, point)
 
@@ -165,6 +167,8 @@ def _considered_lifts(obj, c):
 
 def reference_raw_intersections(d, obj):
     """All transversal intersections, one record per quotient point."""
+    if isinstance(obj, _LineFamily):
+        obj = _LineObject(obj)
     points = []
     for ci, c in enumerate(d.components):
         for k in _considered_lifts(obj, c):

@@ -44,8 +44,23 @@ class TestValidation:
         # end vertex or a repeated vertex is not counted again as a seam fault.
         ends_wrong = Component((pt(F(-1, 2), 0), pt(F(3, 2), 0)), 1)
         repeated = Component((pt(F(-1, 2), 0), pt(0, 0), pt(0, 0), pt(F(1, 2), 0)), 1)
-        for c, codes in ((ends_wrong, ["closure"]), (repeated, ["repeat", "segment"])):
+        for c, codes in ((ends_wrong, ["closure"]), (repeated, ["repeat"])):
             report = validate(CurveDiagram((c,), "broken"))
+            assert [v.code for v in report.violations] == codes
+
+    def test_repeated_vertex_hides_no_other_fault(self):
+        # The segment from (-1/4, 1) to (1/4, 0) passes through the peg
+        # (0, 1/2) of a period that repeats (1/4, 0); a closed component that
+        # repeats its first vertex has one fault, its closure.
+        through_peg = Component(
+            (pt(F(-1, 2), 0), pt(F(-1, 4), 1), pt(F(1, 4), 0), pt(F(1, 4), 0), pt(F(1, 2), 0)), 1
+        )
+        line = Component((pt(F(-1, 2), 0), pt(F(1, 2), 0)), 1)
+        closed = Component(
+            (pt(0, F(3, 4)), pt(F(1, 8), F(1, 4)), pt(F(-1, 8), F(1, 4)), pt(0, F(3, 4))), 0
+        )
+        for comps, codes in (((through_peg,), ["repeat", "peg"]), ((line, closed), ["closure"])):
+            report = validate(CurveDiagram(comps, "broken"))
             assert [v.code for v in report.violations] == codes
 
     def test_unpaired_asymmetric_component_breaks_symmetry(self, zoo):

@@ -2,6 +2,10 @@
 
 `reference_family_is_clean` is the lift-by-lift search that the closed-form
 `pairing._family_is_clean` replaced; it is kept here, unchanged, as the oracle.
+It reads each lift through `_LineObject`, the anchor-and-direction model of a
+line family that `_LineFamily`'s affine form replaced, copied verbatim:
+`_LineFamily.lift_indices` must pick the lifts it picked, and each of its
+lines must be the level of the form with its own number.
 """
 
 import math
@@ -12,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegboard.curves import CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
-from pegboard.geometry import HALF, Box, Point
+from pegboard.geometry import HALF, ONE, ZERO, Box, Point
 from pegboard.pairing import (
     SlopeSpec,
     _canonical_delta,
@@ -20,10 +24,50 @@ from pegboard.pairing import (
     _LineFamily,
     line_family,
 )
+from pegboard.render import render_svg
+
+
+class _LineObject:
+    """A filling family as an anchor and a direction per lift (reference).
+
+    Slanted lines (p != 0, q >= 1) pass through (1/2 + delta, k/q); the
+    vertical family is x = 1/2 + delta + k; the 0-filling uses horizontal
+    lines on the half-integer rows, y = k + 1/2 + delta.
+    """
+
+    def __init__(self, fam: _LineFamily):
+        self.slope = fam.slope
+        self.delta = fam.delta
+
+    def anchor_dir(self, k: int) -> tuple[Point, tuple[Fraction, Fraction]]:
+        p, q = self.slope.p, self.slope.q
+        if self.slope.is_vertical:
+            return Point(HALF + self.delta + k, ZERO), (ZERO, ONE)
+        if p == 0:
+            return Point(ZERO, Fraction(k) + HALF + self.delta), (ONE, ZERO)
+        return Point(HALF + self.delta, Fraction(k, q)), (Fraction(q), Fraction(p))
+
+    def lift_indices(self, box: Box) -> range:
+        p, q = self.slope.p, self.slope.q
+        if self.slope.is_vertical:
+            lo = box.xmin - HALF - self.delta
+            hi = box.xmax - HALF - self.delta
+        elif p == 0:
+            lo = box.ymin - HALF - self.delta
+            hi = box.ymax - HALF - self.delta
+        else:
+            corners = [
+                q * y - p * (x - HALF - self.delta)
+                for x in (box.xmin, box.xmax)
+                for y in (box.ymin, box.ymax)
+            ]
+            lo, hi = min(corners), max(corners)
+        return range(math.ceil(lo), math.floor(hi) + 1)
 
 
 def reference_family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     """No peg and no (translated) curve vertex on any relevant line."""
+    fam = _LineObject(fam)
     box = d.bbox().pad(1)
     box = Box(box.xmin - 1, box.xmax + 1, box.ymin - abs(fam.slope.p) - 1, box.ymax + abs(fam.slope.p) + 1)
     for k in fam.lift_indices(box):
@@ -81,7 +125,7 @@ def _adversarial_deltas(d: CurveDiagram, slope: SlopeSpec) -> list[Fraction]:
 def _agree(d: CurveDiagram, slope: SlopeSpec, delta: Fraction) -> bool:
     fam = _LineFamily(slope, delta)
     want = reference_family_is_clean(d, fam)
-    assert _family_is_clean(d, fam) == want, (d.name, str(slope), delta)
+    assert _family_is_clean(d, fam) == want, (d.source, str(slope), delta)
     return want
 
 
@@ -146,3 +190,43 @@ def test_halving_path(name, slope, delta):
     d = build_zoo(name)
     assert _canonical_delta(d) == Fraction(1, 8)
     assert line_family(d, slope).delta == delta
+
+
+# Both special families, both unit slopes, q = 2 and 3 and the cap slope.
+FORM_SLOPES = [SlopeSpec(1, 0), SlopeSpec(0, 1), SlopeSpec(1, 1), SlopeSpec(-1, 1),
+               SlopeSpec(3, 2), SlopeSpec(-7, 3), SlopeSpec(63, 31)]
+
+
+def test_lift_k_is_the_level_k_of_the_form(monkeypatch):
+    # The windows lifts are picked from: each zoo diagram's padded bounding
+    # box, the box `reference_family_is_clean` searches, and the window
+    # `render_svg` draws a family's lines over.
+    drawn = []
+    original = _LineFamily.lift_indices
+
+    def recording(fam, box):
+        drawn.append(box)
+        return original(fam, box)
+
+    monkeypatch.setattr(_LineFamily, "lift_indices", recording)
+    for name in zoo_names():
+        render_svg(build_zoo(name), overlay=SlopeSpec(1, 1))
+    monkeypatch.undo()
+    assert len(drawn) == len(zoo_names())
+    for name in zoo_names():
+        d = build_zoo(name)
+        box = d.bbox().pad(1)
+        for slope in FORM_SLOPES:
+            searched = Box(box.xmin - 1, box.xmax + 1,
+                           box.ymin - abs(slope.p) - 1, box.ymax + abs(slope.p) + 1)
+            windows = drawn + [d.bbox().pad(Fraction(1, 100)), searched]
+            for delta in (Fraction(1, 10), _canonical_delta(d)):
+                fam = _LineFamily(slope, delta)
+                ref = _LineObject(fam)
+                for window in windows:
+                    lifts = fam.lift_indices(window)
+                    assert lifts == ref.lift_indices(window), (name, str(slope), delta, window)
+                    for k in lifts:
+                        anchor, (dx, dy) = ref.anchor_dir(k)
+                        assert fam.form(anchor) == k, (name, str(slope), delta, k)
+                        assert fam.form(Point(anchor.x + dx, anchor.y + dy)) == k
