@@ -177,34 +177,33 @@ def _strip_offset(c: Component) -> Optional[int]:
     return ks.pop() if len(ks) == 1 else None
 
 
-def _canonical_cycle(c: Component) -> tuple:
-    """Translation/rotation/reversal-invariant key for a closed component."""
-    k = _strip_offset(c)
-    verts = [p.translate(-k) for p in c.vertices] if k is not None else list(c.vertices)
-    n = len(verts)
-    best = None
-    for seq in (verts, list(reversed(verts))):
-        for start in range(n):
-            cand = tuple((seq[(start + i) % n].x, seq[(start + i) % n].y) for i in range(n))
-            if best is None or cand < best:
-                best = cand
-    return best
+def _canonical_cycle(c: Component) -> Optional[tuple]:
+    """Translation/rotation/reversal-invariant key for a closed component.
+
+    The component is moved into the strip around x = 0 when it is confined
+    to one, and its vertices become one tuple of (x, y) pairs; the key is
+    the least of that cycle's rotations, read in both directions.  A
+    component with no vertices has the key None.
+    """
+    k = _strip_offset(c) or 0
+    seq = tuple((p.x - k, p.y) for p in c.vertices)
+    return min((s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(s))), default=None)
 
 
 def _x(v: Point) -> Fraction:
     return v.x
 
 
-def seam_crossings(c: Component) -> list[tuple[Fraction, Fraction]]:
+def seam_crossings(c: Component) -> list[tuple[Fraction, Point]]:
     """Transversal crossings of the seam lines x in 1/2 + Z along one period.
 
-    Returns (position, y) pairs, where position is the path parameter
+    Returns (position, point) pairs, where position is the path parameter
     (segment index plus fraction), by `Component.level_crossings`: a
     crossing at a vertex counts once, iff its cyclic neighbors straddle the
     seam line; touching without crossing does not count.
     """
     crossings, _ = c.level_crossings(_x, HALF)
-    return [(pos, point.y) for pos, point, _ in crossings]
+    return [(pos, point) for pos, point, _ in crossings]
 
 
 def height_band(y: Fraction) -> int:
@@ -276,9 +275,10 @@ def validate(d: CurveDiagram) -> ValidationReport:
             if peg is not None:
                 add("peg", f"segment {a}->{b} passes through peg {peg}", i)
 
+    crossings = []
     if len(wrapping) != 1:
         add("distinguished", f"need exactly one wrapping component, found {len(wrapping)}")
-    else:
+    elif len(d.components[wrapping[0]].vertices) >= 2:  # else reported above
         crossings = seam_crossings(d.components[wrapping[0]])
         if len(crossings) != 1:
             add(
@@ -286,18 +286,27 @@ def validate(d: CurveDiagram) -> ValidationReport:
                 f"distinguished component crosses the seam {len(crossings)} times, expected once",
                 wrapping[0],
             )
-        elif crossings[0][1] != 0:
-            add("seam", f"seam crossing at height {crossings[0][1]}, expected 0", wrapping[0])
+        elif crossings[0][1].y != 0:
+            add("seam", f"seam crossing at height {crossings[0][1].y}, expected 0", wrapping[0])
 
     for i, c in enumerate(d.components):
         if c.winding == 0 and _strip_offset(c) is None:
             add("confined", "closed component must stay strictly inside one vertical strip", i)
 
-    # Half-turn symmetry as a multiset congruence of components.
+    # Half-turn symmetry as a multiset congruence of components.  The half
+    # turn maps the seam crossing to the seam crossing, so the rotated
+    # period, anchored, is the anchored period turned.
     if not bad:
-        original = sorted(_component_key(c) for c in d.components)
-        rotated = sorted(_component_key(c.rotate180()) for c in d.components)
-        if original != rotated:
+        original, rotated = [], []
+        for c in d.components:
+            if c.winding == 0:
+                original.append((0, _canonical_cycle(c)))
+                rotated.append((0, _canonical_cycle(c.rotate180())))
+            else:
+                anchored = anchor_at_crossing(c, crossings[0])
+                original.append((1, _vertex_key(anchored)))
+                rotated.append((1, _vertex_key(anchored.rotate180())))
+        if sorted(original) != sorted(rotated):
             add("symmetry", "component multiset is not invariant under the half turn about (0, 0)")
     return ValidationReport(tuple(bad))
 
@@ -305,46 +314,50 @@ def validate(d: CurveDiagram) -> ValidationReport:
 def _component_key(c: Component) -> tuple:
     if c.winding == 0:
         return (0, _canonical_cycle(c))
-    return (1, _canonical_period(c))
+    return (1, _vertex_key(anchor_at_seam(c)))
 
 
-def _canonical_period(c: Component) -> tuple:
-    """Key for a wrapping component: re-based at its seam crossing, left to right."""
-    anchored = anchor_at_seam(c)
-    return tuple((p.x, p.y) for p in anchored.vertices)
+def _vertex_key(c: Component) -> tuple:
+    """Key for a wrapping component re-based at its seam crossing."""
+    return tuple((p.x, p.y) for p in c.vertices)
 
 
 def anchor_at_seam(c: Component) -> Component:
     """Re-parameterize a wrapping component to start at its seam crossing.
 
-    The returned path starts at (-1/2, y0) and ends at (1/2, y0), inserting
-    an explicit vertex at the crossing if it falls inside a segment.  Curves
-    are unoriented; the stored direction is kept: the stored period runs
-    left to right in net terms, so no flip is ever needed.
+    Scans the period for its seam crossings, which must be exactly one, and
+    anchors it there with `anchor_at_crossing`.
     """
     if c.winding != 1:
         raise ValueError("only wrapping components have a seam anchor")
     crossings = seam_crossings(c)
     if len(crossings) != 1:
         raise ValueError("component must cross the seam exactly once")
-    pos, _ = crossings[0]
-    n = c.cycle_length()
+    return anchor_at_crossing(c, crossings[0])
+
+
+def anchor_at_crossing(c: Component, crossing: tuple[Fraction, Point]) -> Component:
+    """Re-parameterize a wrapping component to start at the given seam crossing.
+
+    `crossing` is a (position, point) pair from `seam_crossings(c)`.  The
+    returned path starts at (-1/2, y0) and ends at (1/2, y0), y0 the
+    crossing's height, inserting an explicit vertex at the crossing if it
+    falls inside a segment.  Curves are unoriented; the stored direction is
+    kept: the stored period runs left to right in net terms (its closure is
+    +(1, 0)), so no flip is ever needed.
+    """
+    pos, point = crossing
     i = math.floor(pos)
-    t = pos - i
-    seg_a, seg_b = c.lifted(i), c.lifted(i + 1)
-    xline = seg_a.x + t * (seg_b.x - seg_a.x)
-    # Shift so the crossing's seam line becomes x = -1/2.  The stored period
-    # always runs left to right in net terms (its closure is +(1, 0)), so no
-    # orientation flip is ever needed.
-    shift = -HALF - xline
+    shift = -HALF - point.x  # the crossing's seam line becomes x = -1/2
 
     def lift(j: int) -> Point:
         return c.lifted(i + j).translate(shift)
 
-    if t == 0:
+    n = c.cycle_length()
+    if pos == i:
         path = [lift(j) for j in range(n + 1)]
     else:
-        start = Point(-HALF, seg_a.y + t * (seg_b.y - seg_a.y))
+        start = Point(-HALF, point.y)
         path = [start] + [lift(j) for j in range(1, n + 1)] + [start.translate(1)]
     return Component(tuple(path), 1)
 

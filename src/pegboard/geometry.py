@@ -1,8 +1,11 @@
 """Exact rational planar geometry on the cover of the marked cylinder.
 
-Everything in this module works over `fractions.Fraction`; there is no
-floating point anywhere, so incidence questions (does a segment hit a peg,
-does a loop wind around a point) have exact answers.
+Everything in this module is exact: points are `fractions.Fraction` pairs
+and there is no floating point anywhere, so incidence questions (does a
+segment hit a peg, does a loop wind around a point) have exact answers.
+The peg test of a segment and the peg windings of a loop scale their
+coordinates by a common denominator and then work in integers, which is
+still exact and cheaper than `Fraction` arithmetic.
 
 The marked cylinder is the strip [-1/2, 1/2] x R with punctures ("pegs") on
 the middle column; its planar cover is R^2 with pegs at (i, j + 1/2) for all
@@ -76,14 +79,6 @@ class Segment:
         if self.a == self.b:
             raise ValueError("degenerate segment: endpoints coincide")
 
-    def bbox(self) -> "Box":
-        return Box(
-            min(self.a.x, self.b.x),
-            max(self.a.x, self.b.x),
-            min(self.a.y, self.b.y),
-            max(self.a.y, self.b.y),
-        )
-
 
 @dataclass(frozen=True)
 class Box:
@@ -147,10 +142,34 @@ def on_segment(p: Point, s: Segment) -> bool:
 
 
 def segment_hits_peg(s: Segment) -> Optional[Point]:
-    """Return a peg lying on the closed segment s, if any."""
-    for peg in pegs_in_box(s.bbox()):
-        if on_segment(peg, s):
-            return peg
+    """Return the peg lying on the closed segment s, if any: the one in the
+    lowest column, and in that column the lowest.
+
+    One pass over the integer columns the segment spans.  The coordinates
+    are scaled by the lcm of their denominators, so the crossing height at
+    column i is an integer ratio, and a peg sits there iff twice that
+    height is an odd integer.  A vertical segment on an integer column hits
+    its lowest half-integer height in range.
+    """
+    a, b = s.a, s.b
+    scale = math.lcm(a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator)
+    ax, ay = a.x.numerator * (scale // a.x.denominator), a.y.numerator * (scale // a.y.denominator)
+    bx, by = b.x.numerator * (scale // b.x.denominator), b.y.numerator * (scale // b.y.denominator)
+    if ax == bx:
+        if ax % scale:
+            return None
+        twice = -(-2 * min(ay, by) // scale) | 1  # the least odd integer >= 2*y_min
+        if twice * scale <= 2 * max(ay, by):
+            return Point(Fraction(ax // scale), Fraction(twice, 2))
+        return None
+    if ax > bx:
+        ax, ay, bx, by = bx, by, ax, ay
+    dx, dy = bx - ax, by - ay
+    for i in range(-(-ax // scale), bx // scale + 1):
+        # twice the crossing height is 2*(ay*dx + (i*scale - ax)*dy) / (dx*scale)
+        twice, rem = divmod(2 * (ay * dx + (i * scale - ax) * dy), dx * scale)
+        if not rem and twice & 1:
+            return Point(Fraction(i), Fraction(twice, 2))
     return None
 
 
@@ -204,8 +223,9 @@ def first_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
     half = scale // 2  # the peg (i, j + 1/2) is at (i*scale, j*scale + half)
     xs = [v.x.numerator * (scale // v.x.denominator) for v in loop]
     ys = [v.y.numerator * (scale // v.y.denominator) for v in loop]
+    i0, i1 = -(-min(xs) // scale), max(xs) // scale
     j0, j1 = -((half - min(ys)) // scale), (max(ys) - half) // scale
-    if j0 > j1 or -(-min(xs) // scale) > max(xs) // scale:
+    if j0 > j1 or i0 > i1:
         return None  # no peg in the box
     spans: dict[int, list[tuple[int, int]]] = {}  # column -> closed height spans on the loop
     crossings: dict[int, list[tuple[int, int, int]]] = {}  # column -> (num, den, sign)
@@ -224,8 +244,11 @@ def first_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
             # the crossing height is num / den
             num = ay * den + (i * scale - ax) * (by - ay) * -sign
             crossings.setdefault(i, []).append((num, den, sign))
+    columns = spans.keys() | crossings.keys()
     corner_at = None if corner is None else (corner.x.numerator, math.floor(corner.y))
-    for i in sorted(spans.keys() | crossings.keys()):
+    if corner_at is not None and i0 <= corner_at[0] <= i1:
+        columns.add(corner_at[0])  # the corner is wound even where no edge meets its column
+    for i in sorted(columns):
         column = crossings.get(i, ())
         touched = spans.get(i, ())
         for j in range(j0, j1 + 1):

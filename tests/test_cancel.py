@@ -421,6 +421,7 @@ pegs = st.builds(lambda i, j: Point(i, Fraction(2 * j + 1, 2)), st.integers(-2, 
          Point(0, HALF), -1, 0)  # ... which a winding of 0 does not match
 @example([Point(Fraction(5, 2), 0), Point(Fraction(-3, 2), 1), Point(Fraction(-3, 2), 0),
           Point(Fraction(5, 2), 1)], None, -1, 0)  # a bowtie: its lobes wind +1 and -1
+@example([Point(0, HALF), Point(0, HALF)], None, 0, -1)  # no edge: the corner's column has no crossing
 def test_peg_check_matches_winding_number_on_polygons(loop, through, corner_index, corner_winding):
     # `through`, if drawn, closes the loop through that peg, as a marked
     # bigon's loop closes through its corner, and is the corner when the

@@ -84,17 +84,20 @@ class TestValidation:
 
     def test_segment_through_peg_rejected(self):
         d = CurveDiagram(
-            (Component((pt(F(-1, 2), 0), pt(F(-1, 4), 1), pt(F(1, 4), 0), pt(F(1, 2), 1)), 1),),
-            "through",
-        )
-        # closure is wrong too; look specifically for the peg hit on (-1/4,1)->(1/4,0)... not one.
-        # Use a segment passing exactly through (0, 1/2):
-        d = CurveDiagram(
             (Component((pt(F(-1, 2), 0), pt(F(-1, 4), F(1, 4)), pt(F(1, 4), F(3, 4)), pt(F(1, 2), 0)), 1),),
             "through",
         )
         report = validate(d)
-        assert any(v.code == "peg" for v in report.violations)
+        assert [v.message for v in report.violations if v.code == "peg"] == [
+            "segment (-1/4, 1/4)->(1/4, 3/4) passes through peg (0, 1/2)"
+        ]
+
+    def test_short_wrapping_component_reports_vertices_only(self):
+        # The seam check needs a period, so it skips a wrapping component
+        # that already failed the vertex check.
+        for vertices in ((pt(0, 0),), ()):
+            report = validate(CurveDiagram((Component(vertices, 1),), "short"))
+            assert [v.code for v in report.violations] == ["vertices"]
 
     def test_two_wrapping_components_rejected(self):
         g = Component((pt(F(-1, 2), 0), pt(F(1, 2), 0)), 1)

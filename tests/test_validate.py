@@ -1,0 +1,340 @@
+"""Validation, the segment peg test and the canonical keys against their predecessors.
+
+The references below are the code that ran before validation became one
+column pass, copied verbatim:
+- `reference_segment_hits_peg` tried every peg of the segment's bounding
+  box with `on_segment`'s Fraction cross product;
+- `reference_canonical_cycle` rebuilt every rotation of a closed component
+  by modular indexing;
+- `reference_validate` scanned the wrapping component for seam crossings
+  once for the seam check and again, through `reference_anchor_at_seam`,
+  for the component and for its half-turn in the `_component_key`-based
+  symmetry check.  One line differs, marked below: the seam check skips a
+  wrapping component that already failed the vertex check, a deliberate
+  fix (such a component used to be reported twice, or to raise
+  `IndexError` with no vertex at all).
+`segment_hits_peg` must return the same peg or None, `validate` the same
+violations, and `emit_curve_text` the same bytes as the emission built on
+the references.
+"""
+
+import math
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pegboard.curves import (
+    Component,
+    CurveDiagram,
+    ValidationReport,
+    Violation,
+    _canonical_cycle,
+    _strip_offset,
+    _x,
+    build_zoo,
+    lspace_staircase,
+    thin,
+    validate,
+    zoo_names,
+)
+from pegboard.geometry import (
+    HALF,
+    Box,
+    Point,
+    Segment,
+    is_peg,
+    on_segment,
+    pegs_in_box,
+    segment_hits_peg,
+)
+from pegboard.textfmt import emit_curve_text
+
+# ---------------------------------------------------------------------------
+# The peg test and the keys that validation used before (reference)
+
+
+def segment_bbox(s: Segment) -> Box:
+    return Box(
+        min(s.a.x, s.b.x),
+        max(s.a.x, s.b.x),
+        min(s.a.y, s.b.y),
+        max(s.a.y, s.b.y),
+    )
+
+
+def reference_segment_hits_peg(s: Segment) -> Optional[Point]:
+    """Return a peg lying on the closed segment s, if any."""
+    for peg in pegs_in_box(segment_bbox(s)):
+        if on_segment(peg, s):
+            return peg
+    return None
+
+
+def reference_canonical_cycle(c: Component) -> tuple:
+    """Translation/rotation/reversal-invariant key for a closed component."""
+    k = _strip_offset(c)
+    verts = [p.translate(-k) for p in c.vertices] if k is not None else list(c.vertices)
+    n = len(verts)
+    best = None
+    for seq in (verts, list(reversed(verts))):
+        for start in range(n):
+            cand = tuple((seq[(start + i) % n].x, seq[(start + i) % n].y) for i in range(n))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def reference_seam_crossings(c: Component) -> list[tuple[Fraction, Fraction]]:
+    crossings, _ = c.level_crossings(_x, HALF)
+    return [(pos, point.y) for pos, point, _ in crossings]
+
+
+def reference_anchor_at_seam(c: Component) -> Component:
+    if c.winding != 1:
+        raise ValueError("only wrapping components have a seam anchor")
+    crossings = reference_seam_crossings(c)
+    if len(crossings) != 1:
+        raise ValueError("component must cross the seam exactly once")
+    pos, _ = crossings[0]
+    n = c.cycle_length()
+    i = math.floor(pos)
+    t = pos - i
+    seg_a, seg_b = c.lifted(i), c.lifted(i + 1)
+    xline = seg_a.x + t * (seg_b.x - seg_a.x)
+    # Shift so the crossing's seam line becomes x = -1/2.  The stored period
+    # always runs left to right in net terms (its closure is +(1, 0)), so no
+    # orientation flip is ever needed.
+    shift = -HALF - xline
+
+    def lift(j: int) -> Point:
+        return c.lifted(i + j).translate(shift)
+
+    if t == 0:
+        path = [lift(j) for j in range(n + 1)]
+    else:
+        start = Point(-HALF, seg_a.y + t * (seg_b.y - seg_a.y))
+        path = [start] + [lift(j) for j in range(1, n + 1)] + [start.translate(1)]
+    return Component(tuple(path), 1)
+
+
+def reference_component_key(c: Component) -> tuple:
+    if c.winding == 0:
+        return (0, reference_canonical_cycle(c))
+    return (1, reference_canonical_period(c))
+
+
+def reference_canonical_period(c: Component) -> tuple:
+    """Key for a wrapping component: re-based at its seam crossing, left to right."""
+    anchored = reference_anchor_at_seam(c)
+    return tuple((p.x, p.y) for p in anchored.vertices)
+
+
+def reference_validate(d: CurveDiagram) -> ValidationReport:
+    """Check every structural invariant; report all violations found."""
+    bad: list[Violation] = []
+
+    def add(code, msg, comp=None):
+        bad.append(Violation(code, msg, comp))
+
+    wrapping = [i for i, c in enumerate(d.components) if c.winding == 1]
+    for i, c in enumerate(d.components):
+        if c.winding not in (0, 1):
+            add("winding", f"winding must be 0 or 1, got {c.winding}", i)
+            continue
+        if len(c.vertices) < 2:
+            add("vertices", "component needs at least two vertices", i)
+            continue
+        for a, b in zip(c.vertices, c.vertices[1:]):
+            if a == b:
+                add("repeat", f"consecutive vertices coincide at {a}", i)
+        if c.winding == 1:
+            want = c.vertices[0].translate(1)
+            if c.vertices[-1] != want:
+                add("closure", f"period must end at {want}, ends at {c.vertices[-1]}", i)
+        else:
+            if c.vertices[0] == c.vertices[-1]:
+                add("closure", "closed component must not repeat its first vertex", i)
+        for p in c.vertices:
+            if is_peg(p):
+                add("peg", f"vertex {p} lies on a peg", i)
+        ends = c.vertices[1:] + (c.vertices[:1] if c.winding == 0 else ())
+        for a, b in zip(c.vertices, ends):
+            if a == b:
+                continue  # reported above, as a repeat or as the closure
+            peg = reference_segment_hits_peg(Segment(a, b))
+            if peg is not None:
+                add("peg", f"segment {a}->{b} passes through peg {peg}", i)
+
+    if len(wrapping) != 1:
+        add("distinguished", f"need exactly one wrapping component, found {len(wrapping)}")
+    elif len(d.components[wrapping[0]].vertices) >= 2:  # the deliberate fix; was `else:`
+        crossings = reference_seam_crossings(d.components[wrapping[0]])
+        if len(crossings) != 1:
+            add(
+                "seam",
+                f"distinguished component crosses the seam {len(crossings)} times, expected once",
+                wrapping[0],
+            )
+        elif crossings[0][1] != 0:
+            add("seam", f"seam crossing at height {crossings[0][1]}, expected 0", wrapping[0])
+
+    for i, c in enumerate(d.components):
+        if c.winding == 0 and _strip_offset(c) is None:
+            add("confined", "closed component must stay strictly inside one vertical strip", i)
+
+    # Half-turn symmetry as a multiset congruence of components.
+    if not bad:
+        original = sorted(reference_component_key(c) for c in d.components)
+        rotated = sorted(reference_component_key(c.rotate180()) for c in d.components)
+        if original != rotated:
+            add("symmetry", "component multiset is not invariant under the half turn about (0, 0)")
+    return ValidationReport(tuple(bad))
+
+
+def reference_emit_curve_text(d: CurveDiagram) -> str:
+    """`emit_curve_text` with the canonical order read by the references."""
+    gamma0 = reference_anchor_at_seam(d.gamma0())
+    closed = []
+    for c in d.acyclic():
+        k = _strip_offset(c)
+        closed.append(c.translate(-k) if k else c)
+    closed.sort(key=reference_canonical_cycle)
+    lines = []
+    for c in (gamma0, *closed):
+        lines.append(f"component winding={c.winding}")
+        for p in c.vertices:
+            lines.append(f"v {p.x} {p.y}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The segment peg test
+
+# Quarter grids put endpoints on pegs and segments through them often;
+# thirds and fifths make crossings off the grid.
+grid_coordinates = st.one_of(
+    st.integers(-12, 12).map(lambda n: Fraction(n, 4)),
+    st.integers(-9, 9).map(lambda n: Fraction(n, 3)),
+    st.integers(-15, 15).map(lambda n: Fraction(n, 5)),
+)
+
+
+@st.composite
+def segments(draw):
+    a = Point(draw(grid_coordinates), draw(grid_coordinates))
+    shape = draw(st.sampled_from(("slanted", "vertical", "horizontal")))
+    bx = a.x if shape == "vertical" else draw(grid_coordinates)
+    by = a.y if shape == "horizontal" else draw(grid_coordinates)
+    b = Point(bx, by)
+    if a == b:
+        b = Point(a.x, a.y + 1) if shape == "vertical" else Point(a.x + 1, a.y)
+    return Segment(a, b)
+
+
+@settings(max_examples=600, deadline=None)
+@given(segments())
+@example(Segment(Point(0, -1), Point(0, 2)))  # vertical over three pegs: the lowest
+@example(Segment(Point(0, Fraction(3, 4)), Point(0, Fraction(5, 4))))  # vertical between pegs
+@example(Segment(Point(-1, 0), Point(1, 1)))  # a diagonal through (0, 1/2) only
+@example(Segment(Point(2, Fraction(5, 2)), Point(-2, Fraction(-3, 2))))  # right to left: the lowest column
+@example(Segment(Point(-2, HALF), Point(2, HALF)))  # a peg row: the lowest column
+# through (0, 1/2), as in test_curves' test_segment_through_peg_rejected
+@example(Segment(Point(Fraction(-1, 4), Fraction(1, 4)), Point(Fraction(1, 4), Fraction(3, 4))))
+def test_segment_peg_matches_reference(s):
+    want = reference_segment_hits_peg(s)
+    got = segment_hits_peg(s)
+    assert got == want and repr(got) == repr(want), (s, got, want)
+
+
+def test_segment_peg_is_lowest_column_then_lowest_row():
+    assert segment_hits_peg(Segment(Point(0, 2), Point(0, -1))) == Point(0, Fraction(-1, 2))
+    diagonal = Segment(Point(2, Fraction(5, 2)), Point(-2, Fraction(-3, 2)))  # a peg in every column
+    assert segment_hits_peg(diagonal) == Point(-2, Fraction(-3, 2))
+    assert segment_hits_peg(Segment(Point(HALF, 0), Point(HALF, 3))) is None
+
+
+# ---------------------------------------------------------------------------
+# Canonical cycles, validation and emission
+
+closed_polygons = st.lists(st.builds(Point, grid_coordinates, grid_coordinates), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_polygons)
+@example([])
+@example([Point(Fraction(1, 4), 0), Point(Fraction(1, 4), 0), Point(0, HALF)])  # a repeated vertex
+def test_canonical_cycle_matches_reference(vertices):
+    c = Component(tuple(vertices), 0)
+    assert _canonical_cycle(c) == reference_canonical_cycle(c)
+
+
+@st.composite
+def staircase_diagrams(draw):
+    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
+    exps = upper + [0] + [-e for e in reversed(upper)]
+    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+
+
+base_diagrams = st.one_of(
+    st.sampled_from(zoo_names()).map(build_zoo),
+    staircase_diagrams(),
+    st.builds(thin, st.integers(-3, 3), st.integers(0, 3)),
+)
+placed_diagrams = st.tuples(base_diagrams, st.sampled_from(("same", "mirror", "rotate180"))).map(
+    lambda dt: dt[0] if dt[1] == "same" else getattr(dt[0], dt[1])()
+)
+
+
+def _snap(v: Fraction, den: int) -> Fraction:
+    return Fraction(round(v * den), den)
+
+
+@st.composite
+def mutated_diagrams(draw):
+    """A placed diagram with up to four vertex mutations: a vertex moved,
+    snapped to the quarter or third grid, repeated, deleted or raised by 1/2."""
+    d = draw(placed_diagrams)
+    comps = [list(c.vertices) for c in d.components]
+    for _ in range(draw(st.integers(0, 4))):
+        vs = comps[draw(st.integers(0, len(comps) - 1))]
+        if not vs:
+            continue
+        k = draw(st.integers(0, len(vs) - 1))
+        v = vs[k]
+        kind = draw(st.sampled_from(("move", "snap", "repeat", "delete", "raise")))
+        if kind == "move":
+            step = st.integers(-4, 4).map(lambda n: Fraction(n, 8))
+            vs[k] = Point(v.x + draw(step), v.y + draw(step))
+        elif kind == "snap":
+            den = draw(st.sampled_from((4, 3)))
+            vs[k] = Point(_snap(v.x, den), _snap(v.y, den))
+        elif kind == "repeat":
+            vs.insert(k, v)
+        elif kind == "delete":
+            del vs[k]
+        else:
+            vs[k] = Point(v.x, v.y + HALF)
+    return CurveDiagram(
+        tuple(Component(tuple(vs), c.winding) for vs, c in zip(comps, d.components)), d.source
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_diagrams())
+def test_validate_matches_reference_on_mutated_diagrams(d):
+    assert validate(d).violations == reference_validate(d).violations
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_emit_matches_reference_on_zoo(name):
+    for d in (build_zoo(name), build_zoo(name).rotate180()):
+        assert emit_curve_text(d) == reference_emit_curve_text(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(placed_diagrams)
+def test_emit_matches_reference_on_generated_diagrams(d):
+    assert emit_curve_text(d) == reference_emit_curve_text(d)
