@@ -170,7 +170,7 @@ def cmd_zoo(args) -> int:
 
 def cmd_pair(args) -> int:
     d = _load_knot(args.knot)
-    bodies = []
+    reports, csv_rows = [], [["slope", "class", "count"]]
     for slope_text in args.slopes:
         slope = _parse_slope(slope_text)
         rep = surgery_report(d, slope)
@@ -189,9 +189,12 @@ def cmd_pair(args) -> int:
                  f"(cancelled {len(rep.cancelled)} bigon pairs)"]
         lines += [f"  class {k}: {v}" for k, v in counts.items()]
         lines += [f"  note: {f}" for f in rep.flags]
-        csv_rows = [["slope", "class", "count"]] + [[str(slope), k, v] for k, v in counts.items()]
-        bodies.append(_render_body(args, payload, lines, csv_rows))
-    _write(args, "".join(bodies))
+        reports.append((payload, lines))
+        csv_rows += [[str(slope), k, v] for k, v in counts.items()]
+    if args.format == "csv":  # one table under one header
+        _emit(args, {}, [], csv_rows)
+    else:
+        _write(args, "".join(_render_body(args, payload, lines) for payload, lines in reports))
     return EXIT_OK
 
 
@@ -353,8 +356,11 @@ def _ledger_payload(result, lines):
 def cmd_ledger(args) -> int:
     op = args.op
     lm = ledger_mod
-    if op == "dim-seq":
-        seq = lm.dim_seq_C(args.shape, args.nu, args.base, (args.start, args.stop))
+    if op in ("dim-seq", "dgamma"):
+        if op == "dim-seq":
+            seq = lm.dim_seq_C(args.shape, args.nu, args.base, (args.start, args.stop))
+        else:
+            seq = lm.dgamma_seq(args.tau, args.min, (args.start, args.stop))
         rows = [(n, seq.values[n]) for n in sorted(seq.values)]
         lines = [f"n={n}: {v}" for n, v in rows]
         _emit(args, _ledger_payload({str(n): v for n, v in rows}, lines),
@@ -362,12 +368,6 @@ def cmd_ledger(args) -> int:
     elif op == "half-dim":
         value = lm.half_dim_C(args.n, args.nu, args.dim)
         _emit(args, _ledger_payload(value, []), [f"dim at ({2 * args.n - 1})/2 = {value}"])
-    elif op == "dgamma":
-        seq = lm.dgamma_seq(args.tau, args.min, (args.start, args.stop))
-        rows = [(n, seq.values[n]) for n in sorted(seq.values)]
-        lines = [f"n={n}: {v}" for n, v in rows]
-        _emit(args, _ledger_payload({str(n): v for n, v in rows}, lines),
-              lines, [["n", "value"]] + [list(r) for r in rows])
     elif op == "torsion-half":
         cert = lm.torsion_bound_half(args.n, args.k)
         payload = {"schema_version": 1, "kind": "ledger", "certificate": cert.to_json()}
@@ -460,36 +460,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-
     p_zoo = sub.add_parser("zoo", help="list built-in diagrams")
     p_zoo.add_argument("action", choices=("list",))
-    add_common(p_zoo)
     p_zoo.set_defaults(func=cmd_zoo)
 
     p_pair = sub.add_parser("pair", help="filling dimensions via minimal intersections")
     p_pair.add_argument("knot")
     p_pair.add_argument("slopes", nargs="+", metavar="p/q")
-    add_common(p_pair)
     p_pair.set_defaults(func=cmd_pair)
 
     p_hfk = sub.add_parser("hfk", help="graded dual-knot dimensions (1/0 = the knot itself)")
     p_hfk.add_argument("knot")
     p_hfk.add_argument("slope", metavar="p/q")
-    add_common(p_hfk)
     p_hfk.set_defaults(func=cmd_hfk)
 
     p_diff = sub.add_parser("diff", help="first-differential ranks against census bounds")
     p_diff.add_argument("knot")
     p_diff.add_argument("slope", metavar="p/q")
-    add_common(p_diff)
     p_diff.set_defaults(func=cmd_diff)
 
     p_inv = sub.add_parser("invariants", help="genus, tau, epsilon, extrema census")
     p_inv.add_argument("knot")
-    add_common(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_scan = sub.add_parser("scan-simple", help="dual-simplicity scan over a slope grid")
@@ -497,12 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--pmax", type=int, required=True)
     p_scan.add_argument("--qmax", type=int, required=True)
     p_scan.add_argument("--all", action="store_true", help="print every slope, not just flagged")
-    add_common(p_scan)
     p_scan.set_defaults(func=cmd_scan_simple)
 
     p_demo = sub.add_parser("demo", help="worked narrative computations")
     p_demo.add_argument("which", choices=("poincare",))
-    add_common(p_demo)
     p_demo.set_defaults(func=cmd_demo)
 
     p_render = sub.add_parser("render", help="emit a deterministic SVG picture")
@@ -521,73 +510,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--start", type=int, default=-6)
     p.add_argument("--stop", type=int, default=6)
-    add_common(p)
 
     p = lsub.add_parser("half-dim")
     p.add_argument("n", type=int)
     p.add_argument("nu", type=int)
     p.add_argument("dim", type=int)
-    add_common(p)
 
     p = lsub.add_parser("dgamma")
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--min", type=int, required=True)
     p.add_argument("--start", type=int, default=-6)
     p.add_argument("--stop", type=int, default=6)
-    add_common(p)
 
     p = lsub.add_parser("torsion-half")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    add_common(p)
 
     p = lsub.add_parser("dual-one")
     p.add_argument("d_top", type=int)
     p.add_argument("dim1", type=int)
-    add_common(p)
 
     p = lsub.add_parser("no-torsion")
     p.add_argument("n", type=int)
     p.add_argument("shape", choices=("V", "W"))
     p.add_argument("nu", type=int)
     p.add_argument("tau", type=int)
-    add_common(p)
 
     p = lsub.add_parser("genus-one")
     p.add_argument("a", type=int)
     p.add_argument("tau", type=int)
     p.add_argument("d_top", type=int)
-    add_common(p)
 
     p = lsub.add_parser("unknotting-one")
     p.add_argument("dim", type=int)
-    add_common(p)
 
     p = lsub.add_parser("quasi-alt")
     p.add_argument("delta", type=int)
-    add_common(p)
 
     p = lsub.add_parser("triangle")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
-    add_common(p)
 
     p = lsub.add_parser("slope-prop")
     p.add_argument("n", type=int)
     p.add_argument("minimal", choices=("yes", "no"))
-    add_common(p)
 
     p = lsub.add_parser("shape-classify")
     p.add_argument("csv")
-    add_common(p)
 
     p = lsub.add_parser("t2-check")
     p.add_argument("csv")
     p.add_argument("--nu", type=int, required=True)
-    add_common(p)
 
     p_ledger.set_defaults(func=cmd_ledger)
+    for p in (*sub.choices.values(), *lsub.choices.values()):
+        if p not in (p_render, p_ledger):  # render has its own --out
+            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+            p.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 

@@ -177,17 +177,21 @@ def _strip_offset(c: Component) -> Optional[int]:
     return ks.pop() if len(ks) == 1 else None
 
 
+def _least_rotation(seq: tuple) -> Optional[tuple]:
+    """The least rotation of a cycle, read in both directions; None if empty."""
+    return min((s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(s))), default=None)
+
+
 def _canonical_cycle(c: Component) -> Optional[tuple]:
     """Translation/rotation/reversal-invariant key for a closed component.
 
     The component is moved into the strip around x = 0 when it is confined
     to one, and its vertices become one tuple of (x, y) pairs; the key is
-    the least of that cycle's rotations, read in both directions.  A
-    component with no vertices has the key None.
+    that cycle's least rotation.  A component with no vertices has the key
+    None.
     """
     k = _strip_offset(c) or 0
-    seq = tuple((p.x - k, p.y) for p in c.vertices)
-    return min((s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(s))), default=None)
+    return _least_rotation(tuple((p.x - k, p.y) for p in c.vertices))
 
 
 def _x(v: Point) -> Fraction:
@@ -289,37 +293,55 @@ def validate(d: CurveDiagram) -> ValidationReport:
         elif crossings[0][1].y != 0:
             add("seam", f"seam crossing at height {crossings[0][1].y}, expected 0", wrapping[0])
 
+    # Each closed component's vertices, moved into the strip around x = 0.
+    cycles = []
     for i, c in enumerate(d.components):
-        if c.winding == 0 and _strip_offset(c) is None:
+        if c.winding != 0:
+            continue
+        k = _strip_offset(c)
+        if k is None:
             add("confined", "closed component must stay strictly inside one vertical strip", i)
+        else:
+            cycles.append(tuple((p.x - k, p.y) for p in c.vertices))
 
     # Half-turn symmetry as a multiset congruence of components.  The half
-    # turn maps the seam crossing to the seam crossing, so the rotated
+    # turn keeps the strip around x = 0 and maps the seam crossing to the
+    # seam crossing, so a turned cycle is its pairs negated, and the turned
     # period, anchored, is the anchored period turned.
     if not bad:
-        original, rotated = [], []
-        for c in d.components:
-            if c.winding == 0:
-                original.append((0, _canonical_cycle(c)))
-                rotated.append((0, _canonical_cycle(c.rotate180())))
-            else:
-                anchored = anchor_at_crossing(c, crossings[0])
-                original.append((1, _vertex_key(anchored)))
-                rotated.append((1, _vertex_key(anchored.rotate180())))
+        anchored = anchor_at_crossing(d.components[wrapping[0]], crossings[0])
+        original = [_component_key(anchored)] + [(0, _least_rotation(s)) for s in cycles]
+        rotated = [_component_key(anchored.rotate180())] + [
+            (0, _least_rotation(tuple((-x, -y) for x, y in s))) for s in cycles
+        ]
         if sorted(original) != sorted(rotated):
             add("symmetry", "component multiset is not invariant under the half turn about (0, 0)")
     return ValidationReport(tuple(bad))
 
 
 def _component_key(c: Component) -> tuple:
+    """Key of a component in canonical position: a closed one by its
+    `_canonical_cycle`, a wrapping one, anchored at its seam crossing, by
+    its vertices."""
     if c.winding == 0:
         return (0, _canonical_cycle(c))
-    return (1, _vertex_key(anchor_at_seam(c)))
+    return (1, tuple((p.x, p.y) for p in c.vertices))
 
 
-def _vertex_key(c: Component) -> tuple:
-    """Key for a wrapping component re-based at its seam crossing."""
-    return tuple((p.x, p.y) for p in c.vertices)
+def canonicalize(d: CurveDiagram) -> CurveDiagram:
+    """Canonical component order and parameterization for emission.
+
+    The wrapping component comes first, anchored at its seam crossing; the
+    closed components follow, each moved into the strip around x = 0 and
+    sorted by its `_canonical_cycle`.
+    """
+    gamma0 = anchor_at_seam(d.gamma0())
+    closed = []
+    for c in d.acyclic():
+        k = _strip_offset(c)
+        closed.append(c.translate(-k) if k else c)
+    closed.sort(key=_canonical_cycle)
+    return CurveDiagram((gamma0, *closed), d.source)
 
 
 def anchor_at_seam(c: Component) -> Component:
@@ -584,6 +606,8 @@ def zoo_names() -> list[str]:
 
 def diagrams_equal(d1: CurveDiagram, d2: CurveDiagram) -> bool:
     """Equality up to re-parameterization and horizontal translation."""
-    return sorted(_component_key(c) for c in d1.components) == sorted(
-        _component_key(c) for c in d2.components
-    )
+
+    def keys(d: CurveDiagram) -> list[tuple]:
+        return sorted(_component_key(anchor_at_seam(c) if c.winding else c) for c in d.components)
+
+    return keys(d1) == keys(d2)

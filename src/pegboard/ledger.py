@@ -205,6 +205,14 @@ _RECOMPUTE = {
 # Sequence generators (characteristic 0)
 
 
+def _span_range(span: tuple[int, int]) -> range:
+    """The integers from span[0] to span[1]; ValueError when there are none."""
+    lo, hi = span
+    if lo > hi:
+        raise ValueError(f"empty range: start {lo} is past stop {hi}")
+    return range(lo, hi + 1)
+
+
 def dim_seq_C(shape: str, nu_sharp: int, base: int, span: tuple[int, int]) -> LedgerSequence:
     """Integer-filling dimensions from the closed V/W formulas.
 
@@ -214,13 +222,13 @@ def dim_seq_C(shape: str, nu_sharp: int, base: int, span: tuple[int, int]) -> Le
     """
     if base < 1:
         raise ValueError("base dimension must be at least 1")
-    lo, hi = span
+    ns = _span_range(span)
     if shape == "V":
-        vals = {n: base + abs(n - nu_sharp) for n in range(lo, hi + 1)}
+        vals = {n: base + abs(n - nu_sharp) for n in ns}
     elif shape == "W":
         if nu_sharp != 0:
             raise BadShape("W-shape sequences have valley invariant 0")
-        vals = {n: base + 2 if n == 0 else base + abs(n) for n in range(lo, hi + 1)}
+        vals = {n: base + 2 if n == 0 else base + abs(n) for n in ns}
     else:
         raise BadShape(f"unknown shape {shape!r}")
     return LedgerSequence(vals, BUNDLE_TRIVIAL, COEFF_C)
@@ -240,8 +248,7 @@ def dgamma_seq(tau: int, min_value: int, span: tuple[int, int]) -> LedgerSequenc
     """
     if min_value < 1:
         raise ValueError("minimum value must be at least 1")
-    lo, hi = span
-    vals = {n: min_value + abs(n - 2 * tau) for n in range(lo, hi + 1)}
+    vals = {n: min_value + abs(n - 2 * tau) for n in _span_range(span)}
     return LedgerSequence(vals, BUNDLE_TRIVIAL, COEFF_C)
 
 

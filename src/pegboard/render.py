@@ -11,10 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .curves import CurveDiagram
+from .curves import CurveDiagram, canonicalize
 from .geometry import Box, Point, pegs_in_box
 from .pairing import ArcLift, SlopeSpec, line_family
-from .textfmt import canonicalize
 
 SCALE = 60
 

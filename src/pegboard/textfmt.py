@@ -10,22 +10,16 @@ Format (UTF-8):
     v ...
 
 Coordinates are integers or fractions a/b.  Parsing runs the full validator;
-emission is canonical: the wrapping component first (re-based at its seam
-crossing), then the closed components sorted by their lowest vertex.
+emission writes `curves.canonicalize`: the wrapping component first
+(re-based at its seam crossing), then the closed components sorted by their
+canonical keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import (
-    Component,
-    CurveDiagram,
-    anchor_at_seam,
-    validate,
-    _canonical_cycle,
-    _strip_offset,
-)
+from .curves import Component, CurveDiagram, canonicalize, validate
 from .geometry import Point
 
 
@@ -97,17 +91,6 @@ def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
     if not report.ok:
         raise InvariantViolation(report)
     return diagram
-
-
-def canonicalize(d: CurveDiagram) -> CurveDiagram:
-    """Canonical component order and parameterization for emission."""
-    gamma0 = anchor_at_seam(d.gamma0())
-    closed = []
-    for c in d.acyclic():
-        k = _strip_offset(c)
-        closed.append(c.translate(-k) if k else c)
-    closed.sort(key=_canonical_cycle)
-    return CurveDiagram((gamma0, *closed), d.source)
 
 
 def emit_curve_text(d: CurveDiagram) -> str:

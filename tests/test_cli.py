@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -150,6 +151,16 @@ class TestLedgerCommands:
         code, out, err = run(capsys, "ledger", "t2-check", str(csv_path), "--nu", "0")
         assert (code, out, err) == (EXIT_USAGE, "", message)
 
+    @pytest.mark.parametrize("op", [
+        ("dim-seq", "--shape", "V", "--nu", "0", "--base", "1"),
+        ("dgamma", "--tau", "1", "--min", "1"),
+    ], ids=["dim-seq", "dgamma"])
+    def test_empty_range_is_a_usage_error(self, capsys, op):
+        code, out, err = run(capsys, "ledger", *op, "--start", "3", "--stop", "1")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: empty range: start 3 is past stop 1\n")
+        code, out, _ = run(capsys, "ledger", *op, "--start", "3", "--stop", "3")
+        assert code == EXIT_OK and out.startswith("n=3: ") and out.count("\n") == 1
+
     def test_csv_without_bundle_column_names_the_header(self, capsys, tmp_path):
         csv_path = tmp_path / "untagged.csv"
         csv_path.write_text("n,value,coefficient\n0,1,F2\n")
@@ -284,6 +295,12 @@ class TestFilesAndRender:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "grading,dim"
 
+    def test_pair_csv_has_one_header_for_several_slopes(self, capsys):
+        code, out, _ = run(capsys, "pair", "trefoil", "1", "2", "--format", "csv")
+        assert (code, out) == (EXIT_OK, "slope,class,count\n1/1,0,1\n2/1,0,1\n2/1,1,1\n")
+        _, single, _ = run(capsys, "pair", "trefoil", "2", "--format", "csv")
+        assert single == "slope,class,count\n2/1,0,1\n2/1,1,1\n"
+
     def test_hfk_refuses_zero_filling(self, capsys):
         code, _, err = run(capsys, "hfk", "trefoil", "0/1")
         assert code == EXIT_USAGE
@@ -334,6 +351,25 @@ class TestFilesAndRender:
         )
         assert proc.returncode == 0
         assert "trefoil" in proc.stdout
+
+
+def _subparsers(parser):
+    """The parsers of the subcommands directly under `parser`, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_output_parser_has_one_format_and_one_out():
+    commands = _subparsers(pegboard.cli.build_parser())
+    parsers = {name: p for name, p in commands.items() if name != "ledger"}
+    parsers.update({f"ledger {op}": p for op, p in _subparsers(commands["ledger"]).items()})
+    assert len(parsers) == 8 + 13
+    for name, p in parsers.items():
+        options = [o for a in p._actions for o in a.option_strings]
+        want = (0, 1) if name == "render" else (1, 1)
+        assert (options.count("--format"), options.count("--out")) == want, name
+    group = [o for a in commands["ledger"]._actions for o in a.option_strings]
+    assert "--format" not in group and "--out" not in group
 
 
 @pytest.fixture

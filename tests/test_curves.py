@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pegboard.curves
 from pegboard.curves import (
     AmbiguousHeight,
     BadAlexander,
@@ -28,6 +29,19 @@ class TestValidation:
     def test_every_zoo_entry_is_valid(self, zoo):
         for name, d in zoo.items():
             assert validate(d).ok, f"{name}: {validate(d).summary()}"
+
+    def test_validate_finds_each_strip_offset_once(self, monkeypatch):
+        calls = []
+        real = pegboard.curves._strip_offset
+
+        def counting_strip_offset(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(pegboard.curves, "_strip_offset", counting_strip_offset)
+        d = thin(1, 3)
+        assert validate(d).ok
+        assert len(calls) == len(d.acyclic()) == 3
 
     def test_unknot_is_valid(self):
         d = CurveDiagram((Component((pt(F(-1, 2), 0), pt(F(1, 2), 0)), 1),), "u")

@@ -87,6 +87,12 @@ class TestSequencesAndFormulas:
         assert dgamma_seq(1, 1, (-3, 3)).get(2) == 1
         assert dgamma_seq(1, 1, (-3, 3)).get(-1) == 4
 
+    def test_empty_span_names_the_range(self):
+        for make in (lambda span: dim_seq_C("V", 0, 1, span), lambda span: dgamma_seq(1, 1, span)):
+            with pytest.raises(ValueError, match="start 3 is past stop 1"):
+                make((3, 1))
+            assert list(make((3, 3)).values) == [3]
+
     def test_dual_gap_is_even_and_nonnegative_in_consistent_setup(self):
         # valley one left of twice tau, sequences glued at the valley edge
         for tau in (1, 2, 3):

@@ -1,6 +1,18 @@
-import pytest
+import itertools
 
-from pegboard.curves import build_zoo, diagrams_equal, zoo_names
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pegboard.curves import (
+    Component,
+    CurveDiagram,
+    build_zoo,
+    diagrams_equal,
+    lspace_staircase,
+    thin,
+    zoo_names,
+)
 from pegboard.textfmt import (
     CurveFormatError,
     InvariantViolation,
@@ -68,3 +80,41 @@ class TestRoundTrip:
         canon = canonicalize(d)
         assert canon.components[0].winding == 1
         assert all(c.winding == 0 for c in canon.components[1:])
+
+
+def rebased(c: Component, j: int) -> Component:
+    """The wrapping period c started at its continuous vertex j."""
+    return Component(tuple(c.lifted(j + t) for t in range(c.cycle_length() + 1)), 1)
+
+
+def moved(d: CurveDiagram, j: int, shifts, order) -> CurveDiagram:
+    """d with its period re-based at vertex j and its closed components
+    translated by the integer shifts, then listed in the given order."""
+    closed = [c.translate(s) for c, s in zip(d.acyclic(), shifts)]
+    return CurveDiagram((rebased(d.gamma0(), j), *(closed[i] for i in order)), d.source)
+
+
+class TestCanonicalForm:
+    """The emitted text does not depend on where the period starts, on which
+    strip each closed component sits in, or on the order of the components."""
+
+    @pytest.mark.parametrize("d", [build_zoo(n) for n in zoo_names()] + [thin(1, 3)],
+                             ids=lambda d: d.source)
+    def test_emission_ignores_base_point_translates_and_order(self, d):
+        want = emit_curve_text(d)
+        m = len(d.acyclic())
+        for j in range(d.gamma0().cycle_length()):
+            for shift in (0, 2, -1):
+                shifts = [shift * (-1) ** i for i in range(m)]
+                for order in itertools.permutations(range(m)):
+                    assert emit_curve_text(moved(d, j, shifts, order)) == want, (j, shift, order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True), st.integers(0, 40))
+    def test_staircase_emission_ignores_base_point(self, upper, j):
+        upper = sorted(upper, reverse=True)
+        exps = upper + [0] + [-e for e in reversed(upper)]
+        d = lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+        want = emit_curve_text(d)
+        assert emit_curve_text(moved(d, j % d.gamma0().cycle_length(), [], [])) == want
+        assert emit_curve_text(moved(d, j - 20, [], [])) == want
