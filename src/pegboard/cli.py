@@ -134,17 +134,6 @@ def _parse_arc(text: str) -> ArcLift:
     return ArcLift(_parse_slope(slope_text, allow_vertical=True), h)
 
 
-def _render_body(args, payload: dict, text_lines: list[str], csv_rows=None) -> str:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        if csv_rows is None:
-            raise CliError("csv output is not available for this command", EXIT_USAGE)
-        return "\n".join(",".join(str(v) for v in row) for row in csv_rows) + "\n"
-    return "\n".join(text_lines) + "\n"
-
-
 def _write(args, body: str) -> None:
     out = getattr(args, "out", None)
     if out:
@@ -153,8 +142,19 @@ def _write(args, body: str) -> None:
         sys.stdout.write(body)
 
 
-def _emit(args, payload: dict, text_lines: list[str], csv_rows=None) -> None:
-    _write(args, _render_body(args, payload, text_lines, csv_rows))
+def _emit(args, payload, text_lines: list[str], csv_rows=None) -> None:
+    """Write one report: payload (a JSON object or array), the text lines or
+    the CSV rows, as --format asks."""
+    fmt = getattr(args, "format", "text")
+    if fmt == "json":
+        body = json.dumps(payload, indent=2, sort_keys=True)
+    elif fmt == "csv":
+        if csv_rows is None:
+            raise CliError("csv output is not available for this command", EXIT_USAGE)
+        body = "\n".join(",".join(str(v) for v in row) for row in csv_rows)
+    else:
+        body = "\n".join(text_lines)
+    _write(args, body + "\n")
 
 
 def _counts_json(counts: dict) -> dict:
@@ -170,7 +170,7 @@ def cmd_zoo(args) -> int:
 
 def cmd_pair(args) -> int:
     d = _load_knot(args.knot)
-    reports, csv_rows = [], [["slope", "class", "count"]]
+    payloads, lines, csv_rows = [], [], [["slope", "class", "count"]]
     for slope_text in args.slopes:
         slope = _parse_slope(slope_text)
         rep = surgery_report(d, slope)
@@ -185,16 +185,14 @@ def cmd_pair(args) -> int:
             "cancelled_bigons": len(rep.cancelled),
             "flags": list(rep.flags),
         }
-        lines = [f"{args.knot} @ {slope}: dim = {rep.total} "
-                 f"(cancelled {len(rep.cancelled)} bigon pairs)"]
+        payloads.append(payload)
+        lines.append(f"{args.knot} @ {slope}: dim = {rep.total} "
+                     f"(cancelled {len(rep.cancelled)} bigon pairs)")
         lines += [f"  class {k}: {v}" for k, v in counts.items()]
         lines += [f"  note: {f}" for f in rep.flags]
-        reports.append((payload, lines))
         csv_rows += [[str(slope), k, v] for k, v in counts.items()]
-    if args.format == "csv":  # one table under one header
-        _emit(args, {}, [], csv_rows)
-    else:
-        _write(args, "".join(_render_body(args, payload, lines) for payload, lines in reports))
+    # several slopes: one JSON array, one CSV table under one header
+    _emit(args, payloads[0] if len(payloads) == 1 else payloads, lines, csv_rows)
     return EXIT_OK
 
 

@@ -73,7 +73,7 @@ class Component:
 
     def level_crossings(
         self, form: Callable[[Point], Fraction], off: Fraction
-    ) -> tuple[list[tuple[Fraction, Point, int]], dict[int, tuple[int, bool]]]:
+    ) -> tuple[list[tuple[Fraction, Point, int]], dict[int, list[tuple[int, bool]]]]:
         """Transversal crossings of one period with the levels form = m + off.
 
         `form` is an affine function of the point and m runs over the
@@ -83,8 +83,8 @@ class Component:
         cyclic neighbours lie strictly on opposite sides; the period's end
         vertex repeats its start and is left to it.  degenerate maps each
         level that holds a segment, or two consecutive vertices, to its
-        first such event in segment order, (i, collinear): vertex i lies on
-        the level and so does vertex i + 1 (collinear) or vertex i - 1 (not
+        events in segment order, (i, collinear): vertex i lies on the level
+        and so does vertex i + 1 (collinear) or vertex i - 1 (not
         collinear).  Such vertices give no crossing; the scan never raises.
         """
         n = self.cycle_length()
@@ -93,13 +93,13 @@ class Component:
         verts = [self.lifted(j) for j in range(-1, n + 1)]  # verts[j + 1] is vertex j
         f = [form(v) for v in verts]
         crossings: list[tuple[Fraction, Point, int]] = []
-        degenerate: dict[int, tuple[int, bool]] = {}
+        degenerate: dict[int, list[tuple[int, bool]]] = {}
         for i in range(n):
             a, b = verts[i + 1], verts[i + 2]
             f_prev, fa, fb = f[i], f[i + 1], f[i + 2]
             if (fa - off).denominator == 1:
                 if fa == fb or fa == f_prev:
-                    degenerate.setdefault(int(fa - off), (i, fa == fb))
+                    degenerate.setdefault(int(fa - off), []).append((i, fa == fb))
                 elif (f_prev < fa) != (fb < fa):
                     crossings.append((Fraction(i), a, int(fa - off)))
             if fa == fb:

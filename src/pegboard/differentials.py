@@ -133,8 +133,6 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     d, slope = sweep.diagram, sweep.slope
     if kind not in ("phi", "psi"):
         raise ValueError("kind must be 'phi' or 'psi'")
-    if slope.p == 0:
-        raise ZeroSurgery("no graded differentials on the 0-filling")
     if slope.q < 1 or slope.p < 0:
         raise ValueError("differentials need a slope with p >= 1 and q >= 1")
     h = Fraction(h)
@@ -156,18 +154,6 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     )
     rank = gf2_rank(rows) if rows and src_pts else 0
     return DiffMatrix(kind, slope, rows, rank, src_pts, tgt_pts, tuple(bigons))
-
-
-def _sweep_ranks(sweep: ArcSweep) -> tuple[int, int]:
-    dims = sweep.dims()
-    phi = sum(differential_matrix(sweep, h, "phi").rank for h in dims)
-    psi = sum(differential_matrix(sweep, h, "psi").rank for h in dims)
-    return phi, psi
-
-
-def total_ranks(d: CurveDiagram, slope: SlopeSpec) -> tuple[int, int]:
-    """(total rank of the lowering map, total rank of the raising map)."""
-    return _sweep_ranks(ArcSweep(d, slope))
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +215,6 @@ def census_bounds(d: CurveDiagram, slope: SlopeSpec) -> CensusBound:
 
 # ---------------------------------------------------------------------------
 # Simple-filling detection and scans
-
-
-def is_lspace_slope(d: CurveDiagram, slope: SlopeSpec) -> bool:
-    """True when the filling dimension is the minimal possible, |p|."""
-    if slope.p == 0:
-        raise ZeroSurgery("0-filling is never asked for simplicity")
-    return surgery_dim(d, slope) == abs(slope.p)
 
 
 @dataclass(frozen=True)
@@ -322,5 +301,7 @@ def spectral_check(d: CurveDiagram, slope: SlopeSpec) -> SpectralReport:
         work = d.mirror()
         s = SlopeSpec(-slope.p, slope.q)
     sweep = ArcSweep(work, s)
-    phi, psi = _sweep_ranks(sweep)
-    return SpectralReport(slope, sum(sweep.dims().values()), psi, phi, surgery_dim(work, s))
+    dims = sweep.dims()
+    phi = sum(differential_matrix(sweep, h, "phi").rank for h in dims)
+    psi = sum(differential_matrix(sweep, h, "psi").rank for h in dims)
+    return SpectralReport(slope, sum(dims.values()), psi, phi, surgery_dim(work, s))

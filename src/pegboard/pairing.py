@@ -37,13 +37,15 @@ its form f = a*x + b*y + c, and lift k is the line f = k: the form numbers
 the raw points (`raw_intersections`), decides the offset
 (`_family_is_clean`) and picks the lifts that meet a box (`lift_indices`).
 Every arc of a slope lies on a level of F = p*x - q*y, so `ArcSweep`, one
-object per (diagram, slope), finds the crossings of every grading in one
-scan and files each under the one arc that contains it.  A level holding a
-segment, or two consecutive vertices, is degenerate: pairing with a lift on
-it raises `DegenerateIncidence`.  The sweep cancels bigons once per grading
-and keeps the result, so the graded dimensions and both differentials of
-one slope share the work.  Cancellation and the marked bigons of
-`differentials` follow the curve between two intersections with `subarc`.
+object per (diagram, slope), scans every grading at once and files each
+crossing, and each segment lying along an arc line, under the one arc that
+holds it; the keys it files are the gradings.  A level holding a segment,
+or two consecutive vertices, is degenerate: a filling lift on it, or an
+arc holding such a segment, raises `DegenerateIncidence`.  The sweep
+cancels bigons once per grading and keeps the result, so the graded
+dimensions and both differentials of one slope share the work.
+Cancellation and the marked bigons of `differentials` follow the curve
+between two intersections with `subarc`.
 """
 
 from __future__ import annotations
@@ -257,7 +259,8 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
     for ci, c in enumerate(d.components):
         crossings, degenerate = c.level_crossings(fam.form, ZERO)
         if degenerate:
-            raise _degenerate_incidence(c, *min(degenerate.items()))
+            m, events = min(degenerate.items())
+            raise _degenerate_incidence(c, m, events[0])
         for pos, point, m in crossings:
             points.append(IPoint(ci, pos, point, m))
     return points
@@ -480,18 +483,6 @@ def surgery_dim(d: CurveDiagram, slope: SlopeSpec) -> int:
     return surgery_report(d, slope).total
 
 
-def grading_range(d: CurveDiagram, slope: SlopeSpec) -> list[Fraction]:
-    """All gradings whose arc could meet the diagram, by bounding boxes."""
-    if slope.p == 0:
-        raise ZeroSurgery("0-filling has no dual-knot gradings")
-    box = d.bbox()
-    off = Fraction(slope.p - 1, 2)
-    halfspan = Fraction(abs(slope.p), 2)
-    lo = math.floor(box.ymin - halfspan - off) - 1
-    hi = math.ceil(box.ymax + halfspan - off) + 1
-    return [Fraction(n) + off for n in range(lo, hi + 1)]
-
-
 class ArcSweep:
     """The arcs of one slope against one diagram, every grading from one scan.
 
@@ -499,100 +490,101 @@ class ArcSweep:
     the grading-h arc lies on the level set F = p*k - q*h + q*p/2, so every
     arc line is a level F in Z + q/2: on the level j + q/2, the lift-k arc
     at grading key n = h - (p - 1)/2 has j = p*k - q*n.  One
-    `Component.level_crossings` scan per component finds every transversal
-    crossing with such a level.  The crossing belongs to exactly one arc:
-    the lift k with u = (x - k)/q in [0, 1] whose key n solves that
-    relation (for 1/0, the integer h within 1/2 of y).  Only a point on an
-    arc end, a peg, can lie on two.
+    `Component.level_crossings` scan per component lists every transversal
+    crossing with such a level and every segment lying on one, and one rule
+    files both under the arc that holds the point (a segment by its vertex
+    on the level): the lift k with u = (x - k)/q in [0, 1] whose key n
+    solves that relation (for 1/0, the integer h within 1/2 of y).  Only a
+    point on an arc end, a peg, lies on two arcs; validation keeps pegs off
+    the curve, so a segment along an arc line lies inside one arc.
 
-    A grading raises `DegenerateIncidence` when it is asked for if a lift
-    that meets a component's bounding box, padded by 1/100, lies on a
-    degenerate level of that component: the first such component, its
-    smallest such lift, that level's first event.
-    `points(h)` cancels bigons once per grading and keeps the result for
-    the life of the object; nothing is shared between objects.
+    The filed keys are the gradings: no other grading's arc crosses the
+    diagram.  A grading raises `DegenerateIncidence` when one of its own
+    arcs holds a segment, naming the first such component, its smallest
+    such lift and that lift's first event.  `points(h)` cancels bigons once
+    per grading and keeps the result for the life of the object; nothing is
+    shared between objects.  The 0-filling has no gradings and is refused.
     """
 
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
+        if slope.p == 0:
+            raise ZeroSurgery("0-filling has no dual-knot gradings")
         self.diagram = d
         self.slope = slope
-        self._off = Fraction(slope.q % 2, 2)  # levels are m + off
-        self._raw: Optional[dict[int, list[IPoint]]] = None  # by h - (p-1)/2
-        self._degenerate: list[dict[int, tuple[int, bool]]] = []  # per component
-        self._live: dict[Fraction, tuple[IPoint, ...]] = {}
+        self._h0 = Fraction(slope.p - 1, 2)  # grading h has key h - h0
+        self._live: dict[int, tuple[IPoint, ...]] = {}  # by key
+        self._raw, self._held = self._sweep()
 
     def raw(self, h) -> list[IPoint]:
         """Grading-h crossings before cancellation, sorted by component and
         position."""
-        arc = ArcLift(self.slope, h)
-        if self._raw is None:
-            self._sweep()
-        n = int(arc.height - Fraction(self.slope.p - 1, 2))  # 1/0 has p = 1
-        self._check_degenerate(arc, n)
-        return list(self._raw.get(n, ()))
+        return list(self._filed(self._key(h)))
 
     def points(self, h) -> tuple[IPoint, ...]:
         """Minimal-position intersection points with the grading-h arc."""
-        h = rat(h)
-        live = self._live.get(h)
-        if live is None:
-            live = tuple(cancel_bigons(self.raw(h), self.diagram, 1)[0])
-            self._live[h] = live
-        return live
+        return self._points(self._key(h))
 
     def dims(self) -> dict:
-        """Graded dual-knot dimensions, nonzero entries only."""
+        """Graded dual-knot dimensions, nonzero entries only, by increasing
+        grading."""
         dims: dict = {}
-        for h in grading_range(self.diagram, self.slope):
-            n = len(self.points(h))
-            if n:
-                dims[h] = n
+        for n in sorted(self._raw.keys() | self._held.keys()):
+            count = len(self._points(n))
+            if count:
+                dims[n + self._h0] = count
         return dims
 
-    def _check_degenerate(self, arc: ArcLift, n: int) -> None:
-        p, q = self.slope.p, self.slope.q
-        for c, degenerate in zip(self.diagram.components, self._degenerate):
-            if not degenerate:
-                continue
-            lifts = arc.lift_indices(c.bbox().pad(Fraction(1, 100)))
-            hits = []
-            for m, event in degenerate.items():
-                k, r = divmod(m - q // 2 + q * n, p)  # level m is j + q/2, j = p*k - q*n
-                if not r and k in lifts:
-                    hits.append((k, event))
-            if hits:
-                raise _degenerate_incidence(c, *min(hits))
+    def _key(self, h) -> int:
+        """The key of grading h; `ArcLift` refuses a height off the slope's
+        gradings."""
+        return int(ArcLift(self.slope, h).height - self._h0)
 
-    def _sweep(self) -> None:
+    def _filed(self, n: int) -> list[IPoint]:
+        held = self._held.get(n)
+        if held is not None:
+            ci, k, event = held
+            raise _degenerate_incidence(self.diagram.components[ci], k, event)
+        return self._raw.get(n, [])
+
+    def _points(self, n: int) -> tuple[IPoint, ...]:
+        live = self._live.get(n)
+        if live is None:
+            live = tuple(cancel_bigons(self._filed(n), self.diagram, 1)[0])
+            self._live[n] = live
+        return live
+
+    def _sweep(self) -> tuple[dict[int, list[IPoint]], dict[int, tuple]]:
+        """(crossings by key, first held segment by key as (ci, k, event))."""
         p, q = self.slope.p, self.slope.q
-        vertical = self.slope.is_vertical
         inv_p = pow(p, -1, q) if q else 0
         raw: dict[int, list[IPoint]] = {}
+        held: dict[int, tuple] = {}
 
         def form(v: Point) -> Fraction:
             return p * v.x - q * v.y
 
-        def emit(ci: int, pos: Fraction, point: Point, m: int) -> None:
-            """File the crossing of `point` with level m + off under its arc."""
-            if vertical:
+        def arcs(point: Point, m: int) -> list[tuple[int, int]]:
+            """(key, lift) of each arc on the level m + off that holds `point`."""
+            if not q:  # 1/0: lift m, each grading within 1/2 of y
                 y = point.y
-                ip = IPoint(ci, pos, point, m)
-                for n in range(math.ceil(y - HALF), math.floor(y + HALF) + 1):
-                    raw.setdefault(n, []).append(ip)
-                return
+                return [(n, m) for n in range(math.ceil(y - HALF), math.floor(y + HALF) + 1)]
             j = m - q // 2  # the level is j + q/2, so j = p*k - q*n
             x = point.x
             kx = math.floor(x)
             k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
-            for k in ((k - q, k) if x == k else (k,)):
-                raw.setdefault((p * k - j) // q, []).append(IPoint(ci, pos, point, k))
+            return [((p * k - j) // q, k) for k in ((k - q, k) if x == k else (k,))]
 
         for ci, c in enumerate(self.diagram.components):
-            crossings, degenerate = c.level_crossings(form, self._off)
+            crossings, degenerate = c.level_crossings(form, Fraction(q % 2, 2))
             for pos, point, m in crossings:
-                emit(ci, pos, point, m)
-            self._degenerate.append(degenerate)
-        self._raw = raw
+                for n, k in arcs(point, m):
+                    raw.setdefault(n, []).append(IPoint(ci, pos, point, k))
+            for m, events in degenerate.items():
+                for event in events:  # vertex event[0] lies on the segment
+                    for n, k in arcs(c.lifted(event[0]), m):
+                        hit = (ci, k, event)
+                        held[n] = min(held.get(n, hit), hit)
+        return raw, held
 
 
 def arc_points(d: CurveDiagram, arc: ArcLift) -> list[IPoint]:

@@ -1,19 +1,29 @@
-"""Raw intersections against the per-lift walk.
+"""Raw intersections against the per-lift walk and a brute-force oracle.
 
 The reference below is the per-lift walk that paired every object before
 the level scan replaced it, kept verbatim: each object lift is walked
 segment by segment with its own side test.  It shares no walk with
 `Component.level_crossings`, through which `ArcSweep` and
 `raw_intersections` now find every crossing.  Both must reproduce its
-IPoint lists exactly (same points, same order) and raise
-`DegenerateIncidence` with the same message wherever it raises: the sweep
-for every grading of an arc slope, before and after bigon cancellation,
-and `raw_intersections` for filling line families, at the chosen offset
-and at offsets that put vertices on the lines.  The walk pairs the arc
-objects that pairing used before `ArcLift.lift_indices` replaced them,
-copied verbatim with `_u_param`: `ArcLift.lift_indices` must pick the
-lifts `_ArcObject.lift_indices` did.  It reads a filling family through
-`_LineObject`, the anchor-and-direction copy in `test_offset`.
+IPoint lists exactly (same points, same order): the sweep for every
+grading of an arc slope that the walk pairs without raising, before and
+after bigon cancellation, and `raw_intersections` for filling line
+families, at the chosen offset and at offsets that put vertices on the
+lines, raising `DegenerateIncidence` with the same message wherever the
+walk raises.  The walk pairs the arc objects that pairing used before
+`ArcLift.lift_indices` replaced them, copied verbatim with `_u_param`:
+`ArcLift.lift_indices` must pick the lifts `_ArcObject.lift_indices` did.
+It reads a filling family through `_LineObject`, the anchor-and-direction
+copy in `test_offset`.
+
+The walk raises for an arc whenever the arc's whole line runs along a
+curve segment, inside the arc or not.  The sweep raises only when one of
+the grading's own arcs holds the segment.  Where the walk raises, the
+sweep is checked against `arc_oracle` instead: every `ArcLift.seg()`
+translate tested against every curve segment, with no level scan and no
+filing rule.  `grading_range`, the bounding-box range that `ArcSweep.dims`
+read before it read the gradings the sweep files, is kept here as the
+range the tests probe, and the sweep must file no grading outside it.
 """
 
 import math
@@ -36,7 +46,6 @@ from pegboard.pairing import (
     _LineFamily,
     cancel_bigons,
     dual_hfk_dims,
-    grading_range,
     line_family,
     raw_intersections,
 )
@@ -178,6 +187,71 @@ def reference_raw_intersections(d, obj):
 
 
 # ---------------------------------------------------------------------------
+# The brute-force oracle for arcs
+
+
+def arc_oracle(d, slope, h):
+    """Grading h's raw points, or the smallest (component, lift) whose arc
+    holds a curve segment.
+
+    Each lift-k arc is `ArcLift.seg()` translated by (k, 0) and is tested
+    against every segment of one period of every component whose x range it
+    meets.  A segment crossing the arc counts at its crossing, a vertex on
+    the arc iff its cyclic neighbours lie strictly on opposite sides of the
+    arc's line, and a segment on the line whose overlap with the arc has
+    positive length is held.  A vertex on the arc whose neighbour is on the
+    line is such a segment's end.
+    """
+    base = ArcLift(slope, h).seg()
+    dx, dy = base.b.x - base.a.x, base.b.y - base.a.y
+    points, held = [], []
+    for ci, c in enumerate(d.components):
+        verts, n = _component_cycle(c)
+        for i in range(n):
+            a, b = verts[i], verts[i + 1]
+            for k in range(math.ceil(min(a.x, b.x)) - slope.q, math.floor(max(a.x, b.x)) + 1):
+                start = base.a.translate(k)
+
+                def side(v):
+                    return (v.x - start.x) * dy - (v.y - start.y) * dx
+
+                def u(v):  # where v's projection falls along the arc, 0 to 1
+                    return (v.x - start.x) / dx if dx else (v.y - start.y) / dy
+
+                sa, sb = side(a), side(b)
+                if sa == 0 and sb == 0:
+                    lo, hi = sorted((u(a), u(b)))
+                    if min(hi, ONE) > max(lo, ZERO):
+                        held.append((ci, k))
+                elif sa == 0:
+                    if not ZERO <= u(a) <= ONE:
+                        continue
+                    prev, _ = _neighbor_points(c, verts, i)
+                    if side(prev) == 0:
+                        held.append((ci, k))
+                    elif (side(prev) < 0) != (sb < 0):
+                        points.append(IPoint(ci, Fraction(i), a, k))
+                elif sb != 0 and (sa < 0) != (sb < 0):
+                    t = sa / (sa - sb)
+                    point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+                    if ZERO <= u(point) <= ONE:
+                        points.append(IPoint(ci, i + t, point, k))
+    if held:
+        return min(held)
+    return sorted(points, key=lambda ip: (ip.comp, ip.pos, ip.lift))
+
+
+def grading_range(d, slope):
+    """All gradings whose arc could meet the diagram, by bounding boxes."""
+    box = d.bbox()
+    off = Fraction(slope.p - 1, 2)
+    halfspan = Fraction(abs(slope.p), 2)
+    lo = math.floor(box.ymin - halfspan - off) - 1
+    hi = math.ceil(box.ymax + halfspan - off) + 1
+    return [Fraction(n) + off for n in range(lo, hi + 1)]
+
+
+# ---------------------------------------------------------------------------
 
 
 def outcome(f, *args):
@@ -199,12 +273,31 @@ def heights(d, slope):
     return [hs[0] - 2, hs[0] - 1] + hs + [hs[-1] + 1, hs[-1] + 2]
 
 
+def assert_sweep_matches_oracle(sweep, h):
+    """The sweep raises for grading h, naming the oracle's lift, iff the
+    oracle finds an arc holding a segment, and otherwise lists its points."""
+    d, slope = sweep.diagram, sweep.slope
+    want = arc_oracle(d, slope, h)
+    got = outcome(sweep.raw, h)
+    if isinstance(want, tuple):
+        assert isinstance(got, str) and got.endswith(f" object lift {want[1]}"), \
+            (d.source, str(slope), h, got, want)
+    else:
+        assert got == want, (d.source, str(slope), h)
+    return want
+
+
 def assert_sweep_matches_walk(d, slope, cancel=True):
+    """The walk is the reference at every grading it pairs; where it raises,
+    the oracle is."""
     sweep = ArcSweep(d, slope)
     for h in heights(d, slope):
         want = walk(d, slope, h)
-        assert outcome(sweep.raw, h) == want, (d.source, str(slope), h)
-        if cancel and not isinstance(want, str):
+        if isinstance(want, str):
+            assert_sweep_matches_oracle(sweep, h)
+            continue
+        assert sweep.raw(h) == want, (d.source, str(slope), h)
+        if cancel:
             live, _ = cancel_bigons(want, d, 1)
             assert sweep.points(h) == tuple(live), (d.source, str(slope), h)
 
@@ -261,9 +354,11 @@ def test_sweep_matches_walk_on_generated_diagrams(d, slope):
     assert_sweep_matches_walk(d, slope, cancel=False)
 
 
-# A valid null-wiggle whose segments 0, 1 and 5 lie on 1/1 arc lines (the
-# curve of the CLI's degenerate-incidence test), and a taller variant whose
-# segments next to those still cross other arcs.
+# A valid null-wiggle whose segments 0, 1, 3 and 4 lie on 1/1 arc lines
+# (the curve of the CLI's degenerate-incidence test), a taller variant
+# whose segments next to those still cross other arcs, a wiggle with one
+# segment on the 1/0 line x = 0, inside the grading-0 arc, and one with
+# three such segments, inside the arcs of gradings -1, 0 and 1.
 COLLINEAR = parse_curve_text(
     "component winding=1\nv -1/2 0\nv -3/8 1/8\nv -1/8 3/8\n"
     "v 1/8 -3/8\nv 3/8 -1/8\nv 1/2 0\n",
@@ -274,37 +369,88 @@ TALL = parse_curve_text(
     "v 1/16 -3\nv 1/8 -3/8\nv 3/8 -1/8\nv 1/2 0\n",
     source="tall",
 )
+UPRIGHT = parse_curve_text(
+    "component winding=1\nv -1/2 0\nv 0 -1/4\nv 0 1/4\nv 1/2 0\n",
+    source="upright",
+)
+STACKED = parse_curve_text(
+    "component winding=1\nv -1/2 0\nv 0 -5/4\nv 0 -3/4\nv -1/4 -1/2\nv 0 -1/4\n"
+    "v 0 1/4\nv 1/4 1/2\nv 0 3/4\nv 0 5/4\nv 1/2 0\n",
+    source="stacked",
+)
 UNIT = SlopeSpec(1, 1)
+DEGENERATE_SLOPES = [UNIT, SlopeSpec(-1, 1), SlopeSpec(3, 2), SlopeSpec(1, 0)]
 
 
-@pytest.mark.parametrize("d", [COLLINEAR, TALL], ids=lambda d: d.source)
-def test_degenerate_gradings_raise_as_the_walk_does(d):
+def raising_gradings(d, slope):
+    sweep = ArcSweep(d, slope)
+    return [h for h in heights(d, slope) if isinstance(outcome(sweep.raw, h), str)]
+
+
+@pytest.mark.parametrize("d", [COLLINEAR, TALL, UPRIGHT, STACKED], ids=lambda d: d.source)
+def test_degenerate_gradings_raise_iff_an_arc_holds_a_segment(d):
     assert validate(d).ok
-    outcomes = [walk(d, UNIT, h) for h in heights(d, UNIT)]
-    first = next(o for o in outcomes if isinstance(o, str))
-    assert "collinear" in first
-    assert_sweep_matches_walk(d, UNIT)
+    held = 0
+    for diagram in (d, d.mirror()):
+        for slope in DEGENERATE_SLOPES:
+            sweep = ArcSweep(diagram, slope)
+            for h in heights(diagram, slope):
+                want = assert_sweep_matches_oracle(sweep, h)
+                if isinstance(want, tuple):
+                    held += 1
+                    continue
+                paired = walk(diagram, slope, h)
+                assert isinstance(paired, str) or paired == want, (diagram.source, str(slope), h)
+                live, _ = cancel_bigons(want, diagram, 1)
+                assert sweep.points(h) == tuple(live), (diagram.source, str(slope), h)
+                if slope.p < 1 or slope.q < 1:
+                    continue
+                for kind, target in (("phi", h - slope.p), ("psi", h + slope.p)):
+                    # the source grading's points are read first, then the target's
+                    if isinstance(arc_oracle(diagram, slope, target), tuple):
+                        with pytest.raises(DegenerateIncidence):
+                            differential_matrix(sweep, h, kind)
+                    else:
+                        differential_matrix(sweep, h, kind)
+    assert held
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure_eight"])
+def test_oracle_matches_walk_on_zoo(name):
+    d = build_zoo(name)
+    for slope in ZOO_SLOPES:
+        for h in heights(d, slope):
+            assert arc_oracle(d, slope, h) == walk(d, slope, h), (name, str(slope), h)
+
+
+def test_only_the_arcs_holding_a_segment_raise():
+    # The walk raises wherever an arc's line runs along a segment: COLLINEAR
+    # at 1/1 gradings -1, 0 and 1, UPRIGHT at 1/0 every grading from -3 to
+    # 3.  Only grading 0 has an arc that holds one.
+    assert [h for h in heights(COLLINEAR, UNIT) if isinstance(walk(COLLINEAR, UNIT, h), str)] == [-1, 0, 1]
+    assert raising_gradings(COLLINEAR, UNIT) == [0]
+    assert raising_gradings(UPRIGHT, SlopeSpec(1, 0)) == [0]
+    assert raising_gradings(COLLINEAR.mirror(), SlopeSpec(-1, 1)) == [0]
+    sweep = ArcSweep(TALL, UNIT)
+    assert [len(sweep.raw(h)) for h in (-1, 1)] == [2, 2]
     with pytest.raises(DegenerateIncidence) as exc:
-        dual_hfk_dims(d, UNIT)
-    assert str(exc.value) == first
-    sweep = ArcSweep(d, UNIT)
-    for h in heights(d, UNIT):
-        for kind, target in (("phi", h - 1), ("psi", h + 1)):
-            # the walk ran for the source grading first, then the target
-            want = next((o for o in (walk(d, UNIT, h), walk(d, UNIT, target))
-                         if isinstance(o, str)), None)
-            if want is None:
-                differential_matrix(sweep, h, kind)
-                continue
-            with pytest.raises(DegenerateIncidence) as exc:
-                differential_matrix(sweep, h, kind)
-            assert str(exc.value) == want, (d.source, h, kind)
+        dual_hfk_dims(COLLINEAR, UNIT)
+    assert str(exc.value) == "curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1"
+    with pytest.raises(DegenerateIncidence) as exc:
+        dual_hfk_dims(UPRIGHT, SlopeSpec(1, 0))
+    assert str(exc.value) == "curve segment (0, -1/4)->(0, 1/4) is collinear with object lift 0"
+    # Each arc names its own segment.
+    sweep = ArcSweep(STACKED, SlopeSpec(1, 0))
+    assert [outcome(sweep.raw, h) for h in (-1, 0, 1)] == [
+        f"curve segment (0, {lo})->(0, {hi}) is collinear with object lift 0"
+        for lo, hi in (("-5/4", "-3/4"), ("-1/4", "1/4"), ("3/4", "5/4"))
+    ]
 
 
 def test_degenerate_vertex_keeps_its_other_crossings():
     # Vertex 2 of TALL sits on the degenerate level of segment 1, which makes
-    # gradings 0 and 1 raise; grading 2's lifts avoid that level, and segment
-    # 2 (from vertex 2) crosses the grading-2 arc.
+    # the walk raise at gradings 0 and 1; grading 2's lifts avoid that
+    # level, and segment 2 (from vertex 2) crosses the grading-2 arc.
     assert isinstance(walk(TALL, UNIT, 1), str)
     want = walk(TALL, UNIT, 2)
     assert [math.floor(ip.pos) for ip in want] == [2, 3]
@@ -322,10 +468,27 @@ def test_points_are_cancelled_once_per_grading(monkeypatch):
 
     monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
     sweep = ArcSweep(build_zoo("trefoil"), SlopeSpec(3, 2))
+    filed = [h for h in heights(sweep.diagram, sweep.slope) if sweep.raw(h)]
     first = sweep.dims()
     assert sweep.dims() == first
+    assert set(first) <= set(filed)
     assert sweep.points(Fraction(1)) is sweep.points(Fraction(1))
-    assert calls == [1] * len(grading_range(sweep.diagram, sweep.slope))
+    assert Fraction(1) in filed
+    assert calls == [1] * len(filed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_diagrams, arc_slopes)
+def test_unfiled_gradings_have_no_points(d, slope):
+    # dims() reads only the gradings the sweep files: its gradings lie in
+    # the bounding-box range, and no grading of the range that the sweep
+    # did not file has a point.
+    sweep = ArcSweep(d, slope)
+    probe = grading_range(d, slope)
+    assert set(sweep.dims()) <= set(probe)
+    for h in probe:
+        if not sweep.raw(h):
+            assert not sweep.points(h), (d.source, str(slope), h)
 
 
 # Every slope kind an arc has: 1/0, and p/q with q odd and even, p negative,

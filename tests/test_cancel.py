@@ -49,11 +49,11 @@ from pegboard.pairing import (
     SlopeSpec,
     _LineFamily,
     cancel_bigons,
-    grading_range,
     line_family,
     raw_intersections,
     subarc,
 )
+from test_arc_sweep import grading_range
 from test_differentials import winding_near
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,8 @@ class TestFilesAndRender:
         )
         code, _, err = run(capsys, "hfk", str(path), "1/1")
         assert code == EXIT_INVALID
-        assert err.startswith("error:") and "collinear" in err
+        # the grading-0 arc of lift -1 holds the first two segments
+        assert err == "error: curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1\n"
 
     def test_subarc_walk_failure_exit_code(self, capsys, monkeypatch):
         import pegboard.pairing
@@ -300,6 +301,13 @@ class TestFilesAndRender:
         assert (code, out) == (EXIT_OK, "slope,class,count\n1/1,0,1\n2/1,0,1\n2/1,1,1\n")
         _, single, _ = run(capsys, "pair", "trefoil", "2", "--format", "csv")
         assert single == "slope,class,count\n2/1,0,1\n2/1,1,1\n"
+
+    def test_pair_json_is_one_array_for_several_slopes(self, capsys):
+        code, payload = run_json(capsys, "pair", "trefoil", "1", "2")
+        assert code == EXIT_OK
+        singles = [run_json(capsys, "pair", "trefoil", s)[1] for s in ("1", "2")]
+        assert payload == singles
+        assert [p["total"] for p in payload] == [1, 2]
 
     def test_hfk_refuses_zero_filling(self, capsys):
         code, _, err = run(capsys, "hfk", "trefoil", "0/1")

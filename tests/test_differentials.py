@@ -27,8 +27,9 @@ from pegboard.pairing import (
     SlopeSpec,
     ZeroSurgery,
     dual_hfk_dims,
-    grading_range,
+    genus_of,
     subarc,
+    surgery_dim,
     walk_span,
 )
 from pegboard.differentials import (
@@ -39,10 +40,9 @@ from pegboard.differentials import (
     differential_matrix,
     dually_simple_scan,
     gf2_rank,
-    is_lspace_slope,
     spectral_check,
-    total_ranks,
 )
+from test_arc_sweep import grading_range
 
 SLOPES_PQ = [
     SlopeSpec(p, q)
@@ -154,8 +154,8 @@ class TestDuality:
     def test_total_ranks_agree(self, zoo):
         for name, d in zoo.items():
             for s in (SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(3, 2)):
-                phi, psi = total_ranks(d, s)
-                assert phi == psi, (name, str(s))
+                sp = spectral_check(d, s)
+                assert sp.rank_phi == sp.rank_psi, (name, str(s))
 
 
 class TestSpectral:
@@ -177,13 +177,11 @@ class TestSpectral:
         # components and large fillings are simple
         for name, d in zoo.items():
             for s in SLOPES_PQ:
-                phi, psi = total_ranks(d, s)
-                if phi == 0 or psi == 0:
+                sp = spectral_check(d, s)
+                if sp.rank_phi == 0 or sp.rank_psi == 0:
                     assert d.acyclic() == [], (name, str(s))
-                    from pegboard.pairing import genus_of
-
                     big = 2 * genus_of(d) + 2
-                    assert is_lspace_slope(d, SlopeSpec(big, 1))
+                    assert surgery_dim(d, SlopeSpec(big, 1)) == big
 
 
 class TestScan:
@@ -208,9 +206,9 @@ class TestScan:
             assert not e.theorem_violated
 
     def test_lspace_detection(self, zoo):
-        assert is_lspace_slope(zoo["unknot"], SlopeSpec(4, 3))
-        assert is_lspace_slope(zoo["trefoil"], SlopeSpec(5, 1))
-        assert not is_lspace_slope(zoo["figure_eight"], SlopeSpec(1, 1))
+        assert surgery_dim(zoo["unknot"], SlopeSpec(4, 3)) == 4
+        assert surgery_dim(zoo["trefoil"], SlopeSpec(5, 1)) == 5
+        assert surgery_dim(zoo["figure_eight"], SlopeSpec(1, 1)) != 1
 
     def test_mirror_staircase_simple_slopes_are_below_minus_one(self, zoo):
         entries = dually_simple_scan(zoo["trefoil_mirror"], 3, 2)
