@@ -347,13 +347,16 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _ledger_payload(result, lines):
-    return {"schema_version": 1, "kind": "ledger", "result": result, "lines": lines}
+def _certified(cert, fields: dict) -> str:
+    """File the certificate under fields and return its text line."""
+    fields["certificate"] = cert.to_json()
+    return f"{cert.target}: 2-torsion count >= {cert.lower_bound} [{cert.rule}]"
 
 
 def cmd_ledger(args) -> int:
     op = args.op
     lm = ledger_mod
+    fields, csv_rows, code = {}, None, EXIT_OK
     if op in ("dim-seq", "dgamma"):
         if op == "dim-seq":
             seq = lm.dim_seq_C(args.shape, args.nu, args.base, (args.start, args.stop))
@@ -361,63 +364,51 @@ def cmd_ledger(args) -> int:
             seq = lm.dgamma_seq(args.tau, args.min, (args.start, args.stop))
         rows = [(n, seq.values[n]) for n in sorted(seq.values)]
         lines = [f"n={n}: {v}" for n, v in rows]
-        _emit(args, _ledger_payload({str(n): v for n, v in rows}, lines),
-              lines, [["n", "value"]] + [list(r) for r in rows])
+        fields = {"result": {str(n): v for n, v in rows}, "lines": lines}
+        csv_rows = [["n", "value"]] + [list(r) for r in rows]
     elif op == "half-dim":
         value = lm.half_dim_C(args.n, args.nu, args.dim)
-        _emit(args, _ledger_payload(value, []), [f"dim at ({2 * args.n - 1})/2 = {value}"])
+        fields, lines = {"result": value, "lines": []}, [f"dim at ({2 * args.n - 1})/2 = {value}"]
     elif op == "torsion-half":
-        cert = lm.torsion_bound_half(args.n, args.k)
-        payload = {"schema_version": 1, "kind": "ledger", "certificate": cert.to_json()}
-        _emit(args, payload, [f"{cert.target}: 2-torsion count >= {cert.lower_bound} [{cert.rule}]"])
+        lines = [_certified(lm.torsion_bound_half(args.n, args.k), fields)]
     elif op == "dual-one":
         lower, cert = lm.dual_one_bounds(args.d_top, args.dim1)
-        payload = {"schema_version": 1, "kind": "ledger",
-                   "result": {"khi_lower": lower}, "certificate": cert.to_json()}
-        _emit(args, payload, [
-            f"graded dual total >= {lower}",
-            f"{cert.target}: 2-torsion count >= {cert.lower_bound} [{cert.rule}]",
-        ])
+        fields["result"] = {"khi_lower": lower}
+        lines = [f"graded dual total >= {lower}", _certified(cert, fields)]
     elif op == "no-torsion":
         verdict = lm.no_torsion_consequence(args.n, args.shape, args.nu, args.tau)
         lines = [f"branch {verdict.branch}: {'consistent' if verdict.consistent else 'contradiction'}",
                  f"  {verdict.detail}"]
         lines += [f"  consequence: {c}" for c in verdict.consequences]
-        _emit(args, _ledger_payload({
-            "branch": verdict.branch, "consistent": verdict.consistent,
-            "detail": verdict.detail, "consequences": list(verdict.consequences)}, lines), lines)
+        fields = {"result": {"branch": verdict.branch, "consistent": verdict.consistent,
+                             "detail": verdict.detail, "consequences": list(verdict.consequences)},
+                  "lines": lines}
     elif op == "genus-one":
         rep = lm.genus_one_report(args.a, args.tau, args.d_top)
-        payload = {"schema_version": 1, "kind": "ledger",
-                   "result": {"khi_dims": list(rep.khi_dims), "isharp1_dim": rep.isharp1_dim,
-                              "middle_is_lower_bound": rep.middle_is_lower_bound},
-                   "certificate": rep.certificate.to_json()}
-        _emit(args, payload, [
-            f"graded dims (top, middle, bottom) >= {rep.khi_dims}",
-            f"unit-filling dimension = {rep.isharp1_dim}",
-            f"{rep.certificate.target}: 2-torsion count >= {rep.certificate.lower_bound} "
-            f"[{rep.certificate.rule}]",
-        ])
+        fields["result"] = {"khi_dims": list(rep.khi_dims), "isharp1_dim": rep.isharp1_dim,
+                            "middle_is_lower_bound": rep.middle_is_lower_bound}
+        lines = [f"graded dims (top, middle, bottom) >= {rep.khi_dims}",
+                 f"unit-filling dimension = {rep.isharp1_dim}",
+                 _certified(rep.certificate, fields)]
     elif op == "unknotting-one":
         rep = lm.unknotting_one_check(args.dim)
-        payload = {"schema_version": 1, "kind": "ledger",
-                   "result": {"isharp_upper": rep.isharp_upper, "note": rep.note},
-                   "certificate": rep.certificate.to_json()}
+        cert = rep.certificate
+        fields = {"result": {"isharp_upper": rep.isharp_upper, "note": rep.note},
+                  "certificate": cert.to_json()}
         lines = [f"group dimension <= {rep.isharp_upper}",
-                 f"2-torsion count >= {rep.certificate.lower_bound} [{rep.certificate.rule}]"]
+                 f"2-torsion count >= {cert.lower_bound} [{cert.rule}]"]
         if rep.note:
             lines.append(f"note: {rep.note}")
-        _emit(args, payload, lines)
     elif op == "quasi-alt":
         unreduced, reduced = lm.quasi_alt(args.delta)
-        _emit(args, _ledger_payload({"unreduced": str(unreduced), "reduced": str(reduced)}, []),
-              [f"unreduced: {unreduced}", f"reduced: {reduced}"])
+        fields = {"result": {"unreduced": str(unreduced), "reduced": str(reduced)}, "lines": []}
+        lines = [f"unreduced: {unreduced}", f"reduced: {reduced}"]
     elif op == "triangle":
         ok = lm.triangle_check(args.a, args.b, args.c)
-        _emit(args, _ledger_payload(ok, []), [f"triangle admissible: {ok}"])
+        fields, lines = {"result": ok, "lines": []}, [f"triangle admissible: {ok}"]
     elif op == "slope-prop":
         region = lm.slope_propagation(args.n, args.minimal == "yes")
-        _emit(args, _ledger_payload(str(region), []), [str(region)])
+        fields, lines = {"result": str(region), "lines": []}, [str(region)]
     elif op == "shape-classify":
         seqs = lm.sequences_from_csv(Path(args.csv).read_text(encoding="utf-8"))
         try:
@@ -430,9 +421,10 @@ def cmd_ledger(args) -> int:
             f"shape: {rep.shape.kind} with edge invariants ({rep.shape.nu_minus}, {rep.shape.nu_plus})",
             f"widths: plain {rep.width_0}, twisted {rep.width_mu}",
         ] + [f"note: {n}" for n in rep.notes]
-        _emit(args, _ledger_payload({
-            "kind": rep.shape.kind, "nu_plus": rep.shape.nu_plus, "nu_minus": rep.shape.nu_minus,
-            "width_0": str(rep.width_0), "width_mu": str(rep.width_mu)}, lines), lines)
+        fields = {"result": {"kind": rep.shape.kind, "nu_plus": rep.shape.nu_plus,
+                             "nu_minus": rep.shape.nu_minus, "width_0": str(rep.width_0),
+                             "width_mu": str(rep.width_mu)},
+                  "lines": lines}
     elif op == "t2-check":
         seqs = lm.sequences_from_csv(Path(args.csv).read_text(encoding="utf-8"))
         try:
@@ -444,11 +436,12 @@ def cmd_ledger(args) -> int:
         lines = [f"t2 at n={n}: {v}" for n, v in sorted(rep.t2.items())]
         lines.append("monotone past the valley: ok" if rep.ok
                      else f"violation at n={rep.first_violation}")
-        _emit(args, _ledger_payload({"ok": rep.ok, "first_violation": rep.first_violation,
-                                     "t2": {str(n): v for n, v in rep.t2.items()}}, lines), lines)
-        if not rep.ok:
-            return EXIT_VIOLATION
-    return EXIT_OK
+        fields = {"result": {"ok": rep.ok, "first_violation": rep.first_violation,
+                             "t2": {str(n): v for n, v in rep.t2.items()}},
+                  "lines": lines}
+        code = EXIT_OK if rep.ok else EXIT_VIOLATION
+    _emit(args, {"schema_version": 1, "kind": "ledger", **fields}, lines, csv_rows)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

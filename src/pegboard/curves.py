@@ -71,6 +71,17 @@ class Component:
         v = self.vertices[i]
         return v.translate(wrap) if wrap and self.winding == 1 else v
 
+    def turn(self, j: int) -> Optional[str]:
+        """The strict turn at continuous vertex j: "max" when both
+        neighbours lie strictly lower, "min" when both lie strictly higher,
+        else None."""
+        prev_y, y, next_y = (self.lifted(i).y for i in (j - 1, j, j + 1))
+        if prev_y < y and next_y < y:
+            return "max"
+        if prev_y > y and next_y > y:
+            return "min"
+        return None
+
     def level_crossings(
         self, form: Callable[[Point], Fraction], off: Fraction
     ) -> tuple[list[tuple[Fraction, Point, int]], dict[int, list[tuple[int, bool]]]]:
@@ -407,11 +418,9 @@ def component_extrema(c: Component) -> list[tuple[str, int]]:
     if n < 2:
         return out
     for i in range(n):
-        py, y, ny = (c.lifted(j).y for j in (i - 1, i, i + 1))
-        if py < y and ny < y:
-            out.append(("max", height_band(y)))
-        elif py > y and ny > y:
-            out.append(("min", height_band(y)))
+        kind = c.turn(i)
+        if kind:
+            out.append((kind, height_band(c.vertices[i].y)))
     return out
 
 
@@ -450,11 +459,9 @@ def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     # Scan vertices after the first crossing, on into the next period, for
     # the first strict turn.
     for i in range(math.floor(pos0) + 1, 2 * g0.cycle_length()):
-        prev_y, y, next_y = (g0.lifted(j).y for j in (i - 1, i, i + 1))
-        if prev_y < y and next_y < y:
-            return tau, 1
-        if prev_y > y and next_y > y:
-            return tau, -1
+        kind = g0.turn(i)
+        if kind:
+            return tau, 1 if kind == "max" else -1
     return tau, 0
 
 

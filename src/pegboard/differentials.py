@@ -28,7 +28,6 @@ from .pairing import (
     ArcSweep,
     IPoint,
     SlopeSpec,
-    ZeroSurgery,
     dual_hfk_dims,
     genus_of,
     subarc,
@@ -269,39 +268,3 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
             )
             out.append(entry)
     return out
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    slope: SlopeSpec
-    dual_total: int
-    rank_psi: int
-    rank_phi: int
-    filling_dim: int
-
-    @property
-    def first_page_collapse(self) -> int:
-        return self.dual_total - 2 * self.rank_psi
-
-    @property
-    def ok(self) -> bool:
-        return self.first_page_collapse >= self.filling_dim
-
-
-def spectral_check(d: CurveDiagram, slope: SlopeSpec) -> SpectralReport:
-    """One page of cancellation can at most halve the dual total down to the
-    filling dimension: total - 2*rank(raising map) >= filling dimension."""
-    if slope.is_vertical:
-        raise ValueError("spectral comparison needs a finite filling slope")
-    if slope.p == 0:
-        raise ZeroSurgery("no spectral comparison at the 0-filling")
-    work = d
-    s = slope
-    if slope.p < 0:
-        work = d.mirror()
-        s = SlopeSpec(-slope.p, slope.q)
-    sweep = ArcSweep(work, s)
-    dims = sweep.dims()
-    phi = sum(differential_matrix(sweep, h, "phi").rank for h in dims)
-    psi = sum(differential_matrix(sweep, h, "psi").rank for h in dims)
-    return SpectralReport(slope, sum(dims.values()), psi, phi, surgery_dim(work, s))

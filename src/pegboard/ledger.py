@@ -5,8 +5,9 @@ This module never computes a Floer group.  It consumes dimension sequences
 data, generates the sequences that closed formulas determine, checks the
 parity and step constraints the surgery triangles impose, classifies the
 shapes of mod-2 sequences, and emits machine-checkable lower bounds on the
-amount of 2-torsion.  Every certificate carries a rule id so a report can be
-re-derived from its recorded inputs.
+amount of 2-torsion.  Every certificate carries a rule id and its recorded
+inputs; its bound is that rule's formula on those inputs, written once in the
+table that `TorsionCertificate.revalidate` replays.
 """
 
 from __future__ import annotations
@@ -169,35 +170,30 @@ class TorsionCertificate:
             "inputs": dict(self.inputs),
         }
 
+    @classmethod
+    def issue(cls, target: str, rule: str, inputs: dict) -> TorsionCertificate:
+        """The certificate whose bound is the rule's formula on the inputs."""
+        return cls(target, _RECOMPUTE[rule](inputs), rule, inputs)
+
     def revalidate(self) -> bool:
         """Recompute the bound from the recorded inputs; must reproduce it."""
-        recomputed = _RECOMPUTE[self.rule](self.inputs)
-        return recomputed == self.lower_bound
+        return _RECOMPUTE[self.rule](self.inputs) == self.lower_bound
 
 
-def _recompute_half(inputs: dict) -> int:
-    return 2 * inputs["k_n"] - 1
+def _unknotting_bound(inputs: dict) -> int:
+    return max(0, (inputs["dim_khi"] - 3) // 2)
 
 
-def _recompute_dual_one(inputs: dict) -> int:
-    return 2 * inputs["d_top"] - 1
-
-
-def _recompute_genus_one(inputs: dict) -> int:
-    return inputs["middle_dim"] if inputs["tau"] in (1, -1) else inputs["middle_dim"] - 1
-
-
-def _recompute_unknotting(inputs: dict) -> int:
-    dim = inputs["dim_khi"]
-    return (dim - 3) // 2 if dim > 3 else 0
-
-
+#: Each certificate rule's bound as a formula in its recorded inputs, the one
+#: place a bound is written: `issue` and `revalidate` both read it.
 _RECOMPUTE = {
-    "L3.5": _recompute_half,
-    "P1.4": _recompute_dual_one,
-    "P1.5": _recompute_genus_one,
-    "P1.6": _recompute_unknotting,
-    "T1.11": _recompute_unknotting,
+    "L3.5": lambda inputs: 2 * inputs["k_n"] - 1,
+    "P1.4": lambda inputs: 2 * inputs["d_top"] - 1,
+    "P1.5": lambda inputs: (
+        inputs["middle_dim"] if inputs["tau"] in (1, -1) else inputs["middle_dim"] - 1
+    ),
+    "P1.6": _unknotting_bound,
+    "T1.11": _unknotting_bound,
 }
 
 
@@ -267,12 +263,7 @@ def torsion_bound_half(n: int, k_n: int) -> TorsionCertificate:
         raise ValueError("the half-slope bound needs n != 0")
     if k_n < 1:
         raise VacuousBound("gap parameter k_n must be at least 1")
-    return TorsionCertificate(
-        target=f"half-slope filling ({2 * n - 1})/2",
-        lower_bound=2 * k_n - 1,
-        rule="L3.5",
-        inputs={"n": n, "k_n": k_n},
-    )
+    return TorsionCertificate.issue(f"half-slope filling ({2 * n - 1})/2", "L3.5", {"n": n, "k_n": k_n})
 
 
 def dual_one_bounds(d_top: int, dim_i1_c: int) -> tuple[int, TorsionCertificate]:
@@ -286,14 +277,10 @@ def dual_one_bounds(d_top: int, dim_i1_c: int) -> tuple[int, TorsionCertificate]
         raise ValueError("top-grading dimension is at least 1")
     if dim_i1_c < 1:
         raise ValueError("unit-filling dimension is at least 1")
-    khi_lower = dim_i1_c + 2 * d_top
-    cert = TorsionCertificate(
-        target="unit filling with its dual knot",
-        lower_bound=2 * d_top - 1,
-        rule="P1.4",
-        inputs={"d_top": d_top, "dim_i1_c": dim_i1_c},
+    cert = TorsionCertificate.issue(
+        "unit filling with its dual knot", "P1.4", {"d_top": d_top, "dim_i1_c": dim_i1_c}
     )
-    return khi_lower, cert
+    return dim_i1_c + 2 * d_top, cert
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +397,14 @@ class ShapeReport:
     notes: tuple[str, ...]
 
 
-def _nu_plus(seq: LedgerSequence, lo: int, hi: int) -> int:
-    n = hi
-    while n - 1 >= lo and seq.get(n) == seq.get(n - 1) + 1:
-        n -= 1
-    return n
-
-
-def _nu_minus(seq: LedgerSequence, lo: int, hi: int) -> int:
-    n = lo
-    while n + 1 <= hi and seq.get(n) == seq.get(n + 1) + 1:
-        n += 1
+def _edge_invariant(seq: LedgerSequence, start: int, stop: int) -> int:
+    """Walk from start toward stop while each step goes down by one; where the
+    walk ends.  From the top of the range this is nu_plus, from the bottom
+    nu_minus."""
+    step = 1 if stop > start else -1
+    n = start
+    while n != stop and seq.get(n) == seq.get(n + step) + 1:
+        n += step
     return n
 
 
@@ -436,27 +420,23 @@ def _check_step_rules(d0: LedgerSequence, dmu: LedgerSequence, lo: int, hi: int)
                 raise ConstraintViolation("L3.9", f"even n={n}: twisted gap {diff} not in {{-2,0,2}}")
             if diff != 0 and lo < n < hi and d0.get(n - 1) != d0.get(n + 1):
                 raise ConstraintViolation("L3.9", f"even n={n}: twisted gap without flat neighbors")
-    for n in range(lo, hi + 1):
+    for n in range(lo, hi):
         for seq, other in ((d0, dmu), (dmu, d0)):
-            if n + 1 <= hi and abs(seq.get(n + 1) - seq.get(n)) > 1:
+            if abs(seq.get(n + 1) - seq.get(n)) > 1:
                 raise ConstraintViolation("L2.2", f"step from {n} to {n + 1} exceeds 1")
-            if n + 1 <= hi and abs(seq.get(n + 1) - other.get(n)) > 1:
+            if abs(seq.get(n + 1) - other.get(n)) > 1:
                 raise ConstraintViolation("L2.2", f"mixed step from {n} to {n + 1} exceeds 1")
     for n in range(lo + 1, hi):
         if n % 2 != 0:
-            if n + 1 <= hi and d0.get(n) == dmu.get(n + 1) + 1:
-                if d0.get(n - 1) != d0.get(n) + 1:
-                    raise ConstraintViolation("L3.10", f"odd n={n}: forced upward step missing")
-            if n + 1 <= hi and d0.get(n) == d0.get(n + 1) + 1:
-                if dmu.get(n - 1) != d0.get(n) + 1:
-                    raise ConstraintViolation("L3.11", f"odd n={n}: twisted value not one above")
+            if d0.get(n) == dmu.get(n + 1) + 1 and d0.get(n - 1) != d0.get(n) + 1:
+                raise ConstraintViolation("L3.10", f"odd n={n}: forced upward step missing")
+            if d0.get(n) == d0.get(n + 1) + 1 and dmu.get(n - 1) != d0.get(n) + 1:
+                raise ConstraintViolation("L3.11", f"odd n={n}: twisted value not one above")
         else:
-            if n + 1 <= hi and dmu.get(n) == d0.get(n + 1) + 1:
-                if d0.get(n - 1) != d0.get(n) + 1:
-                    raise ConstraintViolation("L3.12", f"even n={n}: forced upward step missing")
-            if n + 1 <= hi and d0.get(n) == d0.get(n + 1) + 1:
-                if d0.get(n - 1) != dmu.get(n) + 1:
-                    raise ConstraintViolation("L3.13", f"even n={n}: twisted value not one below")
+            if dmu.get(n) == d0.get(n + 1) + 1 and d0.get(n - 1) != d0.get(n) + 1:
+                raise ConstraintViolation("L3.12", f"even n={n}: forced upward step missing")
+            if d0.get(n) == d0.get(n + 1) + 1 and d0.get(n - 1) != dmu.get(n) + 1:
+                raise ConstraintViolation("L3.13", f"even n={n}: twisted value not one below")
 
 
 def _common_range(a: LedgerSequence, b: LedgerSequence) -> tuple[int, int]:
@@ -483,7 +463,7 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
     if d0.coefficient != COEFF_F2 or dmu.coefficient != COEFF_F2:
         raise ValueError("shape classification is for mod-2 sequences")
     lo, hi = _common_range(d0, dmu)
-    nu_p, nu_m = _nu_plus(d0, lo, hi), _nu_minus(d0, lo, hi)
+    nu_p, nu_m = _edge_invariant(d0, hi, lo), _edge_invariant(d0, lo, hi)
     if nu_p >= hi or nu_m <= lo:
         raise RangeTooSmall("range does not exhibit the eventual unit slopes")
     _check_step_rules(d0, dmu, lo, hi)
@@ -502,17 +482,13 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
         if m % 2 != 0 and dmu.get(m) != d0.get(m):
             raise ConstraintViolation("P3.16", "V shape: odd valley must agree")
     elif nu_p == nu_m + 2:
+        # the twisted sequence dips two at an even middle m, and rises two
+        # beside an odd one; it agrees with d0 everywhere else
         m = nu_p - 1
-        if m % 2 == 0:
-            for n in range(lo, hi + 1):
-                want = d0.get(n) - 2 if n == m else d0.get(n)
-                if dmu.get(n) != want:
-                    raise ConstraintViolation("P3.16", f"W shape (even middle): bad twisted value at n={n}")
-        else:
-            for n in range(lo, hi + 1):
-                want = d0.get(n) + 2 if n in (m - 1, m + 1) else d0.get(n)
-                if dmu.get(n) != want:
-                    raise ConstraintViolation("P3.16", f"W shape (odd middle): bad twisted value at n={n}")
+        parity, gaps = ("even", {m: -2}) if m % 2 == 0 else ("odd", {m - 1: 2, m + 1: 2})
+        for n in range(lo, hi + 1):
+            if dmu.get(n) != d0.get(n) + gaps.get(n, 0):
+                raise ConstraintViolation("P3.16", f"W shape ({parity} middle): bad twisted value at n={n}")
     else:
         sign = 2 if nu_p % 2 != 0 else -2
         for n in range(lo, hi + 1):
@@ -528,7 +504,7 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
             "the shape rules do not pin them further"
         )
     shape = ShapeClass(nu_p, nu_m)
-    shape_mu = ShapeClass(_nu_plus(dmu, lo, hi), _nu_minus(dmu, lo, hi))
+    shape_mu = ShapeClass(_edge_invariant(dmu, hi, lo), _edge_invariant(dmu, lo, hi))
     if shape.width != shape_mu.width and abs(shape.width - shape_mu.width) != 1:
         raise ConstraintViolation("P3.16", "widths of the two sequences must agree or differ by 1")
     return ShapeReport(shape, shape_mu, shape.width, shape_mu.width, tuple(notes))
@@ -573,12 +549,10 @@ def genus_one_report(a: int, tau: int, d_top: int) -> GenusOneReport:
     if middle % 2 == 0:
         middle += 1
     isharp1 = 2 * d_top - 1 if tau == 1 else 2 * d_top + 1
-    bound = middle if tau in (1, -1) else middle - 1
-    cert = TorsionCertificate(
-        target="knot group in the three-sphere",
-        lower_bound=bound,
-        rule="P1.5",
-        inputs={"a": a, "tau": tau, "d_top": d_top, "middle_dim": middle},
+    cert = TorsionCertificate.issue(
+        "knot group in the three-sphere",
+        "P1.5",
+        {"a": a, "tau": tau, "d_top": d_top, "middle_dim": middle},
     )
     return GenusOneReport((d_top, middle, d_top), True, isharp1, cert)
 
@@ -594,23 +568,12 @@ def unknotting_one_check(dim_khi: int) -> UnknottingOneReport:
     """Bound from unknotting number one: group dimension at most dim + 3."""
     if dim_khi < 1 or dim_khi % 2 == 0:
         raise ValueError("graded total of a knot group is odd and positive")
-    upper = dim_khi + 3
-    if dim_khi > 3:
-        bound = (dim_khi - 3) // 2
-        note = None
-    else:
-        bound = 0
-        note = (
-            "dimension at most 3 happens only for the unknot and the trefoil; "
-            "no torsion is forced by this route"
-        )
-    cert = TorsionCertificate(
-        target="knot group in the three-sphere",
-        lower_bound=bound,
-        rule="P1.6",
-        inputs={"dim_khi": dim_khi},
+    note = None if dim_khi > 3 else (
+        "dimension at most 3 happens only for the unknot and the trefoil; "
+        "no torsion is forced by this route"
     )
-    return UnknottingOneReport(upper, cert, note)
+    cert = TorsionCertificate.issue("knot group in the three-sphere", "P1.6", {"dim_khi": dim_khi})
+    return UnknottingOneReport(dim_khi + 3, cert, note)
 
 
 @dataclass(frozen=True)

@@ -502,8 +502,8 @@ class ArcSweep:
     diagram.  A grading raises `DegenerateIncidence` when one of its own
     arcs holds a segment, naming the first such component, its smallest
     such lift and that lift's first event.  `points(h)` cancels bigons once
-    per grading and keeps the result for the life of the object; nothing is
-    shared between objects.  The 0-filling has no gradings and is refused.
+    per filed grading (an unfiled one has no points) and keeps the result
+    for the life of the object; nothing is shared between objects.  The 0-filling has no gradings and is refused.
     """
 
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
@@ -549,7 +549,8 @@ class ArcSweep:
     def _points(self, n: int) -> tuple[IPoint, ...]:
         live = self._live.get(n)
         if live is None:
-            live = tuple(cancel_bigons(self._filed(n), self.diagram, 1)[0])
+            filed = self._filed(n)  # a held grading raises here
+            live = tuple(cancel_bigons(filed, self.diagram, 1)[0]) if filed else ()
             self._live[n] = live
         return live
 

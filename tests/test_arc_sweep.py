@@ -477,6 +477,26 @@ def test_points_are_cancelled_once_per_grading(monkeypatch):
     assert calls == [1] * len(filed)
 
 
+def test_an_unfiled_grading_is_not_cancelled(monkeypatch):
+    # the raising differential of the top filed grading targets a grading no
+    # arc crosses: only the source grading's points go through cancellation
+    import pegboard.pairing as pairing
+
+    calls = []
+
+    def counting_cancel(pts, d, step, order_seed=None):
+        calls.append(len(pts))
+        return cancel_bigons(pts, d, step, order_seed)
+
+    monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
+    sweep = ArcSweep(build_zoo("trefoil"), SlopeSpec(3, 2))
+    top = max(h for h in heights(sweep.diagram, sweep.slope) if sweep.raw(h))
+    assert sweep.raw(top + 3) == []
+    matrix = differential_matrix(sweep, top, "psi")
+    assert matrix.target_points == () and matrix.rank == 0
+    assert calls == [len(sweep.raw(top))]
+
+
 @settings(max_examples=40, deadline=None)
 @given(generated_diagrams, arc_slopes)
 def test_unfiled_gradings_have_no_points(d, slope):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Optional, Sequence
 
@@ -40,9 +41,49 @@ from pegboard.differentials import (
     differential_matrix,
     dually_simple_scan,
     gf2_rank,
-    spectral_check,
 )
 from test_arc_sweep import grading_range
+
+
+# The first-page comparison lives with its tests: nothing in the package
+# calls it.
+
+
+@dataclass(frozen=True)
+class SpectralReport:
+    slope: SlopeSpec
+    dual_total: int
+    rank_psi: int
+    rank_phi: int
+    filling_dim: int
+
+    @property
+    def first_page_collapse(self) -> int:
+        return self.dual_total - 2 * self.rank_psi
+
+    @property
+    def ok(self) -> bool:
+        return self.first_page_collapse >= self.filling_dim
+
+
+def spectral_check(d: CurveDiagram, slope: SlopeSpec) -> SpectralReport:
+    """One page of cancellation can at most halve the dual total down to the
+    filling dimension: total - 2*rank(raising map) >= filling dimension."""
+    if slope.is_vertical:
+        raise ValueError("spectral comparison needs a finite filling slope")
+    if slope.p == 0:
+        raise ZeroSurgery("no spectral comparison at the 0-filling")
+    work = d
+    s = slope
+    if slope.p < 0:
+        work = d.mirror()
+        s = SlopeSpec(-slope.p, slope.q)
+    sweep = ArcSweep(work, s)
+    dims = sweep.dims()
+    phi = sum(differential_matrix(sweep, h, "phi").rank for h in dims)
+    psi = sum(differential_matrix(sweep, h, "psi").rank for h in dims)
+    return SpectralReport(slope, sum(dims.values()), psi, phi, surgery_dim(work, s))
+
 
 SLOPES_PQ = [
     SlopeSpec(p, q)

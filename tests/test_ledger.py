@@ -147,6 +147,47 @@ class TestCertificates:
         cert = TorsionCertificate("t", 0, "T1.11", {"dim_khi": 3})
         assert cert.revalidate() and cert.to_json()["rule_text"] == RULES["T1.11"]
 
+    # The closed forms below are written out here, not read from the rule
+    # table: revalidate() replays the table, so it cannot catch a wrong
+    # formula in it.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-20, 20).filter(bool), st.integers(1, 30))
+    def test_half_slope_bound_is_twice_the_gap_less_one(self, n, k):
+        cert = torsion_bound_half(n, k)
+        assert (cert.lower_bound, cert.rule) == (2 * k - 1, "L3.5")
+        assert cert.revalidate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30))
+    def test_unit_filling_bounds_in_closed_form(self, d_top, dim1):
+        lower, cert = dual_one_bounds(d_top, dim1)
+        assert lower == dim1 + 2 * d_top
+        assert (cert.lower_bound, cert.rule) == (2 * d_top - 1, "P1.4")
+        assert cert.revalidate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-12, 12).filter(bool), st.sampled_from((-1, 0, 1)), st.integers(0, 12))
+    def test_genus_one_bounds_in_closed_form(self, a, tau, extra):
+        d_top = abs(a) + extra
+        rep = genus_one_report(a, tau, d_top)
+        # |1 - 2a| is odd, so the middle dimension needs no parity bump
+        middle = max(abs(1 - 2 * a), 3 if tau == 0 else 1)
+        assert rep.khi_dims == (d_top, middle, d_top)
+        assert rep.isharp1_dim == (2 * d_top - 1 if tau == 1 else 2 * d_top + 1)
+        want = middle - 1 if tau == 0 else middle
+        assert (rep.certificate.lower_bound, rep.certificate.rule) == (want, "P1.5")
+        assert rep.certificate.revalidate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40))
+    def test_unknotting_one_bound_in_closed_form(self, half):
+        dim = 2 * half + 1
+        rep = unknotting_one_check(dim)
+        assert rep.isharp_upper == dim + 3
+        want = half - 1 if dim >= 5 else 0
+        assert (rep.certificate.lower_bound, rep.certificate.rule) == (want, "P1.6")
+        assert rep.certificate.revalidate()
+
     def test_certificate_json_round_trip(self):
         cert = torsion_bound_half(3, 2)
         blob = cert.to_json()
