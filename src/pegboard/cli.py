@@ -392,11 +392,8 @@ def cmd_ledger(args) -> int:
                  _certified(rep.certificate, fields)]
     elif op == "unknotting-one":
         rep = lm.unknotting_one_check(args.dim)
-        cert = rep.certificate
-        fields = {"result": {"isharp_upper": rep.isharp_upper, "note": rep.note},
-                  "certificate": cert.to_json()}
-        lines = [f"group dimension <= {rep.isharp_upper}",
-                 f"2-torsion count >= {cert.lower_bound} [{cert.rule}]"]
+        fields["result"] = {"isharp_upper": rep.isharp_upper, "note": rep.note}
+        lines = [f"group dimension <= {rep.isharp_upper}", _certified(rep.certificate, fields)]
         if rep.note:
             lines.append(f"note: {rep.note}")
     elif op == "quasi-alt":

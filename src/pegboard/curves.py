@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import (
     HALF,
@@ -69,7 +69,7 @@ class Component:
         """
         wrap, i = divmod(j, self.cycle_length())
         v = self.vertices[i]
-        return v.translate(wrap) if wrap and self.winding == 1 else v
+        return Point(v.x + wrap, v.y) if wrap and self.winding == 1 else v
 
     def turn(self, j: int) -> Optional[str]:
         """The strict turn at continuous vertex j: "max" when both
@@ -83,46 +83,66 @@ class Component:
         return None
 
     def level_crossings(
-        self, form: Callable[[Point], Fraction], off: Fraction
+        self, a: int, b: int, c: Fraction
     ) -> tuple[list[tuple[Fraction, Point, int]], dict[int, list[tuple[int, bool]]]]:
-        """Transversal crossings of one period with the levels form = m + off.
+        """Transversal crossings of one period with the levels a*x + b*y + c = m.
 
-        `form` is an affine function of the point and m runs over the
-        integers.  Returns (crossings, degenerate).  crossings lists
-        (pos, point, m) in curve order, pos being the segment index plus the
-        fraction along the segment.  A vertex on a level counts iff its
-        cyclic neighbours lie strictly on opposite sides; the period's end
-        vertex repeats its start and is left to it.  degenerate maps each
-        level that holds a segment, or two consecutive vertices, to its
-        events in segment order, (i, collinear): vertex i lies on the level
-        and so does vertex i + 1 (collinear) or vertex i - 1 (not
-        collinear).  Such vertices give no crossing; the scan never raises.
+        a and b are integers, c is a rational and m runs over the integers.
+        Returns (crossings, degenerate).  crossings lists (pos, point, m) in
+        curve order, pos being the segment index plus the fraction along the
+        segment.  A vertex on a level counts iff its cyclic neighbours lie
+        strictly on opposite sides; the period's end vertex repeats its
+        start and is left to it.  degenerate maps each level that holds a
+        segment, or two consecutive vertices, to its events in segment
+        order, (i, collinear): vertex i lies on the level and so does vertex
+        i + 1 (collinear) or vertex i - 1 (not collinear).  Such vertices
+        give no crossing; the scan never raises.
+
+        The scan works in integers.  The coordinates and c are scaled by
+        the lcm S of their denominators, so the form is an integer G = S*f
+        at every vertex: a vertex lies on a level iff S divides G, the
+        levels a segment crosses are a floor/ceil division range, and the
+        crossing of level m lies at the integer ratio (m*S - G_a)/(G_b -
+        G_a) along it.  Only the returned positions and points are built as
+        Fractions.
         """
         n = self.cycle_length()
         if n == 0:
             return [], {}
-        verts = [self.lifted(j) for j in range(-1, n + 1)]  # verts[j + 1] is vertex j
-        f = [form(v) for v in verts]
+        scale = math.lcm(c.denominator, *(k.denominator for v in self.vertices for k in (v.x, v.y)))
+        period = scale if self.winding == 1 else 0  # scaled x step per period
+        cs = c.numerator * (scale // c.denominator)
+        xs, ys, gs = [], [], []  # index j + 1 holds vertex j, scaled
+        for j in range(-1, n + 1):
+            wrap, i = divmod(j, n)
+            v = self.vertices[i]
+            x = v.x.numerator * (scale // v.x.denominator) + wrap * period
+            y = v.y.numerator * (scale // v.y.denominator)
+            xs.append(x)
+            ys.append(y)
+            gs.append(a * x + b * y + cs)
         crossings: list[tuple[Fraction, Point, int]] = []
         degenerate: dict[int, list[tuple[int, bool]]] = {}
         for i in range(n):
-            a, b = verts[i + 1], verts[i + 2]
-            f_prev, fa, fb = f[i], f[i + 1], f[i + 2]
-            if (fa - off).denominator == 1:
-                if fa == fb or fa == f_prev:
-                    degenerate.setdefault(int(fa - off), []).append((i, fa == fb))
-                elif (f_prev < fa) != (fb < fa):
-                    crossings.append((Fraction(i), a, int(fa - off)))
-            if fa == fb:
+            g_prev, ga, gb = gs[i], gs[i + 1], gs[i + 2]
+            if ga % scale == 0:
+                if ga == gb or ga == g_prev:
+                    degenerate.setdefault(ga // scale, []).append((i, ga == gb))
+                elif (g_prev < ga) != (gb < ga):
+                    crossings.append((Fraction(i), self.lifted(i), ga // scale))
+            if ga == gb:
                 continue
-            if fa < fb:
-                levels = range(math.floor(fa - off) + 1, math.ceil(fb - off))
+            if ga < gb:
+                levels = range(ga // scale + 1, -(-gb // scale))
             else:
-                levels = range(math.ceil(fa - off) - 1, math.floor(fb - off), -1)
-            dx, dy, df = b.x - a.x, b.y - a.y, fb - fa
+                levels = range(-(-ga // scale) - 1, gb // scale, -1)
+            xa, ya = xs[i + 1], ys[i + 1]
+            dx, dy, dg = xs[i + 2] - xa, ys[i + 2] - ya, gb - ga
+            den = dg * scale
             for m in levels:
-                t = (m + off - fa) / df
-                crossings.append((i + t, Point(a.x + t * dx, a.y + t * dy), m))
+                r = m * scale - ga  # the crossing is r/dg along the segment
+                point = Point(Fraction(xa * dg + r * dx, den), Fraction(ya * dg + r * dy, den))
+                crossings.append((Fraction(i * dg + r, dg), point, m))
         return crossings, degenerate
 
     def bbox(self) -> Box:
@@ -205,10 +225,6 @@ def _canonical_cycle(c: Component) -> Optional[tuple]:
     return _least_rotation(tuple((p.x - k, p.y) for p in c.vertices))
 
 
-def _x(v: Point) -> Fraction:
-    return v.x
-
-
 def seam_crossings(c: Component) -> list[tuple[Fraction, Point]]:
     """Transversal crossings of the seam lines x in 1/2 + Z along one period.
 
@@ -217,7 +233,7 @@ def seam_crossings(c: Component) -> list[tuple[Fraction, Point]]:
     crossing at a vertex counts once, iff its cyclic neighbors straddle the
     seam line; touching without crossing does not count.
     """
-    crossings, _ = c.level_crossings(_x, HALF)
+    crossings, _ = c.level_crossings(1, 0, -HALF)
     return [(pos, point) for pos, point, _ in crossings]
 
 
@@ -451,7 +467,7 @@ def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     it turns upward, and 0 for the horizontal line, which never turns.
     """
     g0 = anchor_at_seam(d.gamma0())
-    crossings, _ = g0.level_crossings(_x, ZERO)
+    crossings, _ = g0.level_crossings(1, 0, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
     pos0, point0, _ = crossings[0]

@@ -3,9 +3,10 @@
 Everything in this module is exact: points are `fractions.Fraction` pairs
 and there is no floating point anywhere, so incidence questions (does a
 segment hit a peg, does a loop wind around a point) have exact answers.
-The peg test of a segment and the peg windings of a loop scale their
-coordinates by a common denominator and then work in integers, which is
-still exact and cheaper than `Fraction` arithmetic.
+The peg test of a segment, the peg windings of a loop and the level scan
+of `curves.Component.level_crossings` scale their coordinates by a common
+denominator and then work in integers, which is still exact and cheaper
+than `Fraction` arithmetic; only the values they return are Fractions.
 
 The marked cylinder is the strip [-1/2, 1/2] x R with punctures ("pegs") on
 the middle column; its planar cover is R^2 with pegs at (i, j + 1/2) for all

@@ -435,8 +435,9 @@ def _check_step_rules(d0: LedgerSequence, dmu: LedgerSequence, lo: int, hi: int)
         else:
             if dmu.get(n) == d0.get(n + 1) + 1 and d0.get(n - 1) != d0.get(n) + 1:
                 raise ConstraintViolation("L3.12", f"even n={n}: forced upward step missing")
-            if d0.get(n) == d0.get(n + 1) + 1 and d0.get(n - 1) != dmu.get(n) + 1:
-                raise ConstraintViolation("L3.13", f"even n={n}: twisted value not one below")
+    # L3.13 (an even step-down puts the twisted value one below the left
+    # neighbour) holds once the checks above pass: with twisted gap 0 it is
+    # L3.12, a gap of +2 makes a mixed step of 3 (L2.2), and -2 satisfies it.
 
 
 def _common_range(a: LedgerSequence, b: LedgerSequence) -> tuple[int, int]:
@@ -477,10 +478,8 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
             diff = dmu.get(n) - d0.get(n)
             if n != m and diff != 0:
                 raise ConstraintViolation("P3.16", f"V shape: twisted gap off the valley at n={n}")
-        if m % 2 == 0 and dmu.get(m) - d0.get(m) not in (0, 2):
-            raise ConstraintViolation("P3.16", "V shape: valley gap must be 0 or 2")
-        if m % 2 != 0 and dmu.get(m) != d0.get(m):
-            raise ConstraintViolation("P3.16", "V shape: odd valley must agree")
+        # The valley's own gap needs no check: L3.9 makes it 0 at an odd
+        # valley, and a -2 gap at an even one is a mixed step of 3 (L2.2).
     elif nu_p == nu_m + 2:
         # the twisted sequence dips two at an even middle m, and rises two
         # beside an odd one; it agrees with d0 everywhere else

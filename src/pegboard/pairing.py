@@ -24,7 +24,12 @@ for arcs and a filling family's x coefficient otherwise: 1 for the vertical
 family, -p for a slanted one and 0 for horizontal lines, each of which holds
 every translate of its points.
 Within one `cancel_bigons` call each adjacent pair's geometry is computed
-once: its subarc, the same-lift test, the closing loop and the peg check.
+once: the same-lift test, its subarc, the closing loop and the peg check.
+The same-lift test is read from ring order: the pairs are neighbours on a
+component's ring of distinct positions, so the forward walk from x to y
+passes a period end (m = 1) only from the ring's last point to its first
+on the wrapping component, and y lies on x's lift iff
+y.lift + step*m == x.lift.  Only the pairs that pass it walk the curve.
 Only the test for another live point on the lift's piece depends on what
 has been removed, so a blocked pair keeps the point that blocked it and is
 tested again only after that point is gone.  The peg check,
@@ -32,8 +37,9 @@ tested again only after that point is gone.  The peg check,
 crossings with the integer columns.
 
 Either kind lies on the level sets of one linear form, so every raw count
-is one `Component.level_crossings` scan per component.  A filling family is
-its form f = a*x + b*y + c, and lift k is the line f = k: the form numbers
+is one `Component.level_crossings` scan per component, done in integers
+after scaling by the lcm of the denominators.  A filling family is its
+form f = a*x + b*y + c, and lift k is the line f = k: the form numbers
 the raw points (`raw_intersections`), decides the offset
 (`_family_is_clean`) and picks the lifts that meet a box (`lift_indices`).
 Every arc of a slope lies on a level of F = p*x - q*y, so `ArcSweep`, one
@@ -257,7 +263,7 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
     """
     points: list[IPoint] = []
     for ci, c in enumerate(d.components):
-        crossings, degenerate = c.level_crossings(fam.form, ZERO)
+        crossings, degenerate = c.level_crossings(fam.a, fam.b, fam.c)
         if degenerate:
             m, events = min(degenerate.items())
             raise _degenerate_incidence(c, m, events[0])
@@ -372,16 +378,17 @@ def _first_blocker(step: int, lift: int, a: Point, b: Point, pts: Sequence[IPoin
     return None
 
 
-def _closing_loop(c: Component, step: int, x: IPoint,
-                  y: IPoint) -> Optional[tuple[Point, tuple[Point, ...]]]:
+def _closing_loop(c: Component, step: int, x: IPoint, y: IPoint,
+                  m: int) -> Optional[tuple[Point, tuple[Point, ...]]]:
     """What no other point changes in the bigon test of the pair (x, y).
 
-    The forward subarc from x to y must end on x's lift; its end bounds the
-    lift's piece back to x.point.  Returns (end, loop), the loop being the
-    subarc without a repeated closing point, or None when the subarc ends on
-    another lift or the loop has fewer than two points.
+    The forward subarc from x to y, which passes m period ends, must end
+    on x's lift; its end bounds the lift's piece back to x.point.  Returns
+    (end, loop), the loop being the subarc without a repeated closing
+    point, or None when the subarc ends on another lift or the loop has
+    fewer than two points.
     """
-    if y.lift + step * walk_span(c, x, y, 1)[1] != x.lift:
+    if y.lift + step * m != x.lift:
         return None
     path, _ = subarc(c, x, y, 1)
     loop = path[:-1] if path[-1] == path[0] else path
@@ -406,9 +413,12 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     independent of the removal order; the audit records each removed pair
     with its loop and the pegs certified to have winding zero.
 
-    Within one call each pair's geometry is computed once: the subarc, the
-    same-lift test, the closing loop and, once the piece is free, its peg
+    Within one call each pair's geometry is computed once: the same-lift
+    test, the subarc, the closing loop and, once the piece is free, its peg
     check (`first_wound_peg`, one scan of the loop's column crossings).
+    The same-lift test needs no walk: a pair's forward walk passes a period
+    end only from the last point of a wrapping component's ring to its
+    first, so m is 1 for that pair and 0 for every other.
     Only the piece test reads the live points, so a blocked pair keeps the
     point found on its piece and is tested again only after that point has
     been removed.  `pts` holds distinct points, as `raw_intersections`
@@ -431,11 +441,15 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
             ring = [k for k in rings[ci] if alive[k]]
             if len(ring) < 2:
                 continue
+            c = d.components[ci]
+            last = len(ring) - 1
             for n, ix in enumerate(ring):
-                pair = (ix, ring[n + 1 - len(ring)])
+                pair = (ix, ring[n - last])
                 x, y = pts[ix], pts[pair[1]]
                 if pair not in tests:
-                    found = _closing_loop(d.components[ci], step, x, y)
+                    # Only the walk from the ring's last point to its first
+                    # passes a period end, and only on a wrapping component.
+                    found = _closing_loop(c, step, x, y, c.winding if n == last else 0)
                     tests[pair] = None if found is None else (None, *found)
                 state = tests[pair]
                 if type(state) is tuple:
@@ -561,9 +575,6 @@ class ArcSweep:
         raw: dict[int, list[IPoint]] = {}
         held: dict[int, tuple] = {}
 
-        def form(v: Point) -> Fraction:
-            return p * v.x - q * v.y
-
         def arcs(point: Point, m: int) -> list[tuple[int, int]]:
             """(key, lift) of each arc on the level m + off that holds `point`."""
             if not q:  # 1/0: lift m, each grading within 1/2 of y
@@ -576,7 +587,7 @@ class ArcSweep:
             return [((p * k - j) // q, k) for k in ((k - q, k) if x == k else (k,))]
 
         for ci, c in enumerate(self.diagram.components):
-            crossings, degenerate = c.level_crossings(form, Fraction(q % 2, 2))
+            crossings, degenerate = c.level_crossings(p, -q, -Fraction(q % 2, 2))
             for pos, point, m in crossings:
                 for n, k in arcs(point, m):
                     raw.setdefault(n, []).append(IPoint(ci, pos, point, k))

@@ -1,0 +1,183 @@
+"""The integer level scan against the Fraction scan it replaced.
+
+`reference_level_crossings` is the body of `Component.level_crossings`
+from before the scan moved to integers, copied verbatim (with `self` named
+`c`): it evaluates a callable Fraction form at every vertex and scans the
+levels form = m + off.  `Component.level_crossings(a, b, c)` scans the
+levels of a*x + b*y + c, which are those of the form a*x + b*y at
+off = -c, and must return the same (crossings, degenerate): the same
+positions, points and levels in the same order, and the same events.
+"""
+
+import math
+from fractions import Fraction
+from typing import Callable
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pegboard.curves import Component, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.geometry import HALF, ZERO, Point
+
+# ---------------------------------------------------------------------------
+# The Fraction scan (reference)
+
+
+def reference_level_crossings(
+    c: Component, form: Callable[[Point], Fraction], off: Fraction
+) -> tuple[list[tuple[Fraction, Point, int]], dict[int, list[tuple[int, bool]]]]:
+    """Transversal crossings of one period with the levels form = m + off.
+
+    `form` is an affine function of the point and m runs over the
+    integers.  Returns (crossings, degenerate).  crossings lists
+    (pos, point, m) in curve order, pos being the segment index plus the
+    fraction along the segment.  A vertex on a level counts iff its
+    cyclic neighbours lie strictly on opposite sides; the period's end
+    vertex repeats its start and is left to it.  degenerate maps each
+    level that holds a segment, or two consecutive vertices, to its
+    events in segment order, (i, collinear): vertex i lies on the level
+    and so does vertex i + 1 (collinear) or vertex i - 1 (not
+    collinear).  Such vertices give no crossing; the scan never raises.
+    """
+    n = c.cycle_length()
+    if n == 0:
+        return [], {}
+    verts = [c.lifted(j) for j in range(-1, n + 1)]  # verts[j + 1] is vertex j
+    f = [form(v) for v in verts]
+    crossings: list[tuple[Fraction, Point, int]] = []
+    degenerate: dict[int, list[tuple[int, bool]]] = {}
+    for i in range(n):
+        a, b = verts[i + 1], verts[i + 2]
+        f_prev, fa, fb = f[i], f[i + 1], f[i + 2]
+        if (fa - off).denominator == 1:
+            if fa == fb or fa == f_prev:
+                degenerate.setdefault(int(fa - off), []).append((i, fa == fb))
+            elif (f_prev < fa) != (fb < fa):
+                crossings.append((Fraction(i), a, int(fa - off)))
+        if fa == fb:
+            continue
+        if fa < fb:
+            levels = range(math.floor(fa - off) + 1, math.ceil(fb - off))
+        else:
+            levels = range(math.ceil(fa - off) - 1, math.floor(fb - off), -1)
+        dx, dy, df = b.x - a.x, b.y - a.y, fb - fa
+        for m in levels:
+            t = (m + off - fa) / df
+            crossings.append((i + t, Point(a.x + t * dx, a.y + t * dy), m))
+    return crossings, degenerate
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+
+
+def reference_scan(c: Component, a: int, b: int, off_c: Fraction):
+    return reference_level_crossings(c, lambda v: a * v.x + b * v.y, -off_c)
+
+
+def assert_scans_agree(c: Component, a: int, b: int, off_c: Fraction):
+    got = c.level_crossings(a, b, off_c)
+    want = reference_scan(c, a, b, off_c)
+    assert got == want
+    # Equal values, and the same types: exact Fractions and int levels.
+    for (pos, point, m), (rpos, rpoint, rm) in zip(got[0], want[0]):
+        assert type(pos) is type(rpos) is Fraction
+        assert type(point.x) is type(point.y) is Fraction
+        assert type(m) is type(rm) is int
+    assert all(type(m) is int for m in got[1])
+
+
+# ---------------------------------------------------------------------------
+# Random components
+
+
+GRIDS = (3, 4, 5)  # quarter, third and fifth grids
+
+
+@st.composite
+def scanned_components(draw):
+    """(component, a, b, c): a random closed or wrapping component on a
+    1/3, 1/4 or 1/5 grid, and a form whose levels some of its vertices, or
+    whole segments, lie on."""
+    a = draw(st.integers(-4, 4))
+    b = draw(st.integers(-4, 4))
+    c = Fraction(draw(st.integers(-12, 12)), draw(st.sampled_from((1, 2, 3, 4, 5, 6))))
+    den = draw(st.sampled_from(GRIDS))
+    coord = st.integers(-3 * den, 3 * den).map(lambda k: Fraction(k, den))
+    winding = draw(st.integers(0, 1))
+    n = draw(st.integers(1 if winding == 0 else 2, 7))
+    verts = [Point(draw(coord), draw(coord)) for _ in range(n - winding)]
+    # Snap some vertices onto a level of a*x + b*y + c, by moving y (x when
+    # b is 0).  Snapping neighbours onto one level lays a segment along it.
+    level = draw(st.integers(-6, 6))
+    for i in draw(st.lists(st.integers(0, len(verts) - 1), max_size=4)):
+        v = verts[i]
+        m = level if draw(st.booleans()) else draw(st.integers(-6, 6))
+        if b:
+            verts[i] = Point(v.x, (m - c - a * v.x) / b)
+        elif a:
+            verts[i] = Point((m - c) / a, v.y)
+    if winding:
+        verts.append(Point(verts[0].x + 1, verts[0].y))
+    return Component(tuple(verts), winding), a, b, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(scanned_components())
+def test_integer_scan_matches_fraction_scan(case):
+    assert_scans_agree(*case)
+
+
+def test_snapped_components_reach_every_branch():
+    """The strategy's own examples put vertices and segments on levels and
+    cross levels both rising and falling, so the test above compares
+    every branch of the scan."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(scanned_components())
+    def probe(case):
+        comp, a, b, c = case
+        crossings, degenerate = reference_scan(comp, a, b, c)
+        seen.update("vertex" if pos.denominator == 1 else "segment" for pos, _, _ in crossings)
+        seen.update("collinear" if collinear else "vertex-pair"
+                    for events in degenerate.values() for _, collinear in events)
+        for pos, _, _ in crossings:
+            if pos.denominator != 1:
+                i = math.floor(pos)
+                fa, fb = (a * v.x + b * v.y for v in (comp.lifted(i), comp.lifted(i + 1)))
+                seen.add("rising" if fa < fb else "falling")
+
+    probe()
+    assert seen >= {"vertex", "segment", "collinear", "vertex-pair", "rising", "falling"}
+
+
+# ---------------------------------------------------------------------------
+# The forms production scans
+
+
+def _diagrams():
+    ds = [build_zoo(name) for name in zoo_names()]
+    ds += [lspace_staircase({4: 1, 2: -1, 0: 1, -2: -1, -4: 1}), thin(2, 3), thin(-1, 2)]
+    return ds + [d.mirror() for d in ds] + [d.rotate180() for d in ds]
+
+
+@pytest.mark.parametrize("form", [(1, 0, -HALF), (1, 0, ZERO)], ids=["seam", "peg-column"])
+def test_column_scans_match(form):
+    for d in _diagrams():
+        for comp in d.components:
+            assert_scans_agree(comp, *form)
+
+
+def test_arc_and_family_scans_match():
+    """The arc form (p, -q, -(q mod 2)/2) and slanted family forms
+    (-p, q, p*(1/2 + delta)) at every coprime |p| <= 9, q <= 4."""
+    slopes = [(p, q) for q in range(0, 5) for p in range(-9, 10)
+              if p and math.gcd(abs(p), q) == 1 and (q or p == 1)]
+    for d in _diagrams():
+        for comp in d.components:
+            for p, q in slopes:
+                assert_scans_agree(comp, p, -q, -Fraction(q % 2, 2))
+                if q:
+                    assert_scans_agree(comp, -p, q, p * (HALF + Fraction(1, 7 * 64)))

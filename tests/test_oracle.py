@@ -1,4 +1,4 @@
-"""Filling dimensions of staircase knots against the closed form.
+"""Filling dimensions of staircase knots against two oracles.
 
 For a knot whose knot Floer complex is a staircase of genus g (an L-space
 knot, such as a positive torus knot) and a slope p/q > 0,
@@ -6,19 +6,28 @@ knot, such as a positive torus knot) and a slope p/q > 0,
     dim HF^(S^3_{p/q}(K)) = p + 2 * max(0, (2g - 1) * q - p)
 
 (Ozsvath-Szabo, "Knot Floer homology and rational surgeries",
-arXiv:math/0504404).  The genus comes from each diagram's own Alexander
-polynomial, never from the curve, so the oracle shares no code with the
-geometry kernel.  Negative slopes need the torsion coefficients instead and
-are not checked here.
+arXiv:math/0504404).  The same paper gives the rank at any p/q > 0 from
+the complex CFK^oo itself:
+
+    rank = p + 2 * max(0, (2 * nu - 1) * q - p) + q * sum_s (rank H(A^_s) - 1)
+
+where A^_s = C{max(i, j - s) = 0}, B^ = C{i = 0}, and nu is the least s
+at which the projection v^_s: A^_s -> B^ is nonzero on homology.  A slope
+p/q < 0 is the mirror's rank at |p|/q, because S^3_{-r}(K) is
+-S^3_r(mirror K) and the mirror's complex is the dual one.  `cone_rank`
+builds the staircase complex over GF(2) from the exponents of the
+Alexander polynomial and reads everything from it, so neither oracle
+shares code with the geometry kernel, and the mapping cone checks both
+slope signs.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import build_zoo, lspace_staircase
+from pegboard.curves import build_zoo, lspace_staircase, staircase_exponents
 from pegboard.pairing import SlopeSpec, surgery_dim
 
 
@@ -51,3 +60,119 @@ def staircase_polynomials(draw):
 def test_generated_staircases_match_closed_form(alexander, pq):
     genus = max(alexander)
     assert surgery_dim(lspace_staircase(alexander), SlopeSpec(*pq)) == closed_form_dim(genus, *pq)
+
+
+# ---------------------------------------------------------------------------
+# The mapping cone, from CFK^oo of the staircase
+
+
+def staircase_complex(exps: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """CFK^oo of the staircase with Alexander exponents exps (descending):
+    one (i, j) filtration level per generator and the arrows (l, m) of the
+    differential.  Generator 0 sits at (0, exps[0]); each odd generator
+    lies exps[l-1] - exps[l] to the right of the one before it and each
+    even one that far below, so generator l has Alexander grading
+    j - i = exps[l].  Every odd generator maps to both neighbours."""
+    pos = [(0, exps[0])]
+    for l in range(1, len(exps)):
+        i, j = pos[-1]
+        step = exps[l - 1] - exps[l]
+        pos.append((i + step, j) if l % 2 else (i, j - step))
+    arrows = [(l, m) for l in range(1, len(exps), 2) for m in (l - 1, l + 1)]
+    return pos, arrows
+
+
+def gf2_row_reduce(rows: list[int]) -> tuple[int, list[int]]:
+    """(rank, kernel) of the bit-mask rows: the kernel lists the
+    combinations of rows, as bit masks over row indices, that sum to 0."""
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for l, row in enumerate(rows):
+        comb = 1 << l
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (row, comb)
+                break
+            prow, pcomb = pivots[top]
+            row, comb = row ^ prow, comb ^ pcomb
+        if not row:
+            kernel.append(comb)
+    return len(pivots), kernel
+
+
+def cone_rank(exps: list[int], p: int, q: int) -> int:
+    """rank HF^ of the p/q surgery (p != 0, q >= 1) on the staircase knot
+    with exponents exps, by the mapping-cone formula."""
+    pos, arrows = staircase_complex(exps)
+    if p < 0:  # the mirror at |p|/q: the dual complex
+        pos, arrows, p = [(-i, -j) for i, j in pos], [(m, l) for l, m in arrows], -p
+
+    def differential(lift: list[int]) -> list[int]:
+        """The differential on the one translate U^lift[l] of each
+        generator: an arrow survives iff both ends are in the same slice."""
+        rows = [0] * len(pos)
+        for l, m in arrows:
+            if lift[l] == lift[m]:
+                rows[l] |= 1 << m
+        return rows
+
+    at_i0 = [i for i, _ in pos]  # B^ = C{i = 0} holds U^i of each generator
+    boundaries_b = differential(at_i0)
+    rank_b, _ = gf2_row_reduce(boundaries_b)
+    genus = max(abs(e) for e in exps)
+    nu, excess = None, 0
+    for s in range(-genus - 1, genus + 2):  # A^_s has rank 1 outside [-g, g]
+        # A^_s holds U^n of each generator, n = max(i, j - s).
+        lift = [max(i, j - s) for i, j in pos]
+        rank_a, cycles = gf2_row_reduce(differential(lift))
+        excess += len(pos) - 2 * rank_a - 1
+        if nu is None:
+            # v^_s keeps the generators whose translate lies in i = 0.
+            keep = sum(1 << l for l in range(len(pos)) if lift[l] == at_i0[l])
+            if gf2_row_reduce(boundaries_b + [z & keep for z in cycles])[0] > rank_b:
+                nu = s
+    return p + 2 * max(0, (2 * nu - 1) * q - p) + q * excess
+
+
+ZOO_EXPONENTS = {
+    "unknot": [0],
+    "trefoil": [1, 0, -1],
+    "torus_2_5": [2, 1, 0, -1, -2],
+    "torus_3_4": [3, 2, 0, -2, -3],
+}
+SIGNED_SLOPES = [(s * p, q) for q in range(1, 5) for p in range(1, 8) for s in (1, -1)
+                 if math.gcd(p, q) == 1]
+
+
+def test_cone_matches_closed_form_at_positive_slopes():
+    """On a staircase nu is the genus and every A^_s has rank 1, so the
+    cone reduces to the closed form."""
+    for exps in list(ZOO_EXPONENTS.values()) + [[4, 2, 0, -2, -4], [5, 1, 0, -1, -5]]:
+        for p, q in POSITIVE_SLOPES:
+            assert cone_rank(exps, p, q) == closed_form_dim(max(exps), p, q), (exps, p, q)
+
+
+def test_cone_of_the_trefoils_at_minus_one():
+    """-1 surgery on the right-handed trefoil is the Brieskorn sphere
+    Sigma(2, 3, 7), of rank 3; +1 on the left-handed one is its reverse."""
+    assert cone_rank([1, 0, -1], -1, 1) == 3
+    assert cone_rank([1, 0, -1], 1, 1) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_EXPONENTS) + ["trefoil_mirror"])
+def test_zoo_staircases_match_cone_at_both_signs(name):
+    d = build_zoo(name)
+    mirrored = name.endswith("_mirror")
+    exps = ZOO_EXPONENTS[name.removesuffix("_mirror")]
+    for p, q in SIGNED_SLOPES:
+        want = cone_rank(exps, -p if mirrored else p, q)
+        assert surgery_dim(d, SlopeSpec(p, q)) == want, f"{p}/{q}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(staircase_polynomials(), st.sampled_from(SIGNED_SLOPES))
+@example({4: 1, 2: -1, 0: 1, -2: -1, -4: 1}, (-2, 1))
+def test_generated_staircases_match_cone_at_both_signs(alexander, pq):
+    want = cone_rank(staircase_exponents(alexander), *pq)
+    assert surgery_dim(lspace_staircase(alexander), SlopeSpec(*pq)) == want

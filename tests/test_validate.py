@@ -12,7 +12,9 @@ column pass, copied verbatim:
   symmetry check.  One line differs, marked below: the seam check skips a
   wrapping component that already failed the vertex check, a deliberate
   fix (such a component used to be reported twice, or to raise
-  `IndexError` with no vertex at all).
+  `IndexError` with no vertex at all).  Its seam scan is the Fraction
+  level scan, `test_level_scan.reference_level_crossings`, not the
+  integer one that production validation runs.
 `segment_hits_peg` must return the same peg or None, `validate` the same
 violations, and `emit_curve_text` the same bytes as the emission built on
 the references.
@@ -33,7 +35,6 @@ from pegboard.curves import (
     Violation,
     _canonical_cycle,
     _strip_offset,
-    _x,
     build_zoo,
     lspace_staircase,
     thin,
@@ -51,6 +52,7 @@ from pegboard.geometry import (
     segment_hits_peg,
 )
 from pegboard.textfmt import emit_curve_text
+from test_level_scan import reference_level_crossings
 
 # ---------------------------------------------------------------------------
 # The peg test and the keys that validation used before (reference)
@@ -88,7 +90,7 @@ def reference_canonical_cycle(c: Component) -> tuple:
 
 
 def reference_seam_crossings(c: Component) -> list[tuple[Fraction, Fraction]]:
-    crossings, _ = c.level_crossings(_x, HALF)
+    crossings, _ = reference_level_crossings(c, lambda v: v.x, HALF)
     return [(pos, point.y) for pos, point, _ in crossings]
 
 
