@@ -287,7 +287,6 @@ def cmd_scan_simple(args) -> int:
     if args.pmax > MAX_P or args.qmax > MAX_Q:
         raise CliError(f"scan grid is capped at |p| <= {MAX_P}, q <= {MAX_Q}", EXIT_USAGE)
     entries = dually_simple_scan(d, args.pmax, args.qmax)
-    entries.sort(key=lambda e: (e.slope.q, e.slope.p))
     violated = any(e.theorem_violated for e in entries)
     payload = {
         "schema_version": 1,

@@ -106,14 +106,16 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
     want = (1, 0) if kind == "phi" else (0, 1)
     found = []
     for direction in (1, -1):
-        # Targets in walk order; m places each one's lift along the walk.
-        spans = sorted(
-            ((walk_span(c, x, z, direction), z) for z in targets if z.comp == x.comp and z.pos != x.pos),
-            key=lambda e: e[0][0],
-        )
-        for (_, m), z in spans:
-            if z.lift + m != k_t:
-                continue
+        # The targets on the target lift, in walk order; m places each
+        # one's lift along the walk.
+        spans = []
+        for z in targets:
+            if z.comp == x.comp and z.pos != x.pos:
+                dist, m = walk_span(c, x, z, direction)
+                if z.lift + m == k_t:
+                    spans.append((dist, z))
+        spans.sort(key=lambda e: e[0])
+        for _, z in spans:
             loop = subarc(c, x, z, direction)[0] + [corner]
             if first_wound_peg(loop, corner, 1 if kind == "phi" else 0) is None:
                 found.append(MarkedBigon(x, z, tuple(loop), *want))
@@ -244,7 +246,8 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
     Flags every reduced slope p/q (0 < |p| <= pmax, 1 <= q <= qmax) whose
     dual total equals the filling dimension, and checks the forced
     consequences: the filling is simple and |p/q| > 2g - 1.  Any flagged
-    slope failing those is a theorem violation.
+    slope failing those is a theorem violation.  Entries come by q, then
+    by p ascending, the order the CLI prints.
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("scan bounds must be at least 1")

@@ -24,17 +24,21 @@ for arcs and a filling family's x coefficient otherwise: 1 for the vertical
 family, -p for a slanted one and 0 for horizontal lines, each of which holds
 every translate of its points.
 Within one `cancel_bigons` call each adjacent pair's geometry is computed
-once: the same-lift test, its subarc, the closing loop and the peg check.
-The same-lift test is read from ring order: the pairs are neighbours on a
-component's ring of distinct positions, so the forward walk from x to y
-passes a period end (m = 1) only from the ring's last point to its first
-on the wrapping component, and y lies on x's lift iff
-y.lift + step*m == x.lift.  Only the pairs that pass it walk the curve.
-Only the test for another live point on the lift's piece depends on what
-has been removed, so a blocked pair keeps the point that blocked it and is
-tested again only after that point is gone.  The peg check,
-`geometry.first_wound_peg`, winds every peg in one scan of the loop's
-crossings with the integer columns.
+once, cheapest test first: the lift test, then the peg check, then the
+piece test.  The same-lift test is read from ring order: the pairs are
+neighbours on a component's ring of distinct positions, so the forward
+walk from x to y passes a period end (m = 1) only from the ring's last
+point to its first on the wrapping component, and y lies on x's lift iff
+y.lift + step*m == x.lift.  Only the pairs that pass it walk the curve to
+their closing loop, and only the loops that wind no peg
+(`geometry.first_wound_peg`, one scan of the loop's crossings with the
+integer columns) are ever piece-tested: a loop never changes, so a wound
+peg rules its pair out for good.  The piece test, for another live point
+on the lift's piece, is the only one that depends on what has been
+removed; it compares coordinates scaled once per call by the lcm of the
+points' denominators, in integers.  A blocked pair keeps the point that
+blocked it and is tested again only after that point is gone.  The audit
+lists the pegs of each removed loop only when they are read.
 
 Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component, done in integers
@@ -178,10 +182,19 @@ class IPoint:
 
 @dataclass(frozen=True)
 class CancelledBigon:
+    """One removed pair (x, y) and the loop of its empty bigon.
+
+    `pegs_checked`, the pegs of the loop's box, all certified to have
+    winding zero, is computed from the loop when read.
+    """
+
     x: IPoint
     y: IPoint
     loop: tuple[Point, ...]
-    pegs_checked: tuple[Point, ...]
+
+    @property
+    def pegs_checked(self) -> tuple[Point, ...]:
+        return tuple(pegs_in_box(Box.around(self.loop)))
 
 
 @dataclass(frozen=True)
@@ -292,11 +305,22 @@ def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     Translating a point by (1, 0) or (0, 1) shifts f by the integer a or b,
     so one vertex stands for all its horizontal translates and one peg for
     the whole peg lattice (i, j + 1/2).
+
+    The vertex test is done in integers: with the coordinates and c scaled
+    by the lcm S of their denominators, f is integral at a vertex iff S
+    divides a*X + b*Y + C.
     """
-    form = fam.form
-    if form(Point(ZERO, HALF)).denominator == 1:
+    a, b, c = fam.a, fam.b, fam.c
+    if (Fraction(b, 2) + c).denominator == 1:
         return False
-    return all(form(v).denominator != 1 for c in d.components for v in c.vertices)
+    verts = [v for comp in d.components for v in comp.vertices]
+    scale = math.lcm(c.denominator, *(k.denominator for v in verts for k in (v.x, v.y)))
+    cs = c.numerator * (scale // c.denominator)
+    return all(
+        (a * v.x.numerator * (scale // v.x.denominator)
+         + b * v.y.numerator * (scale // v.y.denominator) + cs) % scale
+        for v in verts
+    )
 
 
 def line_family(d: CurveDiagram, slope: SlopeSpec) -> _LineFamily:
@@ -349,31 +373,50 @@ def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Poi
     return pts, m
 
 
-def _first_blocker(step: int, lift: int, a: Point, b: Point, pts: Sequence[IPoint],
+def _scaled_frame(pts: Sequence[IPoint]) -> tuple[int, list[int], list[int], list[int]]:
+    """(S, X, Y, L): S the lcm of the coordinate denominators of pts, X[k]
+    and Y[k] the coordinates of pts[k].point times S, and L[k] its lift."""
+    scale = math.lcm(*(v.denominator for z in pts for v in (z.point.x, z.point.y)))
+    xs = [z.point.x.numerator * (scale // z.point.x.denominator) for z in pts]
+    ys = [z.point.y.numerator * (scale // z.point.y.denominator) for z in pts]
+    return scale, xs, ys, [z.lift for z in pts]
+
+
+def _first_blocker(step: int, lift: int, a: Point, b: Point, frame: tuple,
                    live: Sequence[int], pair: tuple[int, int]) -> Optional[int]:
     """A live point, other than the pair, strictly between a and b on the lift.
 
     Returns its index in pts (the first in `live` order), None if the piece
-    from a to b holds none.  `live` and `pair` are indices into pts.  A point
-    z stands for all its translates z.point + (m, 0); the one on the lift has
-    z.lift + step*m == lift, and with step 0 every translate is on z's lift.
+    from a to b holds none.  `frame` is `_scaled_frame(pts)`, whose scale
+    the denominators of a and b must divide, and `live` and `pair` are
+    indices into pts.  A point z stands for all its translates
+    z.point + (m, 0); the one on the lift has z.lift + step*m == lift, and
+    with step 0 every translate is on z's lift.  The comparisons are those
+    of the coordinates times the frame's scale S, in integers.
     """
     if a == b:
         return None
-    horiz = step == 0
-    upright = a.x == b.x  # compare heights on a vertical lift, else abscissae
-    lo, hi = (min(a.y, b.y), max(a.y, b.y)) if upright else (min(a.x, b.x), max(a.x, b.x))
+    scale, xs, ys, lifts = frame
+    ax, bx = a.x.numerator * (scale // a.x.denominator), b.x.numerator * (scale // b.x.denominator)
+    upright = ax == bx  # compare heights on a vertical lift, else abscissae
+    if upright:
+        lo = a.y.numerator * (scale // a.y.denominator)
+        hi = b.y.numerator * (scale // b.y.denominator)
+    else:
+        lo, hi = ax, bx
+    if lo > hi:
+        lo, hi = hi, lo
+    if step == 0:
+        for k in live:
+            # Some translate z.point + (m, 0) lies strictly between lo and hi.
+            if lifts[k] == lift and k not in pair and ((lo - xs[k]) // scale + 1) * scale < hi - xs[k]:
+                return k
+        return None
     for k in live:
         if k in pair:
             continue
-        z = pts[k]
-        if horiz:
-            # Some translate z.point + (m, 0) lies strictly between lo and hi.
-            if z.lift == lift and math.floor(lo - z.point.x) + 1 < hi - z.point.x:
-                return k
-            continue
-        m, r = divmod(lift - z.lift, step)
-        if not r and lo < (z.point.y if upright else z.point.x + m) < hi:
+        m, r = divmod(lift - lifts[k], step)
+        if not r and lo < (ys[k] if upright else xs[k] + m * scale) < hi:
             return k
     return None
 
@@ -411,18 +454,24 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     with no other live point on the piece.  It removes the first
     candidate, or the `order_seed` pick among them.  The final count is
     independent of the removal order; the audit records each removed pair
-    with its loop and the pegs certified to have winding zero.
+    with its loop, and reads the pegs certified to have winding zero from
+    the loop on demand (`CancelledBigon.pegs_checked`).
 
-    Within one call each pair's geometry is computed once: the same-lift
-    test, the subarc, the closing loop and, once the piece is free, its peg
-    check (`first_wound_peg`, one scan of the loop's column crossings).
-    The same-lift test needs no walk: a pair's forward walk passes a period
-    end only from the last point of a wrapping component's ring to its
-    first, so m is 1 for that pair and 0 for every other.
-    Only the piece test reads the live points, so a blocked pair keeps the
-    point found on its piece and is tested again only after that point has
-    been removed.  `pts` holds distinct points, as `raw_intersections`
-    gives them.
+    Within one call each pair's geometry is computed once, cheapest test
+    first: the same-lift test, then the subarc, closing loop and peg check
+    (`first_wound_peg`, one scan of the loop's column crossings), then the
+    piece test.  The same-lift test needs no walk: a pair's forward walk
+    passes a period end only from the last point of a wrapping component's
+    ring to its first, so m is 1 for that pair and 0 for every other.  A
+    loop that winds a peg rules its pair out for good, as the loop never
+    changes.  No loop passes through a peg, so the order of the two tests
+    changes no outcome: a validated curve avoids pegs, a clean family's
+    lines hold none, and inside an arc of a reduced slope lies none.  Only
+    the piece test reads the live points; it runs in integers on
+    `_scaled_frame(pts)`, built on the call's first piece test.  A blocked
+    pair keeps the point found on its piece and is tested again only after
+    that point has been removed.  `pts` holds distinct points, as
+    `raw_intersections` gives them.
     """
     rng = random.Random(order_seed) if order_seed is not None else None
     rings: dict[int, list[int]] = {}  # component -> indices into pts by position
@@ -435,6 +484,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     # (x, y) -> None (no bigon), a CancelledBigon, or (blocker, end, loop)
     tests: dict[tuple[int, int], object] = {}
     audit: list[CancelledBigon] = []
+    frame = None  # `_scaled_frame(pts)`, built by the first piece test
     while True:
         cands: list[tuple[int, int, CancelledBigon]] = []
         for ci in dict.fromkeys(pts[k].comp for k in live):
@@ -450,18 +500,19 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
                     # Only the walk from the ring's last point to its first
                     # passes a period end, and only on a wrapping component.
                     found = _closing_loop(c, step, x, y, c.winding if n == last else 0)
-                    tests[pair] = None if found is None else (None, *found)
+                    # A wound peg stays wound: the loop never changes.
+                    if found is not None and first_wound_peg(found[1]) is None:
+                        tests[pair] = (None, *found)
+                    else:
+                        tests[pair] = None
                 state = tests[pair]
                 if type(state) is tuple:
                     blocker, end, loop = state
                     if blocker is None or not alive[blocker]:
-                        blocker = _first_blocker(step, x.lift, end, x.point, pts, live, pair)
-                    if blocker is not None:
-                        state = (blocker, end, loop)
-                    elif first_wound_peg(loop) is None:
-                        state = CancelledBigon(x, y, loop, tuple(pegs_in_box(Box.around(loop))))
-                    else:
-                        state = None
+                        if frame is None:
+                            frame = _scaled_frame(pts)
+                        blocker = _first_blocker(step, x.lift, end, x.point, frame, live, pair)
+                    state = CancelledBigon(x, y, loop) if blocker is None else (blocker, end, loop)
                     tests[pair] = state
                 if isinstance(state, CancelledBigon):
                     cands.append((*pair, state))

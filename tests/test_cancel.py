@@ -9,11 +9,18 @@ objects that `cancel_bigons` took before the lift step replaced them, also
 copied verbatim: `_ArcObject` and `_LineFamily.translated_lift`.
 `cancel_bigons` must return the same survivors and the same audit,
 `CancelledBigon` by `CancelledBigon`, and raise the same exception wherever
-the reference raises, for every removal order.  `_LineFamily.step` must
-move lift indices as `translated_lift` did.  `first_wound_peg` must agree
-with `winding_number` called peg by peg, reading a marked bigon's corner
-just above it with the copy of `winding_near` in `test_differentials`: the
-same first wrongly wound peg, and `PointOnLoop` at the same peg.
+the reference raises, for every removal order; the reference's pegs are
+what each bigon's `pegs_checked` reads from its loop.  `_LineFamily.step`
+must move lift indices as `translated_lift` did.
+
+`reference_first_blocker` is the piece test from before it moved to
+integers, copied verbatim; `_first_blocker` on the scaled frame of the same
+points must find the same blocker.  Call counts pin the order of the tests:
+only a pair whose loop winds no peg is piece-tested, and the audit's pegs
+are listed only when read.  `first_wound_peg` must agree with
+`winding_number` called peg by peg, reading a marked bigon's corner just
+above it with the copy of `winding_near` in `test_differentials`: the same
+first wrongly wound peg, and `PointOnLoop` at the same peg.
 """
 
 import math
@@ -223,7 +230,9 @@ def reference_cancel_bigons(pts: list[IPoint], d: CurveDiagram, obj: PairObject,
             return live, audit
         x, y, loop, pegs = cands[0] if rng is None else cands[rng.randrange(len(cands))]
         live = [p for p in live if p is not x and p is not y]
-        audit.append(CancelledBigon(x, y, loop, pegs))
+        bigon = CancelledBigon(x, y, loop)
+        assert bigon.pegs_checked == tuple(pegs)  # the audit's pegs, read from the loop
+        audit.append(bigon)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +333,158 @@ slopes = (
 @given(generated_diagrams, slopes, st.integers(0, 1000))
 def test_cancellation_matches_reference_on_generated_diagrams(d, slope, seed):
     assert_cancellation_matches(d, slope, (None, seed, seed + 1))
+
+
+# ---------------------------------------------------------------------------
+# The integer piece test against the Fraction one it replaced
+
+
+def reference_first_blocker(step: int, lift: int, a: Point, b: Point, pts: Sequence[IPoint],
+                            live: Sequence[int], pair: tuple[int, int]) -> Optional[int]:
+    """A live point, other than the pair, strictly between a and b on the lift.
+
+    Returns its index in pts (the first in `live` order), None if the piece
+    from a to b holds none.  `live` and `pair` are indices into pts.  A point
+    z stands for all its translates z.point + (m, 0); the one on the lift has
+    z.lift + step*m == lift, and with step 0 every translate is on z's lift.
+    """
+    if a == b:
+        return None
+    horiz = step == 0
+    upright = a.x == b.x  # compare heights on a vertical lift, else abscissae
+    lo, hi = (min(a.y, b.y), max(a.y, b.y)) if upright else (min(a.x, b.x), max(a.x, b.x))
+    for k in live:
+        if k in pair:
+            continue
+        z = pts[k]
+        if horiz:
+            # Some translate z.point + (m, 0) lies strictly between lo and hi.
+            if z.lift == lift and math.floor(lo - z.point.x) + 1 < hi - z.point.x:
+                return k
+            continue
+        m, r = divmod(lift - z.lift, step)
+        if not r and lo < (z.point.y if upright else z.point.x + m) < hi:
+            return k
+    return None
+
+
+grid_coordinates = st.one_of(
+    *(st.integers(-4 * n, 4 * n).map(lambda k, n=n: Fraction(k, n)) for n in (3, 4, 5))
+)
+
+
+@st.composite
+def piece_tests(draw):
+    """(step, lift, a, b, pts, live, pair) as `cancel_bigons` forms them:
+    b is x.point and a the end of the subarc, a translate of y.point."""
+    n = draw(st.integers(1, 9))
+    seen: list[Fraction] = []
+
+    def coordinate() -> Fraction:
+        # a fresh grid value, or one drawn before moved by an integer, so
+        # that points meet the ends of the piece and share its column
+        if seen and draw(st.booleans()):
+            return draw(st.sampled_from(seen)) + draw(st.integers(-1, 1))
+        seen.append(draw(grid_coordinates))
+        return seen[-1]
+
+    pts = [IPoint(0, Fraction(k), Point(coordinate(), coordinate()), draw(st.integers(-3, 3)))
+           for k in range(n)]
+    ix, iy = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    a = pts[iy].point.translate(draw(st.integers(-2, 2)))
+    shape = draw(st.sampled_from(("slanted", "upright", "equal")))
+    if shape != "slanted":  # put x.point above or below a, or on it
+        y = pts[ix].point.y if shape == "upright" else a.y
+        pts[ix] = IPoint(0, pts[ix].pos, Point(a.x, y), pts[ix].lift)
+    live = [k for k in range(n) if draw(st.booleans())]
+    lift = draw(st.sampled_from([z.lift for z in pts]) | st.integers(-4, 4))
+    step = draw(st.integers(-5, 5) | st.just(0))  # horizontal lines as often as the rest
+    return step, lift, a, pts[ix].point, pts, live, (ix, iy)
+
+
+@settings(max_examples=600, deadline=None)
+@given(piece_tests())
+@example((0, 1, Point(Fraction(1, 3), 0), Point(Fraction(9, 4), 0),
+          [IPoint(0, Fraction(0), Point(Fraction(1, 3), 0), 1),
+           IPoint(0, Fraction(1), Point(Fraction(9, 4), 0), 1),
+           IPoint(0, Fraction(2), Point(Fraction(-4, 5), 2), 1)], [0, 1, 2], (1, 0)))  # a translate inside
+@example((0, 1, Point(Fraction(1, 5), 0), Point(Fraction(6, 5), 0),
+          [IPoint(0, Fraction(0), Point(Fraction(1, 5), 0), 1),
+           IPoint(0, Fraction(1), Point(Fraction(6, 5), 0), 1),
+           IPoint(0, Fraction(2), Point(Fraction(-4, 5), 2), 1)], [0, 1, 2], (1, 0)))  # translates on both ends
+@example((-2, 3, Point(1, Fraction(-1, 3)), Point(1, Fraction(5, 4)),
+          [IPoint(0, Fraction(0), Point(1, Fraction(-1, 3)), 3),
+           IPoint(0, Fraction(1), Point(1, Fraction(5, 4)), 3),
+           IPoint(0, Fraction(2), Point(Fraction(2, 5), Fraction(5, 4)), 1)], [0, 1, 2], (1, 0)))  # upright: its top
+@example((-2, 3, Point(1, Fraction(-1, 3)), Point(1, Fraction(5, 4)),
+          [IPoint(0, Fraction(0), Point(1, Fraction(-1, 3)), 3),
+           IPoint(0, Fraction(1), Point(1, Fraction(5, 4)), 3),
+           IPoint(0, Fraction(2), Point(Fraction(2, 5), Fraction(-1, 3)), 1)], [0, 1, 2], (1, 0)))  # ... its bottom
+@example((1, 0, Point(Fraction(-1, 4), 0), Point(Fraction(4, 3), 1),
+          [IPoint(0, Fraction(0), Point(Fraction(-1, 4), 0), 0),
+           IPoint(0, Fraction(1), Point(Fraction(4, 3), 1), 0),
+           IPoint(0, Fraction(2), Point(Fraction(3, 4), 2), 1)], [0, 1, 2], (1, 0)))  # slanted: z + (-1, 0) at an end
+@example((-2, 3, Point(0, 0), Point(2, 1),
+          [IPoint(0, Fraction(0), Point(0, 0), 3),
+           IPoint(0, Fraction(1), Point(2, 1), 3),
+           IPoint(0, Fraction(2), Point(Fraction(2, 3), 7), 5)], [0, 1, 2], (1, 0)))  # slanted: z + (-1, 0) inside
+def test_integer_piece_test_matches_fraction_one(case):
+    step, lift, a, b, pts, live, pair = case
+    want = reference_first_blocker(step, lift, a, b, pts, live, pair)
+    got = pairing._first_blocker(step, lift, a, b, pairing._scaled_frame(pts), live, pair)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The order of the tests: lift, then pegs, then the piece
+
+
+def counting_piece_and_peg_tests(monkeypatch):
+    """Lists of the pairs `_first_blocker` tests and of the peg checks'
+    verdicts (True: no peg wound), filled as `pairing` runs."""
+    pieces, passed = [], []
+    first_blocker = pairing._first_blocker
+
+    def piece_test(step, lift, a, b, frame, live, pair):
+        pieces.append(pair)
+        return first_blocker(step, lift, a, b, frame, live, pair)
+
+    def peg_check(loop, corner=None, corner_winding=0):
+        found = first_wound_peg(loop, corner, corner_winding)
+        passed.append(found is None)
+        return found
+
+    monkeypatch.setattr(pairing, "_first_blocker", piece_test)
+    monkeypatch.setattr(pairing, "first_wound_peg", peg_check)
+    return pieces, passed
+
+
+@pytest.mark.parametrize("run", [
+    lambda d: pairing.surgery_report(d, SlopeSpec(5, 2)),
+    lambda d: ArcSweep(d, SlopeSpec(5, 2)).dims(),
+], ids=["surgery_report", "ArcSweep.dims"])
+def test_only_pairs_past_the_peg_check_are_piece_tested(monkeypatch, run):
+    # Most same-lift pairs wind a peg; those are never piece-tested.
+    pieces, passed = counting_piece_and_peg_tests(monkeypatch)
+    run(build_zoo("torus_3_4"))
+    assert sum(passed) < len(passed)
+    assert 0 < len(pieces) <= sum(passed)
+
+
+def test_audit_pegs_are_computed_when_read(monkeypatch):
+    calls = []
+
+    def counting_pegs_in_box(box):
+        calls.append(box)
+        return pegs_in_box(box)
+
+    monkeypatch.setattr(pairing, "pegs_in_box", counting_pegs_in_box)
+    report = pairing.surgery_report(build_zoo("trefoil"), SlopeSpec(-5, 1))
+    ArcSweep(build_zoo("torus_3_4"), SlopeSpec(5, 2)).dims()
+    assert report.cancelled and calls == []
+    for bigon in report.cancelled:
+        assert bigon.pegs_checked == tuple(pegs_in_box(Box.around(bigon.loop)))
+    assert len(calls) == len(report.cancelled)
 
 
 # ---------------------------------------------------------------------------
