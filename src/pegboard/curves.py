@@ -23,6 +23,7 @@ from .geometry import (
     Box,
     Point,
     Segment,
+    integer_frame,
     is_peg,
     pt,
     segment_hits_peg,
@@ -98,26 +99,23 @@ class Component:
         i + 1 (collinear) or vertex i - 1 (not collinear).  Such vertices
         give no crossing; the scan never raises.
 
-        The scan works in integers.  The coordinates and c are scaled by
-        the lcm S of their denominators, so the form is an integer G = S*f
-        at every vertex: a vertex lies on a level iff S divides G, the
-        levels a segment crosses are a floor/ceil division range, and the
-        crossing of level m lies at the integer ratio (m*S - G_a)/(G_b -
-        G_a) along it.  Only the returned positions and points are built as
+        The scan works in integers, in the `integer_frame` of the vertices
+        and c, whose scale S makes the form an integer G = S*f at every
+        vertex: a vertex lies on a level iff S divides G, the levels a
+        segment crosses are a floor/ceil division range, and the crossing
+        of level m lies at the integer ratio (m*S - G_a)/(G_b - G_a) along
+        it.  Only the returned positions and points are built as
         Fractions.
         """
         n = self.cycle_length()
         if n == 0:
             return [], {}
-        scale = math.lcm(c.denominator, *(k.denominator for v in self.vertices for k in (v.x, v.y)))
+        scale, vx, vy, (cs,) = integer_frame(self.vertices, c)
         period = scale if self.winding == 1 else 0  # scaled x step per period
-        cs = c.numerator * (scale // c.denominator)
         xs, ys, gs = [], [], []  # index j + 1 holds vertex j, scaled
         for j in range(-1, n + 1):
             wrap, i = divmod(j, n)
-            v = self.vertices[i]
-            x = v.x.numerator * (scale // v.x.denominator) + wrap * period
-            y = v.y.numerator * (scale // v.y.denominator)
+            x, y = vx[i] + wrap * period, vy[i]
             xs.append(x)
             ys.append(y)
             gs.append(a * x + b * y + cs)

@@ -1,12 +1,15 @@
 """Exact rational planar geometry on the cover of the marked cylinder.
 
-Everything in this module is exact: points are `fractions.Fraction` pairs
-and there is no floating point anywhere, so incidence questions (does a
-segment hit a peg, does a loop wind around a point) have exact answers.
-The peg test of a segment, the peg windings of a loop and the level scan
-of `curves.Component.level_crossings` scale their coordinates by a common
-denominator and then work in integers, which is still exact and cheaper
-than `Fraction` arithmetic; only the values they return are Fractions.
+Everything in this module is exact and there is no floating point
+anywhere, so incidence questions (does a segment hit a peg, does a loop
+wind around a point) have exact answers.  A `Point` or `Box` holds the
+exact values it is given, ints or `fractions.Fraction`s, and coerces
+nothing: values from outside come in through `rat` and `pt`, and
+everything the kernel computes from them is already exact.
+`integer_frame` scales a set of points by the lcm of their denominators;
+the peg tests here, the level scan of `curves.Component.level_crossings`
+and the offset and piece tests of `pairing` compare in that frame, in
+integers, which is still exact and cheaper than `Fraction` arithmetic.
 
 The marked cylinder is the strip [-1/2, 1/2] x R with punctures ("pegs") on
 the middle column; its planar cover is R^2 with pegs at (i, j + 1/2) for all
@@ -48,12 +51,8 @@ class Point:
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", rat(self.x))
-        object.__setattr__(self, "y", rat(self.y))
-
     def translate(self, dx, dy=ZERO) -> "Point":
-        return Point(self.x + rat(dx), self.y + rat(dy))
+        return Point(self.x + dx, self.y + dy)
 
     def rotate180(self) -> "Point":
         """Image under the half turn about the origin."""
@@ -88,13 +87,8 @@ class Box:
     ymin: Fraction
     ymax: Fraction
 
-    def __post_init__(self):
-        for name in ("xmin", "xmax", "ymin", "ymax"):
-            object.__setattr__(self, name, rat(getattr(self, name)))
-
     def pad(self, amount) -> "Box":
-        a = rat(amount)
-        return Box(self.xmin - a, self.xmax + a, self.ymin - a, self.ymax + a)
+        return Box(self.xmin - amount, self.xmax + amount, self.ymin - amount, self.ymax + amount)
 
     @staticmethod
     def around(points: Iterable[Point]) -> "Box":
@@ -107,6 +101,23 @@ class Box:
             min(p.y for p in pts),
             max(p.y for p in pts),
         )
+
+
+def integer_frame(points: Sequence[Point], *extra) -> tuple[int, list[int], list[int], list[int]]:
+    """(S, X, Y, E): S the lcm of the denominators of the points'
+    coordinates and of `extra`, X[k] and Y[k] the coordinates of points[k]
+    times S, and E[k] the value extra[k] times S, all integers.
+
+    Each value is read once, as its integer ratio n/d, and scales to
+    n * (S // d)."""
+    xs = [p.x.as_integer_ratio() for p in points]
+    ys = [p.y.as_integer_ratio() for p in points]
+    es = [v.as_integer_ratio() for v in extra]
+    scale = math.lcm(*{d for ratios in (xs, ys, es) for _, d in ratios})
+    return (scale,
+            [n * (scale // d) for n, d in xs],
+            [n * (scale // d) for n, d in ys],
+            [n * (scale // d) for n, d in es])
 
 
 def is_peg(p: Point) -> bool:
@@ -146,16 +157,13 @@ def segment_hits_peg(s: Segment) -> Optional[Point]:
     """Return the peg lying on the closed segment s, if any: the one in the
     lowest column, and in that column the lowest.
 
-    One pass over the integer columns the segment spans.  The coordinates
-    are scaled by the lcm of their denominators, so the crossing height at
-    column i is an integer ratio, and a peg sits there iff twice that
-    height is an odd integer.  A vertical segment on an integer column hits
-    its lowest half-integer height in range.
+    One pass over the integer columns the segment spans, in the segment's
+    `integer_frame`: the crossing height at column i is an integer ratio,
+    and a peg sits there iff twice that height is an odd integer.  A
+    vertical segment on an integer column hits its lowest half-integer
+    height in range.
     """
-    a, b = s.a, s.b
-    scale = math.lcm(a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator)
-    ax, ay = a.x.numerator * (scale // a.x.denominator), a.y.numerator * (scale // a.y.denominator)
-    bx, by = b.x.numerator * (scale // b.x.denominator), b.y.numerator * (scale // b.y.denominator)
+    scale, (ax, bx), (ay, by), _ = integer_frame((s.a, s.b))
     if ax == bx:
         if ax % scale:
             return None
@@ -217,13 +225,11 @@ def first_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
     through it across its column, and its count is then the winding just
     above it, which decides a marked bigon's markers.
 
-    The work is in integers: coordinates are scaled by twice the lcm of
-    their denominators, so columns and peg heights are integers too.
+    The work is in integers, in the `integer_frame` of the loop and 1/2,
+    so columns and peg heights are integers too.
     """
-    scale = 2 * math.lcm(*(c.denominator for v in loop for c in (v.x, v.y)))
-    half = scale // 2  # the peg (i, j + 1/2) is at (i*scale, j*scale + half)
-    xs = [v.x.numerator * (scale // v.x.denominator) for v in loop]
-    ys = [v.y.numerator * (scale // v.y.denominator) for v in loop]
+    scale, xs, ys, (half,) = integer_frame(loop, HALF)
+    # the peg (i, j + 1/2) is at (i*scale, j*scale + half)
     i0, i1 = -(-min(xs) // scale), max(xs) // scale
     j0, j1 = -((half - min(ys)) // scale), (max(ys) - half) // scale
     if j0 > j1 or i0 > i1:

@@ -35,17 +35,17 @@ their closing loop, and only the loops that wind no peg
 integer columns) are ever piece-tested: a loop never changes, so a wound
 peg rules its pair out for good.  The piece test, for another live point
 on the lift's piece, is the only one that depends on what has been
-removed; it compares coordinates scaled once per call by the lcm of the
-points' denominators, in integers.  A blocked pair keeps the point that
-blocked it and is tested again only after that point is gone.  The audit
-lists the pegs of each removed loop only when they are read.
+removed; it compares coordinates in the points' `integer_frame`, built
+once per call.  A blocked pair keeps the point that blocked it and is
+tested again only after that point is gone.  The audit lists the pegs of
+each removed loop only when they are read.
 
 Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component, done in integers
-after scaling by the lcm of the denominators.  A filling family is its
-form f = a*x + b*y + c, and lift k is the line f = k: the form numbers
-the raw points (`raw_intersections`), decides the offset
-(`_family_is_clean`) and picks the lifts that meet a box (`lift_indices`).
+in the vertices' `integer_frame`.  A filling family is its form
+f = a*x + b*y + c, and lift k is the line f = k: the form numbers the raw
+points (`raw_intersections`), decides the offset (`_family_is_clean`) and
+picks the lifts that meet a box (`lift_indices`).
 Every arc of a slope lies on a level of F = p*x - q*y, so `ArcSweep`, one
 object per (diagram, slope), scans every grading at once and files each
 crossing, and each segment lying along an arc line, under the one arc that
@@ -73,6 +73,7 @@ from .geometry import (
     Point,
     Segment,
     first_wound_peg,
+    integer_frame,
     pegs_in_box,
     rat,
 )
@@ -289,10 +290,7 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
 # Generic offset selection
 
 def _canonical_delta(d: CurveDiagram) -> Fraction:
-    dens = [coord.denominator for c in d.components for p in c.vertices for coord in (p.x, p.y)]
-    lcm = 1
-    for v in dens:
-        lcm = lcm * v // math.gcd(lcm, v)
+    lcm = math.lcm(*(k.denominator for c in d.components for v in c.vertices for k in (v.x, v.y)))
     n_vertices = sum(len(c.vertices) for c in d.components)
     return Fraction(1, 2 * lcm * max(n_vertices, 1))
 
@@ -306,21 +304,15 @@ def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     so one vertex stands for all its horizontal translates and one peg for
     the whole peg lattice (i, j + 1/2).
 
-    The vertex test is done in integers: with the coordinates and c scaled
-    by the lcm S of their denominators, f is integral at a vertex iff S
-    divides a*X + b*Y + C.
+    The vertex test is done in integers: in the `integer_frame` of the
+    vertices and c, of scale S, f is integral at a vertex iff S divides
+    a*X + b*Y + C.
     """
     a, b, c = fam.a, fam.b, fam.c
     if (Fraction(b, 2) + c).denominator == 1:
         return False
-    verts = [v for comp in d.components for v in comp.vertices]
-    scale = math.lcm(c.denominator, *(k.denominator for v in verts for k in (v.x, v.y)))
-    cs = c.numerator * (scale // c.denominator)
-    return all(
-        (a * v.x.numerator * (scale // v.x.denominator)
-         + b * v.y.numerator * (scale // v.y.denominator) + cs) % scale
-        for v in verts
-    )
+    scale, xs, ys, (cs,) = integer_frame([v for comp in d.components for v in comp.vertices], c)
+    return all((a * x + b * y + cs) % scale for x, y in zip(xs, ys))
 
 
 def line_family(d: CurveDiagram, slope: SlopeSpec) -> _LineFamily:
@@ -374,11 +366,9 @@ def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Poi
 
 
 def _scaled_frame(pts: Sequence[IPoint]) -> tuple[int, list[int], list[int], list[int]]:
-    """(S, X, Y, L): S the lcm of the coordinate denominators of pts, X[k]
-    and Y[k] the coordinates of pts[k].point times S, and L[k] its lift."""
-    scale = math.lcm(*(v.denominator for z in pts for v in (z.point.x, z.point.y)))
-    xs = [z.point.x.numerator * (scale // z.point.x.denominator) for z in pts]
-    ys = [z.point.y.numerator * (scale // z.point.y.denominator) for z in pts]
+    """(S, X, Y, L): the `integer_frame` (S, X, Y) of the points of pts and
+    L[k] the lift of pts[k]."""
+    scale, xs, ys, _ = integer_frame([z.point for z in pts])
     return scale, xs, ys, [z.lift for z in pts]
 
 

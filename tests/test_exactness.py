@@ -1,0 +1,61 @@
+"""Exactness rests on the edge: nothing inexact comes in, and the kernel
+makes nothing inexact.
+
+`Point` and `Box` hold the values they are given and coerce nothing.  So
+the entry points (`rat`, `pt`) must refuse a float, and every coordinate
+the kernel hands back must still be an int or a `Fraction`: the raw
+intersections, the survivors of bigon cancellation, and the loops of the
+cancelled and the marked bigons.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from pegboard.curves import build_zoo, zoo_names
+from pegboard.differentials import differential_matrix
+from pegboard.geometry import pt, rat
+from pegboard.pairing import ArcSweep, SlopeSpec, cancel_bigons, line_family, raw_intersections
+
+
+def test_the_edge_refuses_floats():
+    with pytest.raises(TypeError):
+        rat(0.5)
+    with pytest.raises(TypeError):
+        pt(0.5, 0)
+
+
+def inexact(points) -> list:
+    return [p for p in points if not all(type(v) in (int, Fraction) for v in (p.x, p.y))]
+
+
+SLOPES = [SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(-2, 1), SlopeSpec(5, 2), SlopeSpec(2, 3)]
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_kernel_coordinates_are_exact(name):
+    d = build_zoo(name)
+    seen = {"raw": 0, "live": 0, "cancelled": 0, "marked": 0}
+    for slope in SLOPES:
+        fam = line_family(d, slope)
+        raw = raw_intersections(d, fam)
+        live, audit = cancel_bigons(raw, d, fam.step)
+        sweep = ArcSweep(d, slope)
+        for h in sweep.dims():
+            raw += sweep.raw(h)
+            live += sweep.points(h)
+            if slope.p > 0 and slope.q > 0:
+                for kind in ("phi", "psi"):
+                    for bigon in differential_matrix(sweep, h, kind).bigons:
+                        assert not inexact(bigon.loop), (slope, h, kind)
+                        seen["marked"] += 1
+        assert not inexact(z.point for z in raw), slope
+        assert not inexact(z.point for z in live), slope
+        for bigon in audit:
+            assert not inexact(bigon.loop), slope
+        seen["raw"] += len(raw)
+        seen["live"] += len(live)
+        seen["cancelled"] += len(audit)
+    assert seen["raw"] and seen["live"]
+    if name != "unknot":  # the unknot's horizontal line is already minimal
+        assert seen["cancelled"] and seen["marked"], seen

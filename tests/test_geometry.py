@@ -2,13 +2,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegboard.geometry import (
     Box,
+    Point,
     PointOnLoop,
     Segment,
+    integer_frame,
     is_peg,
     pegs_in_box,
     pt,
@@ -101,3 +103,23 @@ class TestPegs:
     def test_pegs_in_box(self):
         pegs = pegs_in_box(Box(F(-1, 2), F(1, 2), -1, 1))
         assert pegs == [pt(0, F(-1, 2)), pt(0, F(1, 2))]
+
+
+# ints and Fractions, negative ones too
+exact = st.one_of(st.integers(-40, 40), st.fractions(max_denominator=36))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.builds(Point, exact, exact), max_size=6), st.lists(exact, max_size=3))
+@example([], [F(-5, 6), 3, F(1, 4)])  # no points, only extras
+@example([], [])
+def test_integer_frame_scales_by_the_lcm_of_every_denominator(points, extra):
+    scale, xs, ys, es = integer_frame(points, *extra)
+    lcm = 1  # folded pairwise through the gcd
+    for v in [v for p in points for v in (p.x, p.y)] + extra:
+        lcm = lcm * F(v).denominator // math.gcd(lcm, F(v).denominator)
+    assert scale == lcm
+    assert all(type(v) is int for v in xs + ys + es)
+    assert xs == [p.x * scale for p in points]
+    assert ys == [p.y * scale for p in points]
+    assert es == [v * scale for v in extra]

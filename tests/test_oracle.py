@@ -1,4 +1,6 @@
-"""Filling dimensions of staircase knots against two oracles.
+"""Filling and dual-knot dimensions against oracles outside the kernel.
+
+The filling dimensions of staircase knots are checked against two of them.
 
 For a knot whose knot Floer complex is a staircase of genus g (an L-space
 knot, such as a positive torus knot) and a slope p/q > 0,
@@ -22,13 +24,15 @@ slope signs.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import build_zoo, lspace_staircase, staircase_exponents
-from pegboard.pairing import SlopeSpec, surgery_dim
+from pegboard.curves import build_zoo, lspace_staircase, staircase_exponents, thin
+from pegboard.differentials import dually_simple_scan
+from pegboard.pairing import SlopeSpec, dual_hfk_dims, surgery_dim
 
 
 def closed_form_dim(genus: int, p: int, q: int) -> int:
@@ -176,3 +180,76 @@ def test_zoo_staircases_match_cone_at_both_signs(name):
 def test_generated_staircases_match_cone_at_both_signs(alexander, pq):
     want = cone_rank(staircase_exponents(alexander), *pq)
     assert surgery_dim(lspace_staircase(alexander), SlopeSpec(*pq)) == want
+
+
+# ---------------------------------------------------------------------------
+# The dual side of staircases: HFK-hat at 1/0 and Floer-simple duals
+#
+# At 1/0 the dual knot is the knot itself, so the graded dims are HFK-hat:
+# 1 at each exponent of a staircase, negated for its mirror.  The dual knot
+# in S^3_r(K) of an L-space knot K is Floer simple iff r > 2g - 1 (the
+# source paper proves "only if"; the converse is due to Hedden and to
+# Rasmussen), and for the mirror iff r < -(2g - 1).  The unknot's dual is
+# simple at every slope.  A simple dual's total is the filling dimension,
+# and the filling is an L-space: |p|.
+
+
+@settings(max_examples=6, deadline=None)
+@given(staircase_polynomials())
+@example({0: 1})  # the unknot
+def test_dual_side_of_staircases_and_their_mirrors(alexander):
+    exps = sorted(alexander, reverse=True)
+    genus = exps[0]
+    d = lspace_staircase(alexander)
+    for diagram, sign in ((d, 1), (d.mirror(), -1)):
+        assert dual_hfk_dims(diagram, SlopeSpec(1, 0)) == {sign * e: 1 for e in exps}
+        for entry in dually_simple_scan(diagram, 7, 3):
+            r = sign * Fraction(entry.slope.p, entry.slope.q)
+            assert entry.dually_simple == (genus == 0 or r > 2 * genus - 1), (sign, str(entry.slope))
+            if entry.dually_simple:
+                assert entry.dual_total == entry.filling_dim == abs(entry.slope.p), str(entry.slope)
+
+
+# ---------------------------------------------------------------------------
+# Thin diagrams
+#
+# thin(tau, 0) is the zigzag through the column heights tau, ..., -tau: the
+# T(2, 2|tau| + 1) staircase, its mirror for tau < 0.  Each figure-eight
+# component adds CFK^oo an acyclic unit box at Alexander grading 0, so at
+# 1/0 it adds (1, 2, 1) at gradings -1, 0, 1; the figure-eight knot alone
+# (the unknot's line plus one) has rank |p| + 2q at p/q.
+
+
+def torus_2_exponents(tau: int) -> list[int]:
+    """The exponents of T(2, 2|tau| + 1), descending."""
+    return list(range(abs(tau), -abs(tau) - 1, -1))
+
+
+THIN_SLOPES = [(s * p, q) for q in range(1, 5) for p in range(1, 10) for s in (1, -1)
+               if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("tau", range(-3, 4))
+def test_thin_without_figure_eights_is_the_torus_knot(tau):
+    d = thin(tau, 0)
+    exps = torus_2_exponents(tau)
+    for p, q in THIN_SLOPES:
+        assert surgery_dim(d, SlopeSpec(p, q)) == cone_rank(exps, -p if tau < 0 else p, q), f"{p}/{q}"
+
+
+def test_figure_eight_filling_is_p_plus_2q():
+    d = build_zoo("figure_eight")
+    for q in range(1, 6):
+        for p in range(-12, 13):
+            if p and math.gcd(abs(p), q) == 1:
+                assert surgery_dim(d, SlopeSpec(p, q)) == abs(p) + 2 * q, f"{p}/{q}"
+
+
+@pytest.mark.parametrize("tau", range(-3, 4))
+def test_thin_at_one_over_zero_is_hfk(tau):
+    for f in range(4):
+        want = dict.fromkeys(torus_2_exponents(tau), 1)
+        for h, n in ((-1, f), (0, 2 * f), (1, f)):
+            want[h] = want.get(h, 0) + n
+        nonzero = {h: n for h, n in want.items() if n}
+        assert dual_hfk_dims(thin(tau, f), SlopeSpec(1, 0)) == nonzero, f
