@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,6 +24,7 @@ from .geometry import (
     Box,
     Point,
     Segment,
+    column_crossings,
     integer_frame,
     is_peg,
     pt,
@@ -71,6 +73,35 @@ class Component:
         wrap, i = divmod(j, self.cycle_length())
         v = self.vertices[i]
         return Point(v.x + wrap, v.y) if wrap and self.winding == 1 else v
+
+    @cached_property
+    def _frame(self) -> tuple[int, list[int], list[int]]:
+        """(S, X, Y): the `integer_frame` of the stored vertices."""
+        return integer_frame(self.vertices)[:3]
+
+    @cached_property
+    def _columns(self) -> dict[int, Optional[tuple[tuple[int, int, int], ...]]]:
+        """`segment_columns` by segment, filled on first use."""
+        return {}
+
+    def segment_columns(self, i: int) -> Optional[tuple[tuple[int, int, int], ...]]:
+        """`geometry.column_crossings` of stored segment i, None when it
+        meets a peg.
+
+        Segment i runs from stored vertex i to the next one (to vertex 0
+        after the last on a closed component).  The crossings are found in
+        the `integer_frame` of the component's vertices, built once; they
+        depend on nothing else, so each segment's are computed on first use
+        and kept for the life of the component.  The translate of segment i
+        by (w, 0) crosses column k + w wherever segment i crosses column k.
+        """
+        table = self._columns
+        if i not in table:
+            scale, xs, ys = self._frame
+            j = (i + 1) % len(xs)
+            found = column_crossings(scale, xs[i], ys[i], xs[j], ys[j])
+            table[i] = None if found is None else tuple(found)
+        return table[i]
 
     def turn(self, j: int) -> Optional[str]:
         """The strict turn at continuous vertex j: "max" when both
@@ -296,12 +327,14 @@ def validate(d: CurveDiagram) -> ValidationReport:
         for p in c.vertices:
             if is_peg(p):
                 add("peg", f"vertex {p} lies on a peg", i)
+        # The pegs are found in the component's one frame, from its column
+        # table; only a segment that meets one is scanned again, to name it.
         ends = c.vertices[1:] + (c.vertices[:1] if c.winding == 0 else ())
-        for a, b in zip(c.vertices, ends):
+        for k, (a, b) in enumerate(zip(c.vertices, ends)):
             if a == b:
                 continue  # reported above, as a repeat or as the closure
-            peg = segment_hits_peg(Segment(a, b))
-            if peg is not None:
+            if c.segment_columns(k) is None:
+                peg = segment_hits_peg(Segment(a, b))
                 add("peg", f"segment {a}->{b} passes through peg {peg}", i)
 
     crossings = []

@@ -182,6 +182,37 @@ def segment_hits_peg(s: Segment) -> Optional[Point]:
     return None
 
 
+def column_crossings(scale: int, ax: int, ay: int, bx: int,
+                     by: int) -> Optional[list[tuple[int, int, int]]]:
+    """The signed crossings of the edge from (ax, ay) to (bx, by), its
+    coordinates times `scale`, with the integer columns; None when the
+    closed edge meets a peg.
+
+    A crossing is (i, t, sign): the edge crosses column i above the peg
+    (i, j + 1/2) iff j <= t, leftwards (sign +1) or rightwards (-1).  The
+    rule is `first_wound_peg`'s: an edge crosses the columns in
+    [ceil(min x), ceil(max x)), and a vertical edge crosses none.
+    """
+    if ax == bx:
+        if ax % scale == 0:
+            twice = -(-2 * min(ay, by) // scale) | 1  # the least odd integer >= 2*y_min
+            if twice * scale <= 2 * max(ay, by):
+                return None
+        return []
+    den, sign = (bx - ax, -1) if ax < bx else (ax - bx, 1)
+    hi = max(ax, bx)
+    out = []
+    for i in range(-(-min(ax, bx) // scale), hi // scale + 1):
+        # the crossing height is num / (den*scale), and t the floor of that less 1/2
+        num = ay * den + (i * scale - ax) * (by - ay) * -sign
+        t, r = divmod(2 * num - den * scale, 2 * den * scale)
+        if not r:
+            return None  # the crossing is the peg (i, t + 1/2)
+        if i * scale < hi:
+            out.append((i, t, sign))
+    return out
+
+
 def _closed_edges(loop: Sequence[Point]):
     n = len(loop)
     for i in range(n):

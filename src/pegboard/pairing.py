@@ -29,16 +29,21 @@ piece test.  The same-lift test is read from ring order: the pairs are
 neighbours on a component's ring of distinct positions, so the forward
 walk from x to y passes a period end (m = 1) only from the ring's last
 point to its first on the wrapping component, and y lies on x's lift iff
-y.lift + step*m == x.lift.  Only the pairs that pass it walk the curve to
-their closing loop, and only the loops that wind no peg
-(`geometry.first_wound_peg`, one scan of the loop's crossings with the
-integer columns) are ever piece-tested: a loop never changes, so a wound
-peg rules its pair out for good.  The piece test, for another live point
-on the lift's piece, is the only one that depends on what has been
-removed; it compares coordinates in the points' `integer_frame`, built
-once per call.  A blocked pair keeps the point that blocked it and is
-tested again only after that point is gone.  The audit lists the pegs of
-each removed loop only when they are read.
+y.lift + step*m == x.lift.  The peg test of a pair that passes reads its
+closing loop's crossings with the integer columns from the component's
+column table (`Component.segment_columns`, integers kept for the life of
+the component) and crosses only the lift's piece in integers: no Fraction
+loop is built.  A loop that may meet a peg is checked as a loop, with
+`geometry.first_wound_peg`, which raises `PointOnLoop` there.  Only the
+loops that wind no peg are ever piece-tested: a loop never changes, so a
+wound peg rules its pair out for good.  The piece test, for another live
+point on the lift's piece, is the only one that depends on what has been
+removed; like the lift's piece of the peg test, it compares coordinates in
+the points' `integer_frame`, built once per call.  A blocked pair keeps
+the point that blocked it and is tested again only after that point is
+gone.  Only a pair found empty walks the curve, with `subarc`, to build
+the loop of its audit; the audit lists that loop's pegs only when they are
+read.
 
 Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component, done in integers
@@ -72,6 +77,7 @@ from .geometry import (
     Box,
     Point,
     Segment,
+    column_crossings,
     first_wound_peg,
     integer_frame,
     pegs_in_box,
@@ -430,6 +436,65 @@ def _closing_loop(c: Component, step: int, x: IPoint, y: IPoint,
     return path[-1], tuple(loop)
 
 
+def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int,
+                  iy: int) -> Optional[bool]:
+    """Whether the closing loop of the pair (pts[ix], pts[iy]) on component
+    c winds no peg, or None when the loop may meet a peg or has fewer than
+    two points; `_closing_loop` and `first_wound_peg` decide those.
+
+    The loop is `_closing_loop`'s: the forward walk from x to y, which ends
+    at y.point + (m, 0), closed back to x along the lift.  The walk's
+    crossings with the integer columns are read from the component's table
+    (`Component.segment_columns`), each column shifted by the segment's
+    period on a wrapping component.  On the segment that holds x only the
+    columns past x count, and on the one that holds the end only those
+    before it: a piece of a segment crosses the same columns at the same
+    heights, under the same half-open rule.  The piece of the lift is
+    crossed in integers, in `frame`, which is `_scaled_frame(pts)`.  A
+    segment that meets a peg sends the pair to the loop's own check.  A
+    peg's winding is the signed count of crossings above it on its column,
+    so a peg is wound iff a running sum of signs taken down some column's
+    thresholds is nonzero.  Positions lie in [0, n), n the cycle length, as
+    `Component.level_crossings` gives them.
+    """
+    x, y = pts[ix], pts[iy]
+    n = c.cycle_length()
+    wrapped = y.pos <= x.pos  # the walk passes a period end, as in `walk_span`
+    scale, xs, ys, _ = frame
+    x0, y0 = xs[ix], ys[ix]
+    x1, y1 = xs[iy] + (scale if wrapped and c.winding == 1 else 0), ys[iy]
+    first = x.pos.numerator // x.pos.denominator  # the segments that hold x and the end
+    last = -(-y.pos.numerator // y.pos.denominator) - 1 + (n if wrapped else 0)
+    if first == last and (x0, y0) == (x1, y1):
+        return None
+    crossings = column_crossings(scale, x1, y1, x0, y0)  # the lift's piece
+    if crossings is None:
+        return None
+    for j in range(first, last + 1):
+        wrap, i = divmod(j, n)
+        found = c.segment_columns(i)
+        if found is None:
+            return None
+        shift = wrap if c.winding == 1 else 0
+        for k, t, sign in found:
+            k += shift
+            # a crossing counts from x on, and up to the end
+            if j == first and (k * scale < x0 if sign < 0 else k * scale >= x0):
+                continue
+            if j == last and (k * scale >= x1 if sign < 0 else k * scale < x1):
+                continue
+            crossings.append((k, t, sign))
+    sums: dict[tuple[int, int], int] = {}
+    for k, t, sign in crossings:
+        sums[k, t] = sums.get((k, t), 0) + sign
+    wound = 0
+    for key in sorted(sums, reverse=True):
+        wound += sums[key]
+        if wound:
+            return False
+    return True
+
+
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
                   order_seed: Optional[int] = None) -> tuple[list[IPoint], list[CancelledBigon]]:
     """Remove empty bigons until none remain; order is seed-controlled.
@@ -447,22 +512,29 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     with its loop, and reads the pegs certified to have winding zero from
     the loop on demand (`CancelledBigon.pegs_checked`).
 
-    Within one call each pair's geometry is computed once, cheapest test
-    first: the same-lift test, then the subarc, closing loop and peg check
-    (`first_wound_peg`, one scan of the loop's column crossings), then the
-    piece test.  The same-lift test needs no walk: a pair's forward walk
-    passes a period end only from the last point of a wrapping component's
-    ring to its first, so m is 1 for that pair and 0 for every other.  A
-    loop that winds a peg rules its pair out for good, as the loop never
-    changes.  No loop passes through a peg, so the order of the two tests
+    Within one call each pair is tested once, cheapest test first: the
+    same-lift test, then the peg test, then the piece test.  The same-lift
+    test needs no walk: a pair's forward walk passes a period end only from
+    the last point of a wrapping component's ring to its first, so m is 1
+    for that pair and 0 for every other.  The peg test (`_winds_no_peg`)
+    sums the closing loop's column crossings from the component's column
+    table and the lift's piece; where the loop may meet a peg, the loop is
+    built (`_closing_loop`) and `first_wound_peg` decides, raising
+    `PointOnLoop` exactly where a scan of every loop would.  A loop that
+    winds a peg rules its pair out for good, as the loop never changes.  No
+    loop passes through a peg, so the order of the peg and piece tests
     changes no outcome: a validated curve avoids pegs, a clean family's
     lines hold none, and inside an arc of a reduced slope lies none.  Only
-    the piece test reads the live points; it runs in integers on
-    `_scaled_frame(pts)`, built on the call's first piece test.  A blocked
+    the piece test reads the live points.  Both run in integers on
+    `_scaled_frame(pts)`, built on the call's first peg test.  A blocked
     pair keeps the point found on its piece and is tested again only after
-    that point has been removed.  `pts` holds distinct points, as
-    `raw_intersections` gives them.
+    that point has been removed; a pair found empty builds its loop with
+    `subarc` then, for the audit.  `pts` holds distinct points, as
+    `raw_intersections` gives them, and fewer than two are returned as
+    they are.
     """
+    if len(pts) < 2:
+        return list(pts), []
     rng = random.Random(order_seed) if order_seed is not None else None
     rings: dict[int, list[int]] = {}  # component -> indices into pts by position
     for k, p in enumerate(pts):
@@ -471,10 +543,10 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
         ring.sort(key=lambda k: pts[k].pos)
     alive = [True] * len(pts)
     live = list(range(len(pts)))
-    # (x, y) -> None (no bigon), a CancelledBigon, or (blocker, end, loop)
+    # (x, y) -> None (no bigon), a CancelledBigon, or (blocker, end)
     tests: dict[tuple[int, int], object] = {}
     audit: list[CancelledBigon] = []
-    frame = None  # `_scaled_frame(pts)`, built by the first piece test
+    frame = None  # `_scaled_frame(pts)`, built by the first peg test
     while True:
         cands: list[tuple[int, int, CancelledBigon]] = []
         for ci in dict.fromkeys(pts[k].comp for k in live):
@@ -486,23 +558,30 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
             for n, ix in enumerate(ring):
                 pair = (ix, ring[n - last])
                 x, y = pts[ix], pts[pair[1]]
+                # Only the walk from the ring's last point to its first
+                # passes a period end, and only on a wrapping component.
+                m = c.winding if n == last else 0
                 if pair not in tests:
-                    # Only the walk from the ring's last point to its first
-                    # passes a period end, and only on a wrapping component.
-                    found = _closing_loop(c, step, x, y, c.winding if n == last else 0)
-                    # A wound peg stays wound: the loop never changes.
-                    if found is not None and first_wound_peg(found[1]) is None:
-                        tests[pair] = (None, *found)
-                    else:
-                        tests[pair] = None
-                state = tests[pair]
-                if type(state) is tuple:
-                    blocker, end, loop = state
-                    if blocker is None or not alive[blocker]:
+                    tests[pair] = None
+                    if y.lift + step * m == x.lift:
                         if frame is None:
                             frame = _scaled_frame(pts)
+                        unwound = _winds_no_peg(c, pts, frame, *pair)
+                        if unwound is None:  # the loop's own check decides, or raises
+                            found = _closing_loop(c, step, x, y, m)
+                            unwound = found is not None and first_wound_peg(found[1]) is None
+                        # A wound peg stays wound: the loop never changes.
+                        if unwound:
+                            tests[pair] = (None, y.point.translate(m) if m else y.point)
+                state = tests[pair]
+                if type(state) is tuple:
+                    blocker, end = state
+                    if blocker is None or not alive[blocker]:
                         blocker = _first_blocker(step, x.lift, end, x.point, frame, live, pair)
-                    state = CancelledBigon(x, y, loop) if blocker is None else (blocker, end, loop)
+                    if blocker is None:  # only now is the loop built, for the audit
+                        state = CancelledBigon(x, y, _closing_loop(c, step, x, y, m)[1])
+                    else:
+                        state = (blocker, end)
                     tests[pair] = state
                 if isinstance(state, CancelledBigon):
                     cands.append((*pair, state))

@@ -18,9 +18,17 @@ integers, copied verbatim; `_first_blocker` on the scaled frame of the same
 points must find the same blocker.  Call counts pin the order of the tests:
 only a pair whose loop winds no peg is piece-tested, and the audit's pegs
 are listed only when read.  `first_wound_peg` must agree with
-`winding_number` called peg by peg, reading a marked bigon's corner just
-above it with the copy of `winding_near` in `test_differentials`: the same
-first wrongly wound peg, and `PointOnLoop` at the same peg.
+`winding_number` called peg by peg, on every loop cancellation peg-tests
+and every marked bigon's loop, reading a marked bigon's corner just above
+it with the copy of `winding_near` in `test_differentials`: the same first
+wrongly wound peg, and `PointOnLoop` at the same peg.
+
+Cancellation's peg test reads each component's column table and builds no
+loop.  Its verdict must be `first_wound_peg`'s on the closing loop that
+`_closing_loop` builds for the same pair, on the zoo, thin diagrams and
+Hypothesis staircases with their mirrors, and the table must match its
+definition, computed in Fractions segment by segment.  A loop through a
+peg must fall back to `first_wound_peg` and raise its `PointOnLoop`.
 """
 
 import math
@@ -59,6 +67,7 @@ from pegboard.pairing import (
     line_family,
     raw_intersections,
     subarc,
+    walk_span,
 )
 from test_arc_sweep import grading_range
 from test_differentials import winding_near
@@ -439,24 +448,35 @@ def test_integer_piece_test_matches_fraction_one(case):
 # The order of the tests: lift, then pegs, then the piece
 
 
+def recording_peg_tests(monkeypatch):
+    """A list of (component, x, y, verdict) for every pair whose pegs
+    cancellation tests from the column table, filled as `pairing` runs; the
+    verdict is True when no peg is wound, None when the loop's own check
+    decides."""
+    seen = []
+    winds_no_peg = pairing._winds_no_peg
+
+    def recording(c, pts, frame, ix, iy):
+        verdict = winds_no_peg(c, pts, frame, ix, iy)
+        seen.append((c, pts[ix], pts[iy], verdict))
+        return verdict
+
+    monkeypatch.setattr(pairing, "_winds_no_peg", recording)
+    return seen
+
+
 def counting_piece_and_peg_tests(monkeypatch):
-    """Lists of the pairs `_first_blocker` tests and of the peg checks'
-    verdicts (True: no peg wound), filled as `pairing` runs."""
-    pieces, passed = [], []
+    """The pairs `_first_blocker` tests and the `recording_peg_tests`
+    list, both filled as `pairing` runs."""
+    pieces = []
     first_blocker = pairing._first_blocker
 
     def piece_test(step, lift, a, b, frame, live, pair):
         pieces.append(pair)
         return first_blocker(step, lift, a, b, frame, live, pair)
 
-    def peg_check(loop, corner=None, corner_winding=0):
-        found = first_wound_peg(loop, corner, corner_winding)
-        passed.append(found is None)
-        return found
-
     monkeypatch.setattr(pairing, "_first_blocker", piece_test)
-    monkeypatch.setattr(pairing, "first_wound_peg", peg_check)
-    return pieces, passed
+    return pieces, recording_peg_tests(monkeypatch)
 
 
 @pytest.mark.parametrize("run", [
@@ -465,8 +485,10 @@ def counting_piece_and_peg_tests(monkeypatch):
 ], ids=["surgery_report", "ArcSweep.dims"])
 def test_only_pairs_past_the_peg_check_are_piece_tested(monkeypatch, run):
     # Most same-lift pairs wind a peg; those are never piece-tested.
-    pieces, passed = counting_piece_and_peg_tests(monkeypatch)
+    pieces, tested = counting_piece_and_peg_tests(monkeypatch)
     run(build_zoo("torus_3_4"))
+    passed = [verdict for *_, verdict in tested]
+    assert set(passed) == {True, False}  # a validated curve meets no peg
     assert sum(passed) < len(passed)
     assert 0 < len(pieces) <= sum(passed)
 
@@ -510,32 +532,56 @@ def assert_peg_checks_agree(loop, corner=None, corner_winding=0):
     return want
 
 
-def zoo_loops(monkeypatch):
-    """Every loop whose pegs pairing and differentials check on the zoo at
-    |p| <= 7 and q <= 3, with its corner peg and winding."""
-    seen = []
+def closing_loop(c: Component, x: IPoint, y: IPoint) -> Optional[tuple[Point, ...]]:
+    """`_closing_loop`'s loop of a pair that passed the lift test."""
+    m = walk_span(c, x, y, 1)[1]
+    step = (x.lift - y.lift) // m if m else 0  # a step under which the pair passes
+    found = pairing._closing_loop(c, step, x, y, m)
+    return found and found[1]
+
+
+ZOO_LOOP_SLOPES = [
+    SlopeSpec(p, q) for q in range(1, 4) for p in range(-7, 8) if p and math.gcd(abs(p), q) == 1
+] + [SlopeSpec(1, 0)]
+
+
+@pytest.fixture(scope="module")
+def zoo_grid():
+    """(peg-tested pairs, marked bigons) on the zoo at |p| <= 7, q <= 3 and
+    1/0: each pair cancellation tests from the column table as
+    (component, x, y, verdict), and each loop that differentials checks
+    with its corner peg and winding."""
+    marked = []
 
     def recording(loop, corner=None, corner_winding=0):
-        seen.append((tuple(loop), corner, corner_winding))
+        marked.append((tuple(loop), corner, corner_winding))
         return first_wound_peg(loop, corner, corner_winding)
 
-    monkeypatch.setattr(pairing, "first_wound_peg", recording)
-    monkeypatch.setattr(differentials, "first_wound_peg", recording)
-    slopes = [SlopeSpec(p, q) for q in range(1, 4) for p in range(-7, 8) if p and math.gcd(abs(p), q) == 1]
-    for name in zoo_names():
-        d = build_zoo(name)
-        for slope in slopes + [SlopeSpec(1, 0)]:
-            pairing.surgery_report(d, slope)
-            sweep = ArcSweep(d, slope)
-            for h in sweep.dims():
-                if slope.p > 0 and not slope.is_vertical:
-                    differential_matrix(sweep, h, "phi")
-                    differential_matrix(sweep, h, "psi")
-    return seen
+    with pytest.MonkeyPatch.context() as mp:
+        pairs = recording_peg_tests(mp)
+        mp.setattr(differentials, "first_wound_peg", recording)
+        for name in zoo_names():
+            d = build_zoo(name)
+            for slope in ZOO_LOOP_SLOPES:
+                pairing.surgery_report(d, slope)
+                sweep = ArcSweep(d, slope)
+                for h in sweep.dims():
+                    if slope.p > 0 and not slope.is_vertical:
+                        differential_matrix(sweep, h, "phi")
+                        differential_matrix(sweep, h, "psi")
+    return pairs, marked
 
 
-def test_peg_check_matches_winding_number_on_zoo_loops(monkeypatch):
-    loops = zoo_loops(monkeypatch)
+def zoo_loops(zoo_grid):
+    """Every loop whose pegs pairing and differentials check on the zoo at
+    |p| <= 7 and q <= 3, with its corner peg and winding: the closing loop
+    of each pair cancellation peg-tests, and each marked bigon's loop."""
+    pairs, marked = zoo_grid
+    return [(closing_loop(c, x, y), None, 0) for c, x, y, _ in pairs] + marked
+
+
+def test_peg_check_matches_winding_number_on_zoo_loops(zoo_grid):
+    loops = zoo_loops(zoo_grid)
     results = [assert_peg_checks_agree(*case) for case in loops]
     # both answers occur, and the marked bigons pass through their corner
     # peg with either winding
@@ -598,3 +644,109 @@ def test_peg_check_matches_winding_number_on_polygons(loop, through, corner_inde
     else:
         corner = candidates[corner_index] if 0 <= corner_index < len(candidates) else None
     assert_peg_checks_agree(loop, corner, corner_winding)
+
+
+# ---------------------------------------------------------------------------
+# The peg test read from each component's column table
+
+
+def assert_verdicts_agree(pairs) -> set:
+    """Each recorded verdict against `first_wound_peg` on the pair's
+    closing loop; returns the verdicts met."""
+    for c, x, y, verdict in pairs:
+        loop = closing_loop(c, x, y)
+        assert verdict is (first_wound_peg(loop) is None), (c, x, y)
+    return {verdict for *_, verdict in pairs}
+
+
+def test_peg_test_matches_first_wound_peg_on_zoo(zoo_grid):
+    pairs, _ = zoo_grid
+    assert assert_verdicts_agree(pairs) == {True, False}
+
+
+def peg_tested_pairs(d: CurveDiagram, slopes) -> list:
+    """The recorded peg tests of the filling family and every grading of
+    the dual arcs at each slope."""
+    with pytest.MonkeyPatch.context() as mp:
+        pairs = recording_peg_tests(mp)
+        for slope in slopes:
+            pairing.surgery_report(d, slope)
+            ArcSweep(d, slope).dims()
+    return pairs
+
+
+@pytest.mark.parametrize("tau,fig8", [(1, 1), (-2, 2), (0, 3)])
+def test_peg_test_matches_first_wound_peg_on_thin_diagrams(tau, fig8):
+    slopes = [SlopeSpec(p, q) for q in (1, 2) for p in range(-5, 6) if p and math.gcd(abs(p), q) == 1]
+    pairs = peg_tested_pairs(thin(tau, fig8), slopes + [SlopeSpec(1, 0)])
+    assert assert_verdicts_agree(pairs) == {True, False}
+
+
+@settings(max_examples=25, deadline=None)
+@given(staircase_diagrams(), st.booleans(), slopes.filter(lambda s: s.p != 0))
+def test_peg_test_matches_first_wound_peg_on_staircases(d, mirrored, slope):
+    assert_verdicts_agree(peg_tested_pairs(d.mirror() if mirrored else d, [slope]))
+
+
+def reference_segment_columns(a: Point, b: Point) -> Optional[tuple[tuple[int, int, int], ...]]:
+    """The column crossings of the segment from a to b by their
+    definition, in Fractions: column i for each integer i with
+    min x <= i < max x, its sign +1 leftwards and -1 rightwards, and t the
+    largest integer j with j + 1/2 below the crossing; None if the closed
+    segment holds a peg."""
+    if any(on_segment(peg, Segment(a, b)) for peg in pegs_in_box(Box.around((a, b)))):
+        return None
+    out = []
+    for i in range(math.ceil(min(a.x, b.x)), math.ceil(max(a.x, b.x))):  # none when vertical
+        y = a.y + (i - a.x) * (b.y - a.y) / (b.x - a.x)
+        out.append((i, math.ceil(y - HALF) - 1, 1 if b.x < a.x else -1))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [build_zoo(name) for name in zoo_names()] + [thin(-2, 3)],
+                         ids=zoo_names() + ["thin(-2,3)"])
+def test_column_table_matches_its_definition(d):
+    for c in d.components:
+        ends = c.vertices[1:] + (c.vertices[:1] if c.winding == 0 else ())
+        for i, (a, b) in enumerate(zip(c.vertices, ends)):
+            assert c.segment_columns(i) == reference_segment_columns(a, b), (c, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygons)
+def test_column_table_matches_its_definition_on_polygons(loop):
+    c = Component(tuple(loop), 0)
+    for i, a in enumerate(loop):
+        b = loop[(i + 1) % len(loop)]
+        if a != b:
+            assert c.segment_columns(i) == reference_segment_columns(a, b), (loop, i)
+
+
+# Hand-built closed components whose loops pass through the peg (0, 1/2),
+# paired with vertical lines: (vertices, delta), the lines being
+# x = 1/2 + delta + k.
+THROUGH_A_PEG = {
+    "closing edge": ([(Fraction(-1, 4), 0), (Fraction(1, 4), 0), (Fraction(1, 4), 1), (Fraction(-1, 4), 1)],
+                     Fraction(-1, 2)),
+    "whole segment": ([(Fraction(-5, 8), 0), (Fraction(-1, 2), 0), (HALF, 1), (Fraction(5, 8), 1),
+                       (Fraction(5, 8), 2), (Fraction(-5, 8), 2)], Fraction(-1, 4)),
+    "first edge": ([(Fraction(-5, 8), 0), (Fraction(5, 8), 1), (Fraction(5, 8), 2), (Fraction(-5, 8), 2)],
+                   Fraction(-3, 4)),
+    "last edge": ([(Fraction(-5, 8), 0), (Fraction(5, 8), 1), (Fraction(5, 8), 2), (Fraction(-5, 8), 2)],
+                  Fraction(-1, 4)),
+    "vertex": ([(Fraction(-5, 8), 0), (0, HALF), (Fraction(5, 8), 0), (Fraction(5, 8), 2), (Fraction(-5, 8), 2)],
+               Fraction(-1, 4)),
+}
+
+
+@pytest.mark.parametrize("case", THROUGH_A_PEG, ids=list(THROUGH_A_PEG))
+def test_loops_through_a_peg_fall_back_to_first_wound_peg(monkeypatch, case):
+    vertices, delta = THROUGH_A_PEG[case]
+    d = CurveDiagram((Component(tuple(Point(Fraction(x), Fraction(y)) for x, y in vertices), 0),))
+    fam = _LineFamily(SlopeSpec(1, 0), delta)
+    pts = raw_intersections(d, fam)
+    tested = recording_peg_tests(monkeypatch)
+    got = outcome(cancel_bigons, pts, d, fam.step)
+    c, x, y, verdict = tested[-1]  # the pair that raised
+    assert verdict is None
+    assert got == outcome(first_wound_peg, closing_loop(c, x, y)) == ("PointOnLoop", "(0, 1/2) lies on the loop")
