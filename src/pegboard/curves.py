@@ -656,12 +656,3 @@ def build_zoo(spec: str) -> CurveDiagram:
 
 def zoo_names() -> list[str]:
     return ["unknot", "trefoil", "trefoil_mirror", "torus_2_5", "torus_3_4", "figure_eight"]
-
-
-def diagrams_equal(d1: CurveDiagram, d2: CurveDiagram) -> bool:
-    """Equality up to re-parameterization and horizontal translation."""
-
-    def keys(d: CurveDiagram) -> list[tuple]:
-        return sorted(_component_key(anchor_at_seam(c) if c.winding else c) for c in d.components)
-
-    return keys(d1) == keys(d2)

@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class BadShape(ValueError):
@@ -132,16 +132,6 @@ def sequences_from_csv(text: str) -> dict:
         key: LedgerSequence(vals, bundle=key[0], coefficient=key[1])
         for key, vals in grouped.items()
     }
-
-
-def sequence_to_csv(seqs: Iterable[LedgerSequence]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["n", "value", "bundle", "coefficient"])
-    for seq in seqs:
-        for n in sorted(seq.values):
-            writer.writerow([n, seq.values[n], seq.bundle, seq.coefficient])
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +497,6 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
     if shape.width != shape_mu.width and abs(shape.width - shape_mu.width) != 1:
         raise ConstraintViolation("P3.16", "widths of the two sequences must agree or differ by 1")
     return ShapeReport(shape, shape_mu, shape.width, shape_mu.width, tuple(notes))
-
-
-def mirror_sequence(seq: LedgerSequence) -> LedgerSequence:
-    """Index negation, realizing the mirror knot's sequence."""
-    return LedgerSequence(
-        {-n: v for n, v in seq.values.items()}, seq.bundle, seq.coefficient
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,10 @@ point on the lift's piece, is the only one that depends on what has been
 removed; like the lift's piece of the peg test, it compares coordinates in
 the points' `integer_frame`, built once per call.  A blocked pair keeps
 the point that blocked it and is tested again only after that point is
-gone.  Only a pair found empty walks the curve, with `subarc`, to build
-the loop of its audit; the audit lists that loop's pegs only when they are
-read.
+gone.  The points come sorted by (component, position), so each
+component's ring is its run of them and no ring is sorted.  A removed
+pair's audit keeps only the pair and its component: its loop is walked
+with `subarc`, and the loop's pegs are listed, only when they are read.
 
 Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component, done in integers
@@ -59,8 +60,9 @@ or two consecutive vertices, is degenerate: a filling lift on it, or an
 arc holding such a segment, raises `DegenerateIncidence`.  The sweep
 cancels bigons once per grading and keeps the result, so the graded
 dimensions and both differentials of one slope share the work.
-Cancellation and the marked bigons of `differentials` follow the curve
-between two intersections with `subarc`.
+An audit loop read from a removed pair, a loop that cancellation's peg
+test leaves to `first_wound_peg`, and the marked bigons of `differentials`
+follow the curve between two intersections with `subarc`.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -189,15 +192,22 @@ class IPoint:
 
 @dataclass(frozen=True)
 class CancelledBigon:
-    """One removed pair (x, y) and the loop of its empty bigon.
+    """One removed pair (x, y) on `component`, the curve component that
+    holds both points.
 
-    `pegs_checked`, the pegs of the loop's box, all certified to have
-    winding zero, is computed from the loop when read.
+    The loop of its empty bigon, the forward subarc from x to y without a
+    repeated closing point (`_closing_loop`), is walked with `subarc` when
+    first read and kept.  `pegs_checked`, the pegs of the loop's box, all certified to
+    have winding zero, is computed from the loop when read.
     """
 
     x: IPoint
     y: IPoint
-    loop: tuple[Point, ...]
+    component: Component
+
+    @cached_property
+    def loop(self) -> tuple[Point, ...]:
+        return _closing_loop(self.component, self.x, self.y)
 
     @property
     def pegs_checked(self) -> tuple[Point, ...]:
@@ -417,23 +427,13 @@ def _first_blocker(step: int, lift: int, a: Point, b: Point, frame: tuple,
     return None
 
 
-def _closing_loop(c: Component, step: int, x: IPoint, y: IPoint,
-                  m: int) -> Optional[tuple[Point, tuple[Point, ...]]]:
-    """What no other point changes in the bigon test of the pair (x, y).
-
-    The forward subarc from x to y, which passes m period ends, must end
-    on x's lift; its end bounds the lift's piece back to x.point.  Returns
-    (end, loop), the loop being the subarc without a repeated closing
-    point, or None when the subarc ends on another lift or the loop has
-    fewer than two points.
+def _closing_loop(c: Component, x: IPoint, y: IPoint) -> tuple[Point, ...]:
+    """The loop of the pair (x, y): the forward subarc from x to y without
+    a repeated closing point.  When the subarc ends on x's lift, the loop
+    closes back to x.point along that lift and bounds the pair's bigon.
     """
-    if y.lift + step * m != x.lift:
-        return None
     path, _ = subarc(c, x, y, 1)
-    loop = path[:-1] if path[-1] == path[0] else path
-    if len(loop) < 2:
-        return None
-    return path[-1], tuple(loop)
+    return tuple(path[:-1] if path[-1] == path[0] else path)
 
 
 def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int,
@@ -500,17 +500,20 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     """Remove empty bigons until none remain; order is seed-controlled.
 
     `pts` are the intersections of d with one line family or one arc's
-    translates, and `step` is how their lift index changes when a point
-    moves by (1, 0): `_LineFamily.step`, or 1 for arcs.  Each round lists
-    the candidates: every ordered pair (x, y) adjacent along a component
-    (components in order of first appearance, pairs by position,
-    cyclically) whose forward subarc closes up with the piece of x's lift
-    back to x into an empty bigon, a loop of winding zero around every peg
-    with no other live point on the piece.  It removes the first
-    candidate, or the `order_seed` pick among them.  The final count is
-    independent of the removal order; the audit records each removed pair
-    with its loop, and reads the pegs certified to have winding zero from
-    the loop on demand (`CancelledBigon.pegs_checked`).
+    translates, strictly increasing in (component, position), as
+    `raw_intersections` and `ArcSweep.raw` give them, and `step` is how
+    their lift index changes when a point moves by (1, 0):
+    `_LineFamily.step`, or 1 for arcs.  Each component's run of `pts` is
+    its ring, and the rings are visited in that order.  Each round lists
+    the candidates: every ordered pair (x, y) adjacent along a ring (pairs
+    by position, cyclically) whose forward subarc closes up with the piece
+    of x's lift back to x into an empty bigon, a loop of winding zero
+    around every peg with no other live point on the piece.  It removes
+    the first candidate, or the `order_seed` pick among them.  The final
+    count is independent of the removal order; the audit records each
+    removed pair with its component, and its loop and the pegs certified
+    to have winding zero are built when read (`CancelledBigon.loop` and
+    `pegs_checked`).
 
     Within one call each pair is tested once, cheapest test first: the
     same-lift test, then the peg test, then the piece test.  The same-lift
@@ -528,19 +531,19 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     the piece test reads the live points.  Both run in integers on
     `_scaled_frame(pts)`, built on the call's first peg test.  A blocked
     pair keeps the point found on its piece and is tested again only after
-    that point has been removed; a pair found empty builds its loop with
-    `subarc` then, for the audit.  `pts` holds distinct points, as
-    `raw_intersections` gives them, and fewer than two are returned as
+    that point has been removed.  Fewer than two points are returned as
     they are.
     """
     if len(pts) < 2:
         return list(pts), []
     rng = random.Random(order_seed) if order_seed is not None else None
-    rings: dict[int, list[int]] = {}  # component -> indices into pts by position
-    for k, p in enumerate(pts):
-        rings.setdefault(p.comp, []).append(k)
-    for ring in rings.values():
-        ring.sort(key=lambda k: pts[k].pos)
+    # Each component's run of pts, as (component, live indices into pts).
+    rings: list[tuple[Component, list[int]]] = []
+    first = 0
+    for k in range(1, len(pts) + 1):
+        if k == len(pts) or pts[k].comp != pts[first].comp:
+            rings.append((d.components[pts[first].comp], list(range(first, k))))
+            first = k
     alive = [True] * len(pts)
     live = list(range(len(pts)))
     # (x, y) -> None (no bigon), a CancelledBigon, or (blocker, end)
@@ -548,12 +551,10 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     audit: list[CancelledBigon] = []
     frame = None  # `_scaled_frame(pts)`, built by the first peg test
     while True:
-        cands: list[tuple[int, int, CancelledBigon]] = []
-        for ci in dict.fromkeys(pts[k].comp for k in live):
-            ring = [k for k in rings[ci] if alive[k]]
+        cands: list[tuple[list[int], int, int, CancelledBigon]] = []
+        for c, ring in rings:
             if len(ring) < 2:
                 continue
-            c = d.components[ci]
             last = len(ring) - 1
             for n, ix in enumerate(ring):
                 pair = (ix, ring[n - last])
@@ -568,8 +569,8 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
                             frame = _scaled_frame(pts)
                         unwound = _winds_no_peg(c, pts, frame, *pair)
                         if unwound is None:  # the loop's own check decides, or raises
-                            found = _closing_loop(c, step, x, y, m)
-                            unwound = found is not None and first_wound_peg(found[1]) is None
+                            loop = _closing_loop(c, x, y)
+                            unwound = len(loop) >= 2 and first_wound_peg(loop) is None
                         # A wound peg stays wound: the loop never changes.
                         if unwound:
                             tests[pair] = (None, y.point.translate(m) if m else y.point)
@@ -578,18 +579,17 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
                     blocker, end = state
                     if blocker is None or not alive[blocker]:
                         blocker = _first_blocker(step, x.lift, end, x.point, frame, live, pair)
-                    if blocker is None:  # only now is the loop built, for the audit
-                        state = CancelledBigon(x, y, _closing_loop(c, step, x, y, m)[1])
-                    else:
-                        state = (blocker, end)
+                    state = CancelledBigon(x, y, c) if blocker is None else (blocker, end)
                     tests[pair] = state
                 if isinstance(state, CancelledBigon):
-                    cands.append((*pair, state))
+                    cands.append((ring, *pair, state))
         if not cands:
             return [pts[k] for k in live], audit
-        ix, iy, bigon = cands[0] if rng is None else cands[rng.randrange(len(cands))]
+        ring, ix, iy, bigon = cands[0] if rng is None else cands[rng.randrange(len(cands))]
         alive[ix] = alive[iy] = False
         live = [k for k in live if alive[k]]
+        ring.remove(ix)
+        ring.remove(iy)
         audit.append(bigon)
 
 
@@ -661,12 +661,10 @@ class ArcSweep:
     def dims(self) -> dict:
         """Graded dual-knot dimensions, nonzero entries only, by increasing
         grading."""
-        dims: dict = {}
-        for n in sorted(self._raw.keys() | self._held.keys()):
-            count = len(self._points(n))
-            if count:
-                dims[n + self._h0] = count
-        return dims
+        counts = [(n, len(self._points(n))) for n in sorted(self._raw.keys() | self._held.keys())]
+        p = self.slope.p
+        # Key n is grading n + (p - 1)/2 = (2n + p - 1)/2, at either sign of p.
+        return {Fraction(2 * n + p - 1, 2): count for n, count in counts if count}
 
     def _key(self, h) -> int:
         """The key of grading h; `ArcLift` refuses a height off the slope's

@@ -48,6 +48,7 @@ from pegboard.pairing import (
     dual_hfk_dims,
     line_family,
     raw_intersections,
+    valid_grading,
 )
 from pegboard.render import render_svg
 from pegboard.textfmt import parse_curve_text
@@ -502,13 +503,19 @@ def test_an_unfiled_grading_is_not_cancelled(monkeypatch):
 def test_unfiled_gradings_have_no_points(d, slope):
     # dims() reads only the gradings the sweep files: its gradings lie in
     # the bounding-box range, and no grading of the range that the sweep
-    # did not file has a point.
+    # did not file has a point.  Each key is a grading of the slope, at
+    # either sign of p, in increasing order, and counts its grading's
+    # points; a grading of the range with a point is a key.
     sweep = ArcSweep(d, slope)
     probe = grading_range(d, slope)
-    assert set(sweep.dims()) <= set(probe)
+    dims = sweep.dims()
+    assert set(dims) <= set(probe) and list(dims) == sorted(dims)
+    for h in dims:
+        assert type(h) is Fraction and valid_grading(slope.p, h), (d.source, str(slope), h)
     for h in probe:
         if not sweep.raw(h):
             assert not sweep.points(h), (d.source, str(slope), h)
+        assert dims.get(h, 0) == len(sweep.points(h)), (d.source, str(slope), h)
 
 
 # Every slope kind an arc has: 1/0, and p/q with q odd and even, p negative,

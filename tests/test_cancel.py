@@ -23,6 +23,15 @@ and every marked bigon's loop, reading a marked bigon's corner just above
 it with the copy of `winding_near` in `test_differentials`: the same first
 wrongly wound peg, and `PointOnLoop` at the same peg.
 
+Cancellation reads each component's ring as its run of the raw points,
+which `raw_intersections` and `ArcSweep.raw` give strictly increasing in
+(component, position); that order is pinned on the zoo, thin diagrams and
+Hypothesis staircases with their mirrors.  A removed pair's audit keeps its
+component and walks its loop with `subarc` only when the loop is read: the
+reference's loop must be what the audit walks, and no walk may happen under
+`surgery_report`, `ArcSweep.dims` or `dually_simple_scan` before a loop is
+read.
+
 Cancellation's peg test reads each component's column table and builds no
 loop.  Its verdict must be `first_wound_peg`'s on the closing loop that
 `_closing_loop` builds for the same pair, on the zoo, thin diagrams and
@@ -67,7 +76,6 @@ from pegboard.pairing import (
     line_family,
     raw_intersections,
     subarc,
-    walk_span,
 )
 from test_arc_sweep import grading_range
 from test_differentials import winding_near
@@ -239,7 +247,8 @@ def reference_cancel_bigons(pts: list[IPoint], d: CurveDiagram, obj: PairObject,
             return live, audit
         x, y, loop, pegs = cands[0] if rng is None else cands[rng.randrange(len(cands))]
         live = [p for p in live if p is not x and p is not y]
-        bigon = CancelledBigon(x, y, loop)
+        bigon = CancelledBigon(x, y, d.components[x.comp])
+        assert bigon.loop == tuple(loop)  # the audit's loop, walked when read
         assert bigon.pegs_checked == tuple(pegs)  # the audit's pegs, read from the loop
         audit.append(bigon)
 
@@ -342,6 +351,39 @@ slopes = (
 @given(generated_diagrams, slopes, st.integers(0, 1000))
 def test_cancellation_matches_reference_on_generated_diagrams(d, slope, seed):
     assert_cancellation_matches(d, slope, (None, seed, seed + 1))
+
+
+# ---------------------------------------------------------------------------
+# The order cancellation reads its rings from
+
+
+def assert_ordered_by_component_and_position(d: CurveDiagram, slopes) -> int:
+    """Every raw list `pairing_cases` gives for d at the slopes (the filling
+    family's and each filed grading's) is strictly increasing in
+    (comp, pos); returns how many points they hold."""
+    seen = 0
+    for slope in slopes:
+        for raw, _ in pairing_cases(d, slope):
+            keys = [(z.comp, z.pos) for z in raw]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (d.source, str(slope), keys)
+            seen += len(keys)
+    return seen
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_raw_points_come_in_ring_order_on_zoo(name):
+    assert assert_ordered_by_component_and_position(build_zoo(name), ZOO_LOOP_SLOPES)
+
+
+@pytest.mark.parametrize("tau,fig8", [(1, 1), (-2, 2), (0, 3)])
+def test_raw_points_come_in_ring_order_on_thin_diagrams(tau, fig8):
+    assert assert_ordered_by_component_and_position(thin(tau, fig8), ZOO_LOOP_SLOPES)
+
+
+@settings(max_examples=25, deadline=None)
+@given(staircase_diagrams(), st.booleans(), slopes)
+def test_raw_points_come_in_ring_order_on_staircases(d, mirrored, slope):
+    assert_ordered_by_component_and_position(d.mirror() if mirrored else d, [slope])
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +551,34 @@ def test_audit_pegs_are_computed_when_read(monkeypatch):
     assert len(calls) == len(report.cancelled)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: pairing.surgery_report(build_zoo("trefoil"), SlopeSpec(-5, 1)),
+    lambda: ArcSweep(build_zoo("torus_3_4"), SlopeSpec(5, 2)).dims(),
+    lambda: differentials.dually_simple_scan(build_zoo("trefoil"), 4, 2),
+], ids=["surgery_report", "ArcSweep.dims", "dually_simple_scan"])
+def test_audit_loops_are_walked_when_read(monkeypatch, run):
+    walks, audits = [], []
+    walk, cancel = pairing.subarc, pairing.cancel_bigons
+
+    def counting_subarc(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def keeping_audits(*args, **kwargs):
+        live, audit = cancel(*args, **kwargs)
+        audits.extend(audit)
+        return live, audit
+
+    monkeypatch.setattr(pairing, "subarc", counting_subarc)
+    monkeypatch.setattr(pairing, "cancel_bigons", keeping_audits)
+    run()
+    assert audits and walks == []
+    loops = [bigon.loop for bigon in audits]
+    assert [bigon.loop for bigon in audits] == loops
+    assert len(walks) == len(audits)  # each loop is walked once and kept
+    assert all(len(loop) >= 2 and loop[0] == bigon.x.point for bigon, loop in zip(audits, loops))
+
+
 # ---------------------------------------------------------------------------
 # The one-pass peg check
 
@@ -533,11 +603,10 @@ def assert_peg_checks_agree(loop, corner=None, corner_winding=0):
 
 
 def closing_loop(c: Component, x: IPoint, y: IPoint) -> Optional[tuple[Point, ...]]:
-    """`_closing_loop`'s loop of a pair that passed the lift test."""
-    m = walk_span(c, x, y, 1)[1]
-    step = (x.lift - y.lift) // m if m else 0  # a step under which the pair passes
-    found = pairing._closing_loop(c, step, x, y, m)
-    return found and found[1]
+    """`_closing_loop`'s loop of a pair, None when it has fewer than two
+    points."""
+    loop = pairing._closing_loop(c, x, y)
+    return loop if len(loop) >= 2 else None
 
 
 ZOO_LOOP_SLOPES = [

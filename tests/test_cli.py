@@ -206,13 +206,15 @@ class TestFilesAndRender:
         assert err == "error: curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1\n"
 
     def test_subarc_walk_failure_exit_code(self, capsys, monkeypatch):
-        import pegboard.pairing
+        import pegboard.differentials
 
         def broken_walk(*args):
             raise RuntimeError("subarc longer than one traversal")
 
-        monkeypatch.setattr(pegboard.pairing, "subarc", broken_walk)
-        code, _, err = run(capsys, "pair", "trefoil", "--", "-5/1")
+        # The marked bigons of trefoil's 1/1 differentials walk the curve
+        # (cancellation walks only an audit loop that is read).
+        monkeypatch.setattr(pegboard.differentials, "subarc", broken_walk)
+        code, _, err = run(capsys, "diff", "trefoil", "--", "1/1")
         assert code == EXIT_INVALID
         assert err == "error: subarc longer than one traversal\n"
 

@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction as F
 
 import pytest
@@ -28,11 +30,9 @@ from pegboard.ledger import (
     f2_shape_classify,
     genus_one_report,
     half_dim_C,
-    mirror_sequence,
     no_torsion_consequence,
     poincare_demo,
     quasi_alt,
-    sequence_to_csv,
     sequences_from_csv,
     slope_propagation,
     t2_monotone_check,
@@ -41,6 +41,24 @@ from pegboard.ledger import (
     unknotting_one_check,
 )
 from pegboard.pairing import SlopeSpec, dual_hfk_dims, surgery_dim
+
+
+def mirror_sequence(seq: LedgerSequence) -> LedgerSequence:
+    """Index negation, realizing the mirror knot's sequence."""
+    return LedgerSequence(
+        {-n: v for n, v in seq.values.items()}, seq.bundle, seq.coefficient
+    )
+
+
+def sequence_to_csv(seqs) -> str:
+    """The CSV text `sequences_from_csv` reads: one row per (n, value)."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["n", "value", "bundle", "coefficient"])
+    for seq in seqs:
+        for n in sorted(seq.values):
+            writer.writerow([n, seq.values[n], seq.bundle, seq.coefficient])
+    return out.getvalue()
 
 
 def unknot_f2_pair(lo=-6, hi=6):

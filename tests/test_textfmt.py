@@ -8,7 +8,6 @@ from pegboard.curves import (
     Component,
     CurveDiagram,
     build_zoo,
-    diagrams_equal,
     lspace_staircase,
     thin,
     zoo_names,
@@ -20,6 +19,7 @@ from pegboard.textfmt import (
     emit_curve_text,
     parse_curve_text,
 )
+from test_curves import diagrams_equal
 
 UNKNOT_TEXT = "component winding=1\nv -1/2 0\nv 1/2 0\n"
 
