@@ -8,6 +8,12 @@ confined to one fundamental strip.
 
 The height of a point is the unique integer band (h - 1/2, h + 1/2) that
 contains its y coordinate; bands are separated by the peg rows.
+
+Each component's vertices become integers once, in its `_frame` (the
+`geometry.integer_frame` of its vertices, built on first use and kept for
+the life of the component).  Validation, the column table, the level scan
+and the filling offset test of `pairing` all read that frame, rescaling it
+by a whole factor where they need a finer scale.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .geometry import (
     Segment,
     column_crossings,
     integer_frame,
-    is_peg,
     pt,
     segment_hits_peg,
 )
@@ -76,8 +81,22 @@ class Component:
 
     @cached_property
     def _frame(self) -> tuple[int, list[int], list[int]]:
-        """(S, X, Y): the `integer_frame` of the stored vertices."""
+        """(S, X, Y): the `integer_frame` of the stored vertices, built once.
+
+        This is the one place the component's vertices become integers:
+        validation, the column table, the level scan and the filling
+        offset test all read it, rescaling by an integer factor where they
+        need a finer scale.  Nothing may modify it.
+        """
         return integer_frame(self.vertices)[:3]
+
+    def _rescale_for(self, c: Fraction) -> tuple[int, int, int]:
+        """(S', f, C): the frame's scale S rescaled to hold c, S' = lcm(S,
+        den c); the whole factor f = S' // S that takes the frame's
+        integers there; and c times S'."""
+        num, den = c.as_integer_ratio()
+        scale = math.lcm(self._frame[0], den)
+        return scale, scale // self._frame[0], num * (scale // den)
 
     @cached_property
     def _columns(self) -> dict[int, Optional[tuple[tuple[int, int, int], ...]]]:
@@ -130,23 +149,25 @@ class Component:
         i + 1 (collinear) or vertex i - 1 (not collinear).  Such vertices
         give no crossing; the scan never raises.
 
-        The scan works in integers, in the `integer_frame` of the vertices
-        and c, whose scale S makes the form an integer G = S*f at every
-        vertex: a vertex lies on a level iff S divides G, the levels a
-        segment crosses are a floor/ceil division range, and the crossing
-        of level m lies at the integer ratio (m*S - G_a)/(G_b - G_a) along
-        it.  Only the returned positions and points are built as
-        Fractions.
+        The scan works in integers, in the component's frame (`_frame`,
+        scale S) rescaled by f = lcm(S, den c) // S so that c is an integer
+        in it too (`_rescale_for`): at scale f*S the form is an integer G
+        at every vertex, a vertex lies on a level iff f*S divides G, the
+        levels a segment crosses are a floor/ceil division range, and the
+        crossing of level m lies at the integer ratio
+        (m*f*S - G_a)/(G_b - G_a) along it.  Only the returned positions
+        and points are built as Fractions.
         """
         n = self.cycle_length()
         if n == 0:
             return [], {}
-        scale, vx, vy, (cs,) = integer_frame(self.vertices, c)
+        _, vx, vy = self._frame
+        scale, f, cs = self._rescale_for(c)
         period = scale if self.winding == 1 else 0  # scaled x step per period
         xs, ys, gs = [], [], []  # index j + 1 holds vertex j, scaled
         for j in range(-1, n + 1):
             wrap, i = divmod(j, n)
-            x, y = vx[i] + wrap * period, vy[i]
+            x, y = vx[i] * f + wrap * period, vy[i] * f
             xs.append(x)
             ys.append(y)
             gs.append(a * x + b * y + cs)
@@ -227,13 +248,19 @@ class CurveDiagram:
 
 
 def _strip_offset(c: Component) -> Optional[int]:
-    """Integer k with all x coordinates inside (k - 1/2, k + 1/2), or None."""
+    """Integer k with all x coordinates inside (k - 1/2, k + 1/2), or None.
+
+    Read from the component's frame: x = X/S lies in that strip iff
+    k = (2X + S) // (2S), and on the seam line x = k + 1/2 iff 2S divides
+    2X + S.
+    """
+    scale, xs, _ = c._frame
     ks = set()
-    for p in c.vertices:
-        shifted = p.x + HALF
-        if shifted.denominator == 1:
+    for x in xs:
+        k, r = divmod(2 * x + scale, 2 * scale)
+        if not r:
             return None  # touches a seam line x = k + 1/2
-        ks.add(math.floor(shifted))
+        ks.add(k)
     return ks.pop() if len(ks) == 1 else None
 
 
@@ -300,7 +327,16 @@ class ValidationReport:
 
 
 def validate(d: CurveDiagram) -> ValidationReport:
-    """Check every structural invariant; report all violations found."""
+    """Check every structural invariant; report all violations found.
+
+    Every check reads the components' integer frames (`Component._frame`,
+    scale S, built once per component): repeats and closure compare
+    integers, a vertex is a peg iff S divides X and 2S divides 2Y - S, the
+    segment pegs come from the column table, the seam scan is the level
+    scan, and confinement reads `_strip_offset`.  The symmetry check works
+    in the diagram's frame, D = lcm(2, every S).  A violation's message is
+    built only when it is reported.
+    """
     bad: list[Violation] = []
 
     def add(code, msg, comp=None):
@@ -314,26 +350,28 @@ def validate(d: CurveDiagram) -> ValidationReport:
         if len(c.vertices) < 2:
             add("vertices", "component needs at least two vertices", i)
             continue
-        for a, b in zip(c.vertices, c.vertices[1:]):
-            if a == b:
-                add("repeat", f"consecutive vertices coincide at {a}", i)
+        scale, xs, ys = c._frame
+        n = len(xs)
+        for k in range(n - 1):
+            if xs[k] == xs[k + 1] and ys[k] == ys[k + 1]:
+                add("repeat", f"consecutive vertices coincide at {c.vertices[k]}", i)
         if c.winding == 1:
-            want = c.vertices[0].translate(1)
-            if c.vertices[-1] != want:
+            if xs[-1] != xs[0] + scale or ys[-1] != ys[0]:
+                want = c.vertices[0].translate(1)
                 add("closure", f"period must end at {want}, ends at {c.vertices[-1]}", i)
-        else:
-            if c.vertices[0] == c.vertices[-1]:
-                add("closure", "closed component must not repeat its first vertex", i)
-        for p in c.vertices:
-            if is_peg(p):
-                add("peg", f"vertex {p} lies on a peg", i)
-        # The pegs are found in the component's one frame, from its column
-        # table; only a segment that meets one is scanned again, to name it.
-        ends = c.vertices[1:] + (c.vertices[:1] if c.winding == 0 else ())
-        for k, (a, b) in enumerate(zip(c.vertices, ends)):
-            if a == b:
+        elif xs[0] == xs[-1] and ys[0] == ys[-1]:
+            add("closure", "closed component must not repeat its first vertex", i)
+        for k in range(n):
+            if xs[k] % scale == 0 and (2 * ys[k] - scale) % (2 * scale) == 0:
+                add("peg", f"vertex {c.vertices[k]} lies on a peg", i)
+        # The pegs are found from the column table; only a segment that
+        # meets one is scanned again, to name it.
+        for k in range(n if c.winding == 0 else n - 1):
+            j = (k + 1) % n
+            if xs[k] == xs[j] and ys[k] == ys[j]:
                 continue  # reported above, as a repeat or as the closure
             if c.segment_columns(k) is None:
+                a, b = c.vertices[k], c.vertices[j]
                 peg = segment_hits_peg(Segment(a, b))
                 add("peg", f"segment {a}->{b} passes through peg {peg}", i)
 
@@ -351,8 +389,7 @@ def validate(d: CurveDiagram) -> ValidationReport:
         elif crossings[0][1].y != 0:
             add("seam", f"seam crossing at height {crossings[0][1].y}, expected 0", wrapping[0])
 
-    # Each closed component's vertices, moved into the strip around x = 0.
-    cycles = []
+    confined = []  # (closed component, its strip offset)
     for i, c in enumerate(d.components):
         if c.winding != 0:
             continue
@@ -360,30 +397,51 @@ def validate(d: CurveDiagram) -> ValidationReport:
         if k is None:
             add("confined", "closed component must stay strictly inside one vertical strip", i)
         else:
-            cycles.append(tuple((p.x - k, p.y) for p in c.vertices))
+            confined.append((c, k))
 
-    # Half-turn symmetry as a multiset congruence of components.  The half
-    # turn keeps the strip around x = 0 and maps the seam crossing to the
-    # seam crossing, so a turned cycle is its pairs negated, and the turned
-    # period, anchored, is the anchored period turned.
+    # Half-turn symmetry as a multiset congruence of components, in the
+    # diagram's frame.  The half turn keeps the strip around x = 0 and maps
+    # the seam crossing to the seam crossing, so a turned cycle is its
+    # pairs negated, and the turned period, anchored, is the anchored
+    # period turned.
     if not bad:
-        anchored = anchor_at_crossing(d.components[wrapping[0]], crossings[0])
-        original = [_component_key(anchored)] + [(0, _least_rotation(s)) for s in cycles]
-        rotated = [_component_key(anchored.rotate180())] + [
-            (0, _least_rotation(tuple((-x, -y) for x, y in s))) for s in cycles
-        ]
+        scale = math.lcm(2, *(c._frame[0] for c in d.components))
+        period = _anchored_period(d.components[wrapping[0]], crossings[0], scale)
+        original = [(1, period)]
+        rotated = [(1, tuple((-x, -y) for x, y in reversed(period)))]
+        for c, k in confined:
+            s, xs, ys = c._frame
+            f = scale // s
+            cycle = tuple(((x - k * s) * f, y * f) for x, y in zip(xs, ys))
+            original.append((0, _least_rotation(cycle)))
+            rotated.append((0, _least_rotation(tuple((-x, -y) for x, y in cycle))))
         if sorted(original) != sorted(rotated):
             add("symmetry", "component multiset is not invariant under the half turn about (0, 0)")
     return ValidationReport(tuple(bad))
 
 
-def _component_key(c: Component) -> tuple:
-    """Key of a component in canonical position: a closed one by its
-    `_canonical_cycle`, a wrapping one, anchored at its seam crossing, by
-    its vertices."""
-    if c.winding == 0:
-        return (0, _canonical_cycle(c))
-    return (1, tuple((p.x, p.y) for p in c.vertices))
+def _anchored_period(c: Component, crossing: tuple[Fraction, Point], scale: int) -> tuple:
+    """The vertices of `anchor_at_seam(c)` times `scale`, as int pairs.
+
+    `crossing` is c's one seam crossing, at height 0, and `scale` an even
+    multiple of c's frame scale.  The crossing lies at x = k + 1/2, so the
+    anchoring shift is the whole number -(k + 1) of periods.
+    """
+    pos, point = crossing
+    i = math.floor(pos)
+    s, xs, ys = c._frame
+    f = scale // s
+    n = c.cycle_length()
+    shift = -(math.floor(point.x) + 1)
+
+    def lift(j: int) -> tuple[int, int]:
+        wrap, v = divmod(i + j, n)
+        return xs[v] * f + (wrap + shift) * scale, ys[v] * f
+
+    if pos == i:
+        return tuple(lift(j) for j in range(n + 1))
+    start = -scale // 2
+    return ((start, 0), *(lift(j) for j in range(1, n + 1)), (start + scale, 0))
 
 
 def canonicalize(d: CurveDiagram) -> CurveDiagram:
@@ -405,28 +463,19 @@ def canonicalize(d: CurveDiagram) -> CurveDiagram:
 def anchor_at_seam(c: Component) -> Component:
     """Re-parameterize a wrapping component to start at its seam crossing.
 
-    Scans the period for its seam crossings, which must be exactly one, and
-    anchors it there with `anchor_at_crossing`.
+    Scans the period for its seam crossings, which must be exactly one.
+    The returned path starts at (-1/2, y0) and ends at (1/2, y0), y0 the
+    crossing's height, inserting an explicit vertex at the crossing if it
+    falls inside a segment.  Curves are unoriented; the stored direction is
+    kept: the stored period runs left to right in net terms (its closure is
+    +(1, 0)), so no flip is ever needed.
     """
     if c.winding != 1:
         raise ValueError("only wrapping components have a seam anchor")
     crossings = seam_crossings(c)
     if len(crossings) != 1:
         raise ValueError("component must cross the seam exactly once")
-    return anchor_at_crossing(c, crossings[0])
-
-
-def anchor_at_crossing(c: Component, crossing: tuple[Fraction, Point]) -> Component:
-    """Re-parameterize a wrapping component to start at the given seam crossing.
-
-    `crossing` is a (position, point) pair from `seam_crossings(c)`.  The
-    returned path starts at (-1/2, y0) and ends at (1/2, y0), y0 the
-    crossing's height, inserting an explicit vertex at the crossing if it
-    falls inside a segment.  Curves are unoriented; the stored direction is
-    kept: the stored period runs left to right in net terms (its closure is
-    +(1, 0)), so no flip is ever needed.
-    """
-    pos, point = crossing
+    pos, point = crossings[0]
     i = math.floor(pos)
     shift = -HALF - point.x  # the crossing's seam line becomes x = -1/2
 

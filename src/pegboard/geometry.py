@@ -7,9 +7,11 @@ exact values it is given, ints or `fractions.Fraction`s, and coerces
 nothing: values from outside come in through `rat` and `pt`, and
 everything the kernel computes from them is already exact.
 `integer_frame` scales a set of points by the lcm of their denominators;
-the peg tests here, the level scan of `curves.Component.level_crossings`
-and the offset and piece tests of `pairing` compare in that frame, in
-integers, which is still exact and cheaper than `Fraction` arithmetic.
+the peg tests here, the piece test of `pairing`, and validation, the level
+scan and the offset test through each component's frame
+(`curves.Component._frame`, one `integer_frame` per component) compare in
+such a frame, in integers, which is still exact and cheaper than
+`Fraction` arithmetic.
 
 The marked cylinder is the strip [-1/2, 1/2] x R with punctures ("pegs") on
 the middle column; its planar cover is R^2 with pegs at (i, j + 1/2) for all
@@ -118,11 +120,6 @@ def integer_frame(points: Sequence[Point], *extra) -> tuple[int, list[int], list
             [n * (scale // d) for n, d in xs],
             [n * (scale // d) for n, d in ys],
             [n * (scale // d) for n, d in es])
-
-
-def is_peg(p: Point) -> bool:
-    """A point is a peg iff x is an integer and y is a half-integer."""
-    return p.x.denominator == 1 and (p.y - HALF).denominator == 1
 
 
 def pegs_in_box(box: Box) -> list[Point]:

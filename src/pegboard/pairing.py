@@ -48,10 +48,11 @@ with `subarc`, and the loop's pegs are listed, only when they are read.
 
 Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component, done in integers
-in the vertices' `integer_frame`.  A filling family is its form
-f = a*x + b*y + c, and lift k is the line f = k: the form numbers the raw
-points (`raw_intersections`), decides the offset (`_family_is_clean`) and
-picks the lifts that meet a box (`lift_indices`).
+in the component's cached frame (`Component._frame`).  A filling family
+is its form f = a*x + b*y + c, and lift k is the line f = k: the form
+numbers the raw points (`raw_intersections`), decides the offset
+(`_family_is_clean`, which tests each component in its own frame,
+rescaled for c) and picks the lifts that meet a box (`lift_indices`).
 Every arc of a slope lies on a level of F = p*x - q*y, so `ArcSweep`, one
 object per (diagram, slope), scans every grading at once and files each
 crossing, and each segment lying along an arc line, under the one arc that
@@ -306,7 +307,7 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
 # Generic offset selection
 
 def _canonical_delta(d: CurveDiagram) -> Fraction:
-    lcm = math.lcm(*(k.denominator for c in d.components for v in c.vertices for k in (v.x, v.y)))
+    lcm = math.lcm(*(c._frame[0] for c in d.components))
     n_vertices = sum(len(c.vertices) for c in d.components)
     return Fraction(1, 2 * lcm * max(n_vertices, 1))
 
@@ -320,15 +321,20 @@ def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     so one vertex stands for all its horizontal translates and one peg for
     the whole peg lattice (i, j + 1/2).
 
-    The vertex test is done in integers: in the `integer_frame` of the
-    vertices and c, of scale S, f is integral at a vertex iff S divides
-    a*X + b*Y + C.
+    The vertex test is done in integers, in each component's frame
+    (`Component._frame`, scale S) rescaled by f = lcm(S, den c) // S, so
+    that c becomes an integer C (`Component._rescale_for`): the form is
+    integral at a vertex iff f*S divides (a*X + b*Y)*f + C.
     """
     a, b, c = fam.a, fam.b, fam.c
     if (Fraction(b, 2) + c).denominator == 1:
         return False
-    scale, xs, ys, (cs,) = integer_frame([v for comp in d.components for v in comp.vertices], c)
-    return all((a * x + b * y + cs) % scale for x, y in zip(xs, ys))
+    for comp in d.components:
+        _, xs, ys = comp._frame
+        scale, f, cs = comp._rescale_for(c)
+        if not all(((a * x + b * y) * f + cs) % scale for x, y in zip(xs, ys)):
+            return False
+    return True
 
 
 def line_family(d: CurveDiagram, slope: SlopeSpec) -> _LineFamily:

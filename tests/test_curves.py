@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -5,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pegboard.curves
+from pegboard.cli import EXIT_OK, main
 from pegboard.curves import (
     AmbiguousHeight,
     BadAlexander,
     BadSpec,
     Component,
     CurveDiagram,
+    _canonical_cycle,
     build_zoo,
-    _component_key,
     anchor_at_seam,
     component_extrema,
     extrema_census,
@@ -24,13 +26,23 @@ from pegboard.curves import (
     zoo_names,
 )
 from pegboard.geometry import pt
+from pegboard.textfmt import emit_curve_text, parse_curve_text
+
+
+def component_key(c: Component) -> tuple:
+    """Key of a component in canonical position: a closed one by its
+    `_canonical_cycle`, a wrapping one, anchored at its seam crossing, by
+    its vertices."""
+    if c.winding == 0:
+        return (0, _canonical_cycle(c))
+    return (1, tuple((p.x, p.y) for p in c.vertices))
 
 
 def diagrams_equal(d1: CurveDiagram, d2: CurveDiagram) -> bool:
     """Equality up to re-parameterization and horizontal translation."""
 
     def keys(d: CurveDiagram) -> list[tuple]:
-        return sorted(_component_key(anchor_at_seam(c) if c.winding else c) for c in d.components)
+        return sorted(component_key(anchor_at_seam(c) if c.winding else c) for c in d.components)
 
     return keys(d1) == keys(d2)
 
@@ -40,18 +52,29 @@ class TestValidation:
         for name, d in zoo.items():
             assert validate(d).ok, f"{name}: {validate(d).summary()}"
 
-    def test_validate_finds_each_strip_offset_once(self, monkeypatch):
-        calls = []
-        real = pegboard.curves._strip_offset
+    def test_each_component_is_framed_once(self, monkeypatch, tmp_path, capsys):
+        """Loading, validating and pairing a curve file convert each
+        component's vertices to integers once: validation, the seam scan,
+        the offset test and every level scan read the component's cached
+        frame."""
+        text = emit_curve_text(thin(1, 3))
+        path = tmp_path / "thin.curve"
+        path.write_text(text, encoding="utf-8")
+        vertices = Counter(c.vertices for c in parse_curve_text(text).components)
+        assert sum(vertices.values()) == 4
+        framed = []
+        real = pegboard.curves.integer_frame
 
-        def counting_strip_offset(c):
-            calls.append(c)
-            return real(c)
+        def counting_frame(points, *extra):
+            framed.append(tuple(points))
+            return real(points, *extra)
 
-        monkeypatch.setattr(pegboard.curves, "_strip_offset", counting_strip_offset)
-        d = thin(1, 3)
-        assert validate(d).ok
-        assert len(calls) == len(d.acyclic()) == 3
+        monkeypatch.setattr(pegboard.curves, "integer_frame", counting_frame)
+        for argv in (["pair", str(path), "3/1"], ["hfk", str(path), "3/1"]):
+            framed.clear()
+            assert main(argv) == EXIT_OK
+            assert Counter(framed) == vertices, argv
+        capsys.readouterr()
 
     def test_unknot_is_valid(self):
         d = CurveDiagram((Component((pt(F(-1, 2), 0), pt(F(1, 2), 0)), 1),), "u")

@@ -6,16 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegboard.geometry import (
+    HALF,
     Box,
     Point,
     PointOnLoop,
     Segment,
     integer_frame,
-    is_peg,
     pegs_in_box,
     pt,
     winding_number,
 )
+
+
+def is_peg(p: Point) -> bool:
+    """A point is a peg iff x is an integer and y is a half-integer."""
+    return p.x.denominator == 1 and (p.y - HALF).denominator == 1
 
 
 def winding_by_angles(loop, p):

@@ -129,6 +129,28 @@ def test_integer_scan_matches_fraction_scan(case):
     assert_scans_agree(*case)
 
 
+@settings(max_examples=200, deadline=None)
+@given(scanned_components(), st.integers(-12, 12))
+def test_scans_rescale_the_cached_frame(case, num):
+    """The scan reads the component's cached frame, of scale S, rescaled by
+    f = lcm(S, den c) // S: offsets whose denominator divides S (f = 1) and
+    offsets whose denominator does not (f > 1, a factor 7 that no grid
+    scale holds) scan as the Fraction scan does.  Scanning one component
+    at several offsets leaves its frame as it was and gives what a fresh
+    component gives."""
+    comp, a, b, c = case
+    scale, xs, ys = comp._frame
+    frame = (scale, list(xs), list(ys))
+    offsets = [Fraction(num, scale), c, c + Fraction(1, 7 * scale)]
+    rescale = [math.lcm(scale, off.denominator) // scale for off in offsets]
+    assert rescale[0] == 1 and rescale[2] % 7 == 0
+    for off in offsets:
+        assert_scans_agree(comp, a, b, off)
+    assert comp._frame == frame
+    for off in offsets:
+        assert comp.level_crossings(a, b, off) == Component(comp.vertices, comp.winding).level_crossings(a, b, off)
+
+
 def test_snapped_components_reach_every_branch():
     """The strategy's own examples put vertices and segments on levels and
     cross levels both rising and falling, so the test above compares
@@ -168,6 +190,20 @@ def test_column_scans_match(form):
     for d in _diagrams():
         for comp in d.components:
             assert_scans_agree(comp, *form)
+
+
+def test_zoo_scans_at_both_rescales():
+    """On every component of the production diagrams, an offset over the
+    component's own scale (f = 1) and one over twice it (f = 2) scan as
+    the Fraction scan does, and the cached frame is unchanged."""
+    for d in _diagrams():
+        for comp in d.components:
+            scale = comp._frame[0]
+            before = repr(comp._frame)
+            for off in (Fraction(1, scale), Fraction(1, 2 * scale)):
+                assert_scans_agree(comp, 1, 0, off)
+                assert_scans_agree(comp, 2, -3, off)
+            assert repr(comp._frame) == before
 
 
 def test_arc_and_family_scans_match():

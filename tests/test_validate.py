@@ -46,12 +46,12 @@ from pegboard.geometry import (
     Box,
     Point,
     Segment,
-    is_peg,
     on_segment,
     pegs_in_box,
     segment_hits_peg,
 )
 from pegboard.textfmt import emit_curve_text
+from test_geometry import is_peg
 from test_level_scan import reference_level_crossings
 
 # ---------------------------------------------------------------------------
@@ -294,40 +294,140 @@ def _snap(v: Fraction, den: int) -> Fraction:
     return Fraction(round(v * den), den)
 
 
+def _restarted_period(vertices: list[Point], start: int, skip: Optional[int] = None) -> list[Point]:
+    """The wrapping period re-stored from continuous vertex `start`,
+    leaving out stored vertex `skip`."""
+    c = Component(tuple(vertices), 1)
+    n = c.cycle_length()
+    cycle = [c.lifted(j) for j in range(start, start + n) if j % n != skip]
+    return cycle + [cycle[0].translate(1)]
+
+
+def _collinear_between(a: Point, v: Point, b: Point) -> bool:
+    return (b.x - a.x) * (v.y - a.y) == (b.y - a.y) * (v.x - a.x) and min(a.x, b.x) < v.x < max(a.x, b.x)
+
+
+def _inserted_at_seam(vertices: list[Point], winding: int) -> list[Point]:
+    """The vertices with one added at the first seam crossing that falls
+    inside a segment; unchanged when there is none."""
+    if winding != 1 or len(vertices) < 2:
+        return vertices
+    crossings, _ = reference_level_crossings(Component(tuple(vertices), 1), lambda v: v.x, HALF)
+    for pos, point, _ in crossings:
+        if pos.denominator != 1:
+            i = math.floor(pos)
+            return vertices[:i + 1] + [point] + vertices[i + 1:]
+    return vertices
+
+
+@st.composite
+def closed_pairs(draw):
+    """Two closed components with one integer cycle N: N/den_a and -N/den_b,
+    dens 3 or 5.  Equal dens give a half-turn-symmetric pair; unequal ones
+    a pair whose integer frames agree up to sign but whose shapes do not,
+    so that only a comparison at one common scale tells them apart."""
+    n = draw(st.integers(3, 5))
+    cycle = [(draw(st.integers(-1, 1)), draw(st.integers(-6, 6))) for _ in range(n)]
+    den_a, den_b = draw(st.sampled_from((3, 5))), draw(st.sampled_from((3, 5)))
+    a = Component(tuple(Point(Fraction(x, den_a), Fraction(y, den_a)) for x, y in cycle), 0)
+    b = Component(tuple(Point(Fraction(-x, den_b), Fraction(-y, den_b)) for x, y in cycle), 0)
+    return [list(a.vertices), list(b.vertices)]
+
+
 @st.composite
 def mutated_diagrams(draw):
-    """A placed diagram with up to four vertex mutations: a vertex moved,
-    snapped to the quarter or third grid, repeated, deleted or raised by 1/2."""
+    """A placed diagram with up to three structural mutations and up to
+    four vertex mutations.
+
+    Structural: the wrapping period re-stored from another vertex, its
+    seam vertex dropped when it lies on the segment of its neighbours (the
+    seam crossing then falls inside a segment); a `closed_pairs` pair
+    added; a closed component shifted by a whole number of columns.
+    Vertex mutations: a vertex moved, snapped to the quarter or third grid,
+    repeated, deleted or raised by 1/2, or a vertex inserted at a seam
+    crossing inside a segment."""
     d = draw(placed_diagrams)
     comps = [list(c.vertices) for c in d.components]
+    windings = [c.winding for c in d.components]
+    w = windings.index(1)
+    n = len(comps[w]) - 1
+    if n >= 2 and draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        c = Component(tuple(comps[w]), 1)
+        seam = next((j for j in range(n)
+                     if _collinear_between(c.lifted(j - 1), c.lifted(j), c.lifted(j + 1))
+                     and (c.lifted(j).x - HALF).denominator == 1), None)
+        skip = seam if draw(st.booleans()) else None
+        comps[w] = _restarted_period(comps[w], start, skip)
+    if draw(st.booleans()):
+        pair = draw(closed_pairs())
+        comps += pair
+        windings += [0, 0]
+    closed = [i for i, winding in enumerate(windings) if winding == 0]
+    if closed and draw(st.booleans()):
+        i = draw(st.sampled_from(closed))
+        dx = draw(st.sampled_from((-2, -1, 1, 3)))
+        comps[i] = [v.translate(dx) for v in comps[i]]
     for _ in range(draw(st.integers(0, 4))):
-        vs = comps[draw(st.integers(0, len(comps) - 1))]
+        k = draw(st.integers(0, len(comps) - 1))
+        vs = comps[k]
         if not vs:
             continue
-        k = draw(st.integers(0, len(vs) - 1))
-        v = vs[k]
-        kind = draw(st.sampled_from(("move", "snap", "repeat", "delete", "raise")))
+        kind = draw(st.sampled_from(("move", "snap", "repeat", "delete", "raise", "seam")))
+        if kind == "seam":
+            comps[k] = _inserted_at_seam(vs, windings[k])
+            continue
+        j = draw(st.integers(0, len(vs) - 1))
+        v = vs[j]
         if kind == "move":
             step = st.integers(-4, 4).map(lambda n: Fraction(n, 8))
-            vs[k] = Point(v.x + draw(step), v.y + draw(step))
+            vs[j] = Point(v.x + draw(step), v.y + draw(step))
         elif kind == "snap":
             den = draw(st.sampled_from((4, 3)))
-            vs[k] = Point(_snap(v.x, den), _snap(v.y, den))
+            vs[j] = Point(_snap(v.x, den), _snap(v.y, den))
         elif kind == "repeat":
-            vs.insert(k, v)
+            vs.insert(j, v)
         elif kind == "delete":
-            del vs[k]
+            del vs[j]
         else:
-            vs[k] = Point(v.x, v.y + HALF)
-    return CurveDiagram(
-        tuple(Component(tuple(vs), c.winding) for vs, c in zip(comps, d.components)), d.source
-    )
+            vs[j] = Point(v.x, v.y + HALF)
+    return CurveDiagram(tuple(Component(tuple(vs), w) for vs, w in zip(comps, windings)), d.source)
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_diagrams())
 def test_validate_matches_reference_on_mutated_diagrams(d):
     assert validate(d).violations == reference_validate(d).violations
+
+
+def test_mutations_reach_every_validation_branch():
+    """The generator's own examples include valid diagrams whose seam
+    crossing falls inside a segment and at a vertex other than the first,
+    valid diagrams with a closed component off the strip around x = 0 and
+    with closed components of different scales, and diagrams whose only
+    violation is the symmetry of a `closed_pairs` pair, so the test above
+    compares the anchoring, the strip offset and the common-scale cycles."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_diagrams())
+    def probe(d):
+        codes = [v.code for v in reference_validate(d).violations]
+        if codes == ["symmetry"]:
+            seen.add("asymmetric only")
+        if codes:
+            return
+        (pos, _), = reference_seam_crossings(d.gamma0())
+        seen.add("inside a segment" if pos.denominator != 1 else "at vertex 0" if pos == 0 else "at a later vertex")
+        closed = d.acyclic()
+        if any(math.floor(c.vertices[0].x + HALF) for c in closed):
+            seen.add("shifted")
+        if len({math.lcm(*(k.denominator for v in c.vertices for k in (v.x, v.y))) for c in closed}) > 1:
+            seen.add("mixed scales")
+
+    probe()
+    assert seen >= {"asymmetric only", "inside a segment", "at vertex 0", "at a later vertex",
+                    "shifted", "mixed scales"}
 
 
 @pytest.mark.parametrize("name", zoo_names())
