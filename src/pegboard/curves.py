@@ -542,19 +542,27 @@ def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     """Read (tau, epsilon) from the distinguished component.
 
     Walk left to right from the seam entry at height 0.  tau is the band of
-    the first crossing of the peg column.  epsilon is +1 when the walk next
-    turns toward decreasing y (a strict local maximum comes first), -1 when
-    it turns upward, and 0 for the horizontal line, which never turns.
+    the first crossing of an integer column.  epsilon is +1 when the walk
+    next turns toward decreasing y (a strict local maximum comes first), -1
+    when it turns upward, and 0 for the horizontal line, which never turns.
+
+    The walk is read from the stored period itself, from its one seam
+    crossing on: its integer-column crossings past the seam in this period,
+    then those short of it, one period on.  Turns repeat with the period,
+    so one period of vertices after the crossing finds the first.
     """
-    g0 = anchor_at_seam(d.gamma0())
+    g0 = d.gamma0()
+    seam = seam_crossings(g0)
+    if len(seam) != 1:
+        raise ValueError("component must cross the seam exactly once")
+    start = seam[0][0]
     crossings, _ = g0.level_crossings(1, 0, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
-    pos0, point0, _ = crossings[0]
+    pos0, point0, _ = next((e for e in crossings if e[0] > start), crossings[0])
     tau = height_band(point0.y)
-    # Scan vertices after the first crossing, on into the next period, for
-    # the first strict turn.
-    for i in range(math.floor(pos0) + 1, 2 * g0.cycle_length()):
+    first = math.floor(pos0) + 1
+    for i in range(first, first + g0.cycle_length()):
         kind = g0.turn(i)
         if kind:
             return tau, 1 if kind == "max" else -1

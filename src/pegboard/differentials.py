@@ -7,6 +7,20 @@ a peg, with two markers placed on either side of the shared peg; the
 lowering map counts bigons covering the left marker once, the raising map
 the right one.  Counts are mod 2.
 
+A matrix is one pass over its candidate pairs.  The target points are
+indexed once by (component, lift), each group in position order, so the
+targets that the walk from a source point meets on the target lift are
+read off in walk order: past the source on that lift, then, after a
+period end, short of it on the neighbouring lift (the same lift on a
+closed component).  Each candidate's marker test is done in integers, as
+cancellation's peg test is: the walk's column crossings come from the
+component's column table (`pairing.walk_columns`), the closing piece
+through the corner is crossed arithmetically on the arc line, and
+`pairing.winds_only` asks for winding 0 at every peg and w just above the
+corner.  Only a walk that meets a peg builds its loop (`subarc`) and
+leaves the verdict to `first_wound_peg`, which raises `PointOnLoop` where
+it did before; a marked bigon walks its loop only when the loop is read.
+
 Each strict local extremum of the curve forces rank in one of the maps at a
 predictable grading, with a single exception at the extremum carrying the
 concordance invariant of the distinguished component once the filling slope
@@ -17,14 +31,15 @@ and the dual-simplicity scan live here too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .geometry import Point, first_wound_peg
-from .curves import CurveDiagram, extrema_census, tau_epsilon
+from .curves import Component, CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
-    ArcLift,
     ArcSweep,
     IPoint,
     SlopeSpec,
@@ -32,8 +47,8 @@ from .pairing import (
     genus_of,
     subarc,
     surgery_dim,
-    valid_grading,
-    walk_span,
+    walk_columns,
+    winds_only,
 )
 
 
@@ -47,11 +62,24 @@ RULE_DUAL_SIMPLE = "T1.4"
 
 @dataclass(frozen=True)
 class MarkedBigon:
+    """One marked bigon from `source` to `target`, both on `component`.
+
+    Its loop, the walk along the component in `direction` from the source
+    point to the target point followed by `corner`, the peg the two arcs
+    share, is walked with `subarc` when first read and kept.
+    """
+
     source: IPoint
     target: IPoint
-    loop: tuple[Point, ...]
     n_z: int
     n_w: int
+    component: Component
+    direction: int
+    corner: Point
+
+    @cached_property
+    def loop(self) -> tuple[Point, ...]:
+        return tuple(subarc(self.component, self.source, self.target, self.direction)[0] + [self.corner])
 
 
 @dataclass(frozen=True)
@@ -84,42 +112,72 @@ def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _corner_and_target_lift(arc: ArcLift, k_x: int, kind: str) -> tuple[Point, int]:
-    """Shared peg and target lift index for one source lift."""
-    q = arc.slope.q
-    seg = arc.seg()
-    if kind == "psi":
-        return seg.b.translate(k_x), k_x + q
-    return seg.a.translate(k_x), k_x - q
+def _walk_order(groups: dict, x: IPoint, k: int, direction: int, winding: int) -> list[int]:
+    """The targets on lift k that the walk from x in `direction` meets, in
+    walk order, as indices into the target points.
 
-
-def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[IPoint],
-                   kind: str) -> list[MarkedBigon]:
-    """All marker-compatible bigons from source point x to target points.
-
-    The loop crosses the corner's column once, at the corner, rightwards
-    for phi and leftwards for psi, so the winding w just above the corner
-    decides the markers: (w, w - 1) wants w = 1, (w, w + 1) wants w = 0.
+    `groups` maps (component, lift) to the positions of the targets there,
+    ascending, and their indices.  The walk meets the targets past x on
+    lift k first; on a wrapping component (winding 1) it then passes a
+    period end, and the targets short of x that it reaches lie on lift
+    k - direction.  On a closed component both parts are lift k's.
     """
-    corner, k_t = _corner_and_target_lift(arc, x.lift, kind)
-    c = d.components[x.comp]
-    want = (1, 0) if kind == "phi" else (0, 1)
-    found = []
-    for direction in (1, -1):
-        # The targets on the target lift, in walk order; m places each
-        # one's lift along the walk.
-        spans = []
-        for z in targets:
-            if z.comp == x.comp and z.pos != x.pos:
-                dist, m = walk_span(c, x, z, direction)
-                if z.lift + m == k_t:
-                    spans.append((dist, z))
-        spans.sort(key=lambda e: e[0])
-        for _, z in spans:
-            loop = subarc(c, x, z, direction)[0] + [corner]
-            if first_wound_peg(loop, corner, 1 if kind == "phi" else 0) is None:
-                found.append(MarkedBigon(x, z, tuple(loop), *want))
-    return found
+    here = groups.get((x.comp, k))
+    there = groups.get((x.comp, k - direction * winding))
+    order: list[int] = []
+    if direction > 0:
+        if here:
+            order += here[1][bisect_right(here[0], x.pos):]
+        if there:
+            order += there[1][:bisect_left(there[0], x.pos)]
+    else:
+        if here:
+            order += reversed(here[1][:bisect_left(here[0], x.pos)])
+        if there:
+            order += reversed(there[1][bisect_right(there[0], x.pos):])
+    return order
+
+
+def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tuple[int, int],
+                  w: int, p: int, q: int) -> Optional[bool]:
+    """Whether the marked bigon's loop from x to z winds every peg 0 times
+    but the corner, which it winds w times just above; None when a walked
+    segment meets a peg, and the loop's own check (`first_wound_peg`)
+    decides.
+
+    The loop walks along c from x in `direction` to z' = z.point + (m, 0),
+    as `subarc` does, and closes through the corner, the peg (i, j + 1/2)
+    given as corner = (i, j).  The walk's crossings with the integer
+    columns come from the column table (`pairing.walk_columns`); a
+    backward walk is the forward walk from z' to x with its signs flipped.
+    The closing piece z' -> corner -> x is one straight segment on the arc
+    line of direction (q, p) through the corner, whose only peg is the
+    corner: it crosses column i at the corner, which counts for the pegs
+    below it (t = j - 1), and every other column k at t = j + floor(p*(k -
+    i)/q).  All of it is integers.
+    """
+    n = c.cycle_length()
+    wrapped = z.pos < x.pos if direction > 0 else z.pos > x.pos  # a period end is passed
+    m = direction if wrapped and c.winding == 1 else 0
+    x_end = -(-x.point.x.numerator // x.point.x.denominator)  # the ceilings of the abscissae
+    z_end = -(-z.point.x.numerator // z.point.x.denominator) + m
+    if direction > 0:
+        first = x.pos.numerator // x.pos.denominator
+        last = -(-z.pos.numerator // z.pos.denominator) - 1 + (n if wrapped else 0)
+        walk = walk_columns(c, first, last, x_end, z_end)
+    else:
+        first = z.pos.numerator // z.pos.denominator - (n if wrapped else 0)
+        last = -(-x.pos.numerator // x.pos.denominator) - 1
+        walk = walk_columns(c, first, last, z_end, x_end)
+        if walk is not None:
+            walk = [(k, t, -sign) for k, t, sign in walk]
+    if walk is None:
+        return None
+    i, j = corner
+    sign = -1 if z_end < x_end else 1  # the closing piece runs rightwards from z'
+    walk += [(k, j - 1 if k == i else j + p * (k - i) // q, sign)
+             for k in range(min(x_end, z_end), max(x_end, z_end))]
+    return winds_only(walk, corner, w)
 
 
 def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
@@ -137,19 +195,44 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     if slope.q < 1 or slope.p < 0:
         raise ValueError("differentials need a slope with p >= 1 and q >= 1")
     h = Fraction(h)
-    if not valid_grading(slope.p, h):
+    p, q = slope.p, slope.q
+    twice, r = divmod(2 * h.numerator, h.denominator)
+    if r or (twice - p + 1) % 2:  # h is not in Z + (p - 1)/2
         raise GradingOutOfRange(f"grading {h} invalid for slope {slope}")
-    src_arc = ArcLift(slope, h)
-    tgt_h = h + slope.p if kind == "psi" else h - slope.p
+    tgt_h = h + p if kind == "psi" else h - p
     src_pts = sweep.points(h)
     tgt_pts = sweep.points(tgt_h)
+    # The source arc of lift k runs from (k, h - p/2) to (k + q, h + p/2).
+    # Its corner is the peg (k + dk, row + 1/2) at its end that the target
+    # arc, on lift k + step, shares; the winding wanted just above the
+    # corner is w.
+    if kind == "psi":
+        dk, step, w, row = q, q, 0, (twice + p) // 2
+    else:
+        dk, step, w, row = 0, -q, 1, (twice - p) // 2
+    corner_y = Fraction(2 * row + 1, 2)
+    want = (1, 0) if kind == "phi" else (0, 1)
+    groups: dict[tuple[int, int], tuple[list[Fraction], list[int]]] = {}
+    for i, z in enumerate(tgt_pts):
+        positions, indices = groups.setdefault((z.comp, z.lift), ([], []))
+        positions.append(z.pos)
+        indices.append(i)
     bigons: list[MarkedBigon] = []
     entries: dict[tuple[int, int], int] = {}
     for j, x in enumerate(src_pts):
-        for bg in _marked_bigons(d, src_arc, x, tgt_pts, kind):
-            i = tgt_pts.index(bg.target)
-            entries[(i, j)] = entries.get((i, j), 0) ^ 1
-            bigons.append(bg)
+        c = d.components[x.comp]
+        corner_at = (x.lift + dk, row)
+        for direction in (1, -1):
+            for i in _walk_order(groups, x, x.lift + step, direction, c.winding):
+                z = tgt_pts[i]
+                marked = _winds_marked(c, x, z, direction, corner_at, w, p, q)
+                if marked is None:  # the loop's own check decides, or raises
+                    corner = Point(Fraction(corner_at[0]), corner_y)
+                    marked = first_wound_peg(subarc(c, x, z, direction)[0] + [corner], corner, w) is None
+                if marked:
+                    entries[(i, j)] = entries.get((i, j), 0) ^ 1
+                    corner = Point(Fraction(corner_at[0]), corner_y)
+                    bigons.append(MarkedBigon(x, z, *want, c, direction, corner))
     rows = tuple(
         tuple(entries.get((i, j), 0) for j in range(len(src_pts))) for i in range(len(tgt_pts))
     )

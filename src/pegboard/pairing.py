@@ -62,8 +62,11 @@ arc holding such a segment, raises `DegenerateIncidence`.  The sweep
 cancels bigons once per grading and keeps the result, so the graded
 dimensions and both differentials of one slope share the work.
 An audit loop read from a removed pair, a loop that cancellation's peg
-test leaves to `first_wound_peg`, and the marked bigons of `differentials`
-follow the curve between two intersections with `subarc`.
+test leaves to `first_wound_peg`, and a marked bigon's loop (read, or left
+to `first_wound_peg` by the marker test of `differentials`) follow the
+curve between two intersections with `subarc`.  Cancellation's peg test
+and the marker test share the column sums: `walk_columns` reads a walk's
+crossings from the column table and `winds_only` checks the windings.
 """
 
 from __future__ import annotations
@@ -442,6 +445,68 @@ def _closing_loop(c: Component, x: IPoint, y: IPoint) -> tuple[Point, ...]:
     return tuple(path[:-1] if path[-1] == path[0] else path)
 
 
+def walk_columns(c: Component, first: int, last: int, start: int,
+                 end: int) -> Optional[list[tuple[int, int, int]]]:
+    """The column crossings of a forward walk along c, as (column, t,
+    sign) in the convention of `geometry.column_crossings`; None when one of
+    its segments meets a peg.
+
+    The walk runs over the continuous segments first..last (segment j from
+    `Component.lifted(j)` to `lifted(j + 1)`), from a point on segment
+    first to a point on segment last; start and end are the ceilings of
+    those points' abscissae.  Each segment's crossings are read from the
+    component's table (`Component.segment_columns`), shifted by the
+    segment's period on a wrapping component.  On segment first only the
+    columns from the start point on count, and on segment last only those
+    before the end point: a piece of a segment crosses the same columns at
+    the same heights, under the same half-open rule, so a rightward
+    crossing (sign -1) of column k lies past the start iff k >= start and
+    before the end iff k < end, and a leftward one the other way round.
+    """
+    n = c.cycle_length()
+    periodic = c.winding == 1
+    out = []
+    for j in range(first, last + 1):
+        wrap, i = divmod(j, n)
+        found = c.segment_columns(i)
+        if found is None:
+            return None
+        shift = wrap if periodic else 0
+        for k, t, sign in found:
+            k += shift
+            if j == first and (k >= start) != (sign < 0):
+                continue
+            if j == last and (k < end) != (sign < 0):
+                continue
+            out.append((k, t, sign))
+    return out
+
+
+def winds_only(crossings: Sequence[tuple[int, int, int]], corner: Optional[tuple[int, int]] = None,
+               corner_winding: int = 0) -> bool:
+    """Whether the closed loop with these column crossings winds every peg
+    0 times, except the peg (i, j + 1/2) given as corner = (i, j), which it
+    winds `corner_winding` times.
+
+    A peg's winding is the signed count of the crossings above it on its
+    column, and a closed loop crosses each column 0 times net, so the
+    running sum of the signs taken down the (column, t) keys in decreasing
+    order is, at each key, the winding of the peg it names; a peg between
+    keys has the winding of the nearest key above it.
+    """
+    sums: dict[tuple[int, int], int] = {}
+    for k, t, sign in crossings:
+        sums[k, t] = sums.get((k, t), 0) + sign
+    if corner is not None:
+        sums.setdefault(corner, 0)
+    wound = 0
+    for key in sorted(sums, reverse=True):
+        wound += sums[key]
+        if wound != (corner_winding if key == corner else 0):
+            return False
+    return True
+
+
 def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int,
                   iy: int) -> Optional[bool]:
     """Whether the closing loop of the pair (pts[ix], pts[iy]) on component
@@ -450,55 +515,28 @@ def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int,
 
     The loop is `_closing_loop`'s: the forward walk from x to y, which ends
     at y.point + (m, 0), closed back to x along the lift.  The walk's
-    crossings with the integer columns are read from the component's table
-    (`Component.segment_columns`), each column shifted by the segment's
-    period on a wrapping component.  On the segment that holds x only the
-    columns past x count, and on the one that holds the end only those
-    before it: a piece of a segment crosses the same columns at the same
-    heights, under the same half-open rule.  The piece of the lift is
-    crossed in integers, in `frame`, which is `_scaled_frame(pts)`.  A
-    segment that meets a peg sends the pair to the loop's own check.  A
-    peg's winding is the signed count of crossings above it on its column,
-    so a peg is wound iff a running sum of signs taken down some column's
-    thresholds is nonzero.  Positions lie in [0, n), n the cycle length, as
-    `Component.level_crossings` gives them.
+    crossings come from the component's column table (`walk_columns`), and
+    the piece of the lift is crossed in integers, in `frame`, which is
+    `_scaled_frame(pts)`.  A segment that meets a peg sends the pair to the
+    loop's own check; otherwise `winds_only` decides.  Positions lie in
+    [0, n), n the cycle length, as `Component.level_crossings` gives them.
     """
     x, y = pts[ix], pts[iy]
-    n = c.cycle_length()
     wrapped = y.pos <= x.pos  # the walk passes a period end, as in `walk_span`
     scale, xs, ys, _ = frame
     x0, y0 = xs[ix], ys[ix]
     x1, y1 = xs[iy] + (scale if wrapped and c.winding == 1 else 0), ys[iy]
     first = x.pos.numerator // x.pos.denominator  # the segments that hold x and the end
-    last = -(-y.pos.numerator // y.pos.denominator) - 1 + (n if wrapped else 0)
+    last = -(-y.pos.numerator // y.pos.denominator) - 1 + (c.cycle_length() if wrapped else 0)
     if first == last and (x0, y0) == (x1, y1):
         return None
     crossings = column_crossings(scale, x1, y1, x0, y0)  # the lift's piece
     if crossings is None:
         return None
-    for j in range(first, last + 1):
-        wrap, i = divmod(j, n)
-        found = c.segment_columns(i)
-        if found is None:
-            return None
-        shift = wrap if c.winding == 1 else 0
-        for k, t, sign in found:
-            k += shift
-            # a crossing counts from x on, and up to the end
-            if j == first and (k * scale < x0 if sign < 0 else k * scale >= x0):
-                continue
-            if j == last and (k * scale >= x1 if sign < 0 else k * scale < x1):
-                continue
-            crossings.append((k, t, sign))
-    sums: dict[tuple[int, int], int] = {}
-    for k, t, sign in crossings:
-        sums[k, t] = sums.get((k, t), 0) + sign
-    wound = 0
-    for key in sorted(sums, reverse=True):
-        wound += sums[key]
-        if wound:
-            return False
-    return True
+    walk = walk_columns(c, first, last, -(-x0 // scale), -(-x1 // scale))
+    if walk is None:
+        return None
+    return winds_only(crossings + walk)
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
@@ -651,7 +689,6 @@ class ArcSweep:
             raise ZeroSurgery("0-filling has no dual-knot gradings")
         self.diagram = d
         self.slope = slope
-        self._h0 = Fraction(slope.p - 1, 2)  # grading h has key h - h0
         self._live: dict[int, tuple[IPoint, ...]] = {}  # by key
         self._raw, self._held = self._sweep()
 
@@ -673,9 +710,15 @@ class ArcSweep:
         return {Fraction(2 * n + p - 1, 2): count for n, count in counts if count}
 
     def _key(self, h) -> int:
-        """The key of grading h; `ArcLift` refuses a height off the slope's
-        gradings."""
-        return int(ArcLift(self.slope, h).height - self._h0)
+        """The key of grading h, h - (p - 1)/2, found in integers from twice
+        h; a height off the slope's gradings is refused as `ArcLift`
+        refuses it, with the same exception and message."""
+        h = rat(h)
+        p, den = self.slope.p, h.denominator
+        twice = 2 * h.numerator if den == 1 else h.numerator if den == 2 else None
+        if twice is None or (twice - p + 1) % 2:
+            raise ValueError(f"height {h} is not in Z + ({p}-1)/2 for slope {self.slope}")
+        return (twice - p + 1) // 2
 
     def _filed(self, n: int) -> list[IPoint]:
         held = self._held.get(n)

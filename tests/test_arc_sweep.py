@@ -518,6 +518,48 @@ def test_unfiled_gradings_have_no_points(d, slope):
         assert dims.get(h, 0) == len(sweep.points(h)), (d.source, str(slope), h)
 
 
+def test_grading_keys_are_the_arc_heights_less_the_offset():
+    # a sweep reads a grading's key in integers; it is the arc's height
+    # less (p - 1)/2, at either sign of p, for every way of giving h
+    d = build_zoo("trefoil")
+    for slope in (SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(-3, 2), SlopeSpec(-4, 3)):
+        sweep = ArcSweep(d, slope)
+        off = Fraction(slope.p - 1, 2)
+        for n in range(-7, 8):
+            h = n + off
+            want = int(ArcLift(slope, h).height - off)
+            for given_h in {h, str(h)} | ({h.numerator} if h.denominator == 1 else set()):
+                assert sweep._key(given_h) == want == n, (str(slope), given_h)
+
+
+OFF_GRADINGS = [
+    (SlopeSpec(2, 1), 1, "height 1 is not in Z + (2-1)/2 for slope 2/1"),
+    (SlopeSpec(2, 1), Fraction(1, 3), "height 1/3 is not in Z + (2-1)/2 for slope 2/1"),
+    (SlopeSpec(1, 1), "1/2", "height 1/2 is not in Z + (1-1)/2 for slope 1/1"),
+    (SlopeSpec(-3, 2), Fraction(-1, 2), "height -1/2 is not in Z + (-3-1)/2 for slope -3/2"),
+    (SlopeSpec(1, 0), Fraction(-5, 4), "height -5/4 is not in Z + (1-1)/2 for slope 1/0"),
+]
+
+
+@pytest.mark.parametrize("slope,h,message", OFF_GRADINGS)
+def test_an_off_grading_height_is_refused_as_arc_lift_refuses_it(slope, h, message):
+    sweep = ArcSweep(build_zoo("trefoil"), slope)
+    with pytest.raises(ValueError) as lifted:
+        ArcLift(slope, h)
+    assert type(lifted.value) is ValueError and str(lifted.value) == message
+    for read in (sweep.points, sweep.raw):
+        with pytest.raises(ValueError) as refused:
+            read(h)
+        assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+def test_a_height_that_is_not_exact_is_refused_as_arc_lift_refuses_it():
+    sweep = ArcSweep(build_zoo("trefoil"), SlopeSpec(1, 1))
+    for read in (sweep.points, sweep.raw, lambda h: ArcLift(SlopeSpec(1, 1), h)):
+        with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as an exact rational$"):
+            read(0.5)
+
+
 # Every slope kind an arc has: 1/0, and p/q with q odd and even, p negative,
 # and at the CLI cap.
 ARC_SLOPES = [SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(-1, 1), SlopeSpec(3, 2),

@@ -55,14 +55,17 @@ from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase
 from pegboard.differentials import differential_matrix
 from pegboard.geometry import (
     HALF,
+    ONE,
     Box,
     Point,
     PointOnLoop,
     Segment,
     _closed_edges,
+    cross,
     first_wound_peg,
     on_segment,
     pegs_in_box,
+    rat,
     winding_number,
 )
 from pegboard.pairing import (
@@ -78,7 +81,6 @@ from pegboard.pairing import (
     subarc,
 )
 from test_arc_sweep import grading_range
-from test_differentials import winding_near
 
 # ---------------------------------------------------------------------------
 # The pairing objects cancellation took before the lift step (reference)
@@ -583,6 +585,34 @@ def test_audit_loops_are_walked_when_read(monkeypatch, run):
 # The one-pass peg check
 
 
+def winding_near(loop: Sequence[Point], base: Point, direction: tuple) -> int:
+    """Winding number at base + eps * direction for all small enough eps > 0.
+
+    Used to probe the two sides of a point that lies on the loop (a marker
+    next to a shared arc endpoint).  The winding is constant for eps below
+    the first parameter at which the probe ray meets an edge not through
+    base, and that threshold is computed exactly.
+    """
+    dx, dy = rat(direction[0]), rat(direction[1])
+    if dx == 0 and dy == 0:
+        raise ValueError("probe direction must be nonzero")
+    eps_cap = ONE
+    for a, b in _closed_edges(loop):
+        # cross(a, b, base + eps*d) = cross(a, b, base) + eps * c1; solve for 0.
+        c0 = cross(a, b, base)
+        c1 = (b.x - a.x) * dy - (b.y - a.y) * dx
+        if c1 == 0:
+            continue
+        eps_hit = -c0 / c1
+        if eps_hit <= 0:
+            continue
+        hit = Point(base.x + eps_hit * dx, base.y + eps_hit * dy)
+        if on_segment(hit, Segment(a, b)):
+            eps_cap = min(eps_cap, eps_hit)
+    probe = Point(base.x + (eps_cap / 2) * dx, base.y + (eps_cap / 2) * dy)
+    return winding_number(loop, probe)
+
+
 def reference_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
                         corner_winding: int = 0) -> Optional[Point]:
     """The per-peg `winding_number` loop that `first_wound_peg` replaced,
@@ -618,17 +648,19 @@ ZOO_LOOP_SLOPES = [
 def zoo_grid():
     """(peg-tested pairs, marked bigons) on the zoo at |p| <= 7, q <= 3 and
     1/0: each pair cancellation tests from the column table as
-    (component, x, y, verdict), and each loop that differentials checks
-    with its corner peg and winding."""
+    (component, x, y, verdict), and each loop whose markers differentials
+    tests, with its corner peg and the winding wanted there."""
     marked = []
+    winds_marked = differentials._winds_marked
 
-    def recording(loop, corner=None, corner_winding=0):
-        marked.append((tuple(loop), corner, corner_winding))
-        return first_wound_peg(loop, corner, corner_winding)
+    def recording(c, x, z, direction, corner, w, p, q):
+        peg = Point(Fraction(corner[0]), Fraction(2 * corner[1] + 1, 2))
+        marked.append((tuple(subarc(c, x, z, direction)[0] + [peg]), peg, w))
+        return winds_marked(c, x, z, direction, corner, w, p, q)
 
     with pytest.MonkeyPatch.context() as mp:
         pairs = recording_peg_tests(mp)
-        mp.setattr(differentials, "first_wound_peg", recording)
+        mp.setattr(differentials, "_winds_marked", recording)
         for name in zoo_names():
             d = build_zoo(name)
             for slope in ZOO_LOOP_SLOPES:

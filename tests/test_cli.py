@@ -211,8 +211,11 @@ class TestFilesAndRender:
         def broken_walk(*args):
             raise RuntimeError("subarc longer than one traversal")
 
-        # The marked bigons of trefoil's 1/1 differentials walk the curve
-        # (cancellation walks only an audit loop that is read).
+        # trefoil's 1/1 differentials test markers against candidate
+        # bigons.  A walk that meets a peg leaves the column table: its loop
+        # is walked for its own check, and the walk fails here.
+        # (Cancellation walks only an audit loop that is read.)
+        monkeypatch.setattr(pegboard.differentials, "_winds_marked", lambda *args: None)
         monkeypatch.setattr(pegboard.differentials, "subarc", broken_walk)
         code, _, err = run(capsys, "diff", "trefoil", "--", "1/1")
         assert code == EXIT_INVALID

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -13,11 +14,13 @@ from pegboard.curves import (
     BadSpec,
     Component,
     CurveDiagram,
+    NoVerticalCrossing,
     _canonical_cycle,
     build_zoo,
     anchor_at_seam,
     component_extrema,
     extrema_census,
+    height_band,
     lspace_staircase,
     staircase_exponents,
     tau_epsilon,
@@ -25,8 +28,9 @@ from pegboard.curves import (
     validate,
     zoo_names,
 )
-from pegboard.geometry import pt
+from pegboard.geometry import ZERO, pt
 from pegboard.textfmt import emit_curve_text, parse_curve_text
+from test_arc_sweep import generated_diagrams
 
 
 def component_key(c: Component) -> tuple:
@@ -55,8 +59,8 @@ class TestValidation:
     def test_each_component_is_framed_once(self, monkeypatch, tmp_path, capsys):
         """Loading, validating and pairing a curve file convert each
         component's vertices to integers once: validation, the seam scan,
-        the offset test and every level scan read the component's cached
-        frame."""
+        the offset test, every level scan, tau and epsilon, and the marked
+        bigons' column table read the component's cached frame."""
         text = emit_curve_text(thin(1, 3))
         path = tmp_path / "thin.curve"
         path.write_text(text, encoding="utf-8")
@@ -70,7 +74,8 @@ class TestValidation:
             return real(points, *extra)
 
         monkeypatch.setattr(pegboard.curves, "integer_frame", counting_frame)
-        for argv in (["pair", str(path), "3/1"], ["hfk", str(path), "3/1"]):
+        for argv in (["pair", str(path), "3/1"], ["hfk", str(path), "3/1"],
+                     ["invariants", str(path)], ["diff", str(path), "--", "3/2"]):
             framed.clear()
             assert main(argv) == EXIT_OK
             assert Counter(framed) == vertices, argv
@@ -222,6 +227,69 @@ class TestTauEpsilon:
 
     def test_figure_eight(self, zoo):
         assert tau_epsilon(zoo["figure_eight"]) == (0, 0)
+
+
+# tau and epsilon read from the anchored period (reference): a verbatim copy
+# of `tau_epsilon` before it read the stored period from its seam crossing.
+
+
+def reference_tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
+    g0 = anchor_at_seam(d.gamma0())
+    crossings, _ = g0.level_crossings(1, 0, ZERO)
+    if not crossings:
+        raise NoVerticalCrossing("distinguished component misses the peg column")
+    pos0, point0, _ = crossings[0]
+    tau = height_band(point0.y)
+    # Scan vertices after the first crossing, on into the next period, for
+    # the first strict turn.
+    for i in range(math.floor(pos0) + 1, 2 * g0.cycle_length()):
+        kind = g0.turn(i)
+        if kind:
+            return tau, 1 if kind == "max" else -1
+    return tau, 0
+
+
+def rolled_periods(d: CurveDiagram):
+    """d with its wrapping period stored from each of its vertices in turn,
+    moved by -2, 0 and 1 periods."""
+    g = d.gamma0()
+    n = g.cycle_length()
+    for start in range(n):
+        for shift in (-2, 0, 1):
+            period = tuple(g.lifted(start + j).translate(shift) for j in range(n + 1))
+            yield CurveDiagram((Component(period, 1), *d.acyclic()), f"{d.source}@{start}{shift:+}")
+
+
+def tau_outcome(f, d):
+    try:
+        return f(d)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_tau_epsilon_matches_the_anchored_reading_on_zoo(zoo):
+    for d in zoo.values():
+        for rolled in rolled_periods(d):
+            assert tau_outcome(tau_epsilon, rolled) == tau_outcome(reference_tau_epsilon, rolled), rolled.source
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_diagrams, st.booleans())
+def test_tau_epsilon_matches_the_anchored_reading_on_generated_diagrams(d, mirrored):
+    for rolled in rolled_periods(d.mirror() if mirrored else d):
+        assert tau_outcome(tau_epsilon, rolled) == tau_outcome(reference_tau_epsilon, rolled), rolled.source
+
+
+@pytest.mark.parametrize("vertices", [
+    ((F(-1, 2), 0), (0, F(-1, 8)), (0, F(1, 8)), (F(1, 2), 0)),  # along the peg column
+    # extrema on peg rows
+    ((F(-1, 2), 0), (0, 1), (F(1, 32), F(3, 2)), (0, 0), (F(-1, 32), F(-3, 2)), (0, -1), (F(1, 2), 0)),
+    ((F(-1, 2), 0), (F(3, 4), F(1, 4)), (F(1, 4), F(-1, 4)), (F(1, 2), 0)),  # three seam crossings
+])
+def test_tau_epsilon_matches_the_anchored_reading_where_it_fails(vertices):
+    d = CurveDiagram((Component(tuple(pt(x, y) for x, y in vertices), 1),), "odd")
+    for rolled in rolled_periods(d):
+        assert tau_outcome(tau_epsilon, rolled) == tau_outcome(reference_tau_epsilon, rolled), rolled.source
 
 
 class TestZoo:

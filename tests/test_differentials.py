@@ -1,26 +1,17 @@
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
-from typing import Optional, Sequence
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pegboard.cli as cli
 import pegboard.differentials as differentials
-from pegboard.curves import CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
-from pegboard.geometry import (
-    ONE,
-    Box,
-    Point,
-    Segment,
-    _closed_edges,
-    cross,
-    on_segment,
-    pegs_in_box,
-    rat,
-    winding_number,
-)
+from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.geometry import Point, PointOnLoop, first_wound_peg, pt
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
@@ -31,12 +22,12 @@ from pegboard.pairing import (
     genus_of,
     subarc,
     surgery_dim,
+    valid_grading,
     walk_span,
 )
 from pegboard.differentials import (
+    DiffMatrix,
     GradingOutOfRange,
-    MarkedBigon,
-    _corner_and_target_lift,
     census_bounds,
     differential_matrix,
     dually_simple_scan,
@@ -259,99 +250,113 @@ class TestScan:
 
 
 # ---------------------------------------------------------------------------
-# The marked bigons before the corner's column count decided the markers
-# (reference).  `_marked_bigons` and `winding_near` are verbatim copies; the
-# peg check they call is `winding_number` peg by peg, leaving out `skip`.
+# The differentials before the target index and the integer marker test
+# (reference).  `reference_differential_matrix`, `_corner_and_target_lift`
+# and `_marked_bigons` are verbatim copies of the matrix that called
+# `_marked_bigons` once per source point, with a `walk_span` per target,
+# and checked each candidate loop with `first_wound_peg`.  The one change
+# is the record they build, `ReferenceBigon`, which holds the loop as a
+# field.
 
 
-def first_wound_peg(loop: Sequence[Point], skip: Optional[Point] = None) -> Optional[Point]:
-    """The first peg of the loop's box, other than skip, with nonzero winding."""
-    for peg in pegs_in_box(Box.around(loop)):
-        if peg != skip and winding_number(loop, peg) != 0:
-            return peg
-    return None
+@dataclass(frozen=True)
+class ReferenceBigon:
+    source: IPoint
+    target: IPoint
+    loop: tuple[Point, ...]
+    n_z: int
+    n_w: int
 
 
-def winding_near(loop: Sequence[Point], base: Point, direction: tuple) -> int:
-    """Winding number at base + eps * direction for all small enough eps > 0.
-
-    Used to probe the two sides of a point that lies on the loop (a marker
-    next to a shared arc endpoint).  The winding is constant for eps below
-    the first parameter at which the probe ray meets an edge not through
-    base, and that threshold is computed exactly.
-    """
-    dx, dy = rat(direction[0]), rat(direction[1])
-    if dx == 0 and dy == 0:
-        raise ValueError("probe direction must be nonzero")
-    eps_cap = ONE
-    for a, b in _closed_edges(loop):
-        # cross(a, b, base + eps*d) = cross(a, b, base) + eps * c1; solve for 0.
-        c0 = cross(a, b, base)
-        c1 = (b.x - a.x) * dy - (b.y - a.y) * dx
-        if c1 == 0:
-            continue
-        eps_hit = -c0 / c1
-        if eps_hit <= 0:
-            continue
-        hit = Point(base.x + eps_hit * dx, base.y + eps_hit * dy)
-        if on_segment(hit, Segment(a, b)):
-            eps_cap = min(eps_cap, eps_hit)
-    probe = Point(base.x + (eps_cap / 2) * dx, base.y + (eps_cap / 2) * dy)
-    return winding_number(loop, probe)
+def _corner_and_target_lift(arc: ArcLift, k_x: int, kind: str) -> tuple[Point, int]:
+    """Shared peg and target lift index for one source lift."""
+    q = arc.slope.q
+    seg = arc.seg()
+    if kind == "psi":
+        return seg.b.translate(k_x), k_x + q
+    return seg.a.translate(k_x), k_x - q
 
 
 def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[IPoint],
-                   kind: str) -> list[MarkedBigon]:
-    """All marker-compatible bigons from source point x to target points."""
-    p, q = arc.slope.p, arc.slope.q
+                   kind: str) -> list[ReferenceBigon]:
+    """All marker-compatible bigons from source point x to target points.
+
+    The loop crosses the corner's column once, at the corner, rightwards
+    for phi and leftwards for psi, so the winding w just above the corner
+    decides the markers: (w, w - 1) wants w = 1, (w, w + 1) wants w = 0.
+    """
     corner, k_t = _corner_and_target_lift(arc, x.lift, kind)
     c = d.components[x.comp]
     want = (1, 0) if kind == "phi" else (0, 1)
     found = []
     for direction in (1, -1):
-        # Targets in walk order; m places each one's lift along the walk.
-        spans = sorted(
-            ((walk_span(c, x, z, direction), z) for z in targets if z.comp == x.comp and z.pos != x.pos),
-            key=lambda e: e[0][0],
-        )
-        for (_, m), z in spans:
-            if z.lift + m != k_t:
-                continue
-            sub, _ = subarc(c, x, z, direction)
-            loop = sub + [corner]
-            if loop[-1] == loop[0]:
-                loop = loop[:-1]
-            if first_wound_peg(loop, skip=corner) is not None:
-                continue
-            n_z = abs(winding_near(loop, corner, (-p, q)))
-            n_w = abs(winding_near(loop, corner, (p, -q)))
-            if (n_z, n_w) == want:
-                found.append(MarkedBigon(x, z, tuple(loop), n_z, n_w))
+        # The targets on the target lift, in walk order; m places each
+        # one's lift along the walk.
+        spans = []
+        for z in targets:
+            if z.comp == x.comp and z.pos != x.pos:
+                dist, m = walk_span(c, x, z, direction)
+                if z.lift + m == k_t:
+                    spans.append((dist, z))
+        spans.sort(key=lambda e: e[0])
+        for _, z in spans:
+            loop = subarc(c, x, z, direction)[0] + [corner]
+            if first_wound_peg(loop, corner, 1 if kind == "phi" else 0) is None:
+                found.append(ReferenceBigon(x, z, tuple(loop), *want))
     return found
 
 
-def matrix_outcome(sweep: ArcSweep, h, kind: str):
-    """The DiffMatrix, or the type and text of what differential_matrix raised."""
+def reference_differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
+    """The grading-h first differential as a mod-2 matrix with its rank."""
+    d, slope = sweep.diagram, sweep.slope
+    if kind not in ("phi", "psi"):
+        raise ValueError("kind must be 'phi' or 'psi'")
+    if slope.q < 1 or slope.p < 0:
+        raise ValueError("differentials need a slope with p >= 1 and q >= 1")
+    h = F(h)
+    if not valid_grading(slope.p, h):
+        raise GradingOutOfRange(f"grading {h} invalid for slope {slope}")
+    src_arc = ArcLift(slope, h)
+    tgt_h = h + slope.p if kind == "psi" else h - slope.p
+    src_pts = sweep.points(h)
+    tgt_pts = sweep.points(tgt_h)
+    bigons: list[ReferenceBigon] = []
+    entries: dict[tuple[int, int], int] = {}
+    for j, x in enumerate(src_pts):
+        for bg in _marked_bigons(d, src_arc, x, tgt_pts, kind):
+            i = tgt_pts.index(bg.target)
+            entries[(i, j)] = entries.get((i, j), 0) ^ 1
+            bigons.append(bg)
+    rows = tuple(
+        tuple(entries.get((i, j), 0) for j in range(len(src_pts))) for i in range(len(tgt_pts))
+    )
+    rank = gf2_rank(rows) if rows and src_pts else 0
+    return DiffMatrix(kind, slope, rows, rank, src_pts, tgt_pts, tuple(bigons))
+
+
+def matrix_outcome(matrix, sweep: ArcSweep, h, kind: str):
+    """What `matrix` gives: rows, rank, points and each bigon with its loop,
+    in order, or the type and text of what it raised."""
     try:
-        return differential_matrix(sweep, h, kind)
+        m = matrix(sweep, h, kind)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
+    bigons = [(bg.source, bg.target, bg.loop, bg.n_z, bg.n_w) for bg in m.bigons]
+    return m.kind, m.slope, m.rows, m.rank, m.source_points, m.target_points, bigons
 
 
 def assert_marked_bigons_match(d: CurveDiagram, slope: SlopeSpec) -> int:
     """Both kinds at every grading of one slope must give the reference's
-    DiffMatrix: rows, rank, points and bigons in order.  Returns the number
-    of bigons found."""
+    matrix: rows, rank, points and bigons in order, with their loops.
+    Returns the number of bigons found."""
     sweep = ArcSweep(d, slope)
     found = 0
     for h in grading_range(d, slope):
         for kind in ("phi", "psi"):
-            got = matrix_outcome(sweep, h, kind)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(differentials, "_marked_bigons", _marked_bigons)
-                want = matrix_outcome(sweep, h, kind)
+            got = matrix_outcome(differential_matrix, sweep, h, kind)
+            want = matrix_outcome(reference_differential_matrix, sweep, h, kind)
             assert got == want, (d.source, str(slope), h, kind)
-            found += len(got.bigons) if isinstance(got, differentials.DiffMatrix) else 0
+            found += len(got[-1]) if len(got) > 2 else 0
     return found
 
 
@@ -376,6 +381,18 @@ def test_marked_bigons_match_reference_near_the_slope_cap():
     assert_marked_bigons_match(build_zoo("trefoil"), SlopeSpec(63, 31))
 
 
+@pytest.mark.parametrize("tau,fig8,slope", [(1, 1, SlopeSpec(8, 7)), (1, 4, SlopeSpec(5, 4))])
+def test_marked_bigons_match_reference_where_one_walk_meets_two_targets(tau, fig8, slope):
+    # A walk from one source reaches two marked targets past a period end
+    # here, so the order in which the walk meets its targets shows.
+    d = thin(tau, fig8)
+    assert_marked_bigons_match(d, slope)
+    sweep = ArcSweep(d, slope)
+    walks = Counter((bg.source, bg.direction) for h in sweep.dims() for kind in ("phi", "psi")
+                    for bg in differential_matrix(sweep, h, kind).bigons)
+    assert max(walks.values()) == 2
+
+
 @st.composite
 def staircase_diagrams(draw):
     upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
@@ -390,3 +407,136 @@ def staircase_diagrams(draw):
 )
 def test_marked_bigons_match_reference_on_generated_diagrams(d, slope):
     assert_marked_bigons_match(d, slope)
+
+
+# ---------------------------------------------------------------------------
+# The integer marker test against the loop's own check
+
+# Diagrams that are not valid: a closed component through a peg, so that
+# some walks meet a peg and take the loop's own check.  On the first every
+# such check decides; on the second some raise `PointOnLoop`.
+PEGGED = {
+    "unknot-pegged": CurveDiagram(build_zoo("unknot").components + (Component(
+        (pt(F(3, 8), F(-9, 8)), pt(0, F(-5, 8)), pt(F(-3, 8), F(1, 4)), pt(0, F(13, 8)),
+         pt(0, F(11, 8))), 0),), "unknot-pegged"),
+    "trefoil-pegged": CurveDiagram(build_zoo("trefoil").components + (Component(
+        (pt(0, F(-3, 2)), pt(F(-3, 8), F(-11, 8)), pt(F(-1, 8), F(3, 8)), pt(F(1, 4), F(1, 4))),
+        0),), "trefoil-pegged"),
+}
+
+
+def marker_candidates(sweep: ArcSweep, h, kind: str):
+    """(x, z, direction, corner) for every source point x and every target
+    z that the walk from x in `direction` reaches on the target lift, found
+    with `walk_span`."""
+    slope = sweep.slope
+    tgt_h = h + slope.p if kind == "psi" else h - slope.p
+    targets = sweep.points(tgt_h)
+    for x in sweep.points(h):
+        corner, k_t = _corner_and_target_lift(ArcLift(slope, h), x.lift, kind)
+        c = sweep.diagram.components[x.comp]
+        for direction in (1, -1):
+            for z in targets:
+                if z.comp == x.comp and z.pos != x.pos:
+                    _, m = walk_span(c, x, z, direction)
+                    if z.lift + m == k_t:
+                        yield x, z, direction, corner
+
+
+def assert_marker_verdicts_agree(d: CurveDiagram, slope: SlopeSpec, seen: Counter) -> None:
+    """Every candidate pair's integer verdict is the verdict of
+    `first_wound_peg(loop, corner, w)` on its loop, unless a walked segment
+    meets a peg; `seen` counts the pairs by (kind, direction, verdict)."""
+    sweep = ArcSweep(d, slope)
+    for h in grading_range(d, slope):
+        for kind in ("phi", "psi"):
+            w = 1 if kind == "phi" else 0
+            try:
+                candidates = list(marker_candidates(sweep, h, kind))
+            except PointOnLoop:  # cancellation's own check of a pegged diagram
+                continue
+            for x, z, direction, corner in candidates:
+                c = d.components[x.comp]
+                at = (corner.x.numerator, math.floor(corner.y))
+                got = differentials._winds_marked(c, x, z, direction, at, w, slope.p, slope.q)
+                if got is None:
+                    assert any(c.segment_columns(i) is None for i in range(c.cycle_length()))
+                    seen[kind, direction, "fallback"] += 1
+                    continue
+                loop = subarc(c, x, z, direction)[0] + [corner]
+                assert got == (first_wound_peg(loop, corner, w) is None), (
+                    d.source, str(slope), h, kind, direction)
+                seen[kind, direction, got] += 1
+
+
+def test_marker_verdicts_agree_on_zoo_and_thin_diagrams():
+    seen: Counter = Counter()
+    diagrams = [build_zoo(name) for name in zoo_names()]
+    diagrams += [thin(tau, fig8) for tau, fig8 in [(1, 1), (-1, 2), (2, 1), (0, 3)]]
+    for d in diagrams:
+        for slope in DIFF_SLOPES:
+            assert_marker_verdicts_agree(d, slope, seen)
+    for kind in ("phi", "psi"):
+        for direction in (1, -1):
+            assert seen[kind, direction, True] and seen[kind, direction, False], (kind, direction)
+    assert not any(verdict == "fallback" for _, _, verdict in seen)
+
+
+def test_marker_verdicts_agree_where_walks_meet_a_peg():
+    seen: Counter = Counter()
+    for d in PEGGED.values():
+        for slope in (SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(3, 2)):
+            assert_marker_verdicts_agree(d, slope, seen)
+    assert sum(n for (_, _, verdict), n in seen.items() if verdict == "fallback")
+    assert sum(n for (_, _, verdict), n in seen.items() if verdict != "fallback")
+
+
+@settings(max_examples=25, deadline=None)
+@given(staircase_diagrams(), st.booleans(), st.sampled_from(DIFF_SLOPES))
+def test_marker_verdicts_agree_on_staircases(d, mirrored, slope):
+    assert_marker_verdicts_agree(d.mirror() if mirrored else d, slope, Counter())
+
+
+@pytest.mark.parametrize("name", sorted(PEGGED))
+def test_marked_bigons_match_reference_where_walks_meet_a_peg(monkeypatch, name):
+    checks = []
+    check = differentials.first_wound_peg
+
+    def counting_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(differentials, "first_wound_peg", counting_check)
+    for slope in (SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(3, 2)):
+        assert_marked_bigons_match(PEGGED[name], slope)
+    assert checks  # some loops took the loop's own check
+
+
+def test_marked_bigon_loops_are_walked_when_read(monkeypatch, capsys):
+    walks, checks, matrices = [], [], []
+    walk, check, matrix = differentials.subarc, differentials.first_wound_peg, cli.differential_matrix
+
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def counting_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    def keeping_matrix(*args):
+        matrices.append(matrix(*args))
+        return matrices[-1]
+
+    monkeypatch.setattr(differentials, "subarc", counting_walk)
+    monkeypatch.setattr(differentials, "first_wound_peg", counting_check)
+    monkeypatch.setattr(cli, "differential_matrix", keeping_matrix)
+    assert cli.main(["diff", "torus_3_4", "--", "3/2"]) == cli.EXIT_OK
+    capsys.readouterr()
+    bigons = [bg for m in matrices for bg in m.bigons]
+    # a valid diagram's walks meet no peg, so no loop takes its own check
+    assert bigons and checks == [] and walks == []
+    loops = [bg.loop for bg in bigons]
+    assert [bg.loop for bg in bigons] == loops
+    assert len(walks) == len(bigons)  # each loop is walked once and kept
+    assert all(loop[0] == bg.source.point and loop[-1] == bg.corner for bg, loop in zip(bigons, loops))
