@@ -45,6 +45,7 @@ from .pairing import (
     SlopeSpec,
     dual_hfk_dims,
     genus_of,
+    grading_twice,
     subarc,
     surgery_dim,
     walk_columns,
@@ -196,8 +197,8 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         raise ValueError("differentials need a slope with p >= 1 and q >= 1")
     h = Fraction(h)
     p, q = slope.p, slope.q
-    twice, r = divmod(2 * h.numerator, h.denominator)
-    if r or (twice - p + 1) % 2:  # h is not in Z + (p - 1)/2
+    twice = grading_twice(p, h)
+    if twice is None:
         raise GradingOutOfRange(f"grading {h} invalid for slope {slope}")
     tgt_h = h + p if kind == "psi" else h - p
     src_pts = sweep.points(h)
@@ -222,16 +223,15 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     for j, x in enumerate(src_pts):
         c = d.components[x.comp]
         corner_at = (x.lift + dk, row)
+        corner = Point(Fraction(corner_at[0]), corner_y)
         for direction in (1, -1):
             for i in _walk_order(groups, x, x.lift + step, direction, c.winding):
                 z = tgt_pts[i]
                 marked = _winds_marked(c, x, z, direction, corner_at, w, p, q)
                 if marked is None:  # the loop's own check decides, or raises
-                    corner = Point(Fraction(corner_at[0]), corner_y)
                     marked = first_wound_peg(subarc(c, x, z, direction)[0] + [corner], corner, w) is None
                 if marked:
                     entries[(i, j)] = entries.get((i, j), 0) ^ 1
-                    corner = Point(Fraction(corner_at[0]), corner_y)
                     bigons.append(MarkedBigon(x, z, *want, c, direction, corner))
     rows = tuple(
         tuple(entries.get((i, j), 0) for j in range(len(src_pts))) for i in range(len(tgt_pts))

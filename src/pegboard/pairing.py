@@ -144,9 +144,20 @@ class SlopeSpec:
         return f"{self.p}/{self.q}"
 
 
+def grading_twice(p: int, h: Fraction) -> Optional[int]:
+    """2h, when h is a grading of slope p/q, in Z + (p - 1)/2; else None."""
+    twice, r = divmod(2 * h.numerator, h.denominator)
+    return None if r or (twice - p + 1) % 2 else twice
+
+
+def off_grading(h: Fraction, slope: SlopeSpec) -> ValueError:
+    """The error for an arc height that is not a grading of the slope."""
+    return ValueError(f"height {h} is not in Z + ({slope.p}-1)/2 for slope {slope}")
+
+
 def valid_grading(p: int, h) -> bool:
     """Gradings for slope p/q live in Z + (p - 1)/2."""
-    return (rat(h) - Fraction(p - 1, 2)).denominator == 1
+    return grading_twice(p, rat(h)) is not None
 
 
 @dataclass(frozen=True)
@@ -161,9 +172,7 @@ class ArcLift:
         if self.slope.p == 0:
             raise ZeroSurgery("arcs of slope 0 are not defined")
         if not valid_grading(self.slope.p, self.height):
-            raise ValueError(
-                f"height {self.height} is not in Z + ({self.slope.p}-1)/2 for slope {self.slope}"
-            )
+            raise off_grading(self.height, self.slope)
 
     def seg(self) -> Segment:
         """Lift 0; lift k is this segment translated by (k, 0)."""
@@ -714,10 +723,10 @@ class ArcSweep:
         h; a height off the slope's gradings is refused as `ArcLift`
         refuses it, with the same exception and message."""
         h = rat(h)
-        p, den = self.slope.p, h.denominator
-        twice = 2 * h.numerator if den == 1 else h.numerator if den == 2 else None
-        if twice is None or (twice - p + 1) % 2:
-            raise ValueError(f"height {h} is not in Z + ({p}-1)/2 for slope {self.slope}")
+        p = self.slope.p
+        twice = grading_twice(p, h)
+        if twice is None:
+            raise off_grading(h, self.slope)
         return (twice - p + 1) // 2
 
     def _filed(self, n: int) -> list[IPoint]:

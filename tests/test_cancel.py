@@ -55,17 +55,14 @@ from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase
 from pegboard.differentials import differential_matrix
 from pegboard.geometry import (
     HALF,
-    ONE,
     Box,
     Point,
     PointOnLoop,
     Segment,
     _closed_edges,
-    cross,
     first_wound_peg,
     on_segment,
     pegs_in_box,
-    rat,
     winding_number,
 )
 from pegboard.pairing import (
@@ -81,6 +78,7 @@ from pegboard.pairing import (
     subarc,
 )
 from test_arc_sweep import grading_range
+from test_differentials import winding_near
 
 # ---------------------------------------------------------------------------
 # The pairing objects cancellation took before the lift step (reference)
@@ -583,34 +581,6 @@ def test_audit_loops_are_walked_when_read(monkeypatch, run):
 
 # ---------------------------------------------------------------------------
 # The one-pass peg check
-
-
-def winding_near(loop: Sequence[Point], base: Point, direction: tuple) -> int:
-    """Winding number at base + eps * direction for all small enough eps > 0.
-
-    Used to probe the two sides of a point that lies on the loop (a marker
-    next to a shared arc endpoint).  The winding is constant for eps below
-    the first parameter at which the probe ray meets an edge not through
-    base, and that threshold is computed exactly.
-    """
-    dx, dy = rat(direction[0]), rat(direction[1])
-    if dx == 0 and dy == 0:
-        raise ValueError("probe direction must be nonzero")
-    eps_cap = ONE
-    for a, b in _closed_edges(loop):
-        # cross(a, b, base + eps*d) = cross(a, b, base) + eps * c1; solve for 0.
-        c0 = cross(a, b, base)
-        c1 = (b.x - a.x) * dy - (b.y - a.y) * dx
-        if c1 == 0:
-            continue
-        eps_hit = -c0 / c1
-        if eps_hit <= 0:
-            continue
-        hit = Point(base.x + eps_hit * dx, base.y + eps_hit * dy)
-        if on_segment(hit, Segment(a, b)):
-            eps_cap = min(eps_cap, eps_hit)
-    probe = Point(base.x + (eps_cap / 2) * dx, base.y + (eps_cap / 2) * dy)
-    return winding_number(loop, probe)
 
 
 def reference_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,

@@ -2,7 +2,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
-from typing import Sequence
+from functools import partial
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,21 @@ from hypothesis import strategies as st
 import pegboard.cli as cli
 import pegboard.differentials as differentials
 from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
-from pegboard.geometry import Point, PointOnLoop, first_wound_peg, pt
+import pegboard.geometry as geometry
+from pegboard.geometry import (
+    ONE,
+    Box,
+    Point,
+    PointOnLoop,
+    Segment,
+    _closed_edges,
+    cross,
+    on_segment,
+    pegs_in_box,
+    pt,
+    rat,
+    winding_number,
+)
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
@@ -251,12 +266,25 @@ class TestScan:
 
 # ---------------------------------------------------------------------------
 # The differentials before the target index and the integer marker test
-# (reference).  `reference_differential_matrix`, `_corner_and_target_lift`
-# and `_marked_bigons` are verbatim copies of the matrix that called
-# `_marked_bigons` once per source point, with a `walk_span` per target,
-# and checked each candidate loop with `first_wound_peg`.  The one change
-# is the record they build, `ReferenceBigon`, which holds the loop as a
-# field.
+# (reference).  `reference_differential_matrix` and `_corner_and_target_lift`
+# are verbatim copies of the matrix that called `_marked_bigons` once per
+# source point, with a `walk_span` per target.  `_marked_bigons`,
+# `first_wound_peg` and `winding_near` are verbatim copies of the marked
+# bigons from before the corner's column count decided the markers: each
+# peg but the corner is checked with `winding_number`, and the markers are
+# read off the loop, n_z and n_w by `winding_near` on the corner's two
+# sides.  The one change is the record they build, `ReferenceBigon`, which
+# holds the loop as a field.
+#
+# `_marked_bigons_checked_at_corner` is a verbatim copy of the marked bigons
+# the matrix called just before the target index, with the same record and
+# `geometry.first_wound_peg` named by module.  Each loop's check there is one
+# `first_wound_peg(loop, corner, w)`, which reads the corner's winding in
+# the same pass as the other pegs.  On a valid diagram the two references
+# agree; on one whose curve runs through a peg (`PEGGED` below) the
+# peg-by-peg check raises `PointOnLoop` at a peg that the one-pass check
+# never reaches after a wrongly wound corner, and the matrix raises it
+# where the one-pass check does, so those diagrams are compared with it.
 
 
 @dataclass(frozen=True)
@@ -277,8 +305,74 @@ def _corner_and_target_lift(arc: ArcLift, k_x: int, kind: str) -> tuple[Point, i
     return seg.a.translate(k_x), k_x - q
 
 
+def first_wound_peg(loop: Sequence[Point], skip: Optional[Point] = None) -> Optional[Point]:
+    """The first peg of the loop's box, other than skip, with nonzero winding."""
+    for peg in pegs_in_box(Box.around(loop)):
+        if peg != skip and winding_number(loop, peg) != 0:
+            return peg
+    return None
+
+
+def winding_near(loop: Sequence[Point], base: Point, direction: tuple) -> int:
+    """Winding number at base + eps * direction for all small enough eps > 0.
+
+    Used to probe the two sides of a point that lies on the loop (a marker
+    next to a shared arc endpoint).  The winding is constant for eps below
+    the first parameter at which the probe ray meets an edge not through
+    base, and that threshold is computed exactly.
+    """
+    dx, dy = rat(direction[0]), rat(direction[1])
+    if dx == 0 and dy == 0:
+        raise ValueError("probe direction must be nonzero")
+    eps_cap = ONE
+    for a, b in _closed_edges(loop):
+        # cross(a, b, base + eps*d) = cross(a, b, base) + eps * c1; solve for 0.
+        c0 = cross(a, b, base)
+        c1 = (b.x - a.x) * dy - (b.y - a.y) * dx
+        if c1 == 0:
+            continue
+        eps_hit = -c0 / c1
+        if eps_hit <= 0:
+            continue
+        hit = Point(base.x + eps_hit * dx, base.y + eps_hit * dy)
+        if on_segment(hit, Segment(a, b)):
+            eps_cap = min(eps_cap, eps_hit)
+    probe = Point(base.x + (eps_cap / 2) * dx, base.y + (eps_cap / 2) * dy)
+    return winding_number(loop, probe)
+
+
 def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[IPoint],
                    kind: str) -> list[ReferenceBigon]:
+    """All marker-compatible bigons from source point x to target points."""
+    p, q = arc.slope.p, arc.slope.q
+    corner, k_t = _corner_and_target_lift(arc, x.lift, kind)
+    c = d.components[x.comp]
+    want = (1, 0) if kind == "phi" else (0, 1)
+    found = []
+    for direction in (1, -1):
+        # Targets in walk order; m places each one's lift along the walk.
+        spans = sorted(
+            ((walk_span(c, x, z, direction), z) for z in targets if z.comp == x.comp and z.pos != x.pos),
+            key=lambda e: e[0][0],
+        )
+        for (_, m), z in spans:
+            if z.lift + m != k_t:
+                continue
+            sub, _ = subarc(c, x, z, direction)
+            loop = sub + [corner]
+            if loop[-1] == loop[0]:
+                loop = loop[:-1]
+            if first_wound_peg(loop, skip=corner) is not None:
+                continue
+            n_z = abs(winding_near(loop, corner, (-p, q)))
+            n_w = abs(winding_near(loop, corner, (p, -q)))
+            if (n_z, n_w) == want:
+                found.append(ReferenceBigon(x, z, tuple(loop), n_z, n_w))
+    return found
+
+
+def _marked_bigons_checked_at_corner(d: CurveDiagram, arc: ArcLift, x: IPoint,
+                                     targets: Sequence[IPoint], kind: str) -> list[ReferenceBigon]:
     """All marker-compatible bigons from source point x to target points.
 
     The loop crosses the corner's column once, at the corner, rightwards
@@ -301,12 +395,13 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
         spans.sort(key=lambda e: e[0])
         for _, z in spans:
             loop = subarc(c, x, z, direction)[0] + [corner]
-            if first_wound_peg(loop, corner, 1 if kind == "phi" else 0) is None:
+            if geometry.first_wound_peg(loop, corner, 1 if kind == "phi" else 0) is None:
                 found.append(ReferenceBigon(x, z, tuple(loop), *want))
     return found
 
 
-def reference_differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
+def reference_differential_matrix(sweep: ArcSweep, h, kind: str,
+                                  marked_bigons=_marked_bigons) -> DiffMatrix:
     """The grading-h first differential as a mod-2 matrix with its rank."""
     d, slope = sweep.diagram, sweep.slope
     if kind not in ("phi", "psi"):
@@ -323,7 +418,7 @@ def reference_differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     bigons: list[ReferenceBigon] = []
     entries: dict[tuple[int, int], int] = {}
     for j, x in enumerate(src_pts):
-        for bg in _marked_bigons(d, src_arc, x, tgt_pts, kind):
+        for bg in marked_bigons(d, src_arc, x, tgt_pts, kind):
             i = tgt_pts.index(bg.target)
             entries[(i, j)] = entries.get((i, j), 0) ^ 1
             bigons.append(bg)
@@ -334,6 +429,12 @@ def reference_differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     return DiffMatrix(kind, slope, rows, rank, src_pts, tgt_pts, tuple(bigons))
 
 
+def closed(loop: tuple[Point, ...]) -> tuple[Point, ...]:
+    """The loop without a last point that repeats its first, as the
+    reference leaves it."""
+    return loop[:-1] if len(loop) > 1 and loop[-1] == loop[0] else loop
+
+
 def matrix_outcome(matrix, sweep: ArcSweep, h, kind: str):
     """What `matrix` gives: rows, rank, points and each bigon with its loop,
     in order, or the type and text of what it raised."""
@@ -341,20 +442,22 @@ def matrix_outcome(matrix, sweep: ArcSweep, h, kind: str):
         m = matrix(sweep, h, kind)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    bigons = [(bg.source, bg.target, bg.loop, bg.n_z, bg.n_w) for bg in m.bigons]
+    bigons = [(bg.source, bg.target, closed(bg.loop), bg.n_z, bg.n_w) for bg in m.bigons]
     return m.kind, m.slope, m.rows, m.rank, m.source_points, m.target_points, bigons
 
 
-def assert_marked_bigons_match(d: CurveDiagram, slope: SlopeSpec) -> int:
+def assert_marked_bigons_match(d: CurveDiagram, slope: SlopeSpec, marked_bigons=_marked_bigons) -> int:
     """Both kinds at every grading of one slope must give the reference's
-    matrix: rows, rank, points and bigons in order, with their loops.
-    Returns the number of bigons found."""
+    matrix, its bigons found by `marked_bigons`: rows, rank, points and
+    bigons in order, with their loops.  Returns the number of bigons
+    found."""
     sweep = ArcSweep(d, slope)
     found = 0
     for h in grading_range(d, slope):
         for kind in ("phi", "psi"):
             got = matrix_outcome(differential_matrix, sweep, h, kind)
-            want = matrix_outcome(reference_differential_matrix, sweep, h, kind)
+            want = matrix_outcome(partial(reference_differential_matrix, marked_bigons=marked_bigons),
+                                  sweep, h, kind)
             assert got == want, (d.source, str(slope), h, kind)
             found += len(got[-1]) if len(got) > 2 else 0
     return found
@@ -445,8 +548,9 @@ def marker_candidates(sweep: ArcSweep, h, kind: str):
 
 def assert_marker_verdicts_agree(d: CurveDiagram, slope: SlopeSpec, seen: Counter) -> None:
     """Every candidate pair's integer verdict is the verdict of
-    `first_wound_peg(loop, corner, w)` on its loop, unless a walked segment
-    meets a peg; `seen` counts the pairs by (kind, direction, verdict)."""
+    `geometry.first_wound_peg(loop, corner, w)` on its loop, unless a walked
+    segment meets a peg; `seen` counts the pairs by (kind, direction,
+    verdict)."""
     sweep = ArcSweep(d, slope)
     for h in grading_range(d, slope):
         for kind in ("phi", "psi"):
@@ -464,7 +568,7 @@ def assert_marker_verdicts_agree(d: CurveDiagram, slope: SlopeSpec, seen: Counte
                     seen[kind, direction, "fallback"] += 1
                     continue
                 loop = subarc(c, x, z, direction)[0] + [corner]
-                assert got == (first_wound_peg(loop, corner, w) is None), (
+                assert got == (geometry.first_wound_peg(loop, corner, w) is None), (
                     d.source, str(slope), h, kind, direction)
                 seen[kind, direction, got] += 1
 
@@ -507,9 +611,21 @@ def test_marked_bigons_match_reference_where_walks_meet_a_peg(monkeypatch, name)
         return check(*args)
 
     monkeypatch.setattr(differentials, "first_wound_peg", counting_check)
+    d = PEGGED[name]
+    derived = 0
     for slope in (SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(3, 2)):
-        assert_marked_bigons_match(PEGGED[name], slope)
+        assert_marked_bigons_match(d, slope, _marked_bigons_checked_at_corner)
+        # Where the peg-by-peg check meets no peg on a loop, the markers it
+        # reads off the loops give the same matrix.
+        sweep = ArcSweep(d, slope)
+        for h in grading_range(d, slope):
+            for kind in ("phi", "psi"):
+                want = matrix_outcome(reference_differential_matrix, sweep, h, kind)
+                if len(want) > 2:
+                    assert matrix_outcome(differential_matrix, sweep, h, kind) == want, (str(slope), h, kind)
+                    derived += len(want[-1])
     assert checks  # some loops took the loop's own check
+    assert derived
 
 
 def test_marked_bigon_loops_are_walked_when_read(monkeypatch, capsys):
