@@ -13,7 +13,10 @@ Each component's vertices become integers once, in its `_frame` (the
 `geometry.integer_frame` of its vertices, built on first use and kept for
 the life of the component).  Validation, the column table, the level scan
 and the filling offset test of `pairing` all read that frame, rescaling it
-by a whole factor where they need a finer scale.
+by a whole factor where they need a finer scale.  The level scan hands
+back integers too: each crossing is a `Crossing` record (segment, ratio
+along it, point over a common denominator, level), which becomes
+Fractions only where its `pos` or `point` is read.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
     HALF,
@@ -47,6 +50,46 @@ class BadAlexander(ValueError):
 
 class BadSpec(ValueError):
     """Unrecognized zoo request."""
+
+
+class Crossing(NamedTuple):
+    """One crossing of a component with a level, as `Component.level_crossings`
+    finds it, in integers.
+
+    The crossing lies on stored segment i (from vertex i towards vertex
+    i + 1) at the ratio r/dg along it, 0 <= r < dg, so at position
+    i + r/dg; its point is (x/den, y/den), and it lies on level m.  Both
+    ratios are in lowest terms (a vertex has r = 0 and dg = 1, and x, y
+    and den share no factor), so equal crossings are equal records.  `pos`
+    and `point` read the record as Fractions; they are built when read.
+    """
+
+    i: int
+    r: int
+    dg: int
+    x: int
+    y: int
+    den: int
+    m: int
+
+    @property
+    def pos(self) -> Fraction:
+        return Fraction(self.i * self.dg + self.r, self.dg)
+
+    @property
+    def point(self) -> Point:
+        return Point(Fraction(self.x, self.den), Fraction(self.y, self.den))
+
+    @property
+    def last_segment(self) -> int:
+        """The segment along which a forward walk reaches this crossing:
+        segment i, or segment i - 1 when the crossing is vertex i (r = 0)."""
+        return self.i if self.r else self.i - 1
+
+    def precedes(self, other: "Crossing") -> bool:
+        """Whether this crossing's position is below other's, compared in
+        integers."""
+        return self.i < other.i or (self.i == other.i and self.r * other.dg < other.r * self.dg)
 
 
 @dataclass(frozen=True)
@@ -135,13 +178,13 @@ class Component:
 
     def level_crossings(
         self, a: int, b: int, c: Fraction
-    ) -> tuple[list[tuple[Fraction, Point, int]], dict[int, list[tuple[int, bool]]]]:
+    ) -> tuple[list[Crossing], dict[int, list[tuple[int, bool]]]]:
         """Transversal crossings of one period with the levels a*x + b*y + c = m.
 
         a and b are integers, c is a rational and m runs over the integers.
-        Returns (crossings, degenerate).  crossings lists (pos, point, m) in
-        curve order, pos being the segment index plus the fraction along the
-        segment.  A vertex on a level counts iff its cyclic neighbours lie
+        Returns (crossings, degenerate).  crossings lists one `Crossing`
+        record per crossing, in curve order, so strictly increasing in
+        position.  A vertex on a level counts iff its cyclic neighbours lie
         strictly on opposite sides; the period's end vertex repeats its
         start and is left to it.  degenerate maps each level that holds a
         segment, or two consecutive vertices, to its events in segment
@@ -155,8 +198,8 @@ class Component:
         at every vertex, a vertex lies on a level iff f*S divides G, the
         levels a segment crosses are a floor/ceil division range, and the
         crossing of level m lies at the integer ratio
-        (m*f*S - G_a)/(G_b - G_a) along it.  Only the returned positions
-        and points are built as Fractions.
+        (m*f*S - G_a)/(G_b - G_a) along it.  The records hold those
+        integers, reduced by `math.gcd`; no Fraction is built.
         """
         n = self.cycle_length()
         if n == 0:
@@ -171,28 +214,33 @@ class Component:
             xs.append(x)
             ys.append(y)
             gs.append(a * x + b * y + cs)
-        crossings: list[tuple[Fraction, Point, int]] = []
+        gcd = math.gcd
+        crossings: list[Crossing] = []
         degenerate: dict[int, list[tuple[int, bool]]] = {}
         for i in range(n):
             g_prev, ga, gb = gs[i], gs[i + 1], gs[i + 2]
+            xa, ya = xs[i + 1], ys[i + 1]
             if ga % scale == 0:
                 if ga == gb or ga == g_prev:
                     degenerate.setdefault(ga // scale, []).append((i, ga == gb))
                 elif (g_prev < ga) != (gb < ga):
-                    crossings.append((Fraction(i), self.lifted(i), ga // scale))
+                    k = gcd(xa, ya, scale)
+                    crossings.append(Crossing(i, 0, 1, xa // k, ya // k, scale // k, ga // scale))
             if ga == gb:
                 continue
+            # The crossing of level m is r/dg along the segment, r = s*(m*S - G_a)
+            # and dg = s*(G_b - G_a) > 0 with s the sign of G_b - G_a.
             if ga < gb:
-                levels = range(ga // scale + 1, -(-gb // scale))
+                s, levels = 1, range(ga // scale + 1, -(-gb // scale))
             else:
-                levels = range(-(-ga // scale) - 1, gb // scale, -1)
-            xa, ya = xs[i + 1], ys[i + 1]
-            dx, dy, dg = xs[i + 2] - xa, ys[i + 2] - ya, gb - ga
-            den = dg * scale
+                s, levels = -1, range(-(-ga // scale) - 1, gb // scale, -1)
+            dx, dy, dg = xs[i + 2] - xa, ys[i + 2] - ya, s * (gb - ga)
+            xd, yd, den = xa * dg, ya * dg, dg * scale
             for m in levels:
-                r = m * scale - ga  # the crossing is r/dg along the segment
-                point = Point(Fraction(xa * dg + r * dx, den), Fraction(ya * dg + r * dy, den))
-                crossings.append((Fraction(i * dg + r, dg), point, m))
+                r = s * (m * scale - ga)
+                x, y = xd + r * dx, yd + r * dy
+                k, g = gcd(x, y, den), gcd(r, dg)
+                crossings.append(Crossing(i, r // g, dg // g, x // k, y // k, den // k, m))
         return crossings, degenerate
 
     def bbox(self) -> Box:
@@ -290,7 +338,7 @@ def seam_crossings(c: Component) -> list[tuple[Fraction, Point]]:
     seam line; touching without crossing does not count.
     """
     crossings, _ = c.level_crossings(1, 0, -HALF)
-    return [(pos, point) for pos, point, _ in crossings]
+    return [(e.pos, e.point) for e in crossings]
 
 
 def height_band(y: Fraction) -> int:
@@ -559,9 +607,9 @@ def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     crossings, _ = g0.level_crossings(1, 0, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
-    pos0, point0, _ = next((e for e in crossings if e[0] > start), crossings[0])
-    tau = height_band(point0.y)
-    first = math.floor(pos0) + 1
+    crossing = next((e for e in crossings if e.pos > start), crossings[0])
+    tau = height_band(crossing.point.y)
+    first = crossing.i + 1
     for i in range(first, first + g0.cycle_length()):
         kind = g0.turn(i)
         if kind:

@@ -12,14 +12,18 @@ indexed once by (component, lift), each group in position order, so the
 targets that the walk from a source point meets on the target lift are
 read off in walk order: past the source on that lift, then, after a
 period end, short of it on the neighbouring lift (the same lift on a
-closed component).  Each candidate's marker test is done in integers, as
-cancellation's peg test is: the walk's column crossings come from the
-component's column table (`pairing.walk_columns`), the closing piece
-through the corner is crossed arithmetically on the arc line, and
-`pairing.winds_only` asks for winding 0 at every peg and w just above the
-corner.  Only a walk that meets a peg builds its loop (`subarc`) and
-leaves the verdict to `first_wound_peg`, which raises `PointOnLoop` where
-it did before; a marked bigon walks its loop only when the loop is read.
+closed component).  Positions are compared in integers: each point's
+crossing record gives it as i + r/dg, which the lcm of the matrix's
+denominators dg turns into an integer.  Each candidate's marker test is
+done in integers, as cancellation's peg test is: the walk's column
+crossings come from the component's column table
+(`pairing.walk_columns`), the closing piece through the corner is crossed
+arithmetically on the arc line, and `pairing.winds_only` asks for winding
+0 at every peg and w just above the corner.  Only a walk that meets a peg
+builds its loop (`subarc`) and leaves the verdict to `first_wound_peg`,
+which raises `PointOnLoop` where it did before; a marked bigon walks its
+loop only when the loop is read.  A grading with no target point has the
+zero map, and no source is visited.
 
 Each strict local extremum of the curve forces rank in one of the maps at a
 predictable grading, with a single exception at the extremum carrying the
@@ -113,29 +117,31 @@ def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _walk_order(groups: dict, x: IPoint, k: int, direction: int, winding: int) -> list[int]:
-    """The targets on lift k that the walk from x in `direction` meets, in
-    walk order, as indices into the target points.
+def _walk_order(groups: dict, comp: int, at: int, k: int, direction: int, winding: int) -> list[int]:
+    """The targets on lift k that the walk from the source point in
+    `direction` meets, in walk order, as indices into the target points.
 
-    `groups` maps (component, lift) to the positions of the targets there,
-    ascending, and their indices.  The walk meets the targets past x on
-    lift k first; on a wrapping component (winding 1) it then passes a
-    period end, and the targets short of x that it reaches lie on lift
+    The source lies on component `comp` at position `at`, and `groups`
+    maps (component, lift) to the positions of the targets there,
+    ascending, and their indices; positions are scaled to integers by one
+    common factor.  The walk meets the targets past the source on lift k
+    first; on a wrapping component (winding 1) it then passes a period
+    end, and the targets short of the source that it reaches lie on lift
     k - direction.  On a closed component both parts are lift k's.
     """
-    here = groups.get((x.comp, k))
-    there = groups.get((x.comp, k - direction * winding))
+    here = groups.get((comp, k))
+    there = groups.get((comp, k - direction * winding))
     order: list[int] = []
     if direction > 0:
         if here:
-            order += here[1][bisect_right(here[0], x.pos):]
+            order += here[1][bisect_right(here[0], at):]
         if there:
-            order += there[1][:bisect_left(there[0], x.pos)]
+            order += there[1][:bisect_left(there[0], at)]
     else:
         if here:
-            order += reversed(here[1][:bisect_left(here[0], x.pos)])
+            order += reversed(here[1][:bisect_left(here[0], at)])
         if there:
-            order += reversed(there[1][bisect_right(there[0], x.pos):])
+            order += reversed(there[1][bisect_right(there[0], at):])
     return order
 
 
@@ -158,18 +164,15 @@ def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tu
     i)/q).  All of it is integers.
     """
     n = c.cycle_length()
-    wrapped = z.pos < x.pos if direction > 0 else z.pos > x.pos  # a period end is passed
+    a, b = x.crossing, z.crossing
+    wrapped = b.precedes(a) if direction > 0 else a.precedes(b)  # a period end is passed
     m = direction if wrapped and c.winding == 1 else 0
-    x_end = -(-x.point.x.numerator // x.point.x.denominator)  # the ceilings of the abscissae
-    z_end = -(-z.point.x.numerator // z.point.x.denominator) + m
+    x_end = -(-a.x // a.den)  # the ceilings of the abscissae
+    z_end = -(-b.x // b.den) + m
     if direction > 0:
-        first = x.pos.numerator // x.pos.denominator
-        last = -(-z.pos.numerator // z.pos.denominator) - 1 + (n if wrapped else 0)
-        walk = walk_columns(c, first, last, x_end, z_end)
+        walk = walk_columns(c, a.i, b.last_segment + (n if wrapped else 0), x_end, z_end)
     else:
-        first = z.pos.numerator // z.pos.denominator - (n if wrapped else 0)
-        last = -(-x.pos.numerator // x.pos.denominator) - 1
-        walk = walk_columns(c, first, last, z_end, x_end)
+        walk = walk_columns(c, b.i - (n if wrapped else 0), a.last_segment, z_end, x_end)
         if walk is not None:
             walk = [(k, t, -sign) for k, t, sign in walk]
     if walk is None:
@@ -203,6 +206,8 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     tgt_h = h + p if kind == "psi" else h - p
     src_pts = sweep.points(h)
     tgt_pts = sweep.points(tgt_h)
+    if not tgt_pts:  # no target point, no bigon: the zero map
+        return DiffMatrix(kind, slope, (), 0, src_pts, tgt_pts, ())
     # The source arc of lift k runs from (k, h - p/2) to (k + q, h + p/2).
     # Its corner is the peg (k + dk, row + 1/2) at its end that the target
     # arc, on lift k + step, shares; the winding wanted just above the
@@ -213,10 +218,13 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         dk, step, w, row = 0, -q, 1, (twice - p) // 2
     corner_y = Fraction(2 * row + 1, 2)
     want = (1, 0) if kind == "phi" else (0, 1)
-    groups: dict[tuple[int, int], tuple[list[Fraction], list[int]]] = {}
+    # Positions i + r/dg, times the lcm of their denominators, are integers.
+    scale = math.lcm(*{z.crossing.dg for z in (*src_pts, *tgt_pts)})
+    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     for i, z in enumerate(tgt_pts):
+        e = z.crossing
         positions, indices = groups.setdefault((z.comp, z.lift), ([], []))
-        positions.append(z.pos)
+        positions.append(e.i * scale + e.r * (scale // e.dg))
         indices.append(i)
     bigons: list[MarkedBigon] = []
     entries: dict[tuple[int, int], int] = {}
@@ -224,8 +232,10 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         c = d.components[x.comp]
         corner_at = (x.lift + dk, row)
         corner = Point(Fraction(corner_at[0]), corner_y)
+        e = x.crossing
+        at = e.i * scale + e.r * (scale // e.dg)
         for direction in (1, -1):
-            for i in _walk_order(groups, x, x.lift + step, direction, c.winding):
+            for i in _walk_order(groups, x.comp, at, x.lift + step, direction, c.winding):
                 z = tgt_pts[i]
                 marked = _winds_marked(c, x, z, direction, corner_at, w, p, q)
                 if marked is None:  # the loop's own check decides, or raises

@@ -7,11 +7,11 @@ exact values it is given, ints or `fractions.Fraction`s, and coerces
 nothing: values from outside come in through `rat` and `pt`, and
 everything the kernel computes from them is already exact.
 `integer_frame` scales a set of points by the lcm of their denominators;
-the peg tests here, the piece test of `pairing`, and validation, the level
-scan and the offset test through each component's frame
-(`curves.Component._frame`, one `integer_frame` per component) compare in
-such a frame, in integers, which is still exact and cheaper than
-`Fraction` arithmetic.
+the peg tests here, validation, the level scan and the offset test through
+each component's frame (`curves.Component._frame`, one `integer_frame`
+per component), and the piece test of `pairing` (from the integers of the
+level scan's records) compare in such a frame, in integers, which is
+still exact and cheaper than `Fraction` arithmetic.
 
 The marked cylinder is the strip [-1/2, 1/2] x R with punctures ("pegs") on
 the middle column; its planar cover is R^2 with pegs at (i, j + 1/2) for all

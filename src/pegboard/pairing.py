@@ -39,16 +39,22 @@ loops that wind no peg are ever piece-tested: a loop never changes, so a
 wound peg rules its pair out for good.  The piece test, for another live
 point on the lift's piece, is the only one that depends on what has been
 removed; like the lift's piece of the peg test, it compares coordinates in
-the points' `integer_frame`, built once per call.  A blocked pair keeps
-the point that blocked it and is tested again only after that point is
-gone.  The points come sorted by (component, position), so each
-component's ring is its run of them and no ring is sorted.  A removed
-pair's audit keeps only the pair and its component: its loop is walked
-with `subarc`, and the loop's pegs are listed, only when they are read.
+the points' integer frame, built once per call from the integers of their
+crossing records.  A blocked pair keeps the point that blocked it and is
+tested again only after that point is gone.  The points come sorted by
+(component, position), so each component's ring is its run of them and no
+ring is sorted.  A removed pair's audit keeps only the pair and its
+component: its loop is walked with `subarc`, and the loop's pegs are
+listed, only when they are read.
 
 Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component, done in integers
-in the component's cached frame (`Component._frame`).  A filling family
+in the component's cached frame (`Component._frame`).  Each intersection
+point (`IPoint`) holds the scan's integer record of its crossing
+(`curves.Crossing`: segment, ratio along it, point over a common
+denominator, level); the sweep, cancellation and the differentials read
+those integers, and a point's Fraction position and coordinates are built
+only when read, by a loop walk (`subarc`) or by a test.  A filling family
 is its form f = a*x + b*y + c, and lift k is the line f = k: the form
 numbers the raw points (`raw_intersections`), decides the offset
 (`_family_is_clean`, which tests each component in its own frame,
@@ -76,7 +82,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
     HALF,
@@ -86,11 +92,10 @@ from .geometry import (
     Segment,
     column_crossings,
     first_wound_peg,
-    integer_frame,
     pegs_in_box,
     rat,
 )
-from .curves import Component, CurveDiagram
+from .curves import Component, Crossing, CurveDiagram
 
 
 class DegenerateIncidence(ValueError):
@@ -189,18 +194,27 @@ class ArcLift:
         return range(math.ceil(box.xmin) - self.slope.q, math.floor(box.xmax) + 1)
 
 
-@dataclass(frozen=True)
-class IPoint:
+class IPoint(NamedTuple):
     """One intersection of the curve with one plane lift of a line or arc.
 
-    pos is the parameter along the component (segment index plus fraction),
-    lift the integer index of the lift through point.
+    comp is the index of the component, crossing its `Crossing` record from
+    the level scan (in integers), and lift the integer index of the lift
+    through the point.  pos, the parameter along the component (segment
+    index plus fraction), and point are the record's, built as Fractions
+    only when read.
     """
 
     comp: int
-    pos: Fraction
-    point: Point
+    crossing: Crossing
     lift: int
+
+    @property
+    def pos(self) -> Fraction:
+        return self.crossing.pos
+
+    @property
+    def point(self) -> Point:
+        return self.crossing.point
 
 
 @dataclass(frozen=True)
@@ -310,8 +324,8 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
         if degenerate:
             m, events = min(degenerate.items())
             raise _degenerate_incidence(c, m, events[0])
-        for pos, point, m in crossings:
-            points.append(IPoint(ci, pos, point, m))
+        for e in crossings:
+            points.append(IPoint(ci, e, e.m))
     return points
 
 
@@ -400,32 +414,45 @@ def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Poi
 
 
 def _scaled_frame(pts: Sequence[IPoint]) -> tuple[int, list[int], list[int], list[int]]:
-    """(S, X, Y, L): the `integer_frame` (S, X, Y) of the points of pts and
-    L[k] the lift of pts[k]."""
-    scale, xs, ys, _ = integer_frame([z.point for z in pts])
+    """(S, X, Y, L): S the lcm of the points' denominators, X[k] and Y[k]
+    the coordinates of pts[k] times S, and L[k] its lift.
+
+    Read from the records' integers: a record's x and y share the least
+    denominator of its point, so S and the scaled coordinates are those of
+    the points' `integer_frame`."""
+    scale = math.lcm(*{z.crossing.den for z in pts})
+    xs, ys = [], []
+    for z in pts:
+        e = z.crossing
+        f = scale // e.den
+        xs.append(e.x * f)
+        ys.append(e.y * f)
     return scale, xs, ys, [z.lift for z in pts]
 
 
-def _first_blocker(step: int, lift: int, a: Point, b: Point, frame: tuple,
-                   live: Sequence[int], pair: tuple[int, int]) -> Optional[int]:
-    """A live point, other than the pair, strictly between a and b on the lift.
+def _first_blocker(step: int, lift: int, frame: tuple, live: Sequence[int],
+                   pair: tuple[int, int], m: int) -> Optional[int]:
+    """A live point, other than the pair, strictly between the pair's ends
+    on the lift.
 
-    Returns its index in pts (the first in `live` order), None if the piece
-    from a to b holds none.  `frame` is `_scaled_frame(pts)`, whose scale
-    the denominators of a and b must divide, and `live` and `pair` are
-    indices into pts.  A point z stands for all its translates
-    z.point + (m, 0); the one on the lift has z.lift + step*m == lift, and
-    with step 0 every translate is on z's lift.  The comparisons are those
-    of the coordinates times the frame's scale S, in integers.
+    The pair is (ix, iy), indices into pts, and its ends are pts[iy] moved
+    by (m, 0), where the subarc from pts[ix] ends, and pts[ix].  Returns
+    the blocker's index in pts (the first in `live` order), None if the
+    piece between the ends holds none.  `frame` is `_scaled_frame(pts)`
+    and `live` lists indices into pts.  A point z stands for all its
+    translates z.point + (m, 0); the one on the lift has
+    z.lift + step*m == lift, and with step 0 every translate is on z's
+    lift.  The comparisons are those of the coordinates times the frame's
+    scale S, in integers.
     """
-    if a == b:
-        return None
     scale, xs, ys, lifts = frame
-    ax, bx = a.x.numerator * (scale // a.x.denominator), b.x.numerator * (scale // b.x.denominator)
+    ix, iy = pair
+    ax, bx = xs[iy] + m * scale, xs[ix]
     upright = ax == bx  # compare heights on a vertical lift, else abscissae
     if upright:
-        lo = a.y.numerator * (scale // a.y.denominator)
-        hi = b.y.numerator * (scale // b.y.denominator)
+        lo, hi = ys[iy], ys[ix]
+        if lo == hi:
+            return None  # the ends coincide
     else:
         lo, hi = ax, bx
     if lo > hi:
@@ -527,16 +554,18 @@ def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int,
     crossings come from the component's column table (`walk_columns`), and
     the piece of the lift is crossed in integers, in `frame`, which is
     `_scaled_frame(pts)`.  A segment that meets a peg sends the pair to the
-    loop's own check; otherwise `winds_only` decides.  Positions lie in
+    loop's own check; otherwise `winds_only` decides.  The walk's segments
+    are read from the points' crossing records: it leaves x along segment
+    x.i and reaches the end along y's `last_segment`.  Positions lie in
     [0, n), n the cycle length, as `Component.level_crossings` gives them.
     """
-    x, y = pts[ix], pts[iy]
-    wrapped = y.pos <= x.pos  # the walk passes a period end, as in `walk_span`
+    x, y = pts[ix].crossing, pts[iy].crossing
+    wrapped = not x.precedes(y)  # the walk passes a period end, as in `walk_span`
     scale, xs, ys, _ = frame
     x0, y0 = xs[ix], ys[ix]
     x1, y1 = xs[iy] + (scale if wrapped and c.winding == 1 else 0), ys[iy]
-    first = x.pos.numerator // x.pos.denominator  # the segments that hold x and the end
-    last = -(-y.pos.numerator // y.pos.denominator) - 1 + (c.cycle_length() if wrapped else 0)
+    first = x.i  # the segments that hold x and the end
+    last = y.last_segment + (c.cycle_length() if wrapped else 0)
     if first == last and (x0, y0) == (x1, y1):
         return None
     crossings = column_crossings(scale, x1, y1, x0, y0)  # the lift's piece
@@ -582,7 +611,9 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     changes no outcome: a validated curve avoids pegs, a clean family's
     lines hold none, and inside an arc of a reduced slope lies none.  Only
     the piece test reads the live points.  Both run in integers on
-    `_scaled_frame(pts)`, built on the call's first peg test.  A blocked
+    `_scaled_frame(pts)`, built on the call's first peg test from the
+    points' crossing records, whose segment indices and ratios also give
+    the peg test's walk; no Fraction is built.  A blocked
     pair keeps the point found on its piece and is tested again only after
     that point has been removed.  Fewer than two points are returned as
     they are.
@@ -599,7 +630,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
             first = k
     alive = [True] * len(pts)
     live = list(range(len(pts)))
-    # (x, y) -> None (no bigon), a CancelledBigon, or (blocker, end)
+    # (x, y) -> None (no bigon), a CancelledBigon, or (blocker, m)
     tests: dict[tuple[int, int], object] = {}
     audit: list[CancelledBigon] = []
     frame = None  # `_scaled_frame(pts)`, built by the first peg test
@@ -626,13 +657,13 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
                             unwound = len(loop) >= 2 and first_wound_peg(loop) is None
                         # A wound peg stays wound: the loop never changes.
                         if unwound:
-                            tests[pair] = (None, y.point.translate(m) if m else y.point)
+                            tests[pair] = (None, m)
                 state = tests[pair]
                 if type(state) is tuple:
-                    blocker, end = state
+                    blocker, m = state
                     if blocker is None or not alive[blocker]:
-                        blocker = _first_blocker(step, x.lift, end, x.point, frame, live, pair)
-                    state = CancelledBigon(x, y, c) if blocker is None else (blocker, end)
+                        blocker = _first_blocker(step, x.lift, frame, live, pair, m)
+                    state = CancelledBigon(x, y, c) if blocker is None else (blocker, m)
                     tests[pair] = state
                 if isinstance(state, CancelledBigon):
                     cands.append((ring, *pair, state))
@@ -751,25 +782,26 @@ class ArcSweep:
         raw: dict[int, list[IPoint]] = {}
         held: dict[int, tuple] = {}
 
-        def arcs(point: Point, m: int) -> list[tuple[int, int]]:
-            """(key, lift) of each arc on the level m + off that holds `point`."""
+        def arcs(x: int, y: int, den: int, m: int) -> list[tuple[int, int]]:
+            """(key, lift) of each arc on the level m + off that holds the
+            point (x/den, y/den), den > 0; floors and ceilings are integer
+            divisions."""
             if not q:  # 1/0: lift m, each grading within 1/2 of y
-                y = point.y
-                return [(n, m) for n in range(math.ceil(y - HALF), math.floor(y + HALF) + 1)]
+                return [(n, m) for n in range(-((den - 2 * y) // (2 * den)), (2 * y + den) // (2 * den) + 1)]
             j = m - q // 2  # the level is j + q/2, so j = p*k - q*n
-            x = point.x
-            kx = math.floor(x)
+            kx = x // den
             k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
-            return [((p * k - j) // q, k) for k in ((k - q, k) if x == k else (k,))]
+            return [((p * k - j) // q, k) for k in ((k - q, k) if x == k * den else (k,))]
 
         for ci, c in enumerate(self.diagram.components):
             crossings, degenerate = c.level_crossings(p, -q, -Fraction(q % 2, 2))
-            for pos, point, m in crossings:
-                for n, k in arcs(point, m):
-                    raw.setdefault(n, []).append(IPoint(ci, pos, point, k))
+            for e in crossings:
+                for n, k in arcs(e.x, e.y, e.den, e.m):
+                    raw.setdefault(n, []).append(IPoint(ci, e, k))
+            scale, xs, ys = c._frame
             for m, events in degenerate.items():
                 for event in events:  # vertex event[0] lies on the segment
-                    for n, k in arcs(c.lifted(event[0]), m):
+                    for n, k in arcs(xs[event[0]], ys[event[0]], scale, m):
                         hit = (ci, k, event)
                         held[n] = min(held.get(n, hit), hit)
         return raw, held

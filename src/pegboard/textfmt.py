@@ -39,6 +39,18 @@ class InvariantViolation(ValueError):
 
 
 def _parse_fraction(token: str, line: int, column: int) -> Fraction:
+    """The rational that `Fraction(token)` reads, or CurveFormatError.
+
+    A plain integer or fraction of ASCII digits (`n`, `-n`, `n/d`, `-n/d`,
+    d not 0), the spelling `emit_curve_text` writes, is read with `int`;
+    every other spelling goes to `Fraction`, which takes or refuses it."""
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit():
+        if not slash:
+            return Fraction(int(num))
+        if den.isascii() and den.isdigit() and int(den):
+            return Fraction(int(num), int(den))
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -14,7 +14,9 @@ walk raises.  The walk pairs the arc objects that pairing used before
 `ArcLift.lift_indices` replaced them, copied verbatim with `_u_param`:
 `ArcLift.lift_indices` must pick the lifts `_ArcObject.lift_indices` did.
 It reads a filling family through `_LineObject`, the anchor-and-direction
-copy in `test_offset`.
+copy in `test_offset`.  The walk finds each crossing in Fractions and
+turns it into an IPoint with `ipoint`, whose record `test_level_scan.record`
+builds from those Fractions and the crossing's level.
 
 The walk raises for an arc whenever the arc's whole line runs along a
 curve segment, inside the arc or not.  The sweep raises only when one of
@@ -52,6 +54,7 @@ from pegboard.pairing import (
 )
 from pegboard.render import render_svg
 from pegboard.textfmt import parse_curve_text
+from test_level_scan import record
 from test_offset import _LineObject
 
 # ---------------------------------------------------------------------------
@@ -132,11 +135,24 @@ def contains(obj, k, point):
     return _arc_contains(obj, k, point)
 
 
+def ipoint(ci, pos, point, k, arc_slope=None) -> IPoint:
+    """The IPoint of a crossing with lift k: of a filling family, whose
+    level is the lift, or of an arc of `arc_slope`, whose level is that of
+    the sweep's form p*x - q*y - (q mod 2)/2 at the point."""
+    if arc_slope is None:
+        return IPoint(ci, record(pos, point, k), k)
+    p, q = arc_slope.p, arc_slope.q
+    level = p * point.x - q * point.y - Fraction(q % 2, 2)
+    assert level.denominator == 1, (arc_slope, point)
+    return IPoint(ci, record(pos, point, level.numerator), k)
+
+
 def _segment_lift_intersections(obj, k, c, ci):
     """All counted intersections of component ci with object lift k."""
     verts, n = _component_cycle(c)
     anchor, (dx, dy) = obj.anchor_dir(k)
     out = []
+    arc_slope = obj.slope if isinstance(obj, _ArcObject) else None
 
     def side(p):
         return (p.x - anchor.x) * dy - (p.y - anchor.y) * dx
@@ -157,7 +173,7 @@ def _segment_lift_intersections(obj, k, c, ci):
                 raise DegenerateIncidence(f"two consecutive vertices on object lift {k}")
             if (sp < 0) != (sb < 0):
                 if contains(obj, k, a):
-                    out.append(IPoint(ci, Fraction(i), a, k))
+                    out.append(ipoint(ci, Fraction(i), a, k, arc_slope))
             continue
         if sb == 0:
             continue  # handled as the next segment's vertex case (or dropped at the period end)
@@ -166,7 +182,7 @@ def _segment_lift_intersections(obj, k, c, ci):
         t = sa / (sa - sb)
         point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
         if contains(obj, k, point):
-            out.append(IPoint(ci, Fraction(i) + t, point, k))
+            out.append(ipoint(ci, Fraction(i) + t, point, k, arc_slope))
     return out
 
 
@@ -231,12 +247,12 @@ def arc_oracle(d, slope, h):
                     if side(prev) == 0:
                         held.append((ci, k))
                     elif (side(prev) < 0) != (sb < 0):
-                        points.append(IPoint(ci, Fraction(i), a, k))
+                        points.append(ipoint(ci, Fraction(i), a, k, slope))
                 elif sb != 0 and (sa < 0) != (sb < 0):
                     t = sa / (sa - sb)
                     point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
                     if ZERO <= u(point) <= ONE:
-                        points.append(IPoint(ci, i + t, point, k))
+                        points.append(ipoint(ci, i + t, point, k, slope))
     if held:
         return min(held)
     return sorted(points, key=lambda ip: (ip.comp, ip.pos, ip.lift))

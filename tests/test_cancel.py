@@ -79,6 +79,7 @@ from pegboard.pairing import (
 )
 from test_arc_sweep import grading_range
 from test_differentials import winding_near
+from test_level_scan import record
 
 # ---------------------------------------------------------------------------
 # The pairing objects cancellation took before the lift step (reference)
@@ -424,10 +425,16 @@ grid_coordinates = st.one_of(
 )
 
 
+def ipoint(pos: Fraction, point: Point, lift: int) -> IPoint:
+    """The IPoint on component 0 at pos and point, on lift (and level) lift."""
+    return IPoint(0, record(pos, point, lift), lift)
+
+
 @st.composite
 def piece_tests(draw):
-    """(step, lift, a, b, pts, live, pair) as `cancel_bigons` forms them:
-    b is x.point and a the end of the subarc, a translate of y.point."""
+    """(step, lift, m, pts, live, pair) as `cancel_bigons` forms them: the
+    pair is (ix, iy), and the piece runs from pts[iy] moved by (m, 0), the
+    end of the subarc, to pts[ix]."""
     n = draw(st.integers(1, 9))
     seen: list[Fraction] = []
 
@@ -439,50 +446,52 @@ def piece_tests(draw):
         seen.append(draw(grid_coordinates))
         return seen[-1]
 
-    pts = [IPoint(0, Fraction(k), Point(coordinate(), coordinate()), draw(st.integers(-3, 3)))
+    pts = [ipoint(Fraction(k), Point(coordinate(), coordinate()), draw(st.integers(-3, 3)))
            for k in range(n)]
     ix, iy = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    a = pts[iy].point.translate(draw(st.integers(-2, 2)))
+    m = draw(st.integers(-2, 2))
+    a = pts[iy].point.translate(m)
     shape = draw(st.sampled_from(("slanted", "upright", "equal")))
     if shape != "slanted":  # put x.point above or below a, or on it
         y = pts[ix].point.y if shape == "upright" else a.y
-        pts[ix] = IPoint(0, pts[ix].pos, Point(a.x, y), pts[ix].lift)
+        pts[ix] = ipoint(pts[ix].pos, Point(a.x, y), pts[ix].lift)
     live = [k for k in range(n) if draw(st.booleans())]
     lift = draw(st.sampled_from([z.lift for z in pts]) | st.integers(-4, 4))
     step = draw(st.integers(-5, 5) | st.just(0))  # horizontal lines as often as the rest
-    return step, lift, a, pts[ix].point, pts, live, (ix, iy)
+    return step, lift, m, pts, live, (ix, iy)
 
 
 @settings(max_examples=600, deadline=None)
 @given(piece_tests())
-@example((0, 1, Point(Fraction(1, 3), 0), Point(Fraction(9, 4), 0),
-          [IPoint(0, Fraction(0), Point(Fraction(1, 3), 0), 1),
-           IPoint(0, Fraction(1), Point(Fraction(9, 4), 0), 1),
-           IPoint(0, Fraction(2), Point(Fraction(-4, 5), 2), 1)], [0, 1, 2], (1, 0)))  # a translate inside
-@example((0, 1, Point(Fraction(1, 5), 0), Point(Fraction(6, 5), 0),
-          [IPoint(0, Fraction(0), Point(Fraction(1, 5), 0), 1),
-           IPoint(0, Fraction(1), Point(Fraction(6, 5), 0), 1),
-           IPoint(0, Fraction(2), Point(Fraction(-4, 5), 2), 1)], [0, 1, 2], (1, 0)))  # translates on both ends
-@example((-2, 3, Point(1, Fraction(-1, 3)), Point(1, Fraction(5, 4)),
-          [IPoint(0, Fraction(0), Point(1, Fraction(-1, 3)), 3),
-           IPoint(0, Fraction(1), Point(1, Fraction(5, 4)), 3),
-           IPoint(0, Fraction(2), Point(Fraction(2, 5), Fraction(5, 4)), 1)], [0, 1, 2], (1, 0)))  # upright: its top
-@example((-2, 3, Point(1, Fraction(-1, 3)), Point(1, Fraction(5, 4)),
-          [IPoint(0, Fraction(0), Point(1, Fraction(-1, 3)), 3),
-           IPoint(0, Fraction(1), Point(1, Fraction(5, 4)), 3),
-           IPoint(0, Fraction(2), Point(Fraction(2, 5), Fraction(-1, 3)), 1)], [0, 1, 2], (1, 0)))  # ... its bottom
-@example((1, 0, Point(Fraction(-1, 4), 0), Point(Fraction(4, 3), 1),
-          [IPoint(0, Fraction(0), Point(Fraction(-1, 4), 0), 0),
-           IPoint(0, Fraction(1), Point(Fraction(4, 3), 1), 0),
-           IPoint(0, Fraction(2), Point(Fraction(3, 4), 2), 1)], [0, 1, 2], (1, 0)))  # slanted: z + (-1, 0) at an end
-@example((-2, 3, Point(0, 0), Point(2, 1),
-          [IPoint(0, Fraction(0), Point(0, 0), 3),
-           IPoint(0, Fraction(1), Point(2, 1), 3),
-           IPoint(0, Fraction(2), Point(Fraction(2, 3), 7), 5)], [0, 1, 2], (1, 0)))  # slanted: z + (-1, 0) inside
+@example((0, 1, 0,
+          [ipoint(Fraction(0), Point(Fraction(1, 3), 0), 1),
+           ipoint(Fraction(1), Point(Fraction(9, 4), 0), 1),
+           ipoint(Fraction(2), Point(Fraction(-4, 5), 2), 1)], [0, 1, 2], (1, 0)))  # a translate inside
+@example((0, 1, 0,
+          [ipoint(Fraction(0), Point(Fraction(1, 5), 0), 1),
+           ipoint(Fraction(1), Point(Fraction(6, 5), 0), 1),
+           ipoint(Fraction(2), Point(Fraction(-4, 5), 2), 1)], [0, 1, 2], (1, 0)))  # translates on both ends
+@example((-2, 3, 0,
+          [ipoint(Fraction(0), Point(1, Fraction(-1, 3)), 3),
+           ipoint(Fraction(1), Point(1, Fraction(5, 4)), 3),
+           ipoint(Fraction(2), Point(Fraction(2, 5), Fraction(5, 4)), 1)], [0, 1, 2], (1, 0)))  # upright: its top
+@example((-2, 3, 0,
+          [ipoint(Fraction(0), Point(1, Fraction(-1, 3)), 3),
+           ipoint(Fraction(1), Point(1, Fraction(5, 4)), 3),
+           ipoint(Fraction(2), Point(Fraction(2, 5), Fraction(-1, 3)), 1)], [0, 1, 2], (1, 0)))  # ... its bottom
+@example((1, 0, 0,
+          [ipoint(Fraction(0), Point(Fraction(-1, 4), 0), 0),
+           ipoint(Fraction(1), Point(Fraction(4, 3), 1), 0),
+           ipoint(Fraction(2), Point(Fraction(3, 4), 2), 1)], [0, 1, 2], (1, 0)))  # slanted: z + (-1, 0) at an end
+@example((-2, 3, 0,
+          [ipoint(Fraction(0), Point(0, 0), 3),
+           ipoint(Fraction(1), Point(2, 1), 3),
+           ipoint(Fraction(2), Point(Fraction(2, 3), 7), 5)], [0, 1, 2], (1, 0)))  # slanted: z + (-1, 0) inside
 def test_integer_piece_test_matches_fraction_one(case):
-    step, lift, a, b, pts, live, pair = case
-    want = reference_first_blocker(step, lift, a, b, pts, live, pair)
-    got = pairing._first_blocker(step, lift, a, b, pairing._scaled_frame(pts), live, pair)
+    step, lift, m, pts, live, pair = case
+    ix, iy = pair
+    want = reference_first_blocker(step, lift, pts[iy].point.translate(m), pts[ix].point, pts, live, pair)
+    got = pairing._first_blocker(step, lift, pairing._scaled_frame(pts), live, pair, m)
     assert got == want
 
 
@@ -513,9 +522,9 @@ def counting_piece_and_peg_tests(monkeypatch):
     pieces = []
     first_blocker = pairing._first_blocker
 
-    def piece_test(step, lift, a, b, frame, live, pair):
+    def piece_test(step, lift, frame, live, pair, m):
         pieces.append(pair)
-        return first_blocker(step, lift, a, b, frame, live, pair)
+        return first_blocker(step, lift, frame, live, pair, m)
 
     monkeypatch.setattr(pairing, "_first_blocker", piece_test)
     return pieces, recording_peg_tests(monkeypatch)

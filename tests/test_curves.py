@@ -238,7 +238,7 @@ def reference_tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     crossings, _ = g0.level_crossings(1, 0, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
-    pos0, point0, _ = crossings[0]
+    pos0, point0 = crossings[0].pos, crossings[0].point
     tau = height_band(point0.y)
     # Scan vertices after the first crossing, on into the next period, for
     # the first strict turn.

@@ -1,12 +1,21 @@
-"""The integer level scan against the Fraction scan it replaced.
+"""The integer level scan against the Fraction scan it replaced, and
+against what its records claim.
 
 `reference_level_crossings` is the body of `Component.level_crossings`
 from before the scan moved to integers, copied verbatim (with `self` named
 `c`): it evaluates a callable Fraction form at every vertex and scans the
 levels form = m + off.  `Component.level_crossings(a, b, c)` scans the
 levels of a*x + b*y + c, which are those of the form a*x + b*y at
-off = -c, and must return the same (crossings, degenerate): the same
-positions, points and levels in the same order, and the same events.
+off = -c, and must return the same (crossings, degenerate): its records,
+read as (pos, point, m), give the same positions, points and levels in the
+same order, and the events are the same.
+
+The record oracle shares no code with the scan: it reads each record's
+integers back as Fractions and checks that the point lies on its level and
+on its segment at the ratio the record gives, and that positions strictly
+increase.  `record` builds the record of a Fraction crossing, for the
+references of other test modules.  The last test counts the Fractions the
+count paths build: none per crossing.
 """
 
 import math
@@ -17,8 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import Component, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.curves import Component, Crossing, build_zoo, lspace_staircase, thin, zoo_names
 from pegboard.geometry import HALF, ZERO, Point
+from pegboard.pairing import ArcSweep, SlopeSpec, dual_hfk_dims, line_family, raw_intersections, surgery_dim
 
 # ---------------------------------------------------------------------------
 # The Fraction scan (reference)
@@ -76,15 +86,29 @@ def reference_scan(c: Component, a: int, b: int, off_c: Fraction):
     return reference_level_crossings(c, lambda v: a * v.x + b * v.y, -off_c)
 
 
+def record(pos: Fraction, point: Point, m: int) -> Crossing:
+    """The `Crossing` at position pos and point on level m, in lowest
+    terms, built from the Fractions."""
+    i = math.floor(pos)
+    t = Fraction(pos - i)
+    x, y = Fraction(point.x), Fraction(point.y)
+    den = math.lcm(x.denominator, y.denominator)
+    return Crossing(i, t.numerator, t.denominator, x.numerator * (den // x.denominator),
+                    y.numerator * (den // y.denominator), den, m)
+
+
 def assert_scans_agree(c: Component, a: int, b: int, off_c: Fraction):
     got = c.level_crossings(a, b, off_c)
     want = reference_scan(c, a, b, off_c)
-    assert got == want
-    # Equal values, and the same types: exact Fractions and int levels.
-    for (pos, point, m), (rpos, rpoint, rm) in zip(got[0], want[0]):
-        assert type(pos) is type(rpos) is Fraction
-        assert type(point.x) is type(point.y) is Fraction
-        assert type(m) is type(rm) is int
+    assert [(e.pos, e.point, e.m) for e in got[0]] == want[0]
+    assert got[1] == want[1]
+    # The records are those of the Fraction crossings, whose values read
+    # back with the same types: exact Fractions and int levels.
+    assert got[0] == [record(*crossing) for crossing in want[0]]
+    for e, (rpos, rpoint, rm) in zip(got[0], want[0]):
+        assert type(e.pos) is type(rpos) is Fraction
+        assert type(e.point.x) is type(e.point.y) is Fraction
+        assert type(e.m) is type(rm) is int
     assert all(type(m) is int for m in got[1])
 
 
@@ -217,3 +241,97 @@ def test_arc_and_family_scans_match():
                 assert_scans_agree(comp, p, -q, -Fraction(q % 2, 2))
                 if q:
                     assert_scans_agree(comp, -p, q, p * (HALF + Fraction(1, 7 * 64)))
+
+
+# ---------------------------------------------------------------------------
+# The record oracle
+
+
+def assert_records_hold(c: Component, a: int, b: int, off_c: Fraction):
+    """Each record of the scan, read back as Fractions, lies on its level
+    and on its segment at its ratio, in lowest terms, and the positions
+    strictly increase."""
+    crossings, _ = c.level_crossings(a, b, off_c)
+    n = len(c.vertices) if c.winding == 0 else len(c.vertices) - 1
+    last = None
+    for e in crossings:
+        assert all(type(v) is int for v in e), e
+        assert 0 <= e.i < n and 0 <= e.r < e.dg and e.den > 0, e
+        assert math.gcd(e.r, e.dg) == 1 and math.gcd(e.x, e.y, e.den) == 1, e
+        x, y, t = Fraction(e.x, e.den), Fraction(e.y, e.den), Fraction(e.r, e.dg)
+        assert a * x + b * y + off_c == e.m, e
+        start, end = c.vertices[e.i], c.vertices[(e.i + 1) % len(c.vertices)]
+        assert (x, y) == (start.x + t * (end.x - start.x), start.y + t * (end.y - start.y)), e
+        pos = e.i + t
+        assert last is None or last < pos, e
+        last = pos
+    return len(crossings)
+
+
+def forms(d) -> list[tuple[int, int, Fraction]]:
+    """The seam and peg-column forms, and the filling and arc forms of a few
+    slopes (1/0 among them)."""
+    out = [(1, 0, -HALF), (1, 0, ZERO)]
+    for p, q in ((1, 0), (1, 1), (-2, 1), (5, 2), (2, 3), (-7, 4), (63, 31)):
+        slope = SlopeSpec(p, q)
+        fam = line_family(d, slope)
+        out += [(fam.a, fam.b, fam.c), (slope.p, -slope.q, -Fraction(slope.q % 2, 2))]
+    return out
+
+
+def test_records_hold_on_zoo_and_thin_diagrams():
+    seen = 0
+    for d in _diagrams():
+        for a, b, c in forms(d):
+            for comp in d.components:
+                seen += assert_records_hold(comp, a, b, c)
+    assert seen > 1000
+
+
+@st.composite
+def staircases(draw):
+    upper = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)), reverse=True)
+    exps = upper + [0] + [-e for e in reversed(upper)]
+    d = lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+    return d.mirror() if draw(st.booleans()) else d
+
+
+@settings(max_examples=30, deadline=None)
+@given(staircases())
+def test_records_hold_on_staircases(d):
+    for a, b, c in forms(d):
+        assert_records_hold(d.gamma0(), a, b, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scanned_components())
+def test_records_hold_on_snapped_components(case):
+    assert_records_hold(*case)
+
+
+# ---------------------------------------------------------------------------
+# The count paths build no Fraction per crossing
+
+
+def test_count_paths_build_no_fraction_per_crossing(monkeypatch):
+    """`surgery_dim` and `dual_hfk_dims` of torus_3_4 at the cap slope 63/31
+    build fewer Fractions than they have raw points: the scan hands over
+    integer records, and cancellation reads them in integers."""
+    d, slope = build_zoo("torus_3_4"), SlopeSpec(63, 31)
+    sweep = ArcSweep(d, slope)
+    raw = len(raw_intersections(d, line_family(d, slope)))
+    raw += sum(len(sweep.raw(h)) for h in sweep.dims())
+    original = Fraction.__new__
+    built = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original(cls, *args, **kwargs)
+
+    d = build_zoo("torus_3_4")  # no frame or column table kept from above
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    surgery_dim(d, slope)
+    dual_hfk_dims(d, slope)
+    monkeypatch.undo()
+    assert 0 < built < raw, (built, raw)

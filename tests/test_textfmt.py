@@ -1,7 +1,8 @@
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pegboard.curves import (
@@ -15,6 +16,7 @@ from pegboard.curves import (
 from pegboard.textfmt import (
     CurveFormatError,
     InvariantViolation,
+    _parse_fraction,
     canonicalize,
     emit_curve_text,
     parse_curve_text,
@@ -118,3 +120,55 @@ class TestCanonicalForm:
         want = emit_curve_text(d)
         assert emit_curve_text(moved(d, j % d.gamma0().cycle_length(), [], [])) == want
         assert emit_curve_text(moved(d, j - 20, [], [])) == want
+
+
+# ---------------------------------------------------------------------------
+# Coordinate tokens: the integer reader against `Fraction`
+
+
+# Plain tokens (`n`, `-n`, `n/d`, the written spelling) and every other
+# spelling `Fraction` takes or refuses: signs, decimals, exponents,
+# underscores, spaces, zero denominators, non-ASCII digits.
+token_parts = st.sampled_from(
+    ["0", "1", "3", "07", "42", "-", "+", "/", ".", "e", "E", "_", " ", "\u0663", "\u00b2", "x"]
+)
+tokens = st.one_of(
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-10**6, 10**6), st.integers(-3, 10**6)),
+    st.integers(-10**30, 10**30).map(str),
+    st.lists(token_parts, min_size=1, max_size=8).map("".join),
+)
+
+
+def fraction_or_message(token: str):
+    """`Fraction(token)`, or the message `parse_curve_text` reports when
+    `Fraction` refuses the token."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return str(CurveFormatError(f"bad rational {token!r}", 4, 7))
+
+
+@settings(max_examples=600, deadline=None)
+@given(tokens)
+@example("1.5")
+@example("1e2")
+@example("+3")
+@example("-3/4")
+@example("1_000")
+@example("3/0")
+@example("0/0")
+@example("3/-4")
+@example("-")
+@example("\u0663")  # an Arabic-Indic three, which `int` and `Fraction` both read
+@example("\u00b2")  # a superscript two: a digit to `str.isdigit`, refused by both
+@example("1/2/3")
+@example("0005/0010")
+@example("-0")
+def test_coordinate_tokens_read_as_fraction_reads_them(token):
+    want = fraction_or_message(token)
+    try:
+        got = _parse_fraction(token, 4, 7)
+    except CurveFormatError as err:
+        got = str(err)
+        assert (err.line, err.column) == (4, 7)
+    assert type(got) is type(want) and got == want, token
