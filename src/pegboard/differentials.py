@@ -47,7 +47,6 @@ from .pairing import (
     ArcSweep,
     IPoint,
     SlopeSpec,
-    dual_hfk_dims,
     genus_of,
     grading_twice,
     subarc,
@@ -340,7 +339,9 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
     dual total equals the filling dimension, and checks the forced
     consequences: the filling is simple and |p/q| > 2g - 1.  Any flagged
     slope failing those is a theorem violation.  Entries come by q, then
-    by p ascending, the order the CLI prints.
+    by p ascending, the order the CLI prints.  Each dual total is
+    `ArcSweep.total`: the sum of `dual_hfk_dims`, read without building
+    its grading keys.
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("scan bounds must be at least 1")
@@ -351,7 +352,7 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
             if p == 0 or math.gcd(abs(p), q) != 1:
                 continue
             s = SlopeSpec(p, q)
-            dual = sum(dual_hfk_dims(d, s).values())
+            dual = ArcSweep(d, s).total()
             dim = surgery_dim(d, s)
             simple = dual == dim
             entry = ScanEntry(

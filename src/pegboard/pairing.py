@@ -23,14 +23,16 @@ lift step: how a lift index changes when a point moves by (1, 0).  It is 1
 for arcs and a filling family's x coefficient otherwise: 1 for the vertical
 family, -p for a slanted one and 0 for horizontal lines, each of which holds
 every translate of its points.
-Within one `cancel_bigons` call each adjacent pair's geometry is computed
-once, cheapest test first: the lift test, then the peg check, then the
-piece test.  The same-lift test is read from ring order: the pairs are
-neighbours on a component's ring of distinct positions, so the forward
-walk from x to y passes a period end (m = 1) only from the ring's last
-point to its first on the wrapping component, and y lies on x's lift iff
-y.lift + step*m == x.lift.  The peg test of a pair that passes reads its
-closing loop's crossings with the integer columns from the component's
+Cancellation is a worklist: within one `cancel_bigons` call each adjacent
+pair is tested once, when it becomes adjacent, cheapest test first: the
+lift test, then the peg check, then the piece test.  Removing a pair makes
+one new adjacent pair on its ring and frees the pairs it blocked; nothing
+else is tested again.  The same-lift test is read from ring order: the
+pairs are neighbours on a component's ring of distinct positions, so the
+forward walk from x to y passes a period end (m = 1) only from the ring's
+last point to its first on the wrapping component, and y lies on x's lift
+iff y.lift + step*m == x.lift.  The peg test of a pair that passes reads
+its closing loop's crossings with the integer columns from the component's
 column table (`Component.segment_columns`, integers kept for the life of
 the component) and crosses only the lift's piece in integers: no Fraction
 loop is built.  A loop that may meet a peg is checked as a loop, with
@@ -40,10 +42,10 @@ wound peg rules its pair out for good.  The piece test, for another live
 point on the lift's piece, is the only one that depends on what has been
 removed; like the lift's piece of the peg test, it compares coordinates in
 the points' integer frame, built once per call from the integers of their
-crossing records.  A blocked pair keeps the point that blocked it and is
-tested again only after that point is gone.  The points come sorted by
-(component, position), so each component's ring is its run of them and no
-ring is sorted.  A removed pair's audit keeps only the pair and its
+crossing records.  A blocked pair is filed under the point that blocked it
+and is tested again only after that point is gone.  The points come sorted
+by (component, position), so each component's ring is its run of them and
+no ring is sorted.  A removed pair's audit keeps only the pair and its
 component: its loop is walked with `subarc`, and the loop's pegs are
 listed, only when they are read.
 
@@ -79,6 +81,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -586,95 +589,110 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     `raw_intersections` and `ArcSweep.raw` give them, and `step` is how
     their lift index changes when a point moves by (1, 0):
     `_LineFamily.step`, or 1 for arcs.  Each component's run of `pts` is
-    its ring, and the rings are visited in that order.  Each round lists
-    the candidates: every ordered pair (x, y) adjacent along a ring (pairs
-    by position, cyclically) whose forward subarc closes up with the piece
-    of x's lift back to x into an empty bigon, a loop of winding zero
-    around every peg with no other live point on the piece.  It removes
-    the first candidate, or the `order_seed` pick among them.  The final
-    count is independent of the removal order; the audit records each
-    removed pair with its component, and its loop and the pegs certified
-    to have winding zero are built when read (`CancelledBigon.loop` and
-    `pegs_checked`).
+    its ring.  The candidates are the ordered pairs (x, y) adjacent along a
+    ring (pairs by position, cyclically) whose forward subarc closes up
+    with the piece of x's lift back to x into an empty bigon, a loop of
+    winding zero around every peg with no other live point on the piece.
+    They are kept by the index of x in `pts`, which is ring order, and
+    each step removes the first candidate, or the `order_seed` pick among
+    them.  The final count is independent of the removal order; the audit
+    records each removed pair with its component, and its loop and the
+    pegs certified to have winding zero are built when read
+    (`CancelledBigon.loop` and `pegs_checked`).
 
-    Within one call each pair is tested once, cheapest test first: the
-    same-lift test, then the peg test, then the piece test.  The same-lift
-    test needs no walk: a pair's forward walk passes a period end only from
-    the last point of a wrapping component's ring to its first, so m is 1
-    for that pair and 0 for every other.  The peg test (`_winds_no_peg`)
-    sums the closing loop's column crossings from the component's column
-    table and the lift's piece; where the loop may meet a peg, the loop is
-    built (`_closing_loop`) and `first_wound_peg` decides, raising
-    `PointOnLoop` exactly where a scan of every loop would.  A loop that
-    winds a peg rules its pair out for good, as the loop never changes.  No
-    loop passes through a peg, so the order of the peg and piece tests
-    changes no outcome: a validated curve avoids pegs, a clean family's
-    lines hold none, and inside an arc of a reduced slope lies none.  Only
-    the piece test reads the live points.  Both run in integers on
+    The candidates are kept as a worklist: each pair is tested once, when
+    it becomes adjacent, cheapest test first: the same-lift test, then the
+    peg test, then the piece test.  Removing (x, y) drops the pairs that
+    start at prev(x), x and y, makes one new pair, (prev(x), next(y)),
+    when the ring keeps two points or more, and re-runs the piece test of
+    the pairs that x or y blocked and that are still adjacent; no other
+    pair changes.  The same-lift test needs no walk: a pair's forward walk
+    passes a period end only from the last point of a wrapping
+    component's ring to its first, so m is 1 for that pair and 0 for every
+    other.  The peg test (`_winds_no_peg`) sums the closing loop's column
+    crossings from the component's column table and the lift's piece;
+    where the loop may meet a peg, the loop is built (`_closing_loop`) and
+    `first_wound_peg` decides, raising `PointOnLoop` exactly where a scan
+    of every loop would.  A loop that winds a peg rules its pair out for
+    good, as the loop never changes.  No loop passes through a peg, so the
+    order of the peg and piece tests changes no outcome: a validated curve
+    avoids pegs, a clean family's lines hold none, and inside an arc of a
+    reduced slope lies none.  Only the piece test reads the live points,
+    those of every component.  Both run in integers on
     `_scaled_frame(pts)`, built on the call's first peg test from the
     points' crossing records, whose segment indices and ratios also give
-    the peg test's walk; no Fraction is built.  A blocked
-    pair keeps the point found on its piece and is tested again only after
-    that point has been removed.  Fewer than two points are returned as
-    they are.
+    the peg test's walk; no Fraction is built.  A blocked pair is filed
+    under the point found on its piece and tested again only after that
+    point has been removed.  Fewer than two points are returned as they
+    are.
     """
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         return list(pts), []
-    rng = random.Random(order_seed) if order_seed is not None else None
-    # Each component's run of pts, as (component, live indices into pts).
-    rings: list[tuple[Component, list[int]]] = []
+    # Each point's neighbours on its ring, its component's run of pts.
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
     first = 0
-    for k in range(1, len(pts) + 1):
-        if k == len(pts) or pts[k].comp != pts[first].comp:
-            rings.append((d.components[pts[first].comp], list(range(first, k))))
+    for k in range(1, n + 1):
+        if k == n or pts[k].comp != pts[first].comp:
+            nxt[k - 1], prv[first] = first, k - 1
             first = k
-    alive = [True] * len(pts)
-    live = list(range(len(pts)))
-    # (x, y) -> None (no bigon), a CancelledBigon, or (blocker, m)
-    tests: dict[tuple[int, int], object] = {}
+    comps = d.components
+    rng = random.Random(order_seed) if order_seed is not None else None
+    alive = [True] * n
+    live = list(range(n))  # ascending
+    cands: list[int] = []  # x of each pair (x, next(x)) bounding an empty bigon, ascending
+    blocked: dict[int, list[tuple[int, int, int]]] = {}  # blocker -> the pairs (x, y, m) it blocks
     audit: list[CancelledBigon] = []
     frame = None  # `_scaled_frame(pts)`, built by the first peg test
+    fresh = [(ix, nxt[ix]) for ix in range(n) if nxt[ix] != ix]  # the pairs to test
+    pieces: list[tuple[int, int, int]] = []  # the pairs (x, y, m) to piece-test
     while True:
-        cands: list[tuple[list[int], int, int, CancelledBigon]] = []
-        for c, ring in rings:
-            if len(ring) < 2:
+        for ix, iy in fresh:
+            x, y = pts[ix], pts[iy]
+            c = comps[x.comp]
+            # Only the walk from the ring's last point to its first passes
+            # a period end, and only on a wrapping component.
+            m = c.winding if iy < ix else 0
+            if y.lift + step * m != x.lift:
                 continue
-            last = len(ring) - 1
-            for n, ix in enumerate(ring):
-                pair = (ix, ring[n - last])
-                x, y = pts[ix], pts[pair[1]]
-                # Only the walk from the ring's last point to its first
-                # passes a period end, and only on a wrapping component.
-                m = c.winding if n == last else 0
-                if pair not in tests:
-                    tests[pair] = None
-                    if y.lift + step * m == x.lift:
-                        if frame is None:
-                            frame = _scaled_frame(pts)
-                        unwound = _winds_no_peg(c, pts, frame, *pair)
-                        if unwound is None:  # the loop's own check decides, or raises
-                            loop = _closing_loop(c, x, y)
-                            unwound = len(loop) >= 2 and first_wound_peg(loop) is None
-                        # A wound peg stays wound: the loop never changes.
-                        if unwound:
-                            tests[pair] = (None, m)
-                state = tests[pair]
-                if type(state) is tuple:
-                    blocker, m = state
-                    if blocker is None or not alive[blocker]:
-                        blocker = _first_blocker(step, x.lift, frame, live, pair, m)
-                    state = CancelledBigon(x, y, c) if blocker is None else (blocker, m)
-                    tests[pair] = state
-                if isinstance(state, CancelledBigon):
-                    cands.append((ring, *pair, state))
+            if frame is None:
+                frame = _scaled_frame(pts)
+            unwound = _winds_no_peg(c, pts, frame, ix, iy)
+            if unwound is None:  # the loop's own check decides, or raises
+                loop = _closing_loop(c, x, y)
+                unwound = len(loop) >= 2 and first_wound_peg(loop) is None
+            if unwound:  # a wound peg stays wound: the loop never changes
+                pieces.append((ix, iy, m))
+        for pair in pieces:
+            ix, iy, m = pair
+            blocker = _first_blocker(step, pts[ix].lift, frame, live, (ix, iy), m)
+            if blocker is None:
+                insort(cands, ix)
+            else:
+                blocked.setdefault(blocker, []).append(pair)
         if not cands:
             return [pts[k] for k in live], audit
-        ring, ix, iy, bigon = cands[0] if rng is None else cands[rng.randrange(len(cands))]
+        ix = cands[0] if rng is None else cands[rng.randrange(len(cands))]
+        iy = nxt[ix]
+        x = pts[ix]
+        audit.append(CancelledBigon(x, pts[iy], comps[x.comp]))
+        before, after = prv[ix], nxt[iy]
+        for k in (before, ix, iy):  # the pairs that start there are gone
+            i = bisect_left(cands, k)
+            if i < len(cands) and cands[i] == k:
+                del cands[i]
         alive[ix] = alive[iy] = False
-        live = [k for k in live if alive[k]]
-        ring.remove(ix)
-        ring.remove(iy)
-        audit.append(bigon)
+        del live[bisect_left(live, ix)]
+        del live[bisect_left(live, iy)]
+        fresh = []
+        if before != iy:  # the ring held more than two points
+            nxt[before], prv[after] = after, before
+            if before != after:
+                fresh.append((before, after))
+        # The pairs that x or y blocked, if still adjacent.
+        pieces = [pair for k in (ix, iy) for pair in blocked.pop(k, ())
+                  if alive[pair[0]] and nxt[pair[0]] == pair[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +762,19 @@ class ArcSweep:
     def dims(self) -> dict:
         """Graded dual-knot dimensions, nonzero entries only, by increasing
         grading."""
-        counts = [(n, len(self._points(n))) for n in sorted(self._raw.keys() | self._held.keys())]
         p = self.slope.p
         # Key n is grading n + (p - 1)/2 = (2n + p - 1)/2, at either sign of p.
-        return {Fraction(2 * n + p - 1, 2): count for n, count in counts if count}
+        return {Fraction(2 * n + p - 1, 2): count for n, count in self._counts() if count}
+
+    def total(self) -> int:
+        """The sum of `dims()`'s values, read without its grading keys; a
+        held grading raises as it does there."""
+        return sum(count for _, count in self._counts())
+
+    def _counts(self):
+        """(key, point count) of each filed or held grading, by increasing
+        key; the first held key raises `DegenerateIncidence` when reached."""
+        return ((n, len(self._points(n))) for n in sorted(self._raw.keys() | self._held.keys()))
 
     def _key(self, h) -> int:
         """The key of grading h, h - (p - 1)/2, found in integers from twice

@@ -9,8 +9,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pegboard.curves import Component, CurveDiagram, build_zoo, zoo_names
+from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, zoo_names
 from pegboard.geometry import pt
 from pegboard.ledger import (
     BUNDLE_MU,
@@ -191,6 +193,25 @@ def test_criterion_07_dual_simplicity_scan():
         if e.dually_simple:
             assert e.filling_dim == abs(e.slope.p)
     _report(7, "figure-eight has no dually simple slopes; trefoil's are exactly p/q > 1")
+
+
+# Descending Alexander exponents of a staircase of genus 1 to 5: the top
+# exponent is the genus.
+staircase_exponents = st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True).map(
+    lambda upper: sorted(upper, reverse=True) + [0] + sorted((-e for e in upper), reverse=True))
+
+
+@settings(max_examples=14, deadline=None)
+@given(staircase_exponents)
+def test_criterion_07_simplicity_rule_on_staircases(exps):
+    # An L-space knot's dual is Floer simple iff r > 2g - 1; the mirror's
+    # iff r < -(2g - 1).  No flagged slope may violate the theorem.
+    knot = lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+    bound = 2 * exps[0] - 1
+    for d, sign in ((knot, 1), (knot.mirror(), -1)):
+        for e in dually_simple_scan(d, 9, 3):
+            assert e.dually_simple == (sign * F(e.slope.p, e.slope.q) > bound), (exps, sign, str(e.slope))
+            assert not e.theorem_violated, (exps, sign, str(e.slope))
 
 
 def test_criterion_08_spectral_inequality(grid_data):

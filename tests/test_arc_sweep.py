@@ -26,6 +26,8 @@ translate tested against every curve segment, with no level scan and no
 filing rule.  `grading_range`, the bounding-box range that `ArcSweep.dims`
 read before it read the gradings the sweep files, is kept here as the
 range the tests probe, and the sweep must file no grading outside it.
+`ArcSweep.total`, the count-only reader, must be the sum of `dims` and
+raise what `dims` raises at the first held grading.
 """
 
 import math
@@ -395,6 +397,13 @@ STACKED = parse_curve_text(
     "v 0 1/4\nv 1/4 1/2\nv 0 3/4\nv 0 5/4\nv 1/2 0\n",
     source="stacked",
 )
+# Two stacks of STACKED, at gradings -1 and 1 of 1/0, joined across grading
+# 0, which holds no segment: two held gradings with a filed one between.
+TWO_STACKS = parse_curve_text(
+    "component winding=1\nv -1/2 0\nv 0 -5/4\nv 0 -3/4\nv -1/4 -1/2\nv 1/4 1/2\n"
+    "v 0 3/4\nv 0 5/4\nv 1/2 0\n",
+    source="two stacks",
+)
 UNIT = SlopeSpec(1, 1)
 DEGENERATE_SLOPES = [UNIT, SlopeSpec(-1, 1), SlopeSpec(3, 2), SlopeSpec(1, 0)]
 
@@ -532,6 +541,48 @@ def test_unfiled_gradings_have_no_points(d, slope):
         if not sweep.raw(h):
             assert not sweep.points(h), (d.source, str(slope), h)
         assert dims.get(h, 0) == len(sweep.points(h)), (d.source, str(slope), h)
+
+
+def assert_total_is_the_sum_of_dims(d, slope):
+    """`ArcSweep.total`, on its own sweep and after `dims` on another, is
+    the sum of the graded dimensions."""
+    sweep = ArcSweep(d, slope)
+    want = sum(sweep.dims().values())
+    assert ArcSweep(d, slope).total() == want == sweep.total(), (d.source, str(slope))
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_total_is_the_sum_of_dims_on_zoo(name):
+    d = build_zoo(name)
+    for slope in ZOO_SLOPES + [SlopeSpec(63, 31)]:
+        assert_total_is_the_sum_of_dims(d, slope)
+
+
+@pytest.mark.parametrize("tau,fig8", [(1, 1), (-2, 2), (0, 3)])
+def test_total_is_the_sum_of_dims_on_thin_diagrams(tau, fig8):
+    d = thin(tau, fig8)
+    for slope in ZOO_SLOPES:
+        assert_total_is_the_sum_of_dims(d, slope)
+
+
+@settings(max_examples=30, deadline=None)
+@given(staircase_diagrams(), st.booleans(), arc_slopes)
+def test_total_is_the_sum_of_dims_on_staircases(d, mirrored, slope):
+    assert_total_is_the_sum_of_dims(d.mirror() if mirrored else d, slope)
+
+
+def test_total_raises_as_dims_does_at_the_first_held_grading():
+    # Gradings -1 and 1 of 1/0 are held; both readers visit -1 first.
+    assert validate(TWO_STACKS).ok
+    vertical = SlopeSpec(1, 0)
+    assert raising_gradings(TWO_STACKS, vertical) == [-1, 1]
+    raised = []
+    for reader in (ArcSweep.dims, ArcSweep.total):
+        with pytest.raises(DegenerateIncidence) as exc:
+            reader(ArcSweep(TWO_STACKS, vertical))
+        raised.append((type(exc.value), str(exc.value)))
+    message = "curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0"
+    assert raised == [(DegenerateIncidence, message)] * 2
 
 
 def test_grading_keys_are_the_arc_heights_less_the_offset():
