@@ -35,7 +35,6 @@ from .differentials import (
     differential_matrix,
     dually_simple_scan,
 )
-from .geometry import PointOnLoop
 from .pairing import (
     ArcLift,
     ArcSweep,
@@ -575,10 +574,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DegenerateIncidence, PointOnLoop, RuntimeError, NoVerticalCrossing, AmbiguousHeight) as exc:
+    except (DegenerateIncidence, NoVerticalCrossing, AmbiguousHeight) as exc:
         # the diagram passed validation but its geometry cannot be paired or
-        # read: an unresolvable incidence, a peg on a bigon's boundary, a curve
-        # walk that does not close up, a peg column missed or crossed on a peg row
+        # read: an unresolvable incidence, a peg column missed or crossed on a
+        # peg row
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, KeyError, OSError) as exc:

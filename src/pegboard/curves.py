@@ -32,6 +32,7 @@ from .geometry import (
     ZERO,
     Box,
     Point,
+    PointOnLoop,
     Segment,
     column_crossings,
     integer_frame,
@@ -142,13 +143,13 @@ class Component:
         return scale, scale // self._frame[0], num * (scale // den)
 
     @cached_property
-    def _columns(self) -> dict[int, Optional[tuple[tuple[int, int, int], ...]]]:
+    def _columns(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
         """`segment_columns` by segment, filled on first use."""
         return {}
 
-    def segment_columns(self, i: int) -> Optional[tuple[tuple[int, int, int], ...]]:
-        """`geometry.column_crossings` of stored segment i, None when it
-        meets a peg.
+    def segment_columns(self, i: int) -> tuple[tuple[int, int, int], ...]:
+        """`geometry.column_crossings` of stored segment i; raises
+        `PointOnLoop`, naming the peg, when the segment meets one.
 
         Segment i runs from stored vertex i to the next one (to vertex 0
         after the last on a closed component).  The crossings are found in
@@ -161,8 +162,7 @@ class Component:
         if i not in table:
             scale, xs, ys = self._frame
             j = (i + 1) % len(xs)
-            found = column_crossings(scale, xs[i], ys[i], xs[j], ys[j])
-            table[i] = None if found is None else tuple(found)
+            table[i] = tuple(column_crossings(scale, xs[i], ys[i], xs[j], ys[j]))
         return table[i]
 
     def turn(self, j: int) -> Optional[str]:
@@ -418,7 +418,9 @@ def validate(d: CurveDiagram) -> ValidationReport:
             j = (k + 1) % n
             if xs[k] == xs[j] and ys[k] == ys[j]:
                 continue  # reported above, as a repeat or as the closure
-            if c.segment_columns(k) is None:
+            try:
+                c.segment_columns(k)
+            except PointOnLoop:
                 a, b = c.vertices[k], c.vertices[j]
                 peg = segment_hits_peg(Segment(a, b))
                 add("peg", f"segment {a}->{b} passes through peg {peg}", i)

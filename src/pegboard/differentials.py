@@ -19,11 +19,11 @@ done in integers, as cancellation's peg test is: the walk's column
 crossings come from the component's column table
 (`pairing.walk_columns`), the closing piece through the corner is crossed
 arithmetically on the arc line, and `pairing.winds_only` asks for winding
-0 at every peg and w just above the corner.  Only a walk that meets a peg
-builds its loop (`subarc`) and leaves the verdict to `first_wound_peg`,
-which raises `PointOnLoop` where it did before; a marked bigon walks its
-loop only when the loop is read.  A grading with no target point has the
-zero map, and no source is visited.
+0 at every peg and w just above the corner.  A walk over a segment through
+a peg raises `PointOnLoop` from the column table: the curve lives in the
+punctured torus, and validation refuses such a segment.  A marked bigon
+walks its loop (`subarc`) only when the loop is read.  A grading with no
+target point has the zero map, and no source is visited.
 
 Each strict local extremum of the curve forces rank in one of the maps at a
 predictable grading, with a single exception at the extremum carrying the
@@ -39,9 +39,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .geometry import Point, first_wound_peg
+from .geometry import Point
 from .curves import Component, CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
     ArcSweep,
@@ -145,11 +145,10 @@ def _walk_order(groups: dict, comp: int, at: int, k: int, direction: int, windin
 
 
 def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tuple[int, int],
-                  w: int, p: int, q: int) -> Optional[bool]:
+                  w: int, p: int, q: int) -> bool:
     """Whether the marked bigon's loop from x to z winds every peg 0 times
-    but the corner, which it winds w times just above; None when a walked
-    segment meets a peg, and the loop's own check (`first_wound_peg`)
-    decides.
+    but the corner, which it winds w times just above; raises
+    `PointOnLoop` when a walked segment meets a peg.
 
     The loop walks along c from x in `direction` to z' = z.point + (m, 0),
     as `subarc` does, and closes through the corner, the peg (i, j + 1/2)
@@ -171,11 +170,8 @@ def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tu
     if direction > 0:
         walk = walk_columns(c, a.i, b.last_segment + (n if wrapped else 0), x_end, z_end)
     else:
-        walk = walk_columns(c, b.i - (n if wrapped else 0), a.last_segment, z_end, x_end)
-        if walk is not None:
-            walk = [(k, t, -sign) for k, t, sign in walk]
-    if walk is None:
-        return None
+        walk = [(k, t, -sign) for k, t, sign in
+                walk_columns(c, b.i - (n if wrapped else 0), a.last_segment, z_end, x_end)]
     i, j = corner
     sign = -1 if z_end < x_end else 1  # the closing piece runs rightwards from z'
     walk += [(k, j - 1 if k == i else j + p * (k - i) // q, sign)
@@ -236,10 +232,7 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         for direction in (1, -1):
             for i in _walk_order(groups, x.comp, at, x.lift + step, direction, c.winding):
                 z = tgt_pts[i]
-                marked = _winds_marked(c, x, z, direction, corner_at, w, p, q)
-                if marked is None:  # the loop's own check decides, or raises
-                    marked = first_wound_peg(subarc(c, x, z, direction)[0] + [corner], corner, w) is None
-                if marked:
+                if _winds_marked(c, x, z, direction, corner_at, w, p, q):
                     entries[(i, j)] = entries.get((i, j), 0) ^ 1
                     bigons.append(MarkedBigon(x, z, *want, c, direction, corner))
     rows = tuple(

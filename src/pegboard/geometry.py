@@ -29,7 +29,9 @@ from typing import Iterable, Optional, Sequence
 
 
 class PointOnLoop(ValueError):
-    """Winding number queried at a point lying on the loop itself."""
+    """A peg lies on the curve or loop: a winding number queried at a point
+    of the loop itself, or a peg on an edge whose column crossings are
+    asked for."""
 
 
 HALF = Fraction(1, 2)
@@ -180,21 +182,24 @@ def segment_hits_peg(s: Segment) -> Optional[Point]:
 
 
 def column_crossings(scale: int, ax: int, ay: int, bx: int,
-                     by: int) -> Optional[list[tuple[int, int, int]]]:
+                     by: int) -> list[tuple[int, int, int]]:
     """The signed crossings of the edge from (ax, ay) to (bx, by), its
-    coordinates times `scale`, with the integer columns; None when the
-    closed edge meets a peg.
+    coordinates times `scale`, with the integer columns; raises
+    PointOnLoop, naming the peg, when the closed edge meets one.
 
     A crossing is (i, t, sign): the edge crosses column i above the peg
-    (i, j + 1/2) iff j <= t, leftwards (sign +1) or rightwards (-1).  The
-    rule is `first_wound_peg`'s: an edge crosses the columns in
-    [ceil(min x), ceil(max x)), and a vertical edge crosses none.
+    (i, j + 1/2) iff j <= t, leftwards (sign +1) or rightwards (-1).  An
+    edge crosses the columns i with min x <= i < max x, so that a closed
+    loop's crossings count each column crossing once, half-open at
+    vertices, and a vertical edge crosses none.  The peg named on a
+    vertical edge is its lowest, on any other edge the one in its lowest
+    column.
     """
     if ax == bx:
         if ax % scale == 0:
             twice = -(-2 * min(ay, by) // scale) | 1  # the least odd integer >= 2*y_min
             if twice * scale <= 2 * max(ay, by):
-                return None
+                raise PointOnLoop(f"{Point(Fraction(ax // scale), Fraction(twice, 2))} lies on the loop")
         return []
     den, sign = (bx - ax, -1) if ax < bx else (ax - bx, 1)
     hi = max(ax, bx)
@@ -204,7 +209,8 @@ def column_crossings(scale: int, ax: int, ay: int, bx: int,
         num = ay * den + (i * scale - ax) * (by - ay) * -sign
         t, r = divmod(2 * num - den * scale, 2 * den * scale)
         if not r:
-            return None  # the crossing is the peg (i, t + 1/2)
+            # the crossing is the peg (i, t + 1/2)
+            raise PointOnLoop(f"{Point(Fraction(i), Fraction(2 * t + 1, 2))} lies on the loop")
         if i * scale < hi:
             out.append((i, t, sign))
     return out
@@ -236,62 +242,3 @@ def winding_number(loop: Sequence[Point], p: Point) -> int:
             if cross(a, b, p) < 0:
                 wind -= 1
     return wind
-
-
-def first_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
-                    corner_winding: int = 0) -> Optional[Point]:
-    """The first peg, in `pegs_in_box(Box.around(loop))` order, whose
-    winding is not 0, or, for the peg `corner`, not `corner_winding`.
-
-    One pass over the edges records the loop's signed crossings with the
-    integer columns, half-open at vertices so each crossing counts once: an
-    edge crossing column i leftwards counts +1, rightwards -1.  The winding
-    of the peg (i, j + 1/2) is the sum over the column-i crossings strictly
-    above it, which is `winding_number` with the ray pointing up.  At a peg
-    on the loop, visited before any wrongly wound one, PointOnLoop is raised
-    with `winding_number`'s message, except at `corner`: the loop may pass
-    through it across its column, and its count is then the winding just
-    above it, which decides a marked bigon's markers.
-
-    The work is in integers, in the `integer_frame` of the loop and 1/2,
-    so columns and peg heights are integers too.
-    """
-    scale, xs, ys, (half,) = integer_frame(loop, HALF)
-    # the peg (i, j + 1/2) is at (i*scale, j*scale + half)
-    i0, i1 = -(-min(xs) // scale), max(xs) // scale
-    j0, j1 = -((half - min(ys)) // scale), (max(ys) - half) // scale
-    if j0 > j1 or i0 > i1:
-        return None  # no peg in the box
-    spans: dict[int, list[tuple[int, int]]] = {}  # column -> closed height spans on the loop
-    crossings: dict[int, list[tuple[int, int, int]]] = {}  # column -> (num, den, sign)
-    n = len(xs)
-    for k in range(n):
-        ax, ay, bx, by = xs[k], ys[k], xs[k - n + 1], ys[k - n + 1]
-        if ax == bx:
-            if ay != by and ax % scale == 0:
-                spans.setdefault(ax // scale, []).append((min(ay, by), max(ay, by)))
-            continue
-        # Every vertex starts a non-vertical edge or lies on a vertical one.
-        if ax % scale == 0:
-            spans.setdefault(ax // scale, []).append((ay, ay))
-        den, sign = (bx - ax, -1) if ax < bx else (ax - bx, 1)
-        for i in range(-(-min(ax, bx) // scale), -(-max(ax, bx) // scale)):
-            # the crossing height is num / den
-            num = ay * den + (i * scale - ax) * (by - ay) * -sign
-            crossings.setdefault(i, []).append((num, den, sign))
-    columns = spans.keys() | crossings.keys()
-    corner_at = None if corner is None else (corner.x.numerator, math.floor(corner.y))
-    if corner_at is not None and i0 <= corner_at[0] <= i1:
-        columns.add(corner_at[0])  # the corner is wound even where no edge meets its column
-    for i in sorted(columns):
-        column = crossings.get(i, ())
-        touched = spans.get(i, ())
-        for j in range(j0, j1 + 1):
-            y = j * scale + half
-            at_corner = (i, j) == corner_at
-            if not at_corner and (any(lo <= y <= hi for lo, hi in touched)
-                                  or any(num == y * den for num, den, _ in column)):
-                raise PointOnLoop(f"{Point(Fraction(i), Fraction(j) + HALF)} lies on the loop")
-            if sum(s for num, den, s in column if num > y * den) != (corner_winding if at_corner else 0):
-                return Point(Fraction(i), Fraction(j) + HALF)
-    return None

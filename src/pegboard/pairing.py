@@ -35,19 +35,19 @@ iff y.lift + step*m == x.lift.  The peg test of a pair that passes reads
 its closing loop's crossings with the integer columns from the component's
 column table (`Component.segment_columns`, integers kept for the life of
 the component) and crosses only the lift's piece in integers: no Fraction
-loop is built.  A loop that may meet a peg is checked as a loop, with
-`geometry.first_wound_peg`, which raises `PointOnLoop` there.  Only the
-loops that wind no peg are ever piece-tested: a loop never changes, so a
-wound peg rules its pair out for good.  The piece test, for another live
-point on the lift's piece, is the only one that depends on what has been
-removed; like the lift's piece of the peg test, it compares coordinates in
-the points' integer frame, built once per call from the integers of their
-crossing records.  A blocked pair is filed under the point that blocked it
-and is tested again only after that point is gone.  The points come sorted
-by (component, position), so each component's ring is its run of them and
-no ring is sorted.  A removed pair's audit keeps only the pair and its
-component: its loop is walked with `subarc`, and the loop's pegs are
-listed, only when they are read.
+loop is built.  The curve lives in the punctured torus, so no peg lies on
+it: the column table refuses a segment through a peg with `PointOnLoop`, as
+validation does.  Only the loops that wind no peg are ever piece-tested: a
+loop never changes, so a wound peg rules its pair out for good.  The piece
+test, for another live point on the lift's piece, is the only one that
+depends on what has been removed; like the lift's piece of the peg test, it
+compares coordinates in the points' integer frame, built once per call from
+the integers of their crossing records.  A blocked pair is filed under the
+point that blocked it and is tested again only after that point is gone.
+The points come sorted by (component, position), so each component's ring
+is its run of them and no ring is sorted.  A removed pair's audit keeps
+only the pair and its component: its loop is walked with `subarc`, and the
+loop's pegs are listed, only when they are read.
 
 Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component, done in integers
@@ -69,12 +69,11 @@ or two consecutive vertices, is degenerate: a filling lift on it, or an
 arc holding such a segment, raises `DegenerateIncidence`.  The sweep
 cancels bigons once per grading and keeps the result, so the graded
 dimensions and both differentials of one slope share the work.
-An audit loop read from a removed pair, a loop that cancellation's peg
-test leaves to `first_wound_peg`, and a marked bigon's loop (read, or left
-to `first_wound_peg` by the marker test of `differentials`) follow the
-curve between two intersections with `subarc`.  Cancellation's peg test
-and the marker test share the column sums: `walk_columns` reads a walk's
-crossings from the column table and `winds_only` checks the windings.
+An audit loop read from a removed pair and a marked bigon's loop read from
+`differentials` follow the curve between two intersections with `subarc`.
+Cancellation's peg test and the marker test share the column sums:
+`walk_columns` reads a walk's crossings from the column table and
+`winds_only` checks the windings.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ from .geometry import (
     Point,
     Segment,
     column_crossings,
-    first_wound_peg,
     pegs_in_box,
     rat,
 )
@@ -485,10 +483,10 @@ def _closing_loop(c: Component, x: IPoint, y: IPoint) -> tuple[Point, ...]:
 
 
 def walk_columns(c: Component, first: int, last: int, start: int,
-                 end: int) -> Optional[list[tuple[int, int, int]]]:
+                 end: int) -> list[tuple[int, int, int]]:
     """The column crossings of a forward walk along c, as (column, t,
-    sign) in the convention of `geometry.column_crossings`; None when one of
-    its segments meets a peg.
+    sign) in the convention of `geometry.column_crossings`; raises
+    `PointOnLoop` when one of its segments meets a peg.
 
     The walk runs over the continuous segments first..last (segment j from
     `Component.lifted(j)` to `lifted(j + 1)`), from a point on segment
@@ -507,11 +505,8 @@ def walk_columns(c: Component, first: int, last: int, start: int,
     out = []
     for j in range(first, last + 1):
         wrap, i = divmod(j, n)
-        found = c.segment_columns(i)
-        if found is None:
-            return None
         shift = wrap if periodic else 0
-        for k, t, sign in found:
+        for k, t, sign in c.segment_columns(i):
             k += shift
             if j == first and (k >= start) != (sign < 0):
                 continue
@@ -546,38 +541,37 @@ def winds_only(crossings: Sequence[tuple[int, int, int]], corner: Optional[tuple
     return True
 
 
-def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int,
-                  iy: int) -> Optional[bool]:
-    """Whether the closing loop of the pair (pts[ix], pts[iy]) on component
-    c winds no peg, or None when the loop may meet a peg or has fewer than
-    two points; `_closing_loop` and `first_wound_peg` decide those.
+def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int, iy: int) -> bool:
+    """Whether the closing loop of the pair (pts[ix], pts[iy]), distinct
+    neighbours on component c's ring, winds no peg; raises `PointOnLoop`
+    when a segment the walk passes, or the lift's piece, meets a peg.
 
     The loop is `_closing_loop`'s: the forward walk from x to y, which ends
     at y.point + (m, 0), closed back to x along the lift.  The walk's
     crossings come from the component's column table (`walk_columns`), and
     the piece of the lift is crossed in integers, in `frame`, which is
-    `_scaled_frame(pts)`.  A segment that meets a peg sends the pair to the
-    loop's own check; otherwise `winds_only` decides.  The walk's segments
-    are read from the points' crossing records: it leaves x along segment
-    x.i and reaches the end along y's `last_segment`.  Positions lie in
-    [0, n), n the cycle length, as `Component.level_crossings` gives them.
+    `_scaled_frame(pts)`; `winds_only` decides.  The walk's segments are
+    read from the points' crossing records: it leaves x along segment x.i
+    and reaches the end along y's `last_segment`.  Positions lie in
+    [0, n), n the cycle length, as `Component.level_crossings` gives them,
+    and x and y have distinct ones, so the walk has positive length and its
+    ends differ even where both lie on one segment.
+
+    A piece of a lift holds no peg on a filling family that `line_family`
+    chose, as `_family_is_clean` rejects a form integral at the peg
+    (0, 1/2), nor inside an arc of a reduced slope; its ends are points of
+    the curve, which validation keeps off the pegs.  So the piece raises
+    only for a hand-built `_LineFamily` whose lines run through pegs, or
+    on a curve through a peg.
     """
     x, y = pts[ix].crossing, pts[iy].crossing
     wrapped = not x.precedes(y)  # the walk passes a period end, as in `walk_span`
     scale, xs, ys, _ = frame
     x0, y0 = xs[ix], ys[ix]
     x1, y1 = xs[iy] + (scale if wrapped and c.winding == 1 else 0), ys[iy]
-    first = x.i  # the segments that hold x and the end
-    last = y.last_segment + (c.cycle_length() if wrapped else 0)
-    if first == last and (x0, y0) == (x1, y1):
-        return None
-    crossings = column_crossings(scale, x1, y1, x0, y0)  # the lift's piece
-    if crossings is None:
-        return None
-    walk = walk_columns(c, first, last, -(-x0 // scale), -(-x1 // scale))
-    if walk is None:
-        return None
-    return winds_only(crossings + walk)
+    last = y.last_segment + (c.cycle_length() if wrapped else 0)  # the walk's last segment
+    piece = column_crossings(scale, x1, y1, x0, y0)
+    return winds_only(piece + walk_columns(c, x.i, last, -(-x0 // scale), -(-x1 // scale)))
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
@@ -610,21 +604,19 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     passes a period end only from the last point of a wrapping
     component's ring to its first, so m is 1 for that pair and 0 for every
     other.  The peg test (`_winds_no_peg`) sums the closing loop's column
-    crossings from the component's column table and the lift's piece;
-    where the loop may meet a peg, the loop is built (`_closing_loop`) and
-    `first_wound_peg` decides, raising `PointOnLoop` exactly where a scan
-    of every loop would.  A loop that winds a peg rules its pair out for
-    good, as the loop never changes.  No loop passes through a peg, so the
-    order of the peg and piece tests changes no outcome: a validated curve
-    avoids pegs, a clean family's lines hold none, and inside an arc of a
-    reduced slope lies none.  Only the piece test reads the live points,
-    those of every component.  Both run in integers on
-    `_scaled_frame(pts)`, built on the call's first peg test from the
-    points' crossing records, whose segment indices and ratios also give
-    the peg test's walk; no Fraction is built.  A blocked pair is filed
-    under the point found on its piece and tested again only after that
-    point has been removed.  Fewer than two points are returned as they
-    are.
+    crossings from the component's column table and the lift's piece, and
+    raises `PointOnLoop` where a segment it reads meets a peg.  A loop that
+    winds a peg rules its pair out for good, as the loop never changes.  No
+    loop passes through a peg, so the order of the peg and piece tests
+    changes no outcome: a validated curve avoids pegs, a clean family's
+    lines hold none, and inside an arc of a reduced slope lies none.  Only
+    the piece test reads the live points, those of every component.  Both
+    run in integers on `_scaled_frame(pts)`, built on the call's first peg
+    test from the points' crossing records, whose segment indices and
+    ratios also give the peg test's walk; no Fraction is built.  A blocked
+    pair is filed under the point found on its piece and tested again only
+    after that point has been removed.  Fewer than two points are returned
+    as they are.
     """
     n = len(pts)
     if n < 2:
@@ -658,11 +650,8 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
                 continue
             if frame is None:
                 frame = _scaled_frame(pts)
-            unwound = _winds_no_peg(c, pts, frame, ix, iy)
-            if unwound is None:  # the loop's own check decides, or raises
-                loop = _closing_loop(c, x, y)
-                unwound = len(loop) >= 2 and first_wound_peg(loop) is None
-            if unwound:  # a wound peg stays wound: the loop never changes
+            # A wound peg stays wound: the loop never changes.
+            if _winds_no_peg(c, pts, frame, ix, iy):
                 pieces.append((ix, iy, m))
         for pair in pieces:
             ix, iy, m = pair

@@ -19,7 +19,8 @@ must move lift indices as `translated_lift` did.
 integers, copied verbatim; `_first_blocker` on the scaled frame of the same
 points must find the same blocker.  Call counts pin the order of the tests:
 only a pair whose loop winds no peg is piece-tested, and the audit's pegs
-are listed only when read.  `first_wound_peg` must agree with
+are listed only when read.  `first_wound_peg`, the one-pass peg check kept
+in `test_geometry` as the verdict oracle, must agree with
 `winding_number` called peg by peg, on every loop cancellation peg-tests
 and every marked bigon's loop, reading a marked bigon's corner just above
 it with the copy of `winding_near` in `test_differentials`: the same first
@@ -38,8 +39,11 @@ Cancellation's peg test reads each component's column table and builds no
 loop.  Its verdict must be `first_wound_peg`'s on the closing loop that
 `_closing_loop` builds for the same pair, on the zoo, thin diagrams and
 Hypothesis staircases with their mirrors, and the table must match its
-definition, computed in Fractions segment by segment.  A loop through a
-peg must fall back to `first_wound_peg` and raise its `PointOnLoop`.
+definition, computed in Fractions segment by segment, refusing a segment
+through a peg with `PointOnLoop` naming it.  So cancellation refuses a
+curve through a peg wherever a walk reads that segment, and a hand-built
+family whose lines hold a peg wherever a lift's piece runs through it,
+raising `PointOnLoop` at that peg.
 """
 
 import math
@@ -53,7 +57,7 @@ from hypothesis import strategies as st
 
 import pegboard.differentials as differentials
 import pegboard.pairing as pairing
-from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, validate, zoo_names
 from pegboard.differentials import differential_matrix
 from pegboard.geometry import (
     HALF,
@@ -62,7 +66,6 @@ from pegboard.geometry import (
     PointOnLoop,
     Segment,
     _closed_edges,
-    first_wound_peg,
     on_segment,
     pegs_in_box,
     winding_number,
@@ -81,6 +84,7 @@ from pegboard.pairing import (
 )
 from test_arc_sweep import grading_range
 from test_differentials import winding_near
+from test_geometry import first_wound_peg
 from test_level_scan import record
 
 # ---------------------------------------------------------------------------
@@ -519,13 +523,17 @@ def test_integer_piece_test_matches_fraction_one(case):
 def recording_peg_tests(monkeypatch):
     """A list of (component, x, y, verdict) for every pair whose pegs
     cancellation tests from the column table, filled as `pairing` runs; the
-    verdict is True when no peg is wound, None when the loop's own check
-    decides."""
+    verdict is True when no peg is wound, False when one is, and the
+    `PointOnLoop` raised when a segment the test reads meets a peg."""
     seen = []
     winds_no_peg = pairing._winds_no_peg
 
     def recording(c, pts, frame, ix, iy):
-        verdict = winds_no_peg(c, pts, frame, ix, iy)
+        try:
+            verdict = winds_no_peg(c, pts, frame, ix, iy)
+        except PointOnLoop as exc:
+            seen.append((c, pts[ix], pts[iy], exc))
+            raise
         seen.append((c, pts[ix], pts[iy], verdict))
         return verdict
 
@@ -785,14 +793,16 @@ def test_peg_test_matches_first_wound_peg_on_staircases(d, mirrored, slope):
     assert_verdicts_agree(peg_tested_pairs(d.mirror() if mirrored else d, [slope]))
 
 
-def reference_segment_columns(a: Point, b: Point) -> Optional[tuple[tuple[int, int, int], ...]]:
+def reference_segment_columns(a: Point, b: Point) -> tuple[tuple[int, int, int], ...]:
     """The column crossings of the segment from a to b by their
     definition, in Fractions: column i for each integer i with
     min x <= i < max x, its sign +1 leftwards and -1 rightwards, and t the
-    largest integer j with j + 1/2 below the crossing; None if the closed
-    segment holds a peg."""
-    if any(on_segment(peg, Segment(a, b)) for peg in pegs_in_box(Box.around((a, b)))):
-        return None
+    largest integer j with j + 1/2 below the crossing.  If the closed
+    segment holds a peg, PointOnLoop names the first in `pegs_in_box`
+    order: the lowest column, then the lowest row."""
+    for peg in pegs_in_box(Box.around((a, b))):
+        if on_segment(peg, Segment(a, b)):
+            raise PointOnLoop(f"{peg} lies on the loop")
     out = []
     for i in range(math.ceil(min(a.x, b.x)), math.ceil(max(a.x, b.x))):  # none when vertical
         y = a.y + (i - a.x) * (b.y - a.y) / (b.x - a.x)
@@ -816,12 +826,13 @@ def test_column_table_matches_its_definition_on_polygons(loop):
     for i, a in enumerate(loop):
         b = loop[(i + 1) % len(loop)]
         if a != b:
-            assert c.segment_columns(i) == reference_segment_columns(a, b), (loop, i)
+            assert outcome(c.segment_columns, i) == outcome(reference_segment_columns, a, b), (loop, i)
 
 
 # Hand-built closed components whose loops pass through the peg (0, 1/2),
 # paired with vertical lines: (vertices, delta), the lines being
-# x = 1/2 + delta + k.
+# x = 1/2 + delta + k.  In the first the curve avoids the pegs and only the
+# lines hold them; in the others the curve runs through (0, 1/2).
 THROUGH_A_PEG = {
     "closing edge": ([(Fraction(-1, 4), 0), (Fraction(1, 4), 0), (Fraction(1, 4), 1), (Fraction(-1, 4), 1)],
                      Fraction(-1, 2)),
@@ -837,13 +848,23 @@ THROUGH_A_PEG = {
 
 
 @pytest.mark.parametrize("case", THROUGH_A_PEG, ids=list(THROUGH_A_PEG))
-def test_loops_through_a_peg_fall_back_to_first_wound_peg(monkeypatch, case):
+def test_loops_through_a_peg_are_refused(monkeypatch, case):
     vertices, delta = THROUGH_A_PEG[case]
     d = CurveDiagram((Component(tuple(Point(Fraction(x), Fraction(y)) for x, y in vertices), 0),))
     fam = _LineFamily(SlopeSpec(1, 0), delta)
     pts = raw_intersections(d, fam)
     tested = recording_peg_tests(monkeypatch)
-    got = outcome(cancel_bigons, pts, d, fam.step)
-    c, x, y, verdict = tested[-1]  # the pair that raised
-    assert verdict is None
-    assert got == outcome(first_wound_peg, closing_loop(c, x, y)) == ("PointOnLoop", "(0, 1/2) lies on the loop")
+    refused = ("PointOnLoop", "(0, 1/2) lies on the loop")
+    assert outcome(cancel_bigons, pts, d, fam.step) == refused
+    c, x, y, verdict = tested[-1]  # the pair refused
+    assert isinstance(verdict, PointOnLoop)
+    through = case != "closing edge"
+    if through:  # the walk read a segment through the peg, which validation names
+        assert "passes through peg (0, 1/2)" in validate(d).summary()
+    else:  # the lift's piece runs through the peg, and so does the loop
+        assert outcome(first_wound_peg, closing_loop(c, x, y)) == refused
+    # The filling family that `line_family` picks holds no peg, so only a
+    # curve through the peg is refused there, as it is by the arcs.
+    slope = SlopeSpec(2, 1)
+    assert (outcome(pairing.surgery_report, d, slope) == refused) is through
+    assert (outcome(lambda: ArcSweep(d, slope).dims()) == refused) is through

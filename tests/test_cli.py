@@ -205,38 +205,6 @@ class TestFilesAndRender:
         # the grading-0 arc of lift -1 holds the first two segments
         assert err == "error: curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1\n"
 
-    def test_subarc_walk_failure_exit_code(self, capsys, monkeypatch):
-        import pegboard.differentials
-
-        def broken_walk(*args):
-            raise RuntimeError("subarc longer than one traversal")
-
-        # trefoil's 1/1 differentials test markers against candidate
-        # bigons.  A walk that meets a peg leaves the column table: its loop
-        # is walked for its own check, and the walk fails here.
-        # (Cancellation walks only an audit loop that is read.)
-        monkeypatch.setattr(pegboard.differentials, "_winds_marked", lambda *args: None)
-        monkeypatch.setattr(pegboard.differentials, "subarc", broken_walk)
-        code, _, err = run(capsys, "diff", "trefoil", "--", "1/1")
-        assert code == EXIT_INVALID
-        assert err == "error: subarc longer than one traversal\n"
-
-    def test_point_on_loop_exit_code(self, capsys, monkeypatch):
-        import pegboard.pairing
-        from pegboard.geometry import PointOnLoop
-
-        def peg_on_loop(loop, corner=None, corner_winding=0):
-            raise PointOnLoop(f"{loop[0]} lies on the loop")
-
-        # trefoil 2/1 tests pegs against candidate bigons; 3/1 has none.  A
-        # loop that meets a peg leaves the column table for the loop's own
-        # check, which raises here.
-        monkeypatch.setattr(pegboard.pairing, "_winds_no_peg", lambda *args: None)
-        monkeypatch.setattr(pegboard.pairing, "first_wound_peg", peg_on_loop)
-        code, out, err = run(capsys, "pair", "trefoil", "2/1")
-        assert code == EXIT_INVALID and out == ""
-        assert err.startswith("error: (") and err.endswith(" lies on the loop\n")
-
     @pytest.mark.parametrize("argv", [
         ("pair", "trefoil", "1/1", "--out", "{tmp}/missing/x.txt"),
         ("ledger", "shape-classify", "{tmp}/missing.csv"),

@@ -2,7 +2,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
-from functools import partial
 from typing import Optional, Sequence
 
 import pytest
@@ -11,8 +10,7 @@ from hypothesis import strategies as st
 
 import pegboard.cli as cli
 import pegboard.differentials as differentials
-from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
-import pegboard.geometry as geometry
+from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, validate, zoo_names
 from pegboard.geometry import (
     ONE,
     Box,
@@ -37,6 +35,7 @@ from pegboard.pairing import (
     genus_of,
     subarc,
     surgery_dim,
+    surgery_report,
     valid_grading,
     walk_span,
 )
@@ -49,6 +48,7 @@ from pegboard.differentials import (
     gf2_rank,
 )
 from test_arc_sweep import grading_range
+from test_geometry import first_wound_peg as one_pass_wound_peg
 
 
 # The first-page comparison lives with its tests: nothing in the package
@@ -275,16 +275,6 @@ class TestScan:
 # read off the loop, n_z and n_w by `winding_near` on the corner's two
 # sides.  The one change is the record they build, `ReferenceBigon`, which
 # holds the loop as a field.
-#
-# `_marked_bigons_checked_at_corner` is a verbatim copy of the marked bigons
-# the matrix called just before the target index, with the same record and
-# `geometry.first_wound_peg` named by module.  Each loop's check there is one
-# `first_wound_peg(loop, corner, w)`, which reads the corner's winding in
-# the same pass as the other pegs.  On a valid diagram the two references
-# agree; on one whose curve runs through a peg (`PEGGED` below) the
-# peg-by-peg check raises `PointOnLoop` at a peg that the one-pass check
-# never reaches after a wrongly wound corner, and the matrix raises it
-# where the one-pass check does, so those diagrams are compared with it.
 
 
 @dataclass(frozen=True)
@@ -371,37 +361,7 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
     return found
 
 
-def _marked_bigons_checked_at_corner(d: CurveDiagram, arc: ArcLift, x: IPoint,
-                                     targets: Sequence[IPoint], kind: str) -> list[ReferenceBigon]:
-    """All marker-compatible bigons from source point x to target points.
-
-    The loop crosses the corner's column once, at the corner, rightwards
-    for phi and leftwards for psi, so the winding w just above the corner
-    decides the markers: (w, w - 1) wants w = 1, (w, w + 1) wants w = 0.
-    """
-    corner, k_t = _corner_and_target_lift(arc, x.lift, kind)
-    c = d.components[x.comp]
-    want = (1, 0) if kind == "phi" else (0, 1)
-    found = []
-    for direction in (1, -1):
-        # The targets on the target lift, in walk order; m places each
-        # one's lift along the walk.
-        spans = []
-        for z in targets:
-            if z.comp == x.comp and z.pos != x.pos:
-                dist, m = walk_span(c, x, z, direction)
-                if z.lift + m == k_t:
-                    spans.append((dist, z))
-        spans.sort(key=lambda e: e[0])
-        for _, z in spans:
-            loop = subarc(c, x, z, direction)[0] + [corner]
-            if geometry.first_wound_peg(loop, corner, 1 if kind == "phi" else 0) is None:
-                found.append(ReferenceBigon(x, z, tuple(loop), *want))
-    return found
-
-
-def reference_differential_matrix(sweep: ArcSweep, h, kind: str,
-                                  marked_bigons=_marked_bigons) -> DiffMatrix:
+def reference_differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     """The grading-h first differential as a mod-2 matrix with its rank."""
     d, slope = sweep.diagram, sweep.slope
     if kind not in ("phi", "psi"):
@@ -418,7 +378,7 @@ def reference_differential_matrix(sweep: ArcSweep, h, kind: str,
     bigons: list[ReferenceBigon] = []
     entries: dict[tuple[int, int], int] = {}
     for j, x in enumerate(src_pts):
-        for bg in marked_bigons(d, src_arc, x, tgt_pts, kind):
+        for bg in _marked_bigons(d, src_arc, x, tgt_pts, kind):
             i = tgt_pts.index(bg.target)
             entries[(i, j)] = entries.get((i, j), 0) ^ 1
             bigons.append(bg)
@@ -446,18 +406,16 @@ def matrix_outcome(matrix, sweep: ArcSweep, h, kind: str):
     return m.kind, m.slope, m.rows, m.rank, m.source_points, m.target_points, bigons
 
 
-def assert_marked_bigons_match(d: CurveDiagram, slope: SlopeSpec, marked_bigons=_marked_bigons) -> int:
+def assert_marked_bigons_match(d: CurveDiagram, slope: SlopeSpec) -> int:
     """Both kinds at every grading of one slope must give the reference's
-    matrix, its bigons found by `marked_bigons`: rows, rank, points and
-    bigons in order, with their loops.  Returns the number of bigons
-    found."""
+    matrix: rows, rank, points and bigons in order, with their loops.
+    Returns the number of bigons found."""
     sweep = ArcSweep(d, slope)
     found = 0
     for h in grading_range(d, slope):
         for kind in ("phi", "psi"):
             got = matrix_outcome(differential_matrix, sweep, h, kind)
-            want = matrix_outcome(partial(reference_differential_matrix, marked_bigons=marked_bigons),
-                                  sweep, h, kind)
+            want = matrix_outcome(reference_differential_matrix, sweep, h, kind)
             assert got == want, (d.source, str(slope), h, kind)
             found += len(got[-1]) if len(got) > 2 else 0
     return found
@@ -553,19 +511,7 @@ def test_rank_identity_on_staircases(d, mirrored, slope):
 
 
 # ---------------------------------------------------------------------------
-# The integer marker test against the loop's own check
-
-# Diagrams that are not valid: a closed component through a peg, so that
-# some walks meet a peg and take the loop's own check.  On the first every
-# such check decides; on the second some raise `PointOnLoop`.
-PEGGED = {
-    "unknot-pegged": CurveDiagram(build_zoo("unknot").components + (Component(
-        (pt(F(3, 8), F(-9, 8)), pt(0, F(-5, 8)), pt(F(-3, 8), F(1, 4)), pt(0, F(13, 8)),
-         pt(0, F(11, 8))), 0),), "unknot-pegged"),
-    "trefoil-pegged": CurveDiagram(build_zoo("trefoil").components + (Component(
-        (pt(0, F(-3, 2)), pt(F(-3, 8), F(-11, 8)), pt(F(-1, 8), F(3, 8)), pt(F(1, 4), F(1, 4))),
-        0),), "trefoil-pegged"),
-}
+# The integer marker test against the one-pass peg check
 
 
 def marker_candidates(sweep: ArcSweep, h, kind: str):
@@ -587,28 +533,19 @@ def marker_candidates(sweep: ArcSweep, h, kind: str):
 
 
 def assert_marker_verdicts_agree(d: CurveDiagram, slope: SlopeSpec, seen: Counter) -> None:
-    """Every candidate pair's integer verdict is the verdict of
-    `geometry.first_wound_peg(loop, corner, w)` on its loop, unless a walked
-    segment meets a peg; `seen` counts the pairs by (kind, direction,
-    verdict)."""
+    """Every candidate pair's integer verdict is the verdict of the
+    one-pass check `first_wound_peg(loop, corner, w)` of `test_geometry`
+    on its loop; `seen` counts the pairs by (kind, direction, verdict)."""
     sweep = ArcSweep(d, slope)
     for h in grading_range(d, slope):
         for kind in ("phi", "psi"):
             w = 1 if kind == "phi" else 0
-            try:
-                candidates = list(marker_candidates(sweep, h, kind))
-            except PointOnLoop:  # cancellation's own check of a pegged diagram
-                continue
-            for x, z, direction, corner in candidates:
+            for x, z, direction, corner in marker_candidates(sweep, h, kind):
                 c = d.components[x.comp]
                 at = (corner.x.numerator, math.floor(corner.y))
                 got = differentials._winds_marked(c, x, z, direction, at, w, slope.p, slope.q)
-                if got is None:
-                    assert any(c.segment_columns(i) is None for i in range(c.cycle_length()))
-                    seen[kind, direction, "fallback"] += 1
-                    continue
                 loop = subarc(c, x, z, direction)[0] + [corner]
-                assert got == (geometry.first_wound_peg(loop, corner, w) is None), (
+                assert got == (one_pass_wound_peg(loop, corner, w) is None), (
                     d.source, str(slope), h, kind, direction)
                 seen[kind, direction, got] += 1
 
@@ -623,16 +560,6 @@ def test_marker_verdicts_agree_on_zoo_and_thin_diagrams():
     for kind in ("phi", "psi"):
         for direction in (1, -1):
             assert seen[kind, direction, True] and seen[kind, direction, False], (kind, direction)
-    assert not any(verdict == "fallback" for _, _, verdict in seen)
-
-
-def test_marker_verdicts_agree_where_walks_meet_a_peg():
-    seen: Counter = Counter()
-    for d in PEGGED.values():
-        for slope in (SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(3, 2)):
-            assert_marker_verdicts_agree(d, slope, seen)
-    assert sum(n for (_, _, verdict), n in seen.items() if verdict == "fallback")
-    assert sum(n for (_, _, verdict), n in seen.items() if verdict != "fallback")
 
 
 @settings(max_examples=25, deadline=None)
@@ -641,57 +568,77 @@ def test_marker_verdicts_agree_on_staircases(d, mirrored, slope):
     assert_marker_verdicts_agree(d.mirror() if mirrored else d, slope, Counter())
 
 
-@pytest.mark.parametrize("name", sorted(PEGGED))
-def test_marked_bigons_match_reference_where_walks_meet_a_peg(monkeypatch, name):
-    checks = []
-    check = differentials.first_wound_peg
+# Diagrams that are not valid: a closed component through a peg, along a
+# segment in the first and at a vertex in the second.  The curve lives in
+# the punctured torus, so the kernel refuses them wherever it walks a
+# segment through the peg, naming the peg that validation names.
+PEGGED = {
+    "unknot-pegged": CurveDiagram(build_zoo("unknot").components + (Component(
+        (pt(F(3, 8), F(-9, 8)), pt(0, F(-5, 8)), pt(F(-3, 8), F(1, 4)), pt(0, F(13, 8)),
+         pt(0, F(11, 8))), 0),), "unknot-pegged"),
+    "trefoil-pegged": CurveDiagram(build_zoo("trefoil").components + (Component(
+        (pt(0, F(-3, 2)), pt(F(-3, 8), F(-11, 8)), pt(F(-1, 8), F(3, 8)), pt(F(1, 4), F(1, 4))),
+        0),), "trefoil-pegged"),
+}
 
-    def counting_check(*args):
-        checks.append(args)
-        return check(*args)
 
-    monkeypatch.setattr(differentials, "first_wound_peg", counting_check)
+def walks_along(polyline: Sequence[Point], segments: Sequence[Segment]) -> bool:
+    """Whether an edge of the polyline lies along one of the segments."""
+    return any(a != b and on_segment(a, s) and on_segment(b, s)
+               for a, b in zip(polyline, polyline[1:]) for s in segments)
+
+
+@pytest.mark.parametrize("name,peg", [("trefoil-pegged", pt(0, F(-3, 2))), ("unknot-pegged", pt(0, F(3, 2)))],
+                         ids=["trefoil-pegged", "unknot-pegged"])
+def test_pegged_diagrams_are_refused(name, peg):
     d = PEGGED[name]
-    derived = 0
-    for slope in (SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(3, 2)):
-        assert_marked_bigons_match(d, slope, _marked_bigons_checked_at_corner)
-        # Where the peg-by-peg check meets no peg on a loop, the markers it
-        # reads off the loops give the same matrix.
+    assert f"passes through peg {peg}" in validate(d).summary()
+    refused = f"{peg} lies on the loop"
+    for run in (lambda: surgery_report(d, SlopeSpec(2, 1)), lambda: ArcSweep(d, SlopeSpec(2, 1)).dims()):
+        with pytest.raises(PointOnLoop) as exc:
+            run()
+        assert str(exc.value) == refused
+    # Where both gradings cancel, the marker test refuses the matrix iff
+    # some candidate walks along a segment through the peg, whether or not
+    # its loop meets the peg.
+    through = [Segment(a, b) for c in d.acyclic() for a, b in _closed_edges(c.vertices)
+               if on_segment(peg, Segment(a, b))]
+    refusals = 0
+    for slope in (SlopeSpec(1, 1), SlopeSpec(2, 1)):
         sweep = ArcSweep(d, slope)
         for h in grading_range(d, slope):
             for kind in ("phi", "psi"):
-                want = matrix_outcome(reference_differential_matrix, sweep, h, kind)
-                if len(want) > 2:
-                    assert matrix_outcome(differential_matrix, sweep, h, kind) == want, (str(slope), h, kind)
-                    derived += len(want[-1])
-    assert checks  # some loops took the loop's own check
-    assert derived
+                try:
+                    candidates = list(marker_candidates(sweep, h, kind))
+                except PointOnLoop as exc:  # cancellation refuses a grading
+                    assert str(exc) == refused
+                    continue
+                walked = any(walks_along(subarc(d.components[x.comp], x, z, direction)[0], through)
+                             for x, z, direction, _ in candidates)
+                got = matrix_outcome(differential_matrix, sweep, h, kind)
+                assert (got == ("PointOnLoop", refused)) is walked, (str(slope), h, kind)
+                refusals += walked
+    assert refusals
 
 
 def test_marked_bigon_loops_are_walked_when_read(monkeypatch, capsys):
-    walks, checks, matrices = [], [], []
-    walk, check, matrix = differentials.subarc, differentials.first_wound_peg, cli.differential_matrix
+    walks, matrices = [], []
+    walk, matrix = differentials.subarc, cli.differential_matrix
 
     def counting_walk(*args):
         walks.append(args)
         return walk(*args)
-
-    def counting_check(*args):
-        checks.append(args)
-        return check(*args)
 
     def keeping_matrix(*args):
         matrices.append(matrix(*args))
         return matrices[-1]
 
     monkeypatch.setattr(differentials, "subarc", counting_walk)
-    monkeypatch.setattr(differentials, "first_wound_peg", counting_check)
     monkeypatch.setattr(cli, "differential_matrix", keeping_matrix)
     assert cli.main(["diff", "torus_3_4", "--", "3/2"]) == cli.EXIT_OK
     capsys.readouterr()
     bigons = [bg for m in matrices for bg in m.bigons]
-    # a valid diagram's walks meet no peg, so no loop takes its own check
-    assert bigons and checks == [] and walks == []
+    assert bigons and walks == []
     loops = [bg.loop for bg in bigons]
     assert [bg.loop for bg in bigons] == loops
     assert len(walks) == len(bigons)  # each loop is walked once and kept

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,71 @@ from pegboard.geometry import (
 def is_peg(p: Point) -> bool:
     """A point is a peg iff x is an integer and y is a half-integer."""
     return p.x.denominator == 1 and (p.y - HALF).denominator == 1
+
+
+def first_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
+                    corner_winding: int = 0) -> Optional[Point]:
+    """The first peg, in `pegs_in_box(Box.around(loop))` order, whose
+    winding is not 0, or, for the peg `corner`, not `corner_winding`.
+
+    The verdict oracle of the kernel's integer peg tests, which read the
+    column crossings of a loop from the curve's column table instead of
+    building the loop: cancellation's peg test (`test_cancel`) and the
+    marker test of the differentials (`test_differentials`) must agree
+    with it, and it must agree with `winding_number` peg by peg.
+
+    One pass over the edges records the loop's signed crossings with the
+    integer columns, half-open at vertices so each crossing counts once: an
+    edge crossing column i leftwards counts +1, rightwards -1.  The winding
+    of the peg (i, j + 1/2) is the sum over the column-i crossings strictly
+    above it, which is `winding_number` with the ray pointing up.  At a peg
+    on the loop, visited before any wrongly wound one, PointOnLoop is raised
+    with `winding_number`'s message, except at `corner`: the loop may pass
+    through it across its column, and its count is then the winding just
+    above it, which decides a marked bigon's markers.
+
+    The work is in integers, in the `integer_frame` of the loop and 1/2,
+    so columns and peg heights are integers too.
+    """
+    scale, xs, ys, (half,) = integer_frame(loop, HALF)
+    # the peg (i, j + 1/2) is at (i*scale, j*scale + half)
+    i0, i1 = -(-min(xs) // scale), max(xs) // scale
+    j0, j1 = -((half - min(ys)) // scale), (max(ys) - half) // scale
+    if j0 > j1 or i0 > i1:
+        return None  # no peg in the box
+    spans: dict[int, list[tuple[int, int]]] = {}  # column -> closed height spans on the loop
+    crossings: dict[int, list[tuple[int, int, int]]] = {}  # column -> (num, den, sign)
+    n = len(xs)
+    for k in range(n):
+        ax, ay, bx, by = xs[k], ys[k], xs[k - n + 1], ys[k - n + 1]
+        if ax == bx:
+            if ay != by and ax % scale == 0:
+                spans.setdefault(ax // scale, []).append((min(ay, by), max(ay, by)))
+            continue
+        # Every vertex starts a non-vertical edge or lies on a vertical one.
+        if ax % scale == 0:
+            spans.setdefault(ax // scale, []).append((ay, ay))
+        den, sign = (bx - ax, -1) if ax < bx else (ax - bx, 1)
+        for i in range(-(-min(ax, bx) // scale), -(-max(ax, bx) // scale)):
+            # the crossing height is num / den
+            num = ay * den + (i * scale - ax) * (by - ay) * -sign
+            crossings.setdefault(i, []).append((num, den, sign))
+    columns = spans.keys() | crossings.keys()
+    corner_at = None if corner is None else (corner.x.numerator, math.floor(corner.y))
+    if corner_at is not None and i0 <= corner_at[0] <= i1:
+        columns.add(corner_at[0])  # the corner is wound even where no edge meets its column
+    for i in sorted(columns):
+        column = crossings.get(i, ())
+        touched = spans.get(i, ())
+        for j in range(j0, j1 + 1):
+            y = j * scale + half
+            at_corner = (i, j) == corner_at
+            if not at_corner and (any(lo <= y <= hi for lo, hi in touched)
+                                  or any(num == y * den for num, den, _ in column)):
+                raise PointOnLoop(f"{Point(F(i), F(j) + HALF)} lies on the loop")
+            if sum(s for num, den, s in column if num > y * den) != (corner_winding if at_corner else 0):
+                return Point(F(i), F(j) + HALF)
+    return None
 
 
 def winding_by_angles(loop, p):
