@@ -17,6 +17,12 @@ by a whole factor where they need a finer scale.  The level scan hands
 back integers too: each crossing is a `Crossing` record (segment, ratio
 along it, point over a common denominator, level), which becomes
 Fractions only where its `pos` or `point` is read.
+
+The seam crossings are the level scan of x - 1/2 (`seam_crossings`).  The
+one record of a wrapping component anchors it: `_anchored_period` starts
+the period there, in integers, for validation's symmetry check, and
+`anchor_at_seam` is that period read as Fractions; `tau_epsilon` walks on
+from the record.
 """
 
 from __future__ import annotations
@@ -33,11 +39,9 @@ from .geometry import (
     Box,
     Point,
     PointOnLoop,
-    Segment,
     column_crossings,
     integer_frame,
     pt,
-    segment_hits_peg,
 )
 
 
@@ -329,16 +333,15 @@ def _canonical_cycle(c: Component) -> Optional[tuple]:
     return _least_rotation(tuple((p.x - k, p.y) for p in c.vertices))
 
 
-def seam_crossings(c: Component) -> list[tuple[Fraction, Point]]:
+def seam_crossings(c: Component) -> list[Crossing]:
     """Transversal crossings of the seam lines x in 1/2 + Z along one period.
 
-    Returns (position, point) pairs, where position is the path parameter
-    (segment index plus fraction), by `Component.level_crossings`: a
-    crossing at a vertex counts once, iff its cyclic neighbors straddle the
-    seam line; touching without crossing does not count.
+    Returns the `Crossing` records of `Component.level_crossings` for the
+    form x - 1/2, so the crossing of the seam line x = m + 1/2 has level m:
+    a crossing at a vertex counts once, iff its cyclic neighbors straddle
+    the seam line; touching without crossing does not count.
     """
-    crossings, _ = c.level_crossings(1, 0, -HALF)
-    return [(e.pos, e.point) for e in crossings]
+    return c.level_crossings(1, 0, -HALF)[0]
 
 
 def height_band(y: Fraction) -> int:
@@ -412,18 +415,15 @@ def validate(d: CurveDiagram) -> ValidationReport:
         for k in range(n):
             if xs[k] % scale == 0 and (2 * ys[k] - scale) % (2 * scale) == 0:
                 add("peg", f"vertex {c.vertices[k]} lies on a peg", i)
-        # The pegs are found from the column table; only a segment that
-        # meets one is scanned again, to name it.
+        # The column table names the peg of a segment through one.
         for k in range(n if c.winding == 0 else n - 1):
             j = (k + 1) % n
             if xs[k] == xs[j] and ys[k] == ys[j]:
                 continue  # reported above, as a repeat or as the closure
             try:
                 c.segment_columns(k)
-            except PointOnLoop:
-                a, b = c.vertices[k], c.vertices[j]
-                peg = segment_hits_peg(Segment(a, b))
-                add("peg", f"segment {a}->{b} passes through peg {peg}", i)
+            except PointOnLoop as exc:
+                add("peg", f"segment {c.vertices[k]}->{c.vertices[j]} passes through peg {exc.peg}", i)
 
     crossings = []
     if len(wrapping) != 1:
@@ -436,8 +436,8 @@ def validate(d: CurveDiagram) -> ValidationReport:
                 f"distinguished component crosses the seam {len(crossings)} times, expected once",
                 wrapping[0],
             )
-        elif crossings[0][1].y != 0:
-            add("seam", f"seam crossing at height {crossings[0][1].y}, expected 0", wrapping[0])
+        elif crossings[0].y != 0:
+            add("seam", f"seam crossing at height {crossings[0].point.y}, expected 0", wrapping[0])
 
     confined = []  # (closed component, its strip offset)
     for i, c in enumerate(d.components):
@@ -470,28 +470,29 @@ def validate(d: CurveDiagram) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def _anchored_period(c: Component, crossing: tuple[Fraction, Point], scale: int) -> tuple:
+def _anchored_period(c: Component, crossing: Crossing, scale: int) -> tuple:
     """The vertices of `anchor_at_seam(c)` times `scale`, as int pairs.
 
-    `crossing` is c's one seam crossing, at height 0, and `scale` an even
-    multiple of c's frame scale.  The crossing lies at x = k + 1/2, so the
-    anchoring shift is the whole number -(k + 1) of periods.
+    `crossing` is c's one seam crossing, and `scale` an even multiple of
+    c's frame scale and of the crossing's denominator.  The crossing lies
+    on the seam line x = m + 1/2 of its level m, so the anchoring shift is
+    the whole number -(m + 1) of periods.  A crossing inside a segment
+    becomes the first vertex, at x = -1/2 and the crossing's height, and
+    the last, one period on.
     """
-    pos, point = crossing
-    i = math.floor(pos)
     s, xs, ys = c._frame
     f = scale // s
     n = c.cycle_length()
-    shift = -(math.floor(point.x) + 1)
+    shift = -(crossing.m + 1)
 
     def lift(j: int) -> tuple[int, int]:
-        wrap, v = divmod(i + j, n)
+        wrap, v = divmod(crossing.i + j, n)
         return xs[v] * f + (wrap + shift) * scale, ys[v] * f
 
-    if pos == i:
+    if not crossing.r:
         return tuple(lift(j) for j in range(n + 1))
-    start = -scale // 2
-    return ((start, 0), *(lift(j) for j in range(1, n + 1)), (start + scale, 0))
+    x, y = -scale // 2, crossing.y * (scale // crossing.den)
+    return ((x, y), *(lift(j) for j in range(1, n + 1)), (x + scale, y))
 
 
 def canonicalize(d: CurveDiagram) -> CurveDiagram:
@@ -518,27 +519,18 @@ def anchor_at_seam(c: Component) -> Component:
     crossing's height, inserting an explicit vertex at the crossing if it
     falls inside a segment.  Curves are unoriented; the stored direction is
     kept: the stored period runs left to right in net terms (its closure is
-    +(1, 0)), so no flip is ever needed.
+    +(1, 0)), so no flip is ever needed.  The path is `_anchored_period`'s,
+    read as Fractions.
     """
     if c.winding != 1:
         raise ValueError("only wrapping components have a seam anchor")
     crossings = seam_crossings(c)
     if len(crossings) != 1:
         raise ValueError("component must cross the seam exactly once")
-    pos, point = crossings[0]
-    i = math.floor(pos)
-    shift = -HALF - point.x  # the crossing's seam line becomes x = -1/2
-
-    def lift(j: int) -> Point:
-        return c.lifted(i + j).translate(shift)
-
-    n = c.cycle_length()
-    if pos == i:
-        path = [lift(j) for j in range(n + 1)]
-    else:
-        start = Point(-HALF, point.y)
-        path = [start] + [lift(j) for j in range(1, n + 1)] + [start.translate(1)]
-    return Component(tuple(path), 1)
+    e = crossings[0]
+    scale = math.lcm(2, c._frame[0], e.den)
+    period = _anchored_period(c, e, scale)
+    return Component(tuple(Point(Fraction(x, scale), Fraction(y, scale)) for x, y in period), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +597,10 @@ def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     seam = seam_crossings(g0)
     if len(seam) != 1:
         raise ValueError("component must cross the seam exactly once")
-    start = seam[0][0]
     crossings, _ = g0.level_crossings(1, 0, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
-    crossing = next((e for e in crossings if e.pos > start), crossings[0])
+    crossing = next((e for e in crossings if seam[0].precedes(e)), crossings[0])
     tau = height_band(crossing.point.y)
     first = crossing.i + 1
     for i in range(first, first + g0.cycle_length()):

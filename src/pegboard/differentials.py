@@ -47,6 +47,7 @@ from .pairing import (
     ArcSweep,
     IPoint,
     SlopeSpec,
+    _walk,
     genus_of,
     grading_twice,
     subarc,
@@ -153,25 +154,17 @@ def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tu
     The loop walks along c from x in `direction` to z' = z.point + (m, 0),
     as `subarc` does, and closes through the corner, the peg (i, j + 1/2)
     given as corner = (i, j).  The walk's crossings with the integer
-    columns come from the column table (`pairing.walk_columns`); a
-    backward walk is the forward walk from z' to x with its signs flipped.
-    The closing piece z' -> corner -> x is one straight segment on the arc
+    columns come from the column table (`pairing.walk_columns`).  The
+    closing piece z' -> corner -> x is one straight segment on the arc
     line of direction (q, p) through the corner, whose only peg is the
     corner: it crosses column i at the corner, which counts for the pegs
     below it (t = j - 1), and every other column k at t = j + floor(p*(k -
     i)/q).  All of it is integers.
     """
-    n = c.cycle_length()
     a, b = x.crossing, z.crossing
-    wrapped = b.precedes(a) if direction > 0 else a.precedes(b)  # a period end is passed
-    m = direction if wrapped and c.winding == 1 else 0
-    x_end = -(-a.x // a.den)  # the ceilings of the abscissae
-    z_end = -(-b.x // b.den) + m
-    if direction > 0:
-        walk = walk_columns(c, a.i, b.last_segment + (n if wrapped else 0), x_end, z_end)
-    else:
-        walk = [(k, t, -sign) for k, t, sign in
-                walk_columns(c, b.i - (n if wrapped else 0), a.last_segment, z_end, x_end)]
+    x_end = -(-a.x // a.den)  # the ceilings of the abscissae of x and z'
+    z_end = -(-b.x // b.den) + _walk(c, a, b, direction)[2]
+    walk = walk_columns(c, a, b, direction)
     i, j = corner
     sign = -1 if z_end < x_end else 1  # the closing piece runs rightwards from z'
     walk += [(k, j - 1 if k == i else j + p * (k - i) // q, sign)

@@ -31,7 +31,12 @@ from typing import Iterable, Optional, Sequence
 class PointOnLoop(ValueError):
     """A peg lies on the curve or loop: a winding number queried at a point
     of the loop itself, or a peg on an edge whose column crossings are
-    asked for."""
+    asked for.  `peg` is the peg on the edge, as `column_crossings` names
+    it; None for a winding number's point."""
+
+    def __init__(self, message: str, peg: Optional[Point] = None):
+        super().__init__(message)
+        self.peg = peg
 
 
 HALF = Fraction(1, 2)
@@ -152,35 +157,6 @@ def on_segment(p: Point, s: Segment) -> bool:
     )
 
 
-def segment_hits_peg(s: Segment) -> Optional[Point]:
-    """Return the peg lying on the closed segment s, if any: the one in the
-    lowest column, and in that column the lowest.
-
-    One pass over the integer columns the segment spans, in the segment's
-    `integer_frame`: the crossing height at column i is an integer ratio,
-    and a peg sits there iff twice that height is an odd integer.  A
-    vertical segment on an integer column hits its lowest half-integer
-    height in range.
-    """
-    scale, (ax, bx), (ay, by), _ = integer_frame((s.a, s.b))
-    if ax == bx:
-        if ax % scale:
-            return None
-        twice = -(-2 * min(ay, by) // scale) | 1  # the least odd integer >= 2*y_min
-        if twice * scale <= 2 * max(ay, by):
-            return Point(Fraction(ax // scale), Fraction(twice, 2))
-        return None
-    if ax > bx:
-        ax, ay, bx, by = bx, by, ax, ay
-    dx, dy = bx - ax, by - ay
-    for i in range(-(-ax // scale), bx // scale + 1):
-        # twice the crossing height is 2*(ay*dx + (i*scale - ax)*dy) / (dx*scale)
-        twice, rem = divmod(2 * (ay * dx + (i * scale - ax) * dy), dx * scale)
-        if not rem and twice & 1:
-            return Point(Fraction(i), Fraction(twice, 2))
-    return None
-
-
 def column_crossings(scale: int, ax: int, ay: int, bx: int,
                      by: int) -> list[tuple[int, int, int]]:
     """The signed crossings of the edge from (ax, ay) to (bx, by), its
@@ -199,7 +175,8 @@ def column_crossings(scale: int, ax: int, ay: int, bx: int,
         if ax % scale == 0:
             twice = -(-2 * min(ay, by) // scale) | 1  # the least odd integer >= 2*y_min
             if twice * scale <= 2 * max(ay, by):
-                raise PointOnLoop(f"{Point(Fraction(ax // scale), Fraction(twice, 2))} lies on the loop")
+                peg = Point(Fraction(ax // scale), Fraction(twice, 2))
+                raise PointOnLoop(f"{peg} lies on the loop", peg)
         return []
     den, sign = (bx - ax, -1) if ax < bx else (ax - bx, 1)
     hi = max(ax, bx)
@@ -210,7 +187,8 @@ def column_crossings(scale: int, ax: int, ay: int, bx: int,
         t, r = divmod(2 * num - den * scale, 2 * den * scale)
         if not r:
             # the crossing is the peg (i, t + 1/2)
-            raise PointOnLoop(f"{Point(Fraction(i), Fraction(2 * t + 1, 2))} lies on the loop")
+            peg = Point(Fraction(i), Fraction(2 * t + 1, 2))
+            raise PointOnLoop(f"{peg} lies on the loop", peg)
         if i * scale < hi:
             out.append((i, t, sign))
     return out

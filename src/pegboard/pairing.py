@@ -69,11 +69,14 @@ or two consecutive vertices, is degenerate: a filling lift on it, or an
 arc holding such a segment, raises `DegenerateIncidence`.  The sweep
 cancels bigons once per grading and keeps the result, so the graded
 dimensions and both differentials of one slope share the work.
-An audit loop read from a removed pair and a marked bigon's loop read from
-`differentials` follow the curve between two intersections with `subarc`.
-Cancellation's peg test and the marker test share the column sums:
-`walk_columns` reads a walk's crossings from the column table and
-`winds_only` checks the windings.
+Every walk along the curve between two intersection points is read from
+their two crossing records by one helper, `_walk`: the continuous segments
+the walk covers and m, the period ends it passes (equal positions are one
+full traversal apart).  `subarc` lists the walk's vertices, for an audit
+loop read from a removed pair and a marked bigon's loop read from
+`differentials`.  `walk_columns` reads the walk's crossings from the
+column table and `winds_only` checks the windings, for cancellation's peg
+test and the marker test, each of which adds only its own closing piece.
 """
 
 from __future__ import annotations
@@ -384,32 +387,39 @@ def line_family(d: CurveDiagram, slope: SlopeSpec) -> _LineFamily:
 # Bigon cancellation
 
 
-def walk_span(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[Fraction, int]:
-    """Length and wrap count of the walk along the component from x to z.
+def _walk(c: Component, a: Crossing, b: Crossing, direction: int) -> tuple[int, int, int]:
+    """(first, last, m) of the walk along component c from crossing a to
+    crossing b, forward (direction +1, increasing position) or backward
+    (-1).
 
-    direction +1 walks forward (increasing position), -1 backward.  The
-    length lies in (0, n], n the cycle length, so equal positions are one
-    full traversal apart.  m is the signed number of period ends passed, so
-    the walk reaches z at z.point + (m, 0) (m = 0 on a closed component).
+    The walk passes a period end iff b does not strictly follow a in its
+    direction, so equal positions are one full traversal apart.  m is the
+    signed number of period ends passed (0 on a closed component), so the
+    walk reaches b at b.point + (m, 0).  first..last are the continuous
+    segments (segment j from `Component.lifted(j)` to `lifted(j + 1)`) of
+    the forward traversal that covers the walk: from a to b + (m, 0)
+    forward, from b + (m, 0) to a backward.  That traversal leaves its
+    start along the start's segment i and reaches its end along the end's
+    `Crossing.last_segment`.
     """
-    n = c.cycle_length()
-    ahead = z.pos - x.pos if direction > 0 else x.pos - z.pos
-    m = direction if ahead <= 0 and c.winding == 1 else 0
-    return ahead % n or n, m
+    wrapped = not (a.precedes(b) if direction > 0 else b.precedes(a))
+    n = c.cycle_length() if wrapped else 0
+    m = direction if wrapped and c.winding == 1 else 0
+    if direction > 0:
+        return a.i, b.last_segment + n, m
+    return b.i - n, a.last_segment, m
 
 
 def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Point], int]:
-    """Plane polyline of the `walk_span` walk from x to z, and its m.
+    """Plane polyline of the `_walk` from x to z, and its m.
 
     The polyline starts at x.point, passes the lifted vertices in between
-    and ends at z.point + (m, 0), on the (m, 0)-translate of z's lift.
+    (first + 1..last, reversed on a backward walk) and ends at
+    z.point + (m, 0), on the (m, 0)-translate of z's lift.
     """
-    dist, m = walk_span(c, x, z, direction)
-    if direction > 0:
-        passed = range(math.floor(x.pos) + 1, math.ceil(x.pos + dist))
-    else:
-        passed = range(math.ceil(x.pos) - 1, math.floor(x.pos - dist), -1)
-    pts = [x.point] + [c.lifted(j) for j in passed]
+    first, last, m = _walk(c, x.crossing, z.crossing, direction)
+    passed = range(first + 1, last + 1)
+    pts = [x.point] + [c.lifted(j) for j in (passed if direction > 0 else reversed(passed))]
     pts.append(z.point.translate(m) if m else z.point)
     return pts, m
 
@@ -482,24 +492,27 @@ def _closing_loop(c: Component, x: IPoint, y: IPoint) -> tuple[Point, ...]:
     return tuple(path[:-1] if path[-1] == path[0] else path)
 
 
-def walk_columns(c: Component, first: int, last: int, start: int,
-                 end: int) -> list[tuple[int, int, int]]:
-    """The column crossings of a forward walk along c, as (column, t,
-    sign) in the convention of `geometry.column_crossings`; raises
-    `PointOnLoop` when one of its segments meets a peg.
+def walk_columns(c: Component, a: Crossing, b: Crossing, direction: int) -> list[tuple[int, int, int]]:
+    """The column crossings of the `_walk` along c from a to b, as (column,
+    t, sign) in the convention of `geometry.column_crossings`, signed as
+    walked; raises `PointOnLoop` when one of its segments meets a peg.
 
-    The walk runs over the continuous segments first..last (segment j from
-    `Component.lifted(j)` to `lifted(j + 1)`), from a point on segment
-    first to a point on segment last; start and end are the ceilings of
-    those points' abscissae.  Each segment's crossings are read from the
-    component's table (`Component.segment_columns`), shifted by the
-    segment's period on a wrapping component.  On segment first only the
-    columns from the start point on count, and on segment last only those
-    before the end point: a piece of a segment crosses the same columns at
-    the same heights, under the same half-open rule, so a rightward
-    crossing (sign -1) of column k lies past the start iff k >= start and
-    before the end iff k < end, and a leftward one the other way round.
+    The crossings are those of the forward traversal first..last that
+    covers the walk, with their signs flipped on a backward walk.  Each
+    segment's crossings are read from the component's table
+    (`Component.segment_columns`), shifted by the segment's period on a
+    wrapping component.  On segment first only the columns from the
+    traversal's start on count, and on segment last only those before its
+    end: a piece of a segment crosses the same columns at the same
+    heights, under the same half-open rule, so a rightward crossing (sign
+    -1) of column k lies past the start iff k >= the ceiling of the
+    start's abscissa and before the end iff k < the end's, and a leftward
+    one the other way round.
     """
+    first, last, m = _walk(c, a, b, direction)
+    start, end = -(-a.x // a.den), -(-b.x // b.den) + m  # the ceilings of the abscissae
+    if direction < 0:
+        start, end = end, start
     n = c.cycle_length()
     periodic = c.winding == 1
     out = []
@@ -512,7 +525,7 @@ def walk_columns(c: Component, first: int, last: int, start: int,
                 continue
             if j == last and (k < end) != (sign < 0):
                 continue
-            out.append((k, t, sign))
+            out.append((k, t, sign * direction))
     return out
 
 
@@ -546,16 +559,13 @@ def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int, iy
     neighbours on component c's ring, winds no peg; raises `PointOnLoop`
     when a segment the walk passes, or the lift's piece, meets a peg.
 
-    The loop is `_closing_loop`'s: the forward walk from x to y, which ends
-    at y.point + (m, 0), closed back to x along the lift.  The walk's
+    The loop is `_closing_loop`'s: the forward `_walk` from x to y, which
+    ends at y.point + (m, 0), closed back to x along the lift.  The walk's
     crossings come from the component's column table (`walk_columns`), and
     the piece of the lift is crossed in integers, in `frame`, which is
-    `_scaled_frame(pts)`; `winds_only` decides.  The walk's segments are
-    read from the points' crossing records: it leaves x along segment x.i
-    and reaches the end along y's `last_segment`.  Positions lie in
-    [0, n), n the cycle length, as `Component.level_crossings` gives them,
-    and x and y have distinct ones, so the walk has positive length and its
-    ends differ even where both lie on one segment.
+    `_scaled_frame(pts)`; `winds_only` decides.  x and y have distinct
+    positions, so the walk has positive length and its ends differ even
+    where both lie on one segment.
 
     A piece of a lift holds no peg on a filling family that `line_family`
     chose, as `_family_is_clean` rejects a form integral at the peg
@@ -565,13 +575,10 @@ def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int, iy
     on a curve through a peg.
     """
     x, y = pts[ix].crossing, pts[iy].crossing
-    wrapped = not x.precedes(y)  # the walk passes a period end, as in `walk_span`
+    m = _walk(c, x, y, 1)[2]
     scale, xs, ys, _ = frame
-    x0, y0 = xs[ix], ys[ix]
-    x1, y1 = xs[iy] + (scale if wrapped and c.winding == 1 else 0), ys[iy]
-    last = y.last_segment + (c.cycle_length() if wrapped else 0)  # the walk's last segment
-    piece = column_crossings(scale, x1, y1, x0, y0)
-    return winds_only(piece + walk_columns(c, x.i, last, -(-x0 // scale), -(-x1 // scale)))
+    piece = column_crossings(scale, xs[iy] + m * scale, ys[iy], xs[ix], ys[ix])
+    return winds_only(piece + walk_columns(c, x, y, 1))
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,

@@ -37,7 +37,6 @@ from pegboard.pairing import (
     surgery_dim,
     surgery_report,
     valid_grading,
-    walk_span,
 )
 from pegboard.differentials import (
     DiffMatrix,
@@ -49,6 +48,7 @@ from pegboard.differentials import (
 )
 from test_arc_sweep import grading_range
 from test_geometry import first_wound_peg as one_pass_wound_peg
+from test_walk import subarc as reference_subarc, walk_span
 
 
 # The first-page comparison lives with its tests: nothing in the package
@@ -273,8 +273,9 @@ class TestScan:
 # bigons from before the corner's column count decided the markers: each
 # peg but the corner is checked with `winding_number`, and the markers are
 # read off the loop, n_z and n_w by `winding_near` on the corner's two
-# sides.  The one change is the record they build, `ReferenceBigon`, which
-# holds the loop as a field.
+# sides.  Two things changed: the record they build, `ReferenceBigon`,
+# holds the loop as a field, and the loop is walked with `reference_subarc`,
+# the Fraction walk that `walk_span` measures, both verbatim in `test_walk`.
 
 
 @dataclass(frozen=True)
@@ -348,7 +349,7 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
         for (_, m), z in spans:
             if z.lift + m != k_t:
                 continue
-            sub, _ = subarc(c, x, z, direction)
+            sub, _ = reference_subarc(c, x, z, direction)
             loop = sub + [corner]
             if loop[-1] == loop[0]:
                 loop = loop[:-1]
@@ -544,7 +545,7 @@ def assert_marker_verdicts_agree(d: CurveDiagram, slope: SlopeSpec, seen: Counte
                 c = d.components[x.comp]
                 at = (corner.x.numerator, math.floor(corner.y))
                 got = differentials._winds_marked(c, x, z, direction, at, w, slope.p, slope.q)
-                loop = subarc(c, x, z, direction)[0] + [corner]
+                loop = reference_subarc(c, x, z, direction)[0] + [corner]
                 assert got == (one_pass_wound_peg(loop, corner, w) is None), (
                     d.source, str(slope), h, kind, direction)
                 seen[kind, direction, got] += 1
@@ -566,6 +567,42 @@ def test_marker_verdicts_agree_on_zoo_and_thin_diagrams():
 @given(staircase_diagrams(), st.booleans(), st.sampled_from(DIFF_SLOPES))
 def test_marker_verdicts_agree_on_staircases(d, mirrored, slope):
     assert_marker_verdicts_agree(d.mirror() if mirrored else d, slope, Counter())
+
+
+# The marker walk wraps by `pairing._walk`'s rule: equal positions are one
+# full traversal apart.  Wrapping only where the target strictly precedes
+# the source would differ from it only where a source and a target share a
+# position, which never happens: only a peg lies on two arcs, and the curve
+# avoids pegs.
+
+
+def assert_sources_and_targets_apart(d: CurveDiagram, slope: SlopeSpec) -> int:
+    """No source and target point of a differential at any grading of the
+    slope share (component, position).  Returns the number of (source,
+    target) pairs on one component, so that the check is not empty."""
+    sweep = ArcSweep(d, slope)
+    pairs = 0
+    for h in grading_range(d, slope):
+        for kind in ("phi", "psi"):
+            m = differential_matrix(sweep, h, kind)
+            targets = Counter(z.comp for z in m.target_points)
+            pairs += sum(targets[x.comp] for x in m.source_points)
+            at = {(z.comp, z.pos) for z in m.target_points}
+            assert not any((x.comp, x.pos) in at for x in m.source_points), (d.source, str(slope), h, kind)
+    return pairs
+
+
+def test_sources_and_targets_never_share_a_position_on_zoo_and_thin_diagrams():
+    diagrams = [build_zoo(name) for name in zoo_names()]
+    diagrams += [thin(tau, fig8) for tau, fig8 in [(1, 1), (-1, 2), (2, 1), (0, 3)]]
+    for d in diagrams:
+        assert sum(assert_sources_and_targets_apart(d, slope) for slope in DIFF_SLOPES) or d.source == "unknot"
+
+
+@settings(max_examples=25, deadline=None)
+@given(staircase_diagrams(), st.booleans(), st.sampled_from(DIFF_SLOPES))
+def test_sources_and_targets_never_share_a_position_on_staircases(d, mirrored, slope):
+    assert_sources_and_targets_apart(d.mirror() if mirrored else d, slope)
 
 
 # Diagrams that are not valid: a closed component through a peg, along a

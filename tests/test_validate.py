@@ -1,4 +1,4 @@
-"""Validation, the segment peg test and the canonical keys against their predecessors.
+"""Validation, the segment peg, the seam anchor and the canonical keys against their predecessors.
 
 The references below are the code that ran before validation became one
 column pass, copied verbatim:
@@ -15,9 +15,13 @@ column pass, copied verbatim:
   `IndexError` with no vertex at all).  Its seam scan is the Fraction
   level scan, `test_level_scan.reference_level_crossings`, not the
   integer one that production validation runs.
-`segment_hits_peg` must return the same peg or None, `validate` the same
-violations, and `emit_curve_text` the same bytes as the emission built on
-the references.
+The peg that the column table names for a segment through one
+(`Component.segment_columns` raising `PointOnLoop`, its `peg`) must be
+`reference_segment_hits_peg`'s, and no peg where that finds none;
+`validate` must give the same violations, `anchor_at_seam` the same
+period, with a seam crossing at a vertex or inside a segment, on valid
+and mutated curves, and `emit_curve_text` the same bytes as the emission
+built on the references.
 """
 
 import math
@@ -34,6 +38,7 @@ from pegboard.curves import (
     ValidationReport,
     Violation,
     _canonical_cycle,
+    anchor_at_seam,
     _strip_offset,
     build_zoo,
     lspace_staircase,
@@ -45,10 +50,10 @@ from pegboard.geometry import (
     HALF,
     Box,
     Point,
+    PointOnLoop,
     Segment,
     on_segment,
     pegs_in_box,
-    segment_hits_peg,
 )
 from pegboard.textfmt import emit_curve_text
 from test_geometry import is_peg
@@ -213,7 +218,17 @@ def reference_emit_curve_text(d: CurveDiagram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The segment peg test
+# The segment peg test: the peg that the column table names
+
+
+def table_peg(s: Segment) -> Optional[Point]:
+    """The peg that `Component.segment_columns` names for segment s, the
+    first segment of a two-vertex component; None when it raises nothing."""
+    try:
+        Component((s.a, s.b), 0).segment_columns(0)
+    except PointOnLoop as exc:
+        return exc.peg
+    return None
 
 # Quarter grids put endpoints on pegs and segments through them often;
 # thirds and fifths make crossings off the grid.
@@ -247,15 +262,15 @@ def segments(draw):
 @example(Segment(Point(Fraction(-1, 4), Fraction(1, 4)), Point(Fraction(1, 4), Fraction(3, 4))))
 def test_segment_peg_matches_reference(s):
     want = reference_segment_hits_peg(s)
-    got = segment_hits_peg(s)
+    got = table_peg(s)
     assert got == want and repr(got) == repr(want), (s, got, want)
 
 
 def test_segment_peg_is_lowest_column_then_lowest_row():
-    assert segment_hits_peg(Segment(Point(0, 2), Point(0, -1))) == Point(0, Fraction(-1, 2))
+    assert table_peg(Segment(Point(0, 2), Point(0, -1))) == Point(0, Fraction(-1, 2))
     diagonal = Segment(Point(2, Fraction(5, 2)), Point(-2, Fraction(-3, 2)))  # a peg in every column
-    assert segment_hits_peg(diagonal) == Point(-2, Fraction(-3, 2))
-    assert segment_hits_peg(Segment(Point(HALF, 0), Point(HALF, 3))) is None
+    assert table_peg(diagonal) == Point(-2, Fraction(-3, 2))
+    assert table_peg(Segment(Point(HALF, 0), Point(HALF, 3))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +443,44 @@ def test_mutations_reach_every_validation_branch():
     probe()
     assert seen >= {"asymmetric only", "inside a segment", "at vertex 0", "at a later vertex",
                     "shifted", "mixed scales"}
+
+
+def anchored(anchor, c: Component):
+    """The anchored vertices with their text, or the type and text of what
+    anchoring raises."""
+    try:
+        return [(v, repr(v)) for v in anchor(c).vertices]
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+F = Fraction
+TREFOIL = build_zoo("trefoil").gamma0()
+
+
+@pytest.mark.parametrize("c,inside", [
+    (TREFOIL, False),  # at vertex 0
+    (Component(tuple(_restarted_period(list(TREFOIL.vertices), 2)), 1), False),  # at a later vertex
+    (Component((Point(F(-3, 4), F(-1, 4)), Point(F(-1, 4), F(1, 4)), Point(F(1, 4), F(-1, 4))), 1), True),
+    # inside a segment at height 1/6, off the scale of the vertices: an unvalidated curve
+    (Component((Point(F(-3, 4), 0), Point(F(-1, 4), F(1, 3)), Point(F(1, 4), 0)), 1), True),
+    # three seam crossings: refused
+    (Component((Point(0, 0), Point(F(3, 4), F(1, 4)), Point(F(1, 4), F(-1, 4)), Point(1, 0)), 1), False),
+    (build_zoo("figure_eight").acyclic()[0], False),  # a closed component: refused
+], ids=["at vertex 0", "at a later vertex", "inside a segment", "inside a segment at 1/6",
+        "three crossings", "closed"])
+def test_anchor_matches_reference(c, inside):
+    want = anchored(reference_anchor_at_seam, c)
+    assert anchored(anchor_at_seam, c) == want
+    assert inside == (len(want) == len(c.vertices) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_diagrams())
+def test_anchor_matches_reference_on_mutated_diagrams(d):
+    for c in d.components:
+        if c.winding == 1 and len(c.vertices) >= 2:
+            assert anchored(anchor_at_seam, c) == anchored(reference_anchor_at_seam, c)
 
 
 @pytest.mark.parametrize("name", zoo_names())

@@ -1,0 +1,141 @@
+"""The walk between two intersection points against its Fraction predecessor.
+
+`walk_span` and `subarc` below are the walk that ran before it was read
+from the points' crossing records, copied verbatim: it measured the walk
+in Fraction positions and listed the vertices between them.  `subarc`
+(built on `pairing._walk`) must give the same polyline and the same m for
+every pair of raw arc points on one component, in both directions, with
+x = z included (one full traversal), on the zoo, thin diagrams and
+Hypothesis staircases with their mirrors.  `walk_columns` must give the
+column crossings of that polyline, as `geometry.column_crossings` finds
+them edge by edge.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pegboard.pairing as pairing
+from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.geometry import Point, column_crossings, integer_frame
+from pegboard.pairing import ArcSweep, DegenerateIncidence, IPoint, SlopeSpec, walk_columns
+from test_arc_sweep import grading_range
+
+# ---------------------------------------------------------------------------
+# The walk in Fraction positions (reference)
+
+
+def walk_span(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[Fraction, int]:
+    """Length and wrap count of the walk along the component from x to z.
+
+    direction +1 walks forward (increasing position), -1 backward.  The
+    length lies in (0, n], n the cycle length, so equal positions are one
+    full traversal apart.  m is the signed number of period ends passed, so
+    the walk reaches z at z.point + (m, 0) (m = 0 on a closed component).
+    """
+    n = c.cycle_length()
+    ahead = z.pos - x.pos if direction > 0 else x.pos - z.pos
+    m = direction if ahead <= 0 and c.winding == 1 else 0
+    return ahead % n or n, m
+
+
+def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Point], int]:
+    """Plane polyline of the `walk_span` walk from x to z, and its m.
+
+    The polyline starts at x.point, passes the lifted vertices in between
+    and ends at z.point + (m, 0), on the (m, 0)-translate of z's lift.
+    """
+    dist, m = walk_span(c, x, z, direction)
+    if direction > 0:
+        passed = range(math.floor(x.pos) + 1, math.ceil(x.pos + dist))
+    else:
+        passed = range(math.ceil(x.pos) - 1, math.floor(x.pos - dist), -1)
+    pts = [x.point] + [c.lifted(j) for j in passed]
+    pts.append(z.point.translate(m) if m else z.point)
+    return pts, m
+
+
+# ---------------------------------------------------------------------------
+
+
+SLOPES = [SlopeSpec(p, q) for p, q in [(1, 1), (2, 1), (3, 2), (5, 3), (-3, 2), (7, 3), (1, 0)]]
+
+
+def polyline_columns(path: list[Point]) -> list[tuple[int, int, int]]:
+    """The column crossings of an open polyline, edge by edge."""
+    scale, xs, ys, _ = integer_frame(path)
+    out = []
+    for k in range(len(path) - 1):
+        out += column_crossings(scale, xs[k], ys[k], xs[k + 1], ys[k + 1])
+    return out
+
+
+def assert_walks_match(d: CurveDiagram) -> int:
+    """Every same-component pair of one grading's raw arc points, in both
+    directions, at every slope of SLOPES: `subarc` against the reference,
+    and `walk_columns` against the reference polyline's crossings, as
+    multisets.  Returns the number of walks compared."""
+    walks = 0
+    for slope in SLOPES:
+        sweep = ArcSweep(d, slope)
+        for h in grading_range(d, slope):
+            try:
+                raw = sweep.raw(h)
+            except DegenerateIncidence:
+                continue
+            for x in raw:
+                c = d.components[x.comp]
+                for z in raw:
+                    if z.comp != x.comp:
+                        continue
+                    for direction in (1, -1):
+                        want = subarc(c, x, z, direction)
+                        assert pairing.subarc(c, x, z, direction) == want, (
+                            d.source, str(slope), x.pos, z.pos, direction)
+                        got = walk_columns(c, x.crossing, z.crossing, direction)
+                        assert sorted(got) == sorted(polyline_columns(want[0])), (
+                            d.source, str(slope), x.pos, z.pos, direction)
+                        walks += 1
+    return walks
+
+
+THIN = [(tau, fig8) for tau in range(-2, 3) for fig8 in range(3)]
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_walks_match_reference_on_zoo(name):
+    d = build_zoo(name)
+    assert assert_walks_match(d) and assert_walks_match(d.mirror())
+
+
+@pytest.mark.parametrize("tau,fig8", THIN)
+def test_walks_match_reference_on_thin_diagrams(tau, fig8):
+    d = thin(tau, fig8)
+    assert assert_walks_match(d) and assert_walks_match(d.mirror())
+
+
+@st.composite
+def staircase_diagrams(draw):
+    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
+    exps = upper + [0] + [-e for e in reversed(upper)]
+    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+
+
+@settings(max_examples=15, deadline=None)
+@given(staircase_diagrams(), st.booleans())
+def test_walks_match_reference_on_staircases(d, mirrored):
+    assert assert_walks_match(d.mirror() if mirrored else d)
+
+
+def test_equal_positions_are_one_full_traversal():
+    d = build_zoo("trefoil")
+    c = d.gamma0()
+    x = ArcSweep(d, SlopeSpec(1, 1)).raw(0)[0]
+    n = c.cycle_length()
+    for direction in (1, -1):
+        path, m = pairing.subarc(c, x, x, direction)
+        assert m == direction and len(path) == n + 1
+        assert path[-1] == x.point.translate(direction)
