@@ -8,6 +8,9 @@ Layers:
 * differentials: first-page rank computations, census bounds, slope scans
 * ledger: dimension-sequence arithmetic and 2-torsion certificates
 * cli/render: command-line front end and SVG output
+
+Importing the package or its command line loads neither ledger nor
+render: each is imported by the commands that use it.
 """
 
 from .curves import CurveDiagram, Component, build_zoo, validate, zoo_names

@@ -4,6 +4,10 @@ Subcommands: zoo, pair, hfk, diff, invariants, scan-simple, ledger, demo,
 render.  Knots are selected by zoo name, by a curve-file path, or by a name
 resolved inside $PEGBOARD_ZOO_DIR.  Exit codes: 0 success, 1 usage error,
 2 validation failure, 3 theorem violation detected.
+
+The ledger and render layers are imported by the commands that use them
+(`ledger` and `demo`, and `render`), so the pairing, graded and scan
+commands never load them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import ledger as ledger_mod
 from .curves import (
     AmbiguousHeight,
     BadSpec,
@@ -44,7 +47,6 @@ from .pairing import (
     genus_of,
     surgery_report,
 )
-from .render import render_svg
 from .textfmt import InvariantViolation, parse_curve_text
 
 EXIT_OK = 0
@@ -322,7 +324,9 @@ def cmd_scan_simple(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    demo = ledger_mod.poincare_demo()
+    from . import ledger
+
+    demo = ledger.poincare_demo()
     payload = {
         "schema_version": 1,
         "kind": "demo",
@@ -338,6 +342,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_svg
+
     d = _load_knot(args.knot)
     overlay = _parse_slope(args.overlay) if args.overlay else None
     arc = _parse_arc(args.overlay_arc) if args.overlay_arc else None
@@ -352,8 +358,9 @@ def _certified(cert, fields: dict) -> str:
 
 
 def cmd_ledger(args) -> int:
+    from . import ledger as lm
+
     op = args.op
-    lm = ledger_mod
     fields, csv_rows, code = {}, None, EXIT_OK
     if op in ("dim-seq", "dgamma"):
         if op == "dim-seq":

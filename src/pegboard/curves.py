@@ -356,15 +356,13 @@ def height_band(y: Fraction) -> int:
 # Validation
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     component: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -537,8 +535,7 @@ def anchor_at_seam(c: Component) -> Component:
 # Extrema census
 
 
-@dataclass(frozen=True)
-class ExtremaCensus:
+class ExtremaCensus(NamedTuple):
     n_plus: dict
     n_minus: dict
 

@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import Point
 from .curves import Component, CurveDiagram, extrema_census, tau_epsilon
@@ -87,8 +87,7 @@ class MarkedBigon:
         return tuple(subarc(self.component, self.source, self.target, self.direction)[0] + [self.corner])
 
 
-@dataclass(frozen=True)
-class DiffMatrix:
+class DiffMatrix(NamedTuple):
     kind: str  # "phi" or "psi"
     slope: SlopeSpec
     rows: tuple[tuple[int, ...], ...]  # rows indexed by target points
@@ -239,8 +238,7 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
 # Census rank bounds
 
 
-@dataclass(frozen=True)
-class CensusBound:
+class CensusBound(NamedTuple):
     slope: SlopeSpec
     phi: dict
     psi: dict
@@ -296,8 +294,7 @@ def census_bounds(d: CurveDiagram, slope: SlopeSpec) -> CensusBound:
 # Simple-filling detection and scans
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     slope: SlopeSpec
     dual_total: int
     filling_dim: int

@@ -245,8 +245,7 @@ class CancelledBigon:
         return tuple(pegs_in_box(Box.around(self.loop)))
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     slope: SlopeSpec
     counts: dict
     total: int
