@@ -172,8 +172,13 @@ class Component:
     def turn(self, j: int) -> Optional[str]:
         """The strict turn at continuous vertex j: "max" when both
         neighbours lie strictly lower, "min" when both lie strictly higher,
-        else None."""
-        prev_y, y, next_y = (self.lifted(i).y for i in (j - 1, j, j + 1))
+        else None.
+
+        Lifting a vertex moves it sideways only, so the heights are those
+        of the stored vertices j - 1, j and j + 1 mod the cycle length,
+        compared as the frame's integers."""
+        n, ys = self.cycle_length(), self._frame[2]
+        prev_y, y, next_y = ys[(j - 1) % n], ys[j % n], ys[(j + 1) % n]
         if prev_y < y and next_y < y:
             return "max"
         if prev_y > y and next_y > y:
@@ -344,12 +349,18 @@ def seam_crossings(c: Component) -> list[Crossing]:
     return c.level_crossings(1, 0, -HALF)[0]
 
 
-def height_band(y: Fraction) -> int:
-    """The integer h with y in (h - 1/2, h + 1/2); y must not be on a peg row."""
-    shifted = y + HALF
-    if shifted.denominator == 1:
-        raise AmbiguousHeight(f"y = {y} lies exactly on a peg row")
-    return math.floor(shifted)
+def height_band(y, scale: int = 1) -> int:
+    """The integer h with y/scale in (h - 1/2, h + 1/2), for a rational y
+    and an integer scale > 0; y/scale must not be on a peg row.
+
+    Read in integers where y is one: h = (2y + scale) // (2*scale), and
+    y/scale lies on a peg row iff 2*scale divides 2y + scale.  The
+    Fraction y/scale is built only for the error's message.
+    """
+    h, r = divmod(2 * y + scale, 2 * scale)
+    if not r:
+        raise AmbiguousHeight(f"y = {Fraction(y, scale)} lies exactly on a peg row")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -546,16 +557,19 @@ def component_extrema(c: Component) -> list[tuple[str, int]]:
     A vertex is a local maximum when both cyclic neighbors are strictly
     lower (a cap apex or a wedge apex; both have a horizontal tangent in the
     smooth picture).  Heights are read from the band containing the vertex;
-    an extremum exactly on a peg row is ambiguous and raises.
+    an extremum exactly on a peg row is ambiguous and raises.  Both are
+    read from the component's frame (scale S): `Component.turn` compares
+    its integer heights Y, and the band is (2Y + S) // (2S).
     """
     out = []
     n = c.cycle_length()
     if n < 2:
         return out
+    scale, _, ys = c._frame
     for i in range(n):
         kind = c.turn(i)
         if kind:
-            out.append((kind, height_band(c.vertices[i].y)))
+            out.append((kind, height_band(ys[i], scale)))
     return out
 
 
@@ -598,7 +612,7 @@ def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
     crossing = next((e for e in crossings if seam[0].precedes(e)), crossings[0])
-    tau = height_band(crossing.point.y)
+    tau = height_band(crossing.y, crossing.den)
     first = crossing.i + 1
     for i in range(first, first + g0.cycle_length()):
         kind = g0.turn(i)

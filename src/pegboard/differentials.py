@@ -7,23 +7,29 @@ a peg, with two markers placed on either side of the shared peg; the
 lowering map counts bigons covering the left marker once, the raising map
 the right one.  Counts are mod 2.
 
-A matrix is one pass over its candidate pairs.  The target points are
-indexed once by (component, lift), each group in position order, so the
-targets that the walk from a source point meets on the target lift are
-read off in walk order: past the source on that lift, then, after a
-period end, short of it on the neighbouring lift (the same lift on a
-closed component).  Positions are compared in integers: each point's
-crossing record gives it as i + r/dg, which the lcm of the matrix's
-denominators dg turns into an integer.  Each candidate's marker test is
-done in integers, as cancellation's peg test is: the walk's column
-crossings come from the component's column table
-(`pairing.walk_columns`), the closing piece through the corner is crossed
-arithmetically on the arc line, and `pairing.winds_only` asks for winding
-0 at every peg and w just above the corner.  A walk over a segment through
-a peg raises `PointOnLoop` from the column table: the curve lives in the
-punctured torus, and validation refuses such a segment.  A marked bigon
-walks its loop (`subarc`) only when the loop is read.  A grading with no
-target point has the zero map, and no source is visited.
+A matrix is one pass over its candidate pairs.  Its grading is read once,
+as an integer: the sweep files grading h under the key (2h - p + 1)/2,
+which `pairing.grading_twice` gives, and the target grading h +- p under
+that key +- p, so both point sets are read from the sweep by key.  The
+target points are indexed once by (component, lift), each group in
+position order, so the targets that the walk from a source point meets on
+the target lift are read off in walk order: past the source on that lift,
+then, after a period end, short of it on the neighbouring lift (the same
+lift on a closed component).  Positions are compared in integers: each
+point's crossing record gives it as i + r/dg, which the lcm of the
+matrix's denominators dg turns into an integer.  Each candidate's marker test is
+done in integers, as cancellation's peg test is: the walk is found once
+(`pairing._walk`), its column crossings come from the component's column
+table (`pairing.walk_columns`), the closing piece through the corner is
+crossed arithmetically on the arc line, and `pairing.winds_only` asks for
+winding 0 at every peg and w just above the corner.  A walk over a segment
+through a peg raises `PointOnLoop` from the column table: the curve lives
+in the punctured torus, and validation refuses such a segment.  The rows,
+one list per target point, are filled in place, an entry toggled per
+bigon; only a found bigon makes a record, and a source's corner point is
+built with its first one.  A marked bigon walks its loop (`subarc`) only
+when the loop is read.  `gf2_rank` eliminates on integer bit rows.  A
+grading with no target point has the zero map, and no source is visited.
 
 Each strict local extremum of the curve forces rank in one of the maps at a
 predictable grading, with a single exception at the extremum carrying the
@@ -98,22 +104,24 @@ class DiffMatrix(NamedTuple):
 
 
 def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of a 0/1 matrix over the two-element field."""
-    work = [list(r) for r in rows]
-    if not work or not work[0]:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] & 1), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] & 1:
-                work[i] = [(a ^ b) & 1 for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    """Rank of a 0/1 matrix over the two-element field.
+
+    Each row becomes one integer, bit j its entry j mod 2, and the rows
+    are reduced against a basis kept with distinct leading bits: a row
+    loses the leading bit of each basis row that it holds, so a row left
+    nonzero has a new leading bit and joins the basis.
+    """
+    basis: list[int] = []
+    for r in rows:
+        bits = 0
+        for j, v in enumerate(r):
+            if v & 1:
+                bits |= 1 << j
+        for b in basis:
+            bits = min(bits, bits ^ b)
+        if bits:
+            basis.append(bits)
+    return len(basis)
 
 
 def _walk_order(groups: dict, comp: int, at: int, k: int, direction: int, winding: int) -> list[int]:
@@ -152,23 +160,24 @@ def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tu
 
     The loop walks along c from x in `direction` to z' = z.point + (m, 0),
     as `subarc` does, and closes through the corner, the peg (i, j + 1/2)
-    given as corner = (i, j).  The walk's crossings with the integer
-    columns come from the column table (`pairing.walk_columns`).  The
-    closing piece z' -> corner -> x is one straight segment on the arc
-    line of direction (q, p) through the corner, whose only peg is the
-    corner: it crosses column i at the corner, which counts for the pegs
-    below it (t = j - 1), and every other column k at t = j + floor(p*(k -
-    i)/q).  All of it is integers.
+    given as corner = (i, j).  The walk is found once (`pairing._walk`),
+    and its crossings with the integer columns come from the column table
+    (`pairing.walk_columns`).  The closing piece z' -> corner -> x is one
+    straight segment on the arc line of direction (q, p) through the
+    corner, whose only peg is the corner: it crosses column i at the
+    corner, which counts for the pegs below it (t = j - 1), and every
+    other column k at t = j + floor(p*(k - i)/q).  All of it is integers.
     """
     a, b = x.crossing, z.crossing
+    walk = _walk(c, a, b, direction)
     x_end = -(-a.x // a.den)  # the ceilings of the abscissae of x and z'
-    z_end = -(-b.x // b.den) + _walk(c, a, b, direction)[2]
-    walk = walk_columns(c, a, b, direction)
+    z_end = -(-b.x // b.den) + walk[2]
+    crossings = walk_columns(c, a, b, direction, walk)
     i, j = corner
     sign = -1 if z_end < x_end else 1  # the closing piece runs rightwards from z'
-    walk += [(k, j - 1 if k == i else j + p * (k - i) // q, sign)
-             for k in range(min(x_end, z_end), max(x_end, z_end))]
-    return winds_only(walk, corner, w)
+    crossings += [(k, j - 1 if k == i else j + p * (k - i) // q, sign)
+                  for k in range(min(x_end, z_end), max(x_end, z_end))]
+    return winds_only(crossings, corner, w)
 
 
 def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
@@ -190,9 +199,11 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     twice = grading_twice(p, h)
     if twice is None:
         raise GradingOutOfRange(f"grading {h} invalid for slope {slope}")
-    tgt_h = h + p if kind == "psi" else h - p
-    src_pts = sweep.points(h)
-    tgt_pts = sweep.points(tgt_h)
+    # The sweep's key of grading h is h - (p - 1)/2; the target's is p more
+    # or less.
+    key = (twice - p + 1) // 2
+    src_pts = sweep._points(key)
+    tgt_pts = sweep._points(key + p if kind == "psi" else key - p)
     if not tgt_pts:  # no target point, no bigon: the zero map
         return DiffMatrix(kind, slope, (), 0, src_pts, tgt_pts, ())
     # The source arc of lift k runs from (k, h - p/2) to (k + q, h + p/2).
@@ -203,7 +214,6 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         dk, step, w, row = q, q, 0, (twice + p) // 2
     else:
         dk, step, w, row = 0, -q, 1, (twice - p) // 2
-    corner_y = Fraction(2 * row + 1, 2)
     want = (1, 0) if kind == "phi" else (0, 1)
     # Positions i + r/dg, times the lcm of their denominators, are integers.
     scale = math.lcm(*{z.crossing.dg for z in (*src_pts, *tgt_pts)})
@@ -214,22 +224,22 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         positions.append(e.i * scale + e.r * (scale // e.dg))
         indices.append(i)
     bigons: list[MarkedBigon] = []
-    entries: dict[tuple[int, int], int] = {}
+    rows = [[0] * len(src_pts) for _ in tgt_pts]
     for j, x in enumerate(src_pts):
         c = d.components[x.comp]
         corner_at = (x.lift + dk, row)
-        corner = Point(Fraction(corner_at[0]), corner_y)
+        corner = None  # its Point, built with the source's first bigon
         e = x.crossing
         at = e.i * scale + e.r * (scale // e.dg)
         for direction in (1, -1):
             for i in _walk_order(groups, x.comp, at, x.lift + step, direction, c.winding):
                 z = tgt_pts[i]
                 if _winds_marked(c, x, z, direction, corner_at, w, p, q):
-                    entries[(i, j)] = entries.get((i, j), 0) ^ 1
+                    rows[i][j] ^= 1
+                    if corner is None:
+                        corner = Point(Fraction(corner_at[0]), Fraction(2 * row + 1, 2))
                     bigons.append(MarkedBigon(x, z, *want, c, direction, corner))
-    rows = tuple(
-        tuple(entries.get((i, j), 0) for j in range(len(src_pts))) for i in range(len(tgt_pts))
-    )
+    rows = tuple(map(tuple, rows))
     rank = gf2_rank(rows) if rows and src_pts else 0
     return DiffMatrix(kind, slope, rows, rank, src_pts, tgt_pts, tuple(bigons))
 

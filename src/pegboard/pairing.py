@@ -40,10 +40,13 @@ it: the column table refuses a segment through a peg with `PointOnLoop`, as
 validation does.  Only the loops that wind no peg are ever piece-tested: a
 loop never changes, so a wound peg rules its pair out for good.  The piece
 test, for another live point on the lift's piece, is the only one that
-depends on what has been removed; like the lift's piece of the peg test, it
-compares coordinates in the points' integer frame, built once per call from
-the integers of their crossing records.  A blocked pair is filed under the
-point that blocked it and is tested again only after that point is gone.
+depends on what has been removed.  It compares coordinates in the points'
+integer frame, built from the integers of their crossing records when a
+call's first pair reaches the piece test; the peg test crosses the lift's
+piece in the pair's own frame (the lcm of its two denominators), and its
+walk's m is read from ring order, so each peg test walks the curve once.
+A blocked pair is filed under the point that blocked it and is tested
+again only after that point is gone.
 The points come sorted by (component, position), so each component's ring
 is its run of them and no ring is sorted.  A removed pair's audit keeps
 only the pair and its component: its loop is walked with `subarc`, and the
@@ -76,7 +79,9 @@ full traversal apart).  `subarc` lists the walk's vertices, for an audit
 loop read from a removed pair and a marked bigon's loop read from
 `differentials`.  `walk_columns` reads the walk's crossings from the
 column table and `winds_only` checks the windings, for cancellation's peg
-test and the marker test, each of which adds only its own closing piece.
+test and the marker test, each of which adds only its own closing piece
+and finds its walk once: the peg test reads the walk's m from ring order,
+and the marker test hands the `_walk` it reads m from to `walk_columns`.
 """
 
 from __future__ import annotations
@@ -491,10 +496,13 @@ def _closing_loop(c: Component, x: IPoint, y: IPoint) -> tuple[Point, ...]:
     return tuple(path[:-1] if path[-1] == path[0] else path)
 
 
-def walk_columns(c: Component, a: Crossing, b: Crossing, direction: int) -> list[tuple[int, int, int]]:
+def walk_columns(c: Component, a: Crossing, b: Crossing, direction: int,
+                 walk: Optional[tuple[int, int, int]] = None) -> list[tuple[int, int, int]]:
     """The column crossings of the `_walk` along c from a to b, as (column,
     t, sign) in the convention of `geometry.column_crossings`, signed as
     walked; raises `PointOnLoop` when one of its segments meets a peg.
+    `walk` is that `_walk`, found here unless a caller that reads its m
+    too has found it.
 
     The crossings are those of the forward traversal first..last that
     covers the walk, with their signs flipped on a backward walk.  Each
@@ -508,7 +516,7 @@ def walk_columns(c: Component, a: Crossing, b: Crossing, direction: int) -> list
     start's abscissa and before the end iff k < the end's, and a leftward
     one the other way round.
     """
-    first, last, m = _walk(c, a, b, direction)
+    first, last, m = walk or _walk(c, a, b, direction)
     start, end = -(-a.x // a.den), -(-b.x // b.den) + m  # the ceilings of the abscissae
     if direction < 0:
         start, end = end, start
@@ -553,18 +561,21 @@ def winds_only(crossings: Sequence[tuple[int, int, int]], corner: Optional[tuple
     return True
 
 
-def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int, iy: int) -> bool:
+def _winds_no_peg(c: Component, pts: Sequence[IPoint], ix: int, iy: int) -> bool:
     """Whether the closing loop of the pair (pts[ix], pts[iy]), distinct
     neighbours on component c's ring, winds no peg; raises `PointOnLoop`
     when a segment the walk passes, or the lift's piece, meets a peg.
 
     The loop is `_closing_loop`'s: the forward `_walk` from x to y, which
-    ends at y.point + (m, 0), closed back to x along the lift.  The walk's
-    crossings come from the component's column table (`walk_columns`), and
-    the piece of the lift is crossed in integers, in `frame`, which is
-    `_scaled_frame(pts)`; `winds_only` decides.  x and y have distinct
-    positions, so the walk has positive length and its ends differ even
-    where both lie on one segment.
+    ends at y.point + (m, 0), closed back to x along the lift.  m is read
+    from ring order, as `cancel_bigons` reads it: only the walk from the
+    ring's last point to its first passes a period end.  The walk's
+    crossings come from the component's column table (`walk_columns`, the
+    one `_walk` of the test), and the piece of the lift is crossed in
+    integers, in the pair's own frame, the lcm of the two points'
+    denominators; `winds_only` decides.  x and y have distinct positions,
+    so the walk has positive length and its ends differ even where both
+    lie on one segment.
 
     A piece of a lift holds no peg on a filling family that `line_family`
     chose, as `_family_is_clean` rejects a form integral at the peg
@@ -574,9 +585,10 @@ def _winds_no_peg(c: Component, pts: Sequence[IPoint], frame: tuple, ix: int, iy
     on a curve through a peg.
     """
     x, y = pts[ix].crossing, pts[iy].crossing
-    m = _walk(c, x, y, 1)[2]
-    scale, xs, ys, _ = frame
-    piece = column_crossings(scale, xs[iy] + m * scale, ys[iy], xs[ix], ys[ix])
+    m = c.winding if iy < ix else 0
+    scale = math.lcm(x.den, y.den)
+    fx, fy = scale // x.den, scale // y.den
+    piece = column_crossings(scale, y.x * fy + m * scale, y.y * fy, x.x * fx, x.y * fx)
     return winds_only(piece + walk_columns(c, x, y, 1))
 
 
@@ -617,9 +629,12 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     changes no outcome: a validated curve avoids pegs, a clean family's
     lines hold none, and inside an arc of a reduced slope lies none.  Only
     the piece test reads the live points, those of every component.  Both
-    run in integers on `_scaled_frame(pts)`, built on the call's first peg
-    test from the points' crossing records, whose segment indices and
-    ratios also give the peg test's walk; no Fraction is built.  A blocked
+    run in integers on the points' crossing records, whose segment indices
+    and ratios also give the peg test's walk; no Fraction is built.  The
+    peg test crosses the lift's piece in the pair's own frame, and the
+    piece test compares in `_scaled_frame(pts)`, built when the call's
+    first pair reaches it, so a call whose every pair fails the lift or
+    peg test builds no frame.  A blocked
     pair is filed under the point found on its piece and tested again only
     after that point has been removed.  Fewer than two points are returned
     as they are.
@@ -642,7 +657,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     cands: list[int] = []  # x of each pair (x, next(x)) bounding an empty bigon, ascending
     blocked: dict[int, list[tuple[int, int, int]]] = {}  # blocker -> the pairs (x, y, m) it blocks
     audit: list[CancelledBigon] = []
-    frame = None  # `_scaled_frame(pts)`, built by the first peg test
+    frame = None  # `_scaled_frame(pts)`, built for the first piece test
     fresh = [(ix, nxt[ix]) for ix in range(n) if nxt[ix] != ix]  # the pairs to test
     pieces: list[tuple[int, int, int]] = []  # the pairs (x, y, m) to piece-test
     while True:
@@ -654,11 +669,11 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
             m = c.winding if iy < ix else 0
             if y.lift + step * m != x.lift:
                 continue
-            if frame is None:
-                frame = _scaled_frame(pts)
             # A wound peg stays wound: the loop never changes.
-            if _winds_no_peg(c, pts, frame, ix, iy):
+            if _winds_no_peg(c, pts, ix, iy):
                 pieces.append((ix, iy, m))
+        if pieces and frame is None:
+            frame = _scaled_frame(pts)
         for pair in pieces:
             ix, iy, m = pair
             blocker = _first_blocker(step, pts[ix].lift, frame, live, (ix, iy), m)

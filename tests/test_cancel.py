@@ -528,9 +528,9 @@ def recording_peg_tests(monkeypatch):
     seen = []
     winds_no_peg = pairing._winds_no_peg
 
-    def recording(c, pts, frame, ix, iy):
+    def recording(c, pts, ix, iy):
         try:
-            verdict = winds_no_peg(c, pts, frame, ix, iy)
+            verdict = winds_no_peg(c, pts, ix, iy)
         except PointOnLoop as exc:
             seen.append((c, pts[ix], pts[iy], exc))
             raise
@@ -562,11 +562,33 @@ def counting_piece_and_peg_tests(monkeypatch):
 def test_only_pairs_past_the_peg_check_are_piece_tested(monkeypatch, run):
     # Most same-lift pairs wind a peg; those are never piece-tested.
     pieces, tested = counting_piece_and_peg_tests(monkeypatch)
+    frames = []  # the size of each points' frame built
+    scaled_frame = pairing._scaled_frame
+
+    def counting_frame(pts):
+        frames.append(len(pts))
+        return scaled_frame(pts)
+
+    reached = []  # per cancel_bigons call: whether some pair was piece-tested
+    cancel = pairing.cancel_bigons
+
+    def counting_cancel(*args, **kwargs):
+        before = len(pieces)
+        try:
+            return cancel(*args, **kwargs)
+        finally:
+            reached.append(len(pieces) > before)
+
+    monkeypatch.setattr(pairing, "_scaled_frame", counting_frame)
+    monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
     run(build_zoo("torus_3_4"))
     passed = [verdict for *_, verdict in tested]
     assert set(passed) == {True, False}  # a validated curve meets no peg
     assert sum(passed) < len(passed)
     assert 0 < len(pieces) <= sum(passed)
+    # The points' frame is built once in each call whose pairs reach the
+    # piece test, and in no other call.
+    assert 0 < len(frames) == sum(reached)
 
 
 def test_audit_pegs_are_computed_when_read(monkeypatch):

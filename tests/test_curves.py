@@ -30,7 +30,7 @@ from pegboard.curves import (
 )
 from pegboard.geometry import ZERO, pt
 from pegboard.textfmt import emit_curve_text, parse_curve_text
-from test_arc_sweep import generated_diagrams
+from test_arc_sweep import generated_diagrams, staircase_diagrams
 
 
 def component_key(c: Component) -> tuple:
@@ -290,6 +290,81 @@ def test_tau_epsilon_matches_the_anchored_reading_where_it_fails(vertices):
     d = CurveDiagram((Component(tuple(pt(x, y) for x, y in vertices), 1),), "odd")
     for rolled in rolled_periods(d):
         assert tau_outcome(tau_epsilon, rolled) == tau_outcome(reference_tau_epsilon, rolled), rolled.source
+
+
+# Turns and extremum heights read as Fractions (reference): neighbour
+# comparisons of lifted vertices, and the band of a height taken as the
+# floor of y + 1/2, refused on a peg row with the message of the package.
+
+
+def reference_band(y: F) -> int:
+    shifted = y + F(1, 2)
+    if shifted.denominator == 1:
+        raise AmbiguousHeight(f"y = {y} lies exactly on a peg row")
+    return math.floor(shifted)
+
+
+def reference_turn(c: Component, j: int):
+    prev_y, y, next_y = (c.lifted(i).y for i in (j - 1, j, j + 1))
+    if prev_y < y and next_y < y:
+        return "max"
+    if prev_y > y and next_y > y:
+        return "min"
+    return None
+
+
+def reference_extrema(c: Component) -> list[tuple[str, int]]:
+    n = c.cycle_length()
+    if n < 2:
+        return []
+    return [(kind, reference_band(c.vertices[i].y)) for i in range(n) if (kind := reference_turn(c, i))]
+
+
+def assert_integer_turns_and_heights_agree(d: CurveDiagram) -> int:
+    """`Component.turn` at every continuous vertex of three periods,
+    `height_band` of every vertex height and `component_extrema` of every
+    component of d against the Fraction reading; returns the number of
+    extrema compared."""
+    extrema = 0
+    for c in d.components:
+        n = c.cycle_length()
+        for j in range(-n, 2 * n):
+            assert c.turn(j) == reference_turn(c, j), (d.source, j)
+        for v in c.vertices:
+            assert tau_outcome(height_band, v.y) == tau_outcome(reference_band, v.y), (d.source, v)
+        want = tau_outcome(reference_extrema, c)
+        assert tau_outcome(component_extrema, c) == want, d.source
+        extrema += len(want)
+    return extrema
+
+
+def test_integer_turns_and_heights_match_fractions_on_zoo(zoo):
+    assert sum(assert_integer_turns_and_heights_agree(e) for d in zoo.values() for e in (d, d.mirror()))
+
+
+@pytest.mark.parametrize("tau", range(-3, 4))
+def test_integer_turns_and_heights_match_fractions_on_thin_diagrams(tau):
+    diagrams = [thin(tau, fig8) for fig8 in range(4)]
+    assert sum(assert_integer_turns_and_heights_agree(e) for d in diagrams for e in (d, d.mirror()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(staircase_diagrams(), st.booleans())
+def test_integer_turns_and_heights_match_fractions_on_staircases(d, mirrored):
+    assert assert_integer_turns_and_heights_agree(d.mirror() if mirrored else d)
+
+
+@pytest.mark.parametrize("vertices,message", [
+    # a wrapping component's maximum at y = 3/2 and minimum at y = -3/2
+    (((F(-1, 2), 0), (F(-1, 4), F(3, 2)), (F(1, 4), F(-3, 2)), (F(1, 2), 0)), "y = 3/2 lies exactly on a peg row"),
+    # a closed component's minimum at y = -1/2
+    (((F(-1, 4), 0), (F(1, 8), F(-1, 2)), (F(1, 4), F(1, 8))), "y = -1/2 lies exactly on a peg row"),
+], ids=["wrapping", "closed"])
+def test_extremum_on_a_peg_row_raises_the_fraction_readings_error(vertices, message):
+    c = Component(tuple(pt(x, y) for x, y in vertices), 0 if len(vertices) == 3 else 1)
+    assert tau_outcome(reference_extrema, c) == ("AmbiguousHeight", message)
+    assert tau_outcome(component_extrema, c) == ("AmbiguousHeight", message)
+    assert tau_outcome(extrema_census, CurveDiagram((c,))) == ("AmbiguousHeight", message)
 
 
 class TestZoo:

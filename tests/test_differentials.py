@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pegboard.cli as cli
@@ -112,6 +112,32 @@ class TestGf2Rank:
 
     def test_mod2_semantics(self):
         assert gf2_rank([[1, 1], [1, 1]]) == 1
+
+
+def row_span_size(rows) -> int:
+    """The number of vectors in the span of the rows over GF(2), found by
+    closing {0} under XOR with each row in turn."""
+    span = {0}
+    for row in rows:
+        bits = sum(1 << j for j, v in enumerate(row) if v)
+        span |= {s ^ bits for s in span}
+    return len(span)
+
+
+zero_one_matrices = st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+    lambda shape: st.lists(st.lists(st.integers(0, 1), min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_one_matrices)
+@example([])
+@example([[]])
+@example([[], [], []])
+@example([[0] * 7 for _ in range(7)])
+@example([[1] * 7 for _ in range(7)])
+def test_gf2_rank_is_log2_of_the_row_span(rows):
+    assert 1 << gf2_rank(rows) == row_span_size(rows)
 
 
 class TestDifferentialMatrix:
