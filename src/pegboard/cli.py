@@ -89,17 +89,18 @@ def _load_knot(selector: str):
     else:
         _require_valid(d)
         return d
+    # a file that exists costs one existence check and one read
     path = Path(selector)
     if not path.exists():
         zoo_dir = os.environ.get("PEGBOARD_ZOO_DIR")
-        if zoo_dir:
-            candidate = Path(zoo_dir) / f"{selector}.curve"
-            if candidate.exists():
-                path = candidate
-    if not path.exists():
-        raise CliError(f"unknown knot {selector!r}: not a zoo name or readable file", EXIT_USAGE)
+        candidate = Path(zoo_dir) / f"{selector}.curve" if zoo_dir else None
+        if candidate is None or not candidate.exists():
+            raise CliError(f"unknown knot {selector!r}: not a zoo name or readable file", EXIT_USAGE)
+        path = candidate
     try:
-        return parse_curve_text(path.read_text(encoding="utf-8"), source=str(path))
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        return parse_curve_text(text, source=str(path))
     except InvariantViolation as exc:
         raise CliError(f"invalid diagram in {path}: {exc}", EXIT_INVALID)
     except ValueError as exc:

@@ -16,7 +16,7 @@ and the filling offset test of `pairing` all read that frame, rescaling it
 by a whole factor where they need a finer scale.  The level scan hands
 back integers too: each crossing is a `Crossing` record (segment, ratio
 along it, point over a common denominator, level), which becomes
-Fractions only where its `pos` or `point` is read.
+Fractions only where its `point` is read.
 
 The seam crossings are the level scan of x - 1/2 (`seam_crossings`).  The
 one record of a wrapping component anchors it: `_anchored_period` starts
@@ -65,8 +65,8 @@ class Crossing(NamedTuple):
     i + 1) at the ratio r/dg along it, 0 <= r < dg, so at position
     i + r/dg; its point is (x/den, y/den), and it lies on level m.  Both
     ratios are in lowest terms (a vertex has r = 0 and dg = 1, and x, y
-    and den share no factor), so equal crossings are equal records.  `pos`
-    and `point` read the record as Fractions; they are built when read.
+    and den share no factor), so equal crossings are equal records.
+    `point` reads the record's point as Fractions, built when read.
     """
 
     i: int
@@ -76,10 +76,6 @@ class Crossing(NamedTuple):
     y: int
     den: int
     m: int
-
-    @property
-    def pos(self) -> Fraction:
-        return Fraction(self.i * self.dg + self.r, self.dg)
 
     @property
     def point(self) -> Point:

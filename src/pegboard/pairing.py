@@ -58,8 +58,8 @@ in the component's cached frame (`Component._frame`).  Each intersection
 point (`IPoint`) holds the scan's integer record of its crossing
 (`curves.Crossing`: segment, ratio along it, point over a common
 denominator, level); the sweep, cancellation and the differentials read
-those integers, and a point's Fraction position and coordinates are built
-only when read, by a loop walk (`subarc`) or by a test.  A filling family
+those integers, and a point's Fraction coordinates are built only when
+read, by a loop walk (`subarc`) or by a test.  A filling family
 is its form f = a*x + b*y + c, and lift k is the line f = k: the form
 numbers the raw points (`raw_intersections`), decides the offset
 (`_family_is_clean`, which tests each component in its own frame,
@@ -208,18 +208,13 @@ class IPoint(NamedTuple):
 
     comp is the index of the component, crossing its `Crossing` record from
     the level scan (in integers), and lift the integer index of the lift
-    through the point.  pos, the parameter along the component (segment
-    index plus fraction), and point are the record's, built as Fractions
-    only when read.
+    through the point.  point is the record's, built as Fractions only
+    when read.
     """
 
     comp: int
     crossing: Crossing
     lift: int
-
-    @property
-    def pos(self) -> Fraction:
-        return self.crossing.pos
 
     @property
     def point(self) -> Point:

@@ -9,10 +9,14 @@ Format (UTF-8):
     component winding=0
     v ...
 
-Coordinates are integers or fractions a/b.  Parsing runs the full validator;
-emission writes `curves.canonicalize`: the wrapping component first
-(re-based at its seam crossing), then the closed components sorted by their
-canonical keys.
+Coordinates are integers or fractions a/b (any spelling `Fraction` reads).
+Parsing is one pass over the text, split into lines once: each distinct
+coordinate token becomes a Fraction once per call, through a dict local to
+the call, and a `CurveFormatError` names the 1-based column of the failing
+token's first character in the raw line, counted only when a token fails.
+Parsing then runs the full validator.  Emission writes
+`curves.canonicalize`: the wrapping component first (re-based at its seam
+crossing), then the closed components sorted by their canonical keys.
 """
 
 from __future__ import annotations
@@ -57,10 +61,33 @@ def _parse_fraction(token: str, line: int, column: int) -> Fraction:
         raise CurveFormatError(f"bad rational {token!r}", line, column)
 
 
+def _column(raw: str, parts: list[str], k: int) -> int:
+    """The 1-based column in the raw line of parts[k], parts being the
+    whitespace-separated tokens of the line before its comment."""
+    end = 0
+    for token in parts[:k + 1]:
+        end = raw.index(token, end) + len(token)
+    return end - len(parts[k]) + 1
+
+
+def _coordinate(read: dict, raw: str, parts: list[str], k: int, line_no: int) -> Fraction:
+    """parts[k], a token not yet in read, parsed and kept there."""
+    token = parts[k]
+    try:
+        value = read[token] = _parse_fraction(token, line_no, 0)
+    except CurveFormatError:
+        # the column is counted only for a token that fails: the token fails
+        # again, now naming its column
+        _parse_fraction(token, line_no, _column(raw, parts, k))
+        raise
+    return value
+
+
 def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
     components: list[Component] = []
     winding = None
     vertices: list[Point] = []
+    read: dict[str, Fraction] = {}  # each distinct coordinate token, parsed once
 
     def flush(line_no):
         nonlocal winding, vertices
@@ -71,11 +98,11 @@ def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
         components.append(Component(tuple(vertices), winding))
         winding, vertices = None, []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "component":
             flush(line_no)
             if len(parts) != 2 or not parts[1].startswith("winding="):
@@ -83,19 +110,23 @@ def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
             value = parts[1].split("=", 1)[1]
             if value not in ("0", "1"):
                 raise CurveFormatError(f"winding must be 0 or 1, got {value!r}", line_no,
-                                       column=line.index("=") + 2)
+                                       column=_column(raw, parts, 1) + len("winding="))
             winding = int(value)
         elif parts[0] == "v":
             if winding is None:
                 raise CurveFormatError("vertex before any component header", line_no)
             if len(parts) != 3:
                 raise CurveFormatError("expected 'v <x> <y>'", line_no)
-            x = _parse_fraction(parts[1], line_no, line.index(parts[1]) + 1)
-            y = _parse_fraction(parts[2], line_no, line.rindex(parts[2]) + 1)
+            x = read.get(parts[1])
+            if x is None:
+                x = _coordinate(read, raw, parts, 1, line_no)
+            y = read.get(parts[2])
+            if y is None:
+                y = _coordinate(read, raw, parts, 2, line_no)
             vertices.append(Point(x, y))
         else:
             raise CurveFormatError(f"unrecognized directive {parts[0]!r}", line_no)
-    flush(len(text.splitlines()))
+    flush(len(lines))
     if not components:
         raise CurveFormatError("no components found", 1)
     diagram = CurveDiagram(tuple(components), source)

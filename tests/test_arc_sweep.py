@@ -56,6 +56,7 @@ from pegboard.pairing import (
 )
 from pegboard.render import render_svg
 from pegboard.textfmt import parse_curve_text
+from conftest import position
 from test_level_scan import record
 from test_offset import _LineObject
 
@@ -201,7 +202,7 @@ def reference_raw_intersections(d, obj):
     for ci, c in enumerate(d.components):
         for k in _considered_lifts(obj, c):
             points.extend(_segment_lift_intersections(obj, k, c, ci))
-    points.sort(key=lambda ip: (ip.comp, ip.pos, ip.lift))
+    points.sort(key=lambda ip: (ip.comp, position(ip), ip.lift))
     return points
 
 
@@ -257,7 +258,7 @@ def arc_oracle(d, slope, h):
                         points.append(ipoint(ci, i + t, point, k, slope))
     if held:
         return min(held)
-    return sorted(points, key=lambda ip: (ip.comp, ip.pos, ip.lift))
+    return sorted(points, key=lambda ip: (ip.comp, position(ip), ip.lift))
 
 
 def grading_range(d, slope):
@@ -479,7 +480,7 @@ def test_degenerate_vertex_keeps_its_other_crossings():
     # level, and segment 2 (from vertex 2) crosses the grading-2 arc.
     assert isinstance(walk(TALL, UNIT, 1), str)
     want = walk(TALL, UNIT, 2)
-    assert [math.floor(ip.pos) for ip in want] == [2, 3]
+    assert [math.floor(position(ip)) for ip in want] == [2, 3]
     assert ArcSweep(TALL, UNIT).raw(2) == want
 
 

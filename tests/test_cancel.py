@@ -82,6 +82,7 @@ from pegboard.pairing import (
     raw_intersections,
     subarc,
 )
+from conftest import position
 from test_arc_sweep import grading_range
 from test_differentials import winding_near
 from test_geometry import first_wound_peg
@@ -224,7 +225,7 @@ def _candidates(d: CurveDiagram, obj: PairObject, pts: list[IPoint]) -> list[tup
     for ci, plist in by_comp.items():
         if len(plist) < 2:
             continue
-        plist = sorted(plist, key=lambda ip: ip.pos)
+        plist = sorted(plist, key=position)
         c = d.components[ci]
         k = len(plist)
         for i in range(k):
@@ -386,7 +387,7 @@ def assert_ordered_by_component_and_position(d: CurveDiagram, slopes) -> int:
     seen = 0
     for slope in slopes:
         for raw, _ in pairing_cases(d, slope):
-            keys = [(z.comp, z.pos) for z in raw]
+            keys = [(z.comp, position(z)) for z in raw]
             assert all(a < b for a, b in zip(keys, keys[1:])), (d.source, str(slope), keys)
             seen += len(keys)
     return seen
@@ -475,7 +476,7 @@ def piece_tests(draw):
     shape = draw(st.sampled_from(("slanted", "upright", "equal")))
     if shape != "slanted":  # put x.point above or below a, or on it
         y = pts[ix].point.y if shape == "upright" else a.y
-        pts[ix] = ipoint(pts[ix].pos, Point(a.x, y), pts[ix].lift)
+        pts[ix] = ipoint(position(pts[ix]), Point(a.x, y), pts[ix].lift)
     live = [k for k in range(n) if draw(st.booleans())]
     lift = draw(st.sampled_from([z.lift for z in pts]) | st.integers(-4, 4))
     step = draw(st.integers(-5, 5) | st.just(0))  # horizontal lines as often as the rest

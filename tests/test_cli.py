@@ -337,6 +337,57 @@ class TestFilesAndRender:
         assert "trefoil" in proc.stdout
 
 
+
+TREFOIL_PAIR_2_1 = ("{} @ 2/1: dim = 2 (cancelled 1 bigon pairs)\n"
+                    "  class 0: 1\n  class 1: 1\n")
+
+
+class TestLoading:
+    """What loading a curve file prints, and its exit code, per selector.
+    A path is shown normalised (`./x.curve` as `x.curve`); the selector
+    itself is echoed as typed."""
+
+    CASES = {
+        "dot-slash": ("./x.curve", EXIT_OK, TREFOIL_PAIR_2_1.format("./x.curve"), ""),
+        "double-slash": ("dir//x.curve", EXIT_OK, TREFOIL_PAIR_2_1.format("dir//x.curve"), ""),
+        "zoo-dir-name": ("z", EXIT_OK, TREFOIL_PAIR_2_1.format("z"), ""),
+        "missing": ("missing.curve", EXIT_USAGE, "",
+                    "error: unknown knot 'missing.curve': not a zoo name or readable file\n"),
+        "directory": ("./dir/", EXIT_USAGE, "", "error: [Errno 21] Is a directory: 'dir'\n"),
+        "invalid": ("./bad.curve", EXIT_INVALID, "",
+                    "error: invalid diagram in bad.curve: "
+                    "[seam] seam crossing at height 1/4, expected 0\n"),
+        "unparsable": ("./garbled.curve", EXIT_INVALID, "",
+                       "error: cannot parse garbled.curve: line 2, column 3: bad rational 'v'\n"),
+    }
+
+    @pytest.fixture
+    def site(self, tmp_path, monkeypatch):
+        """A working directory holding the trefoil as x.curve, dir/x.curve
+        and zoo/z.curve (with $PEGBOARD_ZOO_DIR set to zoo), and two broken
+        files."""
+        text = pegboard.textfmt.emit_curve_text(pegboard.cli.build_zoo("trefoil"))
+        for name in ("x.curve", "dir/x.curve", "zoo/z.curve"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        (tmp_path / "bad.curve").write_text("component winding=1\nv -1/2 1/4\nv 1/2 1/4\n")
+        (tmp_path / "garbled.curve").write_text("component winding=1\nv v 0\nv 1/2 0\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PEGBOARD_ZOO_DIR", "zoo")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_selector_output_and_exit_code(self, capsys, site, case):
+        selector, code, out, err = self.CASES[case]
+        assert run(capsys, "pair", selector, "2/1") == (code, out, err)
+
+    @pytest.mark.parametrize("selector, source", [
+        ("./x.curve", "x.curve"), ("dir//x.curve", "dir/x.curve"), ("z", "zoo/z.curve")])
+    def test_render_names_the_normalised_path(self, capsys, site, selector, source):
+        code, out, err = run(capsys, "render", selector)
+        assert (code, err) == (EXIT_OK, "")
+        assert f"<!-- diagram: {source} -->" in out.splitlines()
+
+
 def _subparsers(parser):
     """The parsers of the subcommands directly under `parser`, by name."""
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

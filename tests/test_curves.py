@@ -30,6 +30,7 @@ from pegboard.curves import (
 )
 from pegboard.geometry import ZERO, pt
 from pegboard.textfmt import emit_curve_text, parse_curve_text
+from conftest import position
 from test_arc_sweep import generated_diagrams, staircase_diagrams
 
 
@@ -238,7 +239,7 @@ def reference_tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     crossings, _ = g0.level_crossings(1, 0, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
-    pos0, point0 = crossings[0].pos, crossings[0].point
+    pos0, point0 = position(crossings[0]), crossings[0].point
     tau = height_band(point0.y)
     # Scan vertices after the first crossing, on into the next period, for
     # the first strict turn.

@@ -46,6 +46,7 @@ from pegboard.differentials import (
     dually_simple_scan,
     gf2_rank,
 )
+from conftest import position
 from test_arc_sweep import grading_range
 from test_geometry import first_wound_peg as one_pass_wound_peg
 from test_walk import subarc as reference_subarc, walk_span
@@ -369,7 +370,8 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
     for direction in (1, -1):
         # Targets in walk order; m places each one's lift along the walk.
         spans = sorted(
-            ((walk_span(c, x, z, direction), z) for z in targets if z.comp == x.comp and z.pos != x.pos),
+            ((walk_span(c, x, z, direction), z) for z in targets
+             if z.comp == x.comp and position(z) != position(x)),
             key=lambda e: e[0][0],
         )
         for (_, m), z in spans:
@@ -553,7 +555,7 @@ def marker_candidates(sweep: ArcSweep, h, kind: str):
         c = sweep.diagram.components[x.comp]
         for direction in (1, -1):
             for z in targets:
-                if z.comp == x.comp and z.pos != x.pos:
+                if z.comp == x.comp and position(z) != position(x):
                     _, m = walk_span(c, x, z, direction)
                     if z.lift + m == k_t:
                         yield x, z, direction, corner
@@ -613,8 +615,8 @@ def assert_sources_and_targets_apart(d: CurveDiagram, slope: SlopeSpec) -> int:
             m = differential_matrix(sweep, h, kind)
             targets = Counter(z.comp for z in m.target_points)
             pairs += sum(targets[x.comp] for x in m.source_points)
-            at = {(z.comp, z.pos) for z in m.target_points}
-            assert not any((x.comp, x.pos) in at for x in m.source_points), (d.source, str(slope), h, kind)
+            at = {(z.comp, position(z)) for z in m.target_points}
+            assert not any((x.comp, position(x)) in at for x in m.source_points), (d.source, str(slope), h, kind)
     return pairs
 
 

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from pegboard.curves import Component, Crossing, build_zoo, lspace_staircase, thin, zoo_names
 from pegboard.geometry import HALF, ZERO, Point
 from pegboard.pairing import ArcSweep, SlopeSpec, dual_hfk_dims, line_family, raw_intersections, surgery_dim
+from conftest import position
 
 # ---------------------------------------------------------------------------
 # The Fraction scan (reference)
@@ -100,13 +101,13 @@ def record(pos: Fraction, point: Point, m: int) -> Crossing:
 def assert_scans_agree(c: Component, a: int, b: int, off_c: Fraction):
     got = c.level_crossings(a, b, off_c)
     want = reference_scan(c, a, b, off_c)
-    assert [(e.pos, e.point, e.m) for e in got[0]] == want[0]
+    assert [(position(e), e.point, e.m) for e in got[0]] == want[0]
     assert got[1] == want[1]
     # The records are those of the Fraction crossings, whose values read
     # back with the same types: exact Fractions and int levels.
     assert got[0] == [record(*crossing) for crossing in want[0]]
     for e, (rpos, rpoint, rm) in zip(got[0], want[0]):
-        assert type(e.pos) is type(rpos) is Fraction
+        assert type(position(e)) is type(rpos) is Fraction
         assert type(e.point.x) is type(e.point.y) is Fraction
         assert type(e.m) is type(rm) is int
     assert all(type(m) is int for m in got[1])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pegboard.textfmt
 from pegboard.curves import (
     Component,
     CurveDiagram,
@@ -172,3 +173,97 @@ def test_coordinate_tokens_read_as_fraction_reads_them(token):
         got = str(err)
         assert (err.line, err.column) == (4, 7)
     assert type(got) is type(want) and got == want, token
+
+
+# ---------------------------------------------------------------------------
+# Error columns: the token's own first character in the raw line
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("component winding=1\nv v 0\n", 2, 3, "bad rational 'v'"),
+    ("component winding=1\n    v 1/0 0\n", 2, 7, "bad rational '1/0'"),
+    ("  component winding=3\n", 1, 21, "winding must be 0 or 1, got '3'"),
+    ("component winding=1\n  v 0 z\n", 2, 7, "bad rational 'z'"),
+    ("component winding=1\nv 1/0 1/0 # 1/0\n", 2, 3, "bad rational '1/0'"),
+    ("component winding=1\nv 1/2 0\n\tv\t1/2  0x # 0x\n", 3, 9, "bad rational '0x'"),
+    ("component winding=1\nv 1/2 0\nv 1/2 1/2#\nv 0 -\n", 4, 5, "bad rational '-'"),
+], ids=["repeated-directive", "indented", "winding", "second-token", "same-token-twice",
+        "tabs-and-comment", "after-comment"])
+def test_error_columns_are_raw_line_positions(text, line, column, message):
+    with pytest.raises(CurveFormatError) as err:
+        parse_curve_text(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# Coordinates read through the per-call token memo
+
+
+def spellings(value: Fraction) -> list[str]:
+    """Tokens that `Fraction` reads as value: the written one, n/d, scaled,
+    signed, and (for a terminating decimal) decimal and exponent forms."""
+    n, d = value.numerator, value.denominator
+    out = [str(value), f"{n}/{d}", f"{2 * n}/{2 * d}", f"{3 * n}/{3 * d}"]
+    out.append(f"+{value}" if n >= 0 else f"-0{-value}")
+    k = next((k for k in range(8) if 10**k % d == 0), None)
+    if k is not None:
+        digits = n * 10**k // d
+        whole, frac = divmod(abs(digits), 10**k)
+        sign = "-" if digits < 0 else ""
+        out.append(f"{sign}{whole}.{frac:0{k}d}" if k else f"{sign}{whole}.0")
+        out.append(f"{digits}e-{k}")
+    return out
+
+
+def vertex_tokens(text: str) -> list[str]:
+    return [token for line in text.splitlines() if line.startswith("v ") for token in line.split()[1:]]
+
+
+def staircase(upper) -> CurveDiagram:
+    upper = sorted(upper, reverse=True)
+    exps = upper + [0] + [-e for e in reversed(upper)]
+    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+
+
+diagrams = st.one_of(
+    st.sampled_from(zoo_names()).map(build_zoo),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True).map(staircase),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagrams, st.data())
+def test_respelled_coordinates_read_as_fraction_reads_them(d, data):
+    canonical = emit_curve_text(d)
+    # each coordinate re-spelled by a drawn choice among its spellings: the
+    # zoo and staircases repeat values, so one spelling recurs across lines
+    # and one value comes with several spellings
+    lines = []
+    for line in canonical.splitlines():
+        if line.startswith("v "):
+            options = [spellings(Fraction(t)) for t in line.split()[1:]]
+            line = "v " + " ".join(o[data.draw(st.integers(0, len(o) - 1))] for o in options)
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    got = parse_curve_text(text)
+    coordinates = [z for c in got.components for p in c.vertices for z in (p.x, p.y)]
+    want = [Fraction(token) for token in vertex_tokens(text)]
+    assert all(type(z) is Fraction for z in coordinates)
+    assert coordinates == want
+    assert diagrams_equal(got, parse_curve_text(canonical))
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_each_distinct_token_is_parsed_once(monkeypatch, name):
+    text = emit_curve_text(build_zoo(name))
+    parsed = []
+    real = pegboard.textfmt._parse_fraction
+
+    def counting(token, line, column):
+        parsed.append(token)
+        return real(token, line, column)
+
+    monkeypatch.setattr(pegboard.textfmt, "_parse_fraction", counting)
+    parse_curve_text(text)
+    assert sorted(parsed) == sorted(set(vertex_tokens(text)))

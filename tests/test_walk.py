@@ -22,6 +22,7 @@ import pegboard.pairing as pairing
 from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
 from pegboard.geometry import Point, column_crossings, integer_frame
 from pegboard.pairing import ArcSweep, DegenerateIncidence, IPoint, SlopeSpec, walk_columns
+from conftest import position
 from test_arc_sweep import grading_range
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,7 @@ def walk_span(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[Fract
     the walk reaches z at z.point + (m, 0) (m = 0 on a closed component).
     """
     n = c.cycle_length()
-    ahead = z.pos - x.pos if direction > 0 else x.pos - z.pos
+    ahead = position(z) - position(x) if direction > 0 else position(x) - position(z)
     m = direction if ahead <= 0 and c.winding == 1 else 0
     return ahead % n or n, m
 
@@ -50,9 +51,9 @@ def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Poi
     """
     dist, m = walk_span(c, x, z, direction)
     if direction > 0:
-        passed = range(math.floor(x.pos) + 1, math.ceil(x.pos + dist))
+        passed = range(math.floor(position(x)) + 1, math.ceil(position(x) + dist))
     else:
-        passed = range(math.ceil(x.pos) - 1, math.floor(x.pos - dist), -1)
+        passed = range(math.ceil(position(x)) - 1, math.floor(position(x) - dist), -1)
     pts = [x.point] + [c.lifted(j) for j in passed]
     pts.append(z.point.translate(m) if m else z.point)
     return pts, m
@@ -94,10 +95,10 @@ def assert_walks_match(d: CurveDiagram) -> int:
                     for direction in (1, -1):
                         want = subarc(c, x, z, direction)
                         assert pairing.subarc(c, x, z, direction) == want, (
-                            d.source, str(slope), x.pos, z.pos, direction)
+                            d.source, str(slope), position(x), position(z), direction)
                         got = walk_columns(c, x.crossing, z.crossing, direction)
                         assert sorted(got) == sorted(polyline_columns(want[0])), (
-                            d.source, str(slope), x.pos, z.pos, direction)
+                            d.source, str(slope), position(x), position(z), direction)
                         walks += 1
     return walks
 
