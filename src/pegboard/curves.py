@@ -132,7 +132,7 @@ class Component:
         offset test all read it, rescaling by an integer factor where they
         need a finer scale.  Nothing may modify it.
         """
-        return integer_frame(self.vertices)[:3]
+        return integer_frame(self.vertices)
 
     def _rescale_for(self, c: Fraction) -> tuple[int, int, int]:
         """(S', f, C): the frame's scale S rescaled to hold c, S' = lcm(S,
@@ -317,21 +317,21 @@ def _strip_offset(c: Component) -> Optional[int]:
     return ks.pop() if len(ks) == 1 else None
 
 
-def _least_rotation(seq: tuple) -> Optional[tuple]:
-    """The least rotation of a cycle, read in both directions; None if empty."""
-    return min((s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(s))), default=None)
+def _cycle_key(c: Component, k: int, scale: int) -> Optional[tuple]:
+    """Translation/rotation/reversal-invariant integer key for a closed
+    component c, confined to the strip around x = k (k = 0 for one that
+    is not confined).
 
-
-def _canonical_cycle(c: Component) -> Optional[tuple]:
-    """Translation/rotation/reversal-invariant key for a closed component.
-
-    The component is moved into the strip around x = 0 when it is confined
-    to one, and its vertices become one tuple of (x, y) pairs; the key is
-    that cycle's least rotation.  A component with no vertices has the key
-    None.
+    c is moved by -k, and its vertices, times `scale` (a multiple of c's
+    frame scale), become one tuple of integer pairs; the key is that cycle's least rotation, read in both
+    directions.  A positive scale keeps the order of keys, and -scale
+    gives the key of c turned by a half turn about (0, 0).  A component
+    with no vertices has the key None.
     """
-    k = _strip_offset(c) or 0
-    return _least_rotation(tuple((p.x - k, p.y) for p in c.vertices))
+    s, xs, ys = c._frame
+    f = scale // s
+    cycle = tuple(((x - k * s) * f, y * f) for x, y in zip(xs, ys))
+    return min((seq[i:] + seq[:i] for seq in (cycle, cycle[::-1]) for i in range(len(seq))), default=None)
 
 
 def seam_crossings(c: Component) -> list[Crossing]:
@@ -465,11 +465,8 @@ def validate(d: CurveDiagram) -> ValidationReport:
         original = [(1, period)]
         rotated = [(1, tuple((-x, -y) for x, y in reversed(period)))]
         for c, k in confined:
-            s, xs, ys = c._frame
-            f = scale // s
-            cycle = tuple(((x - k * s) * f, y * f) for x, y in zip(xs, ys))
-            original.append((0, _least_rotation(cycle)))
-            rotated.append((0, _least_rotation(tuple((-x, -y) for x, y in cycle))))
+            original.append((0, _cycle_key(c, k, scale)))
+            rotated.append((0, _cycle_key(c, k, -scale)))
         if sorted(original) != sorted(rotated):
             add("symmetry", "component multiset is not invariant under the half turn about (0, 0)")
     return ValidationReport(tuple(bad))
@@ -505,15 +502,13 @@ def canonicalize(d: CurveDiagram) -> CurveDiagram:
 
     The wrapping component comes first, anchored at its seam crossing; the
     closed components follow, each moved into the strip around x = 0 and
-    sorted by its `_canonical_cycle`.
+    sorted by its `_cycle_key` at the lcm of their frame scales.
     """
     gamma0 = anchor_at_seam(d.gamma0())
-    closed = []
-    for c in d.acyclic():
-        k = _strip_offset(c)
-        closed.append(c.translate(-k) if k else c)
-    closed.sort(key=_canonical_cycle)
-    return CurveDiagram((gamma0, *closed), d.source)
+    closed = [(c, _strip_offset(c) or 0) for c in d.acyclic()]
+    scale = math.lcm(*(c._frame[0] for c, _ in closed))
+    closed.sort(key=lambda ck: _cycle_key(*ck, scale))
+    return CurveDiagram((gamma0, *(c.translate(-k) if k else c for c, k in closed)), d.source)
 
 
 def anchor_at_seam(c: Component) -> Component:

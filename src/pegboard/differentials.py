@@ -8,16 +8,16 @@ lowering map counts bigons covering the left marker once, the raising map
 the right one.  Counts are mod 2.
 
 A matrix is one pass over its candidate pairs.  Its grading is read once,
-as an integer: the sweep files grading h under the key (2h - p + 1)/2,
-which `pairing.grading_twice` gives, and the target grading h +- p under
+as an integer: the sweep files grading h under the key h - (p - 1)/2,
+which `pairing.grading_key` gives, and the target grading h +- p under
 that key +- p, so both point sets are read from the sweep by key.  The
-target points are indexed once by (component, lift), each group in
+target points are grouped once by (component, lift), each group in
 position order, so the targets that the walk from a source point meets on
 the target lift are read off in walk order: past the source on that lift,
 then, after a period end, short of it on the neighbouring lift (the same
-lift on a closed component).  Positions are compared in integers: each
-point's crossing record gives it as i + r/dg, which the lcm of the
-matrix's denominators dg turns into an integer.  Each candidate's marker test is
+lift on a closed component).  A group is small, and each of its crossing
+records is compared with the source's by `Crossing.precedes`, the one
+order of positions along a component.  Each candidate's marker test is
 done in integers, as cancellation's peg test is: the walk is found once
 (`pairing._walk`), its column crossings come from the component's column
 table (`pairing.walk_columns`), the closing piece through the corner is
@@ -41,30 +41,26 @@ and the dual-simplicity scan live here too.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .geometry import Point
-from .curves import Component, CurveDiagram, extrema_census, tau_epsilon
+from .curves import Component, Crossing, CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
     ArcSweep,
+    GradingOutOfRange,
     IPoint,
     SlopeSpec,
     _walk,
     genus_of,
-    grading_twice,
+    grading_key,
     subarc,
     surgery_dim,
     walk_columns,
     winds_only,
 )
-
-
-class GradingOutOfRange(ValueError):
-    """Grading not in Z + (p-1)/2 for the requested slope."""
 
 
 RULE_RANK_BOUND = "P5.2"
@@ -124,32 +120,23 @@ def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def _walk_order(groups: dict, comp: int, at: int, k: int, direction: int, winding: int) -> list[int]:
+def _walk_order(groups: dict, comp: int, at: Crossing, k: int, direction: int, winding: int) -> list[int]:
     """The targets on lift k that the walk from the source point in
     `direction` meets, in walk order, as indices into the target points.
 
-    The source lies on component `comp` at position `at`, and `groups`
-    maps (component, lift) to the positions of the targets there,
-    ascending, and their indices; positions are scaled to integers by one
-    common factor.  The walk meets the targets past the source on lift k
-    first; on a wrapping component (winding 1) it then passes a period
+    The source lies on component `comp` at the crossing `at`, and `groups`
+    maps (component, lift) to the (crossing, index) of the targets there,
+    in position order.  The walk meets the targets past the source on lift
+    k first; on a wrapping component (winding 1) it then passes a period
     end, and the targets short of the source that it reaches lie on lift
     k - direction.  On a closed component both parts are lift k's.
     """
-    here = groups.get((comp, k))
-    there = groups.get((comp, k - direction * winding))
-    order: list[int] = []
+    here = groups.get((comp, k), ())
+    there = groups.get((comp, k - direction * winding), ())
     if direction > 0:
-        if here:
-            order += here[1][bisect_right(here[0], at):]
-        if there:
-            order += there[1][:bisect_left(there[0], at)]
-    else:
-        if here:
-            order += reversed(here[1][:bisect_left(here[0], at)])
-        if there:
-            order += reversed(there[1][bisect_right(there[0], at):])
-    return order
+        return [i for e, i in here if at.precedes(e)] + [i for e, i in there if e.precedes(at)]
+    return ([i for e, i in reversed(here) if e.precedes(at)]
+            + [i for e, i in reversed(there) if at.precedes(e)])
 
 
 def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tuple[int, int],
@@ -194,45 +181,32 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         raise ValueError("kind must be 'phi' or 'psi'")
     if slope.q < 1 or slope.p < 0:
         raise ValueError("differentials need a slope with p >= 1 and q >= 1")
-    h = Fraction(h)
+    key = grading_key(slope, h)
     p, q = slope.p, slope.q
-    twice = grading_twice(p, h)
-    if twice is None:
-        raise GradingOutOfRange(f"grading {h} invalid for slope {slope}")
-    # The sweep's key of grading h is h - (p - 1)/2; the target's is p more
-    # or less.
-    key = (twice - p + 1) // 2
     src_pts = sweep._points(key)
     tgt_pts = sweep._points(key + p if kind == "psi" else key - p)
     if not tgt_pts:  # no target point, no bigon: the zero map
         return DiffMatrix(kind, slope, (), 0, src_pts, tgt_pts, ())
-    # The source arc of lift k runs from (k, h - p/2) to (k + q, h + p/2).
-    # Its corner is the peg (k + dk, row + 1/2) at its end that the target
-    # arc, on lift k + step, shares; the winding wanted just above the
-    # corner is w.
+    # The source arc of lift k runs from (k, h - p/2) to (k + q, h + p/2),
+    # h = key + (p - 1)/2.  Its corner is the peg (k + dk, row + 1/2) at its
+    # end that the target arc, on lift k + step, shares; the winding wanted
+    # just above the corner is w.
     if kind == "psi":
-        dk, step, w, row = q, q, 0, (twice + p) // 2
+        dk, step, w, row = q, q, 0, key + p - 1
     else:
-        dk, step, w, row = 0, -q, 1, (twice - p) // 2
+        dk, step, w, row = 0, -q, 1, key - 1
     want = (1, 0) if kind == "phi" else (0, 1)
-    # Positions i + r/dg, times the lcm of their denominators, are integers.
-    scale = math.lcm(*{z.crossing.dg for z in (*src_pts, *tgt_pts)})
-    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    groups: dict[tuple[int, int], list[tuple[Crossing, int]]] = {}
     for i, z in enumerate(tgt_pts):
-        e = z.crossing
-        positions, indices = groups.setdefault((z.comp, z.lift), ([], []))
-        positions.append(e.i * scale + e.r * (scale // e.dg))
-        indices.append(i)
+        groups.setdefault((z.comp, z.lift), []).append((z.crossing, i))
     bigons: list[MarkedBigon] = []
     rows = [[0] * len(src_pts) for _ in tgt_pts]
     for j, x in enumerate(src_pts):
         c = d.components[x.comp]
         corner_at = (x.lift + dk, row)
         corner = None  # its Point, built with the source's first bigon
-        e = x.crossing
-        at = e.i * scale + e.r * (scale // e.dg)
         for direction in (1, -1):
-            for i in _walk_order(groups, x.comp, at, x.lift + step, direction, c.winding):
+            for i in _walk_order(groups, x.comp, x.crossing, x.lift + step, direction, c.winding):
                 z = tgt_pts[i]
                 if _winds_marked(c, x, z, direction, corner_at, w, p, q):
                     rows[i][j] ^= 1

@@ -112,21 +112,17 @@ class Box:
         )
 
 
-def integer_frame(points: Sequence[Point], *extra) -> tuple[int, list[int], list[int], list[int]]:
-    """(S, X, Y, E): S the lcm of the denominators of the points'
-    coordinates and of `extra`, X[k] and Y[k] the coordinates of points[k]
-    times S, and E[k] the value extra[k] times S, all integers.
+def integer_frame(points: Sequence[Point]) -> tuple[int, list[int], list[int]]:
+    """(S, X, Y): S the lcm of the denominators of the points'
+    coordinates, and X[k] and Y[k] the coordinates of points[k] times S,
+    all integers.
 
     Each value is read once, as its integer ratio n/d, and scales to
     n * (S // d)."""
     xs = [p.x.as_integer_ratio() for p in points]
     ys = [p.y.as_integer_ratio() for p in points]
-    es = [v.as_integer_ratio() for v in extra]
-    scale = math.lcm(*{d for ratios in (xs, ys, es) for _, d in ratios})
-    return (scale,
-            [n * (scale // d) for n, d in xs],
-            [n * (scale // d) for n, d in ys],
-            [n * (scale // d) for n, d in es])
+    scale = math.lcm(*{d for ratios in (xs, ys) for _, d in ratios})
+    return scale, [n * (scale // d) for n, d in xs], [n * (scale // d) for n, d in ys]
 
 
 def pegs_in_box(box: Box) -> list[Point]:

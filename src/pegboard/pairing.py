@@ -116,6 +116,10 @@ class ZeroSurgery(ValueError):
     rationally defined grading, so only the flat count is reported."""
 
 
+class GradingOutOfRange(ValueError):
+    """Grading not in Z + (p-1)/2 for the requested slope."""
+
+
 @dataclass(frozen=True)
 class SlopeSpec:
     """A reduced slope p/q; q = 0 encodes the vertical slope 1/0."""
@@ -158,20 +162,15 @@ class SlopeSpec:
         return f"{self.p}/{self.q}"
 
 
-def grading_twice(p: int, h: Fraction) -> Optional[int]:
-    """2h, when h is a grading of slope p/q, in Z + (p - 1)/2; else None."""
-    twice, r = divmod(2 * h.numerator, h.denominator)
-    return None if r or (twice - p + 1) % 2 else twice
-
-
-def off_grading(h: Fraction, slope: SlopeSpec) -> ValueError:
-    """The error for an arc height that is not a grading of the slope."""
-    return ValueError(f"height {h} is not in Z + ({slope.p}-1)/2 for slope {slope}")
-
-
-def valid_grading(p: int, h) -> bool:
-    """Gradings for slope p/q live in Z + (p - 1)/2."""
-    return grading_twice(p, rat(h)) is not None
+def grading_key(slope: SlopeSpec, h) -> int:
+    """The sweep's key of grading h of the slope, the integer h - (p - 1)/2;
+    raises `GradingOutOfRange` when h is not a grading.  h is read through
+    `rat`, and the key in integers, as (2n - (p - 1)*d) / 2d for h = n/d."""
+    h = rat(h)
+    key, r = divmod(2 * h.numerator - (slope.p - 1) * h.denominator, 2 * h.denominator)
+    if r:
+        raise GradingOutOfRange(f"height {h} is not in Z + ({slope.p}-1)/2 for slope {slope}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,7 @@ class ArcLift:
         object.__setattr__(self, "height", rat(self.height))
         if self.slope.p == 0:
             raise ZeroSurgery("arcs of slope 0 are not defined")
-        if not valid_grading(self.slope.p, self.height):
-            raise off_grading(self.height, self.slope)
+        grading_key(self.slope, self.height)  # refuses a height off the gradings
 
     def seg(self) -> Segment:
         """Lift 0; lift k is this segment translated by (k, 0)."""
@@ -758,11 +756,11 @@ class ArcSweep:
     def raw(self, h) -> list[IPoint]:
         """Grading-h crossings before cancellation, sorted by component and
         position."""
-        return list(self._filed(self._key(h)))
+        return list(self._filed(grading_key(self.slope, h)))
 
     def points(self, h) -> tuple[IPoint, ...]:
         """Minimal-position intersection points with the grading-h arc."""
-        return self._points(self._key(h))
+        return self._points(grading_key(self.slope, h))
 
     def dims(self) -> dict:
         """Graded dual-knot dimensions, nonzero entries only, by increasing
@@ -780,17 +778,6 @@ class ArcSweep:
         """(key, point count) of each filed or held grading, by increasing
         key; the first held key raises `DegenerateIncidence` when reached."""
         return ((n, len(self._points(n))) for n in sorted(self._raw.keys() | self._held.keys()))
-
-    def _key(self, h) -> int:
-        """The key of grading h, h - (p - 1)/2, found in integers from twice
-        h; a height off the slope's gradings is refused as `ArcLift`
-        refuses it, with the same exception and message."""
-        h = rat(h)
-        p = self.slope.p
-        twice = grading_twice(p, h)
-        if twice is None:
-            raise off_grading(h, self.slope)
-        return (twice - p + 1) // 2
 
     def _filed(self, n: int) -> list[IPoint]:
         held = self._held.get(n)

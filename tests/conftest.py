@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from pegboard.curves import build_zoo, zoo_names
+from pegboard.curves import build_zoo, lspace_staircase, zoo_names
 from pegboard.pairing import IPoint
 
 
@@ -21,3 +22,11 @@ def position(x) -> Fraction:
     r/dg, of a `Crossing` record or of an `IPoint`'s record, as a Fraction."""
     c = x.crossing if isinstance(x, IPoint) else x
     return Fraction(c.i * c.dg + c.r, c.dg)
+
+
+@st.composite
+def staircase_diagrams(draw):
+    """An L-space staircase with one to three distinct upper exponents."""
+    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
+    exps = upper + [0] + [-e for e in reversed(upper)]
+    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})

@@ -38,25 +38,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import build_zoo, lspace_staircase, thin, validate, zoo_names
+from pegboard.curves import build_zoo, thin, validate, zoo_names
 from pegboard.differentials import differential_matrix
 from pegboard.geometry import ONE, ZERO, Box, Point
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
     DegenerateIncidence,
+    GradingOutOfRange,
     IPoint,
     SlopeSpec,
     _LineFamily,
     cancel_bigons,
     dual_hfk_dims,
+    grading_key,
     line_family,
     raw_intersections,
-    valid_grading,
 )
 from pegboard.render import render_svg
 from pegboard.textfmt import parse_curve_text
-from conftest import position
+from conftest import position, staircase_diagrams
 from test_level_scan import record
 from test_offset import _LineObject
 
@@ -348,13 +349,6 @@ def test_sweep_matches_walk_on_zoo(name):
         assert_sweep_matches_walk(d, SlopeSpec(63, 31), cancel=False)
 
 
-@st.composite
-def staircase_diagrams(draw):
-    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
-    exps = upper + [0] + [-e for e in reversed(upper)]
-    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
-
-
 generated_diagrams = st.one_of(
     staircase_diagrams(),
     st.builds(thin, st.integers(-3, 3), st.integers(0, 4)),
@@ -537,7 +531,8 @@ def test_unfiled_gradings_have_no_points(d, slope):
     dims = sweep.dims()
     assert set(dims) <= set(probe) and list(dims) == sorted(dims)
     for h in dims:
-        assert type(h) is Fraction and valid_grading(slope.p, h), (d.source, str(slope), h)
+        assert type(h) is Fraction, (d.source, str(slope), h)
+        assert grading_key(slope, h) == h - Fraction(slope.p - 1, 2), (d.source, str(slope), h)
     for h in probe:
         if not sweep.raw(h):
             assert not sweep.points(h), (d.source, str(slope), h)
@@ -587,17 +582,15 @@ def test_total_raises_as_dims_does_at_the_first_held_grading():
 
 
 def test_grading_keys_are_the_arc_heights_less_the_offset():
-    # a sweep reads a grading's key in integers; it is the arc's height
-    # less (p - 1)/2, at either sign of p, for every way of giving h
-    d = build_zoo("trefoil")
+    # a grading's key is read in integers; it is the arc's height less
+    # (p - 1)/2, at either sign of p, for every way of giving h
     for slope in (SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(-3, 2), SlopeSpec(-4, 3)):
-        sweep = ArcSweep(d, slope)
         off = Fraction(slope.p - 1, 2)
         for n in range(-7, 8):
             h = n + off
             want = int(ArcLift(slope, h).height - off)
             for given_h in {h, str(h)} | ({h.numerator} if h.denominator == 1 else set()):
-                assert sweep._key(given_h) == want == n, (str(slope), given_h)
+                assert grading_key(slope, given_h) == want == n, (str(slope), given_h)
 
 
 OFF_GRADINGS = [
@@ -609,21 +602,26 @@ OFF_GRADINGS = [
 ]
 
 
+def grading_readers(sweep: ArcSweep) -> list:
+    """Every entry point that reads a grading of the sweep's slope: the arc,
+    the sweep's two readers and, where the slope has p >= 1 and q >= 1,
+    both differentials."""
+    readers = [lambda h: ArcLift(sweep.slope, h), sweep.points, sweep.raw]
+    if sweep.slope.p >= 1 and sweep.slope.q >= 1:
+        readers += [lambda h, kind=kind: differential_matrix(sweep, h, kind) for kind in ("phi", "psi")]
+    return readers
+
+
 @pytest.mark.parametrize("slope,h,message", OFF_GRADINGS)
 def test_an_off_grading_height_is_refused_as_arc_lift_refuses_it(slope, h, message):
-    sweep = ArcSweep(build_zoo("trefoil"), slope)
-    with pytest.raises(ValueError) as lifted:
-        ArcLift(slope, h)
-    assert type(lifted.value) is ValueError and str(lifted.value) == message
-    for read in (sweep.points, sweep.raw):
-        with pytest.raises(ValueError) as refused:
+    for read in grading_readers(ArcSweep(build_zoo("trefoil"), slope)):
+        with pytest.raises(GradingOutOfRange) as refused:
             read(h)
-        assert type(refused.value) is ValueError and str(refused.value) == message
+        assert type(refused.value) is GradingOutOfRange and str(refused.value) == message
 
 
 def test_a_height_that_is_not_exact_is_refused_as_arc_lift_refuses_it():
-    sweep = ArcSweep(build_zoo("trefoil"), SlopeSpec(1, 1))
-    for read in (sweep.points, sweep.raw, lambda h: ArcLift(SlopeSpec(1, 1), h)):
+    for read in grading_readers(ArcSweep(build_zoo("trefoil"), SlopeSpec(1, 1))):
         with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as an exact rational$"):
             read(0.5)
 

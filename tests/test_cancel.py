@@ -57,7 +57,7 @@ from hypothesis import strategies as st
 
 import pegboard.differentials as differentials
 import pegboard.pairing as pairing
-from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, validate, zoo_names
+from pegboard.curves import Component, CurveDiagram, build_zoo, thin, validate, zoo_names
 from pegboard.differentials import differential_matrix
 from pegboard.geometry import (
     HALF,
@@ -82,7 +82,7 @@ from pegboard.pairing import (
     raw_intersections,
     subarc,
 )
-from conftest import position
+from conftest import position, staircase_diagrams
 from test_arc_sweep import grading_range
 from test_differentials import winding_near
 from test_geometry import first_wound_peg
@@ -349,13 +349,6 @@ def test_cancellation_matches_reference_at_the_slope_cap(name, slope):
 def test_cancellation_matches_reference_on_thin_diagrams(tau, fig8):
     d = thin(tau, fig8)
     assert sum(assert_cancellation_matches(d, slope) for slope in ZOO_SLOPES)
-
-
-@st.composite
-def staircase_diagrams(draw):
-    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
-    exps = upper + [0] + [-e for e in reversed(upper)]
-    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
 
 
 generated_diagrams = st.one_of(

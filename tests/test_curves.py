@@ -15,7 +15,8 @@ from pegboard.curves import (
     Component,
     CurveDiagram,
     NoVerticalCrossing,
-    _canonical_cycle,
+    _cycle_key,
+    _strip_offset,
     build_zoo,
     anchor_at_seam,
     component_extrema,
@@ -30,24 +31,25 @@ from pegboard.curves import (
 )
 from pegboard.geometry import ZERO, pt
 from pegboard.textfmt import emit_curve_text, parse_curve_text
-from conftest import position
-from test_arc_sweep import generated_diagrams, staircase_diagrams
+from conftest import position, staircase_diagrams
+from test_arc_sweep import generated_diagrams
 
 
-def component_key(c: Component) -> tuple:
+def component_key(c: Component, scale: int) -> tuple:
     """Key of a component in canonical position: a closed one by its
-    `_canonical_cycle`, a wrapping one, anchored at its seam crossing, by
-    its vertices."""
+    `_cycle_key` at `scale`, a multiple of its frame scale, a wrapping one,
+    anchored at its seam crossing, by its vertices."""
     if c.winding == 0:
-        return (0, _canonical_cycle(c))
+        return (0, _cycle_key(c, _strip_offset(c) or 0, scale))
     return (1, tuple((p.x, p.y) for p in c.vertices))
 
 
 def diagrams_equal(d1: CurveDiagram, d2: CurveDiagram) -> bool:
     """Equality up to re-parameterization and horizontal translation."""
+    scale = math.lcm(*(c._frame[0] for d in (d1, d2) for c in d.components))
 
     def keys(d: CurveDiagram) -> list[tuple]:
-        return sorted(component_key(anchor_at_seam(c) if c.winding else c) for c in d.components)
+        return sorted(component_key(anchor_at_seam(c) if c.winding else c, scale) for c in d.components)
 
     return keys(d1) == keys(d2)
 
@@ -70,9 +72,9 @@ class TestValidation:
         framed = []
         real = pegboard.curves.integer_frame
 
-        def counting_frame(points, *extra):
+        def counting_frame(points):
             framed.append(tuple(points))
-            return real(points, *extra)
+            return real(points)
 
         monkeypatch.setattr(pegboard.curves, "integer_frame", counting_frame)
         for argv in (["pair", str(path), "3/1"], ["hfk", str(path), "3/1"],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pegboard.cli as cli
 import pegboard.differentials as differentials
-from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, validate, zoo_names
+from pegboard.curves import Component, CurveDiagram, build_zoo, thin, validate, zoo_names
 from pegboard.geometry import (
     ONE,
     Box,
@@ -36,7 +36,6 @@ from pegboard.pairing import (
     subarc,
     surgery_dim,
     surgery_report,
-    valid_grading,
 )
 from pegboard.differentials import (
     DiffMatrix,
@@ -46,7 +45,7 @@ from pegboard.differentials import (
     dually_simple_scan,
     gf2_rank,
 )
-from conftest import position
+from conftest import position, staircase_diagrams
 from test_arc_sweep import grading_range
 from test_geometry import first_wound_peg as one_pass_wound_peg
 from test_walk import subarc as reference_subarc, walk_span
@@ -397,9 +396,9 @@ def reference_differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         raise ValueError("kind must be 'phi' or 'psi'")
     if slope.q < 1 or slope.p < 0:
         raise ValueError("differentials need a slope with p >= 1 and q >= 1")
-    h = F(h)
-    if not valid_grading(slope.p, h):
-        raise GradingOutOfRange(f"grading {h} invalid for slope {slope}")
+    h = rat(h)
+    if (h - F(slope.p - 1, 2)).denominator != 1:
+        raise GradingOutOfRange(f"height {h} is not in Z + ({slope.p}-1)/2 for slope {slope}")
     src_arc = ArcLift(slope, h)
     tgt_h = h + slope.p if kind == "psi" else h - slope.p
     src_pts = sweep.points(h)
@@ -481,13 +480,6 @@ def test_marked_bigons_match_reference_where_one_walk_meets_two_targets(tau, fig
     walks = Counter((bg.source, bg.direction) for h in sweep.dims() for kind in ("phi", "psi")
                     for bg in differential_matrix(sweep, h, kind).bigons)
     assert max(walks.values()) == 2
-
-
-@st.composite
-def staircase_diagrams(draw):
-    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
-    exps = upper + [0] + [-e for e in reversed(upper)]
-    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
 
 
 @settings(max_examples=25, deadline=None)

@@ -45,10 +45,11 @@ def first_wound_peg(loop: Sequence[Point], corner: Optional[Point] = None,
     through it across its column, and its count is then the winding just
     above it, which decides a marked bigon's markers.
 
-    The work is in integers, in the `integer_frame` of the loop and 1/2,
-    so columns and peg heights are integers too.
+    The work is in integers, in the `integer_frame` of the loop doubled so
+    that it holds 1/2 too, so columns and peg heights are integers too.
     """
-    scale, xs, ys, (half,) = integer_frame(loop, HALF)
+    scale, xs, ys = integer_frame(loop)
+    scale, half, xs, ys = 2 * scale, scale, [2 * x for x in xs], [2 * y for y in ys]
     # the peg (i, j + 1/2) is at (i*scale, j*scale + half)
     i0, i1 = -(-min(xs) // scale), max(xs) // scale
     j0, j1 = -((half - min(ys)) // scale), (max(ys) - half) // scale
@@ -181,16 +182,14 @@ exact = st.one_of(st.integers(-40, 40), st.fractions(max_denominator=36))
 
 
 @settings(max_examples=200)
-@given(st.lists(st.builds(Point, exact, exact), max_size=6), st.lists(exact, max_size=3))
-@example([], [F(-5, 6), 3, F(1, 4)])  # no points, only extras
-@example([], [])
-def test_integer_frame_scales_by_the_lcm_of_every_denominator(points, extra):
-    scale, xs, ys, es = integer_frame(points, *extra)
+@given(st.lists(st.builds(Point, exact, exact), max_size=6))
+@example([])
+def test_integer_frame_scales_by_the_lcm_of_every_denominator(points):
+    scale, xs, ys = integer_frame(points)
     lcm = 1  # folded pairwise through the gcd
-    for v in [v for p in points for v in (p.x, p.y)] + extra:
+    for v in [v for p in points for v in (p.x, p.y)]:
         lcm = lcm * F(v).denominator // math.gcd(lcm, F(v).denominator)
     assert scale == lcm
-    assert all(type(v) is int for v in xs + ys + es)
+    assert all(type(v) is int for v in xs + ys)
     assert xs == [p.x * scale for p in points]
     assert ys == [p.y * scale for p in points]
-    assert es == [v * scale for v in extra]

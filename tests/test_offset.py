@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.curves import CurveDiagram, build_zoo, thin, zoo_names
 from pegboard.geometry import HALF, ONE, ZERO, Box, Point
 from pegboard.pairing import (
     SlopeSpec,
@@ -25,6 +25,7 @@ from pegboard.pairing import (
     line_family,
 )
 from pegboard.render import render_svg
+from conftest import staircase_diagrams
 
 
 class _LineObject:
@@ -152,13 +153,6 @@ def test_closed_form_matches_reference_on_zoo(name):
     outcomes = {_agree(d, s, delta) for s in ZOO_SLOPES for delta in _plain_deltas(d)}
     assert outcomes == {True, False}
     assert not any(_agree(d, s, delta) for s in ZOO_SLOPES for delta in _adversarial_deltas(d, s))
-
-
-@st.composite
-def staircase_diagrams(draw):
-    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
-    exps = upper + [0] + [-e for e in reversed(upper)]
-    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
 
 
 generated_diagrams = st.one_of(

@@ -37,11 +37,10 @@ from pegboard.curves import (
     CurveDiagram,
     ValidationReport,
     Violation,
-    _canonical_cycle,
+    _cycle_key,
     anchor_at_seam,
     _strip_offset,
     build_zoo,
-    lspace_staircase,
     thin,
     validate,
     zoo_names,
@@ -56,6 +55,7 @@ from pegboard.geometry import (
     pegs_in_box,
 )
 from pegboard.textfmt import emit_curve_text
+from conftest import staircase_diagrams
 from test_geometry import is_peg
 from test_level_scan import reference_level_crossings
 
@@ -284,15 +284,28 @@ closed_polygons = st.lists(st.builds(Point, grid_coordinates, grid_coordinates),
 @example([])
 @example([Point(Fraction(1, 4), 0), Point(Fraction(1, 4), 0), Point(0, HALF)])  # a repeated vertex
 def test_canonical_cycle_matches_reference(vertices):
+    # `_cycle_key` at scale S is the reference key times S, and at -S the
+    # reference key of the half-turned component times S.
     c = Component(tuple(vertices), 0)
-    assert _canonical_cycle(c) == reference_canonical_cycle(c)
+    k = _strip_offset(c) or 0
+    scale = 2 * c._frame[0]
+    for s, turned in ((scale, c), (-scale, c.rotate180())):
+        want = reference_canonical_cycle(turned)
+        if want is not None:
+            want = tuple((x * scale, y * scale) for x, y in want)
+        assert _cycle_key(c, k, s) == want
 
 
-@st.composite
-def staircase_diagrams(draw):
-    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
-    exps = upper + [0] + [-e for e in reversed(upper)]
-    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
+@settings(max_examples=200, deadline=None)
+@given(st.lists(closed_polygons.filter(bool), min_size=2, max_size=4))
+def test_cycle_keys_sort_as_the_reference_keys_sort(polygons):
+    # At one common positive scale, the integer keys order the components
+    # as the Fraction keys of the reference do, ties included.
+    comps = [Component(tuple(vertices), 0) for vertices in polygons]
+    scale = math.lcm(*(c._frame[0] for c in comps))
+    keys = [_cycle_key(c, _strip_offset(c) or 0, scale) for c in comps]
+    by_key = sorted(range(len(comps)), key=keys.__getitem__)
+    assert by_key == sorted(range(len(comps)), key=lambda i: reference_canonical_cycle(comps[i]))
 
 
 base_diagrams = st.one_of(

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pegboard.pairing as pairing
-from pegboard.curves import Component, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.curves import Component, CurveDiagram, build_zoo, thin, zoo_names
 from pegboard.geometry import Point, column_crossings, integer_frame
 from pegboard.pairing import ArcSweep, DegenerateIncidence, IPoint, SlopeSpec, walk_columns
-from conftest import position
+from conftest import position, staircase_diagrams
 from test_arc_sweep import grading_range
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ SLOPES = [SlopeSpec(p, q) for p, q in [(1, 1), (2, 1), (3, 2), (5, 3), (-3, 2), 
 
 def polyline_columns(path: list[Point]) -> list[tuple[int, int, int]]:
     """The column crossings of an open polyline, edge by edge."""
-    scale, xs, ys, _ = integer_frame(path)
+    scale, xs, ys = integer_frame(path)
     out = []
     for k in range(len(path) - 1):
         out += column_crossings(scale, xs[k], ys[k], xs[k + 1], ys[k + 1])
@@ -116,13 +116,6 @@ def test_walks_match_reference_on_zoo(name):
 def test_walks_match_reference_on_thin_diagrams(tau, fig8):
     d = thin(tau, fig8)
     assert assert_walks_match(d) and assert_walks_match(d.mirror())
-
-
-@st.composite
-def staircase_diagrams(draw):
-    upper = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)), reverse=True)
-    exps = upper + [0] + [-e for e in reversed(upper)]
-    return lspace_staircase({e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)})
 
 
 @settings(max_examples=15, deadline=None)
