@@ -18,16 +18,16 @@ then, after a period end, short of it on the neighbouring lift (the same
 lift on a closed component).  A group is small, and each of its crossing
 records is compared with the source's by `Crossing.precedes`, the one
 order of positions along a component.  Each candidate's marker test is
-done in integers, as cancellation's peg test is: the walk is found once
-(`pairing._walk`), its column crossings come from the component's column
-table (`pairing.walk_columns`), the closing piece through the corner is
-crossed arithmetically on the arc line, and `pairing.winds_only` asks for
-winding 0 at every peg and w just above the corner.  A walk over a segment
-through a peg raises `PointOnLoop` from the column table: the curve lives
-in the punctured torus, and validation refuses such a segment.  The rows,
-one list per target point, are filled in place, an entry toggled per
-bigon; only a found bigon makes a record, and a source's corner point is
-built with its first one.  A marked bigon walks its loop (`subarc`) only
+done in integers, as cancellation's peg test is: one `pairing.walk_columns`
+call reads the walk's column crossings from the component's column table
+and the columns of its two ends, the closing piece through the corner is
+crossed arithmetically between those ends on the arc line, and
+`pairing.winds_only` asks for winding 0 at every peg and w just above the
+corner.  A walk over a segment through a peg raises `PointOnLoop` from
+the column table: the curve lives in the punctured torus, and validation
+refuses such a segment.  The rows, one list per target point, are filled
+in place, an entry toggled per bigon; only a found bigon makes a record,
+and a source's corner point is built with its first one.  A marked bigon walks its loop (`subarc`) only
 when the loop is read.  `gf2_rank` eliminates on integer bit rows.  A
 grading with no target point has the zero map, and no source is visited.
 
@@ -50,10 +50,8 @@ from .geometry import Point
 from .curves import Component, Crossing, CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
     ArcSweep,
-    GradingOutOfRange,
     IPoint,
     SlopeSpec,
-    _walk,
     genus_of,
     grading_key,
     subarc,
@@ -147,19 +145,15 @@ def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tu
 
     The loop walks along c from x in `direction` to z' = z.point + (m, 0),
     as `subarc` does, and closes through the corner, the peg (i, j + 1/2)
-    given as corner = (i, j).  The walk is found once (`pairing._walk`),
-    and its crossings with the integer columns come from the column table
-    (`pairing.walk_columns`).  The closing piece z' -> corner -> x is one
-    straight segment on the arc line of direction (q, p) through the
+    given as corner = (i, j).  One `pairing.walk_columns` call gives the
+    walk's crossings with the integer columns, from the column table, and
+    the columns of its ends x and z'.  The closing piece z' -> corner -> x
+    is one straight segment on the arc line of direction (q, p) through the
     corner, whose only peg is the corner: it crosses column i at the
     corner, which counts for the pegs below it (t = j - 1), and every
     other column k at t = j + floor(p*(k - i)/q).  All of it is integers.
     """
-    a, b = x.crossing, z.crossing
-    walk = _walk(c, a, b, direction)
-    x_end = -(-a.x // a.den)  # the ceilings of the abscissae of x and z'
-    z_end = -(-b.x // b.den) + walk[2]
-    crossings = walk_columns(c, a, b, direction, walk)
+    crossings, (x_end, z_end) = walk_columns(c, x.crossing, z.crossing, direction)
     i, j = corner
     sign = -1 if z_end < x_end else 1  # the closing piece runs rightwards from z'
     crossings += [(k, j - 1 if k == i else j + p * (k - i) // q, sign)
@@ -243,34 +237,25 @@ def census_bounds(d: CurveDiagram, slope: SlopeSpec) -> CensusBound:
     grading h + (p-1)/2; every local minimum forces rank in the raising map
     at grading h + (1-p)/2.  When the distinguished component has tau > 0,
     turns down after its first column crossing, and the slope exceeds
-    2*tau - 1, the single extremum pair carrying tau is discounted.
+    2*tau - 1, the single extremum pair carrying tau is discounted.  The
+    discount is taken from the census counts at heights tau and -tau, and
+    then each height is mapped to its grading once.
     """
     if slope.p < 1 or slope.q < 1:
         raise ValueError("census bounds need a slope with p >= 1 and q >= 1")
     p = slope.p
     census = extrema_census(d)
-    phi: dict = {}
-    psi: dict = {}
-    for h, n in census.n_plus.items():
-        g = Fraction(h) + Fraction(p - 1, 2)
-        phi[g] = phi.get(g, 0) + n
-    for h, n in census.n_minus.items():
-        g = Fraction(h) + Fraction(1 - p, 2)
-        psi[g] = psi.get(g, 0) + n
+    maxima, minima = dict(census.n_plus), dict(census.n_minus)
     tau, eps = tau_epsilon(d)
     discounted: list[tuple[str, int]] = []
     applies = tau > 0 and eps == 1 and slope.value() > 2 * tau - 1
     if applies:
-        g_max = Fraction(tau) + Fraction(p - 1, 2)
-        if phi.get(g_max, 0) > 0:
-            phi[g_max] -= 1
-            discounted.append(("max", tau))
-        g_min = Fraction(-tau) + Fraction(1 - p, 2)
-        if psi.get(g_min, 0) > 0:
-            psi[g_min] -= 1
-            discounted.append(("min", -tau))
-    phi = {g: n for g, n in phi.items() if n}
-    psi = {g: n for g, n in psi.items() if n}
+        for kind, counts, h in (("max", maxima, tau), ("min", minima, -tau)):
+            if counts.get(h):
+                counts[h] -= 1
+                discounted.append((kind, h))
+    phi = {Fraction(2 * h + p - 1, 2): n for h, n in maxima.items() if n}
+    psi = {Fraction(2 * h - p + 1, 2): n for h, n in minima.items() if n}
     return CensusBound(slope, phi, psi, applies, tuple(discounted))
 
 

@@ -78,10 +78,12 @@ the walk covers and m, the period ends it passes (equal positions are one
 full traversal apart).  `subarc` lists the walk's vertices, for an audit
 loop read from a removed pair and a marked bigon's loop read from
 `differentials`.  `walk_columns` reads the walk's crossings from the
-column table and `winds_only` checks the windings, for cancellation's peg
-test and the marker test, each of which adds only its own closing piece
-and finds its walk once: the peg test reads the walk's m from ring order,
-and the marker test hands the `_walk` it reads m from to `walk_columns`.
+column table, with the columns of its two ends, and `winds_only` checks
+the windings, for cancellation's peg test and the marker test, each of
+which adds only its own closing piece and walks the curve once: the peg
+test is handed the m that `cancel_bigons` read from ring order, and the
+marker test reads its closing piece's columns from the ends
+`walk_columns` returns.
 """
 
 from __future__ import annotations
@@ -489,13 +491,15 @@ def _closing_loop(c: Component, x: IPoint, y: IPoint) -> tuple[Point, ...]:
     return tuple(path[:-1] if path[-1] == path[0] else path)
 
 
-def walk_columns(c: Component, a: Crossing, b: Crossing, direction: int,
-                 walk: Optional[tuple[int, int, int]] = None) -> list[tuple[int, int, int]]:
-    """The column crossings of the `_walk` along c from a to b, as (column,
-    t, sign) in the convention of `geometry.column_crossings`, signed as
-    walked; raises `PointOnLoop` when one of its segments meets a peg.
-    `walk` is that `_walk`, found here unless a caller that reads its m
-    too has found it.
+def walk_columns(c: Component, a: Crossing, b: Crossing,
+                 direction: int) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
+    """(crossings, (start, end)) of the `_walk` along c from a to b.
+
+    The crossings are the walk's column crossings, as (column, t, sign) in
+    the convention of `geometry.column_crossings`, signed as walked; raises
+    `PointOnLoop` when one of its segments meets a peg.  start and end are
+    the columns of the walk's ends, the ceilings of the abscissae of a and
+    of b + (m, 0), in that order whichever the direction.
 
     The crossings are those of the forward traversal first..last that
     covers the walk, with their signs flipped on a backward walk.  Each
@@ -509,10 +513,9 @@ def walk_columns(c: Component, a: Crossing, b: Crossing, direction: int,
     start's abscissa and before the end iff k < the end's, and a leftward
     one the other way round.
     """
-    first, last, m = walk or _walk(c, a, b, direction)
-    start, end = -(-a.x // a.den), -(-b.x // b.den) + m  # the ceilings of the abscissae
-    if direction < 0:
-        start, end = end, start
+    first, last, m = _walk(c, a, b, direction)
+    ends = (-(-a.x // a.den), -(-b.x // b.den) + m)  # the ceilings of the abscissae
+    start, end = ends if direction > 0 else ends[::-1]
     n = c.cycle_length()
     periodic = c.winding == 1
     out = []
@@ -526,7 +529,7 @@ def walk_columns(c: Component, a: Crossing, b: Crossing, direction: int,
             if j == last and (k < end) != (sign < 0):
                 continue
             out.append((k, t, sign * direction))
-    return out
+    return out, ends
 
 
 def winds_only(crossings: Sequence[tuple[int, int, int]], corner: Optional[tuple[int, int]] = None,
@@ -554,21 +557,21 @@ def winds_only(crossings: Sequence[tuple[int, int, int]], corner: Optional[tuple
     return True
 
 
-def _winds_no_peg(c: Component, pts: Sequence[IPoint], ix: int, iy: int) -> bool:
-    """Whether the closing loop of the pair (pts[ix], pts[iy]), distinct
-    neighbours on component c's ring, winds no peg; raises `PointOnLoop`
-    when a segment the walk passes, or the lift's piece, meets a peg.
+def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
+    """Whether the closing loop of the pair (x, y), distinct neighbours on
+    component c's ring, winds no peg; raises `PointOnLoop` when a segment
+    the walk passes, or the lift's piece, meets a peg.
 
     The loop is `_closing_loop`'s: the forward `_walk` from x to y, which
-    ends at y.point + (m, 0), closed back to x along the lift.  m is read
-    from ring order, as `cancel_bigons` reads it: only the walk from the
-    ring's last point to its first passes a period end.  The walk's
-    crossings come from the component's column table (`walk_columns`, the
-    one `_walk` of the test), and the piece of the lift is crossed in
-    integers, in the pair's own frame, the lcm of the two points'
-    denominators; `winds_only` decides.  x and y have distinct positions,
-    so the walk has positive length and its ends differ even where both
-    lie on one segment.
+    ends at y.point + (m, 0), closed back to x along the lift.  m is the
+    one `cancel_bigons` read from ring order for the same-lift test: only
+    the walk from the ring's last point to its first passes a period end.
+    The walk's crossings come from the component's column table
+    (`walk_columns`), and the piece of the lift is crossed in integers, in
+    the pair's own frame, the lcm of the two points' denominators, before
+    the walk; `winds_only` decides.  x and y have distinct positions, so
+    the walk has positive length and its ends differ even where both lie
+    on one segment.
 
     A piece of a lift holds no peg on a filling family that `line_family`
     chose, as `_family_is_clean` rejects a form integral at the peg
@@ -577,12 +580,11 @@ def _winds_no_peg(c: Component, pts: Sequence[IPoint], ix: int, iy: int) -> bool
     only for a hand-built `_LineFamily` whose lines run through pegs, or
     on a curve through a peg.
     """
-    x, y = pts[ix].crossing, pts[iy].crossing
-    m = c.winding if iy < ix else 0
-    scale = math.lcm(x.den, y.den)
-    fx, fy = scale // x.den, scale // y.den
-    piece = column_crossings(scale, y.x * fy + m * scale, y.y * fy, x.x * fx, x.y * fx)
-    return winds_only(piece + walk_columns(c, x, y, 1))
+    a, b = x.crossing, y.crossing
+    scale = math.lcm(a.den, b.den)
+    fa, fb = scale // a.den, scale // b.den
+    piece = column_crossings(scale, b.x * fb + m * scale, b.y * fb, a.x * fa, a.y * fa)
+    return winds_only(piece + walk_columns(c, a, b, 1)[0])
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
@@ -663,7 +665,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
             if y.lift + step * m != x.lift:
                 continue
             # A wound peg stays wound: the loop never changes.
-            if _winds_no_peg(c, pts, ix, iy):
+            if _winds_no_peg(c, x, y, m):
                 pieces.append((ix, iy, m))
         if pieces and frame is None:
             frame = _scaled_frame(pts)
@@ -842,8 +844,4 @@ def dual_hfk_dims(d: CurveDiagram, slope: SlopeSpec) -> dict:
 
 def genus_of(d: CurveDiagram) -> int:
     """Top height met by the vertical arcs (0 for the horizontal line)."""
-    dims = dual_hfk_dims(d, SlopeSpec(1, 0))
-    if not dims:
-        return 0
-    top = max(dims)
-    return int(top) if top > 0 else 0
+    return max((int(h) for h in dual_hfk_dims(d, SlopeSpec(1, 0)) if h > 0), default=0)

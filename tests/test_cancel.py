@@ -522,13 +522,13 @@ def recording_peg_tests(monkeypatch):
     seen = []
     winds_no_peg = pairing._winds_no_peg
 
-    def recording(c, pts, ix, iy):
+    def recording(c, x, y, m):
         try:
-            verdict = winds_no_peg(c, pts, ix, iy)
+            verdict = winds_no_peg(c, x, y, m)
         except PointOnLoop as exc:
-            seen.append((c, pts[ix], pts[iy], exc))
+            seen.append((c, x, y, exc))
             raise
-        seen.append((c, pts[ix], pts[iy], verdict))
+        seen.append((c, x, y, verdict))
         return verdict
 
     monkeypatch.setattr(pairing, "_winds_no_peg", recording)

@@ -1,5 +1,6 @@
 """Every top-level function and class of the package is used in the package,
-and every import is used in its module.
+every import is used in its module, and no module imports another
+module's private name.
 
 A top-level definition in `src/pegboard` counts as used when some module
 of the package refers to it outside the definition itself: by name, as an
@@ -7,7 +8,9 @@ attribute or in an import.  A definition that nothing refers to is dead
 code, unless it is one of the names in `KEPT`, each kept for the reason
 given there.  A name that a module imports counts as used when the module
 reads it by name or lists it in its `__all__`; an import that its module
-never uses is dead too, unless it is one of the names in `KEPT_IMPORTS`.
+never uses is dead too.  A name with a leading underscore is private to
+its module: another module of the package that needs it calls for a
+public reader instead.
 """
 
 import ast
@@ -21,10 +24,6 @@ KEPT = {
     "geometry.winding_number": "perfbench/bench_trace.py wraps it by name",
     "pairing.arc_points": "perfbench/bench_trace.py wraps it by name",
     "textfmt.emit_curve_text": "the public writer, which perfbench set-up calls",
-}
-
-KEPT_IMPORTS = {
-    "differentials.GradingOutOfRange": "its home before it moved to pairing, where callers still import it",
 }
 
 
@@ -93,8 +92,21 @@ def test_the_check_finds_an_unused_definition(tmp_path):
     assert sorted(unreferenced(tmp_path)) == sorted([*KEPT, "geometry.unused_peg_search"])
 
 
+def private_imports(package: Path) -> list[str]:
+    """`module.name` of each private name, one with a leading underscore
+    but not a dunder, that a module of the package in that directory
+    imports from another module of the package."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("pegboard")):
+                found += [f"{path.stem}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
 def test_every_import_is_used():
-    assert sorted(unused_imports(PACKAGE)) == sorted(KEPT_IMPORTS)
+    assert unused_imports(PACKAGE) == []
 
 
 def test_the_check_finds_an_unused_import(tmp_path):
@@ -104,5 +116,19 @@ def test_the_check_finds_an_unused_import(tmp_path):
         (tmp_path / path.name).write_text(path.read_text())
     with open(tmp_path / "differentials.py", "a") as f:
         f.write("\nimport bisect\nfrom fractions import Fraction as F\n")
-    assert sorted(unused_imports(tmp_path)) == sorted([*KEPT_IMPORTS, "differentials.bisect",
-                                                       "differentials.F"])
+    assert sorted(unused_imports(tmp_path)) == ["differentials.F", "differentials.bisect"]
+
+
+def test_no_module_imports_a_private_name():
+    assert private_imports(PACKAGE) == []
+
+
+def test_the_check_finds_a_private_import(tmp_path):
+    # A private name imported from a sibling module, relatively or by the
+    # package's name, is found; a dunder or a public name is not.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "differentials.py", "a") as f:
+        f.write("\nfrom .pairing import _walk, walk_columns\n"
+                "from pegboard.curves import _cycle_key\nfrom . import __version__\n")
+    assert private_imports(tmp_path) == ["differentials._walk", "differentials._cycle_key"]

@@ -28,6 +28,7 @@ from pegboard.geometry import (
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
+    GradingOutOfRange,
     IPoint,
     SlopeSpec,
     ZeroSurgery,
@@ -39,7 +40,6 @@ from pegboard.pairing import (
 )
 from pegboard.differentials import (
     DiffMatrix,
-    GradingOutOfRange,
     census_bounds,
     differential_matrix,
     dually_simple_scan,
@@ -210,6 +210,19 @@ class TestCensusBounds:
         cb = census_bounds(zoo["figure_eight"], SlopeSpec(1, 1))
         assert cb.phi == {F(1): 1}
         assert cb.psi == {F(-1): 1}
+
+    def test_discount_leaves_the_other_extrema_at_its_height(self):
+        # thin(1, 2) has three maxima at height 1 and three minima at -1;
+        # past the threshold one of each is discounted and two are left.
+        cb = census_bounds(thin(1, 2), SlopeSpec(3, 1))
+        assert cb.exception_applied
+        assert cb.phi == {F(2): 2} and cb.psi == {F(-2): 2}
+        assert cb.discounted == (("max", 1), ("min", -1))
+        # thin(2, 1) has one maximum at each of heights 2 and 1: the one at
+        # tau = 2 goes, the other is mapped to grading 1 + (5 - 1)/2.
+        cb = census_bounds(thin(2, 1), SlopeSpec(5, 1))
+        assert cb.phi == {F(3): 1} and cb.psi == {F(-3): 1}
+        assert cb.discounted == (("max", 2), ("min", -2))
 
     def test_ranks_dominate_bounds(self, zoo):
         for name, d in zoo.items():

@@ -8,7 +8,8 @@ every pair of raw arc points on one component, in both directions, with
 x = z included (one full traversal), on the zoo, thin diagrams and
 Hypothesis staircases with their mirrors.  `walk_columns` must give the
 column crossings of that polyline, as `geometry.column_crossings` finds
-them edge by edge.
+them edge by edge, and the columns of its two ends, the ceilings of the
+abscissae of its first and last points.
 """
 
 import math
@@ -78,7 +79,7 @@ def assert_walks_match(d: CurveDiagram) -> int:
     """Every same-component pair of one grading's raw arc points, in both
     directions, at every slope of SLOPES: `subarc` against the reference,
     and `walk_columns` against the reference polyline's crossings, as
-    multisets.  Returns the number of walks compared."""
+    multisets, and its ends.  Returns the number of walks compared."""
     walks = 0
     for slope in SLOPES:
         sweep = ArcSweep(d, slope)
@@ -96,8 +97,11 @@ def assert_walks_match(d: CurveDiagram) -> int:
                         want = subarc(c, x, z, direction)
                         assert pairing.subarc(c, x, z, direction) == want, (
                             d.source, str(slope), position(x), position(z), direction)
-                        got = walk_columns(c, x.crossing, z.crossing, direction)
-                        assert sorted(got) == sorted(polyline_columns(want[0])), (
+                        got, ends = walk_columns(c, x.crossing, z.crossing, direction)
+                        path = want[0]
+                        assert sorted(got) == sorted(polyline_columns(path)), (
+                            d.source, str(slope), position(x), position(z), direction)
+                        assert ends == (math.ceil(path[0].x), math.ceil(path[-1].x)), (
                             d.source, str(slope), position(x), position(z), direction)
                         walks += 1
     return walks
