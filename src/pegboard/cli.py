@@ -87,7 +87,9 @@ def _load_knot(selector: str):
     except BadSpec:
         pass
     else:
-        _require_valid(d)
+        report = validate(d)
+        if not report.ok:
+            raise CliError(f"invalid diagram: {report.summary()}", EXIT_INVALID)
         return d
     # a file that exists costs one existence check and one read
     path = Path(selector)
@@ -105,12 +107,6 @@ def _load_knot(selector: str):
         raise CliError(f"invalid diagram in {path}: {exc}", EXIT_INVALID)
     except ValueError as exc:
         raise CliError(f"cannot parse {path}: {exc}", EXIT_INVALID)
-
-
-def _require_valid(d):
-    report = validate(d)
-    if not report.ok:
-        raise CliError(f"invalid diagram: {report.summary()}", EXIT_INVALID)
 
 
 def _parse_slope(text: str, allow_vertical=False) -> SlopeSpec:

@@ -26,9 +26,9 @@ crossed arithmetically between those ends on the arc line, and
 corner.  A walk over a segment through a peg raises `PointOnLoop` from
 the column table: the curve lives in the punctured torus, and validation
 refuses such a segment.  The rows, one list per target point, are filled
-in place, an entry toggled per bigon; only a found bigon makes a record,
-and a source's corner point is built with its first one.  A marked bigon walks its loop (`subarc`) only
-when the loop is read.  `gf2_rank` eliminates on integer bit rows.  A
+in place, an entry toggled per bigon, and each found bigon is listed as
+(source, target, direction), the walk that certified it; no loop is built.
+`gf2_rank` eliminates on integer bit rows.  A
 grading with no target point has the zero map, and no source is visited.
 
 Each strict local extremum of the curve forces rank in one of the maps at a
@@ -41,12 +41,9 @@ and the dual-simplicity scan live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .geometry import Point
 from .curves import Component, Crossing, CurveDiagram, extrema_census, tau_epsilon
 from .pairing import (
     ArcSweep,
@@ -54,7 +51,6 @@ from .pairing import (
     SlopeSpec,
     genus_of,
     grading_key,
-    subarc,
     surgery_dim,
     walk_columns,
     winds_only,
@@ -65,28 +61,6 @@ RULE_RANK_BOUND = "P5.2"
 RULE_DUAL_SIMPLE = "T1.4"
 
 
-@dataclass(frozen=True)
-class MarkedBigon:
-    """One marked bigon from `source` to `target`, both on `component`.
-
-    Its loop, the walk along the component in `direction` from the source
-    point to the target point followed by `corner`, the peg the two arcs
-    share, is walked with `subarc` when first read and kept.
-    """
-
-    source: IPoint
-    target: IPoint
-    n_z: int
-    n_w: int
-    component: Component
-    direction: int
-    corner: Point
-
-    @cached_property
-    def loop(self) -> tuple[Point, ...]:
-        return tuple(subarc(self.component, self.source, self.target, self.direction)[0] + [self.corner])
-
-
 class DiffMatrix(NamedTuple):
     kind: str  # "phi" or "psi"
     slope: SlopeSpec
@@ -94,7 +68,7 @@ class DiffMatrix(NamedTuple):
     rank: int
     source_points: tuple[IPoint, ...]
     target_points: tuple[IPoint, ...]
-    bigons: tuple[MarkedBigon, ...]
+    bigons: tuple[tuple[IPoint, IPoint, int], ...]  # (source, target, direction) each
 
 
 def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -143,15 +117,17 @@ def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tu
     but the corner, which it winds w times just above; raises
     `PointOnLoop` when a walked segment meets a peg.
 
-    The loop walks along c from x in `direction` to z' = z.point + (m, 0),
-    as `subarc` does, and closes through the corner, the peg (i, j + 1/2)
-    given as corner = (i, j).  One `pairing.walk_columns` call gives the
-    walk's crossings with the integer columns, from the column table, and
-    the columns of its ends x and z'.  The closing piece z' -> corner -> x
-    is one straight segment on the arc line of direction (q, p) through the
-    corner, whose only peg is the corner: it crosses column i at the
-    corner, which counts for the pegs below it (t = j - 1), and every
-    other column k at t = j + floor(p*(k - i)/q).  All of it is integers.
+    The loop walks along c from x in `direction` to z', z's point moved by
+    (m, 0) for the m of that walk, and closes through the corner, the peg
+    (i, j + 1/2) given as corner = (i, j); no loop is built, and a found
+    bigon is recorded by its walk alone.  One `pairing.walk_columns` call
+    gives the walk's crossings with the integer columns, from the column
+    table, and the columns of its ends x and z'.  The closing piece
+    z' -> corner -> x is one straight segment on the arc line of direction
+    (q, p) through the corner, whose only peg is the corner: it crosses
+    column i at the corner, which counts for the pegs below it
+    (t = j - 1), and every other column k at t = j + floor(p*(k - i)/q).
+    All of it is integers.
     """
     crossings, (x_end, z_end) = walk_columns(c, x.crossing, z.crossing, direction)
     i, j = corner
@@ -189,24 +165,20 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
         dk, step, w, row = q, q, 0, key + p - 1
     else:
         dk, step, w, row = 0, -q, 1, key - 1
-    want = (1, 0) if kind == "phi" else (0, 1)
     groups: dict[tuple[int, int], list[tuple[Crossing, int]]] = {}
     for i, z in enumerate(tgt_pts):
         groups.setdefault((z.comp, z.lift), []).append((z.crossing, i))
-    bigons: list[MarkedBigon] = []
+    bigons: list[tuple[IPoint, IPoint, int]] = []
     rows = [[0] * len(src_pts) for _ in tgt_pts]
     for j, x in enumerate(src_pts):
         c = d.components[x.comp]
-        corner_at = (x.lift + dk, row)
-        corner = None  # its Point, built with the source's first bigon
+        corner = (x.lift + dk, row)
         for direction in (1, -1):
             for i in _walk_order(groups, x.comp, x.crossing, x.lift + step, direction, c.winding):
                 z = tgt_pts[i]
-                if _winds_marked(c, x, z, direction, corner_at, w, p, q):
+                if _winds_marked(c, x, z, direction, corner, w, p, q):
                     rows[i][j] ^= 1
-                    if corner is None:
-                        corner = Point(Fraction(corner_at[0]), Fraction(2 * row + 1, 2))
-                    bigons.append(MarkedBigon(x, z, *want, c, direction, corner))
+                    bigons.append((x, z, direction))
     rows = tuple(map(tuple, rows))
     rank = gf2_rank(rows) if rows and src_pts else 0
     return DiffMatrix(kind, slope, rows, rank, src_pts, tgt_pts, tuple(bigons))

@@ -48,9 +48,9 @@ walk's m is read from ring order, so each peg test walks the curve once.
 A blocked pair is filed under the point that blocked it and is tested
 again only after that point is gone.
 The points come sorted by (component, position), so each component's ring
-is its run of them and no ring is sorted.  A removed pair's audit keeps
-only the pair and its component: its loop is walked with `subarc`, and the
-loop's pegs are listed, only when they are read.
+is its run of them and no ring is sorted.  A removed pair's audit is the
+pair (x, y) itself: its bigon was certified by the tests above, and no
+loop is kept.
 
 Either kind lies on the level sets of one linear form, so every raw count
 is one `Component.level_crossings` scan per component, done in integers
@@ -58,9 +58,9 @@ in the component's cached frame (`Component._frame`).  Each intersection
 point (`IPoint`) holds the scan's integer record of its crossing
 (`curves.Crossing`: segment, ratio along it, point over a common
 denominator, level); the sweep, cancellation and the differentials read
-those integers, and a point's Fraction coordinates are built only when
-read, by a loop walk (`subarc`) or by a test.  A filling family
-is its form f = a*x + b*y + c, and lift k is the line f = k: the form
+those integers, and a point's Fraction coordinates (`Crossing.point`)
+are built only when read.  A filling family is its form
+f = a*x + b*y + c, and lift k is the line f = k: the form
 numbers the raw points (`raw_intersections`), decides the offset
 (`_family_is_clean`, which tests each component in its own frame,
 rescaled for c) and picks the lifts that meet a box (`lift_indices`).
@@ -75,9 +75,7 @@ dimensions and both differentials of one slope share the work.
 Every walk along the curve between two intersection points is read from
 their two crossing records by one helper, `_walk`: the continuous segments
 the walk covers and m, the period ends it passes (equal positions are one
-full traversal apart).  `subarc` lists the walk's vertices, for an audit
-loop read from a removed pair and a marked bigon's loop read from
-`differentials`.  `walk_columns` reads the walk's crossings from the
+full traversal apart).  `walk_columns` reads the walk's crossings from the
 column table, with the columns of its two ends, and `winds_only` checks
 the windings, for cancellation's peg test and the marker test, each of
 which adds only its own closing piece and walks the curve once: the peg
@@ -93,7 +91,6 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
@@ -103,7 +100,6 @@ from .geometry import (
     Point,
     Segment,
     column_crossings,
-    pegs_in_box,
     rat,
 )
 from .curves import Component, Crossing, CurveDiagram
@@ -208,48 +204,19 @@ class IPoint(NamedTuple):
 
     comp is the index of the component, crossing its `Crossing` record from
     the level scan (in integers), and lift the integer index of the lift
-    through the point.  point is the record's, built as Fractions only
-    when read.
+    through the point.
     """
 
     comp: int
     crossing: Crossing
     lift: int
 
-    @property
-    def point(self) -> Point:
-        return self.crossing.point
-
-
-@dataclass(frozen=True)
-class CancelledBigon:
-    """One removed pair (x, y) on `component`, the curve component that
-    holds both points.
-
-    The loop of its empty bigon, the forward subarc from x to y without a
-    repeated closing point (`_closing_loop`), is walked with `subarc` when
-    first read and kept.  `pegs_checked`, the pegs of the loop's box, all certified to
-    have winding zero, is computed from the loop when read.
-    """
-
-    x: IPoint
-    y: IPoint
-    component: Component
-
-    @cached_property
-    def loop(self) -> tuple[Point, ...]:
-        return _closing_loop(self.component, self.x, self.y)
-
-    @property
-    def pegs_checked(self) -> tuple[Point, ...]:
-        return tuple(pegs_in_box(Box.around(self.loop)))
-
 
 class PairingReport(NamedTuple):
     slope: SlopeSpec
     counts: dict
     total: int
-    cancelled: tuple[CancelledBigon, ...]
+    cancelled: tuple[tuple[IPoint, IPoint], ...]  # each removed pair (x, y)
     flags: tuple[str, ...] = ()
 
 
@@ -409,20 +376,6 @@ def _walk(c: Component, a: Crossing, b: Crossing, direction: int) -> tuple[int, 
     return b.i - n, a.last_segment, m
 
 
-def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Point], int]:
-    """Plane polyline of the `_walk` from x to z, and its m.
-
-    The polyline starts at x.point, passes the lifted vertices in between
-    (first + 1..last, reversed on a backward walk) and ends at
-    z.point + (m, 0), on the (m, 0)-translate of z's lift.
-    """
-    first, last, m = _walk(c, x.crossing, z.crossing, direction)
-    passed = range(first + 1, last + 1)
-    pts = [x.point] + [c.lifted(j) for j in (passed if direction > 0 else reversed(passed))]
-    pts.append(z.point.translate(m) if m else z.point)
-    return pts, m
-
-
 def _scaled_frame(pts: Sequence[IPoint]) -> tuple[int, list[int], list[int], list[int]]:
     """(S, X, Y, L): S the lcm of the points' denominators, X[k] and Y[k]
     the coordinates of pts[k] times S, and L[k] its lift.
@@ -446,11 +399,11 @@ def _first_blocker(step: int, lift: int, frame: tuple, live: Sequence[int],
     on the lift.
 
     The pair is (ix, iy), indices into pts, and its ends are pts[iy] moved
-    by (m, 0), where the subarc from pts[ix] ends, and pts[ix].  Returns
+    by (m, 0), where the walk from pts[ix] ends, and pts[ix].  Returns
     the blocker's index in pts (the first in `live` order), None if the
     piece between the ends holds none.  `frame` is `_scaled_frame(pts)`
     and `live` lists indices into pts.  A point z stands for all its
-    translates z.point + (m, 0); the one on the lift has
+    translates by (m, 0); the one on the lift has
     z.lift + step*m == lift, and with step 0 every translate is on z's
     lift.  The comparisons are those of the coordinates times the frame's
     scale S, in integers.
@@ -469,7 +422,7 @@ def _first_blocker(step: int, lift: int, frame: tuple, live: Sequence[int],
         lo, hi = hi, lo
     if step == 0:
         for k in live:
-            # Some translate z.point + (m, 0) lies strictly between lo and hi.
+            # Some translate of z by (m, 0) lies strictly between lo and hi.
             if lifts[k] == lift and k not in pair and ((lo - xs[k]) // scale + 1) * scale < hi - xs[k]:
                 return k
         return None
@@ -480,15 +433,6 @@ def _first_blocker(step: int, lift: int, frame: tuple, live: Sequence[int],
         if not r and lo < (ys[k] if upright else xs[k] + m * scale) < hi:
             return k
     return None
-
-
-def _closing_loop(c: Component, x: IPoint, y: IPoint) -> tuple[Point, ...]:
-    """The loop of the pair (x, y): the forward subarc from x to y without
-    a repeated closing point.  When the subarc ends on x's lift, the loop
-    closes back to x.point along that lift and bounds the pair's bigon.
-    """
-    path, _ = subarc(c, x, y, 1)
-    return tuple(path[:-1] if path[-1] == path[0] else path)
 
 
 def walk_columns(c: Component, a: Crossing, b: Crossing,
@@ -562,8 +506,8 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
     component c's ring, winds no peg; raises `PointOnLoop` when a segment
     the walk passes, or the lift's piece, meets a peg.
 
-    The loop is `_closing_loop`'s: the forward `_walk` from x to y, which
-    ends at y.point + (m, 0), closed back to x along the lift.  m is the
+    The loop is the forward `_walk` from x to y, which ends at y's point
+    moved by (m, 0), closed back to x along the lift.  m is the
     one `cancel_bigons` read from ring order for the same-lift test: only
     the walk from the ring's last point to its first passes a period end.
     The walk's crossings come from the component's column table
@@ -588,7 +532,7 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
-                  order_seed: Optional[int] = None) -> tuple[list[IPoint], list[CancelledBigon]]:
+                  order_seed: Optional[int] = None) -> tuple[list[IPoint], list[tuple[IPoint, IPoint]]]:
     """Remove empty bigons until none remain; order is seed-controlled.
 
     `pts` are the intersections of d with one line family or one arc's
@@ -597,15 +541,15 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     their lift index changes when a point moves by (1, 0):
     `_LineFamily.step`, or 1 for arcs.  Each component's run of `pts` is
     its ring.  The candidates are the ordered pairs (x, y) adjacent along a
-    ring (pairs by position, cyclically) whose forward subarc closes up
+    ring (pairs by position, cyclically) whose forward walk closes up
     with the piece of x's lift back to x into an empty bigon, a loop of
     winding zero around every peg with no other live point on the piece.
     They are kept by the index of x in `pts`, which is ring order, and
     each step removes the first candidate, or the `order_seed` pick among
-    them.  The final count is independent of the removal order; the audit
-    records each removed pair with its component, and its loop and the
-    pegs certified to have winding zero are built when read
-    (`CancelledBigon.loop` and `pegs_checked`).
+    them.  The final count is independent of the removal order.  The
+    audit lists each removed pair as (x, y), in removal order: the pair is
+    the certificate, as its bigon passed the tests below when it was
+    removed, and no loop is built for it.
 
     The candidates are kept as a worklist: each pair is tested once, when
     it becomes adjacent, cheapest test first: the same-lift test, then the
@@ -651,7 +595,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     live = list(range(n))  # ascending
     cands: list[int] = []  # x of each pair (x, next(x)) bounding an empty bigon, ascending
     blocked: dict[int, list[tuple[int, int, int]]] = {}  # blocker -> the pairs (x, y, m) it blocks
-    audit: list[CancelledBigon] = []
+    audit: list[tuple[IPoint, IPoint]] = []
     frame = None  # `_scaled_frame(pts)`, built for the first piece test
     fresh = [(ix, nxt[ix]) for ix in range(n) if nxt[ix] != ix]  # the pairs to test
     pieces: list[tuple[int, int, int]] = []  # the pairs (x, y, m) to piece-test
@@ -680,8 +624,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
             return [pts[k] for k in live], audit
         ix = cands[0] if rng is None else cands[rng.randrange(len(cands))]
         iy = nxt[ix]
-        x = pts[ix]
-        audit.append(CancelledBigon(x, pts[iy], comps[x.comp]))
+        audit.append((pts[ix], pts[iy]))
         before, after = prv[ix], nxt[iy]
         for k in (before, ix, iy):  # the pairs that start there are gone
             i = bisect_left(cands, k)

@@ -7,20 +7,21 @@ all live points for one on the object piece and winds each peg of the
 loop's box with `winding_number`.  It reads the lifts through the pairing
 objects that `cancel_bigons` took before the lift step replaced them, also
 copied verbatim: `_ArcObject` and `_LineFamily.translated_lift`.
-`cancel_bigons` must return the same survivors and the same audit,
-`CancelledBigon` by `CancelledBigon`, and raise the same exception wherever
-the reference raises, for every removal order, out to the slope cap; the
-reference's pegs are what each bigon's `pegs_checked` reads from its loop.
-Cancellation is a worklist that tests each pair when it becomes adjacent,
-so no call may peg-test a pair twice.  `_LineFamily.step`
-must move lift indices as `translated_lift` did.
+`cancel_bigons` must return the same survivors and the same audit, pair
+by pair, and raise the same exception wherever the reference raises, for
+every removal order, out to the slope cap.  The reference walks each
+pair's loop with the Fraction walk `subarc` of `test_walk`, so the loop
+oracle shares no code with the kernel.  Cancellation is a worklist that
+tests each pair when it becomes adjacent, so no call may peg-test a pair
+twice.  `_LineFamily.step` must move lift indices as `translated_lift`
+did.
 
 `reference_first_blocker` is the piece test from before it moved to
 integers, copied verbatim; `_first_blocker` on the scaled frame of the same
 points must find the same blocker.  Call counts pin the order of the tests:
-only a pair whose loop winds no peg is piece-tested, and the audit's pegs
-are listed only when read.  `first_wound_peg`, the one-pass peg check kept
-in `test_geometry` as the verdict oracle, must agree with
+only a pair whose loop winds no peg is piece-tested.  `first_wound_peg`,
+the one-pass peg check kept in `test_geometry` as the verdict oracle,
+must agree with
 `winding_number` called peg by peg, on every loop cancellation peg-tests
 and every marked bigon's loop, reading a marked bigon's corner just above
 it with the copy of `winding_near` in `test_differentials`: the same first
@@ -29,16 +30,17 @@ wrongly wound peg, and `PointOnLoop` at the same peg.
 Cancellation reads each component's ring as its run of the raw points,
 which `raw_intersections` and `ArcSweep.raw` give strictly increasing in
 (component, position); that order is pinned on the zoo, thin diagrams and
-Hypothesis staircases with their mirrors.  A removed pair's audit keeps its
-component and walks its loop with `subarc` only when the loop is read: the
-reference's loop must be what the audit walks, and no walk may happen under
-`surgery_report`, `ArcSweep.dims` or `dually_simple_scan` before a loop is
-read.
+Hypothesis staircases with their mirrors.  A removed pair's audit is the
+pair (x, y) and nothing else, so each pair that `surgery_report` and
+`ArcSweep.dims` remove is checked to be a certificate on its own: both
+points lie on one component, y.lift + step*m == x.lift with m read from
+ring order, and the closing loop, walked with `subarc`, winds every peg of
+its box 0 times under `winding_number`.
 
 Cancellation's peg test reads each component's column table and builds no
-loop.  Its verdict must be `first_wound_peg`'s on the closing loop that
-`_closing_loop` builds for the same pair, on the zoo, thin diagrams and
-Hypothesis staircases with their mirrors, and the table must match its
+loop.  Its verdict must be `first_wound_peg`'s on the pair's closing loop,
+walked with `subarc`, on the zoo, thin diagrams and Hypothesis staircases
+with their mirrors, and the table must match its
 definition, computed in Fractions segment by segment, refusing a segment
 through a peg with `PointOnLoop` naming it.  So cancellation refuses a
 curve through a peg wherever a walk reads that segment, and a hand-built
@@ -73,20 +75,19 @@ from pegboard.geometry import (
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
-    CancelledBigon,
     IPoint,
     SlopeSpec,
     _LineFamily,
     cancel_bigons,
     line_family,
     raw_intersections,
-    subarc,
 )
 from conftest import position, staircase_diagrams
 from test_arc_sweep import grading_range
 from test_differentials import winding_near
 from test_geometry import first_wound_peg
 from test_level_scan import record
+from test_walk import subarc, walk_span
 
 # ---------------------------------------------------------------------------
 # The pairing objects cancellation took before the lift step (reference)
@@ -137,16 +138,16 @@ def _lifted_on_lift(obj: PairObject, target_lift: int, z: IPoint) -> Optional[Po
     """The plane point of quotient intersection z on the given object lift."""
     if isinstance(obj, _ArcObject):
         m = target_lift - z.lift
-        return z.point.translate(m)
+        return z.crossing.point.translate(m)
     fam: _LineFamily = obj
     if fam.slope.is_vertical:
-        return z.point.translate(target_lift - z.lift)
+        return z.crossing.point.translate(target_lift - z.lift)
     if fam.slope.p == 0:
-        return None if z.lift != target_lift else z.point  # plus all translates; handled separately
+        return None if z.lift != target_lift else z.crossing.point  # plus all translates; handled separately
     diff = z.lift - target_lift
     if diff % fam.slope.p != 0:
         return None
-    return z.point.translate(diff // fam.slope.p)
+    return z.crossing.point.translate(diff // fam.slope.p)
 
 
 def _piece_blocked(obj: PairObject, lift: int, a: Point, b: Point, pts: Sequence[IPoint],
@@ -170,10 +171,10 @@ def _piece_blocked(obj: PairObject, lift: int, a: Point, b: Point, pts: Sequence
             if z.lift != lift:
                 continue
             # Every horizontal translate of z lies on this same line.
-            lo = math.ceil(min(a.x, b.x) - z.point.x)
-            hi = math.floor(max(a.x, b.x) - z.point.x)
+            lo = math.ceil(min(a.x, b.x) - z.crossing.point.x)
+            hi = math.floor(max(a.x, b.x) - z.crossing.point.x)
             for m in range(lo, hi + 1):
-                if between(z.point.translate(m)):
+                if between(z.crossing.point.translate(m)):
                     return True
             continue
         zp = _lifted_on_lift(obj, lift, z)
@@ -202,7 +203,7 @@ def _bigon_loop(c: Component, obj: PairObject, x: IPoint, y: IPoint,
     if not same:
         return None
     end = path[-1]
-    if _piece_blocked(obj, x.lift, end, x.point, pts, (x, y)):
+    if _piece_blocked(obj, x.lift, end, x.crossing.point, pts, (x, y)):
         return None
     loop = path
     if loop[-1] == loop[0]:
@@ -239,26 +240,23 @@ def _candidates(d: CurveDiagram, obj: PairObject, pts: list[IPoint]) -> list[tup
 
 
 def reference_cancel_bigons(pts: list[IPoint], d: CurveDiagram, obj: PairObject,
-                            order_seed: Optional[int] = None) -> tuple[list[IPoint], list[CancelledBigon]]:
+                            order_seed: Optional[int] = None) -> tuple[list[IPoint], list[tuple[IPoint, IPoint]]]:
     """Remove empty bigons until none remain; order is seed-controlled.
 
     The final count is independent of the removal order; the audit records
-    each removed pair with its loop and the pegs certified to have winding
-    zero.
+    each removed pair (x, y), whose loop's pegs were certified to have
+    winding zero.
     """
     rng = random.Random(order_seed) if order_seed is not None else None
     live = list(pts)
-    audit: list[CancelledBigon] = []
+    audit: list[tuple[IPoint, IPoint]] = []
     while True:
         cands = _candidates(d, obj, live)
         if not cands:
             return live, audit
         x, y, loop, pegs = cands[0] if rng is None else cands[rng.randrange(len(cands))]
         live = [p for p in live if p is not x and p is not y]
-        bigon = CancelledBigon(x, y, d.components[x.comp])
-        assert bigon.loop == tuple(loop)  # the audit's loop, walked when read
-        assert bigon.pegs_checked == tuple(pegs)  # the audit's pegs, read from the loop
-        audit.append(bigon)
+        audit.append((x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +410,7 @@ def reference_first_blocker(step: int, lift: int, a: Point, b: Point, pts: Seque
 
     Returns its index in pts (the first in `live` order), None if the piece
     from a to b holds none.  `live` and `pair` are indices into pts.  A point
-    z stands for all its translates z.point + (m, 0); the one on the lift has
+    z stands for all its translates z.crossing.point + (m, 0); the one on the lift has
     z.lift + step*m == lift, and with step 0 every translate is on z's lift.
     """
     if a == b:
@@ -425,12 +423,12 @@ def reference_first_blocker(step: int, lift: int, a: Point, b: Point, pts: Seque
             continue
         z = pts[k]
         if horiz:
-            # Some translate z.point + (m, 0) lies strictly between lo and hi.
-            if z.lift == lift and math.floor(lo - z.point.x) + 1 < hi - z.point.x:
+            # Some translate z.crossing.point + (m, 0) lies strictly between lo and hi.
+            if z.lift == lift and math.floor(lo - z.crossing.point.x) + 1 < hi - z.crossing.point.x:
                 return k
             continue
         m, r = divmod(lift - z.lift, step)
-        if not r and lo < (z.point.y if upright else z.point.x + m) < hi:
+        if not r and lo < (z.crossing.point.y if upright else z.crossing.point.x + m) < hi:
             return k
     return None
 
@@ -465,10 +463,10 @@ def piece_tests(draw):
            for k in range(n)]
     ix, iy = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     m = draw(st.integers(-2, 2))
-    a = pts[iy].point.translate(m)
+    a = pts[iy].crossing.point.translate(m)
     shape = draw(st.sampled_from(("slanted", "upright", "equal")))
-    if shape != "slanted":  # put x.point above or below a, or on it
-        y = pts[ix].point.y if shape == "upright" else a.y
+    if shape != "slanted":  # put x's point above or below a, or on it
+        y = pts[ix].crossing.point.y if shape == "upright" else a.y
         pts[ix] = ipoint(position(pts[ix]), Point(a.x, y), pts[ix].lift)
     live = [k for k in range(n) if draw(st.booleans())]
     lift = draw(st.sampled_from([z.lift for z in pts]) | st.integers(-4, 4))
@@ -505,7 +503,8 @@ def piece_tests(draw):
 def test_integer_piece_test_matches_fraction_one(case):
     step, lift, m, pts, live, pair = case
     ix, iy = pair
-    want = reference_first_blocker(step, lift, pts[iy].point.translate(m), pts[ix].point, pts, live, pair)
+    want = reference_first_blocker(step, lift, pts[iy].crossing.point.translate(m), pts[ix].crossing.point,
+                                   pts, live, pair)
     got = pairing._first_blocker(step, lift, pairing._scaled_frame(pts), live, pair, m)
     assert got == want
 
@@ -585,48 +584,76 @@ def test_only_pairs_past_the_peg_check_are_piece_tested(monkeypatch, run):
     assert 0 < len(frames) == sum(reached)
 
 
-def test_audit_pegs_are_computed_when_read(monkeypatch):
-    calls = []
-
-    def counting_pegs_in_box(box):
-        calls.append(box)
-        return pegs_in_box(box)
-
-    monkeypatch.setattr(pairing, "pegs_in_box", counting_pegs_in_box)
-    report = pairing.surgery_report(build_zoo("trefoil"), SlopeSpec(-5, 1))
-    ArcSweep(build_zoo("torus_3_4"), SlopeSpec(5, 2)).dims()
-    assert report.cancelled and calls == []
-    for bigon in report.cancelled:
-        assert bigon.pegs_checked == tuple(pegs_in_box(Box.around(bigon.loop)))
-    assert len(calls) == len(report.cancelled)
+# ---------------------------------------------------------------------------
+# The removed pairs as certificates
 
 
-@pytest.mark.parametrize("run", [
-    lambda: pairing.surgery_report(build_zoo("trefoil"), SlopeSpec(-5, 1)),
-    lambda: ArcSweep(build_zoo("torus_3_4"), SlopeSpec(5, 2)).dims(),
-    lambda: differentials.dually_simple_scan(build_zoo("trefoil"), 4, 2),
-], ids=["surgery_report", "ArcSweep.dims", "dually_simple_scan"])
-def test_audit_loops_are_walked_when_read(monkeypatch, run):
-    walks, audits = [], []
-    walk, cancel = pairing.subarc, pairing.cancel_bigons
+def certified_loops(d: CurveDiagram, pts: Sequence[IPoint], step: int, audit) -> list[tuple[Point, ...]]:
+    """The closing loop of each pair (x, y) that one `cancel_bigons` call
+    removed from pts, checking that the pair certifies its bigon.
 
-    def counting_subarc(*args):
-        walks.append(args)
-        return walk(*args)
+    Both points lie on one component, and y lies on x's lift:
+    y.lift + step*m == x.lift, with m read from ring order (1 on a wrapping
+    component when y comes before x in pts, else 0), which the reference
+    walk `walk_span` must also give.  The loop (`closing_loop`, at least
+    two points) closes back to x along that lift and winds every peg of
+    its box 0 times under `winding_number`.
+    """
+    at = {z: k for k, z in enumerate(pts)}
+    loops = []
+    for x, y in audit:
+        assert x.comp == y.comp, (x, y)
+        c = d.components[x.comp]
+        m = c.winding if at[y] < at[x] else 0
+        assert y.lift + step * m == x.lift, (x, y)
+        assert walk_span(c, x, y, 1)[1] == m, (x, y)
+        loop = closing_loop(c, x, y)
+        assert loop is not None, (x, y)
+        for peg in pegs_in_box(Box.around(loop)):
+            assert winding_number(loop, peg) == 0, (x, y, peg)
+        loops.append(loop)
+    return loops
 
-    def keeping_audits(*args, **kwargs):
-        live, audit = cancel(*args, **kwargs)
-        audits.extend(audit)
+
+def assert_removed_pairs_certified(d: CurveDiagram, slopes) -> int:
+    """Every pair that `surgery_report` and `ArcSweep.dims` remove at each
+    slope, through `certified_loops`; returns how many were checked."""
+    removed = 0
+    cancel = pairing.cancel_bigons
+
+    def certifying(pts, d, step, *args):
+        live, audit = cancel(pts, d, step, *args)
+        nonlocal removed
+        removed += len(certified_loops(d, pts, step, audit))
         return live, audit
 
-    monkeypatch.setattr(pairing, "subarc", counting_subarc)
-    monkeypatch.setattr(pairing, "cancel_bigons", keeping_audits)
-    run()
-    assert audits and walks == []
-    loops = [bigon.loop for bigon in audits]
-    assert [bigon.loop for bigon in audits] == loops
-    assert len(walks) == len(audits)  # each loop is walked once and kept
-    assert all(len(loop) >= 2 and loop[0] == bigon.x.point for bigon, loop in zip(audits, loops))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairing, "cancel_bigons", certifying)
+        for slope in slopes:
+            pairing.surgery_report(d, slope)
+            if slope.p:
+                ArcSweep(d, slope).dims()
+    return removed
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_removed_pairs_are_certificates_on_zoo(name):
+    # |p| <= 7 and q <= 3 with 1/0 and 0/1, as the peg checks below.
+    removed = assert_removed_pairs_certified(build_zoo(name), ZOO_LOOP_SLOPES + [SlopeSpec(0, 1)])
+    assert removed or name == "unknot"
+
+
+@pytest.mark.parametrize("tau,fig8", [(tau, fig8) for tau in range(-2, 3) for fig8 in range(4)])
+def test_removed_pairs_are_certificates_on_thin_diagrams(tau, fig8):
+    slopes = [SlopeSpec(p, q) for q in (1, 2) for p in range(-5, 6) if p and math.gcd(abs(p), q) == 1]
+    removed = assert_removed_pairs_certified(thin(tau, fig8), slopes + [SlopeSpec(1, 0), SlopeSpec(0, 1)])
+    assert removed or (tau, fig8) == (0, 0)  # thin(0, 0) is the unknot's horizontal line
+
+
+@settings(max_examples=25, deadline=None)
+@given(staircase_diagrams(), st.booleans(), slopes)
+def test_removed_pairs_are_certificates_on_staircases(d, mirrored, slope):
+    assert_removed_pairs_certified(d.mirror() if mirrored else d, [slope])
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +680,11 @@ def assert_peg_checks_agree(loop, corner=None, corner_winding=0):
 
 
 def closing_loop(c: Component, x: IPoint, y: IPoint) -> Optional[tuple[Point, ...]]:
-    """`_closing_loop`'s loop of a pair, None when it has fewer than two
-    points."""
-    loop = pairing._closing_loop(c, x, y)
+    """The closing loop of a pair: the forward walk from x to y, walked
+    with `subarc`, without a repeated closing point; None when it has fewer
+    than two points."""
+    path, _ = subarc(c, x, y, 1)
+    loop = tuple(path[:-1] if path[-1] == path[0] else path)
     return loop if len(loop) >= 2 else None
 
 

@@ -192,6 +192,19 @@ class TestFilesAndRender:
         assert err == (f"error: invalid diagram in {path}: "
                        "[seam] seam crossing at height 1/4, expected 0\n")
 
+    def test_invalid_zoo_diagram_exit_code(self, capsys, monkeypatch):
+        # A built-in diagram is validated at load as a file is, with the
+        # same exit code and no file name in the message.
+        from fractions import Fraction
+        from pegboard.curves import Component, CurveDiagram
+        from pegboard.geometry import pt
+
+        seam = Component((pt(Fraction(-1, 2), Fraction(1, 4)), pt(Fraction(1, 2), Fraction(1, 4))), 1)
+        monkeypatch.setattr(pegboard.cli, "build_zoo", lambda name: CurveDiagram((seam,), name))
+        code, out, err = run(capsys, "pair", "trefoil", "1/1")
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: invalid diagram: [seam] seam crossing at height 1/4, expected 0\n"
+
     def test_degenerate_incidence_exit_code(self, capsys, tmp_path):
         # a valid null-wiggle whose two slope-1 segments lie on 1/1 arcs at
         # height 0; arcs are never offset, so the collinearity stays

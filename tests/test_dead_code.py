@@ -1,20 +1,25 @@
 """Every top-level function and class of the package is used in the package,
-every import is used in its module, and no module imports another
-module's private name.
+every property is read in it, every import is used in its module, and no
+module imports another module's private name.
 
 A top-level definition in `src/pegboard` counts as used when some module
 of the package refers to it outside the definition itself: by name, as an
 attribute or in an import.  A definition that nothing refers to is dead
 code, unless it is one of the names in `KEPT`, each kept for the reason
-given there.  A name that a module imports counts as used when the module
-reads it by name or lists it in its `__all__`; an import that its module
-never uses is dead too.  A name with a leading underscore is private to
+given there.  A `@property` or `cached_property` of a class in the package
+counts as read when some module reads an attribute of its name outside the
+property's own definition; a read off `self` counts only for the class
+that holds it.  The check goes by name, so a property that shares its name
+with a read property of another class passes it.  A name that a module
+imports counts as used when the module reads it by name or lists it in its
+`__all__`; an import that its module never uses is dead too.  A name with a leading underscore is private to
 its module: another module of the package that needs it calls for a
 public reader instead.
 """
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import pegboard
 
@@ -56,6 +61,60 @@ def unreferenced(package: Path) -> list[str]:
             if not used:
                 dead.append(f"{module}.{node.name}")
     return dead
+
+
+def attribute_reads(tree: ast.AST) -> list[tuple[str, int, Optional[str]]]:
+    """(attribute, line, owner) of each attribute the tree reads: owner is
+    the name of the innermost class around a read off `self`, else None."""
+    owners = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    owners[node] = cls.name
+    return [(node.attr, node.lineno, owners.get(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+
+
+def unread_properties(package: Path) -> list[str]:
+    """`module.Class.name` of each `@property` or `cached_property` of a
+    top-level class of the package in that directory that no module of it
+    reads: no read of an attribute of that name outside the property's own
+    definition, off `self` only in that class."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reads = {module: attribute_reads(tree) for module, tree in trees.items()}
+    unread = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for fn in cls.body:
+                decorators = [getattr(d, "id", getattr(d, "attr", None)) for d in getattr(fn, "decorator_list", ())]
+                if not {"property", "cached_property"} & set(decorators):
+                    continue
+                own = range(fn.lineno, fn.end_lineno + 1)
+                read = any(attr == fn.name and owner in (None, cls.name) and (other != module or line not in own)
+                           for other, found in reads.items() for attr, line, owner in found)
+                if not read:
+                    unread.append(f"{module}.{cls.name}.{fn.name}")
+    return unread
+
+
+def test_every_property_is_read():
+    assert unread_properties(PACKAGE) == []
+
+
+def test_the_check_finds_an_unread_property(tmp_path):
+    # A property read only in its own body, or only off `self` in another
+    # class, is unread; a cached_property read off `self` in its own class
+    # is read.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "geometry.py", "a") as f:
+        f.write("\n\nfrom functools import cached_property\n\n\n"
+                "class PegProbe:\n    @property\n    def probe_span(self):\n        return self.probe_span\n\n"
+                "    @property\n    def probe_depth(self):\n        return 0\n\n\n"
+                "class PegGauge:\n    @cached_property\n    def probe_depth(self):\n        return 1\n\n"
+                "    def total(self):\n        return self.probe_depth\n")
+    assert unread_properties(tmp_path) == ["geometry.PegProbe.probe_span", "geometry.PegProbe.probe_depth"]
 
 
 def unused_imports(package: Path) -> list[str]:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import pegboard.cli as cli
 import pegboard.differentials as differentials
 from pegboard.curves import Component, CurveDiagram, build_zoo, thin, validate, zoo_names
 from pegboard.geometry import (
@@ -34,7 +33,6 @@ from pegboard.pairing import (
     ZeroSurgery,
     dual_hfk_dims,
     genus_of,
-    subarc,
     surgery_dim,
     surgery_report,
 )
@@ -162,10 +160,16 @@ class TestDifferentialMatrix:
         assert differential_matrix(ArcSweep(t, SlopeSpec(5, 1)), top, "phi").rank == 0
 
     def test_marked_bigons_carry_single_marker(self, zoo):
-        m = differential_matrix(ArcSweep(zoo["trefoil"], SlopeSpec(1, 1)), 1, "phi")
+        # Each bigon's loop, walked with the reference walk and closed
+        # through its corner, covers the z marker once and the w marker
+        # not at all.
+        d, slope = zoo["trefoil"], SlopeSpec(1, 1)
+        m = differential_matrix(ArcSweep(d, slope), 1, "phi")
         assert m.bigons
-        for bg in m.bigons:
-            assert (bg.n_z, bg.n_w) == (1, 0)
+        for x, z, direction in m.bigons:
+            corner, _ = _corner_and_target_lift(ArcLift(slope, 1), x.lift, "phi")
+            loop = reference_subarc(d.components[x.comp], x, z, direction)[0] + [corner]
+            assert (abs(winding_near(loop, corner, (-1, 1))), abs(winding_near(loop, corner, (1, -1)))) == (1, 0)
 
     def test_bad_grading_rejected(self, zoo):
         with pytest.raises(GradingOutOfRange):
@@ -312,15 +316,18 @@ class TestScan:
 # bigons from before the corner's column count decided the markers: each
 # peg but the corner is checked with `winding_number`, and the markers are
 # read off the loop, n_z and n_w by `winding_near` on the corner's two
-# sides.  Two things changed: the record they build, `ReferenceBigon`,
-# holds the loop as a field, and the loop is walked with `reference_subarc`,
-# the Fraction walk that `walk_span` measures, both verbatim in `test_walk`.
+# sides.  Three things changed: the record they build, `ReferenceBigon`,
+# holds the loop and the walk's direction as fields, the loop is walked
+# with `reference_subarc`, the Fraction walk that `walk_span` measures, both
+# verbatim in `test_walk`, and the matrix lists each bigon as the kernel
+# does, by (source, target, direction).
 
 
 @dataclass(frozen=True)
 class ReferenceBigon:
     source: IPoint
     target: IPoint
+    direction: int
     loop: tuple[Point, ...]
     n_z: int
     n_w: int
@@ -398,7 +405,7 @@ def _marked_bigons(d: CurveDiagram, arc: ArcLift, x: IPoint, targets: Sequence[I
             n_z = abs(winding_near(loop, corner, (-p, q)))
             n_w = abs(winding_near(loop, corner, (p, -q)))
             if (n_z, n_w) == want:
-                found.append(ReferenceBigon(x, z, tuple(loop), n_z, n_w))
+                found.append(ReferenceBigon(x, z, direction, tuple(loop), n_z, n_w))
     return found
 
 
@@ -416,13 +423,13 @@ def reference_differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     tgt_h = h + slope.p if kind == "psi" else h - slope.p
     src_pts = sweep.points(h)
     tgt_pts = sweep.points(tgt_h)
-    bigons: list[ReferenceBigon] = []
+    bigons: list[tuple[IPoint, IPoint, int]] = []
     entries: dict[tuple[int, int], int] = {}
     for j, x in enumerate(src_pts):
         for bg in _marked_bigons(d, src_arc, x, tgt_pts, kind):
             i = tgt_pts.index(bg.target)
             entries[(i, j)] = entries.get((i, j), 0) ^ 1
-            bigons.append(bg)
+            bigons.append((bg.source, bg.target, bg.direction))
     rows = tuple(
         tuple(entries.get((i, j), 0) for j in range(len(src_pts))) for i in range(len(tgt_pts))
     )
@@ -430,27 +437,20 @@ def reference_differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     return DiffMatrix(kind, slope, rows, rank, src_pts, tgt_pts, tuple(bigons))
 
 
-def closed(loop: tuple[Point, ...]) -> tuple[Point, ...]:
-    """The loop without a last point that repeats its first, as the
-    reference leaves it."""
-    return loop[:-1] if len(loop) > 1 and loop[-1] == loop[0] else loop
-
-
 def matrix_outcome(matrix, sweep: ArcSweep, h, kind: str):
-    """What `matrix` gives: rows, rank, points and each bigon with its loop,
-    in order, or the type and text of what it raised."""
+    """What `matrix` gives: rows, rank, points and each bigon as (source,
+    target, direction), in order, or the type and text of what it raised."""
     try:
         m = matrix(sweep, h, kind)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    bigons = [(bg.source, bg.target, closed(bg.loop), bg.n_z, bg.n_w) for bg in m.bigons]
-    return m.kind, m.slope, m.rows, m.rank, m.source_points, m.target_points, bigons
+    return m.kind, m.slope, m.rows, m.rank, m.source_points, m.target_points, m.bigons
 
 
 def assert_marked_bigons_match(d: CurveDiagram, slope: SlopeSpec) -> int:
     """Both kinds at every grading of one slope must give the reference's
-    matrix: rows, rank, points and bigons in order, with their loops.
-    Returns the number of bigons found."""
+    matrix: rows, rank, points and bigons in order, each by its source,
+    target and direction.  Returns the number of bigons found."""
     sweep = ArcSweep(d, slope)
     found = 0
     for h in grading_range(d, slope):
@@ -490,8 +490,8 @@ def test_marked_bigons_match_reference_where_one_walk_meets_two_targets(tau, fig
     d = thin(tau, fig8)
     assert_marked_bigons_match(d, slope)
     sweep = ArcSweep(d, slope)
-    walks = Counter((bg.source, bg.direction) for h in sweep.dims() for kind in ("phi", "psi")
-                    for bg in differential_matrix(sweep, h, kind).bigons)
+    walks = Counter((x, direction) for h in sweep.dims() for kind in ("phi", "psi")
+                    for x, _, direction in differential_matrix(sweep, h, kind).bigons)
     assert max(walks.values()) == 2
 
 
@@ -683,33 +683,9 @@ def test_pegged_diagrams_are_refused(name, peg):
                 except PointOnLoop as exc:  # cancellation refuses a grading
                     assert str(exc) == refused
                     continue
-                walked = any(walks_along(subarc(d.components[x.comp], x, z, direction)[0], through)
+                walked = any(walks_along(reference_subarc(d.components[x.comp], x, z, direction)[0], through)
                              for x, z, direction, _ in candidates)
                 got = matrix_outcome(differential_matrix, sweep, h, kind)
                 assert (got == ("PointOnLoop", refused)) is walked, (str(slope), h, kind)
                 refusals += walked
     assert refusals
-
-
-def test_marked_bigon_loops_are_walked_when_read(monkeypatch, capsys):
-    walks, matrices = [], []
-    walk, matrix = differentials.subarc, cli.differential_matrix
-
-    def counting_walk(*args):
-        walks.append(args)
-        return walk(*args)
-
-    def keeping_matrix(*args):
-        matrices.append(matrix(*args))
-        return matrices[-1]
-
-    monkeypatch.setattr(differentials, "subarc", counting_walk)
-    monkeypatch.setattr(cli, "differential_matrix", keeping_matrix)
-    assert cli.main(["diff", "torus_3_4", "--", "3/2"]) == cli.EXIT_OK
-    capsys.readouterr()
-    bigons = [bg for m in matrices for bg in m.bigons]
-    assert bigons and walks == []
-    loops = [bg.loop for bg in bigons]
-    assert [bg.loop for bg in bigons] == loops
-    assert len(walks) == len(bigons)  # each loop is walked once and kept
-    assert all(loop[0] == bg.source.point and loop[-1] == bg.corner for bg, loop in zip(bigons, loops))

@@ -2,13 +2,12 @@
 makes nothing inexact.
 
 `Point` and `Box` hold the values they are given and coerce nothing.  So
-the entry points (`rat`, `pt`) must refuse a float, and every coordinate
-the kernel hands back must still be an int or a `Fraction`: the raw
-intersections, the survivors of bigon cancellation, and the loops of the
-cancelled and the marked bigons.
+the entry points (`rat`, `pt`) must refuse a float, and every number the
+kernel hands back must still be exact: each point of the raw
+intersections, of the survivors of bigon cancellation and of the
+cancelled and the marked bigons holds a crossing record of plain ints,
+from which its Fraction coordinates are read.
 """
-
-from fractions import Fraction
 
 import pytest
 
@@ -26,7 +25,9 @@ def test_the_edge_refuses_floats():
 
 
 def inexact(points) -> list:
-    return [p for p in points if not all(type(v) in (int, Fraction) for v in (p.x, p.y))]
+    """The intersection points whose crossing record holds a value other
+    than an int."""
+    return [z for z in points if not all(type(v) is int for v in z.crossing)]
 
 
 SLOPES = [SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(-2, 1), SlopeSpec(5, 2), SlopeSpec(2, 3)]
@@ -46,13 +47,12 @@ def test_kernel_coordinates_are_exact(name):
             live += sweep.points(h)
             if slope.p > 0 and slope.q > 0:
                 for kind in ("phi", "psi"):
-                    for bigon in differential_matrix(sweep, h, kind).bigons:
-                        assert not inexact(bigon.loop), (slope, h, kind)
+                    for x, z, _ in differential_matrix(sweep, h, kind).bigons:
+                        assert not inexact((x, z)), (slope, h, kind)
                         seen["marked"] += 1
-        assert not inexact(z.point for z in raw), slope
-        assert not inexact(z.point for z in live), slope
-        for bigon in audit:
-            assert not inexact(bigon.loop), slope
+        assert not inexact(raw), slope
+        assert not inexact(live), slope
+        assert not inexact(z for pair in audit for z in pair), slope
         seen["raw"] += len(raw)
         seen["live"] += len(live)
         seen["cancelled"] += len(audit)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegboard.curves import Component, CurveDiagram
-from pegboard.geometry import pt
+from pegboard.geometry import Box, pegs_in_box, pt
 from pegboard.pairing import (
     ArcLift,
     SlopeSpec,
@@ -20,6 +20,7 @@ from pegboard.pairing import (
     surgery_dim,
     surgery_report,
 )
+from test_cancel import certified_loops
 
 
 def vertical_dims_oracle(d):
@@ -207,21 +208,24 @@ class TestCancellation:
             assert surgery_report(staircases["trefoil"], s).cancelled == ()
         assert surgery_report(staircases["torus_2_5"], SlopeSpec(5, 1)).cancelled == ()
 
-    def test_cancellation_certificates_have_zero_windings(self, staircases):
-        from pegboard.geometry import winding_number
+    @staticmethod
+    def report_and_loops(d, slope):
+        """The report at the slope and the closing loop of each pair it
+        removed, each pair checked as a certificate by `certified_loops`."""
+        rep = surgery_report(d, slope)
+        fam = line_family(d, slope)
+        return rep, certified_loops(d, raw_intersections(d, fam), fam.step, rep.cancelled)
 
-        rep = surgery_report(staircases["trefoil"], SlopeSpec(-5, 1))
-        assert rep.cancelled
-        for bigon in rep.cancelled:
-            for peg in bigon.pegs_checked:
-                assert winding_number(bigon.loop, peg) == 0
+    def test_cancellation_certificates_have_zero_windings(self, staircases):
+        rep, loops = self.report_and_loops(staircases["trefoil"], SlopeSpec(-5, 1))
+        assert rep.cancelled and len(loops) == len(rep.cancelled)
 
     def test_wiggled_unknot_cancels_exactly_one_pair(self):
-        rep = surgery_report(WIGGLED, SlopeSpec(1, 1))
+        rep, loops = self.report_and_loops(WIGGLED, SlopeSpec(1, 1))
         assert rep.total == 1
         assert len(rep.cancelled) == 1
-        bigon = rep.cancelled[0]
-        assert bigon.loop and bigon.pegs_checked == tuple()
+        loop, = loops
+        assert loop and list(pegs_in_box(Box.around(loop))) == []
 
     def test_empty_input_stays_empty(self, zoo):
         fam = line_family(zoo["unknot"], SlopeSpec(1, 1))
@@ -236,11 +240,10 @@ class TestCancellation:
         assert len(totals) == 1
 
     def test_audit_certifies_empty_loops(self):
-        rep = surgery_report(WIGGLED, SlopeSpec(1, 1))
-        for bigon in rep.cancelled:
-            # every peg listed in the certificate had winding zero; the loop
-            # is recorded for replay
-            assert len(bigon.loop) >= 2
+        rep, loops = self.report_and_loops(WIGGLED, SlopeSpec(1, 1))
+        # each removed pair replays as a loop of at least two points whose
+        # pegs all have winding zero
+        assert loops and all(len(loop) >= 2 for loop in loops)
 
 
 def _random_confined_wiggle(seed):

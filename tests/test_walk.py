@@ -2,14 +2,16 @@
 
 `walk_span` and `subarc` below are the walk that ran before it was read
 from the points' crossing records, copied verbatim: it measured the walk
-in Fraction positions and listed the vertices between them.  `subarc`
-(built on `pairing._walk`) must give the same polyline and the same m for
-every pair of raw arc points on one component, in both directions, with
-x = z included (one full traversal), on the zoo, thin diagrams and
-Hypothesis staircases with their mirrors.  `walk_columns` must give the
-column crossings of that polyline, as `geometry.column_crossings` finds
-them edge by edge, and the columns of its two ends, the ceilings of the
-abscissae of its first and last points.
+in Fraction positions and listed the vertices between them.  They are the
+loop oracle of the tests: the kernel keeps no loop, so a test that needs
+one builds it with `subarc`.  For every pair of raw arc points on one
+component, in both directions, with x = z included (one full traversal),
+on the zoo, thin diagrams and Hypothesis staircases with their mirrors,
+`pairing._walk` must give the reference's m and pass as many vertices as
+its polyline, and `walk_columns` must give the column crossings of that
+polyline, as `geometry.column_crossings` finds them edge by edge, and the
+columns of its two ends, the ceilings of the abscissae of its first and
+last points.
 """
 
 import math
@@ -36,7 +38,8 @@ def walk_span(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[Fract
     direction +1 walks forward (increasing position), -1 backward.  The
     length lies in (0, n], n the cycle length, so equal positions are one
     full traversal apart.  m is the signed number of period ends passed, so
-    the walk reaches z at z.point + (m, 0) (m = 0 on a closed component).
+    the walk reaches z at its point moved by (m, 0) (m = 0 on a closed
+    component).
     """
     n = c.cycle_length()
     ahead = position(z) - position(x) if direction > 0 else position(x) - position(z)
@@ -47,16 +50,17 @@ def walk_span(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[Fract
 def subarc(c: Component, x: IPoint, z: IPoint, direction: int) -> tuple[list[Point], int]:
     """Plane polyline of the `walk_span` walk from x to z, and its m.
 
-    The polyline starts at x.point, passes the lifted vertices in between
-    and ends at z.point + (m, 0), on the (m, 0)-translate of z's lift.
+    The polyline starts at x's point, passes the lifted vertices in
+    between and ends at z's point moved by (m, 0), on the (m, 0)-translate
+    of z's lift.
     """
     dist, m = walk_span(c, x, z, direction)
     if direction > 0:
         passed = range(math.floor(position(x)) + 1, math.ceil(position(x) + dist))
     else:
         passed = range(math.ceil(position(x)) - 1, math.floor(position(x) - dist), -1)
-    pts = [x.point] + [c.lifted(j) for j in passed]
-    pts.append(z.point.translate(m) if m else z.point)
+    pts = [x.crossing.point] + [c.lifted(j) for j in passed]
+    pts.append(z.crossing.point.translate(m) if m else z.crossing.point)
     return pts, m
 
 
@@ -77,9 +81,10 @@ def polyline_columns(path: list[Point]) -> list[tuple[int, int, int]]:
 
 def assert_walks_match(d: CurveDiagram) -> int:
     """Every same-component pair of one grading's raw arc points, in both
-    directions, at every slope of SLOPES: `subarc` against the reference,
-    and `walk_columns` against the reference polyline's crossings, as
-    multisets, and its ends.  Returns the number of walks compared."""
+    directions, at every slope of SLOPES: `_walk`'s m and vertex count
+    against the reference polyline, and `walk_columns` against that
+    polyline's crossings, as multisets, and its ends.  Returns the number
+    of walks compared."""
     walks = 0
     for slope in SLOPES:
         sweep = ArcSweep(d, slope)
@@ -94,11 +99,11 @@ def assert_walks_match(d: CurveDiagram) -> int:
                     if z.comp != x.comp:
                         continue
                     for direction in (1, -1):
-                        want = subarc(c, x, z, direction)
-                        assert pairing.subarc(c, x, z, direction) == want, (
+                        path, m = subarc(c, x, z, direction)
+                        first, last, walked = pairing._walk(c, x.crossing, z.crossing, direction)
+                        assert (walked, last - first + 2) == (m, len(path)), (
                             d.source, str(slope), position(x), position(z), direction)
                         got, ends = walk_columns(c, x.crossing, z.crossing, direction)
-                        path = want[0]
                         assert sorted(got) == sorted(polyline_columns(path)), (
                             d.source, str(slope), position(x), position(z), direction)
                         assert ends == (math.ceil(path[0].x), math.ceil(path[-1].x)), (
@@ -134,6 +139,12 @@ def test_equal_positions_are_one_full_traversal():
     x = ArcSweep(d, SlopeSpec(1, 1)).raw(0)[0]
     n = c.cycle_length()
     for direction in (1, -1):
-        path, m = pairing.subarc(c, x, x, direction)
-        assert m == direction and len(path) == n + 1
-        assert path[-1] == x.point.translate(direction)
+        first, last, m = pairing._walk(c, x.crossing, x.crossing, direction)
+        # x is a vertex, so the walk covers the n segments of one period
+        # and passes the n - 1 vertices between its ends, as the reference
+        # polyline does.
+        assert x.crossing.r == 0
+        assert m == direction and last - first == n - 1
+        path, _ = subarc(c, x, x, direction)
+        assert len(path) == n + 1
+        assert path[-1] == x.crossing.point.translate(direction)
