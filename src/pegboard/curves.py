@@ -143,6 +143,15 @@ class Component:
         return scale, scale // self._frame[0], num * (scale // den)
 
     @cached_property
+    def _lifted_frame(self) -> tuple[list[int], list[int]]:
+        """(X, Y) of continuous vertices -1..n in the frame (index j + 1
+        holds vertex j, shifted by its period on the wrapping component),
+        built once; nothing may modify it."""
+        n, (scale, vx, vy) = self.cycle_length(), self._frame
+        period = scale if self.winding == 1 else 0  # the x step per period
+        return [vx[n - 1] - period, *vx[:n], vx[0] + period], [vy[n - 1], *vy[:n], vy[0]]
+
+    @cached_property
     def _columns(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
         """`segment_columns` by segment, filled on first use."""
         return {}
@@ -197,9 +206,10 @@ class Component:
         i + 1 (collinear) or vertex i - 1 (not collinear).  Such vertices
         give no crossing; the scan never raises.
 
-        The scan works in integers, in the component's frame (`_frame`,
-        scale S) rescaled by f = lcm(S, den c) // S so that c is an integer
-        in it too (`_rescale_for`): at scale f*S the form is an integer G
+        The scan works in integers, on the component's lifted vertex table
+        (`_lifted_frame`, at the frame's scale S) times f = lcm(S, den c) //
+        S, so that c is an integer too (`_rescale_for`); the table is built
+        once and never rescaled in place.  At scale f*S the form is an integer G
         at every vertex, a vertex lies on a level iff f*S divides G, the
         levels a segment crosses are a floor/ceil division range, and the
         crossing of level m lies at the integer ratio
@@ -209,16 +219,11 @@ class Component:
         n = self.cycle_length()
         if n == 0:
             return [], {}
-        _, vx, vy = self._frame
         scale, f, cs = self._rescale_for(c)
-        period = scale if self.winding == 1 else 0  # scaled x step per period
-        xs, ys, gs = [], [], []  # index j + 1 holds vertex j, scaled
-        for j in range(-1, n + 1):
-            wrap, i = divmod(j, n)
-            x, y = vx[i] * f + wrap * period, vy[i] * f
-            xs.append(x)
-            ys.append(y)
-            gs.append(a * x + b * y + cs)
+        xs, ys = self._lifted_frame  # index j + 1 holds vertex j
+        if f != 1:
+            xs, ys = [x * f for x in xs], [y * f for y in ys]
+        gs = [a * x + b * y + cs for x, y in zip(xs, ys)]
         gcd = math.gcd
         crossings: list[Crossing] = []
         degenerate: dict[int, list[tuple[int, bool]]] = {}

@@ -19,13 +19,13 @@ lift on a closed component).  A group is small, and each of its crossing
 records is compared with the source's by `Crossing.precedes`, the one
 order of positions along a component.  Each candidate's marker test is
 done in integers, as cancellation's peg test is: one `pairing.walk_columns`
-call reads the walk's column crossings from the component's column table
-and the columns of its two ends, the closing piece through the corner is
-crossed arithmetically between those ends on the arc line, and
-`pairing.winds_only` asks for winding 0 at every peg and w just above the
-corner.  A walk over a segment through a peg raises `PointOnLoop` from
-the column table: the curve lives in the punctured torus, and validation
-refuses such a segment.  The rows, one list per target point, are filled
+call adds the walk's column crossings from the component's column table
+into a signed tally by (column, t) and gives the columns of its two ends,
+the closing piece through the corner, crossed arithmetically between those
+ends on the arc line, adds its own, and `pairing.winds_only` asks for
+winding 0 at every peg and w just above the corner.  A walk over a segment
+through a peg raises `PointOnLoop` from the column table: the curve lives
+in the punctured torus, and validation refuses such a segment.  The rows, one list per target point, are filled
 in place, an entry toggled per bigon, and each found bigon is listed as
 (source, target, direction), the walk that certified it; no loop is built.
 `gf2_rank` eliminates on integer bit rows.  A
@@ -121,20 +121,22 @@ def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tu
     (m, 0) for the m of that walk, and closes through the corner, the peg
     (i, j + 1/2) given as corner = (i, j); no loop is built, and a found
     bigon is recorded by its walk alone.  One `pairing.walk_columns` call
-    gives the walk's crossings with the integer columns, from the column
-    table, and the columns of its ends x and z'.  The closing piece
+    adds the walk's column crossings, from the column table, into the
+    tally and gives the columns of its ends x and z'.  The closing piece
     z' -> corner -> x is one straight segment on the arc line of direction
     (q, p) through the corner, whose only peg is the corner: it crosses
     column i at the corner, which counts for the pegs below it
-    (t = j - 1), and every other column k at t = j + floor(p*(k - i)/q).
-    All of it is integers.
+    (t = j - 1), and every other column k at t = j + floor(p*(k - i)/q),
+    each added into the same tally.  All of it is integers.
     """
-    crossings, (x_end, z_end) = walk_columns(c, x.crossing, z.crossing, direction)
+    tally: dict[tuple[int, int], int] = {}
+    x_end, z_end = walk_columns(c, x.crossing, z.crossing, direction, tally)
     i, j = corner
     sign = -1 if z_end < x_end else 1  # the closing piece runs rightwards from z'
-    crossings += [(k, j - 1 if k == i else j + p * (k - i) // q, sign)
-                  for k in range(min(x_end, z_end), max(x_end, z_end))]
-    return winds_only(crossings, corner, w)
+    for k in range(min(x_end, z_end), max(x_end, z_end)):
+        key = k, j - 1 if k == i else j + p * (k - i) // q
+        tally[key] = tally.get(key, 0) + sign
+    return winds_only(tally, corner, w)
 
 
 def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:

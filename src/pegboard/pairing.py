@@ -25,28 +25,30 @@ family, -p for a slanted one and 0 for horizontal lines, each of which holds
 every translate of its points.
 Cancellation is a worklist: within one `cancel_bigons` call each adjacent
 pair is tested once, when it becomes adjacent, cheapest test first: the
-lift test, then the peg check, then the piece test.  Removing a pair makes
-one new adjacent pair on its ring and frees the pairs it blocked; nothing
-else is tested again.  The same-lift test is read from ring order: the
-pairs are neighbours on a component's ring of distinct positions, so the
-forward walk from x to y passes a period end (m = 1) only from the ring's
-last point to its first on the wrapping component, and y lies on x's lift
-iff y.lift + step*m == x.lift.  The peg test of a pair that passes reads
-its closing loop's crossings with the integer columns from the component's
-column table (`Component.segment_columns`, integers kept for the life of
-the component) and crosses only the lift's piece in integers: no Fraction
-loop is built.  The curve lives in the punctured torus, so no peg lies on
-it: the column table refuses a segment through a peg with `PointOnLoop`, as
-validation does.  Only the loops that wind no peg are ever piece-tested: a
-loop never changes, so a wound peg rules its pair out for good.  The piece
-test, for another live point on the lift's piece, is the only one that
-depends on what has been removed.  It compares coordinates in the points'
-integer frame, built from the integers of their crossing records when a
-call's first pair reaches the piece test; the peg test crosses the lift's
-piece in the pair's own frame (the lcm of its two denominators), and its
-walk's m is read from ring order, so each peg test walks the curve once.
-A blocked pair is filed under the point that blocked it and is tested
-again only after that point is gone.
+lift test, then the peg check, then the piece test.  One pass over the ring
+neighbours runs the first two on every pair, and only a call where a pair
+passes builds the worklist.  Removing a pair makes one new adjacent pair on
+its ring and frees the pairs it blocked; nothing else is tested again.  The
+same-lift test is read from ring order: the pairs are neighbours on a
+component's ring of distinct positions, so the forward walk from x to y
+passes a period end (m = 1) only from the ring's last point to its first on
+the wrapping component, and y lies on x's lift iff
+y.lift + step*m == x.lift.  The peg test of a pair that passes sums its
+closing loop's column crossings into one signed tally: the lift's piece,
+crossed in integers, and the walk, read from the component's column table
+(`Component.segment_columns`, kept for the life of the component); no
+Fraction loop is built.  The curve lives in the punctured torus, so no peg
+lies on it: the column table refuses a segment through a peg with
+`PointOnLoop`, as validation does.  Only the loops that wind no peg are
+ever piece-tested: a loop never changes, so a wound peg rules its pair out
+for good.  The piece test, for another live point on the lift's piece, is
+the only one that depends on what has been removed.  It compares
+coordinates in the points' integer frame, built from the integers of their
+crossing records when a call's first pair reaches the piece test; the peg
+test crosses the lift's piece in the pair's own frame (the lcm of its two
+denominators), and its walk's m is read from ring order, so each peg test
+walks the curve once.  A blocked pair is filed under the point that
+blocked it and is tested again only after that point is gone.
 The points come sorted by (component, position), so each component's ring
 is its run of them and no ring is sorted.  A removed pair's audit is the
 pair (x, y) itself: its bigon was certified by the tests above, and no
@@ -75,13 +77,13 @@ dimensions and both differentials of one slope share the work.
 Every walk along the curve between two intersection points is read from
 their two crossing records by one helper, `_walk`: the continuous segments
 the walk covers and m, the period ends it passes (equal positions are one
-full traversal apart).  `walk_columns` reads the walk's crossings from the
-column table, with the columns of its two ends, and `winds_only` checks
-the windings, for cancellation's peg test and the marker test, each of
-which adds only its own closing piece and walks the curve once: the peg
-test is handed the m that `cancel_bigons` read from ring order, and the
-marker test reads its closing piece's columns from the ends
-`walk_columns` returns.
+full traversal apart).  `walk_columns` adds the walk's crossings from the
+column table into a signed tally by (column, t) and returns the columns of
+its two ends, and `winds_only` reads every peg's winding off the tally, for
+cancellation's peg test and the marker test, each of which adds only its
+own closing piece and walks the curve once: the peg test is handed the m
+that `cancel_bigons` read from ring order, and the marker test reads its
+closing piece's columns from the ends `walk_columns` returns.
 """
 
 from __future__ import annotations
@@ -435,15 +437,17 @@ def _first_blocker(step: int, lift: int, frame: tuple, live: Sequence[int],
     return None
 
 
-def walk_columns(c: Component, a: Crossing, b: Crossing,
-                 direction: int) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
-    """(crossings, (start, end)) of the `_walk` along c from a to b.
+def walk_columns(c: Component, a: Crossing, b: Crossing, direction: int,
+                 tally: dict[tuple[int, int], int]) -> tuple[int, int]:
+    """Add the column crossings of the `_walk` along c from a to b into
+    `tally`, and return (start, end).
 
-    The crossings are the walk's column crossings, as (column, t, sign) in
-    the convention of `geometry.column_crossings`, signed as walked; raises
-    `PointOnLoop` when one of its segments meets a peg.  start and end are
-    the columns of the walk's ends, the ceilings of the abscissae of a and
-    of b + (m, 0), in that order whichever the direction.
+    A crossing (column, t, sign), in the convention of
+    `geometry.column_crossings` and signed as walked, adds its sign to
+    tally[column, t]; raises `PointOnLoop` when one of the walk's segments
+    meets a peg.  start and end are the columns of the walk's ends, the
+    ceilings of the abscissae of a and of b + (m, 0), in that order
+    whichever the direction.
 
     The crossings are those of the forward traversal first..last that
     covers the walk, with their signs flipped on a backward walk.  Each
@@ -462,43 +466,37 @@ def walk_columns(c: Component, a: Crossing, b: Crossing,
     start, end = ends if direction > 0 else ends[::-1]
     n = c.cycle_length()
     periodic = c.winding == 1
-    out = []
+    table = c._columns  # read first: most walked segments are filed and cross no column
     for j in range(first, last + 1):
         wrap, i = divmod(j, n)
         shift = wrap if periodic else 0
-        for k, t, sign in c.segment_columns(i):
+        columns = table.get(i)
+        for k, t, sign in c.segment_columns(i) if columns is None else columns:
             k += shift
             if j == first and (k >= start) != (sign < 0):
                 continue
             if j == last and (k < end) != (sign < 0):
                 continue
-            out.append((k, t, sign * direction))
-    return out, ends
+            tally[k, t] = tally.get((k, t), 0) + sign * direction
+    return ends
 
 
-def winds_only(crossings: Sequence[tuple[int, int, int]], corner: Optional[tuple[int, int]] = None,
+def winds_only(tally: dict[tuple[int, int], int], corner: Optional[tuple[int, int]] = None,
                corner_winding: int = 0) -> bool:
-    """Whether the closed loop with these column crossings winds every peg
-    0 times, except the peg (i, j + 1/2) given as corner = (i, j), which it
-    winds `corner_winding` times.
+    """Whether the loop whose column crossings sum to `tally` winds every
+    peg 0 times, except the peg (i, j + 1/2) given as corner = (i, j),
+    which it winds `corner_winding` times.
 
-    A peg's winding is the signed count of the crossings above it on its
-    column, and a closed loop crosses each column 0 times net, so the
-    running sum of the signs taken down the (column, t) keys in decreasing
-    order is, at each key, the winding of the peg it names; a peg between
-    keys has the winding of the nearest key above it.
+    tally[k, t] is the signed count S(k, t) of the loop's crossings of
+    column k at t, and the winding of peg (k, j + 1/2) is the sum of
+    S(k, t) over t >= j.  So every peg winds 0 times iff every S is 0,
+    and only the corner winds w != 0 times iff the nonzero S are exactly
+    S(i, j) = w and S(i, j - 1) = -w.
     """
-    sums: dict[tuple[int, int], int] = {}
-    for k, t, sign in crossings:
-        sums[k, t] = sums.get((k, t), 0) + sign
-    if corner is not None:
-        sums.setdefault(corner, 0)
-    wound = 0
-    for key in sorted(sums, reverse=True):
-        wound += sums[key]
-        if wound != (corner_winding if key == corner else 0):
-            return False
-    return True
+    if not corner_winding:
+        return not any(tally.values())
+    i, j = corner
+    return {key: s for key, s in tally.items() if s} == {corner: corner_winding, (i, j - 1): -corner_winding}
 
 
 def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
@@ -510,12 +508,12 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
     moved by (m, 0), closed back to x along the lift.  m is the
     one `cancel_bigons` read from ring order for the same-lift test: only
     the walk from the ring's last point to its first passes a period end.
-    The walk's crossings come from the component's column table
-    (`walk_columns`), and the piece of the lift is crossed in integers, in
-    the pair's own frame, the lcm of the two points' denominators, before
-    the walk; `winds_only` decides.  x and y have distinct positions, so
-    the walk has positive length and its ends differ even where both lie
-    on one segment.
+    The piece of the lift is crossed in integers, in the pair's own frame,
+    the lcm of the two points' denominators, and its crossings (one per
+    column) start the tally; the walk then adds its crossings from the
+    component's column table (`walk_columns`), and `winds_only` decides.
+    x and y have distinct positions, so the walk has positive length and
+    its ends differ even where both lie on one segment.
 
     A piece of a lift holds no peg on a filling family that `line_family`
     chose, as `_family_is_clean` rejects a form integral at the peg
@@ -528,7 +526,9 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
     scale = math.lcm(a.den, b.den)
     fa, fb = scale // a.den, scale // b.den
     piece = column_crossings(scale, b.x * fb + m * scale, b.y * fb, a.x * fa, a.y * fa)
-    return winds_only(piece + walk_columns(c, a, b, 1)[0])
+    tally = {(k, t): sign for k, t, sign in piece}  # one crossing per column
+    walk_columns(c, a, b, 1, tally)
+    return winds_only(tally)
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
@@ -553,30 +553,32 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
 
     The candidates are kept as a worklist: each pair is tested once, when
     it becomes adjacent, cheapest test first: the same-lift test, then the
-    peg test, then the piece test.  Removing (x, y) drops the pairs that
-    start at prev(x), x and y, makes one new pair, (prev(x), next(y)),
-    when the ring keeps two points or more, and re-runs the piece test of
-    the pairs that x or y blocked and that are still adjacent; no other
-    pair changes.  The same-lift test needs no walk: a pair's forward walk
-    passes a period end only from the last point of a wrapping
-    component's ring to its first, so m is 1 for that pair and 0 for every
-    other.  The peg test (`_winds_no_peg`) sums the closing loop's column
-    crossings from the component's column table and the lift's piece, and
-    raises `PointOnLoop` where a segment it reads meets a peg.  A loop that
-    winds a peg rules its pair out for good, as the loop never changes.  No
-    loop passes through a peg, so the order of the peg and piece tests
-    changes no outcome: a validated curve avoids pegs, a clean family's
-    lines hold none, and inside an arc of a reduced slope lies none.  Only
-    the piece test reads the live points, those of every component.  Both
-    run in integers on the points' crossing records, whose segment indices
-    and ratios also give the peg test's walk; no Fraction is built.  The
-    peg test crosses the lift's piece in the pair's own frame, and the
-    piece test compares in `_scaled_frame(pts)`, built when the call's
-    first pair reaches it, so a call whose every pair fails the lift or
-    peg test builds no frame.  A blocked
-    pair is filed under the point found on its piece and tested again only
-    after that point has been removed.  Fewer than two points are returned
-    as they are.
+    peg test, then the piece test.  The first two run in one pass over the
+    ring neighbours, in ring order; when no pair passes them the call
+    returns its points and an empty audit, and only otherwise are the live
+    points, the candidates and the blocked pairs set up.  Removing (x, y)
+    drops the pairs that start at prev(x), x and y, makes one new pair,
+    (prev(x), next(y)), when the ring keeps two points or more, and re-runs
+    the piece test of the pairs that x or y blocked and that are still
+    adjacent; no other pair changes.  The same-lift test needs no walk: a
+    pair's forward walk passes a period end only from the last point of a
+    wrapping component's ring to its first, so m is 1 for that pair and 0
+    for every other.  The peg test (`_winds_no_peg`) adds the lift's piece
+    and the closing walk's column crossings, from the component's column
+    table, into one signed tally, and raises `PointOnLoop` where a segment
+    it reads meets a peg.  A loop that winds a peg rules its pair out for
+    good, as the loop never changes.  No loop passes through a peg, so the
+    order of the peg and piece tests changes no outcome: a validated curve
+    avoids pegs, a clean family's lines hold none, and inside an arc of a
+    reduced slope lies none.  Only the piece test reads the live points,
+    those of every component.  Both run in integers on the points' crossing
+    records, whose segment indices and ratios also give the peg test's
+    walk; no Fraction is built.  The peg test crosses the lift's piece in
+    the pair's own frame, and the piece test compares in
+    `_scaled_frame(pts)`, built with the worklist.  A blocked pair is filed
+    under the point found on its piece and tested again only after that
+    point has been removed.  Fewer than two points are returned as they
+    are.
     """
     n = len(pts)
     if n < 2:
@@ -590,17 +592,14 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
             nxt[k - 1], prv[first] = first, k - 1
             first = k
     comps = d.components
-    rng = random.Random(order_seed) if order_seed is not None else None
-    alive = [True] * n
-    live = list(range(n))  # ascending
-    cands: list[int] = []  # x of each pair (x, next(x)) bounding an empty bigon, ascending
-    blocked: dict[int, list[tuple[int, int, int]]] = {}  # blocker -> the pairs (x, y, m) it blocks
-    audit: list[tuple[IPoint, IPoint]] = []
-    frame = None  # `_scaled_frame(pts)`, built for the first piece test
-    fresh = [(ix, nxt[ix]) for ix in range(n) if nxt[ix] != ix]  # the pairs to test
+    fresh = range(n)  # x of each pair (x, next(x)) to test: the ring pass, then each removal's new pair
     pieces: list[tuple[int, int, int]] = []  # the pairs (x, y, m) to piece-test
+    alive = None  # the worklist, built once a pair reaches the piece test
     while True:
-        for ix, iy in fresh:
+        for ix in fresh:
+            iy = nxt[ix]
+            if iy == ix:  # a ring of one point
+                continue
             x, y = pts[ix], pts[iy]
             c = comps[x.comp]
             # Only the walk from the ring's last point to its first passes
@@ -611,7 +610,15 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
             # A wound peg stays wound: the loop never changes.
             if _winds_no_peg(c, x, y, m):
                 pieces.append((ix, iy, m))
-        if pieces and frame is None:
+        if alive is None:
+            if not pieces:  # no pair is a candidate: nothing is removed
+                return list(pts), []
+            rng = random.Random(order_seed) if order_seed is not None else None
+            alive = [True] * n
+            live = list(range(n))  # ascending
+            cands: list[int] = []  # x of each pair (x, next(x)) bounding an empty bigon, ascending
+            blocked: dict[int, list[tuple[int, int, int]]] = {}  # blocker -> the pairs (x, y, m) it blocks
+            audit: list[tuple[IPoint, IPoint]] = []
             frame = _scaled_frame(pts)
         for pair in pieces:
             ix, iy, m = pair
@@ -633,11 +640,10 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
         alive[ix] = alive[iy] = False
         del live[bisect_left(live, ix)]
         del live[bisect_left(live, iy)]
-        fresh = []
+        fresh = ()
         if before != iy:  # the ring held more than two points
             nxt[before], prv[after] = after, before
-            if before != after:
-                fresh.append((before, after))
+            fresh = (before,)
         # The pairs that x or y blocked, if still adjacent.
         pieces = [pair for k in (ix, iy) for pair in blocked.pop(k, ())
                   if alive[pair[0]] and nxt[pair[0]] == pair[1]]
@@ -746,26 +752,32 @@ class ArcSweep:
         raw: dict[int, list[IPoint]] = {}
         held: dict[int, tuple] = {}
 
-        def arcs(x: int, y: int, den: int, m: int) -> list[tuple[int, int]]:
-            """(key, lift) of each arc on the level m + off that holds the
-            point (x/den, y/den), den > 0; floors and ceilings are integer
-            divisions."""
-            if not q:  # 1/0: lift m, each grading within 1/2 of y
-                return [(n, m) for n in range(-((den - 2 * y) // (2 * den)), (2 * y + den) // (2 * den) + 1)]
+        def arc(x: int, y: int, den: int, m: int) -> tuple[int, int, bool]:
+            """(key, lift, start) of an arc on the level m + off that holds
+            the point (x/den, y/den), den > 0, on the highest lift (for 1/0,
+            grading); start is whether the point is that arc's first end, a
+            peg, the last end of the arc (key - p, lift - q).  Floors are
+            integer divisions."""
+            if not q:  # 1/0: lift m, the grading n with n - 1/2 <= y < n + 1/2
+                n, r = divmod(2 * y + den, 2 * den)
+                return n, m, not r
             j = m - q // 2  # the level is j + q/2, so j = p*k - q*n
             kx = x // den
             k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
-            return [((p * k - j) // q, k) for k in ((k - q, k) if x == k * den else (k,))]
+            return (p * k - j) // q, k, x == k * den
 
         for ci, c in enumerate(self.diagram.components):
             crossings, degenerate = c.level_crossings(p, -q, -Fraction(q % 2, 2))
             for e in crossings:
-                for n, k in arcs(e.x, e.y, e.den, e.m):
-                    raw.setdefault(n, []).append(IPoint(ci, e, k))
+                n, k, start = arc(e.x, e.y, e.den, e.m)
+                raw.setdefault(n, []).append(IPoint(ci, e, k))
+                if start:  # a peg: validation keeps the curve off them
+                    raw.setdefault(n - p, []).append(IPoint(ci, e, k - q))
             scale, xs, ys = c._frame
             for m, events in degenerate.items():
                 for event in events:  # vertex event[0] lies on the segment
-                    for n, k in arcs(xs[event[0]], ys[event[0]], scale, m):
+                    n, k, start = arc(xs[event[0]], ys[event[0]], scale, m)
+                    for n, k in ((n, k), (n - p, k - q))[:1 + start]:
                         hit = (ci, k, event)
                         held[n] = min(held.get(n, hit), hit)
         return raw, held

@@ -45,7 +45,14 @@ definition, computed in Fractions segment by segment, refusing a segment
 through a peg with `PointOnLoop` naming it.  So cancellation refuses a
 curve through a peg wherever a walk reads that segment, and a hand-built
 family whose lines hold a peg wherever a lift's piece runs through it,
-raising `PointOnLoop` at that peg.
+raising `PointOnLoop` at that peg, at the same pair when other pairs are
+tested before it.
+
+`winds_only` decides from a signed tally by (column, t): peg (k, j + 1/2)
+winds the sum of the tally over t >= j, which the tally rule must match
+peg by peg on random tallies, a peg between two keys included.  A call
+whose every ring pair fails the same-lift or peg test returns its points
+unchanged with an empty audit and builds no frame.
 """
 
 import math
@@ -584,6 +591,28 @@ def test_only_pairs_past_the_peg_check_are_piece_tested(monkeypatch, run):
     assert 0 < len(frames) == sum(reached)
 
 
+@pytest.mark.parametrize("d", [build_zoo("torus_3_4"), thin(1, 2)], ids=["torus_3_4", "thin(1,2)"])
+def test_calls_where_no_pair_passes_return_their_points(monkeypatch, d):
+    # A call whose ring pairs all fail the same-lift or peg test removes
+    # nothing: it returns its points in a new list, with an empty audit,
+    # and builds no frame.  Some such calls peg-test a pair that winds a
+    # peg; thin(1, 2) has rings of several components.
+    tested = recording_peg_tests(monkeypatch)
+    frames = []
+    scaled_frame = pairing._scaled_frame
+    monkeypatch.setattr(pairing, "_scaled_frame", lambda pts: frames.append(pts) or scaled_frame(pts))
+    wound = 0
+    for slope in (SlopeSpec(1, 0), SlopeSpec(2, 1), SlopeSpec(-3, 2), SlopeSpec(5, 3)):
+        for raw, obj in pairing_cases(d, slope):
+            tested.clear()
+            frames.clear()
+            live, audit = cancel_bigons(raw, d, 1 if isinstance(obj, _ArcObject) else obj.step)
+            if not any(verdict for *_, verdict in tested):
+                assert (live, audit, frames) == (raw, [], []) and live is not raw
+                wound += bool(tested)
+    assert wound
+
+
 # ---------------------------------------------------------------------------
 # The removed pairs as certificates
 
@@ -797,6 +826,62 @@ def test_peg_check_matches_winding_number_on_polygons(loop, through, corner_inde
 
 
 # ---------------------------------------------------------------------------
+# The tally rule of `winds_only`
+
+
+def reference_winds_only(tally: dict, corner: Optional[tuple[int, int]], corner_winding: int) -> bool:
+    """Peg by peg: each peg (k, j + 1/2) with -3 <= k <= 3 and
+    -5 <= j <= 4, below and above every key drawn, winds the sum of
+    tally[k, t] over t >= j, which must be corner_winding at the corner
+    and 0 at every other peg."""
+    for k in range(-3, 4):
+        for j in range(-5, 5):
+            winding = sum(s for (column, t), s in tally.items() if column == k and t >= j)
+            if winding != (corner_winding if (k, j) == corner else 0):
+                return False
+    return True
+
+
+@st.composite
+def tallies(draw):
+    """(tally, corner, w): signed sums over columns -3..3 and t -3..3, no
+    corner or a corner there with w in {0, 1}; half of them have every sum
+    zeroed and then the corner wound as asked, so that both verdicts
+    occur."""
+    key = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    tally = draw(st.dictionaries(key, st.integers(-2, 2), max_size=6))
+    corner = draw(st.none() | key)
+    w = 0 if corner is None else draw(st.sampled_from((0, 1)))
+    if draw(st.booleans()):
+        tally = dict.fromkeys(tally, 0)
+        if w:
+            tally.update({corner: w, (corner[0], corner[1] - 1): -w})
+    return tally, corner, w
+
+
+def test_a_peg_between_keys_is_read():
+    # The pegs (0, -1/2) and (0, -3/2) lie between the keys (0, 0) and
+    # (0, -3) and are wound once each; a running sum taken only at the keys
+    # misses them.
+    tally = {(0, 0): 1, (0, -3): -1}
+    assert not reference_winds_only(tally, (0, 0), 1)
+    assert not pairing.winds_only(tally, (0, 0), 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tallies())
+@example(({}, None, 0))
+@example(({(0, 0): 1, (0, -1): -1}, (0, 0), 1))  # winds the corner once
+@example(({(0, 0): 1, (0, -1): -1}, (0, 0), 0))  # ... which a winding of 0 does not match
+@example(({(1, 2): 0, (-1, 0): 0}, (1, 2), 0))  # zero sums wind nothing
+@example(({(2, 1): 1}, None, 0))  # a column that does not close up
+def test_tally_rule_matches_peg_windings(case):
+    tally, corner, w = case
+    args = () if corner is None else (corner, w)
+    assert pairing.winds_only(dict(tally), *args) is reference_winds_only(tally, corner, w), case
+
+
+# ---------------------------------------------------------------------------
 # The peg test read from each component's column table
 
 
@@ -892,6 +977,11 @@ THROUGH_A_PEG = {
 }
 
 
+# A closed box on the strip -23/8 <= x <= -9/8 between the peg rows, which
+# each family above crosses on one lift or two, its pairs winding no peg.
+BOX = tuple(Point(Fraction(x, 8), Fraction(y, 8)) for x, y in [(-23, 1), (-9, 1), (-9, 3), (-23, 3)])
+
+
 @pytest.mark.parametrize("case", THROUGH_A_PEG, ids=list(THROUGH_A_PEG))
 def test_loops_through_a_peg_are_refused(monkeypatch, case):
     vertices, delta = THROUGH_A_PEG[case]
@@ -903,6 +993,15 @@ def test_loops_through_a_peg_are_refused(monkeypatch, case):
     assert outcome(cancel_bigons, pts, d, fam.step) == refused
     c, x, y, verdict = tested[-1]  # the pair refused
     assert isinstance(verdict, PointOnLoop)
+    # Ahead of a closed box that the lines cross, in ring order, the same
+    # pair raises, naming the same peg, after the box's pairs pass.
+    boxed = CurveDiagram((Component(BOX, 0), d.components[0]))
+    tested.clear()
+    assert outcome(cancel_bigons, raw_intersections(boxed, fam), boxed, fam.step) == refused
+    *passed, (_, bx, by, raised) = tested
+    assert passed and all(v is True for *_, v in passed)
+    assert [(z.crossing, z.lift) for z in (bx, by)] == [(z.crossing, z.lift) for z in (x, y)]
+    assert isinstance(raised, PointOnLoop) and raised.peg == verdict.peg
     through = case != "closing edge"
     if through:  # the walk read a segment through the peg, which validation names
         assert "passes through peg (0, 1/2)" in validate(d).summary()

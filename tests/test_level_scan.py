@@ -14,7 +14,9 @@ The record oracle shares no code with the scan: it reads each record's
 integers back as Fractions and checks that the point lies on its level and
 on its segment at the ratio the record gives, and that positions strictly
 increase.  `record` builds the record of a Fraction crossing, for the
-references of other test modules.  The last test counts the Fractions the
+references of other test modules.  One component's lifted vertex table
+serves scans whose rescale factors differ, interleaved, and is never
+rescaled in place.  The last test counts the Fractions the
 count paths build: none per crossing.
 """
 
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import Component, Crossing, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.curves import Component, Crossing, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
 from pegboard.geometry import HALF, ZERO, Point
 from pegboard.pairing import ArcSweep, SlopeSpec, dual_hfk_dims, line_family, raw_intersections, surgery_dim
 from conftest import position
@@ -174,6 +176,34 @@ def test_scans_rescale_the_cached_frame(case, num):
     assert comp._frame == frame
     for off in offsets:
         assert comp.level_crossings(a, b, off) == Component(comp.vertices, comp.winding).level_crossings(a, b, off)
+
+
+# A wrapping and a closed component on the thirds grid: an offset over 2
+# rescales their frames (scale 3), where it leaves the zoo's (scale 32) as
+# they are.
+THIRDS = CurveDiagram((
+    Component(tuple(Point(Fraction(x, 3), Fraction(y, 3)) for x, y in [(0, 1), (1, 5), (2, -2), (3, 1)]), 1),
+    Component(tuple(Point(Fraction(x, 3), Fraction(y, 3)) for x, y in [(-2, -1), (1, -2), (2, 2), (-1, 1)]), 0),
+))
+
+
+@pytest.mark.parametrize("d", [thin(1, 1), THIRDS], ids=["thin(1,1)", "thirds"])
+def test_one_vertex_table_serves_every_rescale(d):
+    """Each component is scanned, in interleaved order, by forms whose
+    rescale factors differ: the arc forms at offsets -1/2 and 0, the
+    filling form that `line_family` picks and the seam form x - 1/2.  Each
+    scan is that of a fresh component, and the frame and the lifted
+    vertex table are as they were afterwards."""
+    for comp in d.components:
+        frame, table = repr(comp._frame), repr(comp._lifted_frame)
+        factors = set()
+        for p, q in ((2, 1), (3, 2), (-5, 3), (1, 4)):
+            fam = line_family(d, SlopeSpec(p, q))
+            for a, b, c in ((p, -q, -Fraction(q % 2, 2)), (fam.a, fam.b, fam.c), (1, 0, -HALF)):
+                factors.add(comp._rescale_for(c)[1])
+                assert comp.level_crossings(a, b, c) == Component(comp.vertices, comp.winding).level_crossings(a, b, c)
+        assert len(factors) > 1 and (repr(comp._frame), repr(comp._lifted_frame)) == (frame, table)
+    assert {c.winding for c in d.components} == {0, 1}
 
 
 def test_snapped_components_reach_every_branch():

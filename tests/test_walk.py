@@ -8,10 +8,10 @@ one builds it with `subarc`.  For every pair of raw arc points on one
 component, in both directions, with x = z included (one full traversal),
 on the zoo, thin diagrams and Hypothesis staircases with their mirrors,
 `pairing._walk` must give the reference's m and pass as many vertices as
-its polyline, and `walk_columns` must give the column crossings of that
-polyline, as `geometry.column_crossings` finds them edge by edge, and the
-columns of its two ends, the ceilings of the abscissae of its first and
-last points.
+its polyline, and `walk_columns` must add the column crossings of that
+polyline, as `geometry.column_crossings` finds them edge by edge, into the
+signed tally by (column, t) that it is given, and return the columns of
+its two ends, the ceilings of the abscissae of its first and last points.
 """
 
 import math
@@ -79,12 +79,23 @@ def polyline_columns(path: list[Point]) -> list[tuple[int, int, int]]:
     return out
 
 
+def tally(crossings: list[tuple[int, int, int]], start: dict) -> dict:
+    """start with each crossing's sign added under its (column, t)."""
+    out = dict(start)
+    for k, t, sign in crossings:
+        out[k, t] = out.get((k, t), 0) + sign
+    return out
+
+
+FAR = (10**6, 10**6)  # a (column, t) that no walk here crosses
+
+
 def assert_walks_match(d: CurveDiagram) -> int:
     """Every same-component pair of one grading's raw arc points, in both
     directions, at every slope of SLOPES: `_walk`'s m and vertex count
     against the reference polyline, and `walk_columns` against that
-    polyline's crossings, as multisets, and its ends.  Returns the number
-    of walks compared."""
+    polyline's crossings, summed by (column, t) into a tally that it must
+    add to, and its ends.  Returns the number of walks compared."""
     walks = 0
     for slope in SLOPES:
         sweep = ArcSweep(d, slope)
@@ -103,8 +114,11 @@ def assert_walks_match(d: CurveDiagram) -> int:
                         first, last, walked = pairing._walk(c, x.crossing, z.crossing, direction)
                         assert (walked, last - first + 2) == (m, len(path)), (
                             d.source, str(slope), position(x), position(z), direction)
-                        got, ends = walk_columns(c, x.crossing, z.crossing, direction)
-                        assert sorted(got) == sorted(polyline_columns(path)), (
+                        # The walk adds into the tally it is given, here
+                        # one that already holds a crossing far away.
+                        got = {FAR: 1}
+                        ends = walk_columns(c, x.crossing, z.crossing, direction, got)
+                        assert got == tally(polyline_columns(path), {FAR: 1}), (
                             d.source, str(slope), position(x), position(z), direction)
                         assert ends == (math.ceil(path[0].x), math.ceil(path[-1].x)), (
                             d.source, str(slope), position(x), position(z), direction)
