@@ -214,7 +214,8 @@ class Component:
         levels a segment crosses are a floor/ceil division range, and the
         crossing of level m lies at the integer ratio
         (m*f*S - G_a)/(G_b - G_a) along it.  The records hold those
-        integers, reduced by `math.gcd`; no Fraction is built.
+        integers, reduced by `math.gcd`, and are built without the
+        generated constructor, still `Crossing`s; no Fraction is built.
         """
         n = self.cycle_length()
         if n == 0:
@@ -225,6 +226,7 @@ class Component:
             xs, ys = [x * f for x in xs], [y * f for y in ys]
         gs = [a * x + b * y + cs for x, y in zip(xs, ys)]
         gcd = math.gcd
+        new = tuple.__new__  # skips the Python-level __new__ NamedTuple generates: still a Crossing
         crossings: list[Crossing] = []
         degenerate: dict[int, list[tuple[int, bool]]] = {}
         for i in range(n):
@@ -235,7 +237,7 @@ class Component:
                     degenerate.setdefault(ga // scale, []).append((i, ga == gb))
                 elif (g_prev < ga) != (gb < ga):
                     k = gcd(xa, ya, scale)
-                    crossings.append(Crossing(i, 0, 1, xa // k, ya // k, scale // k, ga // scale))
+                    crossings.append(new(Crossing, (i, 0, 1, xa // k, ya // k, scale // k, ga // scale)))
             if ga == gb:
                 continue
             # The crossing of level m is r/dg along the segment, r = s*(m*S - G_a)
@@ -250,7 +252,7 @@ class Component:
                 r = s * (m * scale - ga)
                 x, y = xd + r * dx, yd + r * dy
                 k, g = gcd(x, y, den), gcd(r, dg)
-                crossings.append(Crossing(i, r // g, dg // g, x // k, y // k, den // k, m))
+                crossings.append(new(Crossing, (i, r // g, dg // g, x // k, y // k, den // k, m)))
         return crossings, degenerate
 
     def bbox(self) -> Box:

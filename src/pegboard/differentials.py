@@ -287,7 +287,7 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
                 dim,
                 simple,
                 dim == abs(p),
-                abs(Fraction(p, q)) > 2 * g - 1,
+                abs(p) > (2 * g - 1) * q,
             )
             out.append(entry)
     return out

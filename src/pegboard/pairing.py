@@ -45,10 +45,10 @@ for good.  The piece test, for another live point on the lift's piece, is
 the only one that depends on what has been removed.  It compares
 coordinates in the points' integer frame, built from the integers of their
 crossing records when a call's first pair reaches the piece test; the peg
-test crosses the lift's piece in the pair's own frame (the lcm of its two
-denominators), and its walk's m is read from ring order, so each peg test
-walks the curve once.  A blocked pair is filed under the point that
-blocked it and is tested again only after that point is gone.
+test crosses the lift's piece in the pair's own frame, only when its
+abscissae reach a column, and its walk's m is read from ring order, so
+each peg test walks the curve once.  A blocked pair is filed under the
+point that blocked it and is tested again only after that point is gone.
 The points come sorted by (component, position), so each component's ring
 is its run of them and no ring is sorted.  A removed pair's audit is the
 pair (x, y) itself: its bigon was certified by the tests above, and no
@@ -91,6 +91,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -237,16 +238,18 @@ class _LineFamily:
     * vertical 1/0: (1, 0, -(1/2 + delta)), the lines x = 1/2 + delta + k;
     * horizontal 0/1: (0, 1, -(1/2 + delta)), the half-integer rows
       y = k + 1/2 + delta of the 0-filling.
+    c is one Fraction: 1/2 + delta is (den + 2*num)/(2*den), delta = num/den.
     """
 
     def __init__(self, slope: SlopeSpec, delta: Fraction):
         self.slope = slope
         self.delta = delta
         p, q = slope.p, slope.q
+        num, den = delta.as_integer_ratio()
         if p and q:
-            self.a, self.b, self.c = -p, q, p * (HALF + delta)
+            self.a, self.b, self.c = -p, q, Fraction(p * (den + 2 * num), 2 * den)
         else:  # 1/0 is (p, q) = (1, 0) and 0/1 is (0, 1)
-            self.a, self.b, self.c = p, q, -(HALF + delta)
+            self.a, self.b, self.c = p, q, Fraction(-(den + 2 * num), 2 * den)
 
     def form(self, v: Point) -> Fraction:
         return self.a * v.x + self.b * v.y + self.c
@@ -291,13 +294,14 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
     lift on one, at that level's first event.
     """
     points: list[IPoint] = []
+    new = tuple.__new__  # as `Component.level_crossings` builds its records
     for ci, c in enumerate(d.components):
         crossings, degenerate = c.level_crossings(fam.a, fam.b, fam.c)
         if degenerate:
             m, events = min(degenerate.items())
             raise _degenerate_incidence(c, m, events[0])
         for e in crossings:
-            points.append(IPoint(ci, e, e.m))
+            points.append(new(IPoint, (ci, e, e.m)))
     return points
 
 
@@ -317,7 +321,8 @@ def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     is clean iff f is non-integral at every vertex and at the peg (0, 1/2).
     Translating a point by (1, 0) or (0, 1) shifts f by the integer a or b,
     so one vertex stands for all its horizontal translates and one peg for
-    the whole peg lattice (i, j + 1/2).
+    the whole peg lattice (i, j + 1/2), tested in integers as
+    f(0, 1/2) = (b*den + 2*num)/(2*den) for c = num/den.
 
     The vertex test is done in integers, in each component's frame
     (`Component._frame`, scale S) rescaled by f = lcm(S, den c) // S, so
@@ -325,7 +330,8 @@ def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
     integral at a vertex iff f*S divides (a*X + b*Y)*f + C.
     """
     a, b, c = fam.a, fam.b, fam.c
-    if (Fraction(b, 2) + c).denominator == 1:
+    num, den = c.as_integer_ratio()
+    if (b * den + 2 * num) % (2 * den) == 0:
         return False
     for comp in d.components:
         _, xs, ys = comp._frame
@@ -508,10 +514,14 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
     moved by (m, 0), closed back to x along the lift.  m is the
     one `cancel_bigons` read from ring order for the same-lift test: only
     the walk from the ring's last point to its first passes a period end.
-    The piece of the lift is crossed in integers, in the pair's own frame,
-    the lcm of the two points' denominators, and its crossings (one per
-    column) start the tally; the walk then adds its crossings from the
-    component's column table (`walk_columns`), and `winds_only` decides.
+    The lift's piece is crossed only when its abscissae reach a column:
+    with both ends strictly inside one gap between integer columns (equal
+    floors, neither on a column) it has no crossing and no peg, and the
+    tally starts empty.  Otherwise its crossings (one per column), in
+    integers in the pair's own frame (the lcm of the two denominators),
+    start the tally, so a piece through a peg raises before the walk,
+    which adds its crossings from the column table (`walk_columns`); then
+    `winds_only` decides.
     x and y have distinct positions, so the walk has positive length and
     its ends differ even where both lie on one segment.
 
@@ -523,10 +533,12 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
     on a curve through a peg.
     """
     a, b = x.crossing, y.crossing
-    scale = math.lcm(a.den, b.den)
-    fa, fb = scale // a.den, scale // b.den
-    piece = column_crossings(scale, b.x * fb + m * scale, b.y * fb, a.x * fa, a.y * fa)
-    tally = {(k, t): sign for k, t, sign in piece}  # one crossing per column
+    tally = {}  # stays empty when both ends lie strictly inside one column gap
+    if not (a.x % a.den and b.x % b.den and a.x // a.den == b.x // b.den + m):
+        scale = math.lcm(a.den, b.den)
+        fa, fb = scale // a.den, scale // b.den
+        piece = column_crossings(scale, b.x * fb + m * scale, b.y * fb, a.x * fa, a.y * fa)
+        tally = {(k, t): sign for k, t, sign in piece}  # one crossing per column
     walk_columns(c, a, b, 1, tally)
     return winds_only(tally)
 
@@ -573,12 +585,12 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     reduced slope lies none.  Only the piece test reads the live points,
     those of every component.  Both run in integers on the points' crossing
     records, whose segment indices and ratios also give the peg test's
-    walk; no Fraction is built.  The peg test crosses the lift's piece in
-    the pair's own frame, and the piece test compares in
-    `_scaled_frame(pts)`, built with the worklist.  A blocked pair is filed
-    under the point found on its piece and tested again only after that
-    point has been removed.  Fewer than two points are returned as they
-    are.
+    walk; no Fraction is built.  The peg test crosses the lift's piece only
+    when its abscissae reach a column, in the pair's own frame, and the
+    piece test compares in `_scaled_frame(pts)`, built with the worklist.
+    A blocked pair is filed under the point found on its piece and tested
+    again only after that point has been removed.  Fewer than two points
+    are returned as they are.
     """
     n = len(pts)
     if n < 2:
@@ -749,7 +761,7 @@ class ArcSweep:
         """(crossings by key, first held segment by key as (ci, k, event))."""
         p, q = self.slope.p, self.slope.q
         inv_p = pow(p, -1, q) if q else 0
-        raw: dict[int, list[IPoint]] = {}
+        raw: dict[int, list[IPoint]] = defaultdict(list)
         held: dict[int, tuple] = {}
 
         def arc(x: int, y: int, den: int, m: int) -> tuple[int, int, bool]:
@@ -766,13 +778,14 @@ class ArcSweep:
             k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
             return (p * k - j) // q, k, x == k * den
 
+        new = tuple.__new__  # as `Component.level_crossings` builds its records
         for ci, c in enumerate(self.diagram.components):
-            crossings, degenerate = c.level_crossings(p, -q, -Fraction(q % 2, 2))
+            crossings, degenerate = c.level_crossings(p, -q, -HALF if q % 2 else ZERO)
             for e in crossings:
                 n, k, start = arc(e.x, e.y, e.den, e.m)
-                raw.setdefault(n, []).append(IPoint(ci, e, k))
+                raw[n].append(new(IPoint, (ci, e, k)))
                 if start:  # a peg: validation keeps the curve off them
-                    raw.setdefault(n - p, []).append(IPoint(ci, e, k - q))
+                    raw[n - p].append(new(IPoint, (ci, e, k - q)))
             scale, xs, ys = c._frame
             for m, events in degenerate.items():
                 for event in events:  # vertex event[0] lies on the segment

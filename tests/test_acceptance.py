@@ -211,6 +211,8 @@ def test_criterion_07_simplicity_rule_on_staircases(exps):
     for d, sign in ((knot, 1), (knot.mirror(), -1)):
         for e in dually_simple_scan(d, 9, 3):
             assert e.dually_simple == (sign * F(e.slope.p, e.slope.q) > bound), (exps, sign, str(e.slope))
+            # The grid holds |p/q| = 2g - 1 itself, where the bound is strict.
+            assert e.slope_big_enough == (abs(F(e.slope.p, e.slope.q)) > bound), (exps, sign, str(e.slope))
             assert not e.theorem_violated, (exps, sign, str(e.slope))
 
 

@@ -40,7 +40,10 @@ its box 0 times under `winding_number`.
 Cancellation's peg test reads each component's column table and builds no
 loop.  Its verdict must be `first_wound_peg`'s on the pair's closing loop,
 walked with `subarc`, on the zoo, thin diagrams and Hypothesis staircases
-with their mirrors, and the table must match its
+with their mirrors; on the zoo both kinds of pair must meet both
+verdicts: those whose lift's piece lies strictly inside one gap between
+columns, which the peg test does not cross, and those whose piece reaches
+a column.  The table must match its
 definition, computed in Fractions segment by segment, refusing a segment
 through a peg with `PointOnLoop` naming it.  So cancellation refuses a
 curve through a peg wherever a walk reads that segment, and a hand-built
@@ -894,9 +897,24 @@ def assert_verdicts_agree(pairs) -> set:
     return {verdict for *_, verdict in pairs}
 
 
+def piece_reaches_a_column(c: Component, x: IPoint, y: IPoint) -> bool:
+    """Whether the lift's piece of the pair, from y's point moved by
+    (m, 0) back to x's, reaches an integer column, read in Fractions: it
+    does not iff both ends lie strictly inside one gap between columns."""
+    m = pairing._walk(c, x.crossing, y.crossing, 1)[2]
+    ax, bx = x.crossing.point.x, y.crossing.point.x + m
+    inside = math.floor(ax) == math.floor(bx) and ax.denominator > 1 and bx.denominator > 1
+    return not inside
+
+
 def test_peg_test_matches_first_wound_peg_on_zoo(zoo_grid):
     pairs, _ = zoo_grid
     assert assert_verdicts_agree(pairs) == {True, False}
+    # Both branches of the peg test met both verdicts: pairs whose piece
+    # lies inside one column gap, which start an empty tally, and pairs
+    # whose piece reaches a column, which cross it first.
+    kinds = {(piece_reaches_a_column(c, x, y), verdict) for c, x, y, verdict in pairs}
+    assert kinds == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def peg_tested_pairs(d: CurveDiagram, slopes) -> list:
@@ -1007,6 +1025,11 @@ def test_loops_through_a_peg_are_refused(monkeypatch, case):
         assert "passes through peg (0, 1/2)" in validate(d).summary()
     else:  # the lift's piece runs through the peg, and so does the loop
         assert outcome(first_wound_peg, closing_loop(c, x, y)) == refused
+        # The piece raised, not the walk: its ends lie on the column, and
+        # the walk alone reads no segment through a peg.
+        assert piece_reaches_a_column(c, x, y)
+        assert all(z.crossing.x % z.crossing.den == 0 for z in (x, y))
+        pairing.walk_columns(c, x.crossing, y.crossing, 1, {})
     # The filling family that `line_family` picks holds no peg, so only a
     # curve through the peg is refused there, as it is by the arcs.
     slope = SlopeSpec(2, 1)

@@ -6,15 +6,18 @@ the entry points (`rat`, `pt`) must refuse a float, and every number the
 kernel hands back must still be exact: each point of the raw
 intersections, of the survivors of bigon cancellation and of the
 cancelled and the marked bigons holds a crossing record of plain ints,
-from which its Fraction coordinates are read.
+from which its Fraction coordinates are read.  The kernel builds its
+records without their generated constructors, so each point must still be
+an `IPoint` and its record a `Crossing`: a bare tuple compares equal to
+either, but has no `last_segment` or `precedes`.
 """
 
 import pytest
 
-from pegboard.curves import build_zoo, zoo_names
+from pegboard.curves import Crossing, build_zoo, zoo_names
 from pegboard.differentials import differential_matrix
 from pegboard.geometry import pt, rat
-from pegboard.pairing import ArcSweep, SlopeSpec, cancel_bigons, line_family, raw_intersections
+from pegboard.pairing import ArcSweep, IPoint, SlopeSpec, cancel_bigons, line_family, raw_intersections
 
 
 def test_the_edge_refuses_floats():
@@ -28,6 +31,12 @@ def inexact(points) -> list:
     """The intersection points whose crossing record holds a value other
     than an int."""
     return [z for z in points if not all(type(v) is int for v in z.crossing)]
+
+
+def misbuilt(points) -> list:
+    """The intersection points that are not an `IPoint` holding a
+    `Crossing`."""
+    return [z for z in points if type(z) is not IPoint or type(z.crossing) is not Crossing]
 
 
 SLOPES = [SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(-2, 1), SlopeSpec(5, 2), SlopeSpec(2, 3)]
@@ -49,10 +58,12 @@ def test_kernel_coordinates_are_exact(name):
                 for kind in ("phi", "psi"):
                     for x, z, _ in differential_matrix(sweep, h, kind).bigons:
                         assert not inexact((x, z)), (slope, h, kind)
+                        assert not misbuilt((x, z)), (slope, h, kind)
                         seen["marked"] += 1
-        assert not inexact(raw), slope
-        assert not inexact(live), slope
-        assert not inexact(z for pair in audit for z in pair), slope
+        cancelled = [z for pair in audit for z in pair]
+        for points in (raw, live, cancelled):
+            assert not inexact(points), slope
+            assert not misbuilt(points), slope
         seen["raw"] += len(raw)
         seen["live"] += len(live)
         seen["cancelled"] += len(audit)

@@ -286,6 +286,7 @@ def assert_records_hold(c: Component, a: int, b: int, off_c: Fraction):
     n = len(c.vertices) if c.winding == 0 else len(c.vertices) - 1
     last = None
     for e in crossings:
+        assert type(e) is Crossing, e  # not a bare tuple: it has last_segment and precedes
         assert all(type(v) is int for v in e), e
         assert 0 <= e.i < n and 0 <= e.r < e.dg and e.den > 0, e
         assert math.gcd(e.r, e.dg) == 1 and math.gcd(e.x, e.y, e.den) == 1, e
