@@ -28,7 +28,6 @@ from .curves import (
     build_zoo,
     extrema_census,
     tau_epsilon,
-    validate,
     zoo_names,
 )
 from .differentials import (
@@ -81,13 +80,15 @@ class CliError(Exception):
 
 def _load_knot(selector: str):
     """The diagram `selector` names, validated exactly once: a curve file by
-    parse_curve_text, a zoo diagram here."""
+    parse_curve_text, a zoo diagram here.  The report is kept on the
+    diagram (`CurveDiagram._validation`), so no later reader validates
+    again."""
     try:
         d = build_zoo(selector)
     except BadSpec:
         pass
     else:
-        report = validate(d)
+        report = d._validation
         if not report.ok:
             raise CliError(f"invalid diagram: {report.summary()}", EXIT_INVALID)
         return d

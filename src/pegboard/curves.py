@@ -278,6 +278,14 @@ class CurveDiagram:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
 
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        """`validate(self)`, computed on first use and kept for the life of
+        the diagram, as each component keeps its `_frame`: the loaders read
+        it to refuse an invalid diagram, and `pairing.ArcSweep` to learn
+        whether the half-turn symmetry holds."""
+        return validate(self)
+
     def gamma0(self) -> Component:
         for c in self.components:
             if c.winding == 1:

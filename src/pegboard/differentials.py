@@ -267,7 +267,9 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
     slope failing those is a theorem violation.  Entries come by q, then
     by p ascending, the order the CLI prints.  Each dual total is
     `ArcSweep.total`: the sum of `dual_hfk_dims`, read without building
-    its grading keys.
+    its grading keys and, on a diagram that passes validation, with only
+    the gradings h >= 0 cancelled, each h < 0 read from -h.  The genus is
+    `genus_of`, read down from the top grading of 1/0.
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("scan bounds must be at least 1")

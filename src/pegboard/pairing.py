@@ -73,7 +73,11 @@ holds it; the keys it files are the gradings.  A level holding a segment,
 or two consecutive vertices, is degenerate: a filling lift on it, or an
 arc holding such a segment, raises `DegenerateIncidence`.  The sweep
 cancels bigons once per grading and keeps the result, so the graded
-dimensions and both differentials of one slope share the work.
+dimensions and both differentials of one slope share the work.  Its
+total, the dual total that `scan-simple` reads, cancels only the gradings
+h >= 0 of a diagram that passes validation and reads each h < 0 from -h:
+the half turn maps such a diagram onto itself and the grading-h arcs onto
+the grading -h arcs.  The graded readers cancel every grading they read.
 Every walk along the curve between two intersection points is read from
 their two crossing records by one helper, `_walk`: the continuous segments
 the walk covers and m, the period ends it passes (equal positions are one
@@ -706,6 +710,9 @@ class ArcSweep:
     such lift and that lift's first event.  `points(h)` cancels bigons once
     per filed grading (an unfiled one has no points) and keeps the result
     for the life of the object; nothing is shared between objects.  The 0-filling has no gradings and is refused.
+    `dims`, `points` and `raw` read every grading they are asked for;
+    `total` reads the half-turn partner of each grading h < 0 instead,
+    where the diagram's validation report allows it.
     """
 
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
@@ -734,8 +741,20 @@ class ArcSweep:
 
     def total(self) -> int:
         """The sum of `dims()`'s values, read without its grading keys; a
-        held grading raises as it does there."""
-        return sum(count for _, count in self._counts())
+        held grading raises as it does there.
+
+        A diagram that passes validation is invariant under the half turn
+        (x, y) -> (-x, -y), which maps the grading-h arc of lift k onto the
+        grading -h arc of lift -k - q: keys n and 1 - p - n hold congruent
+        configurations with equal counts.  So, with no held grading, only
+        the keys with 2n + p - 1 >= 0 (h >= 0) are cancelled, and each
+        other key reads its partner's count.  On any other diagram, whose
+        report `CurveDiagram._validation` keeps, every grading is counted
+        as `dims` counts it."""
+        if self._held or not self.diagram._validation.ok:
+            return sum(count for _, count in self._counts())
+        p = self.slope.p
+        return sum(len(self._points(n if 2 * n + p - 1 >= 0 else 1 - p - n)) for n in self._raw)
 
     def _counts(self):
         """(key, point count) of each filed or held grading, by increasing
@@ -811,5 +830,21 @@ def dual_hfk_dims(d: CurveDiagram, slope: SlopeSpec) -> dict:
 
 
 def genus_of(d: CurveDiagram) -> int:
-    """Top height met by the vertical arcs (0 for the horizontal line)."""
-    return max((int(h) for h in dual_hfk_dims(d, SlopeSpec(1, 0)) if h > 0), default=0)
+    """Top height met by the vertical arcs (0 for the horizontal line).
+
+    At 1/0 a grading is its own key.  On a diagram that passes validation
+    and holds no grading, no cancellation raises, so the filed gradings
+    are read down from the top and the first positive one with a point is
+    the genus; the gradings below it are not cancelled.  Otherwise every
+    grading is counted as `dual_hfk_dims` counts it, and raises what it
+    raises: a held grading's `DegenerateIncidence`, or the `PointOnLoop`
+    of a walk through a peg."""
+    sweep = ArcSweep(d, SlopeSpec(1, 0))
+    if sweep._held or not d._validation.ok:
+        return max((int(h) for h in sweep.dims() if h > 0), default=0)
+    for h in sorted(sweep._raw, reverse=True):
+        if h <= 0:
+            break
+        if sweep._points(h):
+            return h
+    return 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import Component, CurveDiagram, canonicalize, validate
+from .curves import Component, CurveDiagram, canonicalize
 from .geometry import Point
 
 
@@ -130,7 +130,7 @@ def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
     if not components:
         raise CurveFormatError("no components found", 1)
     diagram = CurveDiagram(tuple(components), source)
-    report = validate(diagram)
+    report = diagram._validation
     if not report.ok:
         raise InvariantViolation(report)
     return diagram

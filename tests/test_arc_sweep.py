@@ -27,7 +27,12 @@ filing rule.  `grading_range`, the bounding-box range that `ArcSweep.dims`
 read before it read the gradings the sweep files, is kept here as the
 range the tests probe, and the sweep must file no grading outside it.
 `ArcSweep.total`, the count-only reader, must be the sum of `dims` and
-raise what `dims` raises at the first held grading.
+raise what `dims` raises at the first held grading.  On a diagram that
+passes validation it cancels only the gradings h >= 0 and reads each
+h < 0 from -h, by the half-turn congruence; a counting wrapper around
+`cancel_bigons` pins that, and that `dims` and every diagram that fails
+validation still cancel every filed grading.  `genus_of` reads the 1/0
+gradings down from the top and stops at the first with a point.
 """
 
 import math
@@ -38,9 +43,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import build_zoo, thin, validate, zoo_names
+from pegboard.curves import Component, CurveDiagram, build_zoo, thin, validate, zoo_names
 from pegboard.differentials import differential_matrix
-from pegboard.geometry import ONE, ZERO, Box, Point
+from pegboard.geometry import ONE, ZERO, Box, Point, PointOnLoop, pt
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
@@ -51,6 +56,7 @@ from pegboard.pairing import (
     _LineFamily,
     cancel_bigons,
     dual_hfk_dims,
+    genus_of,
     grading_key,
     line_family,
     raw_intersections,
@@ -573,12 +579,174 @@ def test_total_raises_as_dims_does_at_the_first_held_grading():
     vertical = SlopeSpec(1, 0)
     assert raising_gradings(TWO_STACKS, vertical) == [-1, 1]
     raised = []
-    for reader in (ArcSweep.dims, ArcSweep.total):
+    for reader in (ArcSweep.dims, ArcSweep.total, lambda sweep: genus_of(sweep.diagram)):
         with pytest.raises(DegenerateIncidence) as exc:
             reader(ArcSweep(TWO_STACKS, vertical))
         raised.append((type(exc.value), str(exc.value)))
     message = "curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0"
-    assert raised == [(DegenerateIncidence, message)] * 2
+    assert raised == [(DegenerateIncidence, message)] * 3
+
+
+# ---------------------------------------------------------------------------
+# The half-turn congruence that `ArcSweep.total` reads
+
+# The trefoil plus a lopsided closed component between heights 1/4 and
+# 7/4, with no half-turn image: it fails only validation's symmetry check,
+# and its gradings h and -h need not hold congruent arcs.
+MUTANT = CurveDiagram(
+    build_zoo("trefoil").components + (
+        Component(
+            (pt(0, Fraction(7, 4)), pt(Fraction(1, 8), Fraction(5, 4)), pt(Fraction(-1, 8), Fraction(3, 4)),
+             pt(0, Fraction(1, 4)), pt(Fraction(1, 8), Fraction(3, 4)), pt(Fraction(-1, 8), Fraction(5, 4))),
+            0,
+        ),
+    ),
+    "mutant",
+)
+# Every reduced slope with |p| <= 9 and q <= 4, at both signs, and 1/0.
+HALF_TURN_SLOPES = [
+    SlopeSpec(p, q) for q in range(1, 5) for p in range(-9, 10) if p and math.gcd(abs(p), q) == 1
+] + [SlopeSpec(1, 0)]
+
+
+def filed(sweep) -> list:
+    """The gradings the sweep files, in increasing order."""
+    return [h for h in heights(sweep.diagram, sweep.slope) if sweep.raw(h)]
+
+
+def per_grading_total(sweep) -> int:
+    """The dual total with every filed grading cancelled on its own."""
+    return sum(len(cancel_bigons(sweep.raw(h), sweep.diagram, 1)[0]) for h in filed(sweep))
+
+
+def cancelled_gradings(monkeypatch, sweep, read) -> list:
+    """The gradings whose points `read(sweep)` sends through
+    `cancel_bigons`, in increasing order."""
+    import pegboard.pairing as pairing
+
+    by_points = {tuple(sweep.raw(h)): h for h in filed(sweep)}
+    calls = []
+
+    def counting_cancel(pts, d, step, order_seed=None):
+        calls.append(by_points[tuple(pts)])
+        return cancel_bigons(pts, d, step, order_seed)
+
+    monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
+    read(sweep)
+    monkeypatch.undo()
+    return sorted(calls)
+
+
+def assert_total_counts_every_grading(d):
+    """On d and its mirror, at every slope of `HALF_TURN_SLOPES`, `total`
+    equals the per-grading sum."""
+    for mirrored in (d, d.mirror()):
+        for slope in HALF_TURN_SLOPES:
+            sweep = ArcSweep(mirrored, slope)
+            assert sweep.total() == per_grading_total(sweep), (mirrored.source, str(slope))
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_total_counts_every_grading_on_zoo(name):
+    assert_total_counts_every_grading(build_zoo(name))
+
+
+@pytest.mark.parametrize("tau", range(-2, 3))
+def test_total_counts_every_grading_on_thin_diagrams(tau):
+    for fig8 in range(4):
+        assert_total_counts_every_grading(thin(tau, fig8))
+
+
+@settings(max_examples=20, deadline=None)
+@given(staircase_diagrams())
+def test_total_counts_every_grading_on_staircases(d):
+    assert_total_counts_every_grading(d)
+
+
+@pytest.mark.parametrize("d,slope", [
+    (build_zoo("trefoil"), SlopeSpec(3, 2)),
+    (build_zoo("torus_3_4"), SlopeSpec(-4, 3)),
+    (build_zoo("figure_eight"), SlopeSpec(2, 1)),
+    (build_zoo("torus_2_5"), SlopeSpec(1, 0)),
+    (thin(1, 2).mirror(), SlopeSpec(-5, 2)),
+], ids=lambda x: str(x) if isinstance(x, SlopeSpec) else x.source)
+def test_total_cancels_only_the_nonnegative_gradings_of_a_valid_diagram(monkeypatch, d, slope):
+    # Key n is grading n + (p - 1)/2, so 2n + p - 1 >= 0 is h >= 0.  dims
+    # cancels every filed grading, so the symmetry tests of dims test the
+    # kernel, not the congruence.
+    assert validate(d).ok
+    gradings = filed(ArcSweep(d, slope))
+    assert min(gradings) < 0 < max(gradings)
+    assert cancelled_gradings(monkeypatch, ArcSweep(d, slope), ArcSweep.dims) == gradings
+    assert cancelled_gradings(monkeypatch, ArcSweep(d, slope), ArcSweep.total) == [h for h in gradings if h >= 0]
+
+
+def test_total_counts_every_grading_of_a_diagram_that_fails_validation(monkeypatch):
+    assert [v.code for v in validate(MUTANT).violations] == ["symmetry"]
+    for slope in HALF_TURN_SLOPES:
+        sweep = ArcSweep(MUTANT, slope)
+        assert cancelled_gradings(monkeypatch, sweep, ArcSweep.total) == filed(sweep), str(slope)
+        want = sum(ArcSweep(MUTANT, slope).dims().values())
+        assert sweep.total() == per_grading_total(sweep) == want, str(slope)
+    # A held grading raises from either reader, and from genus_of, as on a
+    # valid diagram.
+    held = CurveDiagram(TWO_STACKS.components + MUTANT.components[1:], "two stacks, mutant")
+    assert [v.code for v in validate(held).violations] == ["symmetry"]
+    raised = []
+    for reader in (ArcSweep.dims, ArcSweep.total, lambda sweep: genus_of(sweep.diagram)):
+        with pytest.raises(DegenerateIncidence) as exc:
+            reader(ArcSweep(held, SlopeSpec(1, 0)))
+        raised.append(str(exc.value))
+    assert raised == ["curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0"] * 3
+
+
+def dims_genus(d) -> int:
+    """The genus as `genus_of` read it from every grading of 1/0."""
+    return max((int(h) for h in dual_hfk_dims(d, SlopeSpec(1, 0)) if h > 0), default=0)
+
+
+# An unknot with a finger across the peg column at grading 2 and its half
+# turn at -2: 1/0 files gradings -2, 0 and 2, and only 0 keeps a point.
+FINGER = parse_curve_text(
+    "component winding=1\nv -1/2 0\nv -1/8 15/8\nv 1/8 2\nv -1/8 17/8\nv -1/4 1/4\n"
+    "v 1/4 -1/4\nv 1/8 -17/8\nv -1/8 -2\nv 1/8 -15/8\nv 1/2 0\n",
+    source="finger",
+)
+
+
+@pytest.mark.parametrize("d,genus,cancelled", [
+    (build_zoo("torus_3_4"), 3, [3]),
+    (FINGER, 0, [2]),
+], ids=lambda x: x.source if isinstance(x, CurveDiagram) else str(x))
+def test_genus_is_read_down_from_the_top_grading(monkeypatch, d, genus, cancelled):
+    # Cancellation stops at the first grading with a point, or at grading 0.
+    vertical = SlopeSpec(1, 0)
+    assert filed(ArcSweep(d, vertical))[-1] == cancelled[0]
+    calls = cancelled_gradings(monkeypatch, ArcSweep(d, vertical), lambda sweep: genus_of(sweep.diagram))
+    assert calls == cancelled and genus_of(d) == genus == dims_genus(d)
+
+
+def test_genus_is_the_top_positive_grading_of_dims():
+    diagrams = [build_zoo(name) for name in zoo_names()] + [thin(tau, 2) for tau in range(-2, 3)] + [FINGER]
+    for d in diagrams + [d.mirror() for d in diagrams] + [MUTANT]:
+        assert genus_of(d) == dims_genus(d), d.source
+
+
+def test_genus_of_a_curve_through_a_peg_raises_as_dims_does():
+    # The segment (-1/4, -11/4)->(1/4, -9/4) runs through the peg (0, -5/2),
+    # far below the top grading 3: every grading is counted, and grading
+    # -3's walk meets the peg.
+    d = CurveDiagram((Component(
+        (pt(Fraction(-1, 2), 0), pt(0, 3), pt(Fraction(1, 16), Fraction(13, 4)),
+         pt(Fraction(-1, 4), Fraction(-11, 4)), pt(Fraction(1, 4), Fraction(-9, 4)),
+         pt(Fraction(-1, 16), -3), pt(Fraction(1, 2), 0)), 1),), "through a low peg")
+    assert [v.code for v in validate(d).violations] == ["peg"]
+    raised = []
+    for read in (lambda: dual_hfk_dims(d, SlopeSpec(1, 0)), lambda: genus_of(d)):
+        with pytest.raises(PointOnLoop) as exc:
+            read()
+        raised.append(str(exc.value))
+    assert raised == ["(0, -5/2) lies on the loop"] * 2
 
 
 def test_grading_keys_are_the_arc_heights_less_the_offset():

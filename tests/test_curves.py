@@ -32,7 +32,7 @@ from pegboard.curves import (
 from pegboard.geometry import ZERO, pt
 from pegboard.textfmt import emit_curve_text, parse_curve_text
 from conftest import position, staircase_diagrams
-from test_arc_sweep import generated_diagrams
+from test_arc_sweep import MUTANT, generated_diagrams
 
 
 def component_key(c: Component, scale: int) -> tuple:
@@ -118,15 +118,9 @@ class TestValidation:
             report = validate(CurveDiagram(comps, "broken"))
             assert [v.code for v in report.violations] == codes
 
-    def test_unpaired_asymmetric_component_breaks_symmetry(self, zoo):
-        trefoil = zoo["trefoil"]
-        lopsided = Component(
-            (pt(0, F(7, 4)), pt(F(1, 8), F(5, 4)), pt(F(-1, 8), F(3, 4)),
-             pt(0, F(1, 4)), pt(F(1, 8), F(3, 4)), pt(F(-1, 8), F(5, 4))),
-            0,
-        )
-        d = CurveDiagram(trefoil.components + (lopsided,), "mutant")
-        report = validate(d)
+    def test_unpaired_asymmetric_component_breaks_symmetry(self):
+        # the trefoil plus a lopsided closed component
+        report = validate(MUTANT)
         assert not report.ok
         assert any(v.code == "symmetry" for v in report.violations)
 
