@@ -28,7 +28,7 @@ from the record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -93,20 +93,19 @@ class Crossing(NamedTuple):
         return self.i < other.i or (self.i == other.i and self.r * other.dg < other.r * self.dg)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple("Component", "vertices winding")):
     """One immersed component, as a PL vertex path in the planar cover.
 
     winding 0: closed polygon, the last vertex joins back to the first.
     winding 1: one period of a cylinder-wrapping curve; the stored path must
     end at the first vertex translated by (1, 0).
+
+    No `__slots__`: the cached tables below live in the instance's
+    `__dict__`.
     """
 
-    vertices: tuple[Point, ...]
-    winding: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    def __new__(cls, vertices: Sequence[Point], winding: int):
+        return super().__new__(cls, tuple(vertices), winding)
 
     def cycle_length(self) -> int:
         """Number of segments in one cylinder traversal."""
@@ -270,13 +269,11 @@ class Component:
         return Component(tuple(p.mirror() for p in self.vertices), self.winding)
 
 
-@dataclass(frozen=True)
-class CurveDiagram:
-    components: tuple[Component, ...]
-    source: str = "anonymous"
+class CurveDiagram(namedtuple("CurveDiagram", "components source")):
+    # No `__slots__`: `_validation` is cached in the instance's `__dict__`.
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+    def __new__(cls, components: Sequence[Component], source: str = "anonymous"):
+        return super().__new__(cls, tuple(components), source)
 
     @cached_property
     def _validation(self) -> "ValidationReport":

@@ -23,9 +23,9 @@ torus used when pairing with filling lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class PointOnLoop(ValueError):
@@ -55,8 +55,7 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: Fraction
     y: Fraction
 
@@ -79,18 +78,16 @@ def pt(x, y) -> Point:
     return Point(rat(x), rat(y))
 
 
-@dataclass(frozen=True)
-class Segment:
-    a: Point
-    b: Point
+class Segment(namedtuple("Segment", "a b")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == self.b:
+    def __new__(cls, a: Point, b: Point):
+        if a == b:
             raise ValueError("degenerate segment: endpoints coincide")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     xmin: Fraction
     xmax: Fraction
     ymin: Fraction

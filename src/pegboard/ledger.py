@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class BadShape(ValueError):
@@ -88,23 +88,21 @@ RULES = {
 }
 
 
-@dataclass(frozen=True)
-class LedgerSequence:
+class LedgerSequence(namedtuple("LedgerSequence", "values bundle coefficient")):
     """A sparse integer sequence with bundle/coefficient tags."""
 
-    values: dict
-    bundle: str = BUNDLE_TRIVIAL
-    coefficient: str = COEFF_C
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", {int(k): int(v) for k, v in self.values.items()})
-        if self.bundle not in (BUNDLE_TRIVIAL, BUNDLE_MU):
-            raise ValueError(f"unknown bundle {self.bundle!r}")
-        if self.coefficient not in (COEFF_C, COEFF_F2):
-            raise ValueError(f"unknown coefficient {self.coefficient!r}")
-        for n, v in self.values.items():
+    def __new__(cls, values: dict, bundle: str = BUNDLE_TRIVIAL, coefficient: str = COEFF_C):
+        values = {int(k): int(v) for k, v in values.items()}
+        if bundle not in (BUNDLE_TRIVIAL, BUNDLE_MU):
+            raise ValueError(f"unknown bundle {bundle!r}")
+        if coefficient not in (COEFF_C, COEFF_F2):
+            raise ValueError(f"unknown coefficient {coefficient!r}")
+        for n, v in values.items():
             if v < 0:
                 raise ValueError(f"dimension at {n} is negative")
+        return super().__new__(cls, values, bundle, coefficient)
 
     def get(self, n: int) -> int:
         return self.values[n]
@@ -138,18 +136,15 @@ def sequences_from_csv(text: str) -> dict:
 # Certificates
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
-    target: str
-    lower_bound: int
-    rule: str
-    inputs: dict
+class TorsionCertificate(namedtuple("TorsionCertificate", "target lower_bound rule inputs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rule not in _RECOMPUTE:
-            raise ValueError(f"no certificate rule {self.rule!r}")
-        if self.lower_bound < 0:
+    def __new__(cls, target: str, lower_bound: int, rule: str, inputs: dict):
+        if rule not in _RECOMPUTE:
+            raise ValueError(f"no certificate rule {rule!r}")
+        if lower_bound < 0:
             raise ValueError("torsion bounds are non-negative")
+        return super().__new__(cls, target, lower_bound, rule, inputs)
 
     def to_json(self) -> dict:
         return {
@@ -277,8 +272,7 @@ def dual_one_bounds(d_top: int, dim_i1_c: int) -> tuple[int, TorsionCertificate]
 # Case analysis for dually simple knots
 
 
-@dataclass(frozen=True)
-class ConsequenceVerdict:
+class ConsequenceVerdict(NamedTuple):
     consistent: bool
     branch: str
     detail: str
@@ -358,15 +352,14 @@ def no_torsion_consequence(n: int, shape: str, nu_sharp: int, tau: int) -> Conse
 # Mod-2 shape classification
 
 
-@dataclass(frozen=True)
-class ShapeClass:
-    nu_plus: int
-    nu_minus: int
+class ShapeClass(namedtuple("ShapeClass", "nu_plus nu_minus")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        gap = self.nu_plus - self.nu_minus
+    def __new__(cls, nu_plus: int, nu_minus: int):
+        gap = nu_plus - nu_minus
         if gap < 3 and gap not in (0, 2):
             raise ValueError("generalized W needs edge invariants more than two apart")
+        return super().__new__(cls, nu_plus, nu_minus)
 
     @property
     def kind(self) -> str:
@@ -378,8 +371,7 @@ class ShapeClass:
         return Fraction(self.nu_plus - self.nu_minus, 2)
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     shape: ShapeClass
     shape_mu: ShapeClass
     width_0: Fraction
@@ -503,8 +495,7 @@ def f2_shape_classify(d0: LedgerSequence, dmu: LedgerSequence) -> ShapeReport:
 # Genus one, unknotting number one, quasi-alternating
 
 
-@dataclass(frozen=True)
-class GenusOneReport:
+class GenusOneReport(NamedTuple):
     khi_dims: tuple[int, int, int]
     middle_is_lower_bound: bool
     isharp1_dim: int
@@ -539,8 +530,7 @@ def genus_one_report(a: int, tau: int, d_top: int) -> GenusOneReport:
     return GenusOneReport((d_top, middle, d_top), True, isharp1, cert)
 
 
-@dataclass(frozen=True)
-class UnknottingOneReport:
+class UnknottingOneReport(NamedTuple):
     isharp_upper: int
     certificate: TorsionCertificate
     note: Optional[str] = None
@@ -558,8 +548,7 @@ def unknotting_one_check(dim_khi: int) -> UnknottingOneReport:
     return UnknottingOneReport(dim_khi + 3, cert, note)
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     free_rank: int
     two_torsion: int
 
@@ -582,8 +571,7 @@ def quasi_alt(determinant: int) -> tuple[GroupDescriptor, GroupDescriptor]:
 # Slope propagation and monotonicity
 
 
-@dataclass(frozen=True)
-class SlopeRegion:
+class SlopeRegion(NamedTuple):
     empty: bool
     threshold: Optional[int] = None
 
@@ -605,8 +593,7 @@ def slope_propagation(n: int, minimal_at_n: bool) -> SlopeRegion:
     return SlopeRegion(empty=False, threshold=n)
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(NamedTuple):
     t2: dict
     ok: bool
     first_violation: Optional[int] = None
@@ -631,8 +618,7 @@ def t2_monotone_check(seq_c: LedgerSequence, seq_f2: LedgerSequence, nu_sharp: i
 # Worked contradiction demo
 
 
-@dataclass(frozen=True)
-class PoincareDemo:
+class PoincareDemo(NamedTuple):
     conditional_value: int
     lower_bound: int
     contradiction: bool

@@ -95,8 +95,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, insort
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -125,15 +124,12 @@ class GradingOutOfRange(ValueError):
     """Grading not in Z + (p-1)/2 for the requested slope."""
 
 
-@dataclass(frozen=True)
-class SlopeSpec:
+class SlopeSpec(namedtuple("SlopeSpec", "p q")):
     """A reduced slope p/q; q = 0 encodes the vertical slope 1/0."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __new__(cls, p: int, q: int):
         if p == 0 and q == 0:
             raise ValueError("slope 0/0 is not a slope")
         if q < 0:
@@ -143,8 +139,7 @@ class SlopeSpec:
             p, q = p // g, q // g
         if q == 0:
             p = 1
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        return super().__new__(cls, p, q)
 
     @staticmethod
     def parse(text: str) -> "SlopeSpec":
@@ -178,18 +173,17 @@ def grading_key(slope: SlopeSpec, h) -> int:
     return key
 
 
-@dataclass(frozen=True)
-class ArcLift:
+class ArcLift(namedtuple("ArcLift", "slope height")):
     """Peg-to-peg arc of slope p/q at grading height h (its midpoint height)."""
 
-    slope: SlopeSpec
-    height: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "height", rat(self.height))
-        if self.slope.p == 0:
+    def __new__(cls, slope: SlopeSpec, height):
+        height = rat(height)
+        if slope.p == 0:
             raise ZeroSurgery("arcs of slope 0 are not defined")
-        grading_key(self.slope, self.height)  # refuses a height off the gradings
+        grading_key(slope, height)  # refuses a height off the gradings
+        return super().__new__(cls, slope, height)
 
     def seg(self) -> Segment:
         """Lift 0; lift k is this segment translated by (k, 0)."""

@@ -3,7 +3,8 @@
 The full sweep (every zoo and thin diagram) stays out of the suite; here it
 runs twice on one thin diagram, read from a curve file, and must give the
 same digest both times: nothing one command leaves behind changes the
-next command's bytes.
+next command's bytes.  A zoo diagram's cases end with its six `render`
+calls.
 """
 
 import importlib.util
@@ -28,5 +29,16 @@ def test_the_digest_of_one_diagram_is_stable(capsys):
         assert tool.main(["--knot", label]) == 0
         digests.append(capsys.readouterr().out)
     assert digests[0] == digests[1]
-    assert digests[0].startswith("sha256 ") and digests[0].endswith(f" cases {per_diagram}\n")
+    # the two `zoo list` cases open every run
+    assert digests[0].startswith("sha256 ") and digests[0].endswith(f" cases {per_diagram + 2}\n")
     assert per_diagram == 2 * (51 + 52 + 25 + 2)
+
+
+def test_a_zoo_diagram_adds_its_renders():
+    tool = load_tool()
+    drawn = tool.cases("trefoil", drawn=True)
+    assert drawn[:-6] == tool.cases("trefoil")
+    assert [argv[:2] for argv in drawn[-6:]] == [["render", "trefoil"]] * 6
+    assert [" ".join(argv[2:]) for argv in drawn[-6:]] == [
+        "", "--overlay 3/2", "--overlay 0/1", "--overlay -7/3",
+        "--overlay-arc 1/0@1", "--overlay-arc 3/2@1"]

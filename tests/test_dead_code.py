@@ -1,6 +1,7 @@
 """Every top-level function and class of the package is used in the package,
-every property is read in it, every import is used in its module, and no
-module imports another module's private name.
+every property is read in it, every import is used in its module, no
+module imports another module's private name, and none imports
+`dataclasses`.
 
 A top-level definition in `src/pegboard` counts as used when some module
 of the package refers to it outside the definition itself: by name, as an
@@ -14,7 +15,9 @@ with a read property of another class passes it.  A name that a module
 imports counts as used when the module reads it by name or lists it in its
 `__all__`; an import that its module never uses is dead too.  A name with a leading underscore is private to
 its module: another module of the package that needs it calls for a
-public reader instead.
+public reader instead.  The package's records are named tuples:
+`dataclasses` would bring `inspect`, `ast`, `dis` and `tokenize` into
+every command's start-up.
 """
 
 import ast
@@ -191,3 +194,31 @@ def test_the_check_finds_a_private_import(tmp_path):
         f.write("\nfrom .pairing import _walk, walk_columns\n"
                 "from pegboard.curves import _cycle_key\nfrom . import __version__\n")
     assert private_imports(tmp_path) == ["differentials._walk", "differentials._cycle_key"]
+
+
+def importers_of(package: Path, name: str) -> list[str]:
+    """Stem of each module of the package in that directory that imports
+    the module `name` or a name from it, once per import statement."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import) and any(alias.name == name for alias in node.names)
+                    or isinstance(node, ast.ImportFrom) and not node.level and node.module == name):
+                found.append(path.stem)
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    assert importers_of(PACKAGE, "dataclasses") == []
+
+
+def test_the_check_finds_a_dataclasses_import(tmp_path):
+    # A plain or aliased import of the module and an import from it are
+    # found; a relative import of a sibling module is not.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "geometry.py", "a") as f:
+        f.write("\nimport dataclasses as dc\n")
+    with open(tmp_path / "ledger.py", "a") as f:
+        f.write("\nfrom dataclasses import dataclass, field\nfrom . import geometry\n")
+    assert importers_of(tmp_path, "dataclasses") == ["geometry", "ledger"]

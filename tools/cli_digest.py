@@ -6,12 +6,16 @@ Run from a checkout: pegboard is imported from ``src/`` next to this
 directory.  Each case is one in-process ``pegboard.cli.main(argv)`` call,
 and the digest covers its argv, exit code, stdout and stderr, in case
 order.  Two checkouts that print the same digest gave the same bytes on
-every case.  The grid, for each diagram, in text and in JSON:
+every case.  The grid opens with ``zoo list`` in text and in JSON; then,
+for each diagram, in text and in JSON:
 
 * ``pair`` and ``hfk`` at every reduced slope with 0 < |p| <= 9 and
   q <= 4, and at 0/1;
 * ``diff`` at those slopes with p >= 1, and ``hfk`` at 1/0;
-* ``scan-simple --pmax 9 --qmax 4 --all`` and ``invariants``.
+* ``scan-simple --pmax 9 --qmax 4 --all`` and ``invariants``;
+
+and, for each zoo diagram, its ``render`` SVG: plain, with ``--overlay``
+at 3/2, 0/1 and -7/3, and with ``--overlay-arc`` at 1/0@1 and 3/2@1.
 
 The diagrams are the zoo and ``thin(tau, f)`` for -2 <= tau <= 2 and
 0 <= f <= 3, each thin diagram read from a curve file named
@@ -38,19 +42,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SLOPES = [f"{p}/{q}" for q in range(1, 5) for p in range(-9, 10) if p and math.gcd(abs(p), q) == 1]
 THIN = [(tau, f) for tau in range(-2, 3) for f in range(4)]
+FORMATS = ("text", "json")
+RENDERS = [[], ["--overlay", "3/2"], ["--overlay", "0/1"], ["--overlay", "-7/3"],
+           ["--overlay-arc", "1/0@1"], ["--overlay-arc", "3/2@1"]]
 
 
 def thin_label(tau: int, f: int) -> str:
     return f"thin_t{f'm{-tau}' if tau < 0 else tau}_f{f}"
 
 
-def cases(knot: str) -> list[list[str]]:
-    """Every argv the grid runs on one diagram, in order."""
+def cases(knot: str, drawn: bool = False) -> list[list[str]]:
+    """Every argv the grid runs on one diagram, in order; `drawn` adds the
+    `render` cases of a zoo diagram."""
     argvs = [["pair", knot, s] for s in SLOPES + ["0/1"]]
     argvs += [["hfk", knot, s] for s in SLOPES + ["0/1", "1/0"]]
     argvs += [["diff", knot, s] for s in SLOPES if not s.startswith("-")]
     argvs += [["scan-simple", knot, "--pmax", "9", "--qmax", "4", "--all"], ["invariants", knot]]
-    return [argv + ["--format", fmt] for argv in argvs for fmt in ("text", "json")]
+    formatted = [argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
+    return formatted + ([["render", knot, *extra] for extra in RENDERS] if drawn else [])
 
 
 def digest(knots=None) -> tuple[str, int]:
@@ -63,33 +72,33 @@ def digest(knots=None) -> tuple[str, int]:
     from pegboard.textfmt import emit_curve_text
 
     thin_labels = {thin_label(tau, f): (tau, f) for tau, f in THIN}
-    names = zoo_names() + list(thin_labels)
+    zoo = zoo_names()
+    names = zoo + list(thin_labels)
     unknown = set(knots or ()) - set(names)
     if unknown:
         raise SystemExit(f"unknown diagram(s): {', '.join(sorted(unknown))}")
     names = [n for n in names if not knots or n in knots]
+    argvs = [["zoo", "list", "--format", fmt] for fmt in FORMATS]
+    argvs += [argv for name in names for argv in cases(name, name in zoo)]
     h = hashlib.sha256()
-    count = 0
     saved = os.environ.get("PEGBOARD_ZOO_DIR")
     with tempfile.TemporaryDirectory() as zoo_dir:
         for label, (tau, f) in thin_labels.items():
             Path(zoo_dir, f"{label}.curve").write_text(emit_curve_text(thin(tau, f)), encoding="utf-8")
         os.environ["PEGBOARD_ZOO_DIR"] = zoo_dir
         try:
-            for name in names:
-                for argv in cases(name):
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(argv)
-                    texts = [t.getvalue().replace(zoo_dir, "$PEGBOARD_ZOO_DIR") for t in (out, err)]
-                    h.update(json.dumps([argv, code, *texts]).encode() + b"\n")
-                    count += 1
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                texts = [t.getvalue().replace(zoo_dir, "$PEGBOARD_ZOO_DIR") for t in (out, err)]
+                h.update(json.dumps([argv, code, *texts]).encode() + b"\n")
         finally:
             if saved is None:
                 del os.environ["PEGBOARD_ZOO_DIR"]
             else:
                 os.environ["PEGBOARD_ZOO_DIR"] = saved
-    return h.hexdigest(), count
+    return h.hexdigest(), len(argvs)
 
 
 def main(argv=None) -> int:
