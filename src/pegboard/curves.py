@@ -191,7 +191,7 @@ class Component(namedtuple("Component", "vertices winding")):
 
     def level_crossings(
         self, a: int, b: int, c: Fraction
-    ) -> tuple[list[Crossing], dict[int, list[tuple[int, bool]]]]:
+    ) -> tuple[list[Crossing], list[tuple[int, int, bool]]]:
         """Transversal crossings of one period with the levels a*x + b*y + c = m.
 
         a and b are integers, c is a rational and m runs over the integers.
@@ -199,11 +199,12 @@ class Component(namedtuple("Component", "vertices winding")):
         record per crossing, in curve order, so strictly increasing in
         position.  A vertex on a level counts iff its cyclic neighbours lie
         strictly on opposite sides; the period's end vertex repeats its
-        start and is left to it.  degenerate maps each level that holds a
-        segment, or two consecutive vertices, to its events in segment
-        order, (i, collinear): vertex i lies on the level and so does vertex
-        i + 1 (collinear) or vertex i - 1 (not collinear).  Such vertices
-        give no crossing; the scan never raises.
+        start and is left to it.  degenerate lists, in scan order, one
+        event (m, i, collinear) per vertex i that lies on level m with
+        vertex i + 1 (collinear) or, failing that, vertex i - 1 (not
+        collinear): the events of a level that holds a segment, or two
+        consecutive vertices.  Such vertices give no crossing; the scan
+        never raises.
 
         The scan works in integers, on the component's lifted vertex table
         (`_lifted_frame`, at the frame's scale S) times f = lcm(S, den c) //
@@ -218,7 +219,7 @@ class Component(namedtuple("Component", "vertices winding")):
         """
         n = self.cycle_length()
         if n == 0:
-            return [], {}
+            return [], []
         scale, f, cs = self._rescale_for(c)
         xs, ys = self._lifted_frame  # index j + 1 holds vertex j
         if f != 1:
@@ -227,13 +228,13 @@ class Component(namedtuple("Component", "vertices winding")):
         gcd = math.gcd
         new = tuple.__new__  # skips the Python-level __new__ NamedTuple generates: still a Crossing
         crossings: list[Crossing] = []
-        degenerate: dict[int, list[tuple[int, bool]]] = {}
+        degenerate: list[tuple[int, int, bool]] = []
         for i in range(n):
             g_prev, ga, gb = gs[i], gs[i + 1], gs[i + 2]
             xa, ya = xs[i + 1], ys[i + 1]
             if ga % scale == 0:
                 if ga == gb or ga == g_prev:
-                    degenerate.setdefault(ga // scale, []).append((i, ga == gb))
+                    degenerate.append((ga // scale, i, ga == gb))
                 elif (g_prev < ga) != (gb < ga):
                     k = gcd(xa, ya, scale)
                     crossings.append(new(Crossing, (i, 0, 1, xa // k, ya // k, scale // k, ga // scale)))

@@ -222,7 +222,7 @@ def census_bounds(d: CurveDiagram, slope: SlopeSpec) -> CensusBound:
     maxima, minima = dict(census.n_plus), dict(census.n_minus)
     tau, eps = tau_epsilon(d)
     discounted: list[tuple[str, int]] = []
-    applies = tau > 0 and eps == 1 and slope.value() > 2 * tau - 1
+    applies = tau > 0 and eps == 1 and slope.p > (2 * tau - 1) * slope.q
     if applies:
         for kind, counts, h in (("max", maxima, tau), ("min", minima, -tau)):
             if counts.get(h):

@@ -70,10 +70,11 @@ Every arc of a slope lies on a level of F = p*x - q*y, so `ArcSweep`, one
 object per (diagram, slope), scans every grading at once and files each
 crossing, and each segment lying along an arc line, under the one arc that
 holds it; the keys it files are the gradings.  A level holding a segment,
-or two consecutive vertices, is degenerate: a filling lift on it, or an
-arc holding such a segment, raises `DegenerateIncidence`.  The sweep
-cancels bigons once per grading and keeps the result, so the graded
-dimensions and both differentials of one slope share the work.  Its
+or two consecutive vertices, is degenerate: a filling lift on it raises
+`DegenerateIncidence`, and so does an arc holding such a segment, for its
+whole slope, when the sweep is built: every reader reads every grading.
+The sweep cancels bigons once per grading and keeps the result, so the
+graded dimensions and both differentials of one slope share the work.  Its
 total, the dual total that `scan-simple` reads, cancels only the gradings
 h >= 0 of a diagram that passes validation and reads each h < 0 from -h:
 the half turn maps such a diagram onto itself and the grading-h arcs onto
@@ -93,7 +94,6 @@ closing piece's columns from the ends `walk_columns` returns.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left, insort
 from collections import defaultdict, namedtuple
 from fractions import Fraction
@@ -152,11 +152,6 @@ class SlopeSpec(namedtuple("SlopeSpec", "p q")):
     @property
     def is_vertical(self) -> bool:
         return self.q == 0
-
-    def value(self) -> Fraction:
-        if self.is_vertical:
-            raise ZeroDivisionError("vertical slope has no finite value")
-        return Fraction(self.p, self.q)
 
     def __str__(self):
         return f"{self.p}/{self.q}"
@@ -268,13 +263,10 @@ class _LineFamily:
 # Raw intersections
 
 
-def _degenerate_incidence(c: Component, k: int, event: tuple[int, bool]) -> DegenerateIncidence:
-    """The error for object lift k on a degenerate level of component c.
-
-    `event` is the level's first degenerate vertex, as
-    `Component.level_crossings` reports it.
-    """
-    i, collinear = event
+def _degenerate_incidence(c: Component, k: int, i: int, collinear: bool) -> DegenerateIncidence:
+    """The error for object lift k at a degenerate event (i, collinear) of
+    component c, as `Component.level_crossings` reports it: vertex i lies
+    on the lift with vertex i + 1 (collinear) or vertex i - 1."""
     if collinear:
         return DegenerateIncidence(
             f"curve segment {c.lifted(i)}->{c.lifted(i + 1)} is collinear with object lift {k}"
@@ -289,15 +281,14 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
     Sorted by component, then position along it: one level scan of the
     family's form per component, level m being lift m.  The first component
     with a degenerate level raises `DegenerateIncidence` for its smallest
-    lift on one, at that level's first event.
+    lift on one, at that lift's first event.
     """
     points: list[IPoint] = []
     new = tuple.__new__  # as `Component.level_crossings` builds its records
     for ci, c in enumerate(d.components):
         crossings, degenerate = c.level_crossings(fam.a, fam.b, fam.c)
         if degenerate:
-            m, events = min(degenerate.items())
-            raise _degenerate_incidence(c, m, events[0])
+            raise _degenerate_incidence(c, *min(degenerate))
         for e in crossings:
             points.append(new(IPoint, (ci, e, e.m)))
     return points
@@ -541,9 +532,8 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
     return winds_only(tally)
 
 
-def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
-                  order_seed: Optional[int] = None) -> tuple[list[IPoint], list[tuple[IPoint, IPoint]]]:
-    """Remove empty bigons until none remain; order is seed-controlled.
+def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[IPoint], list[tuple[IPoint, IPoint]]]:
+    """Remove empty bigons until none remain, the first candidate first.
 
     `pts` are the intersections of d with one line family or one arc's
     translates, strictly increasing in (component, position), as
@@ -555,11 +545,11 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
     with the piece of x's lift back to x into an empty bigon, a loop of
     winding zero around every peg with no other live point on the piece.
     They are kept by the index of x in `pts`, which is ring order, and
-    each step removes the first candidate, or the `order_seed` pick among
-    them.  The final count is independent of the removal order.  The
-    audit lists each removed pair as (x, y), in removal order: the pair is
-    the certificate, as its bigon passed the tests below when it was
-    removed, and no loop is built for it.
+    each step removes the first candidate.  The final count is
+    independent of the removal order.  The audit lists each removed pair
+    as (x, y), in removal order: the pair is the certificate, as its bigon
+    passed the tests below when it was removed, and no loop is built for
+    it.
 
     The candidates are kept as a worklist: each pair is tested once, when
     it becomes adjacent, cheapest test first: the same-lift test, then the
@@ -623,7 +613,6 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
         if alive is None:
             if not pieces:  # no pair is a candidate: nothing is removed
                 return list(pts), []
-            rng = random.Random(order_seed) if order_seed is not None else None
             alive = [True] * n
             live = list(range(n))  # ascending
             cands: list[int] = []  # x of each pair (x, next(x)) bounding an empty bigon, ascending
@@ -639,7 +628,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int,
                 blocked.setdefault(blocker, []).append(pair)
         if not cands:
             return [pts[k] for k in live], audit
-        ix = cands[0] if rng is None else cands[rng.randrange(len(cands))]
+        ix = cands[0]
         iy = nxt[ix]
         audit.append((pts[ix], pts[iy]))
         before, after = prv[ix], nxt[iy]
@@ -699,9 +688,11 @@ class ArcSweep:
     the curve, so a segment along an arc line lies inside one arc.
 
     The filed keys are the gradings: no other grading's arc crosses the
-    diagram.  A grading raises `DegenerateIncidence` when one of its own
-    arcs holds a segment, naming the first such component, its smallest
-    such lift and that lift's first event.  `points(h)` cancels bigons once
+    diagram.  Every reader of a slope reads all its gradings, so the slope
+    is refused whole: when an arc holds a segment, building the sweep
+    raises `DegenerateIncidence` for the smallest grading with such an
+    arc, naming its first such component, that component's smallest such
+    lift and that lift's first event.  `points(h)` cancels bigons once
     per filed grading (an unfiled one has no points) and keeps the result
     for the life of the object; nothing is shared between objects.  The 0-filling has no gradings and is refused.
     `dims`, `points` and `raw` read every grading they are asked for;
@@ -715,12 +706,12 @@ class ArcSweep:
         self.diagram = d
         self.slope = slope
         self._live: dict[int, tuple[IPoint, ...]] = {}  # by key
-        self._raw, self._held = self._sweep()
+        self._raw = self._sweep()
 
     def raw(self, h) -> list[IPoint]:
         """Grading-h crossings before cancellation, sorted by component and
         position."""
-        return list(self._filed(grading_key(self.slope, h)))
+        return list(self._raw.get(grading_key(self.slope, h), ()))
 
     def points(self, h) -> tuple[IPoint, ...]:
         """Minimal-position intersection points with the grading-h arc."""
@@ -734,48 +725,40 @@ class ArcSweep:
         return {Fraction(2 * n + p - 1, 2): count for n, count in self._counts() if count}
 
     def total(self) -> int:
-        """The sum of `dims()`'s values, read without its grading keys; a
-        held grading raises as it does there.
+        """The sum of `dims()`'s values, read without its grading keys.
 
         A diagram that passes validation is invariant under the half turn
         (x, y) -> (-x, -y), which maps the grading-h arc of lift k onto the
         grading -h arc of lift -k - q: keys n and 1 - p - n hold congruent
-        configurations with equal counts.  So, with no held grading, only
-        the keys with 2n + p - 1 >= 0 (h >= 0) are cancelled, and each
-        other key reads its partner's count.  On any other diagram, whose
-        report `CurveDiagram._validation` keeps, every grading is counted
-        as `dims` counts it."""
-        if self._held or not self.diagram._validation.ok:
+        configurations with equal counts.  So only the keys with
+        2n + p - 1 >= 0 (h >= 0) are cancelled, and each other key reads
+        its partner's count.  On any other diagram, whose report
+        `CurveDiagram._validation` keeps, every grading is counted as
+        `dims` counts it."""
+        if not self.diagram._validation.ok:
             return sum(count for _, count in self._counts())
         p = self.slope.p
         return sum(len(self._points(n if 2 * n + p - 1 >= 0 else 1 - p - n)) for n in self._raw)
 
     def _counts(self):
-        """(key, point count) of each filed or held grading, by increasing
-        key; the first held key raises `DegenerateIncidence` when reached."""
-        return ((n, len(self._points(n))) for n in sorted(self._raw.keys() | self._held.keys()))
-
-    def _filed(self, n: int) -> list[IPoint]:
-        held = self._held.get(n)
-        if held is not None:
-            ci, k, event = held
-            raise _degenerate_incidence(self.diagram.components[ci], k, event)
-        return self._raw.get(n, [])
+        """(key, point count) of each filed grading, by increasing key."""
+        return ((n, len(self._points(n))) for n in sorted(self._raw))
 
     def _points(self, n: int) -> tuple[IPoint, ...]:
         live = self._live.get(n)
         if live is None:
-            filed = self._filed(n)  # a held grading raises here
+            filed = self._raw.get(n)
             live = tuple(cancel_bigons(filed, self.diagram, 1)[0]) if filed else ()
             self._live[n] = live
         return live
 
-    def _sweep(self) -> tuple[dict[int, list[IPoint]], dict[int, tuple]]:
-        """(crossings by key, first held segment by key as (ci, k, event))."""
+    def _sweep(self) -> dict[int, list[IPoint]]:
+        """The crossings by key; raises for the least held (key, ci, k,
+        event)."""
         p, q = self.slope.p, self.slope.q
         inv_p = pow(p, -1, q) if q else 0
         raw: dict[int, list[IPoint]] = defaultdict(list)
-        held: dict[int, tuple] = {}
+        held: list[tuple[int, int, int, int, bool]] = []
 
         def arc(x: int, y: int, den: int, m: int) -> tuple[int, int, bool]:
             """(key, lift, start) of an arc on the level m + off that holds
@@ -800,13 +783,13 @@ class ArcSweep:
                 if start:  # a peg: validation keeps the curve off them
                     raw[n - p].append(new(IPoint, (ci, e, k - q)))
             scale, xs, ys = c._frame
-            for m, events in degenerate.items():
-                for event in events:  # vertex event[0] lies on the segment
-                    n, k, start = arc(xs[event[0]], ys[event[0]], scale, m)
-                    for n, k in ((n, k), (n - p, k - q))[:1 + start]:
-                        hit = (ci, k, event)
-                        held[n] = min(held.get(n, hit), hit)
-        return raw, held
+            for m, i, collinear in degenerate:  # vertex i lies on the segment
+                n, k, start = arc(xs[i], ys[i], scale, m)
+                held += [(n, ci, k, i, collinear), (n - p, ci, k - q, i, collinear)][:1 + start]
+        if held:
+            n, ci, k, i, collinear = min(held)
+            raise _degenerate_incidence(self.diagram.components[ci], k, i, collinear)
+        return raw
 
 
 def arc_points(d: CurveDiagram, arc: ArcLift) -> list[IPoint]:
@@ -826,15 +809,15 @@ def dual_hfk_dims(d: CurveDiagram, slope: SlopeSpec) -> dict:
 def genus_of(d: CurveDiagram) -> int:
     """Top height met by the vertical arcs (0 for the horizontal line).
 
-    At 1/0 a grading is its own key.  On a diagram that passes validation
-    and holds no grading, no cancellation raises, so the filed gradings
-    are read down from the top and the first positive one with a point is
-    the genus; the gradings below it are not cancelled.  Otherwise every
+    At 1/0 a grading is its own key.  A 1/0 arc holding a segment raises
+    `DegenerateIncidence` when the sweep is built.  On a diagram that
+    passes validation no cancellation raises, so the filed gradings are
+    read down from the top and the first positive one with a point is the
+    genus; the gradings below it are not cancelled.  Otherwise every
     grading is counted as `dual_hfk_dims` counts it, and raises what it
-    raises: a held grading's `DegenerateIncidence`, or the `PointOnLoop`
-    of a walk through a peg."""
+    raises: the `PointOnLoop` of a walk through a peg."""
     sweep = ArcSweep(d, SlopeSpec(1, 0))
-    if sweep._held or not d._validation.ok:
+    if not d._validation.ok:
         return max((int(h) for h in sweep.dims() if h > 0), default=0)
     for h in sorted(sweep._raw, reverse=True):
         if h <= 0:

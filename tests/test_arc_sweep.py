@@ -19,19 +19,20 @@ turns it into an IPoint with `ipoint`, whose record `test_level_scan.record`
 builds from those Fractions and the crossing's level.
 
 The walk raises for an arc whenever the arc's whole line runs along a
-curve segment, inside the arc or not.  The sweep raises only when one of
-the grading's own arcs holds the segment.  Where the walk raises, the
-sweep is checked against `arc_oracle` instead: every `ArcLift.seg()`
+curve segment, inside the arc or not.  The sweep refuses the slope only
+when some grading's own arc holds the segment, raising when it is built
+with the message for the smallest such grading.  Where the walk raises,
+the sweep is checked against `arc_oracle` instead: every `ArcLift.seg()`
 translate tested against every curve segment, with no level scan and no
 filing rule.  `grading_range`, the bounding-box range that `ArcSweep.dims`
 read before it read the gradings the sweep files, is kept here as the
 range the tests probe, and the sweep must file no grading outside it.
-`ArcSweep.total`, the count-only reader, must be the sum of `dims` and
-raise what `dims` raises at the first held grading.  On a diagram that
-passes validation it cancels only the gradings h >= 0 and reads each
-h < 0 from -h, by the half-turn congruence; a counting wrapper around
-`cancel_bigons` pins that, and that `dims` and every diagram that fails
-validation still cancel every filed grading.  `genus_of` reads the 1/0
+`ArcSweep.total`, the count-only reader, must be the sum of `dims`, and a
+refused slope raises the same from both and from `genus_of`.  On a
+diagram that passes validation `total` cancels only the gradings h >= 0
+and reads each h < 0 from -h, by the half-turn congruence; a counting
+wrapper around `cancel_bigons` pins that, and that `dims` and every
+diagram that fails validation still cancel every filed grading.  `genus_of` reads the 1/0
 gradings down from the top and stops at the first with a point.
 """
 
@@ -218,16 +219,19 @@ def reference_raw_intersections(d, obj):
 
 
 def arc_oracle(d, slope, h):
-    """Grading h's raw points, or the smallest (component, lift) whose arc
-    holds a curve segment.
+    """Grading h's raw points, or, when an arc of grading h holds a curve
+    segment, the `DegenerateIncidence` message for the smallest
+    (component, lift, vertex, collinear) of such an arc.
 
     Each lift-k arc is `ArcLift.seg()` translated by (k, 0) and is tested
     against every segment of one period of every component whose x range it
     meets.  A segment crossing the arc counts at its crossing, a vertex on
     the arc iff its cyclic neighbours lie strictly on opposite sides of the
     arc's line, and a segment on the line whose overlap with the arc has
-    positive length is held.  A vertex on the arc whose neighbour is on the
-    line is such a segment's end.
+    positive length is held, at its first vertex (collinear).  A vertex on
+    the arc whose neighbour is on the line is such a segment's end, and
+    held at that vertex (not collinear) when the next neighbour is off the
+    line.
     """
     base = ArcLift(slope, h).seg()
     dx, dy = base.b.x - base.a.x, base.b.y - base.a.y
@@ -249,13 +253,13 @@ def arc_oracle(d, slope, h):
                 if sa == 0 and sb == 0:
                     lo, hi = sorted((u(a), u(b)))
                     if min(hi, ONE) > max(lo, ZERO):
-                        held.append((ci, k))
+                        held.append((ci, k, i, True, f"curve segment {a}->{b} is collinear with object lift {k}"))
                 elif sa == 0:
                     if not ZERO <= u(a) <= ONE:
                         continue
                     prev, _ = _neighbor_points(c, verts, i)
                     if side(prev) == 0:
-                        held.append((ci, k))
+                        held.append((ci, k, i, False, f"two consecutive vertices on object lift {k}"))
                     elif (side(prev) < 0) != (sb < 0):
                         points.append(ipoint(ci, Fraction(i), a, k, slope))
                 elif sb != 0 and (sa < 0) != (sb < 0):
@@ -264,7 +268,7 @@ def arc_oracle(d, slope, h):
                     if ZERO <= u(point) <= ONE:
                         points.append(ipoint(ci, i + t, point, k, slope))
     if held:
-        return min(held)
+        return min(held)[-1]
     return sorted(points, key=lambda ip: (ip.comp, position(ip), ip.lift))
 
 
@@ -300,31 +304,29 @@ def heights(d, slope):
     return [hs[0] - 2, hs[0] - 1] + hs + [hs[-1] + 1, hs[-1] + 2]
 
 
-def assert_sweep_matches_oracle(sweep, h):
-    """The sweep raises for grading h, naming the oracle's lift, iff the
-    oracle finds an arc holding a segment, and otherwise lists its points."""
-    d, slope = sweep.diagram, sweep.slope
-    want = arc_oracle(d, slope, h)
-    got = outcome(sweep.raw, h)
-    if isinstance(want, tuple):
-        assert isinstance(got, str) and got.endswith(f" object lift {want[1]}"), \
-            (d.source, str(slope), h, got, want)
-    else:
-        assert got == want, (d.source, str(slope), h)
-    return want
+def assert_sweep_matches(d, slope, wants):
+    """The sweep of the slope against `wants`, each height's raw points or
+    held message in increasing height: refused with the first message iff
+    there is one, and otherwise filing each height's points.  Returns the
+    sweep, or None when it is refused."""
+    got = outcome(ArcSweep, d, slope)
+    held = [want for want in wants.values() if isinstance(want, str)]
+    if held:
+        assert got == held[0], (d.source, str(slope))
+        return None
+    for h, want in wants.items():
+        assert got.raw(h) == want, (d.source, str(slope), h)
+    return got
 
 
 def assert_sweep_matches_walk(d, slope, cancel=True):
     """The walk is the reference at every grading it pairs; where it raises,
     the oracle is."""
-    sweep = ArcSweep(d, slope)
-    for h in heights(d, slope):
-        want = walk(d, slope, h)
-        if isinstance(want, str):
-            assert_sweep_matches_oracle(sweep, h)
-            continue
-        assert sweep.raw(h) == want, (d.source, str(slope), h)
-        if cancel:
+    wants = {h: walk(d, slope, h) for h in heights(d, slope)}
+    wants = {h: arc_oracle(d, slope, h) if isinstance(want, str) else want for h, want in wants.items()}
+    sweep = assert_sweep_matches(d, slope, wants)
+    if sweep and cancel:
+        for h, want in wants.items():
             live, _ = cancel_bigons(want, d, 1)
             assert sweep.points(h) == tuple(live), (d.source, str(slope), h)
 
@@ -409,37 +411,34 @@ UNIT = SlopeSpec(1, 1)
 DEGENERATE_SLOPES = [UNIT, SlopeSpec(-1, 1), SlopeSpec(3, 2), SlopeSpec(1, 0)]
 
 
-def raising_gradings(d, slope):
-    sweep = ArcSweep(d, slope)
-    return [h for h in heights(d, slope) if isinstance(outcome(sweep.raw, h), str)]
+def held_gradings(d, slope):
+    """The gradings where the oracle finds an arc holding a segment."""
+    return [h for h in heights(d, slope) if isinstance(arc_oracle(d, slope, h), str)]
 
 
 @pytest.mark.parametrize("d", [COLLINEAR, TALL, UPRIGHT, STACKED], ids=lambda d: d.source)
 def test_degenerate_gradings_raise_iff_an_arc_holds_a_segment(d):
+    # The sweep is refused, with the message for the smallest held
+    # grading, iff the oracle holds a grading; otherwise each grading keeps
+    # the oracle's points, the walk's where it pairs, and its differentials.
     assert validate(d).ok
-    held = 0
+    refused = 0
     for diagram in (d, d.mirror()):
         for slope in DEGENERATE_SLOPES:
-            sweep = ArcSweep(diagram, slope)
-            for h in heights(diagram, slope):
-                want = assert_sweep_matches_oracle(sweep, h)
-                if isinstance(want, tuple):
-                    held += 1
-                    continue
+            wants = {h: arc_oracle(diagram, slope, h) for h in heights(diagram, slope)}
+            sweep = assert_sweep_matches(diagram, slope, wants)
+            if sweep is None:
+                refused += 1
+                continue
+            for h, want in wants.items():
                 paired = walk(diagram, slope, h)
                 assert isinstance(paired, str) or paired == want, (diagram.source, str(slope), h)
                 live, _ = cancel_bigons(want, diagram, 1)
                 assert sweep.points(h) == tuple(live), (diagram.source, str(slope), h)
-                if slope.p < 1 or slope.q < 1:
-                    continue
-                for kind, target in (("phi", h - slope.p), ("psi", h + slope.p)):
-                    # the source grading's points are read first, then the target's
-                    if isinstance(arc_oracle(diagram, slope, target), tuple):
-                        with pytest.raises(DegenerateIncidence):
-                            differential_matrix(sweep, h, kind)
-                    else:
-                        differential_matrix(sweep, h, kind)
-    assert held
+                if slope.p >= 1 and slope.q >= 1:
+                    differential_matrix(sweep, h, "phi")
+                    differential_matrix(sweep, h, "psi")
+    assert refused
 
 
 @pytest.mark.parametrize("name", ["trefoil", "figure_eight"])
@@ -454,34 +453,38 @@ def test_only_the_arcs_holding_a_segment_raise():
     # The walk raises wherever an arc's line runs along a segment: COLLINEAR
     # at 1/1 gradings -1, 0 and 1, UPRIGHT at 1/0 every grading from -3 to
     # 3.  Only grading 0 has an arc that holds one.
+    # The sweep refuses the slope with grading 0's message.
     assert [h for h in heights(COLLINEAR, UNIT) if isinstance(walk(COLLINEAR, UNIT, h), str)] == [-1, 0, 1]
-    assert raising_gradings(COLLINEAR, UNIT) == [0]
-    assert raising_gradings(UPRIGHT, SlopeSpec(1, 0)) == [0]
-    assert raising_gradings(COLLINEAR.mirror(), SlopeSpec(-1, 1)) == [0]
-    sweep = ArcSweep(TALL, UNIT)
-    assert [len(sweep.raw(h)) for h in (-1, 1)] == [2, 2]
-    with pytest.raises(DegenerateIncidence) as exc:
-        dual_hfk_dims(COLLINEAR, UNIT)
-    assert str(exc.value) == "curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1"
-    with pytest.raises(DegenerateIncidence) as exc:
-        dual_hfk_dims(UPRIGHT, SlopeSpec(1, 0))
-    assert str(exc.value) == "curve segment (0, -1/4)->(0, 1/4) is collinear with object lift 0"
-    # Each arc names its own segment.
-    sweep = ArcSweep(STACKED, SlopeSpec(1, 0))
-    assert [outcome(sweep.raw, h) for h in (-1, 0, 1)] == [
-        f"curve segment (0, {lo})->(0, {hi}) is collinear with object lift 0"
-        for lo, hi in (("-5/4", "-3/4"), ("-1/4", "1/4"), ("3/4", "5/4"))
-    ]
+    assert held_gradings(COLLINEAR, UNIT) == [0]
+    assert held_gradings(UPRIGHT, SlopeSpec(1, 0)) == [0]
+    assert held_gradings(COLLINEAR.mirror(), SlopeSpec(-1, 1)) == [0]
+    assert held_gradings(TALL, UNIT) == [0]
+    for d in (COLLINEAR, TALL):
+        assert outcome(dual_hfk_dims, d, UNIT) == \
+            "curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1"
+    assert outcome(dual_hfk_dims, UPRIGHT, SlopeSpec(1, 0)) == \
+        "curve segment (0, -1/4)->(0, 1/4) is collinear with object lift 0"
+    # Each arc names its own segment, and the smallest grading's names the
+    # refusal.
+    messages = [f"curve segment (0, {lo})->(0, {hi}) is collinear with object lift 0"
+                for lo, hi in (("-5/4", "-3/4"), ("-1/4", "1/4"), ("3/4", "5/4"))]
+    assert [arc_oracle(STACKED, SlopeSpec(1, 0), h) for h in (-1, 0, 1)] == messages
+    assert outcome(ArcSweep, STACKED, SlopeSpec(1, 0)) == messages[0]
 
 
 def test_degenerate_vertex_keeps_its_other_crossings():
     # Vertex 2 of TALL sits on the degenerate level of segment 1, which makes
     # the walk raise at gradings 0 and 1; grading 2's lifts avoid that
-    # level, and segment 2 (from vertex 2) crosses the grading-2 arc.
+    # level, and segment 2 (from vertex 2) crosses the grading-2 arc.  The
+    # sweep refuses 1/1, whose grading-0 arc holds segment 0, but the level
+    # scan it files from still lists those crossings, and grading 1's arcs
+    # hold no segment.
     assert isinstance(walk(TALL, UNIT, 1), str)
+    assert isinstance(walk(TALL, UNIT, 2), list) and held_gradings(TALL, UNIT) == [0]
     want = walk(TALL, UNIT, 2)
     assert [math.floor(position(ip)) for ip in want] == [2, 3]
-    assert ArcSweep(TALL, UNIT).raw(2) == want
+    crossings, degenerate = TALL.components[0].level_crossings(1, -1, -Fraction(1, 2))
+    assert (-1, 2, False) in degenerate and {ip.crossing for ip in want} <= set(crossings)
 
 
 def test_points_are_cancelled_once_per_grading(monkeypatch):
@@ -489,9 +492,9 @@ def test_points_are_cancelled_once_per_grading(monkeypatch):
 
     calls = []
 
-    def counting_cancel(pts, d, step, order_seed=None):
+    def counting_cancel(pts, d, step):
         calls.append(step)
-        return cancel_bigons(pts, d, step, order_seed)
+        return cancel_bigons(pts, d, step)
 
     monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
     sweep = ArcSweep(build_zoo("trefoil"), SlopeSpec(3, 2))
@@ -511,9 +514,9 @@ def test_an_unfiled_grading_is_not_cancelled(monkeypatch):
 
     calls = []
 
-    def counting_cancel(pts, d, step, order_seed=None):
+    def counting_cancel(pts, d, step):
         calls.append(len(pts))
-        return cancel_bigons(pts, d, step, order_seed)
+        return cancel_bigons(pts, d, step)
 
     monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
     sweep = ArcSweep(build_zoo("trefoil"), SlopeSpec(3, 2))
@@ -573,18 +576,25 @@ def test_total_is_the_sum_of_dims_on_staircases(d, mirrored, slope):
     assert_total_is_the_sum_of_dims(d.mirror() if mirrored else d, slope)
 
 
-def test_total_raises_as_dims_does_at_the_first_held_grading():
-    # Gradings -1 and 1 of 1/0 are held; both readers visit -1 first.
-    assert validate(TWO_STACKS).ok
+def assert_refused_alike(d, message):
+    """`dims`, `total` and `genus_of` raise the same `DegenerateIncidence`
+    for d at 1/0, as building its sweep does."""
     vertical = SlopeSpec(1, 0)
-    assert raising_gradings(TWO_STACKS, vertical) == [-1, 1]
     raised = []
-    for reader in (ArcSweep.dims, ArcSweep.total, lambda sweep: genus_of(sweep.diagram)):
+    for read in (lambda: ArcSweep(d, vertical), lambda: ArcSweep(d, vertical).dims(),
+                 lambda: ArcSweep(d, vertical).total(), lambda: genus_of(d)):
         with pytest.raises(DegenerateIncidence) as exc:
-            reader(ArcSweep(TWO_STACKS, vertical))
+            read()
         raised.append((type(exc.value), str(exc.value)))
-    message = "curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0"
-    assert raised == [(DegenerateIncidence, message)] * 3
+    assert raised == [(DegenerateIncidence, message)] * 4
+
+
+def test_total_raises_as_dims_does_at_the_first_held_grading():
+    # Gradings -1 and 1 of 1/0 are held; the slope is refused with -1's
+    # message.
+    assert validate(TWO_STACKS).ok
+    assert held_gradings(TWO_STACKS, SlopeSpec(1, 0)) == [-1, 1]
+    assert_refused_alike(TWO_STACKS, "curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0")
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +637,9 @@ def cancelled_gradings(monkeypatch, sweep, read) -> list:
     by_points = {tuple(sweep.raw(h)): h for h in filed(sweep)}
     calls = []
 
-    def counting_cancel(pts, d, step, order_seed=None):
+    def counting_cancel(pts, d, step):
         calls.append(by_points[tuple(pts)])
-        return cancel_bigons(pts, d, step, order_seed)
+        return cancel_bigons(pts, d, step)
 
     monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
     read(sweep)
@@ -688,16 +698,11 @@ def test_total_counts_every_grading_of_a_diagram_that_fails_validation(monkeypat
         assert cancelled_gradings(monkeypatch, sweep, ArcSweep.total) == filed(sweep), str(slope)
         want = sum(ArcSweep(MUTANT, slope).dims().values())
         assert sweep.total() == per_grading_total(sweep) == want, str(slope)
-    # A held grading raises from either reader, and from genus_of, as on a
-    # valid diagram.
+    # A held grading refuses the slope, from either reader and from
+    # genus_of, as on a valid diagram.
     held = CurveDiagram(TWO_STACKS.components + MUTANT.components[1:], "two stacks, mutant")
     assert [v.code for v in validate(held).violations] == ["symmetry"]
-    raised = []
-    for reader in (ArcSweep.dims, ArcSweep.total, lambda sweep: genus_of(sweep.diagram)):
-        with pytest.raises(DegenerateIncidence) as exc:
-            reader(ArcSweep(held, SlopeSpec(1, 0)))
-        raised.append(str(exc.value))
-    assert raised == ["curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0"] * 3
+    assert_refused_alike(held, "curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0")
 
 
 def dims_genus(d) -> int:

@@ -8,11 +8,70 @@ import pytest
 import pegboard.cli
 import pegboard.textfmt
 from pegboard.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from pegboard.textfmt import emit_curve_text, parse_curve_text
+from test_arc_sweep import COLLINEAR, STACKED, TWO_STACKS, UPRIGHT
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "pegboard" / "schemas" / "report.schema.json")
     .read_text()
 )
+
+# Valid curves with a segment along an arc.  The triangle is the unknot's
+# line with the triangle (1/10, 3/5), (3/10, 4/5), (3/10, 3/5) and its half
+# turn, whose sides of slope 1 lie along 1/1 arcs.
+DEGENERATE_CURVES = {
+    "collinear": COLLINEAR,
+    "upright": UPRIGHT,
+    "stacked": STACKED,
+    "two_stacks": TWO_STACKS,
+    "triangle": parse_curve_text(
+        "component winding=1\nv -1/2 0\nv 1/2 0\n"
+        "component winding=0\nv 1/10 3/5\nv 3/10 4/5\nv 3/10 3/5\n"
+        "component winding=0\nv -1/10 -3/5\nv -3/10 -4/5\nv -3/10 -3/5\n",
+        source="triangle",
+    ),
+}
+_HELD = "curve segment {} is collinear with object lift {}"
+_MISSES = "distinguished component misses the peg column"
+# (command, slope or options) -> (exit code, stderr message or "").
+DEGENERATE_RUNS = {
+    "collinear": {
+        ("hfk", "1/1"): (EXIT_INVALID, _HELD.format("(-1/2, 0)->(-3/8, 1/8)", -1)),
+        ("hfk", "1/0"): (EXIT_OK, ""),
+        ("diff", "1/1"): (EXIT_INVALID, _HELD.format("(-1/2, 0)->(-3/8, 1/8)", -1)),
+        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(-1/2, 0)->(-3/8, 1/8)", -1)),
+        ("invariants",): (EXIT_OK, ""),
+    },
+    "upright": {
+        ("hfk", "1/1"): (EXIT_OK, ""),
+        ("hfk", "1/0"): (EXIT_INVALID, _HELD.format("(0, -1/4)->(0, 1/4)", 0)),
+        ("diff", "1/1"): (EXIT_INVALID, _MISSES),
+        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(0, -1/4)->(0, 1/4)", 0)),
+        ("invariants",): (EXIT_INVALID, _MISSES),
+    },
+    "stacked": {
+        ("hfk", "1/1"): (EXIT_OK, ""),
+        ("hfk", "1/0"): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
+        ("diff", "1/1"): (EXIT_INVALID, _MISSES),
+        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
+        ("invariants",): (EXIT_INVALID, _MISSES),
+    },
+    # gradings -1 and 1 of 1/0 are held: the smaller one names the segment
+    "two_stacks": {
+        ("hfk", "1/1"): (EXIT_OK, ""),
+        ("hfk", "1/0"): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
+        ("diff", "1/1"): (EXIT_OK, ""),
+        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
+        ("invariants",): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
+    },
+    "triangle": {
+        ("hfk", "1/1"): (EXIT_INVALID, _HELD.format("(-1/10, -3/5)->(-3/10, -4/5)", -1)),
+        ("hfk", "1/0"): (EXIT_OK, ""),
+        ("diff", "1/1"): (EXIT_INVALID, _HELD.format("(-1/10, -3/5)->(-3/10, -4/5)", -1)),
+        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(-1/10, -3/5)->(-3/10, -4/5)", -1)),
+        ("invariants",): (EXIT_OK, ""),
+    },
+}
 
 
 def run(capsys, *argv):
@@ -217,6 +276,31 @@ class TestFilesAndRender:
         assert code == EXIT_INVALID
         # the grading-0 arc of lift -1 holds the first two segments
         assert err == "error: curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1\n"
+
+    @pytest.mark.parametrize("name,argv,code,err", [
+        pytest.param(name, argv, code, err, id=" ".join((argv[0], name) + argv[1:]))
+        for name, cases in DEGENERATE_RUNS.items()
+        for argv, (code, err) in cases.items()
+    ])
+    def test_a_degenerate_slope_is_refused_with_its_first_held_segment(
+            self, capsys, tmp_path, name, argv, code, err):
+        # Every command that reads arcs reads every grading of its slope, so
+        # a slope with a segment along one of its arcs is refused whole,
+        # naming the segment of the smallest held grading; where the
+        # distinguished component misses the peg column, `diff` and
+        # `invariants` refuse the diagram before any arc is read.
+        path = tmp_path / f"{name}.curve"
+        path.write_text(emit_curve_text(DEGENERATE_CURVES[name]))
+        got_code, out, got_err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (got_code, got_err) == (code, err and f"error: {err}\n")
+        assert (out == "") == (code == EXIT_INVALID)
+
+    def test_a_degenerate_arc_slope_still_pairs_its_filling(self, capsys, tmp_path):
+        path = tmp_path / "triangle.curve"
+        path.write_text(emit_curve_text(DEGENERATE_CURVES["triangle"]))
+        code, out, err = run(capsys, "pair", str(path), "1/1")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"{path} @ 1/1: dim = 1 ")
 
     @pytest.mark.parametrize("argv", [
         ("pair", "trefoil", "1/1", "--out", "{tmp}/missing/x.txt"),

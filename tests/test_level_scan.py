@@ -8,7 +8,8 @@ levels form = m + off.  `Component.level_crossings(a, b, c)` scans the
 levels of a*x + b*y + c, which are those of the form a*x + b*y at
 off = -c, and must return the same (crossings, degenerate): its records,
 read as (pos, point, m), give the same positions, points and levels in the
-same order, and the events are the same.
+same order, and its events, each as (m, i, collinear) in scan order, are
+the reference's, which it files by level.
 
 The record oracle shares no code with the scan: it reads each record's
 integers back as Fractions and checks that the point lies on its level and
@@ -104,7 +105,8 @@ def assert_scans_agree(c: Component, a: int, b: int, off_c: Fraction):
     got = c.level_crossings(a, b, off_c)
     want = reference_scan(c, a, b, off_c)
     assert [(position(e), e.point, e.m) for e in got[0]] == want[0]
-    assert got[1] == want[1]
+    assert got[1] == sorted(((m, i, collinear) for m, events in want[1].items() for i, collinear in events),
+                            key=lambda event: event[1])
     # The records are those of the Fraction crossings, whose values read
     # back with the same types: exact Fractions and int levels.
     assert got[0] == [record(*crossing) for crossing in want[0]]
@@ -112,7 +114,7 @@ def assert_scans_agree(c: Component, a: int, b: int, off_c: Fraction):
         assert type(position(e)) is type(rpos) is Fraction
         assert type(e.point.x) is type(e.point.y) is Fraction
         assert type(e.m) is type(rm) is int
-    assert all(type(m) is int for m in got[1])
+    assert all(type(m) is int for m, _, _ in got[1])
 
 
 # ---------------------------------------------------------------------------

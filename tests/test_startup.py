@@ -4,8 +4,11 @@ package is a read-only named tuple.
 `ledger` and `render` are imported by the commands that use them (`ledger`,
 `demo`, `render`), so a pairing, graded or scan command never loads them.
 No module imports `dataclasses`, so no command loads it, nor the `inspect`
-that it brings.  The closure is checked in a fresh interpreter: this
-process has already imported every module of the package.
+that it brings; nor does any command load `random`.  The closure is
+checked in a fresh interpreter: this process has already imported every
+module of the package.  That interpreter runs without `site` (`-S`), whose
+start-up hooks may load `random` themselves; the package needs only the
+standard library.
 """
 
 import functools
@@ -75,7 +78,7 @@ def loaded():
     return sorted(m for m in sys.modules if m == "pegboard" or m.startswith("pegboard."))
 
 def heavy():
-    return sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
+    return sorted({"dataclasses", "inspect", "random"} & (set(sys.modules) - before))
 
 out = {}
 import pegboard.cli
@@ -105,7 +108,7 @@ def closure() -> dict:
     """What `CLOSURE_SCRIPT` reports from a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", CLOSURE_SCRIPT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", CLOSURE_SCRIPT], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -125,8 +128,8 @@ def test_import_closure_leaves_ledger_and_render_to_their_commands():
 
 
 def test_no_command_loads_dataclasses_or_inspect():
-    # newly loaded after the import, after `pair` and `scan-simple`, after
-    # `demo` and after `render`
+    # nor `random`: none of the three is newly loaded after the import,
+    # after `pair` and `scan-simple`, after `demo` and after `render`
     assert closure()["heavy"] == [[], [], [], []]
 
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import pegboard.pairing as pairing
 from pegboard.curves import Component, CurveDiagram, build_zoo, thin, zoo_names
 from pegboard.geometry import Point, column_crossings, integer_frame
-from pegboard.pairing import ArcSweep, DegenerateIncidence, IPoint, SlopeSpec, walk_columns
+from pegboard.pairing import ArcSweep, IPoint, SlopeSpec, walk_columns
 from conftest import position, staircase_diagrams
 from test_arc_sweep import grading_range
 
@@ -100,10 +100,7 @@ def assert_walks_match(d: CurveDiagram) -> int:
     for slope in SLOPES:
         sweep = ArcSweep(d, slope)
         for h in grading_range(d, slope):
-            try:
-                raw = sweep.raw(h)
-            except DegenerateIncidence:
-                continue
+            raw = sweep.raw(h)
             for x in raw:
                 c = d.components[x.comp]
                 for z in raw:
