@@ -42,8 +42,8 @@ lies on it: the column table refuses a segment through a peg with
 `PointOnLoop`, as validation does.  Only the loops that wind no peg are
 ever piece-tested: a loop never changes, so a wound peg rules its pair out
 for good.  The piece test, for another live point on the lift's piece, is
-the only one that depends on what has been removed.  It compares
-coordinates in the points' integer frame, built from the integers of their
+the only one that depends on what has been removed.  It scans only its
+lift's class in one integer table (`_piece_table`), built from the points'
 crossing records when a call's first pair reaches the piece test; the peg
 test crosses the lift's piece in the pair's own frame, only when its
 abscissae reach a column, and its walk's m is read from ring order, so
@@ -283,15 +283,12 @@ def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
     with a degenerate level raises `DegenerateIncidence` for its smallest
     lift on one, at that lift's first event.
     """
-    points: list[IPoint] = []
-    new = tuple.__new__  # as `Component.level_crossings` builds its records
-    for ci, c in enumerate(d.components):
-        crossings, degenerate = c.level_crossings(fam.a, fam.b, fam.c)
+    scans = [c.level_crossings(fam.a, fam.b, fam.c) for c in d.components]
+    for c, (_, degenerate) in zip(d.components, scans):
         if degenerate:
             raise _degenerate_incidence(c, *min(degenerate))
-        for e in crossings:
-            points.append(new(IPoint, (ci, e, e.m)))
-    return points
+    new = tuple.__new__  # as `Component.level_crossings` builds its records
+    return [new(IPoint, (ci, e, e.m)) for ci, (crossings, _) in enumerate(scans) for e in crossings]
 
 
 # ---------------------------------------------------------------------------
@@ -373,61 +370,67 @@ def _walk(c: Component, a: Crossing, b: Crossing, direction: int) -> tuple[int, 
     return b.i - n, a.last_segment, m
 
 
-def _scaled_frame(pts: Sequence[IPoint]) -> tuple[int, list[int], list[int], list[int]]:
-    """(S, X, Y, L): S the lcm of the points' denominators, X[k] and Y[k]
-    the coordinates of pts[k] times S, and L[k] its lift.
-
-    Read from the records' integers: a record's x and y share the least
-    denominator of its point, so S and the scaled coordinates are those of
-    the points' `integer_frame`."""
+def _piece_table(pts: Sequence[IPoint], step: int) -> tuple:
+    """(pts, S, K, C) for `_piece_blocker`: S the lcm of the records'
+    denominators, K[k] the key of pts[k] on its lift, step*X - lift*S for X
+    its abscissa times S (X itself when step is 0), and C the indices of
+    each lift class, lift mod step (the lift when step is 0), in index
+    order.  The translate of pts[k] by (m, 0) lies on lift
+    L = lift + step*m of its class, with the same key: step*S times its
+    abscissa, less L*S."""
     scale = math.lcm(*{z.crossing.den for z in pts})
-    xs, ys = [], []
-    for z in pts:
-        e = z.crossing
-        f = scale // e.den
-        xs.append(e.x * f)
-        ys.append(e.y * f)
-    return scale, xs, ys, [z.lift for z in pts]
+    if step:
+        keys = [step * e.x * (scale // e.den) - lift * scale for _, e, lift in pts]
+    else:
+        keys = [e.x * (scale // e.den) for _, e, _ in pts]
+    classes: dict[int, list[int]] = {}
+    for k, z in enumerate(pts):
+        classes.setdefault(z.lift % step if step else z.lift, []).append(k)
+    return pts, scale, keys, classes
 
 
-def _first_blocker(step: int, lift: int, frame: tuple, live: Sequence[int],
-                   pair: tuple[int, int], m: int) -> Optional[int]:
-    """A live point, other than the pair, strictly between the pair's ends
-    on the lift.
+def _piece_blocker(table: tuple, step: int, alive: Sequence[bool], lift: int,
+                   ix: int, iy: int, m: int) -> Optional[int]:
+    """The least index k of a live point (alive[k]), other than the pair,
+    strictly between the pair's ends on the lift, or None.
 
-    The pair is (ix, iy), indices into pts, and its ends are pts[iy] moved
-    by (m, 0), where the walk from pts[ix] ends, and pts[ix].  Returns
-    the blocker's index in pts (the first in `live` order), None if the
-    piece between the ends holds none.  `frame` is `_scaled_frame(pts)`
-    and `live` lists indices into pts.  A point z stands for all its
-    translates by (m, 0); the one on the lift has
-    z.lift + step*m == lift, and with step 0 every translate is on z's
-    lift.  The comparisons are those of the coordinates times the frame's
-    scale S, in integers.
+    The pair (ix, iy) indexes the points of `table`, their `_piece_table`,
+    and its ends are pts[iy] moved by (m, 0), where the walk from pts[ix]
+    ends, and pts[ix].  Only the lift's class is scanned, in integers at
+    the table's scale: its keys between the ends' keys; on an upright lift
+    (equal abscissae) its heights, read from the records, between the
+    ends' heights; and with step 0 a translate between the ends'
+    abscissae.
     """
-    scale, xs, ys, lifts = frame
-    ix, iy = pair
-    ax, bx = xs[iy] + m * scale, xs[ix]
+    pts, scale, keys, classes = table
+    a, b = pts[iy].crossing, pts[ix].crossing
+    ax, bx = a.x * (scale // a.den) + m * scale, b.x * (scale // b.den)
     upright = ax == bx  # compare heights on a vertical lift, else abscissae
     if upright:
-        lo, hi = ys[iy], ys[ix]
+        lo, hi = a.y * (scale // a.den), b.y * (scale // b.den)
         if lo == hi:
             return None  # the ends coincide
+    elif step:
+        lo, hi = step * ax - lift * scale, step * bx - lift * scale
     else:
         lo, hi = ax, bx
     if lo > hi:
         lo, hi = hi, lo
+    members = classes.get(lift % step if step else lift, ())
     if step == 0:
-        for k in live:
+        for k in members:
             # Some translate of z by (m, 0) lies strictly between lo and hi.
-            if lifts[k] == lift and k not in pair and ((lo - xs[k]) // scale + 1) * scale < hi - xs[k]:
+            if alive[k] and k != ix and k != iy and ((lo - keys[k]) // scale + 1) * scale < hi - keys[k]:
                 return k
         return None
-    for k in live:
-        if k in pair:
-            continue
-        m, r = divmod(lift - lifts[k], step)
-        if not r and lo < (ys[k] if upright else xs[k] + m * scale) < hi:
+    if upright:
+        for k in members:
+            e = pts[k].crossing
+            if alive[k] and lo < e.y * (scale // e.den) < hi and k != ix and k != iy:
+                return k
+        return None
+    for k in members:
+        if alive[k] and lo < keys[k] < hi and k != ix and k != iy:
             return k
     return None
 
@@ -529,7 +532,7 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
         piece = column_crossings(scale, b.x * fb + m * scale, b.y * fb, a.x * fa, a.y * fa)
         tally = {(k, t): sign for k, t, sign in piece}  # one crossing per column
     walk_columns(c, a, b, 1, tally)
-    return winds_only(tally)
+    return not any(tally.values())  # `winds_only(tally)`: every column sum is 0
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[IPoint], list[tuple[IPoint, IPoint]]]:
@@ -540,7 +543,8 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
     `raw_intersections` and `ArcSweep.raw` give them, and `step` is how
     their lift index changes when a point moves by (1, 0):
     `_LineFamily.step`, or 1 for arcs.  Each component's run of `pts` is
-    its ring.  The candidates are the ordered pairs (x, y) adjacent along a
+    its ring, and all of `pts` is one ring when its first and last points
+    share a component.  The candidates are the ordered pairs (x, y) adjacent along a
     ring (pairs by position, cyclically) whose forward walk closes up
     with the piece of x's lift back to x into an empty bigon, a loop of
     winding zero around every peg with no other live point on the piece.
@@ -556,7 +560,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
     peg test, then the piece test.  The first two run in one pass over the
     ring neighbours, in ring order; when no pair passes them the call
     returns its points and an empty audit, and only otherwise are the live
-    points, the candidates and the blocked pairs set up.  Removing (x, y)
+    flags, the candidates, the blocked pairs and the piece table set up.  Removing (x, y)
     drops the pairs that start at prev(x), x and y, makes one new pair,
     (prev(x), next(y)), when the ring keeps two points or more, and re-runs
     the piece test of the pairs that x or y blocked and that are still
@@ -575,7 +579,8 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
     records, whose segment indices and ratios also give the peg test's
     walk; no Fraction is built.  The peg test crosses the lift's piece only
     when its abscissae reach a column, in the pair's own frame, and the
-    piece test compares in `_scaled_frame(pts)`, built with the worklist.
+    piece test scans the lift's class in `_piece_table(pts, step)`, built
+    with the worklist.
     A blocked pair is filed under the point found on its piece and tested
     again only after that point has been removed.  Fewer than two points
     are returned as they are.
@@ -586,11 +591,14 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
     # Each point's neighbours on its ring, its component's run of pts.
     nxt = list(range(1, n + 1))
     prv = list(range(-1, n - 1))
-    first = 0
-    for k in range(1, n + 1):
-        if k == n or pts[k].comp != pts[first].comp:
-            nxt[k - 1], prv[first] = first, k - 1
-            first = k
+    if pts[0].comp == pts[-1].comp:  # one ring
+        nxt[-1], prv[0] = 0, n - 1
+    else:
+        first = 0
+        for k in range(1, n + 1):
+            if k == n or pts[k].comp != pts[first].comp:
+                nxt[k - 1], prv[first] = first, k - 1
+                first = k
     comps = d.components
     fresh = range(n)  # x of each pair (x, next(x)) to test: the ring pass, then each removal's new pair
     pieces: list[tuple[int, int, int]] = []  # the pairs (x, y, m) to piece-test
@@ -614,20 +622,19 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
             if not pieces:  # no pair is a candidate: nothing is removed
                 return list(pts), []
             alive = [True] * n
-            live = list(range(n))  # ascending
             cands: list[int] = []  # x of each pair (x, next(x)) bounding an empty bigon, ascending
             blocked: dict[int, list[tuple[int, int, int]]] = {}  # blocker -> the pairs (x, y, m) it blocks
             audit: list[tuple[IPoint, IPoint]] = []
-            frame = _scaled_frame(pts)
+            table = _piece_table(pts, step)
         for pair in pieces:
             ix, iy, m = pair
-            blocker = _first_blocker(step, pts[ix].lift, frame, live, (ix, iy), m)
+            blocker = _piece_blocker(table, step, alive, pts[ix].lift, ix, iy, m)
             if blocker is None:
                 insort(cands, ix)
             else:
                 blocked.setdefault(blocker, []).append(pair)
         if not cands:
-            return [pts[k] for k in live], audit
+            return [z for z, kept in zip(pts, alive) if kept], audit
         ix = cands[0]
         iy = nxt[ix]
         audit.append((pts[ix], pts[iy]))
@@ -637,8 +644,6 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
             if i < len(cands) and cands[i] == k:
                 del cands[i]
         alive[ix] = alive[iy] = False
-        del live[bisect_left(live, ix)]
-        del live[bisect_left(live, iy)]
         fresh = ()
         if before != iy:  # the ring held more than two points
             nxt[before], prv[after] = after, before
@@ -669,7 +674,9 @@ def surgery_report(d: CurveDiagram, slope: SlopeSpec) -> PairingReport:
 
 
 def surgery_dim(d: CurveDiagram, slope: SlopeSpec) -> int:
-    return surgery_report(d, slope).total
+    """`surgery_report(d, slope).total`, counted without the report."""
+    fam = line_family(d, slope)
+    return len(cancel_bigons(raw_intersections(d, fam), d, fam.step)[0])
 
 
 class ArcSweep:
@@ -738,7 +745,10 @@ class ArcSweep:
         if not self.diagram._validation.ok:
             return sum(count for _, count in self._counts())
         p = self.slope.p
-        return sum(len(self._points(n if 2 * n + p - 1 >= 0 else 1 - p - n)) for n in self._raw)
+        total = 0
+        for n in self._raw:
+            total += len(self._points(n if 2 * n + p - 1 >= 0 else 1 - p - n))
+        return total
 
     def _counts(self):
         """(key, point count) of each filed grading, by increasing key."""
@@ -757,38 +767,45 @@ class ArcSweep:
         event)."""
         p, q = self.slope.p, self.slope.q
         inv_p = pow(p, -1, q) if q else 0
-        raw: dict[int, list[IPoint]] = defaultdict(list)
-        held: list[tuple[int, int, int, int, bool]] = []
-
-        def arc(x: int, y: int, den: int, m: int) -> tuple[int, int, bool]:
-            """(key, lift, start) of an arc on the level m + off that holds
-            the point (x/den, y/den), den > 0, on the highest lift (for 1/0,
-            grading); start is whether the point is that arc's first end, a
-            peg, the last end of the arc (key - p, lift - q).  Floors are
-            integer divisions."""
-            if not q:  # 1/0: lift m, the grading n with n - 1/2 <= y < n + 1/2
-                n, r = divmod(2 * y + den, 2 * den)
-                return n, m, not r
-            j = m - q // 2  # the level is j + q/2, so j = p*k - q*n
-            kx = x // den
-            k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
-            return (p * k - j) // q, k, x == k * den
-
+        half = q // 2
         new = tuple.__new__  # as `Component.level_crossings` builds its records
+
+        def file(ci: int, records, into: dict[int, list[IPoint]]) -> None:
+            """File each record of component ci, a point (x/den, y/den) on
+            level m + off, under the arc holding it on the highest lift
+            (for 1/0, grading), and a peg, that arc's first end, also under
+            the arc it ends, (key - p, lift - q)."""
+            if not q:  # 1/0: lift m, the grading n with n - 1/2 <= y < n + 1/2
+                for e in records:
+                    _, _, _, _, y, den, m = e
+                    n, r = divmod(2 * y + den, 2 * den)
+                    into[n].append(new(IPoint, (ci, e, m)))
+                    if not r:
+                        into[n - 1].append(new(IPoint, (ci, e, m)))
+                return
+            for e in records:
+                _, _, _, x, _, den, m = e
+                j = m - half  # the level is j + q/2, so j = p*k - q*n
+                kx = x // den
+                k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
+                n = (p * k - j) // q
+                into[n].append(new(IPoint, (ci, e, k)))
+                if x == k * den:
+                    into[n - p].append(new(IPoint, (ci, e, k - q)))
+
+        raw: dict[int, list[IPoint]] = defaultdict(list)
+        held: dict[int, list[IPoint]] = defaultdict(list)  # each held event as its vertex
+        collinear: dict[tuple[int, int], bool] = {}  # by (ci, vertex)
         for ci, c in enumerate(self.diagram.components):
             crossings, degenerate = c.level_crossings(p, -q, -HALF if q % 2 else ZERO)
-            for e in crossings:
-                n, k, start = arc(e.x, e.y, e.den, e.m)
-                raw[n].append(new(IPoint, (ci, e, k)))
-                if start:  # a peg: validation keeps the curve off them
-                    raw[n - p].append(new(IPoint, (ci, e, k - q)))
-            scale, xs, ys = c._frame
-            for m, i, collinear in degenerate:  # vertex i lies on the segment
-                n, k, start = arc(xs[i], ys[i], scale, m)
-                held += [(n, ci, k, i, collinear), (n - p, ci, k - q, i, collinear)][:1 + start]
+            file(ci, crossings, raw)
+            if degenerate:  # vertex i lies on the segment
+                scale, xs, ys = c._frame
+                file(ci, [new(Crossing, (i, 0, 1, xs[i], ys[i], scale, m)) for m, i, _ in degenerate], held)
+                collinear.update(((ci, i), col) for _, i, col in degenerate)
         if held:
-            n, ci, k, i, collinear = min(held)
-            raise _degenerate_incidence(self.diagram.components[ci], k, i, collinear)
+            n, ci, k, i = min((n, z.comp, z.lift, z.crossing.i) for n, zs in held.items() for z in zs)
+            raise _degenerate_incidence(self.diagram.components[ci], k, i, collinear[ci, i])
         return raw
 
 

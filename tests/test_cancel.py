@@ -19,9 +19,12 @@ twice.  `_LineFamily.step` must move lift indices as `translated_lift`
 did.
 
 `reference_first_blocker` is the piece test from before it moved to
-integers, copied verbatim; `_first_blocker` on the scaled frame of the same
-points must find the same blocker.  Call counts pin the order of the tests:
-only a pair whose loop winds no peg is piece-tested.  `first_wound_peg`,
+integers, copied verbatim; `_piece_blocker`, which reads only the lift's
+class of the same points' `_piece_table`, must find the same blocker.
+Call counts pin the order of the tests: only a pair whose loop winds no
+peg is piece-tested.  At the slope cap, thin diagrams have pairs that the
+piece test blocks, and there the removals must still match the reference
+pair by pair.  `first_wound_peg`,
 the one-pass peg check kept in `test_geometry` as the verdict oracle,
 must agree with
 `winding_number` called peg by peg, on every loop cancellation peg-tests
@@ -57,7 +60,7 @@ tested before it.
 winds the sum of the tally over t >= j, which the tally rule must match
 peg by peg on random tallies, a peg between two keys included.  A call
 whose every ring pair fails the same-lift or peg test returns its points
-unchanged with an empty audit and builds no frame.
+unchanged with an empty audit and builds no table.
 """
 
 import math
@@ -354,11 +357,26 @@ def test_cancellation_matches_reference_on_zoo(name):
 
 
 # The worklist matters most at large q, where rings are long and most
-# removals leave other pairs of the ring untouched.
-@pytest.mark.parametrize("name,slope", [("torus_3_4", SlopeSpec(63, 31)), ("torus_3_4", SlopeSpec(-61, 29)),
-                                        ("trefoil", SlopeSpec(63, 31))], ids=str)
-def test_cancellation_matches_reference_at_the_slope_cap(name, slope):
-    assert assert_cancellation_matches(build_zoo(name), slope)
+# removals leave other pairs of the ring untouched.  (diagram, slope,
+# blocked piece tests, piece tests): on the zoo no piece test blocks; on the
+# thin diagrams, whose components block each other's pairs, many do.
+CAP_CASES = [
+    ("torus_3_4", SlopeSpec(63, 31), 0, 85),
+    ("torus_3_4", SlopeSpec(-61, 29), 0, 93),
+    ("trefoil", SlopeSpec(63, 31), 0, 39),
+    ("thin(1,1)", SlopeSpec(63, 31), 10, 61),
+    ("thin(-2,3)", SlopeSpec(-61, 29), 54, 130),
+]
+THIN_AT_CAP = {"thin(1,1)": thin(1, 1), "thin(-2,3)": thin(-2, 3)}
+
+
+@pytest.mark.parametrize("name,slope,blocked,tested",
+                         [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in CAP_CASES])
+def test_cancellation_matches_reference_at_the_slope_cap(monkeypatch, name, slope, blocked, tested):
+    pieces, _ = counting_piece_and_peg_tests(monkeypatch)
+    d = THIN_AT_CAP[name] if name in THIN_AT_CAP else build_zoo(name)
+    assert assert_cancellation_matches(d, slope)
+    assert (sum(blocker is not None for *_, blocker in pieces), len(pieces)) == (blocked, tested)
 
 
 # Thin diagrams hold several components, so the points of one can block the
@@ -525,7 +543,8 @@ def test_integer_piece_test_matches_fraction_one(case):
     ix, iy = pair
     want = reference_first_blocker(step, lift, pts[iy].crossing.point.translate(m), pts[ix].crossing.point,
                                    pts, live, pair)
-    got = pairing._first_blocker(step, lift, pairing._scaled_frame(pts), live, pair, m)
+    alive = [k in live for k in range(len(pts))]
+    got = pairing._piece_blocker(pairing._piece_table(pts, step), step, alive, lift, ix, iy, m)
     assert got == want
 
 
@@ -555,16 +574,17 @@ def recording_peg_tests(monkeypatch):
 
 
 def counting_piece_and_peg_tests(monkeypatch):
-    """The pairs `_first_blocker` tests and the `recording_peg_tests`
-    list, both filled as `pairing` runs."""
+    """A list of (x, y, blocker) for every pair `_piece_blocker` tests, and
+    the `recording_peg_tests` list, both filled as `pairing` runs."""
     pieces = []
-    first_blocker = pairing._first_blocker
+    piece_blocker = pairing._piece_blocker
 
-    def piece_test(step, lift, frame, live, pair, m):
-        pieces.append(pair)
-        return first_blocker(step, lift, frame, live, pair, m)
+    def piece_test(table, step, alive, lift, ix, iy, m):
+        blocker = piece_blocker(table, step, alive, lift, ix, iy, m)
+        pieces.append((ix, iy, blocker))
+        return blocker
 
-    monkeypatch.setattr(pairing, "_first_blocker", piece_test)
+    monkeypatch.setattr(pairing, "_piece_blocker", piece_test)
     return pieces, recording_peg_tests(monkeypatch)
 
 
@@ -575,12 +595,12 @@ def counting_piece_and_peg_tests(monkeypatch):
 def test_only_pairs_past_the_peg_check_are_piece_tested(monkeypatch, run):
     # Most same-lift pairs wind a peg; those are never piece-tested.
     pieces, tested = counting_piece_and_peg_tests(monkeypatch)
-    frames = []  # the size of each points' frame built
-    scaled_frame = pairing._scaled_frame
+    tables = []  # the size of each points' table built
+    piece_table = pairing._piece_table
 
-    def counting_frame(pts):
-        frames.append(len(pts))
-        return scaled_frame(pts)
+    def counting_table(pts, step):
+        tables.append(len(pts))
+        return piece_table(pts, step)
 
     reached = []  # per cancel_bigons call: whether some pair was piece-tested
     cancel = pairing.cancel_bigons
@@ -592,36 +612,36 @@ def test_only_pairs_past_the_peg_check_are_piece_tested(monkeypatch, run):
         finally:
             reached.append(len(pieces) > before)
 
-    monkeypatch.setattr(pairing, "_scaled_frame", counting_frame)
+    monkeypatch.setattr(pairing, "_piece_table", counting_table)
     monkeypatch.setattr(pairing, "cancel_bigons", counting_cancel)
     run(build_zoo("torus_3_4"))
     passed = [verdict for *_, verdict in tested]
     assert set(passed) == {True, False}  # a validated curve meets no peg
     assert sum(passed) < len(passed)
     assert 0 < len(pieces) <= sum(passed)
-    # The points' frame is built once in each call whose pairs reach the
+    # The points' table is built once in each call whose pairs reach the
     # piece test, and in no other call.
-    assert 0 < len(frames) == sum(reached)
+    assert 0 < len(tables) == sum(reached)
 
 
 @pytest.mark.parametrize("d", [build_zoo("torus_3_4"), thin(1, 2)], ids=["torus_3_4", "thin(1,2)"])
 def test_calls_where_no_pair_passes_return_their_points(monkeypatch, d):
     # A call whose ring pairs all fail the same-lift or peg test removes
     # nothing: it returns its points in a new list, with an empty audit,
-    # and builds no frame.  Some such calls peg-test a pair that winds a
+    # and builds no table.  Some such calls peg-test a pair that winds a
     # peg; thin(1, 2) has rings of several components.
     tested = recording_peg_tests(monkeypatch)
-    frames = []
-    scaled_frame = pairing._scaled_frame
-    monkeypatch.setattr(pairing, "_scaled_frame", lambda pts: frames.append(pts) or scaled_frame(pts))
+    tables = []
+    piece_table = pairing._piece_table
+    monkeypatch.setattr(pairing, "_piece_table", lambda pts, step: tables.append(pts) or piece_table(pts, step))
     wound = 0
     for slope in (SlopeSpec(1, 0), SlopeSpec(2, 1), SlopeSpec(-3, 2), SlopeSpec(5, 3)):
         for raw, obj in pairing_cases(d, slope):
             tested.clear()
-            frames.clear()
+            tables.clear()
             live, audit = cancel_bigons(raw, d, 1 if isinstance(obj, _ArcObject) else obj.step)
             if not any(verdict for *_, verdict in tested):
-                assert (live, audit, frames) == (raw, [], []) and live is not raw
+                assert (live, audit, tables) == (raw, [], []) and live is not raw
                 wound += bool(tested)
     assert wound
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -35,6 +36,9 @@ _HELD = "curve segment {} is collinear with object lift {}"
 _MISSES = "distinguished component misses the peg column"
 # (command, slope or options) -> (exit code, stderr message or "").
 DEGENERATE_RUNS = {
+    # a valid null-wiggle whose two slope-1 segments lie on 1/1 arcs at
+    # height 0; arcs are never offset, so the collinearity stays, and the
+    # grading-0 arc of lift -1 holds the first two segments
     "collinear": {
         ("hfk", "1/1"): (EXIT_INVALID, _HELD.format("(-1/2, 0)->(-3/8, 1/8)", -1)),
         ("hfk", "1/0"): (EXIT_OK, ""),
@@ -129,6 +133,14 @@ class TestBasicCommands:
         assert code == EXIT_OK
         flagged = [e["slope"] for e in payload["entries"] if e["dually_simple"]]
         assert set(flagged) == {"2/1", "3/1", "3/2"}
+
+    def test_scan_simple_over_the_whole_slope_cap(self, capsys):
+        # Every reduced slope the CLI accepts, |p| <= 64 and q <= 32, on
+        # the largest zoo diagram: the output's bytes are pinned.
+        code, out, err = run(capsys, "scan-simple", "torus_3_4", "--pmax", "64", "--qmax", "32", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4259da1c3b77c67c070cbd22bb90d282e2683975c41660755cd42c8310fd299f")
 
     def test_demo_poincare(self, capsys):
         code, payload = run_json(capsys, "demo", "poincare")
@@ -263,19 +275,6 @@ class TestFilesAndRender:
         code, out, err = run(capsys, "pair", "trefoil", "1/1")
         assert code == EXIT_INVALID and out == ""
         assert err == "error: invalid diagram: [seam] seam crossing at height 1/4, expected 0\n"
-
-    def test_degenerate_incidence_exit_code(self, capsys, tmp_path):
-        # a valid null-wiggle whose two slope-1 segments lie on 1/1 arcs at
-        # height 0; arcs are never offset, so the collinearity stays
-        path = tmp_path / "collinear.curve"
-        path.write_text(
-            "component winding=1\nv -1/2 0\nv -3/8 1/8\nv -1/8 3/8\n"
-            "v 1/8 -3/8\nv 3/8 -1/8\nv 1/2 0\n"
-        )
-        code, _, err = run(capsys, "hfk", str(path), "1/1")
-        assert code == EXIT_INVALID
-        # the grading-0 arc of lift -1 holds the first two segments
-        assert err == "error: curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1\n"
 
     @pytest.mark.parametrize("name,argv,code,err", [
         pytest.param(name, argv, code, err, id=" ".join((argv[0], name) + argv[1:]))

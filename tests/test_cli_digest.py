@@ -31,7 +31,7 @@ def test_the_digest_of_one_diagram_is_stable(capsys):
     assert digests[0] == digests[1]
     # the two `zoo list` cases open every run
     assert digests[0].startswith("sha256 ") and digests[0].endswith(f" cases {per_diagram + 2}\n")
-    assert per_diagram == 2 * (51 + 52 + 25 + 2)
+    assert per_diagram == 2 * (53 + 54 + 25 + 2)
 
 
 def test_a_zoo_diagram_adds_its_renders():

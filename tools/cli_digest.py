@@ -10,7 +10,8 @@ every case.  The grid opens with ``zoo list`` in text and in JSON; then,
 for each diagram, in text and in JSON:
 
 * ``pair`` and ``hfk`` at every reduced slope with 0 < |p| <= 9 and
-  q <= 4, and at 0/1;
+  q <= 4, at 0/1, and at 63/31 and -61/29 near the slope cap, where the
+  piece test of bigon cancellation finds blocked pairs;
 * ``diff`` at those slopes with p >= 1, and ``hfk`` at 1/0;
 * ``scan-simple --pmax 9 --qmax 4 --all`` and ``invariants``;
 
@@ -41,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SLOPES = [f"{p}/{q}" for q in range(1, 5) for p in range(-9, 10) if p and math.gcd(abs(p), q) == 1]
+CAP = ["63/31", "-61/29"]
 THIN = [(tau, f) for tau in range(-2, 3) for f in range(4)]
 FORMATS = ("text", "json")
 RENDERS = [[], ["--overlay", "3/2"], ["--overlay", "0/1"], ["--overlay", "-7/3"],
@@ -54,8 +56,8 @@ def thin_label(tau: int, f: int) -> str:
 def cases(knot: str, drawn: bool = False) -> list[list[str]]:
     """Every argv the grid runs on one diagram, in order; `drawn` adds the
     `render` cases of a zoo diagram."""
-    argvs = [["pair", knot, s] for s in SLOPES + ["0/1"]]
-    argvs += [["hfk", knot, s] for s in SLOPES + ["0/1", "1/0"]]
+    argvs = [["pair", knot, s] for s in SLOPES + ["0/1"] + CAP]
+    argvs += [["hfk", knot, s] for s in SLOPES + ["0/1", "1/0"] + CAP]
     argvs += [["diff", knot, s] for s in SLOPES if not s.startswith("-")]
     argvs += [["scan-simple", knot, "--pmax", "9", "--qmax", "4", "--all"], ["invariants", knot]]
     formatted = [argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
