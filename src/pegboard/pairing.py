@@ -43,8 +43,7 @@ lies on it: the column table refuses a segment through a peg with
 ever piece-tested: a loop never changes, so a wound peg rules its pair out
 for good.  The piece test, for another live point on the lift's piece, is
 the only one that depends on what has been removed.  It scans only its
-lift's class in one integer table (`_piece_table`), built from the points'
-crossing records when a call's first pair reaches the piece test; the peg
+lift's class in an integer table built with the worklist; the peg
 test crosses the lift's piece in the pair's own frame, only when its
 abscissae reach a column, and its walk's m is read from ring order, so
 each peg test walks the curve once.  A blocked pair is filed under the
@@ -371,13 +370,10 @@ def _walk(c: Component, a: Crossing, b: Crossing, direction: int) -> tuple[int, 
 
 
 def _piece_table(pts: Sequence[IPoint], step: int) -> tuple:
-    """(pts, S, K, C) for `_piece_blocker`: S the lcm of the records'
-    denominators, K[k] the key of pts[k] on its lift, step*X - lift*S for X
-    its abscissa times S (X itself when step is 0), and C the indices of
-    each lift class, lift mod step (the lift when step is 0), in index
-    order.  The translate of pts[k] by (m, 0) lies on lift
-    L = lift + step*m of its class, with the same key: step*S times its
-    abscissa, less L*S."""
+    """(pts, S, K, C): S the lcm of the denominators, K[k] the key of
+    pts[k] on its lift, step*X - lift*S for X its abscissa times S (X when
+    step is 0), which its translates share, and C the indices of each lift
+    class (lift mod step, or the lift when step is 0) in index order."""
     scale = math.lcm(*{z.crossing.den for z in pts})
     if step:
         keys = [step * e.x * (scale // e.den) - lift * scale for _, e, lift in pts]
@@ -391,17 +387,12 @@ def _piece_table(pts: Sequence[IPoint], step: int) -> tuple:
 
 def _piece_blocker(table: tuple, step: int, alive: Sequence[bool], lift: int,
                    ix: int, iy: int, m: int) -> Optional[int]:
-    """The least index k of a live point (alive[k]), other than the pair,
-    strictly between the pair's ends on the lift, or None.
+    """The least index of a live point, other than the pair, strictly
+    between the pair's ends on the lift, or None.
 
-    The pair (ix, iy) indexes the points of `table`, their `_piece_table`,
-    and its ends are pts[iy] moved by (m, 0), where the walk from pts[ix]
-    ends, and pts[ix].  Only the lift's class is scanned, in integers at
-    the table's scale: its keys between the ends' keys; on an upright lift
-    (equal abscissae) its heights, read from the records, between the
-    ends' heights; and with step 0 a translate between the ends'
-    abscissae.
-    """
+    The ends of the pair (ix, iy) of `_piece_table` points are pts[iy]
+    moved by (m, 0) and pts[ix].  Only the lift's class is scanned, by key
+    (by height on an upright lift)."""
     pts, scale, keys, classes = table
     a, b = pts[iy].crossing, pts[ix].crossing
     ax, bx = a.x * (scale // a.den) + m * scale, b.x * (scale // b.den)
@@ -532,7 +523,7 @@ def _winds_no_peg(c: Component, x: IPoint, y: IPoint, m: int) -> bool:
         piece = column_crossings(scale, b.x * fb + m * scale, b.y * fb, a.x * fa, a.y * fa)
         tally = {(k, t): sign for k, t, sign in piece}  # one crossing per column
     walk_columns(c, a, b, 1, tally)
-    return not any(tally.values())  # `winds_only(tally)`: every column sum is 0
+    return winds_only(tally)
 
 
 def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[IPoint], list[tuple[IPoint, IPoint]]]:
@@ -543,8 +534,7 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
     `raw_intersections` and `ArcSweep.raw` give them, and `step` is how
     their lift index changes when a point moves by (1, 0):
     `_LineFamily.step`, or 1 for arcs.  Each component's run of `pts` is
-    its ring, and all of `pts` is one ring when its first and last points
-    share a component.  The candidates are the ordered pairs (x, y) adjacent along a
+    its ring.  The candidates are the ordered pairs (x, y) adjacent along a
     ring (pairs by position, cyclically) whose forward walk closes up
     with the piece of x's lift back to x into an empty bigon, a loop of
     winding zero around every peg with no other live point on the piece.
@@ -559,31 +549,25 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
     it becomes adjacent, cheapest test first: the same-lift test, then the
     peg test, then the piece test.  The first two run in one pass over the
     ring neighbours, in ring order; when no pair passes them the call
-    returns its points and an empty audit, and only otherwise are the live
-    flags, the candidates, the blocked pairs and the piece table set up.  Removing (x, y)
-    drops the pairs that start at prev(x), x and y, makes one new pair,
-    (prev(x), next(y)), when the ring keeps two points or more, and re-runs
-    the piece test of the pairs that x or y blocked and that are still
-    adjacent; no other pair changes.  The same-lift test needs no walk: a
-    pair's forward walk passes a period end only from the last point of a
-    wrapping component's ring to its first, so m is 1 for that pair and 0
-    for every other.  The peg test (`_winds_no_peg`) adds the lift's piece
-    and the closing walk's column crossings, from the component's column
-    table, into one signed tally, and raises `PointOnLoop` where a segment
-    it reads meets a peg.  A loop that winds a peg rules its pair out for
-    good, as the loop never changes.  No loop passes through a peg, so the
+    returns its points and an empty audit, and only otherwise is the
+    worklist set up.  Removing (x, y) drops the pairs that start at
+    prev(x), x and y, makes one new pair, (prev(x), next(y)), when the ring
+    keeps two points or more, and re-runs the piece test of the pairs that
+    x or y blocked and that are still adjacent; no other pair changes.  The
+    same-lift test reads m from ring order.  The peg test (`_winds_no_peg`)
+    adds the lift's piece and the closing walk's column crossings, from the
+    component's column table, into one signed tally, and raises
+    `PointOnLoop` where a segment it reads meets a peg.  A loop that winds
+    a peg rules its pair out for good, as the loop never changes.  No loop passes through a peg, so the
     order of the peg and piece tests changes no outcome: a validated curve
     avoids pegs, a clean family's lines hold none, and inside an arc of a
-    reduced slope lies none.  Only the piece test reads the live points,
-    those of every component.  Both run in integers on the points' crossing
-    records, whose segment indices and ratios also give the peg test's
-    walk; no Fraction is built.  The peg test crosses the lift's piece only
-    when its abscissae reach a column, in the pair's own frame, and the
-    piece test scans the lift's class in `_piece_table(pts, step)`, built
-    with the worklist.
-    A blocked pair is filed under the point found on its piece and tested
-    again only after that point has been removed.  Fewer than two points
-    are returned as they are.
+    reduced slope lies none.  Both run in integers on the points' crossing
+    records; no Fraction is built.  The peg test crosses the lift's piece
+    only when its abscissae reach a column, in the pair's own frame; the
+    piece test reads the live points of the lift's class, of every
+    component, in `_piece_table`.  A blocked pair is filed under the point
+    found on its piece and tested again only after that point has been
+    removed.  Fewer than two points are returned as they are.
     """
     n = len(pts)
     if n < 2:
@@ -591,14 +575,11 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
     # Each point's neighbours on its ring, its component's run of pts.
     nxt = list(range(1, n + 1))
     prv = list(range(-1, n - 1))
-    if pts[0].comp == pts[-1].comp:  # one ring
-        nxt[-1], prv[0] = 0, n - 1
-    else:
-        first = 0
-        for k in range(1, n + 1):
-            if k == n or pts[k].comp != pts[first].comp:
-                nxt[k - 1], prv[first] = first, k - 1
-                first = k
+    first = 0
+    for k in range(1, n + 1):
+        if k == n or pts[k].comp != pts[first].comp:
+            nxt[k - 1], prv[first] = first, k - 1
+            first = k
     comps = d.components
     fresh = range(n)  # x of each pair (x, next(x)) to test: the ring pass, then each removal's new pair
     pieces: list[tuple[int, int, int]] = []  # the pairs (x, y, m) to piece-test
@@ -674,9 +655,7 @@ def surgery_report(d: CurveDiagram, slope: SlopeSpec) -> PairingReport:
 
 
 def surgery_dim(d: CurveDiagram, slope: SlopeSpec) -> int:
-    """`surgery_report(d, slope).total`, counted without the report."""
-    fam = line_family(d, slope)
-    return len(cancel_bigons(raw_intersections(d, fam), d, fam.step)[0])
+    return surgery_report(d, slope).total
 
 
 class ArcSweep:
@@ -771,9 +750,8 @@ class ArcSweep:
         new = tuple.__new__  # as `Component.level_crossings` builds its records
 
         def file(ci: int, records, into: dict[int, list[IPoint]]) -> None:
-            """File each record of component ci, a point (x/den, y/den) on
-            level m + off, under the arc holding it on the highest lift
-            (for 1/0, grading), and a peg, that arc's first end, also under
+            """File each record (x/den, y/den) of component ci on level
+            m + off under its arc on the highest lift, and a peg also under
             the arc it ends, (key - p, lift - q)."""
             if not q:  # 1/0: lift m, the grading n with n - 1/2 <= y < n + 1/2
                 for e in records:
