@@ -638,11 +638,15 @@ def cancel_bigons(pts: list[IPoint], d: CurveDiagram, step: int) -> tuple[list[I
 # Public pairing operations
 
 
+def _cancelled(d: CurveDiagram, slope: SlopeSpec) -> tuple[list[IPoint], list[tuple[IPoint, IPoint]]]:
+    """`cancel_bigons` of d against the slope-p/q filling family."""
+    fam = line_family(d, slope)
+    return cancel_bigons(raw_intersections(d, fam), d, fam.step)
+
+
 def surgery_report(d: CurveDiagram, slope: SlopeSpec) -> PairingReport:
     """Minimal intersection count with the slope-p/q filling family."""
-    fam = line_family(d, slope)
-    pts = raw_intersections(d, fam)
-    live, audit = cancel_bigons(pts, d, fam.step)
+    live, audit = _cancelled(d, slope)
     p = abs(slope.p)
     counts: dict = {}
     for ip in live:
@@ -655,7 +659,7 @@ def surgery_report(d: CurveDiagram, slope: SlopeSpec) -> PairingReport:
 
 
 def surgery_dim(d: CurveDiagram, slope: SlopeSpec) -> int:
-    return surgery_report(d, slope).total
+    return len(_cancelled(d, slope)[0])
 
 
 class ArcSweep:
