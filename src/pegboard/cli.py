@@ -34,7 +34,7 @@ from .differentials import (
     RULE_DUAL_SIMPLE,
     RULE_RANK_BOUND,
     census_bounds,
-    differential_matrix,
+    differential_ranks,
     dually_simple_scan,
 )
 from .pairing import (
@@ -219,19 +219,12 @@ def cmd_diff(args) -> int:
     slope = _parse_slope(args.slope)
     if slope.p < 1 or slope.q < 1:
         raise CliError("differentials need a slope with p >= 1 and q >= 1", EXIT_USAGE)
-    sweep = ArcSweep(d, slope)
-    dims = sweep.dims()
     bounds = census_bounds(d, slope)
     rows = []
-    violated = False
-    for h in sorted(dims, reverse=True):
-        phi = differential_matrix(sweep, h, "phi").rank
-        psi = differential_matrix(sweep, h, "psi").rank
+    for h, (phi, psi) in differential_ranks(ArcSweep(d, slope)).items():
         pb, sb = bounds.phi_bound(h), bounds.psi_bound(h)
-        ok = phi >= pb and psi >= sb
-        violated = violated or not ok
         rows.append({"grading": str(h), "phi_rank": phi, "psi_rank": psi,
-                     "phi_bound": pb, "psi_bound": sb, "ok": ok})
+                     "phi_bound": pb, "psi_bound": sb, "ok": phi >= pb and psi >= sb})
     payload = {
         "schema_version": 1,
         "kind": "differentials",
@@ -248,12 +241,9 @@ def cmd_diff(args) -> int:
             f"  h = {r['grading']}: lowering rank {r['phi_rank']} (bound {r['phi_bound']}), "
             f"raising rank {r['psi_rank']} (bound {r['psi_bound']}) .. {mark}"
         )
-    csv_rows = [["grading", "phi_rank", "psi_rank", "phi_bound", "psi_bound", "ok"]] + [
-        [r["grading"], r["phi_rank"], r["psi_rank"], r["phi_bound"], r["psi_bound"], r["ok"]]
-        for r in rows
-    ]
-    _emit(args, payload, lines, csv_rows)
-    return EXIT_VIOLATION if violated else EXIT_OK
+    fields = ["grading", "phi_rank", "psi_rank", "phi_bound", "psi_bound", "ok"]
+    _emit(args, payload, lines, [fields] + [[r[f] for f in fields] for r in rows])
+    return EXIT_OK if all(r["ok"] for r in rows) else EXIT_VIOLATION
 
 
 def cmd_invariants(args) -> int:

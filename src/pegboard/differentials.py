@@ -145,8 +145,8 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     The source and target points come from `sweep`, the diagram's arcs of
     the differential's slope.  kind "psi" raises the grading by p (marker
     on the right of the shared peg), kind "phi" lowers it by p (marker on
-    the left).  Needs p >= 1 and q >= 1; negative slopes are handled by
-    mirroring the diagram, which swaps the two kinds and negates gradings.
+    the left).  Needs p >= 1 and q >= 1: any other slope raises
+    `ValueError`.
     """
     d, slope = sweep.diagram, sweep.slope
     if kind not in ("phi", "psi"):
@@ -184,6 +184,20 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
     rows = tuple(map(tuple, rows))
     rank = gf2_rank(rows) if rows and src_pts else 0
     return DiffMatrix(kind, slope, rows, rank, src_pts, tgt_pts, tuple(bigons))
+
+
+def differential_ranks(sweep: ArcSweep) -> dict:
+    """{h: (phi rank, psi rank)} at each grading of `sweep.dims()`, by
+    decreasing grading.  The half turn of a diagram that passes validation
+    maps the grading-h arc of lift k onto the grading -h arc of lift -k - q
+    and a left-marked (phi) bigon at h onto a right-marked (psi) one at -h:
+    there only h >= 0 is built, and (phi_h, psi_h) is (psi_-h, phi_-h)."""
+    symmetric = sweep.diagram._validation.ok
+    ranks: dict = {}
+    for h in sorted(sweep.dims(), reverse=True):
+        ranks[h] = ranks[-h][::-1] if symmetric and h < 0 else tuple(
+            differential_matrix(sweep, h, kind).rank for kind in ("phi", "psi"))
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +280,9 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
     consequences: the filling is simple and |p/q| > 2g - 1.  Any flagged
     slope failing those is a theorem violation.  Entries come by q, then
     by p ascending, the order the CLI prints.  Each dual total is
-    `ArcSweep.total`: the sum of `dual_hfk_dims`, read without building
-    its grading keys and, on a diagram that passes validation, with only
-    the gradings h >= 0 cancelled, each h < 0 read from -h.  The genus is
-    `genus_of`, read down from the top grading of 1/0.
+    `ArcSweep.total`, the sum of `dual_hfk_dims` read without building its
+    grading keys.  The genus is `genus_of`, read down from the top grading
+    of 1/0.
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("scan bounds must be at least 1")

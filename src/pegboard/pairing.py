@@ -73,11 +73,10 @@ or two consecutive vertices, is degenerate: a filling lift on it raises
 `DegenerateIncidence`, and so does an arc holding such a segment, for its
 whole slope, when the sweep is built: every reader reads every grading.
 The sweep cancels bigons once per grading and keeps the result, so the
-graded dimensions and both differentials of one slope share the work.  Its
-total, the dual total that `scan-simple` reads, cancels only the gradings
-h >= 0 of a diagram that passes validation and reads each h < 0 from -h:
-the half turn maps such a diagram onto itself and the grading-h arcs onto
-the grading -h arcs.  The graded readers cancel every grading they read.
+graded dimensions and both differentials of one slope share the work.  The
+half turn maps a diagram that passes validation onto itself and the
+grading-h arcs onto the grading -h arcs, so there the dimensions, the total
+and the differentials' ranks are counted at h >= 0 and read at -h.
 Every walk along the curve between two intersection points is read from
 their two crossing records by one helper, `_walk`: the continuous segments
 the walk covers and m, the period ends it passes (equal positions are one
@@ -684,10 +683,9 @@ class ArcSweep:
     arc, naming its first such component, that component's smallest such
     lift and that lift's first event.  `points(h)` cancels bigons once
     per filed grading (an unfiled one has no points) and keeps the result
-    for the life of the object; nothing is shared between objects.  The 0-filling has no gradings and is refused.
-    `dims`, `points` and `raw` read every grading they are asked for;
-    `total` reads the half-turn partner of each grading h < 0 instead,
-    where the diagram's validation report allows it.
+    for the life of the object; nothing is shared between objects.  The
+    0-filling has no gradings and is refused.  `dims` and `total` read
+    each grading h < 0 from -h where `_half_turn` allows it.
     """
 
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
@@ -709,33 +707,31 @@ class ArcSweep:
 
     def dims(self) -> dict:
         """Graded dual-knot dimensions, nonzero entries only, by increasing
-        grading."""
+        grading; each h < 0 is read from -h as `_half_turn` allows."""
         p = self.slope.p
+        own, partner = self._half_turn()
         # Key n is grading n + (p - 1)/2 = (2n + p - 1)/2, at either sign of p.
-        return {Fraction(2 * n + p - 1, 2): count for n, count in self._counts() if count}
+        return {Fraction(2 * n + p - 1, 2): count for n in sorted(self._raw)
+                if (count := len(self._points(n if n >= own else partner - n)))}
 
     def total(self) -> int:
-        """The sum of `dims()`'s values, read without its grading keys.
-
-        A diagram that passes validation is invariant under the half turn
-        (x, y) -> (-x, -y), which maps the grading-h arc of lift k onto the
-        grading -h arc of lift -k - q: keys n and 1 - p - n hold congruent
-        configurations with equal counts.  So only the keys with
-        2n + p - 1 >= 0 (h >= 0) are cancelled, and each other key reads
-        its partner's count.  On any other diagram, whose report
-        `CurveDiagram._validation` keeps, every grading is counted as
-        `dims` counts it."""
-        if not self.diagram._validation.ok:
-            return sum(count for _, count in self._counts())
-        p = self.slope.p
+        """The sum of `dims()`'s values, read without its grading keys."""
+        own, partner = self._half_turn()
         total = 0
         for n in self._raw:
-            total += len(self._points(n if 2 * n + p - 1 >= 0 else 1 - p - n))
+            total += len(self._points(n if n >= own else partner - n))
         return total
 
-    def _counts(self):
-        """(key, point count) of each filed grading, by increasing key."""
-        return ((n, len(self._points(n))) for n in sorted(self._raw))
+    def _half_turn(self) -> tuple:
+        """(own, partner): each key n >= own counts its own points, and each
+        key n < own those of key partner - n.  The half turn (x, y) -> (-x, -y)
+        maps a diagram that passes validation onto itself and the grading-h
+        arc of lift k onto the grading -h arc of lift -k - q, so there keys n
+        and 1 - p - n hold equal counts and own is the least key with
+        2n + p - 1 >= 0 (h >= 0).  Elsewhere, as the report
+        `CurveDiagram._validation` tells, every key counts its own."""
+        p = self.slope.p
+        return (2 - p) // 2 if self.diagram._validation.ok else -math.inf, 1 - p
 
     def _points(self, n: int) -> tuple[IPoint, ...]:
         live = self._live.get(n)
@@ -800,7 +796,8 @@ def dual_hfk_dims(d: CurveDiagram, slope: SlopeSpec) -> dict:
     """Graded dual-knot dimensions: minimal arc counts, nonzero entries only.
 
     The total over all gradings dominates the filling dimension (the first
-    page of a spectral sequence cannot be smaller than its target).
+    page of a spectral sequence cannot be smaller than its target).  On a
+    diagram that passes validation each grading h < 0 is read from -h.
     """
     return ArcSweep(d, slope).dims()
 

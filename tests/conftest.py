@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from pegboard.curves import build_zoo, lspace_staircase, zoo_names
-from pegboard.pairing import IPoint
+from pegboard.pairing import ArcSweep, IPoint
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +22,20 @@ def position(x) -> Fraction:
     r/dg, of a `Crossing` record or of an `IPoint`'s record, as a Fraction."""
     c = x.crossing if isinstance(x, IPoint) else x
     return Fraction(c.i * c.dg + c.r, c.dg)
+
+
+def kernel_counts(d, slope, reach=12) -> dict:
+    """The kernel's own point count at each grading h of the slope with
+    |h| <= reach, `len(points(h))`, cancelled grading by grading.  `dims`
+    and `total` read each h < 0 from -h on a diagram that passes
+    validation, so a symmetry test reads these; their sum must be the
+    total, so the window holds every grading with a point."""
+    sweep = ArcSweep(d, slope)
+    p = slope.p
+    counts = {Fraction(t, 2): len(sweep.points(Fraction(t, 2)))
+              for t in range(-2 * reach, 2 * reach + 1) if (t - p + 1) % 2 == 0}
+    assert sum(counts.values()) == sweep.total(), (d.source, str(slope))
+    return counts
 
 
 @st.composite

@@ -30,7 +30,6 @@ from pegboard.pairing import (
     ArcSweep,
     SlopeSpec,
     cancel_bigons,
-    dual_hfk_dims,
     genus_of,
     line_family,
     raw_intersections,
@@ -41,6 +40,7 @@ from pegboard.differentials import (
     differential_matrix,
     dually_simple_scan,
 )
+from conftest import kernel_counts
 from test_cancel import reference_cancel_bigons
 
 ZOO = {name: build_zoo(name) for name in zoo_names()}
@@ -127,11 +127,12 @@ def test_criterion_04_grading_symmetry():
             for p in range(-7, 8):
                 if p == 0 or math.gcd(abs(p), q) != 1:
                     continue
-                dims = dual_hfk_dims(d, SlopeSpec(p, q))
-                for h, n in dims.items():
-                    assert dims.get(-h, 0) == n, (name, f"{p}/{q}", h)
+                # the kernel's per-grading counts: dims reads h < 0 from -h
+                counts = kernel_counts(d, SlopeSpec(p, q))
+                for h, n in counts.items():
+                    assert counts[-h] == n, (name, f"{p}/{q}", h)
                 checked += 1
-    _report(4, f"graded dims symmetric under h -> -h on {checked} knot/slope pairs")
+    _report(4, f"per-grading counts symmetric under h -> -h on {checked} knot/slope pairs")
 
 
 WIGGLED = CurveDiagram(

@@ -29,11 +29,13 @@ read before it read the gradings the sweep files, is kept here as the
 range the tests probe, and the sweep must file no grading outside it.
 `ArcSweep.total`, the count-only reader, must be the sum of `dims`, and a
 refused slope raises the same from both and from `genus_of`.  On a
-diagram that passes validation `total` cancels only the gradings h >= 0
-and reads each h < 0 from -h, by the half-turn congruence; a counting
-wrapper around `cancel_bigons` pins that, and that `dims` and every
-diagram that fails validation still cancel every filed grading.  `genus_of` reads the 1/0
-gradings down from the top and stops at the first with a point.
+diagram that passes validation `dims` and `total` cancel only the
+gradings h >= 0 and read each h < 0 from -h, by the half-turn congruence;
+a counting wrapper around `cancel_bigons` pins that, and that every
+diagram that fails validation still cancels every filed grading.  Both
+must equal the counts with every filed grading cancelled on its own.
+`genus_of` reads the 1/0 gradings down from the top and stops at the
+first with a point.
 """
 
 import math
@@ -504,7 +506,8 @@ def test_points_are_cancelled_once_per_grading(monkeypatch):
     assert set(first) <= set(filed)
     assert sweep.points(Fraction(1)) is sweep.points(Fraction(1))
     assert Fraction(1) in filed
-    assert calls == [1] * len(filed)
+    # the gradings h < 0 are read from -h, by the half-turn congruence
+    assert calls == [1] * len([h for h in filed if h >= 0])
 
 
 def test_an_unfiled_grading_is_not_cancelled(monkeypatch):
@@ -598,7 +601,7 @@ def test_total_raises_as_dims_does_at_the_first_held_grading():
 
 
 # ---------------------------------------------------------------------------
-# The half-turn congruence that `ArcSweep.total` reads
+# The half-turn congruence that `ArcSweep.dims` and `ArcSweep.total` read
 
 # The trefoil plus a lopsided closed component between heights 1/4 and
 # 7/4, with no half-turn image: it fails only validation's symmetry check,
@@ -624,11 +627,6 @@ def filed(sweep) -> list:
     return [h for h in heights(sweep.diagram, sweep.slope) if sweep.raw(h)]
 
 
-def per_grading_total(sweep) -> int:
-    """The dual total with every filed grading cancelled on its own."""
-    return sum(len(cancel_bigons(sweep.raw(h), sweep.diagram, 1)[0]) for h in filed(sweep))
-
-
 def cancelled_gradings(monkeypatch, sweep, read) -> list:
     """The gradings whose points `read(sweep)` sends through
     `cancel_bigons`, in increasing order."""
@@ -647,13 +645,21 @@ def cancelled_gradings(monkeypatch, sweep, read) -> list:
     return sorted(calls)
 
 
+def per_grading_dims(sweep) -> dict:
+    """The graded dimensions with every filed grading cancelled on its own."""
+    counts = {h: len(cancel_bigons(sweep.raw(h), sweep.diagram, 1)[0]) for h in filed(sweep)}
+    return {h: n for h, n in counts.items() if n}
+
+
 def assert_total_counts_every_grading(d):
-    """On d and its mirror, at every slope of `HALF_TURN_SLOPES`, `total`
-    equals the per-grading sum."""
+    """On d and its mirror, at every slope of `HALF_TURN_SLOPES`, `dims`
+    equals the per-grading counts and `total` their sum."""
     for mirrored in (d, d.mirror()):
         for slope in HALF_TURN_SLOPES:
             sweep = ArcSweep(mirrored, slope)
-            assert sweep.total() == per_grading_total(sweep), (mirrored.source, str(slope))
+            want = per_grading_dims(sweep)
+            assert sweep.total() == sum(want.values()), (mirrored.source, str(slope))
+            assert ArcSweep(mirrored, slope).dims() == want, (mirrored.source, str(slope))
 
 
 @pytest.mark.parametrize("name", zoo_names())
@@ -682,13 +688,13 @@ def test_total_counts_every_grading_on_staircases(d):
 ], ids=lambda x: str(x) if isinstance(x, SlopeSpec) else x.source)
 def test_total_cancels_only_the_nonnegative_gradings_of_a_valid_diagram(monkeypatch, d, slope):
     # Key n is grading n + (p - 1)/2, so 2n + p - 1 >= 0 is h >= 0.  dims
-    # cancels every filed grading, so the symmetry tests of dims test the
-    # kernel, not the congruence.
+    # reads the same partners, so the symmetry tests compare the kernel's
+    # per-grading counts, `points(h)` against `points(-h)`.
     assert validate(d).ok
     gradings = filed(ArcSweep(d, slope))
     assert min(gradings) < 0 < max(gradings)
-    assert cancelled_gradings(monkeypatch, ArcSweep(d, slope), ArcSweep.dims) == gradings
-    assert cancelled_gradings(monkeypatch, ArcSweep(d, slope), ArcSweep.total) == [h for h in gradings if h >= 0]
+    for read in (ArcSweep.dims, ArcSweep.total):
+        assert cancelled_gradings(monkeypatch, ArcSweep(d, slope), read) == [h for h in gradings if h >= 0]
 
 
 def test_total_counts_every_grading_of_a_diagram_that_fails_validation(monkeypatch):
@@ -696,8 +702,10 @@ def test_total_counts_every_grading_of_a_diagram_that_fails_validation(monkeypat
     for slope in HALF_TURN_SLOPES:
         sweep = ArcSweep(MUTANT, slope)
         assert cancelled_gradings(monkeypatch, sweep, ArcSweep.total) == filed(sweep), str(slope)
-        want = sum(ArcSweep(MUTANT, slope).dims().values())
-        assert sweep.total() == per_grading_total(sweep) == want, str(slope)
+        other = ArcSweep(MUTANT, slope)
+        assert cancelled_gradings(monkeypatch, other, ArcSweep.dims) == filed(sweep), str(slope)
+        want = per_grading_dims(sweep)
+        assert other.dims() == want and sweep.total() == sum(want.values()), str(slope)
     # A held grading refuses the slope, from either reader and from
     # genus_of, as on a valid diagram.
     held = CurveDiagram(TWO_STACKS.components + MUTANT.components[1:], "two stacks, mutant")

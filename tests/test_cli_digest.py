@@ -4,8 +4,11 @@ The full sweep (every zoo and thin diagram) stays out of the suite; here it
 runs twice on one thin diagram, read from a curve file, and must give the
 same digest both times: nothing one command leaves behind changes the
 next command's bytes.  A zoo diagram's cases end with its six `render`
-calls.
+calls.  A per-case file written with `--cases` matches its own run under
+`--against`, and a case whose saved hash was changed is listed.
 """
+
+import json
 
 import importlib.util
 from pathlib import Path
@@ -31,7 +34,7 @@ def test_the_digest_of_one_diagram_is_stable(capsys):
     assert digests[0] == digests[1]
     # the two `zoo list` cases open every run
     assert digests[0].startswith("sha256 ") and digests[0].endswith(f" cases {per_diagram + 2}\n")
-    assert per_diagram == 2 * (53 + 54 + 25 + 2)
+    assert per_diagram == 2 * (53 + 54 + 26 + 2)
 
 
 def test_a_zoo_diagram_adds_its_renders():
@@ -42,3 +45,25 @@ def test_a_zoo_diagram_adds_its_renders():
     assert [" ".join(argv[2:]) for argv in drawn[-6:]] == [
         "", "--overlay 3/2", "--overlay 0/1", "--overlay -7/3",
         "--overlay-arc 1/0@1", "--overlay-arc 3/2@1"]
+
+
+def test_against_lists_the_cases_that_differ(capsys, tmp_path):
+    tool = load_tool()
+    label = tool.thin_label(-1, 2)
+    saved = tmp_path / "cases.txt"
+    assert tool.main(["--knot", label, "--cases", str(saved)]) == 0
+    written = capsys.readouterr().out
+    lines = saved.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(tool.cases(label)) + 2
+    assert tool.main(["--knot", label, "--against", str(saved)]) == 0
+    clean = capsys.readouterr().out
+    assert clean == written and "differs" not in clean
+    # one changed hash and one dropped case are listed, in case order
+    case_hash, changed = lines[5].split(" ", 1)
+    lines[5] = f"{'0' * len(case_hash)} {changed}"
+    dropped = lines.pop(9).split(" ", 1)[1]
+    saved.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert tool.main(["--knot", label, "--against", str(saved)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"differs {changed}", f"differs {dropped}", clean.strip()]
+    assert json.loads(changed)[1] == label

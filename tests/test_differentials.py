@@ -40,11 +40,12 @@ from pegboard.differentials import (
     DiffMatrix,
     census_bounds,
     differential_matrix,
+    differential_ranks,
     dually_simple_scan,
     gf2_rank,
 )
 from conftest import position, staircase_diagrams
-from test_arc_sweep import grading_range
+from test_arc_sweep import MUTANT, grading_range
 from test_geometry import first_wound_peg as one_pass_wound_peg
 from test_walk import subarc as reference_subarc, walk_span
 
@@ -542,6 +543,73 @@ def test_rank_identity_on_zoo(name):
 @given(staircase_diagrams(), st.booleans(), st.sampled_from(DIFF_SLOPES))
 def test_rank_identity_on_staircases(d, mirrored, slope):
     assert_rank_identity(d.mirror() if mirrored else d, slope)
+
+
+# ---------------------------------------------------------------------------
+# `differential_ranks`: the half-turn partner read against every matrix
+
+# Every reduced slope with 1 <= p <= 9 and q <= 4, and the cap slope 63/31.
+RANK_SLOPES = [
+    SlopeSpec(p, q) for q in range(1, 5) for p in range(1, 10) if math.gcd(p, q) == 1
+] + [SlopeSpec(63, 31)]
+
+
+def matrix_ranks(d: CurveDiagram, slope: SlopeSpec) -> dict:
+    """(phi rank, psi rank) at each grading of `dims`, by decreasing
+    grading, with both matrices built at every grading."""
+    sweep = ArcSweep(d, slope)
+    return {h: tuple(differential_matrix(sweep, h, kind).rank for kind in ("phi", "psi"))
+            for h in sorted(sweep.dims(), reverse=True)}
+
+
+def assert_ranks_are_the_matrix_ranks(d: CurveDiagram) -> None:
+    """On d and its mirror, at every slope of `RANK_SLOPES`,
+    `differential_ranks` gives each grading's matrix ranks, in order: on a
+    diagram that passes validation, rank phi_h = rank psi_-h."""
+    for drawn in (d, d.mirror()):
+        for slope in RANK_SLOPES:
+            want = matrix_ranks(drawn, slope)
+            assert list(differential_ranks(ArcSweep(drawn, slope)).items()) == list(want.items()), (
+                drawn.source, str(slope))
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_differential_ranks_are_the_matrix_ranks_on_zoo(name):
+    assert_ranks_are_the_matrix_ranks(build_zoo(name))
+
+
+@pytest.mark.parametrize("tau", range(-2, 3))
+def test_differential_ranks_are_the_matrix_ranks_on_thin_diagrams(tau):
+    for fig8 in range(4):
+        assert_ranks_are_the_matrix_ranks(thin(tau, fig8))
+
+
+@settings(max_examples=20, deadline=None)
+@given(staircase_diagrams())
+def test_differential_ranks_are_the_matrix_ranks_on_staircases(d):
+    assert_ranks_are_the_matrix_ranks(d)
+
+
+def test_differential_ranks_build_both_kinds_at_every_grading_of_a_diagram_that_fails_validation(monkeypatch):
+    # On MUTANT, which fails only the symmetry check, both kinds are built
+    # at every grading; on the trefoil, only at h >= 0.
+    built = []
+
+    def counting_matrix(sweep, h, kind):
+        built.append((h, kind))
+        return differential_matrix(sweep, h, kind)
+
+    monkeypatch.setattr(differentials, "differential_matrix", counting_matrix)
+    assert [v.code for v in validate(MUTANT).violations] == ["symmetry"]
+    for d in (MUTANT, build_zoo("trefoil")):
+        for slope in RANK_SLOPES:
+            built.clear()
+            ranks = differential_ranks(ArcSweep(d, slope))
+            assert min(ranks) < 0, (d.source, str(slope))
+            every = d is MUTANT
+            assert built == [(h, kind) for h in ranks if every or h >= 0 for kind in ("phi", "psi")], (
+                d.source, str(slope))
+            assert ranks == matrix_ranks(d, slope), (d.source, str(slope))
 
 
 # ---------------------------------------------------------------------------

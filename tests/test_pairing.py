@@ -20,6 +20,7 @@ from pegboard.pairing import (
     surgery_dim,
     surgery_report,
 )
+from conftest import kernel_counts
 from test_cancel import certified_loops, reference_cancel_bigons
 
 
@@ -146,10 +147,11 @@ class TestArcPairing:
         assert dims and all((h - F(1, 2)).denominator == 1 for h in dims)
 
     def test_grading_symmetry(self, zoo):
+        # the kernel's per-grading counts: dims reads h < 0 from -h
         for d in zoo.values():
             for p, q in [(1, 1), (2, 1), (-3, 2), (5, 3)]:
-                dims = dual_hfk_dims(d, SlopeSpec(p, q))
-                assert all(dims.get(-h, 0) == n for h, n in dims.items())
+                counts = kernel_counts(d, SlopeSpec(p, q))
+                assert all(counts[-h] == n for h, n in counts.items()), (d.source, f"{p}/{q}")
 
     def test_dominance(self, zoo):
         for d in zoo.values():

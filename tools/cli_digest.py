@@ -1,6 +1,6 @@
 """One sha256 over the CLI's outputs on a fixed grid: a bit-identity check.
 
-    python3 tools/cli_digest.py [--knot NAME ...]
+    python3 tools/cli_digest.py [--knot NAME ...] [--cases FILE] [--against FILE]
 
 Run from a checkout: pegboard is imported from ``src/`` next to this
 directory.  Each case is one in-process ``pegboard.cli.main(argv)`` call,
@@ -12,7 +12,7 @@ for each diagram, in text and in JSON:
 * ``pair`` and ``hfk`` at every reduced slope with 0 < |p| <= 9 and
   q <= 4, at 0/1, and at 63/31 and -61/29 near the slope cap, where the
   piece test of bigon cancellation finds blocked pairs;
-* ``diff`` at those slopes with p >= 1, and ``hfk`` at 1/0;
+* ``diff`` at those slopes with p >= 1, 63/31 included, and ``hfk`` at 1/0;
 * ``scan-simple --pmax 9 --qmax 4 --all`` and ``invariants``;
 
 and, for each zoo diagram, its ``render`` SVG: plain, with ``--overlay``
@@ -23,8 +23,13 @@ The diagrams are the zoo and ``thin(tau, f)`` for -2 <= tau <= 2 and
 ``thin_t<tau>_f<f>`` (``m`` for a minus sign) in a temporary
 ``$PEGBOARD_ZOO_DIR``, whose path is replaced by ``$PEGBOARD_ZOO_DIR`` in
 the outputs.  ``--knot`` restricts the run to the named diagrams.  The last
-line printed is ``sha256 <hex> cases <n>``.  Only the standard library is
-used.
+line printed is ``sha256 <hex> cases <n>``.
+
+``--cases FILE`` also writes one line per case, ``<sha256 hex> <argv as
+JSON>``, the hash taken over the same argv, exit code, stdout and stderr.
+``--against FILE`` reads such a file and prints the argv of every case whose
+hash differs from the saved one or that the file lacks, then exits 1 if
+there is any.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -58,15 +63,15 @@ def cases(knot: str, drawn: bool = False) -> list[list[str]]:
     `render` cases of a zoo diagram."""
     argvs = [["pair", knot, s] for s in SLOPES + ["0/1"] + CAP]
     argvs += [["hfk", knot, s] for s in SLOPES + ["0/1", "1/0"] + CAP]
-    argvs += [["diff", knot, s] for s in SLOPES if not s.startswith("-")]
+    argvs += [["diff", knot, s] for s in SLOPES + CAP if not s.startswith("-")]
     argvs += [["scan-simple", knot, "--pmax", "9", "--qmax", "4", "--all"], ["invariants", knot]]
     formatted = [argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
     return formatted + ([["render", knot, *extra] for extra in RENDERS] if drawn else [])
 
 
-def digest(knots=None) -> tuple[str, int]:
-    """(sha256 hex, case count) over the grid, on the named diagrams or on
-    all of them."""
+def digest(knots=None) -> tuple[str, list[tuple[str, str]]]:
+    """(sha256 hex over the grid, (argv as JSON, sha256 hex) of each case),
+    on the named diagrams or on all of them."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     import pegboard.cli as cli
@@ -83,6 +88,7 @@ def digest(knots=None) -> tuple[str, int]:
     argvs = [["zoo", "list", "--format", fmt] for fmt in FORMATS]
     argvs += [argv for name in names for argv in cases(name, name in zoo)]
     h = hashlib.sha256()
+    per_case = []
     saved = os.environ.get("PEGBOARD_ZOO_DIR")
     with tempfile.TemporaryDirectory() as zoo_dir:
         for label, (tau, f) in thin_labels.items():
@@ -94,22 +100,35 @@ def digest(knots=None) -> tuple[str, int]:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = cli.main(argv)
                 texts = [t.getvalue().replace(zoo_dir, "$PEGBOARD_ZOO_DIR") for t in (out, err)]
-                h.update(json.dumps([argv, code, *texts]).encode() + b"\n")
+                line = json.dumps([argv, code, *texts]).encode() + b"\n"
+                h.update(line)
+                per_case.append((json.dumps(argv), hashlib.sha256(line).hexdigest()))
         finally:
             if saved is None:
                 del os.environ["PEGBOARD_ZOO_DIR"]
             else:
                 os.environ["PEGBOARD_ZOO_DIR"] = saved
-    return h.hexdigest(), len(argvs)
+    return h.hexdigest(), per_case
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--knot", action="append", help="a zoo name or thin label; repeatable")
+    ap.add_argument("--cases", type=Path, help="write each case's hash to this file")
+    ap.add_argument("--against", type=Path, help="list the cases that differ from this file's hashes")
     args = ap.parse_args(argv)
-    hexdigest, count = digest(args.knot)
-    print(f"sha256 {hexdigest} cases {count}")
-    return 0
+    hexdigest, per_case = digest(args.knot)
+    if args.cases:
+        args.cases.write_text("".join(f"{case_hash} {case}\n" for case, case_hash in per_case), encoding="utf-8")
+    differing = []
+    if args.against:
+        lines = args.against.read_text(encoding="utf-8").splitlines()
+        saved = {case: case_hash for case_hash, case in (line.split(" ", 1) for line in lines)}
+        differing = [case for case, case_hash in per_case if saved.get(case) != case_hash]
+        for case in differing:
+            print(f"differs {case}")
+    print(f"sha256 {hexdigest} cases {len(per_case)}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
