@@ -24,6 +24,7 @@ from pathlib import Path
 from .curves import (
     AmbiguousHeight,
     BadSpec,
+    InvariantViolation,
     NoVerticalCrossing,
     build_zoo,
     extrema_census,
@@ -46,7 +47,7 @@ from .pairing import (
     genus_of,
     surgery_report,
 )
-from .textfmt import InvariantViolation, parse_curve_text
+from .textfmt import parse_curve_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -279,9 +279,9 @@ class CurveDiagram(namedtuple("CurveDiagram", "components source")):
     @cached_property
     def _validation(self) -> "ValidationReport":
         """`validate(self)`, computed on first use and kept for the life of
-        the diagram, as each component keeps its `_frame`: the loaders read
-        it to refuse an invalid diagram, and `pairing.ArcSweep` to learn
-        whether the half-turn symmetry holds."""
+        the diagram, as each component keeps its `_frame`.  The loaders and
+        `pairing.ArcSweep`, which every arc reader builds, refuse a diagram
+        whose report is not ok, the sweep with `InvariantViolation`."""
         return validate(self)
 
     def gamma0(self) -> Component:
@@ -393,6 +393,14 @@ class ValidationReport(NamedTuple):
         if self.ok:
             return "valid"
         return "; ".join(f"[{v.code}] {v.message}" for v in self.violations)
+
+
+class InvariantViolation(ValueError):
+    """The diagram fails validation; its `ValidationReport` is attached."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(report.summary())
+        self.report = report
 
 
 def validate(d: CurveDiagram) -> ValidationReport:

@@ -23,13 +23,13 @@ call adds the walk's column crossings from the component's column table
 into a signed tally by (column, t) and gives the columns of its two ends,
 the closing piece through the corner, crossed arithmetically between those
 ends on the arc line, adds its own, and `pairing.winds_only` asks for
-winding 0 at every peg and w just above the corner.  A walk over a segment
-through a peg raises `PointOnLoop` from the column table: the curve lives
-in the punctured torus, and validation refuses such a segment.  The rows, one list per target point, are filled
-in place, an entry toggled per bigon, and each found bigon is listed as
-(source, target, direction), the walk that certified it; no loop is built.
-`gf2_rank` eliminates on integer bit rows.  A
-grading with no target point has the zero map, and no source is visited.
+winding 0 at every peg and w just above the corner.  The points come from
+an `ArcSweep`, which serves validated diagrams only, so no walk reaches a
+peg.  The rows, one list per target point, are filled in place, an entry
+toggled per bigon, and each found bigon is listed as (source, target,
+direction), the walk that certified it; no loop is built.  `gf2_rank`
+eliminates on integer bit rows.  A grading with no target point has the
+zero map, and no source is visited.
 
 Each strict local extremum of the curve forces rank in one of the maps at a
 predictable grading, with a single exception at the extremum carrying the
@@ -114,8 +114,9 @@ def _walk_order(groups: dict, comp: int, at: Crossing, k: int, direction: int, w
 def _winds_marked(c: Component, x: IPoint, z: IPoint, direction: int, corner: tuple[int, int],
                   w: int, p: int, q: int) -> bool:
     """Whether the marked bigon's loop from x to z winds every peg 0 times
-    but the corner, which it winds w times just above; raises
-    `PointOnLoop` when a walked segment meets a peg.
+    but the corner, which it winds w times just above.  x and z come from
+    a sweep, whose diagram passed validation, so no walked segment meets a
+    peg (the column table would raise `PointOnLoop`).
 
     The loop walks along c from x in `direction` to z', z's point moved by
     (m, 0) for the m of that walk, and closes through the corner, the peg
@@ -188,14 +189,14 @@ def differential_matrix(sweep: ArcSweep, h, kind: str) -> DiffMatrix:
 
 def differential_ranks(sweep: ArcSweep) -> dict:
     """{h: (phi rank, psi rank)} at each grading of `sweep.dims()`, by
-    decreasing grading.  The half turn of a diagram that passes validation
-    maps the grading-h arc of lift k onto the grading -h arc of lift -k - q
-    and a left-marked (phi) bigon at h onto a right-marked (psi) one at -h:
-    there only h >= 0 is built, and (phi_h, psi_h) is (psi_-h, phi_-h)."""
-    symmetric = sweep.diagram._validation.ok
+    decreasing grading.  The half turn maps the sweep's diagram, which
+    passed validation, onto itself, the grading-h arc of lift k onto the
+    grading -h arc of lift -k - q and a left-marked (phi) bigon at h onto a
+    right-marked (psi) one at -h: only h >= 0 is built, and (phi_h, psi_h)
+    is (psi_-h, phi_-h) below 0."""
     ranks: dict = {}
     for h in sorted(sweep.dims(), reverse=True):
-        ranks[h] = ranks[-h][::-1] if symmetric and h < 0 else tuple(
+        ranks[h] = ranks[-h][::-1] if h < 0 else tuple(
             differential_matrix(sweep, h, kind).rank for kind in ("phi", "psi"))
     return ranks
 

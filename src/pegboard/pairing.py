@@ -73,10 +73,15 @@ or two consecutive vertices, is degenerate: a filling lift on it raises
 `DegenerateIncidence`, and so does an arc holding such a segment, for its
 whole slope, when the sweep is built: every reader reads every grading.
 The sweep cancels bigons once per grading and keeps the result, so the
-graded dimensions and both differentials of one slope share the work.  The
-half turn maps a diagram that passes validation onto itself and the
-grading-h arcs onto the grading -h arcs, so there the dimensions, the total
-and the differentials' ranks are counted at h >= 0 and read at -h.
+graded dimensions and both differentials of one slope share the work.
+The arc side serves validated diagrams only: every arc reader builds an
+`ArcSweep`, which raises `InvariantViolation` with the diagram's kept
+report (`CurveDiagram._validation`) when it is not ok.  So no crossing
+lies on an arc end, a peg, and no walk from a sweep reaches one (the
+filling side takes any diagram and refuses such a walk); and the half
+turn maps the diagram onto itself and the grading-h arcs onto the
+grading -h arcs, so the dimensions, the total and the differentials'
+ranks are counted at h >= 0 and read at -h.
 Every walk along the curve between two intersection points is read from
 their two crossing records by one helper, `_walk`: the continuous segments
 the walk covers and m, the period ends it passes (equal positions are one
@@ -106,7 +111,7 @@ from .geometry import (
     column_crossings,
     rat,
 )
-from .curves import Component, Crossing, CurveDiagram
+from .curves import Component, Crossing, CurveDiagram, InvariantViolation
 
 
 class DegenerateIncidence(ValueError):
@@ -671,10 +676,11 @@ class ArcSweep:
     `Component.level_crossings` scan per component lists every transversal
     crossing with such a level and every segment lying on one, and one rule
     files both under the arc that holds the point (a segment by its vertex
-    on the level): the lift k with u = (x - k)/q in [0, 1] whose key n
+    on the level): the lift k with u = (x - k)/q in [0, 1) whose key n
     solves that relation (for 1/0, the integer h within 1/2 of y).  Only a
-    point on an arc end, a peg, lies on two arcs; validation keeps pegs off
-    the curve, so a segment along an arc line lies inside one arc.
+    point on an arc end, a peg, lies on two arcs, and the sweep refuses a
+    diagram that fails validation (`InvariantViolation`), so a point lies
+    inside one arc.
 
     The filed keys are the gradings: no other grading's arc crosses the
     diagram.  Every reader of a slope reads all its gradings, so the slope
@@ -685,12 +691,15 @@ class ArcSweep:
     per filed grading (an unfiled one has no points) and keeps the result
     for the life of the object; nothing is shared between objects.  The
     0-filling has no gradings and is refused.  `dims` and `total` read
-    each grading h < 0 from -h where `_half_turn` allows it.
+    each grading h < 0 from -h (`_half_turn`).
     """
 
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
         if slope.p == 0:
             raise ZeroSurgery("0-filling has no dual-knot gradings")
+        report = d._validation
+        if not report.ok:
+            raise InvariantViolation(report)
         self.diagram = d
         self.slope = slope
         self._live: dict[int, tuple[IPoint, ...]] = {}  # by key
@@ -707,7 +716,7 @@ class ArcSweep:
 
     def dims(self) -> dict:
         """Graded dual-knot dimensions, nonzero entries only, by increasing
-        grading; each h < 0 is read from -h as `_half_turn` allows."""
+        grading; each h < 0 is read from -h (`_half_turn`)."""
         p = self.slope.p
         own, partner = self._half_turn()
         # Key n is grading n + (p - 1)/2 = (2n + p - 1)/2, at either sign of p.
@@ -722,16 +731,15 @@ class ArcSweep:
             total += len(self._points(n if n >= own else partner - n))
         return total
 
-    def _half_turn(self) -> tuple:
+    def _half_turn(self) -> tuple[int, int]:
         """(own, partner): each key n >= own counts its own points, and each
         key n < own those of key partner - n.  The half turn (x, y) -> (-x, -y)
-        maps a diagram that passes validation onto itself and the grading-h
-        arc of lift k onto the grading -h arc of lift -k - q, so there keys n
-        and 1 - p - n hold equal counts and own is the least key with
-        2n + p - 1 >= 0 (h >= 0).  Elsewhere, as the report
-        `CurveDiagram._validation` tells, every key counts its own."""
+        maps the diagram, which passed validation, onto itself and the
+        grading-h arc of lift k onto the grading -h arc of lift -k - q, so
+        keys n and 1 - p - n hold equal counts; own is the least key with
+        2n + p - 1 >= 0 (h >= 0)."""
         p = self.slope.p
-        return (2 - p) // 2 if self.diagram._validation.ok else -math.inf, 1 - p
+        return (2 - p) // 2, 1 - p
 
     def _points(self, n: int) -> tuple[IPoint, ...]:
         live = self._live.get(n)
@@ -751,25 +759,18 @@ class ArcSweep:
 
         def file(ci: int, records, into: dict[int, list[IPoint]]) -> None:
             """File each record (x/den, y/den) of component ci on level
-            m + off under its arc on the highest lift, and a peg also under
-            the arc it ends, (key - p, lift - q)."""
-            if not q:  # 1/0: lift m, the grading n with n - 1/2 <= y < n + 1/2
+            m + off under the one arc that holds it, off its ends."""
+            if not q:  # 1/0: lift m, the grading n with n - 1/2 < y < n + 1/2
                 for e in records:
                     _, _, _, _, y, den, m = e
-                    n, r = divmod(2 * y + den, 2 * den)
-                    into[n].append(new(IPoint, (ci, e, m)))
-                    if not r:
-                        into[n - 1].append(new(IPoint, (ci, e, m)))
+                    into[(2 * y + den) // (2 * den)].append(new(IPoint, (ci, e, m)))
                 return
             for e in records:
                 _, _, _, x, _, den, m = e
                 j = m - half  # the level is j + q/2, so j = p*k - q*n
                 kx = x // den
                 k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
-                n = (p * k - j) // q
-                into[n].append(new(IPoint, (ci, e, k)))
-                if x == k * den:
-                    into[n - p].append(new(IPoint, (ci, e, k - q)))
+                into[(p * k - j) // q].append(new(IPoint, (ci, e, k)))
 
         raw: dict[int, list[IPoint]] = defaultdict(list)
         held: dict[int, list[IPoint]] = defaultdict(list)  # each held event as its vertex
@@ -796,8 +797,8 @@ def dual_hfk_dims(d: CurveDiagram, slope: SlopeSpec) -> dict:
     """Graded dual-knot dimensions: minimal arc counts, nonzero entries only.
 
     The total over all gradings dominates the filling dimension (the first
-    page of a spectral sequence cannot be smaller than its target).  On a
-    diagram that passes validation each grading h < 0 is read from -h.
+    page of a spectral sequence cannot be smaller than its target).  Each
+    grading h < 0 is read from -h.
     """
     return ArcSweep(d, slope).dims()
 
@@ -805,16 +806,13 @@ def dual_hfk_dims(d: CurveDiagram, slope: SlopeSpec) -> dict:
 def genus_of(d: CurveDiagram) -> int:
     """Top height met by the vertical arcs (0 for the horizontal line).
 
-    At 1/0 a grading is its own key.  A 1/0 arc holding a segment raises
-    `DegenerateIncidence` when the sweep is built.  On a diagram that
-    passes validation no cancellation raises, so the filed gradings are
-    read down from the top and the first positive one with a point is the
-    genus; the gradings below it are not cancelled.  Otherwise every
-    grading is counted as `dual_hfk_dims` counts it, and raises what it
-    raises: the `PointOnLoop` of a walk through a peg."""
+    At 1/0 a grading is its own key.  Building the sweep refuses a diagram
+    that fails validation (`InvariantViolation`) and a 1/0 arc holding a
+    segment (`DegenerateIncidence`).  On the validated diagram no
+    cancellation raises, so the filed gradings are read down from the top
+    and the first positive one with a point is the genus; the gradings
+    below it are not cancelled."""
     sweep = ArcSweep(d, SlopeSpec(1, 0))
-    if not d._validation.ok:
-        return max((int(h) for h in sweep.dims() if h > 0), default=0)
     for h in sorted(sweep._raw, reverse=True):
         if h <= 0:
             break

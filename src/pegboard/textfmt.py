@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import Component, CurveDiagram, canonicalize
+from .curves import Component, CurveDiagram, InvariantViolation, canonicalize
 from .geometry import Point
 
 
@@ -32,14 +32,6 @@ class CurveFormatError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-class InvariantViolation(ValueError):
-    """The parsed diagram fails validation; the report is attached."""
-
-    def __init__(self, report):
-        super().__init__(report.summary())
-        self.report = report
 
 
 def _parse_fraction(token: str, line: int, column: int) -> Fraction:

@@ -28,14 +28,16 @@ filing rule.  `grading_range`, the bounding-box range that `ArcSweep.dims`
 read before it read the gradings the sweep files, is kept here as the
 range the tests probe, and the sweep must file no grading outside it.
 `ArcSweep.total`, the count-only reader, must be the sum of `dims`, and a
-refused slope raises the same from both and from `genus_of`.  On a
-diagram that passes validation `dims` and `total` cancel only the
-gradings h >= 0 and read each h < 0 from -h, by the half-turn congruence;
-a counting wrapper around `cancel_bigons` pins that, and that every
-diagram that fails validation still cancels every filed grading.  Both
-must equal the counts with every filed grading cancelled on its own.
-`genus_of` reads the 1/0 gradings down from the top and stops at the
-first with a point.
+refused slope raises the same from both and from `genus_of`.  `dims` and
+`total` cancel only the gradings h >= 0 and read each h < 0 from -h, by
+the half-turn congruence; a counting wrapper around `cancel_bigons` pins
+that.  Both must equal the counts with every filed grading cancelled on
+its own.  `genus_of` reads the 1/0 gradings down from the top and stops at
+the first with a point.  The arc side serves validated diagrams only:
+`ArcSweep`, `dual_hfk_dims`, `genus_of` and `arc_points` refuse a diagram
+that fails validation, half-turn asymmetric or through a peg, with
+`InvariantViolation` carrying its kept report, while the filling side
+still pairs the asymmetric one and refuses the walk through the peg.
 """
 
 import math
@@ -46,7 +48,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import Component, CurveDiagram, build_zoo, thin, validate, zoo_names
+from pegboard.curves import Component, CurveDiagram, InvariantViolation, build_zoo, thin, validate, zoo_names
 from pegboard.differentials import differential_matrix
 from pegboard.geometry import ONE, ZERO, Box, Point, PointOnLoop, pt
 from pegboard.pairing import (
@@ -57,12 +59,15 @@ from pegboard.pairing import (
     IPoint,
     SlopeSpec,
     _LineFamily,
+    arc_points,
     cancel_bigons,
     dual_hfk_dims,
     genus_of,
     grading_key,
     line_family,
     raw_intersections,
+    surgery_dim,
+    surgery_report,
 )
 from pegboard.render import render_svg
 from pegboard.textfmt import parse_curve_text
@@ -605,7 +610,8 @@ def test_total_raises_as_dims_does_at_the_first_held_grading():
 
 # The trefoil plus a lopsided closed component between heights 1/4 and
 # 7/4, with no half-turn image: it fails only validation's symmetry check,
-# and its gradings h and -h need not hold congruent arcs.
+# so its gradings h and -h need not hold congruent arcs, and the arc side
+# refuses it.
 MUTANT = CurveDiagram(
     build_zoo("trefoil").components + (
         Component(
@@ -697,20 +703,44 @@ def test_total_cancels_only_the_nonnegative_gradings_of_a_valid_diagram(monkeypa
         assert cancelled_gradings(monkeypatch, ArcSweep(d, slope), read) == [h for h in gradings if h >= 0]
 
 
-def test_total_counts_every_grading_of_a_diagram_that_fails_validation(monkeypatch):
-    assert [v.code for v in validate(MUTANT).violations] == ["symmetry"]
-    for slope in HALF_TURN_SLOPES:
-        sweep = ArcSweep(MUTANT, slope)
-        assert cancelled_gradings(monkeypatch, sweep, ArcSweep.total) == filed(sweep), str(slope)
-        other = ArcSweep(MUTANT, slope)
-        assert cancelled_gradings(monkeypatch, other, ArcSweep.dims) == filed(sweep), str(slope)
-        want = per_grading_dims(sweep)
-        assert other.dims() == want and sweep.total() == sum(want.values()), str(slope)
-    # A held grading refuses the slope, from either reader and from
-    # genus_of, as on a valid diagram.
-    held = CurveDiagram(TWO_STACKS.components + MUTANT.components[1:], "two stacks, mutant")
-    assert [v.code for v in validate(held).violations] == ["symmetry"]
-    assert_refused_alike(held, "curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0")
+# A wrapping curve whose segment (-1/4, -11/4)->(1/4, -9/4) runs through
+# the peg (0, -5/2), far below its top 1/0 grading 3.
+LOW_PEG = CurveDiagram((Component(
+    (pt(Fraction(-1, 2), 0), pt(0, 3), pt(Fraction(1, 16), Fraction(13, 4)),
+     pt(Fraction(-1, 4), Fraction(-11, 4)), pt(Fraction(1, 4), Fraction(-9, 4)),
+     pt(Fraction(-1, 16), -3), pt(Fraction(1, 2), 0)), 1),), "through a low peg")
+# TWO_STACKS, whose 1/0 gradings -1 and 1 are held, with MUTANT's lopsided
+# component: validation refuses it before the sweep reaches a held grading.
+HELD_MUTANT = CurveDiagram(TWO_STACKS.components + MUTANT.components[1:], "two stacks, mutant")
+REFUSAL_SLOPES = [SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(-3, 2)]
+
+
+@pytest.mark.parametrize("d,codes", [(MUTANT, ["symmetry"]), (LOW_PEG, ["peg"]), (HELD_MUTANT, ["symmetry"])],
+                         ids=["mutant", "low peg", "held mutant"])
+def test_arc_readers_refuse_a_diagram_that_fails_validation(d, codes):
+    report = d._validation
+    assert [v.code for v in report.violations] == codes
+    readers = (ArcSweep, dual_hfk_dims, lambda d, slope: genus_of(d),
+               lambda d, slope: arc_points(d, ArcLift(slope, Fraction(slope.p - 1, 2))))
+    for slope in REFUSAL_SLOPES:
+        for read in readers:
+            with pytest.raises(InvariantViolation) as refused:
+                read(d, slope)
+            assert refused.value.report is report and str(refused.value) == report.summary(), str(slope)
+
+
+def test_the_filling_side_pairs_what_the_arc_side_refuses():
+    # MUTANT pairs as the trefoil (1, 2 and 7) plus its lopsided component
+    # (0, 2 and 4); the curve through a peg is refused where a walk reads
+    # the segment through it, and paired where none does.
+    for slope, want in [(SlopeSpec(1, 0), 1), (SlopeSpec(2, 1), 4), (SlopeSpec(-3, 2), 11)]:
+        assert surgery_report(MUTANT, slope).total == surgery_dim(MUTANT, slope) == want, str(slope)
+    assert surgery_report(LOW_PEG, SlopeSpec(1, 0)).total == surgery_dim(LOW_PEG, SlopeSpec(1, 0)) == 1
+    for slope in REFUSAL_SLOPES[1:]:
+        for read in (surgery_report, surgery_dim):
+            with pytest.raises(PointOnLoop) as refused:
+                read(LOW_PEG, slope)
+            assert str(refused.value) == "(0, -5/2) lies on the loop", str(slope)
 
 
 def dims_genus(d) -> int:
@@ -741,25 +771,8 @@ def test_genus_is_read_down_from_the_top_grading(monkeypatch, d, genus, cancelle
 
 def test_genus_is_the_top_positive_grading_of_dims():
     diagrams = [build_zoo(name) for name in zoo_names()] + [thin(tau, 2) for tau in range(-2, 3)] + [FINGER]
-    for d in diagrams + [d.mirror() for d in diagrams] + [MUTANT]:
+    for d in diagrams + [d.mirror() for d in diagrams]:
         assert genus_of(d) == dims_genus(d), d.source
-
-
-def test_genus_of_a_curve_through_a_peg_raises_as_dims_does():
-    # The segment (-1/4, -11/4)->(1/4, -9/4) runs through the peg (0, -5/2),
-    # far below the top grading 3: every grading is counted, and grading
-    # -3's walk meets the peg.
-    d = CurveDiagram((Component(
-        (pt(Fraction(-1, 2), 0), pt(0, 3), pt(Fraction(1, 16), Fraction(13, 4)),
-         pt(Fraction(-1, 4), Fraction(-11, 4)), pt(Fraction(1, 4), Fraction(-9, 4)),
-         pt(Fraction(-1, 16), -3), pt(Fraction(1, 2), 0)), 1),), "through a low peg")
-    assert [v.code for v in validate(d).violations] == ["peg"]
-    raised = []
-    for read in (lambda: dual_hfk_dims(d, SlopeSpec(1, 0)), lambda: genus_of(d)):
-        with pytest.raises(PointOnLoop) as exc:
-            read()
-        raised.append(str(exc.value))
-    assert raised == ["(0, -5/2) lies on the loop"] * 2
 
 
 def test_grading_keys_are_the_arc_heights_less_the_offset():

@@ -74,7 +74,7 @@ from hypothesis import strategies as st
 
 import pegboard.differentials as differentials
 import pegboard.pairing as pairing
-from pegboard.curves import Component, CurveDiagram, build_zoo, thin, validate, zoo_names
+from pegboard.curves import Component, CurveDiagram, InvariantViolation, build_zoo, thin, validate, zoo_names
 from pegboard.differentials import differential_matrix
 from pegboard.geometry import (
     HALF,
@@ -1061,7 +1061,12 @@ def test_loops_through_a_peg_are_refused(monkeypatch, case):
         assert all(z.crossing.x % z.crossing.den == 0 for z in (x, y))
         pairing.walk_columns(c, x.crossing, y.crossing, 1, {})
     # The filling family that `line_family` picks holds no peg, so only a
-    # curve through the peg is refused there, as it is by the arcs.
+    # curve through the peg is refused there.  The arcs refuse every one of
+    # these diagrams, which have no wrapping component, with validation's
+    # report, which names the peg iff the curve runs through it.
     slope = SlopeSpec(2, 1)
     assert (outcome(pairing.surgery_report, d, slope) == refused) is through
-    assert (outcome(lambda: ArcSweep(d, slope).dims()) == refused) is through
+    with pytest.raises(InvariantViolation) as invalid:
+        ArcSweep(d, slope)
+    assert invalid.value.report is d._validation
+    assert ("peg" in [v.code for v in d._validation.violations]) is through

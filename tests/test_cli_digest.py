@@ -3,7 +3,9 @@
 The full sweep (every zoo and thin diagram) stays out of the suite; here it
 runs twice on one thin diagram, read from a curve file, and must give the
 same digest both times: nothing one command leaves behind changes the
-next command's bytes.  A zoo diagram's cases end with its six `render`
+next command's bytes.  The zoo's part of the sweep is pinned to its
+digest, so a change to any zoo case's bytes fails the suite; a deliberate
+output change updates `ZOO_SHA256` and says so in CHANGES.md.  A zoo diagram's cases end with its six `render`
 calls.  A per-case file written with `--cases` matches its own run under
 `--against`, and a case whose saved hash was changed is listed.
 """
@@ -13,7 +15,11 @@ import json
 import importlib.util
 from pathlib import Path
 
+from pegboard.curves import zoo_names
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+# `cli_digest.digest(zoo_names())`: 1,658 cases on the six zoo diagrams.
+ZOO_SHA256 = "679e2f935780a6dd31d1e2a3d79ae35aca7f1c10c1ca0918e88c1cdda8696745"
 
 
 def load_tool():
@@ -67,3 +73,15 @@ def test_against_lists_the_cases_that_differ(capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.splitlines() == [f"differs {changed}", f"differs {dropped}", clean.strip()]
     assert json.loads(changed)[1] == label
+
+
+def test_the_zoo_output_is_pinned():
+    tool = load_tool()
+    names = zoo_names()
+    hexdigest, per_case = tool.digest(names)
+    assert len(per_case) == 2 + sum(len(tool.cases(name, drawn=True)) for name in names) == 1658
+    knots = " ".join(f"--knot {name}" for name in names)
+    assert hexdigest == ZOO_SHA256, (
+        f"the zoo's CLI output changed.  In a checkout with the pinned output run "
+        f"`python3 tools/cli_digest.py {knots} --cases FILE`, then here "
+        f"`python3 tools/cli_digest.py {knots} --against FILE` to list the cases that differ")

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pegboard.differentials as differentials
-from pegboard.curves import Component, CurveDiagram, build_zoo, thin, validate, zoo_names
+from pegboard.curves import Component, CurveDiagram, InvariantViolation, build_zoo, thin, zoo_names
 from pegboard.geometry import (
     ONE,
     Box,
@@ -45,7 +45,7 @@ from pegboard.differentials import (
     gf2_rank,
 )
 from conftest import position, staircase_diagrams
-from test_arc_sweep import MUTANT, grading_range
+from test_arc_sweep import grading_range
 from test_geometry import first_wound_peg as one_pass_wound_peg
 from test_walk import subarc as reference_subarc, walk_span
 
@@ -590,9 +590,10 @@ def test_differential_ranks_are_the_matrix_ranks_on_staircases(d):
     assert_ranks_are_the_matrix_ranks(d)
 
 
-def test_differential_ranks_build_both_kinds_at_every_grading_of_a_diagram_that_fails_validation(monkeypatch):
-    # On MUTANT, which fails only the symmetry check, both kinds are built
-    # at every grading; on the trefoil, only at h >= 0.
+def test_differential_ranks_build_both_kinds_only_at_the_nonnegative_gradings(monkeypatch):
+    # On the trefoil both kinds are built at h >= 0 only; each h < 0 is
+    # read from -h.  A diagram that fails validation, such as MUTANT, has
+    # no sweep (`test_arc_sweep.test_arc_readers_refuse_a_diagram_that_fails_validation`).
     built = []
 
     def counting_matrix(sweep, h, kind):
@@ -600,16 +601,13 @@ def test_differential_ranks_build_both_kinds_at_every_grading_of_a_diagram_that_
         return differential_matrix(sweep, h, kind)
 
     monkeypatch.setattr(differentials, "differential_matrix", counting_matrix)
-    assert [v.code for v in validate(MUTANT).violations] == ["symmetry"]
-    for d in (MUTANT, build_zoo("trefoil")):
-        for slope in RANK_SLOPES:
-            built.clear()
-            ranks = differential_ranks(ArcSweep(d, slope))
-            assert min(ranks) < 0, (d.source, str(slope))
-            every = d is MUTANT
-            assert built == [(h, kind) for h in ranks if every or h >= 0 for kind in ("phi", "psi")], (
-                d.source, str(slope))
-            assert ranks == matrix_ranks(d, slope), (d.source, str(slope))
+    d = build_zoo("trefoil")
+    for slope in RANK_SLOPES:
+        built.clear()
+        ranks = differential_ranks(ArcSweep(d, slope))
+        assert min(ranks) < 0, str(slope)
+        assert built == [(h, kind) for h in ranks if h >= 0 for kind in ("phi", "psi")], str(slope)
+        assert ranks == matrix_ranks(d, slope), str(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +706,9 @@ def test_sources_and_targets_never_share_a_position_on_staircases(d, mirrored, s
 
 # Diagrams that are not valid: a closed component through a peg, along a
 # segment in the first and at a vertex in the second.  The curve lives in
-# the punctured torus, so the kernel refuses them wherever it walks a
-# segment through the peg, naming the peg that validation names.
+# the punctured torus, so the filling side refuses them wherever it walks a
+# segment through the peg, naming the peg that validation names, and the
+# arc side refuses them whole, with validation's report.
 PEGGED = {
     "unknot-pegged": CurveDiagram(build_zoo("unknot").components + (Component(
         (pt(F(3, 8), F(-9, 8)), pt(0, F(-5, 8)), pt(F(-3, 8), F(1, 4)), pt(0, F(13, 8)),
@@ -720,40 +719,16 @@ PEGGED = {
 }
 
 
-def walks_along(polyline: Sequence[Point], segments: Sequence[Segment]) -> bool:
-    """Whether an edge of the polyline lies along one of the segments."""
-    return any(a != b and on_segment(a, s) and on_segment(b, s)
-               for a, b in zip(polyline, polyline[1:]) for s in segments)
-
-
 @pytest.mark.parametrize("name,peg", [("trefoil-pegged", pt(0, F(-3, 2))), ("unknot-pegged", pt(0, F(3, 2)))],
                          ids=["trefoil-pegged", "unknot-pegged"])
 def test_pegged_diagrams_are_refused(name, peg):
     d = PEGGED[name]
-    assert f"passes through peg {peg}" in validate(d).summary()
-    refused = f"{peg} lies on the loop"
-    for run in (lambda: surgery_report(d, SlopeSpec(2, 1)), lambda: ArcSweep(d, SlopeSpec(2, 1)).dims()):
-        with pytest.raises(PointOnLoop) as exc:
-            run()
-        assert str(exc.value) == refused
-    # Where both gradings cancel, the marker test refuses the matrix iff
-    # some candidate walks along a segment through the peg, whether or not
-    # its loop meets the peg.
-    through = [Segment(a, b) for c in d.acyclic() for a, b in _closed_edges(c.vertices)
-               if on_segment(peg, Segment(a, b))]
-    refusals = 0
+    report = d._validation
+    assert f"passes through peg {peg}" in report.summary()
+    with pytest.raises(PointOnLoop) as exc:
+        surgery_report(d, SlopeSpec(2, 1))
+    assert str(exc.value) == f"{peg} lies on the loop"
     for slope in (SlopeSpec(1, 1), SlopeSpec(2, 1)):
-        sweep = ArcSweep(d, slope)
-        for h in grading_range(d, slope):
-            for kind in ("phi", "psi"):
-                try:
-                    candidates = list(marker_candidates(sweep, h, kind))
-                except PointOnLoop as exc:  # cancellation refuses a grading
-                    assert str(exc) == refused
-                    continue
-                walked = any(walks_along(reference_subarc(d.components[x.comp], x, z, direction)[0], through)
-                             for x, z, direction, _ in candidates)
-                got = matrix_outcome(differential_matrix, sweep, h, kind)
-                assert (got == ("PointOnLoop", refused)) is walked, (str(slope), h, kind)
-                refusals += walked
-    assert refusals
+        with pytest.raises(InvariantViolation) as refused:
+            ArcSweep(d, slope)
+        assert refused.value.report is report and "peg" in [v.code for v in report.violations]

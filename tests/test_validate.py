@@ -437,7 +437,9 @@ def test_mutations_reach_every_validation_branch():
     compares the anchoring, the strip offset and the common-scale cycles."""
     seen = set()
 
-    @settings(max_examples=300, deadline=None)
+    # A fixed draw, with no example database, so the probe reads the same
+    # 300 diagrams on every checkout.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(mutated_diagrams())
     def probe(d):
         codes = [v.code for v in reference_validate(d).violations]
