@@ -3,7 +3,11 @@
 Subcommands: zoo, pair, hfk, diff, invariants, scan-simple, ledger, demo,
 render.  Knots are selected by zoo name, by a curve-file path, or by a name
 resolved inside $PEGBOARD_ZOO_DIR.  Exit codes: 0 success, 1 usage error,
-2 validation failure, 3 theorem violation detected.
+2 validation failure (also a valid diagram whose tau cannot be read: its
+distinguished component passes the peg column only along runs of vertices
+on it, or first crosses it on a peg row), 3 theorem violation detected.
+Every diagram that passes validation pairs at every slope: a segment along
+a line or arc is read pushed off it.
 
 The ledger and render layers are imported by the commands that use them
 (`ledger` and `demo`, and `render`), so the pairing, graded and scan
@@ -41,7 +45,6 @@ from .differentials import (
 from .pairing import (
     ArcLift,
     ArcSweep,
-    DegenerateIncidence,
     SlopeSpec,
     dual_hfk_dims,
     genus_of,
@@ -570,10 +573,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DegenerateIncidence, NoVerticalCrossing, AmbiguousHeight) as exc:
-        # the diagram passed validation but its geometry cannot be paired or
-        # read: an unresolvable incidence, a peg column missed or crossed on a
-        # peg row
+    except (NoVerticalCrossing, AmbiguousHeight) as exc:
+        # the diagram passed validation but its tau cannot be read: its
+        # distinguished component passes the peg column only along runs,
+        # or first crosses it on a peg row
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, KeyError, OSError) as exc:

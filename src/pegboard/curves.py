@@ -18,11 +18,11 @@ back integers too: each crossing is a `Crossing` record (segment, ratio
 along it, point over a common denominator, level), which becomes
 Fractions only where its `point` is read.
 
-The seam crossings are the level scan of x - 1/2 (`seam_crossings`).  The
-one record of a wrapping component anchors it: `_anchored_period` starts
-the period there, in integers, for validation's symmetry check, and
-`anchor_at_seam` is that period read as Fractions; `tau_epsilon` walks on
-from the record.
+The seam crossings are the transversal crossings of the level scan of
+x - 1/2 (`seam_crossings`, through `vertical_crossings`).  The one record
+of a wrapping component anchors it: `_anchored_period` starts the period
+there, in integers, for validation's symmetry check, and `anchor_at_seam`
+is that period read as Fractions; `tau_epsilon` walks on from the record.
 """
 
 from __future__ import annotations
@@ -189,22 +189,24 @@ class Component(namedtuple("Component", "vertices winding")):
             return "min"
         return None
 
-    def level_crossings(
-        self, a: int, b: int, c: Fraction
-    ) -> tuple[list[Crossing], list[tuple[int, int, bool]]]:
-        """Transversal crossings of one period with the levels a*x + b*y + c = m.
+    def level_crossings(self, a: int, b: int, c: Fraction) -> list[Crossing]:
+        """Crossings of one period with the levels a*x + b*y + c = m.
 
         a and b are integers, c is a rational and m runs over the integers.
-        Returns (crossings, degenerate).  crossings lists one `Crossing`
-        record per crossing, in curve order, so strictly increasing in
-        position.  A vertex on a level counts iff its cyclic neighbours lie
-        strictly on opposite sides; the period's end vertex repeats its
-        start and is left to it.  degenerate lists, in scan order, one
-        event (m, i, collinear) per vertex i that lies on level m with
-        vertex i + 1 (collinear) or, failing that, vertex i - 1 (not
-        collinear): the events of a level that holds a segment, or two
-        consecutive vertices.  Such vertices give no crossing; the scan
-        never raises.
+        Returns one `Crossing` record per crossing, in curve order, so
+        strictly increasing in position.  A run is a maximal sequence of
+        consecutive vertices on one level, a lone vertex being a run of
+        one, so a segment along a level joins two vertices of one run.
+        Each run is read pushed off its level to the side where the curve
+        leaves it: it crosses the level once, at its first vertex, iff the
+        curve comes to it from the other side, and a run that the curve
+        only touches gives nothing.  For a lone vertex this is the strict
+        rule, neighbours strictly on opposite sides.  Each push is a small
+        isotopy that crosses no peg of a curve that misses the pegs, and
+        of the run's two sides it gives the fewer crossings, so every
+        drawing is read and no run adds a bigon.  The period's end vertex
+        repeats its start and is left to it; a run across the period's end
+        starts inside the period.
 
         The scan works in integers, on the component's lifted vertex table
         (`_lifted_frame`, at the frame's scale S) times f = lcm(S, den c) //
@@ -219,7 +221,7 @@ class Component(namedtuple("Component", "vertices winding")):
         """
         n = self.cycle_length()
         if n == 0:
-            return [], []
+            return []
         scale, f, cs = self._rescale_for(c)
         xs, ys = self._lifted_frame  # index j + 1 holds vertex j
         if f != 1:
@@ -228,14 +230,17 @@ class Component(namedtuple("Component", "vertices winding")):
         gcd = math.gcd
         new = tuple.__new__  # skips the Python-level __new__ NamedTuple generates: still a Crossing
         crossings: list[Crossing] = []
-        degenerate: list[tuple[int, int, bool]] = []
+        step = gs[n + 1] - gs[1]  # G over one period: 0 on a closed component
         for i in range(n):
             g_prev, ga, gb = gs[i], gs[i + 1], gs[i + 2]
             xa, ya = xs[i + 1], ys[i + 1]
-            if ga % scale == 0:
-                if ga == gb or ga == g_prev:
-                    degenerate.append((ga // scale, i, ga == gb))
-                elif (g_prev < ga) != (gb < ga):
+            if ga % scale == 0 and g_prev != ga:  # a run starts at vertex i
+                v, g_out = i + 1, gb
+                while g_out == ga:  # read where the curve leaves the run
+                    v += 1
+                    w, j = divmod(v, n)
+                    g_out = gs[j + 1] + w * step
+                if (g_prev < ga) != (g_out < ga):
                     k = gcd(xa, ya, scale)
                     crossings.append(new(Crossing, (i, 0, 1, xa // k, ya // k, scale // k, ga // scale)))
             if ga == gb:
@@ -253,7 +258,7 @@ class Component(namedtuple("Component", "vertices winding")):
                 x, y = xd + r * dx, yd + r * dy
                 k, g = gcd(x, y, den), gcd(r, dg)
                 crossings.append(new(Crossing, (i, r // g, dg // g, x // k, y // k, den // k, m)))
-        return crossings, degenerate
+        return crossings
 
     def bbox(self) -> Box:
         return Box.around(self.vertices)
@@ -347,15 +352,31 @@ def _cycle_key(c: Component, k: int, scale: int) -> Optional[tuple]:
     return min((seq[i:] + seq[:i] for seq in (cycle, cycle[::-1]) for i in range(len(seq))), default=None)
 
 
+def vertical_crossings(c: Component, shift: Fraction) -> list[Crossing]:
+    """Transversal crossings of the vertical lines x + shift in Z along one
+    period: the records of `Component.level_crossings` for the form
+    x + shift, less each vertex whose neighbour lies on its line.
+
+    A vertex on a line thus counts once, iff neither neighbour lies on
+    the line and they straddle it; touching, or running along the line,
+    does not count, though the level scan crosses a run that the curve
+    passes through.  Validation's seam count and tau read these, the
+    drawing's own crossings: a run along a seam line adds no seam
+    crossing, and tau is never read from a run.
+    """
+    xs = c._lifted_frame[0]  # index j + 1 holds vertex j
+    return [e for e in c.level_crossings(1, 0, shift) if e.r or xs[e.i] != xs[e.i + 1] != xs[e.i + 2]]
+
+
 def seam_crossings(c: Component) -> list[Crossing]:
     """Transversal crossings of the seam lines x in 1/2 + Z along one period.
 
-    Returns the `Crossing` records of `Component.level_crossings` for the
-    form x - 1/2, so the crossing of the seam line x = m + 1/2 has level m:
-    a crossing at a vertex counts once, iff its cyclic neighbors straddle
-    the seam line; touching without crossing does not count.
+    Returns the `vertical_crossings` of the form x - 1/2, so the crossing
+    of the seam line x = m + 1/2 has level m: a crossing at a vertex
+    counts once, iff its cyclic neighbours straddle the seam line;
+    touching without crossing, or running along the line, does not count.
     """
-    return c.level_crossings(1, 0, -HALF)[0]
+    return vertical_crossings(c, -HALF)
 
 
 def height_band(y, scale: int = 1) -> int:
@@ -600,16 +621,19 @@ def extrema_census(d: CurveDiagram) -> ExtremaCensus:
 
 
 class NoVerticalCrossing(ValueError):
-    """The distinguished component never meets the peg column (horizontal line)."""
+    """The distinguished component never crosses the peg column transversally:
+    it passes the column only along runs of vertices on it."""
 
 
 def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     """Read (tau, epsilon) from the distinguished component.
 
     Walk left to right from the seam entry at height 0.  tau is the band of
-    the first crossing of an integer column.  epsilon is +1 when the walk
-    next turns toward decreasing y (a strict local maximum comes first), -1
-    when it turns upward, and 0 for the horizontal line, which never turns.
+    the first transversal crossing of an integer column
+    (`vertical_crossings`: a run along the column is not one).  epsilon is
+    +1 when the walk next turns toward decreasing y (a strict local maximum
+    comes first), -1 when it turns upward, and 0 for the horizontal line,
+    which never turns.
 
     The walk is read from the stored period itself, from its one seam
     crossing on: its integer-column crossings past the seam in this period,
@@ -620,7 +644,7 @@ def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     seam = seam_crossings(g0)
     if len(seam) != 1:
         raise ValueError("component must cross the seam exactly once")
-    crossings, _ = g0.level_crossings(1, 0, ZERO)
+    crossings = vertical_crossings(g0, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
     crossing = next((e for e in crossings if seam[0].precedes(e)), crossings[0])

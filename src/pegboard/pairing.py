@@ -67,11 +67,12 @@ numbers the raw points (`raw_intersections`), decides the offset
 rescaled for c) and picks the lifts that meet a box (`lift_indices`).
 Every arc of a slope lies on a level of F = p*x - q*y, so `ArcSweep`, one
 object per (diagram, slope), scans every grading at once and files each
-crossing, and each segment lying along an arc line, under the one arc that
-holds it; the keys it files are the gradings.  A level holding a segment,
-or two consecutive vertices, is degenerate: a filling lift on it raises
-`DegenerateIncidence`, and so does an arc holding such a segment, for its
-whole slope, when the sweep is built: every reader reads every grading.
+crossing under the one arc that holds it; the keys it files are the
+gradings.  The scan reads each run of vertices along a level pushed off
+it to the side where the curve leaves it, so a segment along an arc line
+is read as the isotopic curve pushed off the line, crossed once at a
+vertex iff the curve passes through the run, and every validated diagram
+pairs at every slope: no incidence is refused.
 The sweep cancels bigons once per grading and keeps the result, so the
 graded dimensions and both differentials of one slope share the work.
 The arc side serves validated diagrams only: every arc reader builds an
@@ -112,10 +113,6 @@ from .geometry import (
     rat,
 )
 from .curves import Component, Crossing, CurveDiagram, InvariantViolation
-
-
-class DegenerateIncidence(ValueError):
-    """A non-transversal or collinear incidence that cannot be resolved."""
 
 
 class ZeroSurgery(ValueError):
@@ -266,32 +263,19 @@ class _LineFamily:
 # Raw intersections
 
 
-def _degenerate_incidence(c: Component, k: int, i: int, collinear: bool) -> DegenerateIncidence:
-    """The error for object lift k at a degenerate event (i, collinear) of
-    component c, as `Component.level_crossings` reports it: vertex i lies
-    on the lift with vertex i + 1 (collinear) or vertex i - 1."""
-    if collinear:
-        return DegenerateIncidence(
-            f"curve segment {c.lifted(i)}->{c.lifted(i + 1)} is collinear with object lift {k}"
-        )
-    return DegenerateIncidence(f"two consecutive vertices on object lift {k}")
-
-
 def raw_intersections(d: CurveDiagram, fam: _LineFamily) -> list[IPoint]:
-    """All transversal intersections with a filling family, one record per
-    quotient point.
+    """All intersections with a filling family, one record per quotient
+    point.
 
     Sorted by component, then position along it: one level scan of the
-    family's form per component, level m being lift m.  The first component
-    with a degenerate level raises `DegenerateIncidence` for its smallest
-    lift on one, at that lift's first event.
+    family's form per component, level m being lift m.  At the offset
+    `line_family` picks no vertex lies on a line; at any other offset a
+    run of vertices on a line is read pushed off it, as every level scan
+    reads one.
     """
-    scans = [c.level_crossings(fam.a, fam.b, fam.c) for c in d.components]
-    for c, (_, degenerate) in zip(d.components, scans):
-        if degenerate:
-            raise _degenerate_incidence(c, *min(degenerate))
     new = tuple.__new__  # as `Component.level_crossings` builds its records
-    return [new(IPoint, (ci, e, e.m)) for ci, (crossings, _) in enumerate(scans) for e in crossings]
+    return [new(IPoint, (ci, e, e.m)) for ci, c in enumerate(d.components)
+            for e in c.level_crossings(fam.a, fam.b, fam.c)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +317,26 @@ def _family_is_clean(d: CurveDiagram, fam: _LineFamily) -> bool:
 def line_family(d: CurveDiagram, slope: SlopeSpec) -> _LineFamily:
     """The filling family at the canonical offset, halved until incidence-free.
 
-    The start is 1/(2*D*N) (D the lcm of coordinate denominators, N the vertex
-    count); each candidate offset is tested with the closed-form criterion of
-    `_family_is_clean`.
+    The start is delta_0 = 1/(2*L*N) (L the lcm of the components' frame
+    scales, N the vertex count, at least 1); each candidate offset is
+    tested with the closed-form criterion of `_family_is_clean`.
+
+    The loop ends.  At step k (delta = delta_0/2**k) the form of a
+    slanted or vertical family at a vertex (X/L, Y/L), X and Y integers,
+    or at the peg (0, 1/2) is a number whose denominator divides 2*L plus
+    p*delta = p/(2*L*N*2**k), so it is an integer only if N*2**k divides p
+    (p = 1 for 1/0).  For 0/1 the form is y - 1/2 - delta, an integer at
+    a vertex only if N*2**k = 1.  So step k can fail only while
+    N*2**k <= max(|p|, 1): for p != 0 there are at most
+    floor(log2(|p|/N)) + 1 halvings, none when |p| < N, and for 0/1 at
+    most one.
     """
     delta = _canonical_delta(d)
-    for _ in range(80):
-        fam = _LineFamily(slope, delta)
-        if _family_is_clean(d, fam):
-            return fam
+    fam = _LineFamily(slope, delta)
+    while not _family_is_clean(d, fam):
         delta = delta / 2
-    raise DegenerateIncidence(f"no clean offset found for slope {slope}")
+        fam = _LineFamily(slope, delta)
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -673,25 +666,23 @@ class ArcSweep:
     the grading-h arc lies on the level set F = p*k - q*h + q*p/2, so every
     arc line is a level F in Z + q/2: on the level j + q/2, the lift-k arc
     at grading key n = h - (p - 1)/2 has j = p*k - q*n.  One
-    `Component.level_crossings` scan per component lists every transversal
-    crossing with such a level and every segment lying on one, and one rule
-    files both under the arc that holds the point (a segment by its vertex
-    on the level): the lift k with u = (x - k)/q in [0, 1) whose key n
-    solves that relation (for 1/0, the integer h within 1/2 of y).  Only a
-    point on an arc end, a peg, lies on two arcs, and the sweep refuses a
-    diagram that fails validation (`InvariantViolation`), so a point lies
-    inside one arc.
+    `Component.level_crossings` scan per component lists every crossing
+    with such a level, each run of vertices along a level read pushed off
+    it (a segment along an arc line is crossed once, at the first vertex
+    of its run, iff the curve passes through the run), and one rule
+    files each under the arc that holds the point: the lift k
+    with u = (x - k)/q in [0, 1) whose key n solves that relation (for
+    1/0, the integer h within 1/2 of y).  Only a point on an arc end, a
+    peg, lies on two arcs, and the sweep refuses a diagram that fails
+    validation (`InvariantViolation`), so a point lies inside one arc and
+    every validated diagram pairs at every slope.
 
     The filed keys are the gradings: no other grading's arc crosses the
-    diagram.  Every reader of a slope reads all its gradings, so the slope
-    is refused whole: when an arc holds a segment, building the sweep
-    raises `DegenerateIncidence` for the smallest grading with such an
-    arc, naming its first such component, that component's smallest such
-    lift and that lift's first event.  `points(h)` cancels bigons once
-    per filed grading (an unfiled one has no points) and keeps the result
-    for the life of the object; nothing is shared between objects.  The
-    0-filling has no gradings and is refused.  `dims` and `total` read
-    each grading h < 0 from -h (`_half_turn`).
+    diagram.  `points(h)` cancels bigons once per filed grading (an
+    unfiled one has no points) and keeps the result for the life of the
+    object; nothing is shared between objects.  The 0-filling has no
+    gradings and is refused.  `dims` and `total` read each grading h < 0
+    from -h (`_half_turn`).
     """
 
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
@@ -737,7 +728,11 @@ class ArcSweep:
         maps the diagram, which passed validation, onto itself and the
         grading-h arc of lift k onto the grading -h arc of lift -k - q, so
         keys n and 1 - p - n hold equal counts; own is the least key with
-        2n + p - 1 >= 0 (h >= 0)."""
+        2n + p - 1 >= 0 (h >= 0).  A run along an arc line maps to a run
+        that the curve passes through, or only touches, as it does the
+        first, so the level scan files equal numbers of raw points at h
+        and -h; only the vertex that holds a run's crossing, its first in
+        curve order, can differ."""
         p = self.slope.p
         return (2 - p) // 2, 1 - p
 
@@ -750,41 +745,27 @@ class ArcSweep:
         return live
 
     def _sweep(self) -> dict[int, list[IPoint]]:
-        """The crossings by key; raises for the least held (key, ci, k,
-        event)."""
+        """The crossings by key: each record (x/den, y/den) on level m of
+        the scan's form p*x - q*y - (q mod 2)/2, filed under the one arc
+        that holds it, off its ends."""
         p, q = self.slope.p, self.slope.q
         inv_p = pow(p, -1, q) if q else 0
         half = q // 2
         new = tuple.__new__  # as `Component.level_crossings` builds its records
-
-        def file(ci: int, records, into: dict[int, list[IPoint]]) -> None:
-            """File each record (x/den, y/den) of component ci on level
-            m + off under the one arc that holds it, off its ends."""
+        raw: dict[int, list[IPoint]] = defaultdict(list)
+        for ci, c in enumerate(self.diagram.components):
+            records = c.level_crossings(p, -q, -HALF if q % 2 else ZERO)
             if not q:  # 1/0: lift m, the grading n with n - 1/2 < y < n + 1/2
                 for e in records:
                     _, _, _, _, y, den, m = e
-                    into[(2 * y + den) // (2 * den)].append(new(IPoint, (ci, e, m)))
-                return
+                    raw[(2 * y + den) // (2 * den)].append(new(IPoint, (ci, e, m)))
+                continue
             for e in records:
                 _, _, _, x, _, den, m = e
                 j = m - half  # the level is j + q/2, so j = p*k - q*n
                 kx = x // den
                 k = kx - (kx - inv_p * j) % q  # the largest k <= x with p*k = j mod q
-                into[(p * k - j) // q].append(new(IPoint, (ci, e, k)))
-
-        raw: dict[int, list[IPoint]] = defaultdict(list)
-        held: dict[int, list[IPoint]] = defaultdict(list)  # each held event as its vertex
-        collinear: dict[tuple[int, int], bool] = {}  # by (ci, vertex)
-        for ci, c in enumerate(self.diagram.components):
-            crossings, degenerate = c.level_crossings(p, -q, -HALF if q % 2 else ZERO)
-            file(ci, crossings, raw)
-            if degenerate:  # vertex i lies on the segment
-                scale, xs, ys = c._frame
-                file(ci, [new(Crossing, (i, 0, 1, xs[i], ys[i], scale, m)) for m, i, _ in degenerate], held)
-                collinear.update(((ci, i), col) for _, i, col in degenerate)
-        if held:
-            n, ci, k, i = min((n, z.comp, z.lift, z.crossing.i) for n, zs in held.items() for z in zs)
-            raise _degenerate_incidence(self.diagram.components[ci], k, i, collinear[ci, i])
+                raw[(p * k - j) // q].append(new(IPoint, (ci, e, k)))
         return raw
 
 
@@ -807,11 +788,11 @@ def genus_of(d: CurveDiagram) -> int:
     """Top height met by the vertical arcs (0 for the horizontal line).
 
     At 1/0 a grading is its own key.  Building the sweep refuses a diagram
-    that fails validation (`InvariantViolation`) and a 1/0 arc holding a
-    segment (`DegenerateIncidence`).  On the validated diagram no
-    cancellation raises, so the filed gradings are read down from the top
-    and the first positive one with a point is the genus; the gradings
-    below it are not cancelled."""
+    that fails validation (`InvariantViolation`); a run along the peg
+    column is read pushed off it, as every level scan reads one.  On the
+    validated diagram no cancellation raises, so the filed gradings are
+    read down from the top and the first positive one with a point is
+    the genus; the gradings below it are not cancelled."""
     sweep = ArcSweep(d, SlopeSpec(1, 0))
     for h in sorted(sweep._raw, reverse=True):
         if h <= 0:

@@ -1,39 +1,42 @@
 """Raw intersections against the per-lift walk and a brute-force oracle.
 
 The reference below is the per-lift walk that paired every object before
-the level scan replaced it, kept verbatim: each object lift is walked
-segment by segment with its own side test.  It shares no walk with
-`Component.level_crossings`, through which `ArcSweep` and
-`raw_intersections` now find every crossing.  Both must reproduce its
-IPoint lists exactly (same points, same order): the sweep for every
-grading of an arc slope that the walk pairs without raising, before and
-after bigon cancellation, and `raw_intersections` for filling line
-families, at the chosen offset and at offsets that put vertices on the
-lines, raising `DegenerateIncidence` with the same message wherever the
-walk raises.  The walk pairs the arc objects that pairing used before
-`ArcLift.lift_indices` replaced them, copied verbatim with `_u_param`:
-`ArcLift.lift_indices` must pick the lifts `_ArcObject.lift_indices` did.
-It reads a filling family through `_LineObject`, the anchor-and-direction
-copy in `test_offset`.  The walk finds each crossing in Fractions and
-turns it into an IPoint with `ipoint`, whose record `test_level_scan.record`
-builds from those Fractions and the crossing's level.
+the level scan replaced it, kept verbatim but for its rule at a vertex on
+a line: each object lift is walked segment by segment with its own side
+test.  It shares no walk with `Component.level_crossings`, through which
+`ArcSweep` and `raw_intersections` now find every crossing.  Both must
+reproduce its IPoint lists exactly (same points, same order): the sweep
+for every grading of an arc slope, before and after bigon cancellation,
+and `raw_intersections` for filling line families, at the chosen offset
+and at offsets that put vertices, or whole segments, on the lines.  A run
+of vertices along a lift's line is read pushed off it to the side where
+the curve leaves it: it crosses the line once, at its first vertex, iff
+the curve comes to it from the other side, and nothing raises.  The walk pairs the arc objects that
+pairing used before `ArcLift.lift_indices` replaced them, copied verbatim
+with `_u_param`: `ArcLift.lift_indices` must pick the lifts
+`_ArcObject.lift_indices` did.  It reads a filling family through
+`_LineObject`, the anchor-and-direction copy in `test_offset`.  The walk
+finds each crossing in Fractions and turns it into an IPoint with
+`ipoint`, whose record `test_level_scan.record` builds from those
+Fractions and the crossing's level.
 
-The walk raises for an arc whenever the arc's whole line runs along a
-curve segment, inside the arc or not.  The sweep refuses the slope only
-when some grading's own arc holds the segment, raising when it is built
-with the message for the smallest such grading.  Where the walk raises,
-the sweep is checked against `arc_oracle` instead: every `ArcLift.seg()`
-translate tested against every curve segment, with no level scan and no
-filing rule.  `grading_range`, the bounding-box range that `ArcSweep.dims`
+`arc_oracle` checks the walk in turn: every `ArcLift.seg()` translate
+tested against every curve segment, with no level scan and no filing
+rule.  The six drawings with segments along arc lines (`DRAWINGS`, read
+from the curve files that `tools/cli_digest.py` also runs) must count as
+their sheared copies, which hold no segment along a line or arc: the same
+graded dimensions, differential ranks, dual totals and filling
+dimensions.  `grading_range`, the bounding-box range that `ArcSweep.dims`
 read before it read the gradings the sweep files, is kept here as the
 range the tests probe, and the sweep must file no grading outside it.
-`ArcSweep.total`, the count-only reader, must be the sum of `dims`, and a
-refused slope raises the same from both and from `genus_of`.  `dims` and
-`total` cancel only the gradings h >= 0 and read each h < 0 from -h, by
-the half-turn congruence; a counting wrapper around `cancel_bigons` pins
-that.  Both must equal the counts with every filed grading cancelled on
-its own.  `genus_of` reads the 1/0 gradings down from the top and stops at
-the first with a point.  The arc side serves validated diagrams only:
+`ArcSweep.total`, the count-only reader, must be the sum of `dims`.
+`dims` and `total` cancel only the gradings h >= 0 and read each h < 0
+from -h, by the half-turn congruence, which a run along an arc line keeps:
+it is crossed iff the curve passes through it, whichever side it comes
+from; a counting wrapper around `cancel_bigons` pins that.  Both
+must equal the counts with every filed grading cancelled on its own.
+`genus_of` reads the 1/0 gradings down from the top and stops at the
+first with a point.  The arc side serves validated diagrams only:
 `ArcSweep`, `dual_hfk_dims`, `genus_of` and `arc_points` refuse a diagram
 that fails validation, half-turn asymmetric or through a peg, with
 `InvariantViolation` carrying its kept report, while the filling side
@@ -42,6 +45,7 @@ still pairs the asymmetric one and refuses the walk through the peg.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 from typing import Union
 
 import pytest
@@ -49,12 +53,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegboard.curves import Component, CurveDiagram, InvariantViolation, build_zoo, thin, validate, zoo_names
-from pegboard.differentials import differential_matrix
+from pegboard.differentials import differential_matrix, differential_ranks, dually_simple_scan
 from pegboard.geometry import ONE, ZERO, Box, Point, PointOnLoop, pt
 from pegboard.pairing import (
     ArcLift,
     ArcSweep,
-    DegenerateIncidence,
     GradingOutOfRange,
     IPoint,
     SlopeSpec,
@@ -178,25 +181,21 @@ def _segment_lift_intersections(obj, k, c, ci):
     for i in range(n):
         a, b = verts[i], verts[i + 1]
         sa, sb = side(a), side(b)
-        if sa == 0 and sb == 0:
-            raise DegenerateIncidence(
-                f"curve segment {a}->{b} is collinear with object lift {k}"
-            )
         if sa == 0:
-            # Vertex exactly on the object's line: transversal iff the cyclic
-            # neighbors straddle it; a same-side touch is removable, count 0.
+            # Vertex exactly on the object's line: it starts a run of
+            # vertices on the line unless its predecessor lies on it too.
+            # The run, read pushed off the line to the side where the curve
+            # leaves it, crosses iff the curve comes to it from the other
+            # side; a touch from either side counts 0.
             prev, _ = _neighbor_points(c, verts, i)
-            sp = side(prev)
-            if sp == 0:
-                raise DegenerateIncidence(f"two consecutive vertices on object lift {k}")
-            if (sp < 0) != (sb < 0):
-                if contains(obj, k, a):
-                    out.append(ipoint(ci, Fraction(i), a, k, arc_slope))
+            j = i + 1
+            while side(c.lifted(j)) == 0 and j < i + n:
+                j += 1
+            if side(prev) != 0 and (side(prev) < 0) != (side(c.lifted(j)) < 0) and contains(obj, k, a):
+                out.append(ipoint(ci, Fraction(i), a, k, arc_slope))
             continue
-        if sb == 0:
-            continue  # handled as the next segment's vertex case (or dropped at the period end)
-        if (sa < 0) == (sb < 0):
-            continue
+        if sb == 0 or (sa < 0) == (sb < 0):
+            continue  # b is handled as the next segment's vertex (or dropped at the period end)
         t = sa / (sa - sb)
         point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
         if contains(obj, k, point):
@@ -226,23 +225,19 @@ def reference_raw_intersections(d, obj):
 
 
 def arc_oracle(d, slope, h):
-    """Grading h's raw points, or, when an arc of grading h holds a curve
-    segment, the `DegenerateIncidence` message for the smallest
-    (component, lift, vertex, collinear) of such an arc.
+    """Grading h's raw points.
 
     Each lift-k arc is `ArcLift.seg()` translated by (k, 0) and is tested
     against every segment of one period of every component whose x range it
-    meets.  A segment crossing the arc counts at its crossing, a vertex on
-    the arc iff its cyclic neighbours lie strictly on opposite sides of the
-    arc's line, and a segment on the line whose overlap with the arc has
-    positive length is held, at its first vertex (collinear).  A vertex on
-    the arc whose neighbour is on the line is such a segment's end, and
-    held at that vertex (not collinear) when the next neighbour is off the
-    line.
+    meets.  A segment crossing the arc counts at its crossing, and a vertex
+    on the arc iff its predecessor lies off the arc's line and on the other
+    side of it than the first vertex after it that lies off the line: a
+    run of vertices along the line is read pushed off it to the side where
+    the curve leaves it, and crosses at its first vertex.
     """
     base = ArcLift(slope, h).seg()
     dx, dy = base.b.x - base.a.x, base.b.y - base.a.y
-    points, held = [], []
+    points = []
     for ci, c in enumerate(d.components):
         verts, n = _component_cycle(c)
         for i in range(n):
@@ -257,25 +252,16 @@ def arc_oracle(d, slope, h):
                     return (v.x - start.x) / dx if dx else (v.y - start.y) / dy
 
                 sa, sb = side(a), side(b)
-                if sa == 0 and sb == 0:
-                    lo, hi = sorted((u(a), u(b)))
-                    if min(hi, ONE) > max(lo, ZERO):
-                        held.append((ci, k, i, True, f"curve segment {a}->{b} is collinear with object lift {k}"))
-                elif sa == 0:
-                    if not ZERO <= u(a) <= ONE:
-                        continue
+                if sa == 0:
                     prev, _ = _neighbor_points(c, verts, i)
-                    if side(prev) == 0:
-                        held.append((ci, k, i, False, f"two consecutive vertices on object lift {k}"))
-                    elif (side(prev) < 0) != (sb < 0):
+                    after = next((side(c.lifted(j)) for j in range(i + 1, i + n + 1) if side(c.lifted(j))), 0)
+                    if ZERO <= u(a) <= ONE and side(prev) != 0 and (side(prev) < 0) != (after < 0):
                         points.append(ipoint(ci, Fraction(i), a, k, slope))
                 elif sb != 0 and (sa < 0) != (sb < 0):
                     t = sa / (sa - sb)
                     point = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
                     if ZERO <= u(point) <= ONE:
                         points.append(ipoint(ci, i + t, point, k, slope))
-    if held:
-        return min(held)[-1]
     return sorted(points, key=lambda ip: (ip.comp, position(ip), ip.lift))
 
 
@@ -292,17 +278,9 @@ def grading_range(d, slope):
 # ---------------------------------------------------------------------------
 
 
-def outcome(f, *args):
-    """f's result, or the message of the DegenerateIncidence it raises."""
-    try:
-        return f(*args)
-    except DegenerateIncidence as exc:
-        return str(exc)
-
-
 def walk(d, slope, h):
-    """The reference's raw list for one arc, or the message it raises."""
-    return outcome(reference_raw_intersections, d, _ArcObject(ArcLift(slope, h)))
+    """The reference's raw list for one arc."""
+    return reference_raw_intersections(d, _ArcObject(ArcLift(slope, h)))
 
 
 def heights(d, slope):
@@ -311,31 +289,17 @@ def heights(d, slope):
     return [hs[0] - 2, hs[0] - 1] + hs + [hs[-1] + 1, hs[-1] + 2]
 
 
-def assert_sweep_matches(d, slope, wants):
-    """The sweep of the slope against `wants`, each height's raw points or
-    held message in increasing height: refused with the first message iff
-    there is one, and otherwise filing each height's points.  Returns the
-    sweep, or None when it is refused."""
-    got = outcome(ArcSweep, d, slope)
-    held = [want for want in wants.values() if isinstance(want, str)]
-    if held:
-        assert got == held[0], (d.source, str(slope))
-        return None
-    for h, want in wants.items():
-        assert got.raw(h) == want, (d.source, str(slope), h)
-    return got
-
-
 def assert_sweep_matches_walk(d, slope, cancel=True):
-    """The walk is the reference at every grading it pairs; where it raises,
-    the oracle is."""
-    wants = {h: walk(d, slope, h) for h in heights(d, slope)}
-    wants = {h: arc_oracle(d, slope, h) if isinstance(want, str) else want for h, want in wants.items()}
-    sweep = assert_sweep_matches(d, slope, wants)
-    if sweep and cancel:
-        for h, want in wants.items():
+    """The sweep files the walk's raw points at every grading of the
+    probed range, and cancels them as `cancel_bigons` does on its own."""
+    sweep = ArcSweep(d, slope)
+    for h in heights(d, slope):
+        want = walk(d, slope, h)
+        assert sweep.raw(h) == want, (d.source, str(slope), h)
+        if cancel:
             live, _ = cancel_bigons(want, d, 1)
             assert sweep.points(h) == tuple(live), (d.source, str(slope), h)
+    return sweep
 
 
 # Both odd and even q (levels in Z + 1/2 and in Z), 1/0, negative p and
@@ -383,69 +347,66 @@ def test_sweep_matches_walk_on_generated_diagrams(d, slope):
     assert_sweep_matches_walk(d, slope, cancel=False)
 
 
-# A valid null-wiggle whose segments 0, 1, 3 and 4 lie on 1/1 arc lines
-# (the curve of the CLI's degenerate-incidence test), a taller variant
-# whose segments next to those still cross other arcs, a wiggle with one
-# segment on the 1/0 line x = 0, inside the grading-0 arc, and one with
-# three such segments, inside the arcs of gradings -1, 0 and 1.
-COLLINEAR = parse_curve_text(
-    "component winding=1\nv -1/2 0\nv -3/8 1/8\nv -1/8 3/8\n"
-    "v 1/8 -3/8\nv 3/8 -1/8\nv 1/2 0\n",
-    source="collinear",
-)
-TALL = parse_curve_text(
-    "component winding=1\nv -1/2 0\nv -3/8 1/8\nv -1/8 3/8\nv -1/16 3\n"
-    "v 1/16 -3\nv 1/8 -3/8\nv 3/8 -1/8\nv 1/2 0\n",
-    source="tall",
-)
-UPRIGHT = parse_curve_text(
-    "component winding=1\nv -1/2 0\nv 0 -1/4\nv 0 1/4\nv 1/2 0\n",
-    source="upright",
-)
-STACKED = parse_curve_text(
-    "component winding=1\nv -1/2 0\nv 0 -5/4\nv 0 -3/4\nv -1/4 -1/2\nv 0 -1/4\n"
-    "v 0 1/4\nv 1/4 1/2\nv 0 3/4\nv 0 5/4\nv 1/2 0\n",
-    source="stacked",
-)
-# Two stacks of STACKED, at gradings -1 and 1 of 1/0, joined across grading
-# 0, which holds no segment: two held gradings with a filed one between.
-TWO_STACKS = parse_curve_text(
-    "component winding=1\nv -1/2 0\nv 0 -5/4\nv 0 -3/4\nv -1/4 -1/2\nv 1/4 1/2\n"
-    "v 0 3/4\nv 0 5/4\nv 1/2 0\n",
-    source="two stacks",
-)
+# The six drawings with segments along arc lines, one curve file each,
+# which `tools/cli_digest.py` runs too:
+# - collinear: a null-wiggle whose segments 0, 1, 3 and 4 lie on 1/1 arc
+#   lines;
+# - tall: a taller variant whose segments next to those still cross other
+#   arcs;
+# - upright: a wiggle with one segment on the 1/0 line x = 0, inside the
+#   grading-0 arc;
+# - stacked: three such segments, inside the arcs of gradings -1, 0 and 1;
+# - two_stacks: stacked's outer two, joined across grading 0, which holds
+#   none;
+# - triangle: the unknot's line with the triangle (1/10, 3/5), (3/10, 4/5),
+#   (3/10, 3/5) and its half turn, whose sides of slope 1 lie along 1/1
+#   arcs.
+CURVES = Path(__file__).resolve().parents[1] / "tools" / "curves"
+
+
+def drawn(name: str) -> CurveDiagram:
+    """The validated diagram of `tools/curves/<name>.curve`."""
+    return parse_curve_text((CURVES / f"{name}.curve").read_text(encoding="utf-8"), source=name)
+
+
+DRAWINGS = [drawn(name) for name in ("collinear", "tall", "upright", "stacked", "two_stacks", "triangle")]
+COLLINEAR, TALL, UPRIGHT, STACKED, TWO_STACKS, TRIANGLE = DRAWINGS
 UNIT = SlopeSpec(1, 1)
 DEGENERATE_SLOPES = [UNIT, SlopeSpec(-1, 1), SlopeSpec(3, 2), SlopeSpec(1, 0)]
 
 
-def held_gradings(d, slope):
-    """The gradings where the oracle finds an arc holding a segment."""
-    return [h for h in heights(d, slope) if isinstance(arc_oracle(d, slope, h), str)]
+def runs_on_arc_lines(d, slope) -> list:
+    """(component, segment) of each segment of one period that lies along
+    an arc line of the slope, read in Fractions: both ends on one level of
+    p*x - q*y in Z + q/2."""
+    p, q = slope.p, slope.q
+    runs = []
+    for ci, c in enumerate(d.components):
+        verts, n = _component_cycle(c)
+        for i in range(n):
+            a, b = (p * v.x - q * v.y - Fraction(q, 2) for v in verts[i:i + 2])
+            if a == b and a.denominator == 1:
+                runs.append((ci, i))
+    return runs
 
 
-@pytest.mark.parametrize("d", [COLLINEAR, TALL, UPRIGHT, STACKED], ids=lambda d: d.source)
-def test_degenerate_gradings_raise_iff_an_arc_holds_a_segment(d):
-    # The sweep is refused, with the message for the smallest held
-    # grading, iff the oracle holds a grading; otherwise each grading keeps
-    # the oracle's points, the walk's where it pairs, and its differentials.
+@pytest.mark.parametrize("d", DRAWINGS, ids=lambda d: d.source)
+def test_segments_along_arc_lines_pair_as_the_walk_and_the_oracle(d):
+    # Each drawing and its mirror has a segment along an arc line at some
+    # slope here; the sweep files the walk's points at every grading, the
+    # oracle finds the same, and the differentials read them.
     assert validate(d).ok
-    refused = 0
+    runs = 0
     for diagram in (d, d.mirror()):
         for slope in DEGENERATE_SLOPES:
-            wants = {h: arc_oracle(diagram, slope, h) for h in heights(diagram, slope)}
-            sweep = assert_sweep_matches(diagram, slope, wants)
-            if sweep is None:
-                refused += 1
-                continue
-            for h, want in wants.items():
-                paired = walk(diagram, slope, h)
-                assert isinstance(paired, str) or paired == want, (diagram.source, str(slope), h)
-                live, _ = cancel_bigons(want, diagram, 1)
-                assert sweep.points(h) == tuple(live), (diagram.source, str(slope), h)
+            runs += len(runs_on_arc_lines(diagram, slope))
+            sweep = assert_sweep_matches_walk(diagram, slope)
+            for h in heights(diagram, slope):
+                assert arc_oracle(diagram, slope, h) == walk(diagram, slope, h), (diagram.source, str(slope), h)
                 if slope.p >= 1 and slope.q >= 1:
                     differential_matrix(sweep, h, "phi")
                     differential_matrix(sweep, h, "psi")
-    assert refused
+    assert runs
 
 
 @pytest.mark.parametrize("name", ["trefoil", "figure_eight"])
@@ -456,42 +417,114 @@ def test_oracle_matches_walk_on_zoo(name):
             assert arc_oracle(d, slope, h) == walk(d, slope, h), (name, str(slope), h)
 
 
-def test_only_the_arcs_holding_a_segment_raise():
-    # The walk raises wherever an arc's line runs along a segment: COLLINEAR
-    # at 1/1 gradings -1, 0 and 1, UPRIGHT at 1/0 every grading from -3 to
-    # 3.  Only grading 0 has an arc that holds one.
-    # The sweep refuses the slope with grading 0's message.
-    assert [h for h in heights(COLLINEAR, UNIT) if isinstance(walk(COLLINEAR, UNIT, h), str)] == [-1, 0, 1]
-    assert held_gradings(COLLINEAR, UNIT) == [0]
-    assert held_gradings(UPRIGHT, SlopeSpec(1, 0)) == [0]
-    assert held_gradings(COLLINEAR.mirror(), SlopeSpec(-1, 1)) == [0]
-    assert held_gradings(TALL, UNIT) == [0]
-    for d in (COLLINEAR, TALL):
-        assert outcome(dual_hfk_dims, d, UNIT) == \
-            "curve segment (-1/2, 0)->(-3/8, 1/8) is collinear with object lift -1"
-    assert outcome(dual_hfk_dims, UPRIGHT, SlopeSpec(1, 0)) == \
-        "curve segment (0, -1/4)->(0, 1/4) is collinear with object lift 0"
-    # Each arc names its own segment, and the smallest grading's names the
-    # refusal.
-    messages = [f"curve segment (0, {lo})->(0, {hi}) is collinear with object lift 0"
-                for lo, hi in (("-5/4", "-3/4"), ("-1/4", "1/4"), ("3/4", "5/4"))]
-    assert [arc_oracle(STACKED, SlopeSpec(1, 0), h) for h in (-1, 0, 1)] == messages
-    assert outcome(ArcSweep, STACKED, SlopeSpec(1, 0)) == messages[0]
-
-
-def test_degenerate_vertex_keeps_its_other_crossings():
-    # Vertex 2 of TALL sits on the degenerate level of segment 1, which makes
-    # the walk raise at gradings 0 and 1; grading 2's lifts avoid that
-    # level, and segment 2 (from vertex 2) crosses the grading-2 arc.  The
-    # sweep refuses 1/1, whose grading-0 arc holds segment 0, but the level
-    # scan it files from still lists those crossings, and grading 1's arcs
-    # hold no segment.
-    assert isinstance(walk(TALL, UNIT, 1), str)
-    assert isinstance(walk(TALL, UNIT, 2), list) and held_gradings(TALL, UNIT) == [0]
+def test_a_run_along_a_level_crosses_it_iff_the_curve_passes_through():
+    # UPRIGHT's segment 1 lies on x = 0, inside the 1/0 arc of grading 0:
+    # the curve comes to it from the left and leaves to the right, so it
+    # crosses once, at vertex 1.  STACKED's runs at gradings -1, 0 and 1
+    # are entered and left from the left, from the left and to the right,
+    # and from the right and to the right: only the middle one crosses.
+    vertical = SlopeSpec(1, 0)
+    assert runs_on_arc_lines(UPRIGHT, vertical) == [(0, 1)]
+    assert ArcSweep(UPRIGHT, vertical).raw(0) == [ipoint(0, Fraction(1), pt(0, Fraction(-1, 4)), 0, vertical)]
+    assert runs_on_arc_lines(STACKED, vertical) == [(0, 1), (0, 4), (0, 7)]
+    sweep = ArcSweep(STACKED, vertical)
+    assert [[position(ip) for ip in sweep.raw(h)] for h in (-1, 0, 1)] == [[], [4], []]
+    # The crossings of a run are a vertex's, and the segment's other
+    # crossings stay: TALL's vertex 2 ends a run of the 1/1 level -1, and
+    # its segment 2 crosses the grading-2 arcs.
+    crossings = TALL.components[0].level_crossings(1, -1, -Fraction(1, 2))
+    assert (0, 1) in runs_on_arc_lines(TALL, UNIT)
     want = walk(TALL, UNIT, 2)
     assert [math.floor(position(ip)) for ip in want] == [2, 3]
-    crossings, degenerate = TALL.components[0].level_crossings(1, -1, -Fraction(1, 2))
-    assert (-1, 2, False) in degenerate and {ip.crossing for ip in want} <= set(crossings)
+    assert {ip.crossing for ip in want} <= set(crossings)
+
+
+@pytest.mark.parametrize("d", DRAWINGS, ids=lambda d: d.source)
+def test_a_run_is_crossed_at_h_as_its_half_turn_is_at_minus_h(d):
+    # The half turn maps each drawing onto itself, the grading-h arcs onto
+    # the grading -h arcs and each run onto a run that the curve passes
+    # through, or only touches, as it does the first: h and -h file equal
+    # numbers of raw points, and `dims` reads each h < 0 from -h.
+    for slope in DEGENERATE_SLOPES:
+        sweep = ArcSweep(d, slope)
+        for h in heights(d, slope):
+            assert len(sweep.raw(h)) == len(sweep.raw(-h)), (d.source, str(slope), h)
+        assert sweep.dims() == per_grading_dims(sweep), (d.source, str(slope))
+
+
+def sheared(d) -> CurveDiagram:
+    """d under (x, y) -> (x + y/997, y + 2y/991).  The map is linear, so it
+    keeps the period (1, 0) and commutes with the half turn; on these
+    drawings it moves no point by more than 1/100, less than any
+    segment's distance to a peg, so the copy is isotopic to d in the
+    punctured plane, and its segments lie along no line or arc here."""
+    def move(v):
+        return Point(v.x + v.y / 997, v.y + 2 * v.y / 991)
+    return CurveDiagram(tuple(Component(tuple(move(v) for v in c.vertices), c.winding)
+                              for c in d.components), f"{d.source}, sheared")
+
+
+SHEAR_SLOPES = [SlopeSpec(1, 1), SlopeSpec(-1, 1), SlopeSpec(3, 2), SlopeSpec(2, 1), SlopeSpec(-3, 2),
+                SlopeSpec(5, 3), SlopeSpec(1, 0)]
+
+
+def counts(d, slope) -> tuple:
+    """What `hfk`, `diff` and `scan-simple` read at the slope: the graded
+    dimensions, the differential ranks (p >= 1 and q >= 1 only), the dual
+    total and the filling dimension (not at 1/0)."""
+    sweep = ArcSweep(d, slope)
+    ranks = differential_ranks(sweep) if slope.p >= 1 and slope.q >= 1 else None
+    return sweep.dims(), ranks, sweep.total(), surgery_dim(d, slope) if slope.q else None
+
+
+@pytest.mark.parametrize("d", DRAWINGS, ids=lambda d: d.source)
+def test_a_drawing_counts_as_its_sheared_copy(d):
+    copy = sheared(d)
+    assert validate(copy).ok
+    assert any(runs_on_arc_lines(d, slope) for slope in SHEAR_SLOPES)
+    for slope in SHEAR_SLOPES:
+        assert not runs_on_arc_lines(copy, slope), str(slope)
+        assert counts(d, slope) == counts(copy, slope), (d.source, str(slope))
+
+
+def test_the_triangle_counts_as_the_unknot():
+    # The triangle and its half turn bound no peg, so every slope of the
+    # 3x2 scan reads the unknot's numbers.
+    unknot = build_zoo("unknot")
+    scan = dually_simple_scan(TRIANGLE, 3, 2)
+    assert scan == dually_simple_scan(unknot, 3, 2)
+    assert any(runs_on_arc_lines(TRIANGLE, entry.slope) for entry in scan)
+    for entry in scan:
+        assert counts(TRIANGLE, entry.slope) == counts(unknot, entry.slope), str(entry.slope)
+
+
+# A zoo knot with a small triangle in 0 < x < 1/2 and its half turn, one
+# side of the triangle along an arc line of the slope.  The triangle bounds
+# no peg, so the diagram counts as the knot.  Pushed off to one fixed side
+# of each level, a run that the curve only touches would file two raw
+# points around it, and a strand of the knot crossing the run between them
+# blocks their bigon (ROADMAP item 1, defect (a)): these are cases where
+# that gave dimensions other than the knot's.  Only the arc readers are
+# compared: the filling family runs along no segment, and defect (a) still
+# leaves the filling dimension of the second and fourth case above the
+# knot's, as on any drawing.
+TRIANGLE_RUNS = [
+    ("unknot", SlopeSpec(4, 3), [(Fraction(3, 10), Fraction(-1, 10)), (Fraction(33, 80), Fraction(1, 20)), (Fraction(13, 40), Fraction(1, 20))]),
+    ("unknot", SlopeSpec(5, 1), [(Fraction(11, 40), Fraction(-1, 8)), (Fraction(5, 16), Fraction(1, 16)), (Fraction(3, 10), Fraction(1, 40))]),
+    ("trefoil", SlopeSpec(-4, 3), [(Fraction(1, 5), Fraction(-13, 30)), (Fraction(5, 16), Fraction(-7, 12)), (Fraction(7, 40), Fraction(-37, 120))]),
+    ("trefoil", SlopeSpec(-1, 3), [(Fraction(2, 5), Fraction(-3, 10)), (Fraction(37, 80), Fraction(-43, 160)), (Fraction(13, 40), Fraction(-11, 40))]),
+    ("torus_2_5", SlopeSpec(-3, 2), [(Fraction(7, 20), Fraction(-21, 40)), (Fraction(2, 5), Fraction(-3, 5)), (Fraction(3, 8), Fraction(-11, 20))]),
+]
+
+
+@pytest.mark.parametrize("name,slope,triangle", TRIANGLE_RUNS,
+                         ids=[f"{name} {slope}" for name, slope, _ in TRIANGLE_RUNS])
+def test_a_touched_run_adds_no_points_for_cancellation_to_miss(name, slope, triangle):
+    knot = build_zoo(name)
+    tri = Component(tuple(pt(x, y) for x, y in triangle), 0)
+    d = CurveDiagram(knot.components + (tri, Component(tuple(pt(-x, -y) for x, y in triangle), 0)), name)
+    assert validate(d).ok and runs_on_arc_lines(d, slope)
+    assert counts(d, slope)[:3] == counts(knot, slope)[:3]
 
 
 def test_points_are_cancelled_once_per_grading(monkeypatch):
@@ -582,27 +615,6 @@ def test_total_is_the_sum_of_dims_on_thin_diagrams(tau, fig8):
 @given(staircase_diagrams(), st.booleans(), arc_slopes)
 def test_total_is_the_sum_of_dims_on_staircases(d, mirrored, slope):
     assert_total_is_the_sum_of_dims(d.mirror() if mirrored else d, slope)
-
-
-def assert_refused_alike(d, message):
-    """`dims`, `total` and `genus_of` raise the same `DegenerateIncidence`
-    for d at 1/0, as building its sweep does."""
-    vertical = SlopeSpec(1, 0)
-    raised = []
-    for read in (lambda: ArcSweep(d, vertical), lambda: ArcSweep(d, vertical).dims(),
-                 lambda: ArcSweep(d, vertical).total(), lambda: genus_of(d)):
-        with pytest.raises(DegenerateIncidence) as exc:
-            read()
-        raised.append((type(exc.value), str(exc.value)))
-    assert raised == [(DegenerateIncidence, message)] * 4
-
-
-def test_total_raises_as_dims_does_at_the_first_held_grading():
-    # Gradings -1 and 1 of 1/0 are held; the slope is refused with -1's
-    # message.
-    assert validate(TWO_STACKS).ok
-    assert held_gradings(TWO_STACKS, SlopeSpec(1, 0)) == [-1, 1]
-    assert_refused_alike(TWO_STACKS, "curve segment (0, -5/4)->(0, -3/4) is collinear with object lift 0")
 
 
 # ---------------------------------------------------------------------------
@@ -709,14 +721,14 @@ LOW_PEG = CurveDiagram((Component(
     (pt(Fraction(-1, 2), 0), pt(0, 3), pt(Fraction(1, 16), Fraction(13, 4)),
      pt(Fraction(-1, 4), Fraction(-11, 4)), pt(Fraction(1, 4), Fraction(-9, 4)),
      pt(Fraction(-1, 16), -3), pt(Fraction(1, 2), 0)), 1),), "through a low peg")
-# TWO_STACKS, whose 1/0 gradings -1 and 1 are held, with MUTANT's lopsided
-# component: validation refuses it before the sweep reaches a held grading.
-HELD_MUTANT = CurveDiagram(TWO_STACKS.components + MUTANT.components[1:], "two stacks, mutant")
+# TWO_STACKS, whose segments lie along 1/0 arc lines, with MUTANT's
+# lopsided component: validation refuses it before any arc is read.
+RUNS_MUTANT = CurveDiagram(TWO_STACKS.components + MUTANT.components[1:], "two stacks, mutant")
 REFUSAL_SLOPES = [SlopeSpec(1, 0), SlopeSpec(1, 1), SlopeSpec(2, 1), SlopeSpec(-3, 2)]
 
 
-@pytest.mark.parametrize("d,codes", [(MUTANT, ["symmetry"]), (LOW_PEG, ["peg"]), (HELD_MUTANT, ["symmetry"])],
-                         ids=["mutant", "low peg", "held mutant"])
+@pytest.mark.parametrize("d,codes", [(MUTANT, ["symmetry"]), (LOW_PEG, ["peg"]), (RUNS_MUTANT, ["symmetry"])],
+                         ids=["mutant", "low peg", "runs mutant"])
 def test_arc_readers_refuse_a_diagram_that_fails_validation(d, codes):
     report = d._validation
     assert [v.code for v in report.violations] == codes
@@ -860,14 +872,14 @@ LINE_SLOPES = [
     SlopeSpec(p, q) for q in range(1, 6) for p in range(-12, 13) if math.gcd(abs(p), q) == 1
 ] + [SlopeSpec(1, 0), SlopeSpec(63, 31)]
 # Offsets the chosen one avoids: they put vertices on lines, and on some
-# slopes a whole segment, which raises.
+# slopes a whole segment, which is read pushed off the line.
 DIRTY_OFFSETS = (Fraction(0), Fraction(1, 2))
 
 
 def assert_lines_match_walk(d, slope, offsets=()):
     for fam in [line_family(d, slope)] + [_LineFamily(slope, delta) for delta in offsets]:
-        want = outcome(reference_raw_intersections, d, fam)
-        assert outcome(raw_intersections, d, fam) == want, (d.source, str(slope), fam.delta)
+        want = reference_raw_intersections(d, fam)
+        assert raw_intersections(d, fam) == want, (d.source, str(slope), fam.delta)
 
 
 @pytest.mark.parametrize("name", zoo_names())
@@ -893,11 +905,15 @@ def test_line_family_matches_walk_on_generated_diagrams(d, slope):
 
 
 @pytest.mark.parametrize("d", [COLLINEAR, TALL], ids=lambda d: d.source)
-def test_degenerate_line_families_raise_as_the_walk_does(d):
-    # At offset 0 the 1/1 line of lift 1 runs along the first two segments
-    # and that of lift 0 along two later ones; the smaller lift is reported,
-    # at the first of its own segments.
-    want = "curve segment (1/8, -3/8)->(3/8, -1/8) is collinear with object lift 0"
-    assert outcome(reference_raw_intersections, d, _LineFamily(UNIT, Fraction(0))) == want
+def test_line_families_along_segments_match_the_walk(d):
+    # At offset 0 the 1/1 lines of lifts 1 and 0 run along segments 0, 1
+    # and 3, 4, and on across the period end.  A run is crossed once, at
+    # its first vertex, iff the curve comes to it and leaves it on
+    # opposite sides: COLLINEAR steps down from run to run, and one period
+    # holds one run start, vertex 3 on lift 0; TALL's run from vertex 5 on
+    # lift 0 is entered from its low excursion and left to its high one.
+    fam = _LineFamily(UNIT, Fraction(0))
+    at_vertices = [(position(ip), ip.lift) for ip in raw_intersections(d, fam) if not ip.crossing.r]
+    assert at_vertices == {"collinear": [(3, 0)], "tall": [(5, 0)]}[d.source]
     for slope in ZOO_SLOPES:
         assert_lines_match_walk(d, slope, DIRTY_OFFSETS)

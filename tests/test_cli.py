@@ -10,72 +10,21 @@ import pegboard.cli
 import pegboard.textfmt
 from pegboard.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from pegboard.textfmt import emit_curve_text, parse_curve_text
-from test_arc_sweep import COLLINEAR, STACKED, TWO_STACKS, UPRIGHT
+from test_arc_sweep import DRAWINGS, TRIANGLE, sheared
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "pegboard" / "schemas" / "report.schema.json")
     .read_text()
 )
 
-# Valid curves with a segment along an arc.  The triangle is the unknot's
-# line with the triangle (1/10, 3/5), (3/10, 4/5), (3/10, 3/5) and its half
-# turn, whose sides of slope 1 lie along 1/1 arcs.
-DEGENERATE_CURVES = {
-    "collinear": COLLINEAR,
-    "upright": UPRIGHT,
-    "stacked": STACKED,
-    "two_stacks": TWO_STACKS,
-    "triangle": parse_curve_text(
-        "component winding=1\nv -1/2 0\nv 1/2 0\n"
-        "component winding=0\nv 1/10 3/5\nv 3/10 4/5\nv 3/10 3/5\n"
-        "component winding=0\nv -1/10 -3/5\nv -3/10 -4/5\nv -3/10 -3/5\n",
-        source="triangle",
-    ),
-}
-_HELD = "curve segment {} is collinear with object lift {}"
-_MISSES = "distinguished component misses the peg column"
-# (command, slope or options) -> (exit code, stderr message or "").
-DEGENERATE_RUNS = {
-    # a valid null-wiggle whose two slope-1 segments lie on 1/1 arcs at
-    # height 0; arcs are never offset, so the collinearity stays, and the
-    # grading-0 arc of lift -1 holds the first two segments
-    "collinear": {
-        ("hfk", "1/1"): (EXIT_INVALID, _HELD.format("(-1/2, 0)->(-3/8, 1/8)", -1)),
-        ("hfk", "1/0"): (EXIT_OK, ""),
-        ("diff", "1/1"): (EXIT_INVALID, _HELD.format("(-1/2, 0)->(-3/8, 1/8)", -1)),
-        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(-1/2, 0)->(-3/8, 1/8)", -1)),
-        ("invariants",): (EXIT_OK, ""),
-    },
-    "upright": {
-        ("hfk", "1/1"): (EXIT_OK, ""),
-        ("hfk", "1/0"): (EXIT_INVALID, _HELD.format("(0, -1/4)->(0, 1/4)", 0)),
-        ("diff", "1/1"): (EXIT_INVALID, _MISSES),
-        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(0, -1/4)->(0, 1/4)", 0)),
-        ("invariants",): (EXIT_INVALID, _MISSES),
-    },
-    "stacked": {
-        ("hfk", "1/1"): (EXIT_OK, ""),
-        ("hfk", "1/0"): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
-        ("diff", "1/1"): (EXIT_INVALID, _MISSES),
-        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
-        ("invariants",): (EXIT_INVALID, _MISSES),
-    },
-    # gradings -1 and 1 of 1/0 are held: the smaller one names the segment
-    "two_stacks": {
-        ("hfk", "1/1"): (EXIT_OK, ""),
-        ("hfk", "1/0"): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
-        ("diff", "1/1"): (EXIT_OK, ""),
-        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
-        ("invariants",): (EXIT_INVALID, _HELD.format("(0, -5/4)->(0, -3/4)", 0)),
-    },
-    "triangle": {
-        ("hfk", "1/1"): (EXIT_INVALID, _HELD.format("(-1/10, -3/5)->(-3/10, -4/5)", -1)),
-        ("hfk", "1/0"): (EXIT_OK, ""),
-        ("diff", "1/1"): (EXIT_INVALID, _HELD.format("(-1/10, -3/5)->(-3/10, -4/5)", -1)),
-        ("scan-simple", "--pmax", "2", "--qmax", "1"): (EXIT_INVALID, _HELD.format("(-1/10, -3/5)->(-3/10, -4/5)", -1)),
-        ("invariants",): (EXIT_OK, ""),
-    },
-}
+# (command, slope or options) run on each drawing with segments along arc
+# lines and on its sheared copy, which holds none.
+DRAWN_RUNS = [("hfk", "1/1"), ("hfk", "1/0"), ("diff", "1/1"), ("scan-simple", "--pmax", "2", "--qmax", "1"),
+              ("invariants",)]
+# tau is read from the first transversal crossing of the peg column, and
+# these drawings pass the column only along runs of vertices on it, which
+# their sheared copies cross: `diff` and `invariants` refuse them.
+NO_TAU = {"upright", "stacked"}
 
 
 def run(capsys, *argv):
@@ -276,27 +225,28 @@ class TestFilesAndRender:
         assert code == EXIT_INVALID and out == ""
         assert err == "error: invalid diagram: [seam] seam crossing at height 1/4, expected 0\n"
 
-    @pytest.mark.parametrize("name,argv,code,err", [
-        pytest.param(name, argv, code, err, id=" ".join((argv[0], name) + argv[1:]))
-        for name, cases in DEGENERATE_RUNS.items()
-        for argv, (code, err) in cases.items()
-    ])
-    def test_a_degenerate_slope_is_refused_with_its_first_held_segment(
-            self, capsys, tmp_path, name, argv, code, err):
-        # Every command that reads arcs reads every grading of its slope, so
-        # a slope with a segment along one of its arcs is refused whole,
-        # naming the segment of the smallest held grading; where the
-        # distinguished component misses the peg column, `diff` and
-        # `invariants` refuse the diagram before any arc is read.
-        path = tmp_path / f"{name}.curve"
-        path.write_text(emit_curve_text(DEGENERATE_CURVES[name]))
-        got_code, out, got_err = run(capsys, argv[0], str(path), *argv[1:])
-        assert (got_code, got_err) == (code, err and f"error: {err}\n")
-        assert (out == "") == (code == EXIT_INVALID)
+    @pytest.mark.parametrize("argv", DRAWN_RUNS, ids=" ".join)
+    @pytest.mark.parametrize("d", DRAWINGS, ids=lambda d: d.source)
+    def test_a_drawing_along_arc_lines_reads_as_its_sheared_copy(self, capsys, tmp_path, monkeypatch, d, argv):
+        # Every command that reads arcs pairs the drawing at every slope,
+        # with the exit code and output of its sheared copy, unless it reads
+        # a tau the drawing does not give; each is read from a file of one
+        # name, in a directory of its own.
+        outputs = []
+        for name, diagram in (("drawn", d), ("sheared", sheared(d))):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "knot.curve").write_text(emit_curve_text(diagram))
+            monkeypatch.chdir(tmp_path / name)
+            outputs.append(run(capsys, argv[0], "knot.curve", *argv[1:]))
+        drawn, copy = outputs
+        if argv[0] in ("diff", "invariants") and d.source in NO_TAU:
+            assert drawn == (EXIT_INVALID, "", "error: distinguished component misses the peg column\n")
+        else:
+            assert drawn == copy and drawn[2] == ""
 
     def test_a_degenerate_arc_slope_still_pairs_its_filling(self, capsys, tmp_path):
         path = tmp_path / "triangle.curve"
-        path.write_text(emit_curve_text(DEGENERATE_CURVES["triangle"]))
+        path.write_text(emit_curve_text(TRIANGLE))
         code, out, err = run(capsys, "pair", str(path), "1/1")
         assert (code, err) == (EXIT_OK, "")
         assert out.startswith(f"{path} @ 1/1: dim = 1 ")
@@ -313,8 +263,8 @@ class TestFilesAndRender:
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
     # valid diagrams whose tau cannot be read: the distinguished component
-    # misses the peg column (NoVerticalCrossing), or crosses it on a peg
-    # row (AmbiguousHeight)
+    # passes the peg column only along a run of vertices on it
+    # (NoVerticalCrossing), or crosses it on a peg row (AmbiguousHeight)
     GEOMETRY_ERRORS = {
         "no-column-crossing": ("component winding=1\nv -1/2 0\nv 0 -1/8\nv 0 1/8\nv 1/2 0\n",
                                "error: distinguished component misses the peg column\n"),

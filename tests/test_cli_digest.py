@@ -3,7 +3,8 @@
 The full sweep (every zoo and thin diagram) stays out of the suite; here it
 runs twice on one thin diagram, read from a curve file, and must give the
 same digest both times: nothing one command leaves behind changes the
-next command's bytes.  The zoo's part of the sweep is pinned to its
+next command's bytes.  The whole grid holds 8,678 cases: the zoo, the thin
+diagrams and the six curve files in `tools/curves`.  The zoo's part of the sweep is pinned to its
 digest, so a change to any zoo case's bytes fails the suite; a deliberate
 output change updates `ZOO_SHA256` and says so in CHANGES.md.  A zoo diagram's cases end with its six `render`
 calls.  A per-case file written with `--cases` matches its own run under
@@ -73,6 +74,19 @@ def test_against_lists_the_cases_that_differ(capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.splitlines() == [f"differs {changed}", f"differs {dropped}", clean.strip()]
     assert json.loads(changed)[1] == label
+
+
+def test_the_grid_runs_every_diagram():
+    # The zoo's 1,658 cases, 270 on each of the 20 thin diagrams and on each
+    # of the six drawings with segments along arc lines, read from their
+    # curve files; naming the zoo and thin diagrams leaves the drawings out.
+    tool = load_tool()
+    argvs = tool.grid()
+    assert len(argvs) == 1658 + 20 * 270 + 6 * 270 == 8678
+    assert [argv[1] for argv in argvs[-6 * 270::270]] == tool.DRAWN
+    assert all((tool.CURVES / f"{label}.curve").is_file() for label in tool.DRAWN)
+    thin = [tool.thin_label(tau, f) for tau, f in tool.THIN]
+    assert len(tool.grid(zoo_names() + thin)) == 7058
 
 
 def test_the_zoo_output_is_pinned():

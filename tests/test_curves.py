@@ -27,6 +27,7 @@ from pegboard.curves import (
     tau_epsilon,
     thin,
     validate,
+    vertical_crossings,
     zoo_names,
 )
 from pegboard.geometry import ZERO, pt
@@ -226,13 +227,15 @@ class TestTauEpsilon:
         assert tau_epsilon(zoo["figure_eight"]) == (0, 0)
 
 
-# tau and epsilon read from the anchored period (reference): a verbatim copy
-# of `tau_epsilon` before it read the stored period from its seam crossing.
+# tau and epsilon read from the anchored period (reference): a copy of
+# `tau_epsilon` before it read the stored period from its seam crossing,
+# verbatim but for the column crossings, now `vertical_crossings`: the
+# level scan's transversal crossings.
 
 
 def reference_tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
     g0 = anchor_at_seam(d.gamma0())
-    crossings, _ = g0.level_crossings(1, 0, ZERO)
+    crossings = vertical_crossings(g0, ZERO)
     if not crossings:
         raise NoVerticalCrossing("distinguished component misses the peg column")
     pos0, point0 = position(crossings[0]), crossings[0].point

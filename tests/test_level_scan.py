@@ -1,15 +1,24 @@
-"""The integer level scan against the Fraction scan it replaced, and
-against what its records claim.
+"""The integer level scan against the Fraction scan it replaced, against
+the scan of the pushed curve, and against what its records claim.
 
 `reference_level_crossings` is the body of `Component.level_crossings`
-from before the scan moved to integers, copied verbatim (with `self` named
-`c`): it evaluates a callable Fraction form at every vertex and scans the
-levels form = m + off.  `Component.level_crossings(a, b, c)` scans the
-levels of a*x + b*y + c, which are those of the form a*x + b*y at
-off = -c, and must return the same (crossings, degenerate): its records,
+from before the scan moved to integers (with `self` named `c`), moved to
+the run rule that reads each run of vertices on a level pushed off it to
+the side where the curve leaves it: it evaluates a callable Fraction form
+at every vertex and scans the levels form = m + off, and a vertex on a
+level counts iff it starts a run (its predecessor lies off the level) that
+the curve comes to and leaves on opposite sides.  `Component.level_crossings(a, b,
+c)` scans the levels of a*x + b*y + c, which are those of the form
+a*x + b*y at off = -c, and must return the same crossings: its records,
 read as (pos, point, m), give the same positions, points and levels in the
-same order, and its events, each as (m, i, collinear) in scan order, are
-the reference's, which it files by level.
+same order.
+
+`pushed_scan` shares no code with either: it moves every vertex on a level
+a small epsilon to the side where the curve next leaves that level, so
+that no vertex lies on one, and reads each crossing at its limit position
+as epsilon goes to 0.  The scan must give its levels at its positions, in
+curve order: it loses no crossing inside a segment, and no two of its
+records share a position.
 
 The record oracle shares no code with the scan: it reads each record's
 integers back as Fractions and checks that the point lies on its level and
@@ -29,7 +38,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegboard.curves import Component, Crossing, CurveDiagram, build_zoo, lspace_staircase, thin, zoo_names
+from pegboard.curves import (
+    Component,
+    Crossing,
+    CurveDiagram,
+    build_zoo,
+    lspace_staircase,
+    thin,
+    vertical_crossings,
+    zoo_names,
+)
 from pegboard.geometry import HALF, ZERO, Point
 from pegboard.pairing import ArcSweep, SlopeSpec, dual_hfk_dims, line_family, raw_intersections, surgery_dim
 from conftest import position
@@ -40,34 +58,33 @@ from conftest import position
 
 def reference_level_crossings(
     c: Component, form: Callable[[Point], Fraction], off: Fraction
-) -> tuple[list[tuple[Fraction, Point, int]], dict[int, list[tuple[int, bool]]]]:
-    """Transversal crossings of one period with the levels form = m + off.
+) -> list[tuple[Fraction, Point, int]]:
+    """Crossings of one period with the levels form = m + off.
 
     `form` is an affine function of the point and m runs over the
-    integers.  Returns (crossings, degenerate).  crossings lists
-    (pos, point, m) in curve order, pos being the segment index plus the
-    fraction along the segment.  A vertex on a level counts iff its
-    cyclic neighbours lie strictly on opposite sides; the period's end
-    vertex repeats its start and is left to it.  degenerate maps each
-    level that holds a segment, or two consecutive vertices, to its
-    events in segment order, (i, collinear): vertex i lies on the level
-    and so does vertex i + 1 (collinear) or vertex i - 1 (not
-    collinear).  Such vertices give no crossing; the scan never raises.
+    integers.  Returns (pos, point, m) in curve order, pos being the
+    segment index plus the fraction along the segment.  A vertex on a
+    level starts a run unless its predecessor lies on the same level, and
+    the run crosses the level, at that vertex, iff the curve comes to it
+    and leaves it on opposite sides; the period's end vertex repeats its
+    start and is left to it.
     """
     n = c.cycle_length()
     if n == 0:
-        return [], {}
-    verts = [c.lifted(j) for j in range(-1, n + 1)]  # verts[j + 1] is vertex j
-    f = [form(v) for v in verts]
+        return []
+
+    def value(j: int) -> Fraction:
+        return form(c.lifted(j))
+
     crossings: list[tuple[Fraction, Point, int]] = []
-    degenerate: dict[int, list[tuple[int, bool]]] = {}
     for i in range(n):
-        a, b = verts[i + 1], verts[i + 2]
-        f_prev, fa, fb = f[i], f[i + 1], f[i + 2]
-        if (fa - off).denominator == 1:
-            if fa == fb or fa == f_prev:
-                degenerate.setdefault(int(fa - off), []).append((i, fa == fb))
-            elif (f_prev < fa) != (fb < fa):
+        a, b = c.lifted(i), c.lifted(i + 1)
+        f_prev, fa, fb = value(i - 1), value(i), value(i + 1)
+        if (fa - off).denominator == 1 and f_prev != fa:
+            j = i + 1
+            while value(j) == fa:
+                j += 1
+            if (f_prev < fa) != (value(j) < fa):
                 crossings.append((Fraction(i), a, int(fa - off)))
         if fa == fb:
             continue
@@ -79,7 +96,45 @@ def reference_level_crossings(
         for m in levels:
             t = (m + off - fa) / df
             crossings.append((i + t, Point(a.x + t * dx, a.y + t * dy), m))
-    return crossings, degenerate
+    return crossings
+
+
+def pushed_scan(c: Component, a: int, b: int, off_c: Fraction) -> list[tuple[Fraction, int]]:
+    """The crossings of one period with the levels F = a*x + b*y + off_c = m,
+    each vertex on a level moved a small epsilon to the side where the
+    curve next leaves that level, as (pos, m) at the limit position as
+    epsilon goes to 0, in curve order.
+
+    Moved, no vertex lies on a level: a vertex's value is the pair (F, s),
+    s the sign of its move (0 off the levels, and on a component that
+    never leaves its level), and pairs compare in order.  Segment i crosses
+    level m iff exactly one of its ends has (F, s) < (m, 0), at the ratio
+    (m - F_a)/(F_b - F_a) along it in the limit, 1 where its end lies on
+    m.  The crossing at the end of the period is its start's, one period
+    on.
+    """
+    n = c.cycle_length()
+
+    def value(j: int) -> Fraction:
+        v = c.lifted(j)
+        return a * v.x + b * v.y + off_c
+
+    def moved(j: int) -> tuple[Fraction, int]:
+        f = value(j)
+        if f.denominator != 1:
+            return f, 0
+        out = next((value(k) for k in range(j + 1, j + n + 1) if value(k) != f), f)
+        return f, (out > f) - (out < f)
+
+    shift = value(n) - value(0)  # F moves by a over a period of the wrapping component
+    kept = []
+    for i in range(n):
+        (fa, sa), (fb, sb) = moved(i), moved(i + 1)
+        for m in range(math.floor(min(fa, fb)), math.ceil(max(fa, fb)) + 1):
+            if ((fa, sa) < (m, 0)) != ((fb, sb) < (m, 0)):
+                pos = i + (m - fa) / (fb - fa)
+                kept.append((Fraction(0), m - shift) if pos == n else (pos, m))
+    return sorted(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +159,14 @@ def record(pos: Fraction, point: Point, m: int) -> Crossing:
 def assert_scans_agree(c: Component, a: int, b: int, off_c: Fraction):
     got = c.level_crossings(a, b, off_c)
     want = reference_scan(c, a, b, off_c)
-    assert [(position(e), e.point, e.m) for e in got[0]] == want[0]
-    assert got[1] == sorted(((m, i, collinear) for m, events in want[1].items() for i, collinear in events),
-                            key=lambda event: event[1])
+    assert [(position(e), e.point, e.m) for e in got] == want
     # The records are those of the Fraction crossings, whose values read
     # back with the same types: exact Fractions and int levels.
-    assert got[0] == [record(*crossing) for crossing in want[0]]
-    for e, (rpos, rpoint, rm) in zip(got[0], want[0]):
+    assert got == [record(*crossing) for crossing in want]
+    for e, (rpos, rpoint, rm) in zip(got, want):
         assert type(position(e)) is type(rpos) is Fraction
         assert type(e.point.x) is type(e.point.y) is Fraction
         assert type(e.m) is type(rm) is int
-    assert all(type(m) is int for m, _, _ in got[1])
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +208,17 @@ def scanned_components(draw):
 @given(scanned_components())
 def test_integer_scan_matches_fraction_scan(case):
     assert_scans_agree(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scanned_components())
+def test_scan_reads_the_pushed_curve(case):
+    """The scan gives the pushed curve's levels at its limit positions, in
+    curve order, and no two records share a position."""
+    comp, a, b, c = case
+    got = [(position(e), e.m) for e in comp.level_crossings(a, b, c)]
+    assert got == pushed_scan(comp, a, b, c)
+    assert all(x < y for (x, _), (y, _) in zip(got, got[1:]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,26 +273,64 @@ def test_one_vertex_table_serves_every_rescale(d):
 
 def test_snapped_components_reach_every_branch():
     """The strategy's own examples put vertices and segments on levels and
-    cross levels both rising and falling, so the test above compares
-    every branch of the scan."""
+    cross levels both rising and falling, so the tests above compare every
+    branch of the scan: a crossing at a lone vertex, at the first vertex
+    of a run along a level that the curve passes through, and inside a
+    segment; a run of two or more vertices that the curve only touches,
+    from below and from above, and a lone vertex that it only touches."""
     seen = set()
 
     @settings(max_examples=300, deadline=None)
     @given(scanned_components())
     def probe(case):
         comp, a, b, c = case
-        crossings, degenerate = reference_scan(comp, a, b, c)
-        seen.update("vertex" if pos.denominator == 1 else "segment" for pos, _, _ in crossings)
-        seen.update("collinear" if collinear else "vertex-pair"
-                    for events in degenerate.values() for _, collinear in events)
+
+        def value(j):
+            v = comp.lifted(j)
+            return a * v.x + b * v.y + c
+
+        crossings = reference_scan(comp, a, b, c)
         for pos, _, _ in crossings:
-            if pos.denominator != 1:
-                i = math.floor(pos)
-                fa, fb = (a * v.x + b * v.y for v in (comp.lifted(i), comp.lifted(i + 1)))
-                seen.add("rising" if fa < fb else "falling")
+            i = math.floor(pos)
+            if pos.denominator == 1:
+                seen.add("run" if value(i) == value(i + 1) else "vertex")
+            else:
+                seen.add("segment")
+                seen.add("rising" if value(i) < value(i + 1) else "falling")
+        at_vertices = {pos for pos, _, _ in crossings if pos.denominator == 1}
+        for i in range(comp.cycle_length()):
+            if value(i).denominator == 1 and value(i - 1) != value(i) and i not in at_vertices:
+                j = i + 1
+                while value(j) == value(i) and j < i + comp.cycle_length():
+                    j += 1
+                if value(j) != value(i):
+                    side = "below" if value(j) < value(i) else "above"
+                    seen.add(f"touched run {side}" if j > i + 1 else "touch")
 
     probe()
-    assert seen >= {"vertex", "segment", "collinear", "vertex-pair", "rising", "falling"}
+    assert seen >= {"vertex", "run", "segment", "rising", "falling", "touched run below", "touched run above",
+                    "touch"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1), st.lists(st.tuples(st.integers(-2, 2), st.integers(-4, 4)), min_size=2, max_size=7),
+       st.sampled_from((ZERO, -HALF)))
+def test_vertical_crossings_read_the_strict_rule(winding, points, shift):
+    """`vertical_crossings`, which validation's seam count and tau read, is
+    the strict rule on the vertical lines x + shift in Z: a crossing inside
+    a segment, or at a vertex whose neighbours lie strictly on either side
+    of its line.  Abscissae on the half grid put runs of vertices on the
+    lines, entered and left from either side."""
+    verts = [Point(Fraction(x, 2), Fraction(y, 4)) for x, y in points]
+    if winding:
+        verts.append(Point(verts[0].x + 1, verts[0].y))
+    comp = Component(tuple(verts), winding)
+    want = []
+    for pos, point, m in reference_level_crossings(comp, lambda v: v.x, -shift):
+        i = int(pos)
+        if pos.denominator != 1 or (comp.lifted(i - 1).x - point.x) * (comp.lifted(i + 1).x - point.x) < 0:
+            want.append(record(pos, point, m))
+    assert vertical_crossings(comp, shift) == want
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +385,7 @@ def assert_records_hold(c: Component, a: int, b: int, off_c: Fraction):
     """Each record of the scan, read back as Fractions, lies on its level
     and on its segment at its ratio, in lowest terms, and the positions
     strictly increase."""
-    crossings, _ = c.level_crossings(a, b, off_c)
+    crossings = c.level_crossings(a, b, off_c)
     n = len(c.vertices) if c.winding == 0 else len(c.vertices) - 1
     last = None
     for e in crossings:

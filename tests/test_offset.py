@@ -6,6 +6,11 @@ It reads each lift through `_LineObject`, the anchor-and-direction model of a
 line family that `_LineFamily`'s affine form replaced, copied verbatim:
 `_LineFamily.lift_indices` must pick the lifts it picked, and each of its
 lines must be the level of the form with its own number.
+
+`line_family` halves the canonical offset until the family is clean, with
+no bound on the loop: its docstring proves at most floor(log2(|p|/N)) + 1
+halvings (none when |p| < N, N the vertex count), which the last tests
+check at the rows next to the slope cap.
 """
 
 import math
@@ -184,6 +189,47 @@ def test_halving_path(name, slope, delta):
     d = build_zoo(name)
     assert _canonical_delta(d) == Fraction(1, 8)
     assert line_family(d, slope).delta == delta
+
+
+# Every reduced slope with |p| <= 64 at q = 1, 2, 31 and 32, the rows next
+# to the cap of the slope grid, and the two flat slopes.
+CAP_ROWS = [SlopeSpec(p, q) for q in (1, 2, 31, 32) for p in range(-64, 65)
+            if p and math.gcd(abs(p), q) == 1] + [SlopeSpec(0, 1), SlopeSpec(1, 0)]
+
+
+def halving_bound(p: int, n: int) -> int:
+    """`line_family`'s bound on its halvings at a slope with numerator p
+    (1 for 1/0) on a diagram of n vertices: floor(log2(|p|/n)) + 1 for
+    |p| >= n and none below, and for 0/1 one iff n = 1."""
+    if p == 0:
+        return int(n == 1)
+    return (abs(p) // n).bit_length()
+
+
+def assert_halvings_within_the_bound(d: CurveDiagram) -> int:
+    """Each offset `line_family` picks at `CAP_ROWS` is the canonical one
+    halved k times, k within `halving_bound`; returns the most halvings
+    seen."""
+    canonical = _canonical_delta(d)
+    n = max(sum(len(c.vertices) for c in d.components), 1)
+    most = 0
+    for slope in CAP_ROWS:
+        ratio = canonical / line_family(d, slope).delta
+        k = ratio.numerator.bit_length() - 1
+        assert ratio == 2 ** k and k <= halving_bound(slope.p, n), (d.source, str(slope), k, n)
+        most = max(most, k)
+    return most
+
+
+def test_halvings_are_within_the_bound_on_zoo_and_thin_diagrams():
+    diagrams = [build_zoo(name) for name in zoo_names()] + [thin(tau, f) for tau in range(-2, 3) for f in range(4)]
+    assert max(assert_halvings_within_the_bound(d) for d in diagrams) == 5
+
+
+@settings(max_examples=20, deadline=None)
+@given(staircase_diagrams(), st.booleans())
+def test_halvings_are_within_the_bound_on_staircases(d, mirrored):
+    assert_halvings_within_the_bound(d.mirror() if mirrored else d)
 
 
 # Both special families, both unit slopes, q = 2 and 3 and the cap slope.

@@ -14,7 +14,9 @@ column pass, copied verbatim:
   fix (such a component used to be reported twice, or to raise
   `IndexError` with no vertex at all).  Its seam scan is the Fraction
   level scan, `test_level_scan.reference_level_crossings`, not the
-  integer one that production validation runs.
+  integer one that production validation runs, less each crossing at a
+  vertex whose neighbour lies on its seam line: a run of vertices along
+  a seam line adds no seam crossing.
 The peg that the column table names for a segment through one
 (`Component.segment_columns` raising `PointOnLoop`, its `peg`) must be
 `reference_segment_hits_peg`'s, and no peg where that finds none;
@@ -41,6 +43,7 @@ from pegboard.curves import (
     anchor_at_seam,
     _strip_offset,
     build_zoo,
+    seam_crossings,
     thin,
     validate,
     zoo_names,
@@ -95,8 +98,9 @@ def reference_canonical_cycle(c: Component) -> tuple:
 
 
 def reference_seam_crossings(c: Component) -> list[tuple[Fraction, Fraction]]:
-    crossings, _ = reference_level_crossings(c, lambda v: v.x, HALF)
-    return [(pos, point.y) for pos, point, _ in crossings]
+    crossings = reference_level_crossings(c, lambda v: v.x, HALF)
+    return [(pos, point.y) for pos, point, _ in crossings
+            if pos.denominator != 1 or c.lifted(int(pos) - 1).x != point.x != c.lifted(int(pos) + 1).x]
 
 
 def reference_anchor_at_seam(c: Component) -> Component:
@@ -340,7 +344,7 @@ def _inserted_at_seam(vertices: list[Point], winding: int) -> list[Point]:
     inside a segment; unchanged when there is none."""
     if winding != 1 or len(vertices) < 2:
         return vertices
-    crossings, _ = reference_level_crossings(Component(tuple(vertices), 1), lambda v: v.x, HALF)
+    crossings = reference_level_crossings(Component(tuple(vertices), 1), lambda v: v.x, HALF)
     for pos, point, _ in crossings:
         if pos.denominator != 1:
             i = math.floor(pos)
@@ -508,3 +512,30 @@ def test_emit_matches_reference_on_zoo(name):
 @given(placed_diagrams)
 def test_emit_matches_reference_on_generated_diagrams(d):
     assert emit_curve_text(d) == reference_emit_curve_text(d)
+
+
+# A wrapping curve that crosses the seam once, at (-1/2, 0), and runs along
+# the seam line x = 1/2 from (1/2, -1/4) to (1/2, -3/4), entered and left
+# from x = 1/4; its half turn runs along x = -1/2, entered and left from
+# x = -1/4.  Neither run crosses the seam.
+SEAM_RUNS = CurveDiagram((Component(tuple(Point(Fraction(x, 4), Fraction(y, 4)) for x, y in [
+    (-2, 0), (-1, 3), (-2, 3), (-2, 1), (-1, 1), (1, -1), (2, -1), (2, -3), (1, -3), (2, 0),
+]), 1),), "seam runs")
+
+
+def test_a_run_along_a_seam_line_is_no_seam_crossing():
+    """Validation counts the seam crossings of the drawing as it is: a run
+    along a seam line that the curve only touches adds none, from either
+    side, and the level scan reads none there either.  The curve validates
+    and pairs as its sheared copy, which has no run."""
+    from test_arc_sweep import SHEAR_SLOPES, counts, sheared
+
+    g = SEAM_RUNS.gamma0()
+    assert [(e.i, e.point) for e in seam_crossings(g)] == [(0, Point(-HALF, Fraction(0)))]
+    assert g.level_crossings(1, 0, -HALF) == seam_crossings(g)
+    assert reference_seam_crossings(g) == [(0, 0)]
+    assert validate(SEAM_RUNS) == reference_validate(SEAM_RUNS) and validate(SEAM_RUNS).ok
+    copy = sheared(SEAM_RUNS)
+    assert validate(copy).ok
+    for slope in SHEAR_SLOPES:
+        assert counts(SEAM_RUNS, slope) == counts(copy, slope), str(slope)

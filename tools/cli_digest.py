@@ -18,12 +18,16 @@ for each diagram, in text and in JSON:
 and, for each zoo diagram, its ``render`` SVG: plain, with ``--overlay``
 at 3/2, 0/1 and -7/3, and with ``--overlay-arc`` at 1/0@1 and 3/2@1.
 
-The diagrams are the zoo and ``thin(tau, f)`` for -2 <= tau <= 2 and
-0 <= f <= 3, each thin diagram read from a curve file named
-``thin_t<tau>_f<f>`` (``m`` for a minus sign) in a temporary
+The diagrams are the zoo, ``thin(tau, f)`` for -2 <= tau <= 2 and
+0 <= f <= 3, and the six drawings in ``tools/curves`` whose segments lie
+along arc lines (``collinear``, ``tall``, ``upright``, ``stacked``,
+``two_stacks`` and ``triangle``).  Each thin diagram is read from a curve
+file named ``thin_t<tau>_f<f>`` (``m`` for a minus sign), and each drawing
+from a copy of its file under its own name, in a temporary
 ``$PEGBOARD_ZOO_DIR``, whose path is replaced by ``$PEGBOARD_ZOO_DIR`` in
-the outputs.  ``--knot`` restricts the run to the named diagrams.  The last
-line printed is ``sha256 <hex> cases <n>``.
+the outputs.  ``--knot`` restricts the run to the named diagrams, so
+naming the zoo and thin diagrams alone runs the grid without the
+drawings.  The last line printed is ``sha256 <hex> cases <n>``.
 
 ``--cases FILE`` also writes one line per case, ``<sha256 hex> <argv as
 JSON>``, the hash taken over the same argv, exit code, stdout and stderr.
@@ -49,6 +53,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SLOPES = [f"{p}/{q}" for q in range(1, 5) for p in range(-9, 10) if p and math.gcd(abs(p), q) == 1]
 CAP = ["63/31", "-61/29"]
 THIN = [(tau, f) for tau in range(-2, 3) for f in range(4)]
+CURVES = ROOT / "tools" / "curves"
+DRAWN = ["collinear", "tall", "upright", "stacked", "two_stacks", "triangle"]
 FORMATS = ("text", "json")
 RENDERS = [[], ["--overlay", "3/2"], ["--overlay", "0/1"], ["--overlay", "-7/3"],
            ["--overlay-arc", "1/0@1"], ["--overlay-arc", "3/2@1"]]
@@ -69,30 +75,38 @@ def cases(knot: str, drawn: bool = False) -> list[list[str]]:
     return formatted + ([["render", knot, *extra] for extra in RENDERS] if drawn else [])
 
 
-def digest(knots=None) -> tuple[str, list[tuple[str, str]]]:
-    """(sha256 hex over the grid, (argv as JSON, sha256 hex) of each case),
-    on the named diagrams or on all of them."""
+def grid(knots=None) -> list[list[str]]:
+    """Every argv of the run on the named diagrams, or on all of them, in
+    order."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
-    import pegboard.cli as cli
-    from pegboard.curves import thin, zoo_names
-    from pegboard.textfmt import emit_curve_text
+    from pegboard.curves import zoo_names
 
-    thin_labels = {thin_label(tau, f): (tau, f) for tau, f in THIN}
     zoo = zoo_names()
-    names = zoo + list(thin_labels)
+    names = zoo + [thin_label(tau, f) for tau, f in THIN] + DRAWN
     unknown = set(knots or ()) - set(names)
     if unknown:
         raise SystemExit(f"unknown diagram(s): {', '.join(sorted(unknown))}")
-    names = [n for n in names if not knots or n in knots]
     argvs = [["zoo", "list", "--format", fmt] for fmt in FORMATS]
-    argvs += [argv for name in names for argv in cases(name, name in zoo)]
+    return argvs + [argv for name in names if not knots or name in knots for argv in cases(name, name in zoo)]
+
+
+def digest(knots=None) -> tuple[str, list[tuple[str, str]]]:
+    """(sha256 hex over the grid, (argv as JSON, sha256 hex) of each case),
+    on the named diagrams or on all of them."""
+    argvs = grid(knots)
+    import pegboard.cli as cli
+    from pegboard.curves import thin
+    from pegboard.textfmt import emit_curve_text
+
     h = hashlib.sha256()
     per_case = []
     saved = os.environ.get("PEGBOARD_ZOO_DIR")
     with tempfile.TemporaryDirectory() as zoo_dir:
-        for label, (tau, f) in thin_labels.items():
-            Path(zoo_dir, f"{label}.curve").write_text(emit_curve_text(thin(tau, f)), encoding="utf-8")
+        for tau, f in THIN:
+            Path(zoo_dir, f"{thin_label(tau, f)}.curve").write_text(emit_curve_text(thin(tau, f)), encoding="utf-8")
+        for label in DRAWN:
+            Path(zoo_dir, f"{label}.curve").write_bytes((CURVES / f"{label}.curve").read_bytes())
         os.environ["PEGBOARD_ZOO_DIR"] = zoo_dir
         try:
             for argv in argvs:
