@@ -3,11 +3,9 @@
 Subcommands: zoo, pair, hfk, diff, invariants, scan-simple, ledger, demo,
 render.  Knots are selected by zoo name, by a curve-file path, or by a name
 resolved inside $PEGBOARD_ZOO_DIR.  Exit codes: 0 success, 1 usage error,
-2 validation failure (also a valid diagram whose tau cannot be read: its
-distinguished component passes the peg column only along runs of vertices
-on it, or first crosses it on a peg row), 3 theorem violation detected.
-Every diagram that passes validation pairs at every slope: a segment along
-a line or arc is read pushed off it.
+2 validation failure, 3 theorem violation detected.  Every diagram that
+passes validation pairs at every slope (a segment along a line or arc is
+read pushed off it) and has its genus, tau, epsilon and extrema census.
 
 The ledger and render layers are imported by the commands that use them
 (`ledger` and `demo`, and `render`), so the pairing, graded and scan
@@ -26,10 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .curves import (
-    AmbiguousHeight,
     BadSpec,
     InvariantViolation,
-    NoVerticalCrossing,
     build_zoo,
     extrema_census,
     tau_epsilon,
@@ -573,12 +569,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (NoVerticalCrossing, AmbiguousHeight) as exc:
-        # the diagram passed validation but its tau cannot be read: its
-        # distinguished component passes the peg column only along runs,
-        # or first crosses it on a peg row
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,11 @@ the first translated by (1, 0).  All other components are closed polygons
 confined to one fundamental strip.
 
 The height of a point is the unique integer band (h - 1/2, h + 1/2) that
-contains its y coordinate; bands are separated by the peg rows.
+contains its y coordinate; bands are separated by the peg rows.  Genus,
+tau, epsilon and the extrema census belong to a curve's homotopy class in
+the plane minus the pegs, so they are read off each component's reduced
+column word (`Component._word`): the pulled-tight curve's crossings with
+the integer columns, each labelled with its band.
 
 Each component's vertices become integers once, in its `_frame` (the
 `geometry.integer_frame` of its vertices, built on first use and kept for
@@ -19,10 +23,10 @@ along it, point over a common denominator, level), which becomes
 Fractions only where its `point` is read.
 
 The seam crossings are the transversal crossings of the level scan of
-x - 1/2 (`seam_crossings`, through `vertical_crossings`).  The one record
-of a wrapping component anchors it: `_anchored_period` starts the period
-there, in integers, for validation's symmetry check, and `anchor_at_seam`
-is that period read as Fractions; `tau_epsilon` walks on from the record.
+x - 1/2 (`seam_crossings`).  The one record of a wrapping component
+anchors it: `_anchored_period` starts the period there, in integers, for
+validation's symmetry check, and `anchor_at_seam` is that period read as
+Fractions.
 """
 
 from __future__ import annotations
@@ -43,10 +47,6 @@ from .geometry import (
     integer_frame,
     pt,
 )
-
-
-class AmbiguousHeight(ValueError):
-    """A strict local extremum sits exactly on a peg row."""
 
 
 class BadAlexander(ValueError):
@@ -173,21 +173,41 @@ class Component(namedtuple("Component", "vertices winding")):
             table[i] = tuple(column_crossings(scale, xs[i], ys[i], xs[j], ys[j]))
         return table[i]
 
-    def turn(self, j: int) -> Optional[str]:
-        """The strict turn at continuous vertex j: "max" when both
-        neighbours lie strictly lower, "min" when both lie strictly higher,
-        else None.
+    @cached_property
+    def _word(self) -> tuple[tuple[int, int], ...]:
+        """The pulled-tight curve's crossings with the peg column: one
+        (k, h) letter per crossing of column x = k in band h, over one
+        period of the wrapping component or the closed cycle, reduced.
 
-        Lifting a vertex moves it sideways only, so the heights are those
-        of the stored vertices j - 1, j and j + 1 mod the cycle length,
-        compared as the frame's integers."""
-        n, ys = self.cycle_length(), self._frame[2]
-        prev_y, y, next_y = ys[(j - 1) % n], ys[j % n], ys[(j + 1) % n]
-        if prev_y < y and next_y < y:
-            return "max"
-        if prev_y > y and next_y > y:
-            return "min"
-        return None
+        The letters are read from the column table (`segment_columns`),
+        segment by segment, each segment's crossings in curve order (the
+        table lists them by ascending k, so a leftward segment's are
+        reversed); a crossing (k, t, sign) lies in band t + 1.  Between two
+        column crossings the curve stays in one strip, so equal neighbours
+        are one column edge crossed and crossed back: each letter is
+        pushed on a stack and pops its equal.  The two ends are then
+        trimmed against each other while the last letter equals the first
+        moved one period on, (k + winding, h).  Reduced words in the grid's
+        dual graph are unique, so the word is the curve's free homotopy
+        class in the plane minus the pegs.  The diagram must have passed
+        validation (a segment through a peg raises `PointOnLoop`); nothing
+        may modify the word.
+        """
+        stack: list[tuple[int, int]] = []
+        for i in range(self.cycle_length()):
+            crossings = self.segment_columns(i)
+            if crossings and crossings[0][2] == 1:  # leftward
+                crossings = crossings[::-1]
+            for k, t, _ in crossings:
+                letter = (k, t + 1)
+                if stack and stack[-1] == letter:
+                    stack.pop()
+                else:
+                    stack.append(letter)
+        lo, hi = 0, len(stack)
+        while hi - lo > 1 and stack[hi - 1] == (stack[lo][0] + self.winding, stack[lo][1]):
+            lo, hi = lo + 1, hi - 1
+        return tuple(stack[lo:hi])
 
     def level_crossings(self, a: int, b: int, c: Fraction) -> list[Crossing]:
         """Crossings of one period with the levels a*x + b*y + c = m.
@@ -284,10 +304,19 @@ class CurveDiagram(namedtuple("CurveDiagram", "components source")):
     @cached_property
     def _validation(self) -> "ValidationReport":
         """`validate(self)`, computed on first use and kept for the life of
-        the diagram, as each component keeps its `_frame`.  The loaders and
-        `pairing.ArcSweep`, which every arc reader builds, refuse a diagram
-        whose report is not ok, the sweep with `InvariantViolation`."""
+        the diagram, as each component keeps its `_frame`.  The loaders,
+        `pairing.ArcSweep`, which every arc reader builds, and the word
+        readers refuse a diagram whose report is not ok (`validated`)."""
         return validate(self)
+
+    def validated(self) -> "CurveDiagram":
+        """The diagram itself when its kept report is ok; raises
+        `InvariantViolation` with that report otherwise.  Every reader
+        that serves validated diagrams only asks here."""
+        report = self._validation
+        if not report.ok:
+            raise InvariantViolation(report)
+        return self
 
     def gamma0(self) -> Component:
         for c in self.components:
@@ -352,45 +381,19 @@ def _cycle_key(c: Component, k: int, scale: int) -> Optional[tuple]:
     return min((seq[i:] + seq[:i] for seq in (cycle, cycle[::-1]) for i in range(len(seq))), default=None)
 
 
-def vertical_crossings(c: Component, shift: Fraction) -> list[Crossing]:
-    """Transversal crossings of the vertical lines x + shift in Z along one
-    period: the records of `Component.level_crossings` for the form
-    x + shift, less each vertex whose neighbour lies on its line.
-
-    A vertex on a line thus counts once, iff neither neighbour lies on
-    the line and they straddle it; touching, or running along the line,
-    does not count, though the level scan crosses a run that the curve
-    passes through.  Validation's seam count and tau read these, the
-    drawing's own crossings: a run along a seam line adds no seam
-    crossing, and tau is never read from a run.
-    """
-    xs = c._lifted_frame[0]  # index j + 1 holds vertex j
-    return [e for e in c.level_crossings(1, 0, shift) if e.r or xs[e.i] != xs[e.i + 1] != xs[e.i + 2]]
-
-
 def seam_crossings(c: Component) -> list[Crossing]:
     """Transversal crossings of the seam lines x in 1/2 + Z along one period.
 
-    Returns the `vertical_crossings` of the form x - 1/2, so the crossing
-    of the seam line x = m + 1/2 has level m: a crossing at a vertex
-    counts once, iff its cyclic neighbours straddle the seam line;
-    touching without crossing, or running along the line, does not count.
+    Returns the records of `Component.level_crossings` for the form
+    x - 1/2, so the crossing of the seam line x = m + 1/2 has level m,
+    less each vertex whose neighbour lies on its line: a crossing at a
+    vertex counts once, iff neither neighbour lies on the seam line and
+    they straddle it; touching without crossing, or running along the
+    line, does not count, though the level scan crosses a run that the
+    curve passes through.
     """
-    return vertical_crossings(c, -HALF)
-
-
-def height_band(y, scale: int = 1) -> int:
-    """The integer h with y/scale in (h - 1/2, h + 1/2), for a rational y
-    and an integer scale > 0; y/scale must not be on a peg row.
-
-    Read in integers where y is one: h = (2y + scale) // (2*scale), and
-    y/scale lies on a peg row iff 2*scale divides 2y + scale.  The
-    Fraction y/scale is built only for the error's message.
-    """
-    h, r = divmod(2 * y + scale, 2 * scale)
-    if not r:
-        raise AmbiguousHeight(f"y = {Fraction(y, scale)} lies exactly on a peg row")
-    return h
+    xs = c._lifted_frame[0]  # index j + 1 holds vertex j
+    return [e for e in c.level_crossings(1, 0, -HALF) if e.r or xs[e.i] != xs[e.i + 1] != xs[e.i + 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -584,35 +587,26 @@ class ExtremaCensus(NamedTuple):
     n_minus: dict
 
 
-def component_extrema(c: Component) -> list[tuple[str, int]]:
-    """Strict local y-extrema of one component, with their integer heights.
-
-    A vertex is a local maximum when both cyclic neighbors are strictly
-    lower (a cap apex or a wedge apex; both have a horizontal tangent in the
-    smooth picture).  Heights are read from the band containing the vertex;
-    an extremum exactly on a peg row is ambiguous and raises.  Both are
-    read from the component's frame (scale S): `Component.turn` compares
-    its integer heights Y, and the band is (2Y + S) // (2S).
-    """
-    out = []
-    n = c.cycle_length()
-    if n < 2:
-        return out
-    scale, _, ys = c._frame
-    for i in range(n):
-        kind = c.turn(i)
-        if kind:
-            out.append((kind, height_band(ys[i], scale)))
-    return out
-
-
 def extrema_census(d: CurveDiagram) -> ExtremaCensus:
+    """Local maxima and minima of the pulled-tight curve, counted by band.
+
+    Each component's reduced word (`Component._word`) gives its cyclic
+    sequence of bands, in which runs of equal bands are merged: a run
+    whose neighbours are both lower is a maximum at its band, both higher
+    a minimum.  Refuses a diagram that fails validation
+    (`CurveDiagram.validated`).
+    """
     n_plus: dict = {}
     n_minus: dict = {}
-    for c in d.components:
-        for kind, h in component_extrema(c):
-            table = n_plus if kind == "max" else n_minus
-            table[h] = table.get(h, 0) + 1
+    for c in d.validated().components:
+        bands = [h for _, h in c._word]
+        runs = [h for i, h in enumerate(bands) if h != bands[i - 1]]
+        for i, h in enumerate(runs):
+            before, after = runs[i - 1], runs[(i + 1) % len(runs)]
+            if before < h > after:
+                n_plus[h] = n_plus.get(h, 0) + 1
+            elif before > h < after:
+                n_minus[h] = n_minus.get(h, 0) + 1
     return ExtremaCensus(n_plus, n_minus)
 
 
@@ -620,40 +614,28 @@ def extrema_census(d: CurveDiagram) -> ExtremaCensus:
 # tau / epsilon
 
 
-class NoVerticalCrossing(ValueError):
-    """The distinguished component never crosses the peg column transversally:
-    it passes the column only along runs of vertices on it."""
-
-
 def tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
-    """Read (tau, epsilon) from the distinguished component.
+    """Read (tau, epsilon) off the distinguished component's reduced word.
 
-    Walk left to right from the seam entry at height 0.  tau is the band of
-    the first transversal crossing of an integer column
-    (`vertical_crossings`: a run along the column is not one).  epsilon is
-    +1 when the walk next turns toward decreasing y (a strict local maximum
-    comes first), -1 when it turns upward, and 0 for the horizontal line,
-    which never turns.
-
-    The walk is read from the stored period itself, from its one seam
-    crossing on: its integer-column crossings past the seam in this period,
-    then those short of it, one period on.  Turns repeat with the period,
-    so one period of vertices after the crossing finds the first.
+    tau is the band of the letter that ends the word's one left-to-right
+    pass through a strip: its column is one more than the previous
+    letter's (the first letter's previous is the last, one period back).
+    epsilon reads back from that letter to the first band that differs:
+    +1 when that band is lower (the curve climbs to tau, so a maximum
+    comes next), -1 when it is higher, and 0 when there is none, as for
+    the horizontal line.  Refuses a diagram that fails validation
+    (`CurveDiagram.validated`).
     """
-    g0 = d.gamma0()
-    seam = seam_crossings(g0)
-    if len(seam) != 1:
-        raise ValueError("component must cross the seam exactly once")
-    crossings = vertical_crossings(g0, ZERO)
-    if not crossings:
-        raise NoVerticalCrossing("distinguished component misses the peg column")
-    crossing = next((e for e in crossings if seam[0].precedes(e)), crossings[0])
-    tau = height_band(crossing.y, crossing.den)
-    first = crossing.i + 1
-    for i in range(first, first + g0.cycle_length()):
-        kind = g0.turn(i)
-        if kind:
-            return tau, 1 if kind == "max" else -1
+    word = d.validated().gamma0()._word
+    previous = word[-1][0] - 1  # the last letter, one period back
+    for j, (k, tau) in enumerate(word):
+        if k == previous + 1:
+            break
+        previous = k
+    for i in range(j - 1, j - len(word), -1):
+        h = word[i][1]
+        if h != tau:
+            return tau, 1 if h < tau else -1
     return tau, 0
 
 

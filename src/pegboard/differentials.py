@@ -31,8 +31,8 @@ direction), the walk that certified it; no loop is built.  `gf2_rank`
 eliminates on integer bit rows.  A grading with no target point has the
 zero map, and no source is visited.
 
-Each strict local extremum of the curve forces rank in one of the maps at a
-predictable grading, with a single exception at the extremum carrying the
+Each local extremum of the pulled-tight curve forces rank in one of the maps
+at a predictable grading, with a single exception at the extremum carrying the
 concordance invariant of the distinguished component once the filling slope
 passes 2*tau - 1.  Those census lower bounds, the simple-filling detector,
 and the dual-simplicity scan live here too.
@@ -222,13 +222,16 @@ class CensusBound(NamedTuple):
 def census_bounds(d: CurveDiagram, slope: SlopeSpec) -> CensusBound:
     """Lower bounds for the differential ranks from the extrema census.
 
-    Every local maximum at height h forces rank in the lowering map at
-    grading h + (p-1)/2; every local minimum forces rank in the raising map
-    at grading h + (1-p)/2.  When the distinguished component has tau > 0,
-    turns down after its first column crossing, and the slope exceeds
-    2*tau - 1, the single extremum pair carrying tau is discounted.  The
-    discount is taken from the census counts at heights tau and -tau, and
-    then each height is mapped to its grading once.
+    The census, tau and epsilon are read off the pulled-tight curve (each
+    component's reduced column word), so every drawing of a knot gets its
+    knot's bounds.  Every local maximum at height h forces rank in the
+    lowering map at grading h + (p-1)/2; every local minimum forces rank
+    in the raising map at grading h + (1-p)/2.  When the distinguished
+    component has tau > 0 and epsilon +1 (it climbs to tau's band, so a
+    maximum comes next) and the slope exceeds 2*tau - 1, the single
+    extremum pair carrying tau is discounted.  The discount is taken from
+    the census counts at heights tau and -tau, and then each height is
+    mapped to its grading once.
     """
     if slope.p < 1 or slope.q < 1:
         raise ValueError("census bounds need a slope with p >= 1 and q >= 1")
@@ -282,8 +285,8 @@ def dually_simple_scan(d: CurveDiagram, pmax: int, qmax: int) -> list[ScanEntry]
     slope failing those is a theorem violation.  Entries come by q, then
     by p ascending, the order the CLI prints.  Each dual total is
     `ArcSweep.total`, the sum of `dual_hfk_dims` read without building its
-    grading keys.  The genus is `genus_of`, read down from the top grading
-    of 1/0.
+    grading keys.  The genus is `genus_of`, the top band of the
+    components' reduced column words.
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("scan bounds must be at least 1")

@@ -77,7 +77,8 @@ The sweep cancels bigons once per grading and keeps the result, so the
 graded dimensions and both differentials of one slope share the work.
 The arc side serves validated diagrams only: every arc reader builds an
 `ArcSweep`, which raises `InvariantViolation` with the diagram's kept
-report (`CurveDiagram._validation`) when it is not ok.  So no crossing
+report when it is not ok (`CurveDiagram.validated`, the check that the
+word readers, `genus_of` among them, share).  So no crossing
 lies on an arc end, a peg, and no walk from a sweep reaches one (the
 filling side takes any diagram and refuses such a walk); and the half
 turn maps the diagram onto itself and the grading-h arcs onto the
@@ -112,7 +113,7 @@ from .geometry import (
     column_crossings,
     rat,
 )
-from .curves import Component, Crossing, CurveDiagram, InvariantViolation
+from .curves import Component, Crossing, CurveDiagram
 
 
 class ZeroSurgery(ValueError):
@@ -688,10 +689,7 @@ class ArcSweep:
     def __init__(self, d: CurveDiagram, slope: SlopeSpec):
         if slope.p == 0:
             raise ZeroSurgery("0-filling has no dual-knot gradings")
-        report = d._validation
-        if not report.ok:
-            raise InvariantViolation(report)
-        self.diagram = d
+        self.diagram = d.validated()
         self.slope = slope
         self._live: dict[int, tuple[IPoint, ...]] = {}  # by key
         self._raw = self._sweep()
@@ -785,18 +783,10 @@ def dual_hfk_dims(d: CurveDiagram, slope: SlopeSpec) -> dict:
 
 
 def genus_of(d: CurveDiagram) -> int:
-    """Top height met by the vertical arcs (0 for the horizontal line).
+    """The top band of any letter of the components' reduced words
+    (`Component._word`), or 0 when there is none.
 
-    At 1/0 a grading is its own key.  Building the sweep refuses a diagram
-    that fails validation (`InvariantViolation`); a run along the peg
-    column is read pushed off it, as every level scan reads one.  On the
-    validated diagram no cancellation raises, so the filed gradings are
-    read down from the top and the first positive one with a point is
-    the genus; the gradings below it are not cancelled."""
-    sweep = ArcSweep(d, SlopeSpec(1, 0))
-    for h in sorted(sweep._raw, reverse=True):
-        if h <= 0:
-            break
-        if sweep._points(h):
-            return h
-    return 0
+    At 1/0 the grading-h arcs are the peg column's edges in band h, so
+    this is the top grading of the 1/0 dimensions, read without a sweep.
+    Refuses a diagram that fails validation (`CurveDiagram.validated`)."""
+    return max((h for c in d.validated().components for _, h in c._word), default=0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import Component, CurveDiagram, InvariantViolation, canonicalize
+from .curves import Component, CurveDiagram, canonicalize
 from .geometry import Point
 
 
@@ -121,11 +121,7 @@ def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
     flush(len(lines))
     if not components:
         raise CurveFormatError("no components found", 1)
-    diagram = CurveDiagram(tuple(components), source)
-    report = diagram._validation
-    if not report.ok:
-        raise InvariantViolation(report)
-    return diagram
+    return CurveDiagram(tuple(components), source).validated()
 
 
 def emit_curve_text(d: CurveDiagram) -> str:

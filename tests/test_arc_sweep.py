@@ -35,10 +35,10 @@ from -h, by the half-turn congruence, which a run along an arc line keeps:
 it is crossed iff the curve passes through it, whichever side it comes
 from; a counting wrapper around `cancel_bigons` pins that.  Both
 must equal the counts with every filed grading cancelled on its own.
-`genus_of` reads the 1/0 gradings down from the top and stops at the
-first with a point.  The arc side serves validated diagrams only:
-`ArcSweep`, `dual_hfk_dims`, `genus_of` and `arc_points` refuse a diagram
-that fails validation, half-turn asymmetric or through a peg, with
+`genus_of`, read off the components' reduced column words without a
+sweep, is the top positive grading of 1/0.  The arc side and the word
+readers serve validated diagrams only: `ArcSweep`, `dual_hfk_dims`,
+`genus_of` and `arc_points` refuse a diagram that fails validation, half-turn asymmetric or through a peg, with
 `InvariantViolation` carrying its kept report, while the filling side
 still pairs the asymmetric one and refuses the walk through the peg.
 """
@@ -769,16 +769,21 @@ FINGER = parse_curve_text(
 )
 
 
-@pytest.mark.parametrize("d,genus,cancelled", [
-    (build_zoo("torus_3_4"), 3, [3]),
-    (FINGER, 0, [2]),
+@pytest.mark.parametrize("d,genus,top", [
+    (build_zoo("torus_3_4"), 3, 3),
+    (FINGER, 0, 2),
 ], ids=lambda x: x.source if isinstance(x, CurveDiagram) else str(x))
-def test_genus_is_read_down_from_the_top_grading(monkeypatch, d, genus, cancelled):
-    # Cancellation stops at the first grading with a point, or at grading 0.
-    vertical = SlopeSpec(1, 0)
-    assert filed(ArcSweep(d, vertical))[-1] == cancelled[0]
-    calls = cancelled_gradings(monkeypatch, ArcSweep(d, vertical), lambda sweep: genus_of(sweep.diagram))
-    assert calls == cancelled and genus_of(d) == genus == dims_genus(d)
+def test_genus_is_read_without_a_sweep(monkeypatch, d, genus, top):
+    # The top filed grading of 1/0 is the genus, or loses its points to
+    # cancellation (FINGER); `genus_of` reads the words and builds no sweep.
+    import pegboard.pairing as pairing
+
+    assert filed(ArcSweep(d, SlopeSpec(1, 0)))[-1] == top
+    with monkeypatch.context() as patched:
+        patched.setattr(pairing, "ArcSweep", None)
+        patched.setattr(pairing, "cancel_bigons", None)
+        assert genus_of(d) == genus
+    assert genus == dims_genus(d)
 
 
 def test_genus_is_the_top_positive_grading_of_dims():

@@ -9,8 +9,9 @@ import pytest
 import pegboard.cli
 import pegboard.textfmt
 from pegboard.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from pegboard.curves import thin
 from pegboard.textfmt import emit_curve_text, parse_curve_text
-from test_arc_sweep import DRAWINGS, TRIANGLE, sheared
+from test_arc_sweep import CURVES, DRAWINGS, TRIANGLE, sheared
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "pegboard" / "schemas" / "report.schema.json")
@@ -21,10 +22,11 @@ SCHEMA = json.loads(
 # lines and on its sheared copy, which holds none.
 DRAWN_RUNS = [("hfk", "1/1"), ("hfk", "1/0"), ("diff", "1/1"), ("scan-simple", "--pmax", "2", "--qmax", "1"),
               ("invariants",)]
-# tau is read from the first transversal crossing of the peg column, and
-# these drawings pass the column only along runs of vertices on it, which
-# their sheared copies cross: `diff` and `invariants` refuse them.
-NO_TAU = {"upright", "stacked"}
+# Drawings of `tools/curves` whose drawn turns are not the pulled-tight
+# curve's, and the zoo knot each draws: the tilted unknot (a drawn maximum
+# and minimum at height 0), the unknot's line passing the peg column only
+# along a segment on it, and the trefoil with its caps on the peg rows.
+DRAWN_KNOTS = {"tilted": "unknot", "column_run": "unknot", "peg_rows": "trefoil"}
 
 
 def run(capsys, *argv):
@@ -228,10 +230,9 @@ class TestFilesAndRender:
     @pytest.mark.parametrize("argv", DRAWN_RUNS, ids=" ".join)
     @pytest.mark.parametrize("d", DRAWINGS, ids=lambda d: d.source)
     def test_a_drawing_along_arc_lines_reads_as_its_sheared_copy(self, capsys, tmp_path, monkeypatch, d, argv):
-        # Every command that reads arcs pairs the drawing at every slope,
-        # with the exit code and output of its sheared copy, unless it reads
-        # a tau the drawing does not give; each is read from a file of one
-        # name, in a directory of its own.
+        # Every command that reads arcs or words gives the drawing the exit
+        # code and output of its sheared copy; each is read from a file of
+        # one name, in a directory of its own.
         outputs = []
         for name, diagram in (("drawn", d), ("sheared", sheared(d))):
             (tmp_path / name).mkdir()
@@ -239,10 +240,7 @@ class TestFilesAndRender:
             monkeypatch.chdir(tmp_path / name)
             outputs.append(run(capsys, argv[0], "knot.curve", *argv[1:]))
         drawn, copy = outputs
-        if argv[0] in ("diff", "invariants") and d.source in NO_TAU:
-            assert drawn == (EXIT_INVALID, "", "error: distinguished component misses the peg column\n")
-        else:
-            assert drawn == copy and drawn[2] == ""
+        assert drawn == copy and drawn[2] == ""
 
     def test_a_degenerate_arc_slope_still_pairs_its_filling(self, capsys, tmp_path):
         path = tmp_path / "triangle.curve"
@@ -262,25 +260,28 @@ class TestFilesAndRender:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
-    # valid diagrams whose tau cannot be read: the distinguished component
-    # passes the peg column only along a run of vertices on it
-    # (NoVerticalCrossing), or crosses it on a peg row (AmbiguousHeight)
-    GEOMETRY_ERRORS = {
-        "no-column-crossing": ("component winding=1\nv -1/2 0\nv 0 -1/8\nv 0 1/8\nv 1/2 0\n",
-                               "error: distinguished component misses the peg column\n"),
-        "crossing-on-peg-row": ("component winding=1\nv -1/2 0\nv 0 1\nv 1/32 3/2\nv 0 0\n"
-                                "v -1/32 -3/2\nv 0 -1\nv 1/2 0\n",
-                                "error: y = 3/2 lies exactly on a peg row\n"),
-    }
-
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", [("invariants",), ("diff", "1/1")], ids=lambda c: c[0])
-    @pytest.mark.parametrize("case", sorted(GEOMETRY_ERRORS))
-    def test_geometry_errors_of_valid_diagrams_exit_2(self, capsys, tmp_path, command, case):
-        text, message = self.GEOMETRY_ERRORS[case]
-        path = tmp_path / "knot.curve"
-        path.write_text(text)
-        code, out, err = run(capsys, command[0], str(path), *command[1:])
-        assert (code, out, err) == (EXIT_INVALID, "", message)
+    @pytest.mark.parametrize("name", sorted(DRAWN_KNOTS))
+    def test_a_drawing_reads_as_the_knot_it_draws(self, capsys, name, command, fmt):
+        # The invariants and the census bounds are read off the pulled-tight
+        # curve, so each drawing prints its knot's bytes, the knot's name in
+        # place of the path, and `diff` finds no false violation.
+        path = str(CURVES / f"{name}.curve")
+        code, out, err = run(capsys, command[0], path, *command[1:], "--format", fmt)
+        knot = DRAWN_KNOTS[name]
+        assert (code, out.replace(path, knot), err) == run(capsys, command[0], knot, *command[1:], "--format", fmt)
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_the_thin_mirror_trefoil_prints_the_mirror_trefoils_invariants(self, capsys, tmp_path, fmt):
+        # thin(-1, 0) draws its minimum on its first column crossing.
+        path = tmp_path / "thin.curve"
+        path.write_text(emit_curve_text(thin(-1, 0)))
+        code, out, err = run(capsys, "invariants", str(path), "--format", fmt)
+        want = run(capsys, "invariants", "trefoil_mirror", "--format", fmt)
+        assert (code, out.replace(str(path), "trefoil_mirror"), err) == want
+        assert code == EXIT_OK
 
     def test_render_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "a.svg"

@@ -1,39 +1,37 @@
 import math
 from collections import Counter
 from fractions import Fraction as F
+from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pegboard.curves
 from pegboard.cli import EXIT_OK, main
 from pegboard.curves import (
-    AmbiguousHeight,
     BadAlexander,
     BadSpec,
     Component,
     CurveDiagram,
-    NoVerticalCrossing,
+    InvariantViolation,
     _cycle_key,
     _strip_offset,
     build_zoo,
     anchor_at_seam,
-    component_extrema,
     extrema_census,
-    height_band,
     lspace_staircase,
     staircase_exponents,
     tau_epsilon,
     thin,
     validate,
-    vertical_crossings,
     zoo_names,
 )
-from pegboard.geometry import ZERO, pt
+from pegboard.geometry import PointOnLoop, pt
+from pegboard.pairing import genus_of
 from pegboard.textfmt import emit_curve_text, parse_curve_text
-from conftest import position, staircase_diagrams
-from test_arc_sweep import MUTANT, generated_diagrams
+from conftest import staircase_diagrams
+from test_arc_sweep import CURVES, FINGER, LOW_PEG, MUTANT, drawn, generated_diagrams, sheared
 
 
 def component_key(c: Component, scale: int) -> tuple:
@@ -172,36 +170,35 @@ class TestCensus:
             assert census.n_plus == {g: 1}
             assert census.n_minus == {-g: 1}
 
-    def test_figure_eight_component_extrema(self, zoo):
+    def test_figure_eight_census_is_the_closed_components(self, zoo):
         # The closed component winds around the pegs at heights 1/2 and -1/2,
-        # so its turning points land in the bands at heights 1 and -1.
-        closed = zoo["figure_eight"].acyclic()[0]
-        assert sorted(component_extrema(closed)) == [("max", 1), ("min", -1)]
+        # so it crosses the peg column in the bands at heights 1, 0, -1 and
+        # 0: a maximum at 1 and a minimum at -1; the line has none.
+        census = extrema_census(zoo["figure_eight"])
+        assert census.n_plus == {1: 1} and census.n_minus == {-1: 1}
 
-    def test_max_count_equals_min_count_per_component(self, zoo):
+    def test_max_count_equals_min_count(self, zoo):
         for d in zoo.values():
-            for c in d.components:
-                ext = component_extrema(c)
-                n_max = sum(1 for kind, _ in ext if kind == "max")
-                n_min = sum(1 for kind, _ in ext if kind == "min")
-                assert n_max == n_min
+            census = extrema_census(d)
+            assert sum(census.n_plus.values()) == sum(census.n_minus.values()), d.source
 
     def test_collinear_vertex_insertion_is_invisible(self, zoo):
+        # a midpoint on every segment, which keeps the half turn
         d = zoo["trefoil"]
-        c = d.gamma0()
-        a, b = c.vertices[0], c.vertices[1]
-        mid = pt((a.x + b.x) / 2, (a.y + b.y) / 2)
-        fat = Component((c.vertices[0], mid) + c.vertices[1:], 1)
+        vs = d.gamma0().vertices
+        mids = [pt((a.x + b.x) / 2, (a.y + b.y) / 2) for a, b in zip(vs, vs[1:])]
+        fat = Component(tuple(v for pair in zip(vs, mids) for v in pair) + vs[-1:], 1)
         d2 = CurveDiagram((fat,) + tuple(d.acyclic()), "fat")
+        assert validate(d2).ok
         assert extrema_census(d2).n_plus == extrema_census(d).n_plus
         assert extrema_census(d2).n_minus == extrema_census(d).n_minus
 
-    def test_extremum_on_peg_row_is_ambiguous(self):
-        c = Component(
-            (pt(F(-1, 2), 0), pt(0, F(3, 2)), pt(F(1, 2), 0)), 1
-        )
-        with pytest.raises(AmbiguousHeight):
-            component_extrema(c)
+    def test_extrema_on_peg_rows_read_as_the_pulled_tight_curves(self, zoo):
+        # The trefoil's caps drawn up to the peg rows y = 3/2 and -3/2
+        # pull tight to the trefoil's maximum at 1 and minimum at -1.
+        census = extrema_census(drawn("peg_rows"))
+        assert (census.n_plus, census.n_minus) == ({1: 1}, {-1: 1})
+        assert tau_epsilon(drawn("peg_rows")) == tau_epsilon(zoo["trefoil"])
 
 
 class TestTauEpsilon:
@@ -227,26 +224,147 @@ class TestTauEpsilon:
         assert tau_epsilon(zoo["figure_eight"]) == (0, 0)
 
 
-# tau and epsilon read from the anchored period (reference): a copy of
-# `tau_epsilon` before it read the stored period from its seam crossing,
-# verbatim but for the column crossings, now `vertical_crossings`: the
-# level scan's transversal crossings.
+@pytest.mark.parametrize("d", [MUTANT, LOW_PEG], ids=lambda d: d.source)
+def test_word_readers_refuse_a_diagram_that_fails_validation(d):
+    report = d._validation
+    assert not report.ok
+    for read in (tau_epsilon, extrema_census, genus_of):
+        with pytest.raises(InvariantViolation) as refused:
+            read(d)
+        assert refused.value.report is report, read.__name__
 
 
-def reference_tau_epsilon(d: CurveDiagram) -> tuple[int, int]:
-    g0 = anchor_at_seam(d.gamma0())
-    crossings = vertical_crossings(g0, ZERO)
-    if not crossings:
-        raise NoVerticalCrossing("distinguished component misses the peg column")
-    pos0, point0 = position(crossings[0]), crossings[0].point
-    tau = height_band(point0.y)
-    # Scan vertices after the first crossing, on into the next period, for
-    # the first strict turn.
-    for i in range(math.floor(pos0) + 1, 2 * g0.cycle_length()):
-        kind = g0.turn(i)
-        if kind:
-            return tau, 1 if kind == "max" else -1
-    return tau, 0
+# ---------------------------------------------------------------------------
+# The word oracle (reference): shares no code with the package.  It walks
+# each component in Fractions across the columns x = k and the rows
+# y = m + 1/2, every line nudged by -epsilon, so that a point on a line
+# lies past it; that is the curve moved by (epsilon, epsilon), which
+# crosses no peg.  Each letter names the edge crossed and its direction:
+# ("a", k, r, +-1) for column k crossed rightward or leftward in the cell
+# row r (band r + 1), ("b", m, k, +-1) for row m + 1/2 crossed upward or
+# downward in the cell column k.  The word is reduced freely and
+# cyclically, a wrapping component's period moving each letter one column
+# on.  A maximum at band h is an a-run in band h entered upward and left
+# downward (b a^+- B), a minimum the reverse; the genus is the top band of
+# any a-letter; tau is the band of the distinguished component's rightward
+# a-letter whose previous a-letter crossed the column before rightward, the
+# end of its through-pass of a strip; epsilon is the kind of the first
+# extremum from tau's run on: +1 for a maximum, -1 for a minimum, 0 with
+# none.
+
+
+def oracle_letters(c: Component) -> list[tuple]:
+    path = list(c.vertices) + ([c.vertices[0]] if c.winding == 0 else [])
+    half = F(1, 2)
+    col, row = math.floor(path[0].x), math.floor(path[0].y - half)
+    letters = []
+    for p, q in zip(path, path[1:]):
+        dx, dy = q.x - p.x, q.y - p.y
+        events = []  # (parameter, its epsilon term, kind, line, direction)
+        for kind, lo, hi, start, d in (("a", math.floor(p.x), math.floor(q.x), p.x, dx),
+                                       ("b", math.floor(p.y - half), math.floor(q.y - half), p.y - half, dy)):
+            step = 1 if hi > lo else -1
+            for line in range(lo + 1, hi + 1) if step == 1 else range(lo, hi, -1):
+                events.append(((line - start) / d, -1 / d, kind, line, step))
+        for _, _, kind, line, step in sorted(events):
+            if kind == "a":
+                letters.append(("a", line, row, step))
+                col = line if step == 1 else line - 1
+            else:
+                letters.append(("b", line, col, step))
+                row = line if step == 1 else line - 1
+    return letters
+
+
+def oracle_word(c: Component) -> list[tuple]:
+    def inverse(x, y):
+        return x[:3] == y[:3] and x[3] == -y[3]
+
+    def moved(x):
+        kind, i, j, step = x
+        return (kind, i + c.winding, j, step) if kind == "a" else (kind, i, j + c.winding, step)
+
+    stack: list[tuple] = []
+    for x in oracle_letters(c):
+        if stack and inverse(stack[-1], x):
+            stack.pop()
+        else:
+            stack.append(x)
+    while len(stack) > 1 and inverse(stack[-1], moved(stack[0])):
+        stack = stack[1:-1]
+    return stack
+
+
+def oracle_runs(word: list[tuple]) -> list[tuple[list[int], int, Optional[str]]]:
+    """(indices, band, kind) of each a-run of a word with a row letter, in
+    cyclic order from the first row letter; kind is "max", "min" or None."""
+    first = next(i for i, x in enumerate(word) if x[0] == "b")
+    n = len(word)
+    runs, current = [], []
+    for j in range(first + 1, first + n + 1):
+        x = word[j % n]
+        if x[0] == "a":
+            current.append(j % n)
+            continue
+        if current:
+            enter, leave = word[(current[0] - 1) % n][3], x[3]
+            kind = "max" if (enter, leave) == (1, -1) else "min" if (enter, leave) == (-1, 1) else None
+            runs.append((current, word[current[0]][2] + 1, kind))
+            current = []
+    return runs
+
+
+def oracle_invariants(d: CurveDiagram) -> tuple:
+    """(genus, tau, epsilon, maxima, minima) read off the oracle words."""
+    maxima: Counter = Counter()
+    minima: Counter = Counter()
+    bands = [0]
+    for c in d.components:
+        word = oracle_word(c)
+        bands += [x[2] + 1 for x in word if x[0] == "a"]
+        if any(x[0] == "b" for x in word):
+            for _, band, kind in oracle_runs(word):
+                if kind:
+                    (maxima if kind == "max" else minima)[band] += 1
+    word = oracle_word(d.gamma0())
+    across = [i for i, x in enumerate(word) if x[0] == "a"]
+
+    def ends_a_pass(n: int) -> bool:
+        x, before = word[across[n]], word[across[n - 1]]
+        back = 1 if n == 0 else 0  # the last a-letter, one period back
+        return x[3] == before[3] == 1 and x[1] == before[1] - back + 1
+
+    end = across[next(n for n in range(len(across)) if ends_a_pass(n))]
+    tau, epsilon = word[end][2] + 1, 0
+    if any(x[0] == "b" for x in word):
+        runs = oracle_runs(word)
+        at = next(r for r, (indices, _, _) in enumerate(runs) if end in indices)
+        epsilon = next(({"max": 1, "min": -1}[kind] for _, _, kind in runs[at:] + runs[:at] if kind), 0)
+    return max(bands), tau, epsilon, dict(maxima), dict(minima)
+
+
+def cyclic_key(word: list[tuple[int, int]], winding: int) -> tuple:
+    """The least rotation of a cyclic word of (column, band) letters; a
+    wrapping component's rotation moves the letters it carries round one
+    column on, and is then moved so that its first letter is in column 0."""
+    keys = []
+    for r in range(len(word)):
+        rotated = word[r:] + [(k + winding, h) for k, h in word[:r]]
+        k0 = rotated[0][0] * winding
+        keys.append(tuple((k - k0, h) for k, h in rotated))
+    return min(keys, default=())
+
+
+def assert_words_match_the_oracle(c: Component) -> None:
+    """The kernel's reduced word is the oracle's a-letters, read as (column,
+    band), up to rotation."""
+    want = [(x[1], x[2] + 1) for x in oracle_word(c) if x[0] == "a"]
+    assert cyclic_key(list(c._word), c.winding) == cyclic_key(want, c.winding), c
+
+
+def kernel_invariants(d: CurveDiagram) -> tuple:
+    census = extrema_census(d)
+    return (genus_of(d), *tau_epsilon(d), census.n_plus, census.n_minus)
 
 
 def rolled_periods(d: CurveDiagram):
@@ -260,111 +378,92 @@ def rolled_periods(d: CurveDiagram):
             yield CurveDiagram((Component(period, 1), *d.acyclic()), f"{d.source}@{start}{shift:+}")
 
 
-def tau_outcome(f, d):
-    try:
-        return f(d)
-    except ValueError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def test_tau_epsilon_matches_the_anchored_reading_on_zoo(zoo):
-    for d in zoo.values():
-        for rolled in rolled_periods(d):
-            assert tau_outcome(tau_epsilon, rolled) == tau_outcome(reference_tau_epsilon, rolled), rolled.source
-
-
-@settings(max_examples=40, deadline=None)
-@given(generated_diagrams, st.booleans())
-def test_tau_epsilon_matches_the_anchored_reading_on_generated_diagrams(d, mirrored):
-    for rolled in rolled_periods(d.mirror() if mirrored else d):
-        assert tau_outcome(tau_epsilon, rolled) == tau_outcome(reference_tau_epsilon, rolled), rolled.source
-
-
-@pytest.mark.parametrize("vertices", [
-    ((F(-1, 2), 0), (0, F(-1, 8)), (0, F(1, 8)), (F(1, 2), 0)),  # along the peg column
-    # extrema on peg rows
-    ((F(-1, 2), 0), (0, 1), (F(1, 32), F(3, 2)), (0, 0), (F(-1, 32), F(-3, 2)), (0, -1), (F(1, 2), 0)),
-    ((F(-1, 2), 0), (F(3, 4), F(1, 4)), (F(1, 4), F(-1, 4)), (F(1, 2), 0)),  # three seam crossings
-])
-def test_tau_epsilon_matches_the_anchored_reading_where_it_fails(vertices):
-    d = CurveDiagram((Component(tuple(pt(x, y) for x, y in vertices), 1),), "odd")
-    for rolled in rolled_periods(d):
-        assert tau_outcome(tau_epsilon, rolled) == tau_outcome(reference_tau_epsilon, rolled), rolled.source
-
-
-# Turns and extremum heights read as Fractions (reference): neighbour
-# comparisons of lifted vertices, and the band of a height taken as the
-# floor of y + 1/2, refused on a peg row with the message of the package.
-
-
-def reference_band(y: F) -> int:
-    shifted = y + F(1, 2)
-    if shifted.denominator == 1:
-        raise AmbiguousHeight(f"y = {y} lies exactly on a peg row")
-    return math.floor(shifted)
-
-
-def reference_turn(c: Component, j: int):
-    prev_y, y, next_y = (c.lifted(i).y for i in (j - 1, j, j + 1))
-    if prev_y < y and next_y < y:
-        return "max"
-    if prev_y > y and next_y > y:
-        return "min"
-    return None
-
-
-def reference_extrema(c: Component) -> list[tuple[str, int]]:
-    n = c.cycle_length()
-    if n < 2:
-        return []
-    return [(kind, reference_band(c.vertices[i].y)) for i in range(n) if (kind := reference_turn(c, i))]
-
-
-def assert_integer_turns_and_heights_agree(d: CurveDiagram) -> int:
-    """`Component.turn` at every continuous vertex of three periods,
-    `height_band` of every vertex height and `component_extrema` of every
-    component of d against the Fraction reading; returns the number of
-    extrema compared."""
-    extrema = 0
+def assert_invariants_match_the_oracle(d: CurveDiagram) -> tuple:
     for c in d.components:
-        n = c.cycle_length()
-        for j in range(-n, 2 * n):
-            assert c.turn(j) == reference_turn(c, j), (d.source, j)
-        for v in c.vertices:
-            assert tau_outcome(height_band, v.y) == tau_outcome(reference_band, v.y), (d.source, v)
-        want = tau_outcome(reference_extrema, c)
-        assert tau_outcome(component_extrema, c) == want, d.source
-        extrema += len(want)
-    return extrema
+        assert_words_match_the_oracle(c)
+    want = oracle_invariants(d)
+    assert kernel_invariants(d) == want, d.source
+    return want
 
 
-def test_integer_turns_and_heights_match_fractions_on_zoo(zoo):
-    assert sum(assert_integer_turns_and_heights_agree(e) for d in zoo.values() for e in (d, d.mirror()))
+def test_invariants_match_the_oracle_on_zoo_and_mirrors(zoo):
+    for d in zoo.values():
+        for e in (d, d.mirror()):
+            assert_invariants_match_the_oracle(e)
 
 
 @pytest.mark.parametrize("tau", range(-3, 4))
-def test_integer_turns_and_heights_match_fractions_on_thin_diagrams(tau):
-    diagrams = [thin(tau, fig8) for fig8 in range(4)]
-    assert sum(assert_integer_turns_and_heights_agree(e) for d in diagrams for e in (d, d.mirror()))
+def test_invariants_match_the_oracle_on_thin_diagrams(tau):
+    for f in range(5):
+        for e in (thin(tau, f), thin(tau, f).mirror()):
+            assert_invariants_match_the_oracle(e)
 
 
 @settings(max_examples=40, deadline=None)
 @given(staircase_diagrams(), st.booleans())
-def test_integer_turns_and_heights_match_fractions_on_staircases(d, mirrored):
-    assert assert_integer_turns_and_heights_agree(d.mirror() if mirrored else d)
+def test_invariants_match_the_oracle_on_staircases(d, mirrored):
+    assert_invariants_match_the_oracle(d.mirror() if mirrored else d)
 
 
-@pytest.mark.parametrize("vertices,message", [
-    # a wrapping component's maximum at y = 3/2 and minimum at y = -3/2
-    (((F(-1, 2), 0), (F(-1, 4), F(3, 2)), (F(1, 4), F(-3, 2)), (F(1, 2), 0)), "y = 3/2 lies exactly on a peg row"),
-    # a closed component's minimum at y = -1/2
-    (((F(-1, 4), 0), (F(1, 8), F(-1, 2)), (F(1, 4), F(1, 8))), "y = -1/2 lies exactly on a peg row"),
-], ids=["wrapping", "closed"])
-def test_extremum_on_a_peg_row_raises_the_fraction_readings_error(vertices, message):
-    c = Component(tuple(pt(x, y) for x, y in vertices), 0 if len(vertices) == 3 else 1)
-    assert tau_outcome(reference_extrema, c) == ("AmbiguousHeight", message)
-    assert tau_outcome(component_extrema, c) == ("AmbiguousHeight", message)
-    assert tau_outcome(extrema_census, CurveDiagram((c,))) == ("AmbiguousHeight", message)
+@settings(max_examples=25, deadline=None)
+@given(generated_diagrams, st.booleans())
+def test_invariants_keep_every_rotation_of_the_period(d, mirrored):
+    d = d.mirror() if mirrored else d
+    want = kernel_invariants(d)
+    for rolled in rolled_periods(d):
+        assert assert_invariants_match_the_oracle(rolled) == want, rolled.source
+
+
+# A curve whose pass through the strip (-1, 0) climbs on past tau: it
+# crosses the peg column at heights 1 (tau), 2, 0, -2 and -1, each cap
+# turning round one peg, so its maximum is at 2, after tau, and epsilon is
+# read back from tau's letter to the band -1 below it.
+CLIMB = CurveDiagram((Component(tuple(pt(x, y) for x, y in (
+    (F(-1, 2), 0), (0, 1), (F(1, 8), F(3, 2)), (0, 2), (F(-1, 8), 1), (0, 0),
+    (F(1, 8), -1), (0, -2), (F(-1, 8), F(-3, 2)), (0, -1), (F(1, 2), 0))), 1),), "climb")
+
+
+def test_a_pass_that_climbs_on_past_tau():
+    assert validate(CLIMB).ok
+    assert assert_invariants_match_the_oracle(CLIMB) == (2, 1, 1, {2: 1}, {-2: 1})
+    assert kernel_invariants(CLIMB.mirror()) == (2, -1, -1, {2: 1}, {-2: 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(-6, 5)), min_size=3, max_size=8))
+def test_words_match_the_oracle_on_wide_closed_polygons(points):
+    # Segments across several columns, either way; heights in odd
+    # quarters lie on no peg row, and a polygon through a peg is skipped.
+    c = Component(tuple(pt(F(x, 3), F(2 * y + 1, 4)) for x, y in points), 0)
+    try:
+        for i in range(c.cycle_length()):
+            c.segment_columns(i)
+    except PointOnLoop:
+        assume(False)
+    assert_words_match_the_oracle(c)
+
+
+def test_invariants_keep_every_rotation_of_the_zoo_periods(zoo):
+    # FINGER's rotations start inside its fingers, which only the trim
+    # of the word's two ends removes.
+    for d in (*zoo.values(), FINGER, CLIMB):
+        want = kernel_invariants(d)
+        for rolled in rolled_periods(d):
+            assert assert_invariants_match_the_oracle(rolled) == want, rolled.source
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CURVES.glob("*.curve")))
+def test_a_drawing_reads_as_its_sheared_copy_and_the_oracle(name):
+    # Each drawing of `tools/curves` and its sheared copy, which holds no
+    # segment along a line, give the oracle's values; the drawings of the
+    # unknot give the unknot's.
+    d = drawn(name)
+    copy = sheared(d)
+    assert validate(copy).ok
+    want = assert_invariants_match_the_oracle(d)
+    assert assert_invariants_match_the_oracle(copy) == want
+    if len(d.components) == 1 and name != "peg_rows":
+        assert want == (0, 0, 0, {}, {})
 
 
 class TestZoo:

@@ -45,7 +45,7 @@ from pegboard.differentials import (
     gf2_rank,
 )
 from conftest import position, staircase_diagrams
-from test_arc_sweep import grading_range
+from test_arc_sweep import CURVES, drawn, grading_range
 from test_geometry import first_wound_peg as one_pass_wound_peg
 from test_walk import subarc as reference_subarc, walk_span
 
@@ -228,6 +228,21 @@ class TestCensusBounds:
         cb = census_bounds(thin(2, 1), SlopeSpec(5, 1))
         assert cb.phi == {F(3): 1} and cb.psi == {F(-3): 1}
         assert cb.discounted == (("max", 2), ("min", -2))
+
+    def test_every_bound_lands_on_a_grading_of_dims(self, zoo):
+        # `diff` prints the gradings of `dims` only, so a bound off them
+        # would be dropped without a word: on the zoo and thin diagrams,
+        # and on the drawings of `tools/curves`, whose drawn extrema (tall's
+        # maximum at height 3) lie where no generator is.
+        diagrams = [*zoo.values(), *(thin(tau, f) for tau in range(-2, 3) for f in range(4))]
+        diagrams += [drawn(path.stem) for path in sorted(CURVES.glob("*.curve"))]
+        bounds = 0
+        for d in diagrams:
+            for s in (SlopeSpec(p, q) for q in range(1, 5) for p in range(1, 10) if math.gcd(p, q) == 1):
+                cb = census_bounds(d, s)
+                assert set(cb.phi) | set(cb.psi) <= set(dual_hfk_dims(d, s)), (d.source, str(s))
+                bounds += len(cb.phi) + len(cb.psi)
+        assert bounds
 
     def test_ranks_dominate_bounds(self, zoo):
         for name, d in zoo.items():

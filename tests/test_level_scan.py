@@ -44,8 +44,8 @@ from pegboard.curves import (
     CurveDiagram,
     build_zoo,
     lspace_staircase,
+    seam_crossings,
     thin,
-    vertical_crossings,
     zoo_names,
 )
 from pegboard.geometry import HALF, ZERO, Point
@@ -314,23 +314,23 @@ def test_snapped_components_reach_every_branch():
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 1), st.lists(st.tuples(st.integers(-2, 2), st.integers(-4, 4)), min_size=2, max_size=7),
-       st.sampled_from((ZERO, -HALF)))
-def test_vertical_crossings_read_the_strict_rule(winding, points, shift):
-    """`vertical_crossings`, which validation's seam count and tau read, is
-    the strict rule on the vertical lines x + shift in Z: a crossing inside
-    a segment, or at a vertex whose neighbours lie strictly on either side
-    of its line.  Abscissae on the half grid put runs of vertices on the
-    lines, entered and left from either side."""
-    verts = [Point(Fraction(x, 2), Fraction(y, 4)) for x, y in points]
+       st.sampled_from((ZERO, HALF)))
+def test_seam_crossings_read_the_strict_rule(winding, points, shift):
+    """`seam_crossings`, which validation's seam count reads, is the strict
+    rule on the seam lines x in 1/2 + Z: a crossing inside a segment, or at
+    a vertex whose neighbours lie strictly on either side of its line.
+    Abscissae on the half grid, moved by 0 or 1/2, put runs of vertices on
+    the seam lines, entered and left from either side."""
+    verts = [Point(Fraction(x, 2) + shift, Fraction(y, 4)) for x, y in points]
     if winding:
         verts.append(Point(verts[0].x + 1, verts[0].y))
     comp = Component(tuple(verts), winding)
     want = []
-    for pos, point, m in reference_level_crossings(comp, lambda v: v.x, -shift):
+    for pos, point, m in reference_level_crossings(comp, lambda v: v.x, HALF):
         i = int(pos)
         if pos.denominator != 1 or (comp.lifted(i - 1).x - point.x) * (comp.lifted(i + 1).x - point.x) < 0:
             want.append(record(pos, point, m))
-    assert vertical_crossings(comp, shift) == want
+    assert seam_crossings(comp) == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pegboard.textfmt
 from pegboard.curves import (
     Component,
     CurveDiagram,
+    InvariantViolation,
     build_zoo,
     lspace_staircase,
     thin,
@@ -16,7 +17,6 @@ from pegboard.curves import (
 )
 from pegboard.textfmt import (
     CurveFormatError,
-    InvariantViolation,
     _parse_fraction,
     canonicalize,
     emit_curve_text,
