@@ -15,6 +15,7 @@ commands never load them.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -78,6 +79,24 @@ class CliError(Exception):
         self.code = code
 
 
+# The errors on which `Path.exists` reads "no file": a curve path that
+# meets one falls through to $PEGBOARD_ZOO_DIR, and any other is reported.
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _open_curve(path: Path):
+    """path opened for reading, or None where `Path.exists` finds no file
+    there (a path that no file can have, as one with a NUL, included)."""
+    try:
+        return open(path, encoding="utf-8")
+    except ValueError:
+        return None
+    except OSError as exc:
+        if exc.errno in _NO_FILE:
+            return None
+        raise
+
+
 def _load_knot(selector: str):
     """The diagram `selector` names, validated exactly once: a curve file by
     parse_curve_text, a zoo diagram here.  The report is kept on the
@@ -92,16 +111,17 @@ def _load_knot(selector: str):
         if not report.ok:
             raise CliError(f"invalid diagram: {report.summary()}", EXIT_INVALID)
         return d
-    # a file that exists costs one existence check and one read
+    # a curve file costs one open and one read; no existence check first
     path = Path(selector)
-    if not path.exists():
+    f = _open_curve(path)
+    if f is None:
         zoo_dir = os.environ.get("PEGBOARD_ZOO_DIR")
-        candidate = Path(zoo_dir) / f"{selector}.curve" if zoo_dir else None
-        if candidate is None or not candidate.exists():
+        path = Path(zoo_dir) / f"{selector}.curve" if zoo_dir else None
+        f = _open_curve(path) if path else None
+        if f is None:
             raise CliError(f"unknown knot {selector!r}: not a zoo name or readable file", EXIT_USAGE)
-        path = candidate
     try:
-        with open(path, encoding="utf-8") as f:
+        with f:
             text = f.read()
         return parse_curve_text(text, source=str(path))
     except InvariantViolation as exc:
@@ -141,18 +161,20 @@ def _write(args, body: str) -> None:
         sys.stdout.write(body)
 
 
-def _emit(args, payload, text_lines: list[str], csv_rows=None) -> None:
+def _emit(args, payload, text_lines, csv_rows=None) -> None:
     """Write one report: payload (a JSON object or array), the text lines or
-    the CSV rows, as --format asks."""
+    the CSV rows, as --format asks.  text_lines and csv_rows are callables
+    that build the lines or the rows, so a command builds only the format
+    it prints; a command with no CSV passes None."""
     fmt = getattr(args, "format", "text")
     if fmt == "json":
         body = json.dumps(payload, indent=2, sort_keys=True)
     elif fmt == "csv":
         if csv_rows is None:
             raise CliError("csv output is not available for this command", EXIT_USAGE)
-        body = "\n".join(",".join(str(v) for v in row) for row in csv_rows)
+        body = "\n".join(",".join(str(v) for v in row) for row in csv_rows())
     else:
-        body = "\n".join(text_lines)
+        body = "\n".join(text_lines())
     _write(args, body + "\n")
 
 
@@ -162,19 +184,20 @@ def _counts_json(counts: dict) -> dict:
 
 def cmd_zoo(args) -> int:
     names = zoo_names()
-    _emit(args, {"schema_version": 1, "kind": "zoo", "names": names}, names,
-          [[n] for n in names])
+    _emit(args, {"schema_version": 1, "kind": "zoo", "names": names}, lambda: names,
+          lambda: [[n] for n in names])
     return EXIT_OK
 
 
 def cmd_pair(args) -> int:
     d = _load_knot(args.knot)
-    payloads, lines, csv_rows = [], [], [["slope", "class", "count"]]
+    reports = []  # (slope, its report, its counts by class)
     for slope_text in args.slopes:
         slope = _parse_slope(slope_text)
         rep = surgery_report(d, slope)
-        counts = _counts_json(rep.counts)
-        payload = {
+        reports.append((slope, rep, _counts_json(rep.counts)))
+    payloads = [
+        {
             "schema_version": 1,
             "kind": "pairing",
             "knot": args.knot,
@@ -184,14 +207,24 @@ def cmd_pair(args) -> int:
             "cancelled_bigons": len(rep.cancelled),
             "flags": list(rep.flags),
         }
-        payloads.append(payload)
-        lines.append(f"{args.knot} @ {slope}: dim = {rep.total} "
-                     f"(cancelled {len(rep.cancelled)} bigon pairs)")
-        lines += [f"  class {k}: {v}" for k, v in counts.items()]
-        lines += [f"  note: {f}" for f in rep.flags]
-        csv_rows += [[str(slope), k, v] for k, v in counts.items()]
+        for slope, rep, counts in reports
+    ]
+
+    def text_lines():
+        lines = []
+        for slope, rep, counts in reports:
+            lines.append(f"{args.knot} @ {slope}: dim = {rep.total} "
+                         f"(cancelled {len(rep.cancelled)} bigon pairs)")
+            lines += [f"  class {k}: {v}" for k, v in counts.items()]
+            lines += [f"  note: {f}" for f in rep.flags]
+        return lines
+
+    def csv_rows():
+        return [["slope", "class", "count"]] + [
+            [str(slope), k, v] for slope, _, counts in reports for k, v in counts.items()]
+
     # several slopes: one JSON array, one CSV table under one header
-    _emit(args, payloads[0] if len(payloads) == 1 else payloads, lines, csv_rows)
+    _emit(args, payloads[0] if len(payloads) == 1 else payloads, text_lines, csv_rows)
     return EXIT_OK
 
 
@@ -207,10 +240,12 @@ def cmd_hfk(args) -> int:
         "dims": _counts_json(dims),
         "total": sum(dims.values()),
     }
-    lines = [f"{args.knot} @ {slope}: graded dual dims (total {sum(dims.values())})"]
-    lines += [f"  h = {h}: {n}" for h, n in sorted(dims.items(), reverse=True)]
-    csv_rows = [["grading", "dim"]] + [[str(h), n] for h, n in sorted(dims.items(), reverse=True)]
-    _emit(args, payload, lines, csv_rows)
+    def text_lines():
+        return [f"{args.knot} @ {slope}: graded dual dims (total {payload['total']})"] + [
+            f"  h = {h}: {n}" for h, n in sorted(dims.items(), reverse=True)]
+
+    _emit(args, payload, text_lines,
+          lambda: [["grading", "dim"]] + [[str(h), n] for h, n in sorted(dims.items(), reverse=True)])
     return EXIT_OK
 
 
@@ -233,16 +268,20 @@ def cmd_diff(args) -> int:
         "gradings": rows,
         "exception_applied": bounds.exception_applied,
     }
-    lines = [f"{args.knot} @ {slope}: first differentials "
-             f"(extremum discount {'active' if bounds.exception_applied else 'inactive'})"]
-    for r in rows:
-        mark = "ok" if r["ok"] else f"THEOREM VIOLATION [{RULE_RANK_BOUND}]"
-        lines.append(
-            f"  h = {r['grading']}: lowering rank {r['phi_rank']} (bound {r['phi_bound']}), "
-            f"raising rank {r['psi_rank']} (bound {r['psi_bound']}) .. {mark}"
-        )
+
+    def text_lines():
+        lines = [f"{args.knot} @ {slope}: first differentials "
+                 f"(extremum discount {'active' if bounds.exception_applied else 'inactive'})"]
+        for r in rows:
+            mark = "ok" if r["ok"] else f"THEOREM VIOLATION [{RULE_RANK_BOUND}]"
+            lines.append(
+                f"  h = {r['grading']}: lowering rank {r['phi_rank']} (bound {r['phi_bound']}), "
+                f"raising rank {r['psi_rank']} (bound {r['psi_bound']}) .. {mark}"
+            )
+        return lines
+
     fields = ["grading", "phi_rank", "psi_rank", "phi_bound", "psi_bound", "ok"]
-    _emit(args, payload, lines, [fields] + [[r[f] for f in fields] for r in rows])
+    _emit(args, payload, text_lines, lambda: [fields] + [[r[f] for f in fields] for r in rows])
     return EXIT_OK if all(r["ok"] for r in rows) else EXIT_VIOLATION
 
 
@@ -262,12 +301,11 @@ def cmd_invariants(args) -> int:
             "minima": {str(h): n for h, n in sorted(census.n_minus.items())},
         },
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"{args.knot}: genus {payload['genus']}, tau {tau}, epsilon {eps}",
         f"  maxima by height: {dict(sorted(census.n_plus.items()))}",
         f"  minima by height: {dict(sorted(census.n_minus.items()))}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 
@@ -293,21 +331,27 @@ def cmd_scan_simple(args) -> int:
             for e in entries
         ],
     }
-    lines = [f"{args.knot}: dual-simplicity scan over |p| <= {args.pmax}, q <= {args.qmax}"]
-    for e in entries:
-        if e.dually_simple or args.all:
-            lines.append(
-                f"  {e.slope}: dual {e.dual_total} vs dim {e.filling_dim} .. {e.verdict()}"
-            )
-    flagged = [e for e in entries if e.dually_simple]
-    lines.append(f"  flagged {len(flagged)} dually simple slope(s)")
-    if violated:
-        lines.append(f"  THEOREM VIOLATION [{RULE_DUAL_SIMPLE}]")
-    csv_rows = [["slope", "dual_total", "filling_dim", "dually_simple", "lspace", "verdict"]] + [
-        [str(e.slope), e.dual_total, e.filling_dim, e.dually_simple, e.lspace, e.verdict()]
-        for e in entries
-    ]
-    _emit(args, payload, lines, csv_rows)
+
+    def text_lines():
+        lines = [f"{args.knot}: dual-simplicity scan over |p| <= {args.pmax}, q <= {args.qmax}"]
+        for e in entries:
+            if e.dually_simple or args.all:
+                lines.append(
+                    f"  {e.slope}: dual {e.dual_total} vs dim {e.filling_dim} .. {e.verdict()}"
+                )
+        flagged = [e for e in entries if e.dually_simple]
+        lines.append(f"  flagged {len(flagged)} dually simple slope(s)")
+        if violated:
+            lines.append(f"  THEOREM VIOLATION [{RULE_DUAL_SIMPLE}]")
+        return lines
+
+    def csv_rows():
+        return [["slope", "dual_total", "filling_dim", "dually_simple", "lspace", "verdict"]] + [
+            [str(e.slope), e.dual_total, e.filling_dim, e.dually_simple, e.lspace, e.verdict()]
+            for e in entries
+        ]
+
+    _emit(args, payload, text_lines, csv_rows)
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
@@ -325,7 +369,7 @@ def cmd_demo(args) -> int:
         },
         "lines": list(demo.lines),
     }
-    _emit(args, payload, list(demo.lines))
+    _emit(args, payload, lambda: list(demo.lines))
     return EXIT_OK
 
 
@@ -430,7 +474,8 @@ def cmd_ledger(args) -> int:
                              "t2": {str(n): v for n, v in rep.t2.items()}},
                   "lines": lines}
         code = EXIT_OK if rep.ok else EXIT_VIOLATION
-    _emit(args, {"schema_version": 1, "kind": "ledger", **fields}, lines, csv_rows)
+    _emit(args, {"schema_version": 1, "kind": "ledger", **fields}, lambda: lines,
+          None if csv_rows is None else lambda: csv_rows)
     return code
 
 

@@ -22,11 +22,11 @@ back integers too: each crossing is a `Crossing` record (segment, ratio
 along it, point over a common denominator, level), which becomes
 Fractions only where its `point` is read.
 
-The seam crossings are the transversal crossings of the level scan of
-x - 1/2 (`seam_crossings`).  The one record of a wrapping component
-anchors it: `_anchored_period` starts the period there, in integers, for
-validation's symmetry check, and `anchor_at_seam` is that period read as
-Fractions.
+The seam crossings are the crossings of the level scan of x - 1/2
+(`seam_crossings`), which reads a run along a seam line by its run rule.
+The one record of a wrapping component anchors it: `_anchored_period`
+starts the period there, in integers, for validation's symmetry check,
+and `anchor_at_seam` is that period read as Fractions.
 """
 
 from __future__ import annotations
@@ -370,30 +370,38 @@ def _cycle_key(c: Component, k: int, scale: int) -> Optional[tuple]:
     is not confined).
 
     c is moved by -k, and its vertices, times `scale` (a multiple of c's
-    frame scale), become one tuple of integer pairs; the key is that cycle's least rotation, read in both
-    directions.  A positive scale keeps the order of keys, and -scale
-    gives the key of c turned by a half turn about (0, 0).  A component
-    with no vertices has the key None.
+    frame scale), become one tuple of integer pairs; the key is that
+    cycle's least rotation, read in both directions.  A least rotation
+    starts at the least pair, so only the rotations that start there are
+    compared, two per occurrence of that pair.  A positive scale keeps
+    the order of keys, and -scale gives the key of c turned by a half
+    turn about (0, 0).  A component with no vertices has the key None.
     """
     s, xs, ys = c._frame
     f = scale // s
-    cycle = tuple(((x - k * s) * f, y * f) for x, y in zip(xs, ys))
-    return min((seq[i:] + seq[:i] for seq in (cycle, cycle[::-1]) for i in range(len(seq))), default=None)
+    cycle = [((x - k * s) * f, y * f) for x, y in zip(xs, ys)]
+    if not cycle:
+        return None
+    least, n = min(cycle), len(cycle)
+    doubled = cycle + cycle
+    return min(
+        rotation
+        for i, pair in enumerate(cycle) if pair == least
+        for rotation in (tuple(doubled[i:i + n]), tuple(doubled[i + n:i:-1]))
+    )
 
 
 def seam_crossings(c: Component) -> list[Crossing]:
-    """Transversal crossings of the seam lines x in 1/2 + Z along one period.
+    """Crossings of the seam lines x in 1/2 + Z along one period.
 
-    Returns the records of `Component.level_crossings` for the form
-    x - 1/2, so the crossing of the seam line x = m + 1/2 has level m,
-    less each vertex whose neighbour lies on its line: a crossing at a
-    vertex counts once, iff neither neighbour lies on the seam line and
-    they straddle it; touching without crossing, or running along the
-    line, does not count, though the level scan crosses a run that the
-    curve passes through.
+    These are the records of `Component.level_crossings` for the form
+    x - 1/2, so the crossing of the seam line x = m + 1/2 has level m, and
+    the level scan's run rule reads a run of vertices along a seam line:
+    a run that the curve passes through crosses the seam once, at its
+    first vertex, and a run or a vertex that the curve only touches adds
+    no crossing.
     """
-    xs = c._lifted_frame[0]  # index j + 1 holds vertex j
-    return [e for e in c.level_crossings(1, 0, -HALF) if e.r or xs[e.i] != xs[e.i + 1] != xs[e.i + 2]]
+    return c.level_crossings(1, 0, -HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +442,12 @@ def validate(d: CurveDiagram) -> ValidationReport:
     scale S, built once per component): repeats and closure compare
     integers, a vertex is a peg iff S divides X and 2S divides 2Y - S, the
     segment pegs come from the column table, the seam scan is the level
-    scan, and confinement reads `_strip_offset`.  The symmetry check works
-    in the diagram's frame, D = lcm(2, every S).  A violation's message is
-    built only when it is reported.
+    scan, and confinement reads `_strip_offset`.  One loop over each
+    component's frame checks its repeats, vertex pegs and segment pegs;
+    its violations are reported in the order repeats, closure, vertex
+    pegs, segment pegs.  The symmetry check works in the diagram's frame,
+    D = lcm(2, every S).  A violation's message is built only when it is
+    reported.
     """
     bad: list[Violation] = []
 
@@ -452,28 +463,36 @@ def validate(d: CurveDiagram) -> ValidationReport:
             add("vertices", "component needs at least two vertices", i)
             continue
         scale, xs, ys = c._frame
-        n = len(xs)
-        for k in range(n - 1):
-            if xs[k] == xs[k + 1] and ys[k] == ys[k + 1]:
-                add("repeat", f"consecutive vertices coincide at {c.vertices[k]}", i)
+        n, two = len(xs), 2 * scale
+        segments = n - c.winding  # a closed component's last segment joins back to vertex 0
+        repeats, pegs, passes = [], [], []
+        for k in range(n):
+            x, y = xs[k], ys[k]
+            if x % scale == 0 and (2 * y - scale) % two == 0:
+                pegs.append(k)
+            if k < segments:
+                j = k + 1 if k + 1 < n else 0
+                if x == xs[j] and y == ys[j]:
+                    if j:  # segment n - 1 of a closed component: the closure, below
+                        repeats.append(k)
+                    continue
+                # The column table names the peg of a segment through one.
+                try:
+                    c.segment_columns(k)
+                except PointOnLoop as exc:
+                    passes.append((k, j, exc.peg))
+        for k in repeats:
+            add("repeat", f"consecutive vertices coincide at {c.vertices[k]}", i)
         if c.winding == 1:
             if xs[-1] != xs[0] + scale or ys[-1] != ys[0]:
                 want = c.vertices[0].translate(1)
                 add("closure", f"period must end at {want}, ends at {c.vertices[-1]}", i)
         elif xs[0] == xs[-1] and ys[0] == ys[-1]:
             add("closure", "closed component must not repeat its first vertex", i)
-        for k in range(n):
-            if xs[k] % scale == 0 and (2 * ys[k] - scale) % (2 * scale) == 0:
-                add("peg", f"vertex {c.vertices[k]} lies on a peg", i)
-        # The column table names the peg of a segment through one.
-        for k in range(n if c.winding == 0 else n - 1):
-            j = (k + 1) % n
-            if xs[k] == xs[j] and ys[k] == ys[j]:
-                continue  # reported above, as a repeat or as the closure
-            try:
-                c.segment_columns(k)
-            except PointOnLoop as exc:
-                add("peg", f"segment {c.vertices[k]}->{c.vertices[j]} passes through peg {exc.peg}", i)
+        for k in pegs:
+            add("peg", f"vertex {c.vertices[k]} lies on a peg", i)
+        for k, j, peg in passes:
+            add("peg", f"segment {c.vertices[k]}->{c.vertices[j]} passes through peg {peg}", i)
 
     crossings = []
     if len(wrapping) != 1:

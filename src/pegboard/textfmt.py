@@ -10,10 +10,12 @@ Format (UTF-8):
     v ...
 
 Coordinates are integers or fractions a/b (any spelling `Fraction` reads).
-Parsing is one pass over the text, split into lines once: each distinct
-coordinate token becomes a Fraction once per call, through a dict local to
-the call, and a `CurveFormatError` names the 1-based column of the failing
-token's first character in the raw line, counted only when a token fails.
+Parsing is one pass over the text, split into lines once: a line's
+comment is split off only when the line holds a hash, the `v` lines are
+tested for first, each distinct coordinate token becomes a Fraction once
+per call, through a dict local to the call, and a `CurveFormatError` names
+the 1-based column of the failing token's first character in the raw line,
+counted only when a token fails.
 Parsing then runs the full validator.  Emission writes
 `curves.canonicalize`: the wrapping component first (re-based at its seam
 crossing), then the closed components sorted by their canonical keys.
@@ -92,19 +94,10 @@ def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
 
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
-        parts = raw.split("#", 1)[0].split()
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not parts:
             continue
-        if parts[0] == "component":
-            flush(line_no)
-            if len(parts) != 2 or not parts[1].startswith("winding="):
-                raise CurveFormatError("expected 'component winding=<0|1>'", line_no)
-            value = parts[1].split("=", 1)[1]
-            if value not in ("0", "1"):
-                raise CurveFormatError(f"winding must be 0 or 1, got {value!r}", line_no,
-                                       column=_column(raw, parts, 1) + len("winding="))
-            winding = int(value)
-        elif parts[0] == "v":
+        if parts[0] == "v":  # the common line first
             if winding is None:
                 raise CurveFormatError("vertex before any component header", line_no)
             if len(parts) != 3:
@@ -116,6 +109,15 @@ def parse_curve_text(text: str, source: str = "text") -> CurveDiagram:
             if y is None:
                 y = _coordinate(read, raw, parts, 2, line_no)
             vertices.append(Point(x, y))
+        elif parts[0] == "component":
+            flush(line_no)
+            if len(parts) != 2 or not parts[1].startswith("winding="):
+                raise CurveFormatError("expected 'component winding=<0|1>'", line_no)
+            value = parts[1].split("=", 1)[1]
+            if value not in ("0", "1"):
+                raise CurveFormatError(f"winding must be 0 or 1, got {value!r}", line_no,
+                                       column=_column(raw, parts, 1) + len("winding="))
+            winding = int(value)
         else:
             raise CurveFormatError(f"unrecognized directive {parts[0]!r}", line_no)
     flush(len(lines))

@@ -3,8 +3,8 @@
 The full sweep (every zoo and thin diagram) stays out of the suite; here it
 runs twice on one thin diagram, read from a curve file, and must give the
 same digest both times: nothing one command leaves behind changes the
-next command's bytes.  The whole grid holds 9,488 cases: the zoo, the thin
-diagrams and the nine curve files in `tools/curves`.  The zoo's part of the sweep is pinned to its
+next command's bytes.  The whole grid holds 9,758 cases: the zoo, the thin
+diagrams and the ten curve files in `tools/curves`.  The zoo's part of the sweep is pinned to its
 digest, so a change to any zoo case's bytes fails the suite; a deliberate
 output change updates `ZOO_SHA256` and says so in CHANGES.md.  A zoo diagram's cases end with its six `render`
 calls.  A per-case file written with `--cases` matches its own run under
@@ -78,12 +78,12 @@ def test_against_lists_the_cases_that_differ(capsys, tmp_path):
 
 def test_the_grid_runs_every_diagram():
     # The zoo's 1,658 cases, 270 on each of the 20 thin diagrams and on each
-    # of the nine drawings, read from their curve files; naming the zoo and
+    # of the ten drawings, read from their curve files; naming the zoo and
     # thin diagrams leaves the drawings out.
     tool = load_tool()
     argvs = tool.grid()
-    assert len(argvs) == 1658 + 20 * 270 + 9 * 270 == 9488
-    assert [argv[1] for argv in argvs[-9 * 270::270]] == tool.DRAWN
+    assert len(argvs) == 1658 + 20 * 270 + 10 * 270 == 9758
+    assert [argv[1] for argv in argvs[-10 * 270::270]] == tool.DRAWN
     assert sorted(tool.DRAWN) == sorted(path.stem for path in tool.CURVES.glob("*.curve"))
     assert all((tool.CURVES / f"{label}.curve").is_file() for label in tool.DRAWN)
     thin = [tool.thin_label(tau, f) for tau, f in tool.THIN]

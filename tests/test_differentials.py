@@ -45,7 +45,7 @@ from pegboard.differentials import (
     gf2_rank,
 )
 from conftest import position, staircase_diagrams
-from test_arc_sweep import CURVES, drawn, grading_range
+from test_arc_sweep import VALID_DRAWN, drawn, grading_range
 from test_geometry import first_wound_peg as one_pass_wound_peg
 from test_walk import subarc as reference_subarc, walk_span
 
@@ -232,10 +232,10 @@ class TestCensusBounds:
     def test_every_bound_lands_on_a_grading_of_dims(self, zoo):
         # `diff` prints the gradings of `dims` only, so a bound off them
         # would be dropped without a word: on the zoo and thin diagrams,
-        # and on the drawings of `tools/curves`, whose drawn extrema (tall's
-        # maximum at height 3) lie where no generator is.
+        # and on the valid drawings of `tools/curves`, whose drawn extrema
+        # (tall's maximum at height 3) lie where no generator is.
         diagrams = [*zoo.values(), *(thin(tau, f) for tau in range(-2, 3) for f in range(4))]
-        diagrams += [drawn(path.stem) for path in sorted(CURVES.glob("*.curve"))]
+        diagrams += [drawn(name) for name in VALID_DRAWN]
         bounds = 0
         for d in diagrams:
             for s in (SlopeSpec(p, q) for q in range(1, 5) for p in range(1, 10) if math.gcd(p, q) == 1):

@@ -21,6 +21,9 @@ builds the staircase complex over GF(2) from the exponents of the
 Alexander polynomial and reads everything from it, so neither oracle
 shares code with the geometry kernel, and the mapping cone checks both
 slope signs.
+
+`dually_simple_scan`'s dual totals and filling dims are checked against a
+third oracle, a Stern-Brocot walk over cyclic words (its section below).
 """
 
 import math
@@ -253,3 +256,126 @@ def test_thin_at_one_over_zero_is_hfk(tau):
             want[h] = want.get(h, 0) + n
         nonzero = {h: n for h, n in want.items() if n}
         assert dual_hfk_dims(thin(tau, f), SlopeSpec(1, 0)) == nonzero, f
+
+
+# ---------------------------------------------------------------------------
+# The dual-simplicity scan as a Stern-Brocot walk over words (ROADMAP item 4)
+#
+# A slope p/q's lines are the levels of U = p*x - q*y' (y' = y - 1/2, so
+# the pegs are Z^2).  In a unimodular basis of such forms (L, R) a curve
+# is a cyclic word in the letters a/A (an L-line crossed upward/downward)
+# and b/B (an R-line).  The lines of the mediant form M = L + R are the
+# diagonals of the (L, R) cells through their lower right and upper left
+# corners (pegs), and a pulled-tight curve crosses one, once, exactly
+# where it enters a cell through its left or bottom side and leaves
+# through its top or right side (M crossed upward), or the other way round
+# (downward): between two cyclically adjacent letters that both go up, or
+# both go down.  So the mediant letters are read off the word in one
+# pass, and the word in the basis (L, M) or (M, R) is the word with them
+# inserted and the replaced family dropped; it is again cyclically
+# reduced.  The root basis is (-y', x), slopes 0/1 and 1/0, or (-y', -x)
+# for negative slopes, and every reduced p/q of the scan grid is the
+# mediant of exactly one node, whose ancestors all lie inside the grid.
+# At that node, the dual total is the number of mediant letters, and the
+# filling dim that number less their cyclic sign changes.  The root words
+# are `test_curves.oracle_word`, which shares no code with the package.
+
+
+def root_words(d, sign: int) -> list[str]:
+    """Each component's reduced word in the root basis (-y', sign * x):
+    a rightward column crossing is b (B for sign -1), an upward row
+    crossing A, a downward one a."""
+    from test_curves import oracle_word
+
+    words = []
+    for c in d.components:
+        letters = []
+        for kind, _, _, step in oracle_word(c):
+            if kind == "a":  # the column x = line, rightward for step 1
+                letters.append("b" if step * sign == 1 else "B")
+            else:  # the row y' = line, upward for step 1
+                letters.append("A" if step == 1 else "a")
+        words.append("".join(letters))
+    return words
+
+
+def mediant_letters(word: str) -> list[bool]:
+    """The mediant letters of a word, in cyclic order, True going up: one
+    after each letter whose cyclic successor goes the same way."""
+    return [x.islower() for x, y in zip(word, word[1:] + word[:1]) if x.islower() == y.islower()]
+
+
+def child_word(word: str, keep: str) -> str:
+    """The word in the basis (L, L + R) when keep is "a", or (L + R, R)
+    when keep is "b": the kept family's letters, with each mediant letter
+    written as the family that the kept one is not."""
+    new = "b" if keep == "a" else "a"
+    out = []
+    for x, y in zip(word, word[1:] + word[:1]):
+        if x.lower() == keep:
+            out.append(x)
+        if x.islower() == y.islower():
+            out.append(new if x.islower() else new.upper())
+    return "".join(out)
+
+
+def walk_scan(d, pmax: int, qmax: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """(dual total, filling dim) at every reduced p/q, 0 < |p| <= pmax and
+    1 <= q <= qmax, by the Stern-Brocot walk from the root words."""
+    out = {}
+    for sign in (1, -1):
+        nodes = [(root_words(d, sign), (0, 1), (sign, 0))]
+        while nodes:
+            words, left, right = nodes.pop()
+            p, q = left[0] + right[0], left[1] + right[1]
+            if abs(p) > pmax or q > qmax:
+                continue
+            dual = filling = 0
+            for word in words:
+                ups = mediant_letters(word)
+                dual += len(ups)
+                filling += len(ups) - sum(u != v for u, v in zip(ups, ups[-1:] + ups[:-1]))
+            out[(p, q)] = (dual, filling)
+            nodes.append(([child_word(w, "a") for w in words], left, (p, q)))
+            nodes.append(([child_word(w, "b") for w in words], (p, q), right))
+    return out
+
+
+def assert_scan_matches_the_walk(d):
+    entries = dually_simple_scan(d, 9, 4)
+    walked = walk_scan(d, 9, 4)
+    assert {(e.slope.p, e.slope.q): (e.dual_total, e.filling_dim) for e in entries} == walked, d.source
+
+
+def test_walk_words_by_hand():
+    # The unknot's line is one rightward column crossing: at p/q its
+    # mediant letters are |p| letters all going one way, dual = dim = |p|.
+    assert root_words(build_zoo("unknot"), 1) == ["b"] and root_words(build_zoo("unknot"), -1) == ["B"]
+    assert mediant_letters("b") == [True] and child_word("b", "a") == "b" and child_word("b", "b") == "ba"
+    assert walk_scan(build_zoo("unknot"), 3, 2) == {(p, q): (abs(p), abs(p)) for p, q in
+                                                    [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2),
+                                                     (-1, 1), (-2, 1), (-3, 1), (-1, 2), (-3, 2)]}
+
+
+# `thin(tau, f)` with f >= 1 stays out: its figure-eights' bigons are where
+# the kernel's cancellation is wrong (ROADMAP item 1), and the walk meets
+# additivity there while the kernel does not.  The zoo's figure_eight is
+# thin(0, 1) with one figure-eight, and it agrees.
+@pytest.mark.parametrize("name", [*sorted(ZOO_GENUS), "trefoil_mirror", "figure_eight"])
+def test_scan_matches_the_walk_on_the_zoo(name):
+    assert_scan_matches_the_walk(build_zoo(name))
+
+
+def test_scan_matches_the_walk_on_the_drawings():
+    from test_arc_sweep import VALID_DRAWN, drawn
+
+    for name in VALID_DRAWN:
+        assert_scan_matches_the_walk(drawn(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(staircase_polynomials())
+def test_scan_matches_the_walk_on_staircases_and_mirrors(alexander):
+    d = lspace_staircase(alexander)
+    for diagram in (d, d.mirror()):
+        assert_scan_matches_the_walk(diagram)

@@ -14,9 +14,10 @@ column pass, copied verbatim:
   fix (such a component used to be reported twice, or to raise
   `IndexError` with no vertex at all).  Its seam scan is the Fraction
   level scan, `test_level_scan.reference_level_crossings`, not the
-  integer one that production validation runs, less each crossing at a
-  vertex whose neighbour lies on its seam line: a run of vertices along
-  a seam line adds no seam crossing.
+  integer one that production validation runs.  Both read a run of
+  vertices along a seam line by the scan's run rule, a second deliberate
+  fix: a run that the curve passes through is one seam crossing, where
+  the strict rule that ran before counted none.
 The peg that the column table names for a segment through one
 (`Component.segment_columns` raising `PointOnLoop`, its `peg`) must be
 `reference_segment_hits_peg`'s, and no peg where that finds none;
@@ -37,6 +38,7 @@ from hypothesis import strategies as st
 from pegboard.curves import (
     Component,
     CurveDiagram,
+    InvariantViolation,
     ValidationReport,
     Violation,
     _cycle_key,
@@ -98,9 +100,7 @@ def reference_canonical_cycle(c: Component) -> tuple:
 
 
 def reference_seam_crossings(c: Component) -> list[tuple[Fraction, Fraction]]:
-    crossings = reference_level_crossings(c, lambda v: v.x, HALF)
-    return [(pos, point.y) for pos, point, _ in crossings
-            if pos.denominator != 1 or c.lifted(int(pos) - 1).x != point.x != c.lifted(int(pos) + 1).x]
+    return [(pos, point.y) for pos, point, _ in reference_level_crossings(c, lambda v: v.x, HALF)]
 
 
 def reference_anchor_at_seam(c: Component) -> Component:
@@ -283,13 +283,30 @@ def test_segment_peg_is_lowest_column_then_lowest_row():
 closed_polygons = st.lists(st.builds(Point, grid_coordinates, grid_coordinates), max_size=8)
 
 
-@settings(max_examples=300, deadline=None)
-@given(closed_polygons)
+@st.composite
+def polygons_through_a_point_again(draw):
+    """A closed polygon that passes again through its least vertex and
+    through its greatest, each at a position not next to its first: the
+    least rotation at either sign of the scale then has tied starts."""
+    vertices = draw(st.lists(st.builds(Point, grid_coordinates, grid_coordinates), min_size=3, max_size=7,
+                             unique=True))
+    for v in (min(vertices), max(vertices)):
+        apart = [i for i in range(len(vertices)) if v not in (vertices[i - 1], vertices[i])]
+        vertices.insert(draw(st.sampled_from(apart)), v)
+    return vertices
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(closed_polygons, polygons_through_a_point_again()))
 @example([])
 @example([Point(Fraction(1, 4), 0), Point(Fraction(1, 4), 0), Point(0, HALF)])  # a repeated vertex
+# a figure-eight through its least vertex twice: the rotation from the second start is least
+@example([Point(0, 0), Point(Fraction(1, 4), Fraction(1, 4)), Point(Fraction(1, 4), Fraction(-1, 4)), Point(0, 0),
+          Point(Fraction(1, 8), Fraction(-1, 4)), Point(Fraction(1, 8), Fraction(1, 4))])
 def test_canonical_cycle_matches_reference(vertices):
     # `_cycle_key` at scale S is the reference key times S, and at -S the
-    # reference key of the half-turned component times S.
+    # reference key of the half-turned component times S; a vertex that
+    # the cycle passes twice gives the key two starts to compare.
     c = Component(tuple(vertices), 0)
     k = _strip_offset(c) or 0
     scale = 2 * c._frame[0]
@@ -526,16 +543,48 @@ SEAM_RUNS = CurveDiagram((Component(tuple(Point(Fraction(x, 4), Fraction(y, 4)) 
 def test_a_run_along_a_seam_line_is_no_seam_crossing():
     """Validation counts the seam crossings of the drawing as it is: a run
     along a seam line that the curve only touches adds none, from either
-    side, and the level scan reads none there either.  The curve validates
+    side, as the level scan's run rule reads it.  The curve validates
     and pairs as its sheared copy, which has no run."""
     from test_arc_sweep import SHEAR_SLOPES, counts, sheared
 
     g = SEAM_RUNS.gamma0()
     assert [(e.i, e.point) for e in seam_crossings(g)] == [(0, Point(-HALF, Fraction(0)))]
-    assert g.level_crossings(1, 0, -HALF) == seam_crossings(g)
     assert reference_seam_crossings(g) == [(0, 0)]
     assert validate(SEAM_RUNS) == reference_validate(SEAM_RUNS) and validate(SEAM_RUNS).ok
     copy = sheared(SEAM_RUNS)
     assert validate(copy).ok
     for slope in SHEAR_SLOPES:
         assert counts(SEAM_RUNS, slope) == counts(copy, slope), str(slope)
+
+
+# A half-turn-symmetric wrapping curve through (-1/2, 0) that passes
+# through two runs along the seam line x = -1/2, and its half turn through
+# two along x = 1/2: five seam crossings.  Read with only the crossings at
+# lone vertices and inside segments, it crossed once and validated, and
+# tau depended on the stored start (`tools/curves/seam_run.curve`).
+SEAM_RUN = [Point(Fraction(x, 8), Fraction(y, 8)) for x, y in [
+    (-4, 0), (-2, 14), (-4, 14), (-4, 13), (-10, 13), (-10, 8), (-6, 8), (-4, 8), (-4, 7), (-2, 7), (-1, 2), (0, 0),
+]]
+SEAM_RUN += [v.rotate180() for v in reversed(SEAM_RUN[:-1])]  # ends at (1/2, 0)
+
+
+@pytest.mark.parametrize("start", range(len(SEAM_RUN) - 1))
+def test_a_run_through_a_seam_line_is_a_seam_crossing(start):
+    d = CurveDiagram((Component(tuple(_restarted_period(SEAM_RUN, start)), 1),), "seam run")
+    assert len(seam_crossings(d.gamma0())) == len(reference_seam_crossings(d.gamma0())) == 5
+    assert validate(d) == reference_validate(d)
+    assert validate(d).violations == (
+        Violation("seam", "distinguished component crosses the seam 5 times, expected once", 0),)
+
+
+def test_the_seam_run_drawing_is_refused():
+    # `tools/curves/seam_run.curve`, which `tools/cli_digest.py` runs, is
+    # SEAM_RUN, and parsing it refuses it with the seam count.
+    from test_arc_sweep import CURVES, drawn
+
+    text = (CURVES / "seam_run.curve").read_text(encoding="utf-8")
+    assert [line.split()[1:] for line in text.splitlines() if line.startswith("v ")] == [
+        [str(v.x), str(v.y)] for v in SEAM_RUN]
+    with pytest.raises(InvariantViolation) as refused:
+        drawn("seam_run")
+    assert refused.value.report.summary() == "[seam] distinguished component crosses the seam 5 times, expected once"

@@ -19,11 +19,12 @@ and, for each zoo diagram, its ``render`` SVG: plain, with ``--overlay``
 at 3/2, 0/1 and -7/3, and with ``--overlay-arc`` at 1/0@1 and 3/2@1.
 
 The diagrams are the zoo, ``thin(tau, f)`` for -2 <= tau <= 2 and
-0 <= f <= 3, and the nine drawings in ``tools/curves``: six whose
+0 <= f <= 3, and the ten drawings in ``tools/curves``: six whose
 segments lie along arc lines (``collinear``, ``tall``, ``upright``,
-``stacked``, ``two_stacks`` and ``triangle``) and three whose drawn turns
+``stacked``, ``two_stacks`` and ``triangle``), three whose drawn turns
 are not the pulled-tight curve's (``tilted``, ``column_run`` and
-``peg_rows``).  Each thin diagram is read from a curve
+``peg_rows``), and ``seam_run``, which passes through runs along the seam
+lines and is refused.  Each thin diagram is read from a curve
 file named ``thin_t<tau>_f<f>`` (``m`` for a minus sign), and each drawing
 from a copy of its file under its own name, in a temporary
 ``$PEGBOARD_ZOO_DIR``, whose path is replaced by ``$PEGBOARD_ZOO_DIR`` in
@@ -56,7 +57,8 @@ SLOPES = [f"{p}/{q}" for q in range(1, 5) for p in range(-9, 10) if p and math.g
 CAP = ["63/31", "-61/29"]
 THIN = [(tau, f) for tau in range(-2, 3) for f in range(4)]
 CURVES = ROOT / "tools" / "curves"
-DRAWN = ["collinear", "tall", "upright", "stacked", "two_stacks", "triangle", "tilted", "column_run", "peg_rows"]
+DRAWN = ["collinear", "tall", "upright", "stacked", "two_stacks", "triangle", "tilted", "column_run", "peg_rows",
+         "seam_run"]
 FORMATS = ("text", "json")
 RENDERS = [[], ["--overlay", "3/2"], ["--overlay", "0/1"], ["--overlay", "-7/3"],
            ["--overlay-arc", "1/0@1"], ["--overlay-arc", "3/2@1"]]
